@@ -22,16 +22,14 @@ import sys
 from .model import DEFAULT_NAMESPACE, idpath, render
 from .parser import ParseReport, ParserConfig
 from .pipeline import (
-    SchemaJob,
-    SemanticsJob,
-    SliceJob,
-    StudyJob,
+    Job,
+    SchemaFold,
+    SemanticsFold,
+    SliceFold,
     concatenate_shards,
+    join_scores,
     join_study_rows,
-    merge_schema_payloads,
-    merge_semantics_payloads,
-    merge_slice_payloads,
-    merge_study_payloads,
+    merge_payloads,
     plan_partitions,
     run_partitioned,
 )
@@ -54,13 +52,11 @@ from .slicer import (
     DEFAULT_IMPLEMENTATION_DOMAINS,
     DEFAULT_SLICE_LAYOUT,
     DOMAIN,
-    Group,
     GroupConfig,
     SliceKey,
     build_taxonomy,
-    group_for,
 )
-from .stats import InsufficientDataError, StudyRow, run_study
+from .stats import InsufficientDataError, run_study
 
 OUTPUT_DIR_ENV = "FBONT_OUT"
 
@@ -119,22 +115,35 @@ def _schema_config(args: argparse.Namespace) -> SchemaConfig:
 # --- subcommands ----------------------------------------------------------------
 
 
-def cmd_slice(args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace, *folds) -> tuple[ParseReport, dict]:
+    """Parse the inputs once, feeding every triple to each fold; merged report and payload."""
+    job = Job(folds, _parser_config(args), args.max_errors)
     partitions = plan_partitions(args.inputs, args.workers)
+    report, payloads = run_partitioned(job, partitions, args.workers)
+    return report, merge_payloads(payloads)
+
+
+def _write_rows(args: argparse.Namespace, name: str, header: tuple, rows: list[tuple]) -> None:
+    """Write rows as NAME.csv and, with --json, as NAME.json records keyed by header."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(os.path.join(args.out, f"{name}.csv"), out.getvalue())
+    if args.json:
+        records = [dict(zip(header, row)) for row in rows]
+        _write_text(
+            os.path.join(args.out, f"{name}.json"),
+            json.dumps(records, indent=2, sort_keys=True) + "\n",
+        )
+
+
+def cmd_slice(args: argparse.Namespace) -> int:
     materialize_dir = None
     if args.materialize is not None:
         materialize_dir = args.materialize or os.path.join(args.out, "slices")
     shard_root = os.path.join(materialize_dir, ".parts") if materialize_dir else None
-    job = SliceJob(
-        parser=_parser_config(args),
-        max_errors=args.max_errors,
-        shard_root=shard_root,
-        count_distinct=args.count_distinct,
-        slice_layout=args.slice_layout,
-    )
-    report, payloads = run_partitioned(job, partitions, args.workers)
-    merged = merge_slice_payloads(payloads)
-    report.lint.update(merged["lint"])
+    report, merged = _run(args, SliceFold(shard_root, args.count_distinct, args.slice_layout))
 
     if shard_root is not None:
         concatenate_shards(merged["shard_dirs"], materialize_dir)
@@ -154,43 +163,24 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 
 def cmd_schema(args: argparse.Namespace) -> int:
-    partitions = plan_partitions(args.inputs, args.workers)
-    job = SchemaJob(
-        parser=_parser_config(args),
-        max_errors=args.max_errors,
-        schema=_schema_config(args),
-    )
-    report, payloads = run_partitioned(job, partitions, args.workers)
-    merged = merge_schema_payloads(payloads)
-    report.lint.update(merged["lint"])
-    _write_text(
-        os.path.join(args.out, "schema.csv"),
-        render_schema_table(merged["schemas"], args.score_method),
-    )
+    report, merged = _run(args, SchemaFold(_schema_config(args)))
+    _write_text(os.path.join(args.out, "schema.csv"), render_schema_table(merged["schemas"]))
     if args.json:
-        _write_text(
-            os.path.join(args.out, "schema.json"),
-            schema_to_json(merged["schemas"], args.score_method),
-        )
+        _write_text(os.path.join(args.out, "schema.json"), schema_to_json(merged["schemas"]))
     _write_parse_report(args.out, report)
     _print_summary(report)
     return 0
 
 
 def cmd_semantics(args: argparse.Namespace) -> int:
-    partitions = plan_partitions(args.inputs, args.workers)
     incompat = idpath(args.incompatibility_predicate) if args.incompatibility_predicate else None
-    job = SemanticsJob(
-        parser=_parser_config(args),
-        max_errors=args.max_errors,
+    fold = SemanticsFold(
         replaced_by=idpath(args.replaced_by_predicate),
         type_predicate=idpath(args.type_predicate_sem),
         incompatibility_predicate=incompat,
         accept_reversed=args.accept_reversed,
     )
-    report, payloads = run_partitioned(job, partitions, args.workers)
-    merged = merge_semantics_payloads(payloads)
-    report.lint.update(merged["lint"])
+    report, merged = _run(args, fold)
     policy = CyclePolicy(args.cycle_policy)
 
     merge_map = merged["merge_map"]
@@ -198,26 +188,15 @@ def cmd_semantics(args: argparse.Namespace) -> int:
     write_merge_tsv(merge_map, out, policy)  # MergeCycleError propagates: exit 4
     _write_text(os.path.join(args.out, "merges.tsv"), out.getvalue())
 
-    note_rows = [
-        {
-            "property": render(n.property),
-            "object": render(n.object),
-            "kind": n.kind.value,
-            "orientation": n.orientation,
-        }
-        for n in merged["notations"]
-    ]
-    notes = io.StringIO()
-    writer = csv.writer(notes, lineterminator="\n")
-    writer.writerow(("property", "object", "kind", "orientation"))
-    for row in note_rows:
-        writer.writerow((row["property"], row["object"], row["kind"], row["orientation"]))
-    _write_text(os.path.join(args.out, "valuenotes.csv"), notes.getvalue())
-    if args.json:
-        _write_text(
-            os.path.join(args.out, "valuenotes.json"),
-            json.dumps(note_rows, indent=2, sort_keys=True) + "\n",
-        )
+    _write_rows(
+        args,
+        "valuenotes",
+        ("property", "object", "kind", "orientation"),
+        [
+            (render(n.property), render(n.object), n.kind.value, n.orientation)
+            for n in merged["notations"]
+        ],
+    )
 
     rules = set(merged["rules"])
     if args.rules:
@@ -225,21 +204,12 @@ def cmd_semantics(args: argparse.Namespace) -> int:
             rules |= load_rules(handle)
     if rules or args.rules or incompat:
         violations = check_incompatibilities(merged["assertions"], rules)
-        violation_rows = [
-            {"mid": render(v.mid), "type_a": render(v.type_a), "type_b": render(v.type_b)}
-            for v in violations
-        ]
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("mid", "type_a", "type_b"))
-        for row in violation_rows:
-            writer.writerow((row["mid"], row["type_a"], row["type_b"]))
-        _write_text(os.path.join(args.out, "violations.csv"), out.getvalue())
-        if args.json:
-            _write_text(
-                os.path.join(args.out, "violations.json"),
-                json.dumps(violation_rows, indent=2, sort_keys=True) + "\n",
-            )
+        _write_rows(
+            args,
+            "violations",
+            ("mid", "type_a", "type_b"),
+            [(render(v.mid), render(v.type_a), render(v.type_b)) for v in violations],
+        )
         print(f"violations: {len(violations)}")
 
     _write_parse_report(args.out, report)
@@ -274,29 +244,10 @@ def cmd_study(args: argparse.Namespace) -> int:
     report = None
     if args.from_counts and args.from_schema:
         counts = _load_counts_csv(args.from_counts)
-        scores = _load_schema_csv(args.from_schema)
-        rows = []
-        skipped = []
-        for key in sorted(counts):
-            if key.kind != DOMAIN or group_for(key, group_config) is not Group.SUBJECT_MATTER:
-                continue
-            if key.name in scores:
-                rows.append(StudyRow(key.name, counts[key], scores[key.name]))
-            else:
-                skipped.append(key.name)
+        rows, skipped = join_scores(counts, _load_schema_csv(args.from_schema), group_config)
     elif args.inputs:
-        partitions = plan_partitions(args.inputs, args.workers)
-        job = StudyJob(
-            parser=_parser_config(args),
-            max_errors=args.max_errors,
-            schema=_schema_config(args),
-        )
-        report, payloads = run_partitioned(job, partitions, args.workers)
-        merged = merge_study_payloads(payloads)
-        report.lint.update(merged["lint"])
-        rows, skipped = join_study_rows(
-            merged["counts"], merged["schemas"], group_config, args.score_method
-        )
+        report, merged = _run(args, SliceFold(), SchemaFold(_schema_config(args)))
+        rows, skipped = join_study_rows(merged["counts"], merged["schemas"], group_config)
     else:
         print("error: provide dump inputs or --from-counts with --from-schema", file=sys.stderr)
         return 2
@@ -374,12 +325,6 @@ def _add_schema_options(sub: argparse.ArgumentParser) -> None:
         action="append",
         default=None,
         help="domain whose predicates mark schema triples (repeatable; default: type)",
-    )
-    sub.add_argument(
-        "--score-method",
-        choices=("pooled", "averaged"),
-        default="pooled",
-        help="complexity score formula",
     )
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 DEFAULT_NAMESPACE = "http://rdf.freebase.com/ns/"
 
 _STANDARD_TOKEN = re.compile(r"[0-9a-z_]+\Z")
-_IRI_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")
 
 
 @dataclass(frozen=True, order=True)
@@ -116,10 +115,6 @@ class ExternalIri:
     def __post_init__(self) -> None:
         if not self.iri:
             raise ValueError("iri must be non-empty")
-
-    @property
-    def has_scheme(self) -> bool:
-        return _IRI_SCHEME.match(self.iri) is not None
 
     @property
     def local_name(self) -> str:

@@ -1,17 +1,20 @@
 """Partition-parallel execution of the parse/aggregate pipeline.
 
 Plain dump files are split into byte ranges aligned to line boundaries; each
-partition is parsed independently (its lines are exactly those that *begin*
-inside its range) and per-partition results merge in partition order. Every
-aggregation here is a mergeable monoid, so any worker count produces
-byte-identical outputs to a single-threaded run.
+partition is parsed once (its lines are exactly those that *begin* inside its
+range) by one ``Job``, which feeds every triple to each of its folds. A fold
+returns its per-partition aggregate as payload fields, and every field is a
+mergeable monoid with one declared merge law (``MERGE_LAWS``) that
+``merge_payloads`` applies in partition order. Any worker count therefore
+produces byte-identical outputs to a single-threaded run.
 
-Gzip inputs are inherently sequential and are processed as one partition.
+Gzip inputs and standard input are inherently sequential and are processed
+as one partition.
 """
 
 from __future__ import annotations
 
-import gzip
+import operator
 import os
 import shutil
 import stat
@@ -19,10 +22,10 @@ import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from .model import IdPath, Mid
-from .parser import GZIP_MAGIC, ParseReport, ParserConfig, iter_triples, open_dump, serialize
+from .model import IdPath, Mid, Triple
+from .parser import GZIP_MAGIC, ParseReport, ParserConfig, _as_line_iter, iter_triples, serialize
 from .schema import (
     DomainSchema,
     SchemaConfig,
@@ -50,11 +53,14 @@ from .slicer import (
     GroupConfig,
     SliceKey,
     SliceWriter,
-    classify_predicate,
+    feed_slice_triple,
     group_for,
     merge_counts,
 )
 from .stats import StudyRow
+
+Feed = Callable[[Triple], None]
+Finish = Callable[[], dict]
 
 
 @dataclass(frozen=True)
@@ -100,18 +106,12 @@ def plan_partitions(paths: Sequence[str], workers: int) -> list[Partition]:
 
 def iter_partition_lines(part: Partition) -> Iterator[bytes]:
     """Yield exactly the lines that begin inside the partition's range."""
-    if part.path == "-":
-        stream = sys.stdin.buffer
-        if stream.peek(2)[:2] == GZIP_MAGIC:
-            stream = gzip.GzipFile(fileobj=stream)  # type: ignore[assignment]
-        yield from stream
-        return
     if part.end == -1:
-        handle = open_dump(part.path)
+        lines, close = _as_line_iter(sys.stdin.buffer if part.path == "-" else part.path)
         try:
-            yield from handle
+            yield from lines  # type: ignore[misc]
         finally:
-            handle.close()
+            close()
         return
     with open(part.path, "rb") as handle:
         if part.start > 0:
@@ -128,142 +128,78 @@ def iter_partition_lines(part: Partition) -> Iterator[bytes]:
             yield line
 
 
-# --- per-partition jobs ---------------------------------------------------------
+# --- folds and the one per-partition job ------------------------------------------
 #
-# Jobs are frozen dataclasses so they pickle cleanly into worker processes.
-# Each returns (ParseReport, payload); payloads merge in partition order.
+# A fold is a frozen, picklable recipe for one aggregate. ``start`` binds the
+# fold's per-partition state once and returns a (feed, finish) pair: ``feed``
+# folds one triple in, writing lint straight into the partition report's
+# counter, and ``finish`` returns the fold's payload fields. Every payload
+# field has one merge law in MERGE_LAWS, so partitions reduce in order to the
+# single-pass result.
 
 
 @dataclass(frozen=True)
-class SliceJob:
-    parser: ParserConfig = ParserConfig()
-    max_errors: int = 20
+class SliceFold:
+    """Slice counts; optionally materialized shards and the distinct-triple set."""
+
     shard_root: str | None = None
     count_distinct: bool = False
     slice_layout: str = DEFAULT_SLICE_LAYOUT
 
-    def run(self, part: Partition) -> tuple[ParseReport, dict[str, Any]]:
-        report = ParseReport(max_errors=self.max_errors)
+    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Finish]:
         counts: dict[SliceKey, int] = {}
-        lint: Counter = Counter()
         distinct: set[str] | None = set() if self.count_distinct else None
         writer: SliceWriter | None = None
         shard_dir: str | None = None
         if self.shard_root is not None:
             shard_dir = os.path.join(self.shard_root, f"{part.index:05d}")
-            writer = SliceWriter(shard_dir, self.parser.namespace, self.slice_layout)
-        try:
-            for triple in iter_triples(iter_partition_lines(part), report, self.parser):
-                if isinstance(triple.predicate, Mid):
-                    lint["mid-predicate"] += 1
-                    continue
-                key = classify_predicate(triple.predicate)
-                counts[key] = counts.get(key, 0) + 1
-                if writer is not None:
-                    writer.write(key, triple)
-                if distinct is not None:
-                    distinct.add(serialize(triple, self.parser.namespace))
-        finally:
+            writer = SliceWriter(shard_dir, parser.namespace, self.slice_layout)
+
+        def feed(triple: Triple) -> None:
+            key = feed_slice_triple(counts, triple, writer, lint)
+            if distinct is not None and key is not None:
+                distinct.add(serialize(triple, parser.namespace))
+
+        def finish() -> dict[str, Any]:
             if writer is not None:
                 writer.close()
-        return report, {
-            "counts": counts,
-            "lint": lint,
-            "shard_dir": shard_dir,
-            "distinct": distinct,
-        }
+            return {"counts": counts, "shard_dir": shard_dir, "distinct": distinct}
 
-
-def merge_slice_payloads(payloads: Sequence[dict[str, Any]]) -> dict[str, Any]:
-    counts: dict[SliceKey, int] = {}
-    lint: Counter = Counter()
-    distinct: set[str] | None = None
-    shard_dirs: list[str] = []
-    for payload in payloads:
-        counts = merge_counts(counts, payload["counts"])
-        lint += payload["lint"]
-        if payload["shard_dir"] is not None:
-            shard_dirs.append(payload["shard_dir"])
-        if payload["distinct"] is not None:
-            distinct = (distinct or set()) | payload["distinct"]
-    return {"counts": counts, "lint": lint, "shard_dirs": shard_dirs, "distinct": distinct}
+        return feed, finish
 
 
 @dataclass(frozen=True)
-class SchemaJob:
-    parser: ParserConfig = ParserConfig()
-    max_errors: int = 20
+class SchemaFold:
+    """Per-domain ontology summaries."""
+
     schema: SchemaConfig = SchemaConfig()
 
-    def run(self, part: Partition) -> tuple[ParseReport, dict[str, Any]]:
-        report = ParseReport(max_errors=self.max_errors)
-        lint: Counter = Counter()
+    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Finish]:
         schemas: dict[str, DomainSchema] = {}
-        for triple in iter_triples(iter_partition_lines(part), report, self.parser):
-            feed_schema_triple(schemas, triple, self.schema, lint)
-        return report, {"schemas": schemas, "lint": lint}
+        config = self.schema
 
+        def feed(triple: Triple) -> None:
+            feed_schema_triple(schemas, triple, config, lint)
 
-def merge_schema_payloads(payloads: Sequence[dict[str, Any]]) -> dict[str, Any]:
-    schemas: dict[str, DomainSchema] = {}
-    lint: Counter = Counter()
-    for payload in payloads:
-        schemas = merge_schemas(schemas, payload["schemas"])
-        lint += payload["lint"]
-    return {"schemas": schemas, "lint": lint}
+        return feed, lambda: {"schemas": schemas}
 
 
 @dataclass(frozen=True)
-class StudyJob:
-    """Slice counting and schema extraction in one pass, for the study command."""
+class SemanticsFold:
+    """Merge edges, value notations, type assertions and dump-stated rules."""
 
-    parser: ParserConfig = ParserConfig()
-    max_errors: int = 20
-    schema: SchemaConfig = SchemaConfig()
-
-    def run(self, part: Partition) -> tuple[ParseReport, dict[str, Any]]:
-        report = ParseReport(max_errors=self.max_errors)
-        lint: Counter = Counter()
-        counts: dict[SliceKey, int] = {}
-        schemas: dict[str, DomainSchema] = {}
-        for triple in iter_triples(iter_partition_lines(part), report, self.parser):
-            if isinstance(triple.predicate, Mid):
-                lint["mid-predicate"] += 1
-            else:
-                key = classify_predicate(triple.predicate)
-                counts[key] = counts.get(key, 0) + 1
-            feed_schema_triple(schemas, triple, self.schema, lint)
-        return report, {"counts": counts, "schemas": schemas, "lint": lint}
-
-
-def merge_study_payloads(payloads: Sequence[dict[str, Any]]) -> dict[str, Any]:
-    counts: dict[SliceKey, int] = {}
-    schemas: dict[str, DomainSchema] = {}
-    lint: Counter = Counter()
-    for payload in payloads:
-        counts = merge_counts(counts, payload["counts"])
-        schemas = merge_schemas(schemas, payload["schemas"])
-        lint += payload["lint"]
-    return {"counts": counts, "schemas": schemas, "lint": lint}
-
-
-@dataclass(frozen=True)
-class SemanticsJob:
-    parser: ParserConfig = ParserConfig()
-    max_errors: int = 20
     replaced_by: IdPath = REPLACED_BY_PREDICATE
     type_predicate: IdPath = TYPE_ASSERTION_PREDICATE
     incompatibility_predicate: IdPath | None = None
     accept_reversed: bool = False
 
-    def run(self, part: Partition) -> tuple[ParseReport, dict[str, Any]]:
-        report = ParseReport(max_errors=self.max_errors)
-        lint: Counter = Counter()
+    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Finish]:
         merge_map = MergeMap()
         notations: list[ValueNotation] = []
         assertions: list[tuple[Mid, IdPath]] = []
         rules: set[IncompatibilityRule] = set()
-        for triple in iter_triples(iter_partition_lines(part), report, self.parser):
+
+        def feed(triple: Triple) -> None:
             feed_merge_edge(merge_map, triple, self.replaced_by, lint)
             feed_value_notation(notations, triple, self.accept_reversed, lint)
             assertion = match_type_assertion(triple, self.type_predicate)
@@ -273,83 +209,151 @@ class SemanticsJob:
                 rule = match_rule(triple, self.incompatibility_predicate)
                 if rule is not None:
                     rules.add(rule)
-        return report, {
-            "merge_map": merge_map,
-            "notations": notations,
-            "assertions": assertions,
-            "rules": rules,
-            "lint": lint,
-        }
+
+        def finish() -> dict[str, Any]:
+            return {
+                "merge_map": merge_map,
+                "notations": notations,
+                "assertions": assertions,
+                "rules": rules,
+            }
+
+        return feed, finish
 
 
-def merge_semantics_payloads(payloads: Sequence[dict[str, Any]]) -> dict[str, Any]:
-    merge_map = MergeMap()
-    notations: list[ValueNotation] = []
-    assertions: list[tuple[Mid, IdPath]] = []
-    rules: set[IncompatibilityRule] = set()
-    lint: Counter = Counter()
+@dataclass(frozen=True)
+class Job:
+    """Parse a partition once, feeding every triple to each fold.
+
+    Frozen so it pickles cleanly into worker processes; ``run`` returns the
+    partition's (ParseReport, payload), the payload being the union of the
+    folds' fields.
+    """
+
+    folds: tuple[Any, ...]
+    parser: ParserConfig = ParserConfig()
+    max_errors: int = 20
+
+    def run(self, part: Partition) -> tuple[ParseReport, dict[str, Any]]:
+        report = ParseReport(max_errors=self.max_errors)
+        started = [fold.start(part, self.parser, report.lint) for fold in self.folds]
+        feeds = [feed for feed, _ in started]
+        payload: dict[str, Any] = {}
+        try:
+            for triple in iter_triples(iter_partition_lines(part), report, self.parser):
+                for feed in feeds:
+                    feed(triple)
+        finally:
+            for _, finish in started:
+                payload.update(finish())
+        return report, payload
+
+
+# Single-command shorthands, kept because the test suites build jobs by these names.
+def SliceJob(parser: ParserConfig = ParserConfig(), max_errors: int = 20, **fold: Any) -> Job:
+    return Job((SliceFold(**fold),), parser, max_errors)
+
+
+def StudyJob(
+    parser: ParserConfig = ParserConfig(),
+    max_errors: int = 20,
+    schema: SchemaConfig = SchemaConfig(),
+) -> Job:
+    return Job((SliceFold(), SchemaFold(schema)), parser, max_errors)
+
+
+def SemanticsJob(parser: ParserConfig = ParserConfig(), max_errors: int = 20, **fold: Any) -> Job:
+    return Job((SemanticsFold(**fold),), parser, max_errors)
+
+
+# One merge law per payload field; each is associative, so merging partition
+# payloads in order equals the single-pass aggregate.
+MERGE_LAWS: dict[str, Callable[[Any, Any], Any]] = {
+    "counts": merge_counts,
+    "schemas": merge_schemas,
+    "merge_map": MergeMap.merge,
+    "notations": operator.add,
+    "assertions": operator.add,
+    "rules": operator.or_,
+    "distinct": operator.or_,
+    "lint": operator.add,
+}
+
+
+def merge_payloads(payloads: Sequence[dict[str, Any]]) -> dict[str, Any]:
+    """Merge partition payloads field by field, in partition order.
+
+    A None value means the field was not collected and is skipped. Each
+    partition's ``shard_dir`` is appended to the ordered ``shard_dirs`` list.
+    """
+    merged: dict[str, Any] = {}
     for payload in payloads:
-        merge_map = merge_map.merge(payload["merge_map"])
-        notations.extend(payload["notations"])
-        assertions.extend(payload["assertions"])
-        rules |= payload["rules"]
-        lint += payload["lint"]
-    return {
-        "merge_map": merge_map,
-        "notations": notations,
-        "assertions": assertions,
-        "rules": rules,
-        "lint": lint,
-    }
+        for name, value in payload.items():
+            if name == "shard_dir":
+                shard_dirs = merged.setdefault("shard_dirs", [])
+                if value is not None:
+                    shard_dirs.append(value)
+            elif merged.get(name) is None:
+                merged[name] = value
+            elif value is not None:
+                merged[name] = MERGE_LAWS[name](merged[name], value)
+    return merged
 
 
-def join_study_rows(
-    counts: dict[SliceKey, int],
-    schemas: dict[str, DomainSchema],
+# The benchmark's traced replica imports these per-command names.
+merge_slice_payloads = merge_study_payloads = merge_semantics_payloads = merge_payloads
+
+
+def join_scores(
+    counts: Mapping[SliceKey, int],
+    scores: Mapping[str, float],
     group_config: GroupConfig = DEFAULT_GROUPS,
-    method: str = "pooled",
 ) -> tuple[list[StudyRow], list[str]]:
     """Pair each subject-matter domain's triple count with its complexity score.
 
-    Domains with no extracted schema (score undefined) are skipped; their
-    names come back for the caller to warn about.
+    Domains with no score come back by name, in key order, for the caller
+    to warn about.
     """
     rows: list[StudyRow] = []
     skipped: list[str] = []
     for key in sorted(counts):
         if key.kind != DOMAIN or group_for(key, group_config) is not Group.SUBJECT_MATTER:
             continue
-        schema = schemas.get(key.name)
-        if schema is None:
+        if key.name in scores:
+            rows.append(StudyRow(key.name, counts[key], scores[key.name]))
+        else:
             skipped.append(key.name)
-            continue
-        try:
-            score = complexity_score(schema, method)
-        except UndefinedComplexityError:
-            skipped.append(key.name)
-            continue
-        rows.append(StudyRow(key.name, counts[key], score))
     return rows, skipped
 
 
-def _run_one(args: tuple[Any, Partition]) -> tuple[ParseReport, Any]:
-    job, part = args
-    return job.run(part)
+def join_study_rows(
+    counts: Mapping[SliceKey, int],
+    schemas: Mapping[str, DomainSchema],
+    group_config: GroupConfig = DEFAULT_GROUPS,
+) -> tuple[list[StudyRow], list[str]]:
+    """join_scores over the extracted schemas; undefined scores are skipped."""
+    scores: dict[str, float] = {}
+    for domain, schema in schemas.items():
+        try:
+            scores[domain] = complexity_score(schema)
+        except UndefinedComplexityError:
+            pass
+    return join_scores(counts, scores, group_config)
 
 
 def run_partitioned(
-    job: Any, partitions: Sequence[Partition], workers: int
-) -> tuple[ParseReport, list[Any]]:
+    job: Job, partitions: Sequence[Partition], workers: int
+) -> tuple[ParseReport, list[dict[str, Any]]]:
     """Run a job over every partition, merging reports in partition order."""
     if workers <= 1 or len(partitions) <= 1:
         results = [job.run(part) for part in partitions]
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(partitions))) as pool:
-            results = list(pool.map(_run_one, [(job, part) for part in partitions]))
+            results = list(pool.map(job.run, partitions))
     report = ParseReport(max_errors=job.max_errors)
     payloads = []
-    for partial_report, payload in results:
-        report = report.merge(partial_report)
+    for part_report, payload in results:
+        report = report.merge(part_report)
         payloads.append(payload)
     return report, payloads
 

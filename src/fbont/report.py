@@ -120,9 +120,7 @@ def parse_taxonomy_csv(text: str, delimiter: str = ",") -> list[dict]:
     return rows
 
 
-def render_schema_table(
-    schemas: Mapping[str, DomainSchema], method: str = "pooled"
-) -> str:
+def render_schema_table(schemas: Mapping[str, DomainSchema]) -> str:
     """Schema summary CSV, one row per domain, sorted by domain name.
 
     Domains with no types and no properties get an empty score field.
@@ -133,7 +131,7 @@ def render_schema_table(
     for domain in sorted(schemas):
         schema = schemas[domain]
         try:
-            score = repr(complexity_score(schema, method))
+            score = repr(complexity_score(schema))
         except UndefinedComplexityError:
             score = ""
         writer.writerow(
@@ -149,13 +147,13 @@ def render_schema_table(
     return out.getvalue()
 
 
-def schema_to_json(schemas: Mapping[str, DomainSchema], method: str = "pooled") -> str:
+def schema_to_json(schemas: Mapping[str, DomainSchema]) -> str:
     """JSON twin of the schema CSV; undefined scores come out as null."""
     rows = []
     for domain in sorted(schemas):
         schema = schemas[domain]
         try:
-            score = complexity_score(schema, method)
+            score = complexity_score(schema)
         except UndefinedComplexityError:
             score = None
         rows.append(

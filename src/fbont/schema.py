@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .model import IdPath, Literal, Mid, NodeRef, Triple, idpath
+from .model import IdPath, Mid, Triple, idpath
 
 TYPE_DECLARATION_PREDICATE = idpath("/type/object/type")
 TYPE_MARKER = idpath("/type/type")
@@ -55,15 +55,6 @@ class SchemaConfig:
 DEFAULT_SCHEMA_CONFIG = SchemaConfig()
 
 
-@dataclass(frozen=True)
-class PropertyDetail:
-    """One constraint on a property, e.g. its expected value type."""
-
-    property: IdPath
-    detail_kind: IdPath
-    value: NodeRef | Literal
-
-
 @dataclass
 class DomainSchema:
     """Ontology summary for one domain."""
@@ -91,24 +82,17 @@ class UndefinedComplexityError(ValueError):
     """The domain has no types and no properties, so its score is undefined."""
 
 
-def complexity_score(schema: DomainSchema, method: str = "pooled") -> float:
+def complexity_score(schema: DomainSchema) -> float:
     """Average documentation per schema item.
 
-    ``pooled`` (default): (descriptions + details) / (types + properties).
-    ``averaged``: the mean of the two per-item averages, for sensitivity
-    checks against the alternative reading of the ratio.
+    (descriptions + details) / (types + properties).
     """
     items = len(schema.types) + len(schema.properties)
     if items == 0:
         raise UndefinedComplexityError(
             f"domain {schema.domain!r} has no types or properties"
         )
-    pooled = (schema.description_count + schema.property_detail_count) / items
-    if method == "pooled":
-        return pooled
-    if method == "averaged":
-        return pooled / 2.0
-    raise ValueError(f"unknown scoring method: {method!r}")
+    return (schema.description_count + schema.property_detail_count) / items
 
 
 def _register(

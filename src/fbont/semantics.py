@@ -359,19 +359,6 @@ def match_rule(triple: Triple, predicate: IdPath) -> IncompatibilityRule | None:
     return None
 
 
-def extract_rules(
-    triples: Iterable[Triple],
-    predicate: IdPath,
-) -> frozenset[IncompatibilityRule]:
-    """Incompatibility rules stated in the dump itself under ``predicate``."""
-    rules = set()
-    for triple in triples:
-        rule = match_rule(triple, predicate)
-        if rule is not None:
-            rules.add(rule)
-    return frozenset(rules)
-
-
 def write_merge_tsv(merge_map: MergeMap, stream: TextIO, policy: CyclePolicy = CyclePolicy.FAIL) -> int:
     """Export the resolved canonical mapping as duplicate/canonical TSV rows."""
     resolved = merge_map.resolve_all(policy)

@@ -175,6 +175,28 @@ def slice_relpath(key: SliceKey, layout: str = DEFAULT_SLICE_LAYOUT) -> str:
     return layout.format(kind=key.kind, name=key.name)
 
 
+def feed_slice_triple(
+    counts: dict[SliceKey, int],
+    triple: Triple,
+    writer: SliceWriter | None = None,
+    counters: Counter | None = None,
+) -> SliceKey | None:
+    """Fold one triple into its slice count (see slice_stream).
+
+    Returns the triple's slice key, or None for a mid-predicate triple.
+    """
+    pred = triple.predicate
+    if isinstance(pred, Mid):
+        if counters is not None:
+            counters["mid-predicate"] += 1
+        return None
+    key = classify_predicate(pred)
+    counts[key] = counts.get(key, 0) + 1
+    if writer is not None:
+        writer.write(key, triple)
+    return key
+
+
 def slice_stream(
     triples: Iterable[Triple],
     writer: SliceWriter | None = None,
@@ -187,15 +209,7 @@ def slice_stream(
     """
     counts: dict[SliceKey, int] = {}
     for triple in triples:
-        pred = triple.predicate
-        if isinstance(pred, Mid):
-            if counters is not None:
-                counters["mid-predicate"] += 1
-            continue
-        key = classify_predicate(pred)
-        counts[key] = counts.get(key, 0) + 1
-        if writer is not None:
-            writer.write(key, triple)
+        feed_slice_triple(counts, triple, writer, counters)
     return counts
 
 
@@ -234,11 +248,3 @@ def build_taxonomy(
     rows.sort(key=lambda r: (_GROUP_ORDER[r.group], -r.triples, r.key))
     return rows
 
-
-def count_distinct_lines(lines: Iterable[str]) -> int:
-    """Distinct-line count for the raw-vs-unique triple question.
-
-    Holds the distinct set in memory; meant for fixtures and samples, not the
-    full dump.
-    """
-    return len(set(lines))

@@ -1,3 +1,4 @@
+import gzip
 import json
 import os
 import subprocess
@@ -117,11 +118,13 @@ class TestCmdSlice:
     def test_count_distinct(self, tmp_path, capsys):
         base = random_dump_lines(100, seed=2)
         dump = write_lines(tmp_path, base + base)  # exact duplicates
-        out = tmp_path / "out"
-        assert main(["slice", dump, "--out", str(out), "--count-distinct"]) == 0
-        report = json.loads((out / "parse_report.json").read_text())
-        assert report["distinct_triples"] == 100
-        assert report["triples_ok"] == 200
+        for workers in (1, 3):  # 3 partitions: the distinct sets must union
+            out = tmp_path / f"out_w{workers}"
+            argv = ["slice", dump, "--out", str(out), "--count-distinct", "--workers", str(workers)]
+            assert main(argv) == 0
+            report = json.loads((out / "parse_report.json").read_text())
+            assert report["distinct_triples"] == 100
+            assert report["triples_ok"] == 200
 
     def test_rerun_is_byte_identical(self, tmp_path):
         dump = write_lines(tmp_path, random_dump_lines(400, seed=21))
@@ -369,17 +372,18 @@ class TestConsoleScript:
         assert (out / "taxonomy.csv").exists()
 
     def test_stdin_input(self, tmp_path):
-        lines = random_dump_lines(30, seed=6)
-        out = tmp_path / "out"
-        proc = subprocess.run(
-            [sys.executable, "-m", "fbont.cli", "slice", "-", "--out", str(out)],
-            input="".join(l + "\n" for l in lines),
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads((out / "parse_report.json").read_text())
-        assert report["lines_read"] == 30
+        data = "".join(l + "\n" for l in random_dump_lines(30, seed=6)).encode()
+        for name, stdin in (("plain", data), ("gzip", gzip.compress(data))):
+            out = tmp_path / name
+            proc = subprocess.run(
+                [sys.executable, "-m", "fbont.cli", "slice", "-", "--out", str(out)],
+                input=stdin,
+                capture_output=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            report = json.loads((out / "parse_report.json").read_text())
+            assert report["lines_read"] == 30
+            assert report["lines_malformed"] == 0
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         dump = write_lines(tmp_path, random_dump_lines(20, seed=3))

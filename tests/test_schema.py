@@ -155,11 +155,6 @@ class TestComplexityScore:
         )
         assert complexity_score(base) == complexity_score(doubled)
 
-    def test_averaged_method_is_half_of_pooled(self):
-        schemas = extract_schema(parse_fixture(SCHEMA_FIXTURE))
-        people = schemas["people"]
-        assert complexity_score(people, "averaged") == complexity_score(people) / 2
-
 
 subjects = st.sampled_from(
     ["people.person", "people.person.date_of_birth", "film.film", "film.film.runtime",
