@@ -6,8 +6,10 @@ ontology, ``semantics`` exports merges / value notations / incompatibility
 violations, and ``study`` runs the triples-vs-complexity correlation.
 
 Exit codes: 0 success, 2 I/O failure, 3 insufficient data, 4 data integrity
-(replaced-by cycle under the fail policy). Reruns on identical inputs write
-byte-identical output files.
+(replaced-by cycle under the fail policy), 5 worker failure (a worker
+process died, e.g. killed or out of memory). Reruns on identical inputs
+write byte-identical output files, and each file is replaced atomically, so
+a failed write leaves the previous content in place.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import io
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .model import DEFAULT_NAMESPACE, idpath, render
 from .parser import ParseReport, ParserConfig
@@ -65,11 +68,19 @@ _DEFAULT_FORMATS = ("markdown", "csv", "tsv")
 
 
 def _write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(path)
+    """Write ``text`` to a temp file beside ``path``, then rename it over ``path``."""
+    directory, name = os.path.split(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.remove(temp)
+        raise
 
 
 def _write_parse_report(out_dir: str, report: ParseReport, extra: dict | None = None) -> None:
@@ -448,6 +459,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenProcessPool as exc:
+        print(f"error: worker failure: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -1,10 +1,27 @@
 """Streaming, fault-tolerant reader for N-Triples dumps.
 
 Built for multi-billion-line inputs: one pass, constant memory, malformed
-lines counted and sampled instead of aborting the run. The dump convention is
-one tab-separated statement per line (``<s>\\t<p>\\t<o>\\t.``); that shape is
-parsed on a fast path, and anything else falls back to a quote-aware
-whitespace tokenizer so hand-written fixtures parse too.
+lines counted and sampled instead of aborting the run.
+
+:func:`parse_line` has two routes to one answer. The dump convention is one
+tab-separated statement per line (``<s>\\t<p>\\t<o>\\t.``), and nearly every
+subject and object is a canonical ``m.<suffix>`` mid, a 1-3 segment dotted
+path under the namespace, an IRI outside it, or a literal. One compiled
+regex per namespace recognizes such lines:
+
+- the subject and an IRI object are built directly: a canonical id carries
+  no lint and an external IRI none either, so neither can fail;
+- a literal without escapes or inner quotes is built directly too, and any
+  other literal goes through the literal parser (escapes, suffix checks);
+- the predicate resolves through a bounded memo of token -> (term,
+  is-nonstandard); the ``nonstandard-id`` lint and the ``strict_ids``
+  check are applied again on every line, hit or miss.
+
+Every line the regex rejects goes to :func:`parse_line_reference`: a plain
+tab split, falling back to a quote-aware whitespace tokenizer so
+hand-written fixtures parse too. Both routes give the same triple, the same
+malformed-reason code and the same lint counts; ``tests/test_parser_fast.py``
+checks that line by line.
 
 Parsing is pure per line. Callers may split a file at line boundaries,
 parse partitions independently, and merge the resulting reports in partition
@@ -16,8 +33,10 @@ from __future__ import annotations
 import gzip
 import io
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import IO, Callable, Iterable, Iterator, Union
 
 from .model import (
@@ -250,12 +269,15 @@ def _tokenize(line: str) -> list[str]:
     return tokens
 
 
-def _check_id_lint(ref: NodeRef, config: ParserConfig, counters: Counter | None) -> None:
-    if isinstance(ref, (Mid, IdPath)) and not ref.is_standard:
-        if config.strict_ids:
-            raise MalformedLineError(NONSTANDARD_ID)
-        if counters is not None:
-            counters[NONSTANDARD_ID] += 1
+def _is_nonstandard(ref: NodeRef) -> bool:
+    return isinstance(ref, (Mid, IdPath)) and not ref.is_standard
+
+
+def _flag_nonstandard(config: ParserConfig, counters: Counter | None) -> None:
+    if config.strict_ids:
+        raise MalformedLineError(NONSTANDARD_ID)
+    if counters is not None:
+        counters[NONSTANDARD_ID] += 1
 
 
 def _parse_iri_term(token: str, config: ParserConfig, counters: Counter | None) -> NodeRef:
@@ -267,7 +289,8 @@ def _parse_iri_term(token: str, config: ParserConfig, counters: Counter | None) 
     if "<" in iri or ">" in iri:
         raise MalformedLineError(UNBALANCED_BRACKETS)
     ref = normalize_iri(iri, config.namespace)
-    _check_id_lint(ref, config, counters)
+    if _is_nonstandard(ref):
+        _flag_nonstandard(config, counters)
     return ref
 
 
@@ -318,16 +341,16 @@ def _parse_term(
     raise MalformedLineError(BAD_TERM, token[:40])
 
 
-def parse_line(
+def parse_line_reference(
     line: str,
     config: ParserConfig = DEFAULT_CONFIG,
     counters: Counter | None = None,
 ) -> Triple:
-    """Parse one physical line (no trailing newline) into a Triple.
+    """The general route of :func:`parse_line`, with the same contract.
 
-    Raises MalformedLineError with a short reason code otherwise. Pure when
-    ``counters`` is omitted; pass a Counter to collect lint tallies
-    (nonstandard ids, unknown escapes).
+    Splits on tabs, or tokenizes when the line is not in the tab convention,
+    and builds every term through :func:`normalize_iri`. It is the reference
+    the regex fast path is checked against.
     """
     fields = line.split("\t")
     if len(fields) == 4 and fields[3] == ".":
@@ -344,6 +367,79 @@ def parse_line(
     subject = _parse_term(tokens[0], "subject", config, counters)
     predicate = _parse_term(tokens[1], "predicate", config, counters)
     obj = _parse_term(tokens[2], "object", config, counters)
+    return Triple(subject, predicate, obj)
+
+
+@lru_cache(maxsize=8)
+def _canonical_line(namespace: str) -> Callable[[str], re.Match | None] | None:
+    """The fast path's line matcher for one namespace, compiled once.
+
+    Each IRI term is three groups: a mid suffix, a dotted path, or an IRI
+    outside the namespace. Only standard ids match the first two (a
+    2-segment ``m.x`` is a mid, as in normalize_iri). A literal object is
+    either plain (no quote or backslash inside, with an optional ASCII
+    language tag or datatype) and built here, or any other token without a
+    tab and not ending in a space, which equals the token the tab split
+    gives and goes to the literal parser. None when the namespace holds a
+    tab or bracket, since the regex and the tab split could then disagree on
+    where a term ends.
+    """
+    if any(c in namespace for c in "\t<>"):
+        return None
+    ns = re.escape(namespace)
+    segment = "[0-9a-z_]+"
+    term = rf"<(?:{ns}(?:m\.({segment})|({segment}(?:\.{segment}){{0,2}}))|(?!{ns})([^<>\s]+))>"
+    predicate = r"(<[^<>\s]+>)"
+    plain = r'"([^"\\\t]*)"(?:@([A-Za-z0-9-]+)|\^\^<([^\t]+)>)?'
+    literal = r'("(?:[^\t]*[^\t ])?)'
+    return re.compile(rf"{term}\t{predicate}\t(?:{term}|{plain}|{literal})\t\.").fullmatch
+
+
+def _matched_term(mid: str | None, path: str | None, iri: str) -> NodeRef:
+    if mid is not None:
+        return Mid(mid)
+    if path is not None:
+        return IdPath(tuple(path.split(".")))
+    return ExternalIri(iri)
+
+
+@lru_cache(maxsize=1 << 14)
+def _predicate_term(token: str, namespace: str) -> tuple[NodeRef, bool]:
+    """Memoized predicate token -> (term, is-nonstandard); lint is the caller's."""
+    ref = _parse_iri_term(token, ParserConfig(namespace), None)
+    return ref, _is_nonstandard(ref)
+
+
+def parse_line(
+    line: str,
+    config: ParserConfig = DEFAULT_CONFIG,
+    counters: Counter | None = None,
+) -> Triple:
+    """Parse one physical line (no trailing newline) into a Triple.
+
+    Raises MalformedLineError with a short reason code otherwise. Pure when
+    ``counters`` is omitted; pass a Counter to collect lint tallies
+    (nonstandard ids, unknown escapes). Canonical dump lines take the regex
+    fast path; every other line goes to :func:`parse_line_reference`.
+    """
+    match = _canonical_line(config.namespace)
+    found = match(line) if match is not None else None
+    if found is None:
+        return parse_line_reference(line, config, counters)
+    (s_mid, s_path, s_iri, p_token, o_mid, o_path, o_iri,
+     lexical, language, datatype, o_literal) = found.groups()
+    subject = _matched_term(s_mid, s_path, s_iri)
+    predicate, nonstandard = _predicate_term(p_token, config.namespace)
+    if nonstandard:
+        _flag_nonstandard(config, counters)
+    if lexical is not None:
+        obj: NodeRef | Literal = Literal(
+            lexical, language, ExternalIri(datatype) if datatype is not None else None
+        )
+    elif o_literal is not None:
+        obj = _parse_literal_term(o_literal, counters)
+    else:
+        obj = _matched_term(o_mid, o_path, o_iri)
     return Triple(subject, predicate, obj)
 
 
@@ -419,15 +515,9 @@ def iter_triples(
     """
     lines, close = _as_line_iter(source)
     try:
-        line_number = 0
-        while True:
-            try:
-                raw = next(lines)
-            except StopIteration:
-                break
-            except (OSError, EOFError) as exc:
-                raise StreamAbortedError(report, exc) from exc
-            line_number += 1
+        # Only reading raises OSError/EOFError here: a consumer's exception
+        # is raised in its own frame, never at this generator's yield.
+        for line_number, raw in enumerate(lines, 1):
             if isinstance(raw, bytes):
                 line = _decode(raw.rstrip(b"\r\n"), report)
             else:
@@ -439,6 +529,8 @@ def iter_triples(
                 continue
             report.record_ok()
             yield triple
+    except (OSError, EOFError) as exc:
+        raise StreamAbortedError(report, exc) from exc
     finally:
         close()
 

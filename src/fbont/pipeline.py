@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from .model import IdPath, Mid, Triple
+from .model import IdPath, Mid, NodeRef, Triple
 from .parser import GZIP_MAGIC, ParseReport, ParserConfig, _as_line_iter, iter_triples, serialize
 from .schema import (
     DomainSchema,
@@ -148,6 +148,7 @@ class SliceFold:
 
     def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Finish]:
         counts: dict[SliceKey, int] = {}
+        keys: dict[NodeRef, SliceKey] = {}
         distinct: set[str] | None = set() if self.count_distinct else None
         writer: SliceWriter | None = None
         shard_dir: str | None = None
@@ -156,7 +157,7 @@ class SliceFold:
             writer = SliceWriter(shard_dir, parser.namespace, self.slice_layout)
 
         def feed(triple: Triple) -> None:
-            key = feed_slice_triple(counts, triple, writer, lint)
+            key = feed_slice_triple(counts, keys, triple, writer, lint)
             if distinct is not None and key is not None:
                 distinct.add(serialize(triple, parser.namespace))
 

@@ -177,20 +177,25 @@ def slice_relpath(key: SliceKey, layout: str = DEFAULT_SLICE_LAYOUT) -> str:
 
 def feed_slice_triple(
     counts: dict[SliceKey, int],
+    keys: dict[NodeRef, SliceKey],
     triple: Triple,
     writer: SliceWriter | None = None,
     counters: Counter | None = None,
 ) -> SliceKey | None:
     """Fold one triple into its slice count (see slice_stream).
 
-    Returns the triple's slice key, or None for a mid-predicate triple.
+    ``keys`` remembers each distinct predicate's slice key, so a predicate is
+    classified once per stream. Returns the triple's slice key, or None for a
+    mid-predicate triple.
     """
     pred = triple.predicate
-    if isinstance(pred, Mid):
-        if counters is not None:
-            counters["mid-predicate"] += 1
-        return None
-    key = classify_predicate(pred)
+    key = keys.get(pred)
+    if key is None:
+        if isinstance(pred, Mid):
+            if counters is not None:
+                counters["mid-predicate"] += 1
+            return None
+        key = keys[pred] = classify_predicate(pred)
     counts[key] = counts.get(key, 0) + 1
     if writer is not None:
         writer.write(key, triple)
@@ -208,8 +213,9 @@ def slice_stream(
     ``mid-predicate`` lint key and excluded from every slice.
     """
     counts: dict[SliceKey, int] = {}
+    keys: dict[NodeRef, SliceKey] = {}
     for triple in triples:
-        feed_slice_triple(counts, triple, writer, counters)
+        feed_slice_triple(counts, keys, triple, writer, counters)
     return counts
 
 

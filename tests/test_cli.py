@@ -4,10 +4,13 @@ import os
 import subprocess
 import sys
 
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from conftest import lit_line, obj_line
 from dumpgen import oracle_linreg, oracle_pearson, random_dump_lines
+from fbont import cli
 from fbont.cli import main
 from fbont.parser import stream_parse
 
@@ -357,6 +360,49 @@ class TestCmdStudy:
 
     def test_no_inputs_and_no_intermediates_exits_2(self, tmp_path, capsys):
         assert main(["study", "--out", str(tmp_path / "out")]) == 2
+
+
+class TestFailureExits:
+    def test_worker_crash_exits_5(self, tmp_path, monkeypatch, capsys):
+        def crash(*args):
+            raise BrokenProcessPool("a worker process terminated abruptly")
+
+        monkeypatch.setattr(cli, "run_partitioned", crash)
+        dump = write_lines(tmp_path, random_dump_lines(20, seed=2))
+        assert main(["slice", dump, "--workers", "2", "--out", str(tmp_path / "out")]) == 5
+        assert "worker failure" in capsys.readouterr().err
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out" / "taxonomy.csv"
+        cli._write_text(str(target), "old\n")
+        real_open = open
+
+        class FailingHandle:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", lambda *a, **k: FailingHandle(real_open(*a, **k)), raising=False)
+        with pytest.raises(OSError):
+            cli._write_text(str(target), "new content that does not fit\n")
+        assert target.read_text() == "old\n"
+        assert os.listdir(target.parent) == ["taxonomy.csv"]
+
+    def test_write_replaces_and_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taxonomy.csv"
+        cli._write_text(str(target), "old\n")
+        cli._write_text(str(target), "new\n")
+        assert target.read_text() == "new\n"
+        assert os.listdir(tmp_path) == ["taxonomy.csv"]
 
 
 class TestConsoleScript:

@@ -1,0 +1,217 @@
+"""Differential test: parse_line's regex fast path against parse_line_reference.
+
+For every input line both routes must agree on the triple (or the malformed
+reason code) and on every lint count, under both strict_ids settings and
+under the default and non-default namespaces.
+"""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fbont.parser as parser_module
+from conftest import NS
+from dumpgen import MALFORMED_LINES, random_dump_lines
+from fbont.model import IdPath, Mid
+from fbont.parser import MalformedLineError, ParserConfig, parse_line, parse_line_reference
+
+ALT_NS = "http://example.org/kb+(v1)?/"
+NAMESPACES = [NS, ALT_NS, ""]
+CONFIGS = [ParserConfig(ns, strict) for ns in NAMESPACES for strict in (False, True)]
+
+
+def outcome(parse, text: str, config: ParserConfig):
+    counters: Counter = Counter()
+    try:
+        result = parse(text, config, counters)
+    except MalformedLineError as exc:
+        result = exc.reason
+    return result, counters
+
+
+def assert_same(lines, configs=CONFIGS):
+    for config in configs:
+        for text in lines:
+            fast, fast_lint = outcome(parse_line, text, config)
+            ref, ref_lint = outcome(parse_line_reference, text, config)
+            assert fast == ref, (config, text)
+            assert fast_lint == ref_lint, (config, text)
+
+
+def fbt(local: str, ns: str = NS) -> str:
+    return f"<{ns}{local}>"
+
+
+S = fbt("m.0abc")
+P = fbt("people.person.name")
+O = fbt("m.0def")
+
+EDGE_CASES = [
+    # A literal group that spans tabs would take a 5-field line as a literal.
+    f'{S}\t{P}\t"a"\t"b"\t.',
+    # The tab split strips the space; a literal ending in a space must not match.
+    f'{S}\t{P}\t"a" \t.',
+    f'{S}\t{P}\t"a"  \t.',
+    f' {S} \t {P} \t {O} \t.',
+    f'{S}\t{P}\t{O} \t.',
+    f'{S}\t{P}\t{O}\t .',
+    f'{S}\t{P}\t{O}\t. ',
+    f'{S}\t{P}\t{O}\t.\r',
+    f'{S}\t{P}\t{O}\t.\n',
+    f'{S}\t{P}\t{O} .',
+    f'{S} {P} {O} .',
+    f'{S}\t{P}\t{O}.',
+    f'{S}\t{P}\t{O}\t.\t.',
+    f'{S}\t{P}\t{O}',
+    f"<>\t{P}\t{O}\t.",
+    f"{S}\t<>\t{O}\t.",
+    f"{S}\t{P}\t<>\t.",
+    f"{S}\t{P}\t<<>>\t.",
+    f"{S}\t<a<b>\t{O}\t.",
+    f"{S}\t<a b>\t{O}\t.",
+    f"{S}\t<a\x0bb>\t{O}\t.",
+    f"{S}\t{P}\t{fbt('m.ABC')}\t.",
+    f"{fbt('m.ABC')}\t{P}\t{O}\t.",
+    f"{S}\t{fbt('m.ABC')}\t{O}\t.",
+    f"{S}\t{fbt('m.abc')}\t{O}\t.",
+    f"{fbt('m.a.b')}\t{P}\t{fbt('m.a.b')}\t.",
+    f"{fbt('m')}\t{P}\t{fbt('m')}\t.",
+    f"{fbt('m.')}\t{P}\t{fbt('m.')}\t.",
+    f"{fbt('m.a')}\t{P}\t{fbt('m._')}\t.",
+    f"{fbt('a..b')}\t{P}\t{fbt('.a')}\t.",
+    f"{fbt('a.b.c.d')}\t{P}\t{fbt('a.b.c.d')}\t.",
+    f"{fbt('A.b')}\t{P}\t{fbt('a.B')}\t.",
+    f"{fbt('m.é')}\t{P}\t{fbt('people.é')}\t.",
+    f"{fbt('a/b')}\t{P}\t{fbt('a/b')}\t.",
+    f"<{NS}>\t{P}\t<{NS}>\t.",
+    f"<http://x>\t{P}\t<http://x>\t.",
+    f"<http://x y>\t{P}\t<http://en.wikipedia.org/wiki/a b>\t.",
+    f"{S}\t{P}\t<{NS[:-1]}>\t.",
+    f"{S}\t{P}\t<{NS}{NS}m.a>\t.",
+    f"<{ALT_NS}m.a>\t<{ALT_NS}b.c>\t<{ALT_NS}d.e.f>\t.",
+    f"<{ALT_NS}m.a>\t<{ALT_NS}base.a.b.c>\t<{ALT_NS}M.a>\t.",
+    f"_:b0\t{P}\t{O}\t.",
+    f"{S}\t{P}\t_:b0\t.",
+    f'"x"\t{P}\t{O}\t.',
+    f'{S}\t"x"\t{O}\t.',
+    f"{S}\t{P}\tbare\t.",
+    # Four-segment predicates, repeated so memo hits must lint every time.
+    *[f"{S}\t{fbt('base.a.b.c')}\t{O}\t."] * 3,
+    *[f"{S}\t{fbt('base.x.y.z')}\t\"v\"\t."] * 2,
+    *[f"{S}\t{fbt('people.Person.name')}\t{O}\t."] * 2,
+    f"{S}\t{fbt('base.a.b.c')}\t\"bad\"@\t.",
+    # Escapes, valid and not.
+    f'{S}\t{P}\t"a\\u00e9b"\t.',
+    f'{S}\t{P}\t"a\\U0001F600"\t.',
+    f'{S}\t{P}\t"a\\u12"\t.',
+    f'{S}\t{P}\t"a\\uZZZZ"\t.',
+    f'{S}\t{P}\t"a\\qb\\z"\t.',
+    f'{S}\t{P}\t"a\\"b"\t.',
+    f'{S}\t{P}\t"a\\tb\\nc\\\\"\t.',
+    f'{S}\t{P}\t"trailing\\"\t.',
+    f'{S}\t{P}\t"\\\t.',
+    f'{S}\t{P}\t"\t.',
+    f'{S}\t{P}\t""\t.',
+    f'{S}\t{P}\t"a b"\t.',
+    f'{S}\t{P}\t"a"b"\t.',
+    # Suffixes, valid and not.
+    f'{S}\t{P}\t"x"@en\t.',
+    f'{S}\t{P}\t"x"@en-GB\t.',
+    f'{S}\t{P}\t"x"@\t.',
+    f'{S}\t{P}\t"x"@e n\t.',
+    f'{S}\t{P}\t"x"@en_US\t.',
+    f'{S}\t{P}\t"x"@@en\t.',
+    f'{S}\t{P}\t"x"^^<http://www.w3.org/2001/XMLSchema#int>\t.',
+    f'{S}\t{P}\t"x"^^<a>\t.',
+    f'{S}\t{P}\t"x"^^<>\t.',
+    f'{S}\t{P}\t"x"^^int\t.',
+    f'{S}\t{P}\t"x"^^<a\t.',
+    f'{S}\t{P}\t"x"^<a>\t.',
+    f'{S}\t{P}\t"x" @en\t.',
+    "",
+    "\t\t\t.",
+    " \t \t \t.",
+    ".",
+]
+
+
+class TestDifferential:
+    def test_dumpgen_lines_with_malformed_injection(self):
+        lines = random_dump_lines(3000, seed=11, malformed_rate=0.2)
+        alt = [text.replace(NS, ALT_NS) for text in lines[:1000]]
+        assert_same(lines + alt + MALFORMED_LINES)
+
+    def test_edge_cases(self):
+        assert_same(EDGE_CASES)
+
+    def test_namespace_with_tab_or_bracket_uses_reference_only(self):
+        for ns in ("http://x/\tns/", "http://x/<ns>/"):
+            lines = [f"<{ns}m.a>\t{P}\t<{ns}d>\t.", f'<{ns}m.a>\t{P}\t"x"\t.', *EDGE_CASES[:10]]
+            assert_same(lines, [ParserConfig(ns), ParserConfig(ns, strict_ids=True)])
+
+
+ID_CHARS = "mabz09_AZé"
+ALPHABET = '<>"\\\t .@^' + ID_CHARS
+FRAGMENTS = [f"<{NS}", f"<{NS}m.", f"<{ALT_NS}", ">", ">\t", "\t.", '"', "^^<", "@en", "."]
+
+soup_lines = st.lists(
+    st.one_of(st.sampled_from(FRAGMENTS), st.text(alphabet=ALPHABET, max_size=6)),
+    max_size=14,
+).map("".join)
+
+locals_ = st.text(alphabet=ID_CHARS + ".", min_size=0, max_size=8)
+iri_fields = st.builds(lambda ns, local: f"<{ns}{local}>", st.sampled_from(NAMESPACES), locals_)
+literal_fields = st.builds(
+    lambda body, suffix: f'"{body}"{suffix}',
+    st.text(alphabet=ALPHABET.replace("\t", "") + "ntu", max_size=8),
+    st.sampled_from(["", "@en", "@", "@e n", "^^<a>", "^^<>", "^^x", " ", "  "]),
+)
+fields = st.one_of(iri_fields, literal_fields, st.text(alphabet=ALPHABET, max_size=6))
+shaped_lines = st.builds(
+    lambda s, p, o, pad: f"{s}\t{p}\t{o}\t{pad}",
+    st.one_of(iri_fields, fields),
+    st.one_of(iri_fields, fields),
+    fields,
+    st.sampled_from([".", ".", " .", ". ", "", ".\t."]),
+)
+
+
+class TestDifferentialGenerated:
+    @settings(max_examples=300)
+    @given(st.lists(soup_lines, min_size=1, max_size=5))
+    def test_fragment_soup(self, lines):
+        assert_same(lines)
+
+    @settings(max_examples=300)
+    @given(st.lists(shaped_lines, min_size=1, max_size=5))
+    def test_tab_shaped_lines(self, lines):
+        assert_same(lines)
+
+
+class TestFastPathIsTaken:
+    def test_canonical_lines_skip_the_reference(self, monkeypatch):
+        lines = [t for t in random_dump_lines(500, seed=3) if f"\t<{NS}" in t]
+        expected = [parse_line(t, ParserConfig(), Counter()) for t in lines]
+
+        def refuse(*args):
+            raise AssertionError("canonical line reached the reference parser")
+
+        monkeypatch.setattr(parser_module, "parse_line_reference", refuse)
+        assert [parse_line(t, ParserConfig(), Counter()) for t in lines] == expected
+        assert len(lines) > 100
+
+    def test_two_segment_m_path_is_an_idpath(self):
+        triple = parse_line(f"{fbt('m.a.b')}\t{P}\t{fbt('m.abc')}\t.")
+        assert triple.subject == IdPath(("m", "a", "b"))
+        assert triple.object == Mid("abc")
+
+    def test_memo_does_not_hold_strictness(self):
+        text = f"{S}\t{fbt('base.a.b.c')}\t{O}\t."
+        counters: Counter = Counter()
+        parse_line(text, ParserConfig(), counters)
+        with pytest.raises(MalformedLineError):
+            parse_line(text, ParserConfig(strict_ids=True))
+        parse_line(text, ParserConfig(), counters)
+        assert counters["nonstandard-id"] == 2

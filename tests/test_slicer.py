@@ -1,10 +1,12 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import load_census
 from dumpgen import oracle_slice_counts, random_dump_lines
-from fbont.model import ExternalIri, Mid, idpath
+from fbont.model import ExternalIri, Mid, Triple, idpath
 from fbont.parser import stream_parse
 from fbont.slicer import (
     DEFAULT_IMPLEMENTATION_DOMAINS,
@@ -77,6 +79,20 @@ class TestSliceStream:
         assert {(k.kind, k.name): v for k, v in counts.items()} == expected
         # every parsed triple lands in exactly one slice
         assert sum(counts.values()) == report.triples_ok
+
+    def test_repeated_mid_predicate_is_linted_every_time(self):
+        people = idpath("/people/person/name")
+        triples = [
+            Triple(Mid("a"), Mid("p"), Mid("b")),
+            Triple(Mid("a"), people, Mid("b")),
+            Triple(Mid("c"), Mid("p"), Mid("d")),
+            Triple(Mid("c"), idpath("/people/person/age"), Mid("d")),
+            Triple(Mid("e"), Mid("p"), Mid("f")),
+        ]
+        counters: Counter = Counter()
+        counts = slice_stream(triples, counters=counters)
+        assert counts == {SliceKey(DOMAIN, "people"): 2}
+        assert counters == Counter({"mid-predicate": 3})
 
     counts_maps = st.dictionaries(
         st.tuples(st.sampled_from([DOMAIN, OWL_TERM]), st.sampled_from("abcdef")).map(
