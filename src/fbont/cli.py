@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 I/O failure, 3 insufficient data, 4 data integrity
 (replaced-by cycle under the fail policy), 5 worker failure (a worker
 process died, e.g. killed or out of memory). Reruns on identical inputs
 write byte-identical output files, and each file is replaced atomically, so
-a failed write leaves the previous content in place.
+a failed write leaves the previous content in place. ``slice --materialize``
+removes its ``.parts`` shard directory on every failure exit.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
@@ -154,10 +156,14 @@ def cmd_slice(args: argparse.Namespace) -> int:
     if args.materialize is not None:
         materialize_dir = args.materialize or os.path.join(args.out, "slices")
     shard_root = os.path.join(materialize_dir, ".parts") if materialize_dir else None
-    report, merged = _run(args, SliceFold(shard_root, args.count_distinct, args.slice_layout))
-
-    if shard_root is not None:
-        concatenate_shards(merged["shard_dirs"], materialize_dir)
+    try:
+        report, merged = _run(args, SliceFold(shard_root, args.count_distinct, args.slice_layout))
+        if shard_root is not None:
+            concatenate_shards(merged["shard_dirs"], materialize_dir)
+    except BaseException:
+        if shard_root is not None:
+            shutil.rmtree(shard_root, ignore_errors=True)  # no half-written shards on any exit
+        raise
 
     taxonomy = build_taxonomy(merged["counts"], _group_config(args))
     for fmt in args.format or _DEFAULT_FORMATS:

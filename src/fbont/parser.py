@@ -23,6 +23,16 @@ hand-written fixtures parse too. Both routes give the same triple, the same
 malformed-reason code and the same lint counts; ``tests/test_parser_fast.py``
 checks that line by line.
 
+A caller whose consumers read only the predicate of most triples may pass a
+:class:`Projection`: a per-stream memo from predicate token to either None
+(build the triple in full) or one shared predicate-only triple, decided once
+per distinct predicate by the consumers' ``reads(predicate)``. A regex-route
+line whose predicate is projected is still validated whole (the predicate's
+lint and ``strict_ids``, the literal parser on every literal the regex does
+not build), but returns the shared triple instead of building its subject,
+object and triple. Lines that take the reference route are always built in
+full, so projection never changes which lines are malformed or any lint.
+
 Parsing is pure per line. Callers may split a file at line boundaries,
 parse partitions independently, and merge the resulting reports in partition
 order (see :meth:`ParseReport.merge`).
@@ -410,28 +420,61 @@ def _predicate_term(token: str, namespace: str) -> tuple[NodeRef, bool]:
     return ref, _is_nonstandard(ref)
 
 
+class Projection(dict):
+    """Per-stream memo: predicate token -> shared predicate-only triple, or None.
+
+    ``reads(predicate)`` says whether some consumer reads the subject and
+    object of that predicate's triples; it is asked once per distinct token.
+    A predicate nobody reads maps to one ``Triple(None, predicate, None)``
+    that every such line returns; the others map to None, built in full.
+    """
+
+    def __init__(self, reads: Callable[[NodeRef], bool], namespace: str = DEFAULT_NAMESPACE):
+        super().__init__()
+        self.reads = reads
+        self.namespace = namespace
+
+    def __missing__(self, token: str) -> Triple | None:
+        predicate, _ = _predicate_term(token, self.namespace)
+        shared = None
+        if not self.reads(predicate):
+            shared = Triple(None, predicate, None)  # type: ignore[arg-type]
+        self[token] = shared
+        return shared
+
+
 def parse_line(
     line: str,
     config: ParserConfig = DEFAULT_CONFIG,
     counters: Counter | None = None,
+    projection: Projection | None = None,
 ) -> Triple:
     """Parse one physical line (no trailing newline) into a Triple.
 
     Raises MalformedLineError with a short reason code otherwise. Pure when
     ``counters`` is omitted; pass a Counter to collect lint tallies
     (nonstandard ids, unknown escapes). Canonical dump lines take the regex
-    fast path; every other line goes to :func:`parse_line_reference`.
+    fast path; every other line goes to :func:`parse_line_reference`. With a
+    ``projection`` (same namespace as ``config``), a fast-path line whose
+    predicate it projects returns the shared predicate-only triple.
     """
     match = _canonical_line(config.namespace)
     found = match(line) if match is not None else None
     if found is None:
         return parse_line_reference(line, config, counters)
-    (s_mid, s_path, s_iri, p_token, o_mid, o_path, o_iri,
-     lexical, language, datatype, o_literal) = found.groups()
-    subject = _matched_term(s_mid, s_path, s_iri)
+    p_token = found[4]
     predicate, nonstandard = _predicate_term(p_token, config.namespace)
     if nonstandard:
         _flag_nonstandard(config, counters)
+    if projection is not None:
+        shared = projection[p_token]
+        if shared is not None:
+            if found[11] is not None:
+                _parse_literal_term(found[11], counters)  # its errors and lint still count
+            return shared
+    (s_mid, s_path, s_iri, _, o_mid, o_path, o_iri,
+     lexical, language, datatype, o_literal) = found.groups()
+    subject = _matched_term(s_mid, s_path, s_iri)
     if lexical is not None:
         obj: NodeRef | Literal = Literal(
             lexical, language, ExternalIri(datatype) if datatype is not None else None
@@ -505,13 +548,14 @@ def iter_triples(
     source: Source,
     report: ParseReport,
     config: ParserConfig = DEFAULT_CONFIG,
+    projection: Projection | None = None,
 ) -> Iterator[Triple]:
     """Yield the well-formed triples of ``source``, tallying into ``report``.
 
     ``source`` may be a path (gzip detected by magic bytes), a binary file
     object, or any iterable of lines. Malformed lines are counted and sampled,
     never fatal; an I/O failure raises StreamAbortedError with the partial
-    report attached.
+    report attached. ``projection`` is passed to :func:`parse_line`.
     """
     lines, close = _as_line_iter(source)
     try:
@@ -523,7 +567,7 @@ def iter_triples(
             else:
                 line = raw.rstrip("\r\n")
             try:
-                triple = parse_line(line, config, report.lint)
+                triple = parse_line(line, config, report.lint, projection)
             except MalformedLineError as exc:
                 report.record_malformed(line_number, exc.reason)
                 continue

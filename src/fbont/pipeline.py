@@ -25,7 +25,15 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .model import IdPath, Mid, NodeRef, Triple
-from .parser import GZIP_MAGIC, ParseReport, ParserConfig, _as_line_iter, iter_triples, serialize
+from .parser import (
+    GZIP_MAGIC,
+    ParseReport,
+    ParserConfig,
+    Projection,
+    _as_line_iter,
+    iter_triples,
+    serialize,
+)
 from .schema import (
     DomainSchema,
     SchemaConfig,
@@ -33,8 +41,11 @@ from .schema import (
     complexity_score,
     feed_schema_triple,
     merge_schemas,
+    reads_terms,
 )
 from .semantics import (
+    HAS_NO_VALUE_PREDICATE,
+    HAS_VALUE_PREDICATE,
     REPLACED_BY_PREDICATE,
     TYPE_ASSERTION_PREDICATE,
     IncompatibilityRule,
@@ -136,6 +147,15 @@ def iter_partition_lines(part: Partition) -> Iterator[bytes]:
 # counter, and ``finish`` returns the fold's payload fields. Every payload
 # field has one merge law in MERGE_LAWS, so partitions reduce in order to the
 # single-pass result.
+#
+# A fold also declares what it reads. ``reads(predicate)`` is False when its
+# feed looks at nothing but the predicate of that predicate's triples, and
+# ``reads_all`` is True when it reads the subject and object of every triple.
+# Job.run asks once per distinct predicate and per partition: where no fold
+# reads them, the parser hands every fold one shared ``Triple(None,
+# predicate, None)`` instead of building the terms (see parser.Projection).
+# A fold must therefore give the same payload and lint for that triple as
+# for the full one, for every predicate it declares unread.
 
 
 @dataclass(frozen=True)
@@ -145,6 +165,13 @@ class SliceFold:
     shard_root: str | None = None
     count_distinct: bool = False
     slice_layout: str = DEFAULT_SLICE_LAYOUT
+
+    @property
+    def reads_all(self) -> bool:
+        return self.shard_root is not None or self.count_distinct
+
+    def reads(self, predicate: NodeRef) -> bool:
+        return self.reads_all
 
     def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Finish]:
         counts: dict[SliceKey, int] = {}
@@ -174,6 +201,10 @@ class SchemaFold:
     """Per-domain ontology summaries."""
 
     schema: SchemaConfig = SchemaConfig()
+    reads_all = False
+
+    def reads(self, predicate: NodeRef) -> bool:
+        return reads_terms(predicate, self.schema)
 
     def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Finish]:
         schemas: dict[str, DomainSchema] = {}
@@ -193,6 +224,16 @@ class SemanticsFold:
     type_predicate: IdPath = TYPE_ASSERTION_PREDICATE
     incompatibility_predicate: IdPath | None = None
     accept_reversed: bool = False
+    reads_all = False
+
+    def reads(self, predicate: NodeRef) -> bool:
+        return predicate in (
+            self.replaced_by,
+            HAS_VALUE_PREDICATE,
+            HAS_NO_VALUE_PREDICATE,
+            self.type_predicate,
+            self.incompatibility_predicate,
+        )
 
     def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Finish]:
         merge_map = MergeMap()
@@ -235,13 +276,27 @@ class Job:
     parser: ParserConfig = ParserConfig()
     max_errors: int = 20
 
+    def projection(self) -> Projection | None:
+        """A fresh per-partition memo of the predicates no fold reads, or None.
+
+        None when some fold reads every triple: the parser then builds every
+        triple in full, with no memo lookup.
+        """
+        if any(fold.reads_all for fold in self.folds):
+            return None
+        return Projection(self.reads, self.parser.namespace)
+
+    def reads(self, predicate: NodeRef) -> bool:
+        return any(fold.reads(predicate) for fold in self.folds)
+
     def run(self, part: Partition) -> tuple[ParseReport, dict[str, Any]]:
         report = ParseReport(max_errors=self.max_errors)
         started = [fold.start(part, self.parser, report.lint) for fold in self.folds]
         feeds = [feed for feed, _ in started]
+        projection = self.projection()
         payload: dict[str, Any] = {}
         try:
-            for triple in iter_triples(iter_partition_lines(part), report, self.parser):
+            for triple in iter_triples(iter_partition_lines(part), report, self.parser, projection):
                 for feed in feeds:
                     feed(triple)
         finally:

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .model import IdPath, Mid, Triple, idpath
+from .model import IdPath, Mid, NodeRef, Triple, idpath
 
 TYPE_DECLARATION_PREDICATE = idpath("/type/object/type")
 TYPE_MARKER = idpath("/type/type")
@@ -107,6 +107,16 @@ def _register(
     else:
         schema.properties.add(subject)
     return schema
+
+
+def reads_terms(pred: NodeRef, config: SchemaConfig = DEFAULT_SCHEMA_CONFIG) -> bool:
+    """Whether feed_schema_triple reads the subject and object of ``pred``'s triples."""
+    return isinstance(pred, IdPath) and (
+        pred == config.description_predicate
+        or pred in config.detail_predicates
+        or pred == config.type_declaration_predicate
+        or pred.domain in config.schema_domains
+    )
 
 
 def feed_schema_triple(

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import lit_line, obj_line
 from dumpgen import oracle_linreg, oracle_pearson, random_dump_lines
-from fbont import cli
+from fbont import cli, pipeline
 from fbont.cli import main
 from fbont.parser import stream_parse
 
@@ -371,6 +371,39 @@ class TestFailureExits:
         dump = write_lines(tmp_path, random_dump_lines(20, seed=2))
         assert main(["slice", dump, "--workers", "2", "--out", str(tmp_path / "out")]) == 5
         assert "worker failure" in capsys.readouterr().err
+
+    def test_materialize_worker_crash_leaves_no_shards(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+
+        def crash(job, partitions, workers):
+            job.run(partitions[0])  # one partition's shards are written, then a worker dies
+            assert os.listdir(out / "slices" / ".parts") == ["00000"]
+            raise BrokenProcessPool("a worker process terminated abruptly")
+
+        monkeypatch.setattr(cli, "run_partitioned", crash)
+        dump = write_lines(tmp_path, random_dump_lines(20, seed=2))
+        argv = ["slice", dump, "--workers", "2", "--out", str(out), "--materialize"]
+        assert main(argv) == 5
+        assert "worker failure" in capsys.readouterr().err
+        assert os.listdir(out / "slices") == []
+
+    def test_materialize_read_failure_leaves_no_shards(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        real_lines = pipeline.iter_partition_lines
+
+        def failing_lines(part):
+            for number, line in enumerate(real_lines(part)):
+                if number == 30:
+                    raise OSError(5, "Input/output error")
+                yield line
+
+        monkeypatch.setattr(pipeline, "iter_partition_lines", failing_lines)
+        dump = write_lines(tmp_path, random_dump_lines(100, seed=2))
+        argv = ["slice", dump, "--workers", "1", "--out", str(out), "--materialize"]
+        assert main(argv) == 2
+        assert "Input/output error" in capsys.readouterr().err
+        assert os.listdir(out / "slices") == []
+        assert not os.path.exists(out / "taxonomy.csv")
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         target = tmp_path / "out" / "taxonomy.csv"

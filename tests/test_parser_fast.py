@@ -15,7 +15,13 @@ import fbont.parser as parser_module
 from conftest import NS
 from dumpgen import MALFORMED_LINES, random_dump_lines
 from fbont.model import IdPath, Mid
-from fbont.parser import MalformedLineError, ParserConfig, parse_line, parse_line_reference
+from fbont.parser import (
+    MalformedLineError,
+    ParserConfig,
+    Projection,
+    parse_line,
+    parse_line_reference,
+)
 
 ALT_NS = "http://example.org/kb+(v1)?/"
 NAMESPACES = [NS, ALT_NS, ""]
@@ -215,3 +221,58 @@ class TestFastPathIsTaken:
             parse_line(text, ParserConfig(strict_ids=True))
         parse_line(text, ParserConfig(), counters)
         assert counters["nonstandard-id"] == 2
+
+
+# --- the projected route -------------------------------------------------------
+#
+# With a Projection, a regex-route line whose predicate no consumer reads
+# returns one shared predicate-only triple. Validation must not change: the
+# same malformed reason and the same lint as parse_line, line by line.
+
+READS = {
+    "nothing": lambda pred: False,
+    "people": lambda pred: isinstance(pred, IdPath) and pred.domain == "people",
+}
+
+
+def assert_projected_same(lines, configs=CONFIGS):
+    projected_lines = 0
+    for config in configs:
+        for reads in READS.values():
+            projection = Projection(reads, config.namespace)
+            shared = {}
+            for text in lines:
+                full, full_lint = outcome(parse_line, text, config)
+                got, got_lint = outcome(
+                    lambda t, c, k: parse_line(t, c, k, projection), text, config
+                )
+                assert got_lint == full_lint, (config, text)
+                if isinstance(full, str) or reads(full.predicate):
+                    assert got == full, (config, text)
+                elif got != full:
+                    assert (got.subject, got.predicate, got.object) == (None, full.predicate, None)
+                    assert shared.setdefault(full.predicate, got) is got, (config, text)
+                    projected_lines += 1
+    return projected_lines
+
+
+class TestProjectedDifferential:
+    def test_dumpgen_lines_with_malformed_injection(self):
+        lines = random_dump_lines(3000, seed=11, malformed_rate=0.2)
+        alt = [text.replace(NS, ALT_NS) for text in lines[:1000]]
+        assert assert_projected_same(lines + alt + MALFORMED_LINES) > 3000
+
+    def test_edge_cases(self):
+        assert assert_projected_same(EDGE_CASES) > 0
+
+    @settings(max_examples=200)
+    @given(st.lists(shaped_lines, min_size=1, max_size=5))
+    def test_tab_shaped_lines(self, lines):
+        assert_projected_same(lines)
+
+    def test_reads_is_asked_once_per_predicate_token(self):
+        asked = []
+        projection = Projection(lambda pred: asked.append(pred) or False)
+        for text in random_dump_lines(500, seed=4):
+            parse_line(text, ParserConfig(), None, projection)
+        assert len(asked) == len(set(asked)) == len(projection)

@@ -1,23 +1,34 @@
 import gzip
 import os
+from collections import Counter
+from dataclasses import dataclass
 
-from conftest import obj_line
+import pytest
+
+from conftest import lit_line, obj_line
 from dumpgen import random_dump_lines
+from fbont.model import idpath
+from fbont.parser import MalformedLineError, ParserConfig, Projection, parse_line
 from fbont.pipeline import (
+    Job,
     Partition,
+    SchemaFold,
+    SemanticsFold,
     SemanticsJob,
+    SliceFold,
     SliceJob,
     StudyJob,
     concatenate_shards,
     iter_partition_lines,
     join_study_rows,
+    merge_payloads,
     merge_semantics_payloads,
     merge_slice_payloads,
     merge_study_payloads,
     plan_partitions,
     run_partitioned,
 )
-from fbont.schema import extract_schema
+from fbont.schema import SchemaConfig, extract_schema
 from fbont.slicer import DOMAIN, SliceKey
 from fbont.stats import StudyRow
 
@@ -160,3 +171,129 @@ class TestJoinStudyRows:
         assert [r.domain for r in rows] == ["film"]
         assert skipped == ["zoo"]
         assert rows[0] == StudyRow("film", 2, (3 + 1) / (1 + 2))
+
+
+# --- projection: folds declare what they read -------------------------------------
+
+# Lines that reach every branch of every fold under the default and the custom
+# configs below, including each branch's lint.
+PROBE_LINES = SCHEMA_FIXTURE + random_dump_lines(400, seed=5, malformed_rate=0.05) + [
+    lit_line("people", "common.topic.description", "domain-level doc"),
+    lit_line("people.person.name.x", "common.topic.description", "too deep"),
+    obj_line("people.person", "type.property.expected_type", "type.text"),
+    obj_line("people.person.name", "type.object.type", "type.type"),
+    obj_line("people.person", "type.object.type", "type.property"),
+    obj_line("people", "type.object.type", "type.type"),
+    lit_line("people", "type.object.name", "People"),
+    lit_line("people.person", "type.object.name", "Person"),
+    obj_line("base.pets", "base.schema.owner", "m.a"),
+    lit_line("base", "base.schema.note", "x"),
+    lit_line("base.pets", "base.custom.describes", "custom doc"),
+    lit_line("base", "base.custom.describes", "custom doc"),
+    obj_line("base.pets.name", "base.custom.detail", "type.text"),
+    obj_line("m.a", "base.custom.detail", "type.text"),
+    obj_line("base.pets.name", "base.custom.is_a", "type.property"),
+    obj_line("m.a", "base.custom.is_a", "film.film"),
+    obj_line("m.a", "dataworld.gardening_hint.replaced_by", "m.b"),
+    lit_line("m.a", "dataworld.gardening_hint.replaced_by", "m.b"),
+    obj_line("m.c", "base.custom.replaced", "m.d"),
+    obj_line("film.film", "base.custom.replaced", "m.d"),
+    obj_line("people.person.name", "freebase.valuenotation.has_value", "m.a"),
+    obj_line("m.a", "freebase.valuenotation.has_no_value", "people.person.name"),
+    lit_line("m.a", "freebase.valuenotation.has_value", "x"),
+    obj_line("m.a", "type.object.type", "people.person"),
+    obj_line("m.b", "type.object.type", "film.film"),
+    obj_line("people.person", "base.rules.incompatible_with", "film.film"),
+    obj_line("people.person", "base.rules.incompatible_with", "people.person"),
+]
+
+CUSTOM_SCHEMA = SchemaConfig(
+    schema_domains=frozenset({"type", "base"}),
+    description_predicate=idpath("/base/custom/describes"),
+    detail_predicates=frozenset({idpath("/base/custom/detail")}),
+    type_declaration_predicate=idpath("/base/custom/is_a"),
+)
+CUSTOM_SEMANTICS = SemanticsFold(
+    replaced_by=idpath("/base/custom/replaced"),
+    type_predicate=idpath("/base/custom/is_a"),
+    incompatibility_predicate=idpath("/base/rules/incompatible_with"),
+    accept_reversed=True,
+)
+PROJECTING_FOLDS = {
+    "slice": SliceFold(),
+    "schema": SchemaFold(),
+    "schema-custom": SchemaFold(CUSTOM_SCHEMA),
+    "semantics": SemanticsFold(),
+    "semantics-custom": CUSTOM_SEMANTICS,
+}
+
+
+@dataclass(frozen=True)
+class ReadsEverything:
+    """A fold with no payload that reads every triple, so Job.run projects nothing."""
+
+    reads_all = True
+
+    def reads(self, predicate):
+        return True
+
+    def start(self, part, parser, lint):
+        return (lambda triple: None), dict
+
+
+class TestProjection:
+    @pytest.mark.parametrize("name", sorted(PROJECTING_FOLDS))
+    def test_projected_triple_feeds_like_the_full_one(self, name):
+        fold = PROJECTING_FOLDS[name]
+        part = Partition("-", 0, -1, 0)
+        full_lint, projected_lint = Counter(), Counter()
+        feed_full, finish_full = fold.start(part, ParserConfig(), full_lint)
+        feed_projected, finish_projected = fold.start(part, ParserConfig(), projected_lint)
+        projection = Projection(fold.reads)
+        shared = read = 0
+        for text in PROBE_LINES:
+            try:
+                full = parse_line(text)
+            except MalformedLineError:
+                continue
+            projected = parse_line(text, projection=projection)
+            if fold.reads(full.predicate):
+                assert projected == full
+                read += 1
+            elif projected != full:  # reference-route lines are always built in full
+                assert (projected.subject, projected.predicate, projected.object) == (
+                    None, full.predicate, None)
+                shared += 1
+            feed_full(full)
+            feed_projected(projected)
+        assert finish_full() == finish_projected()
+        assert full_lint == projected_lint
+        assert shared > 100
+        assert name == "slice" or read > 3
+
+    def test_folds_reading_every_triple_disable_projection(self):
+        assert Job((SliceFold(), SchemaFold(), SemanticsFold())).projection() is not None
+        assert Job((SliceFold(count_distinct=True),)).projection() is None
+        assert Job((SliceFold(shard_root="parts"), SchemaFold())).projection() is None
+        assert Job((SemanticsFold(), ReadsEverything())).projection() is None
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_job_output_is_the_same_with_and_without_projection(self, tmp_path, workers):
+        path = write_lines(tmp_path, PROBE_LINES + random_dump_lines(2_000, seed=9, malformed_rate=0.02))
+        parts = plan_partitions([path], workers)
+        fold_sets = [
+            (SliceFold(),),
+            (SliceFold(), SchemaFold()),
+            (SliceFold(), SchemaFold(CUSTOM_SCHEMA)),
+            (SemanticsFold(),),
+            (CUSTOM_SEMANTICS,),
+            (SliceFold(), SchemaFold(CUSTOM_SCHEMA), CUSTOM_SEMANTICS),
+        ]
+        for folds in fold_sets:
+            projected = Job(folds)
+            unprojected = Job(folds + (ReadsEverything(),))
+            assert projected.projection() is not None and unprojected.projection() is None
+            report, payloads = run_partitioned(projected, parts, workers)
+            ref_report, ref_payloads = run_partitioned(unprojected, parts, workers)
+            assert report.to_dict() == ref_report.to_dict(), folds
+            assert merge_payloads(payloads) == merge_payloads(ref_payloads), folds

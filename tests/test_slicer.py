@@ -17,6 +17,7 @@ from fbont.slicer import (
     SliceKey,
     build_taxonomy,
     classify_predicate,
+    feed_slice_triple,
     group_for,
     merge_counts,
     slice_stream,
@@ -42,6 +43,17 @@ class TestClassifyPredicate:
     def test_mid_predicate_raises(self):
         with pytest.raises(PredicateKindError):
             classify_predicate(Mid("abc"))
+
+    def test_predicates_of_one_slice_share_one_key_object(self):
+        counts: dict = {}
+        keys: dict = {}
+        name = feed_slice_triple(counts, keys, Triple(Mid("a"), idpath("/people/person/name"), Mid("b")))
+        born = feed_slice_triple(counts, keys, Triple(Mid("a"), idpath("/people/person/born"), Mid("b")))
+        assert name is born
+        assert list(counts) == [name] and counts[name] == 2
+        label = ExternalIri("http://www.w3.org/2000/01/rdf-schema#label")
+        other = ExternalIri("http://example.org/vocab#label")
+        assert classify_predicate(label) is classify_predicate(other)
 
 
 class TestGroups:
