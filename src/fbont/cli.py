@@ -306,7 +306,13 @@ def _add_common(sub: argparse.ArgumentParser, inputs_required: bool = True) -> N
         default=os.environ.get(OUTPUT_DIR_ENV, "out"),
         help=f"output directory (default: ${OUTPUT_DIR_ENV} or ./out)",
     )
-    sub.add_argument("--workers", type=int, default=1, help="partition-parallel worker count")
+    sub.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes; plain and gzip files are split into byte ranges, "
+        "standard input is read by one process",
+    )
     sub.add_argument(
         "--namespace",
         default=DEFAULT_NAMESPACE,

@@ -44,6 +44,7 @@ import gzip
 import io
 import os
 import re
+import stat
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -107,6 +108,11 @@ class StreamAbortedError(IOError):
     def __init__(self, report: "ParseReport", cause: BaseException):
         super().__init__(f"stream aborted after {report.lines_read} lines: {cause}")
         self.report = report
+        self.cause = cause
+
+    def __reduce__(self):
+        # Rebuilt from both arguments, so a worker process can send it back.
+        return type(self), (self.report, self.cause)
 
 
 @dataclass
@@ -514,13 +520,50 @@ def serialize(triple: Triple, namespace: str = DEFAULT_NAMESPACE) -> str:
 Source = Union[str, os.PathLike, IO[bytes], Iterable[bytes], Iterable[str]]
 
 
-def open_dump(path: str | os.PathLike) -> IO[bytes]:
-    """Open a dump file for binary reading, decompressing gzip by magic bytes."""
+# How a dump path can be read (see source_kind).
+PLAIN = "plain"
+GZIP = "gzip"
+STREAM = "stream"
+
+
+def _starts_gzip(stream: IO[bytes]) -> bool:
+    """Whether a buffered stream starts with the gzip magic; peeks, consuming nothing."""
+    return stream.peek(2)[:2] == GZIP_MAGIC  # type: ignore[attr-defined]
+
+
+def source_kind(path: str | os.PathLike) -> str:
+    """Classify a dump path for partition planning: PLAIN, GZIP or STREAM.
+
+    A regular file is PLAIN or GZIP by its first two bytes; those are the
+    sources that can be split into byte ranges. ``-`` (standard input) and
+    anything else (a pipe, a device) is a STREAM: it can be read only once,
+    front to back, so it is left unopened here. Raises OSError when the path
+    does not exist.
+    """
+    if os.fspath(path) == "-" or not stat.S_ISREG(os.stat(path).st_mode):
+        return STREAM
     with open(path, "rb") as probe:
-        magic = probe.read(2)
-    if magic == GZIP_MAGIC:
-        return gzip.open(path, "rb")  # type: ignore[return-value]
-    return open(path, "rb")
+        return GZIP if _starts_gzip(probe) else PLAIN
+
+
+def _sniffed(stream: IO[bytes]) -> IO[bytes]:
+    """``stream``, or a gzip reader over it when it starts with the gzip magic."""
+    buffered = stream if hasattr(stream, "peek") else io.BufferedReader(stream)  # type: ignore[arg-type]
+    if _starts_gzip(buffered):
+        return gzip.GzipFile(fileobj=buffered)  # type: ignore[return-value]
+    return buffered
+
+
+def open_dump(path: str | os.PathLike) -> IO[bytes]:
+    """Open a dump path for binary reading, decompressing gzip by magic bytes.
+
+    The path is opened once and peeked at, so a pipe loses no bytes.
+    """
+    handle = open(path, "rb")
+    stream = _sniffed(handle)
+    if stream is not handle:
+        stream.myfileobj = handle  # type: ignore[attr-defined]  # closing the reader closes the file
+    return stream
 
 
 def _as_line_iter(source: Source) -> tuple[Iterator[bytes | str], Callable[[], None]]:
@@ -528,11 +571,7 @@ def _as_line_iter(source: Source) -> tuple[Iterator[bytes | str], Callable[[], N
         handle = open_dump(source)
         return iter(handle), handle.close
     if hasattr(source, "read"):
-        stream: IO[bytes] = source  # type: ignore[assignment]
-        buffered = stream if hasattr(stream, "peek") else io.BufferedReader(stream)
-        if buffered.peek(2)[:2] == GZIP_MAGIC:  # type: ignore[attr-defined]
-            return iter(gzip.GzipFile(fileobj=buffered)), lambda: None
-        return iter(buffered), lambda: None
+        return iter(_sniffed(source)), lambda: None  # type: ignore[arg-type]
     return iter(source), lambda: None
 
 

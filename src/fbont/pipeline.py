@@ -1,38 +1,47 @@
 """Partition-parallel execution of the parse/aggregate pipeline.
 
-Plain dump files are split into byte ranges aligned to line boundaries; each
-partition is parsed once (its lines are exactly those that *begin* inside its
-range) by one ``Job``, which feeds every triple to each of its folds. A fold
-returns its per-partition aggregate as payload fields, and every field is a
-mergeable monoid with one declared merge law (``MERGE_LAWS``) that
-``merge_payloads`` applies in partition order. Any worker count therefore
-produces byte-identical outputs to a single-threaded run.
+Dump files are split into byte ranges, one per worker; each partition is
+parsed once by one ``Job``, which feeds every triple to each of its folds. A
+plain file's range owns exactly the lines that *begin* inside it. A gzip
+file's range is a range of compressed bytes: every worker inflates the file
+from byte 0 with the same fixed read loop, and a range owns exactly the
+lines whose first byte came out of a read that left the compressed file
+offset inside ``(start, end]``. Either way every line lands in exactly one
+range, in file order. A fold returns its per-partition aggregate as payload
+fields, and every field is a mergeable monoid with one declared merge law
+(``MERGE_LAWS``) that ``merge_payloads`` applies in partition order. Any
+worker count therefore produces byte-identical outputs to a single-threaded
+run.
 
-Gzip inputs and standard input are inherently sequential and are processed
-as one partition.
+Standard input, pipes and gzip files under two minimum ranges are read as
+one partition.
 """
 
 from __future__ import annotations
 
+import gzip
 import operator
 import os
 import shutil
-import stat
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .model import IdPath, Mid, NodeRef, Triple
 from .parser import (
-    GZIP_MAGIC,
+    GZIP,
+    PLAIN,
+    STREAM,
     ParseReport,
     ParserConfig,
     Projection,
     _as_line_iter,
     iter_triples,
     serialize,
+    source_kind,
 )
 from .schema import (
     DomainSchema,
@@ -76,25 +85,38 @@ Finish = Callable[[], dict]
 
 @dataclass(frozen=True)
 class Partition:
-    """A line-aligned byte range of one file; end == -1 means the whole file."""
+    """A byte range of one file; end == -1 means the whole file.
+
+    ``compressed`` marks a range of a gzip file, which counts compressed bytes.
+    """
 
     path: str
     start: int
     end: int
     index: int
+    compressed: bool = False
 
 
-def _is_plain_seekable(path: str) -> bool:
-    if path == "-":
-        return False
-    try:
-        mode = os.stat(path).st_mode
-    except OSError:
-        return False
-    if not stat.S_ISREG(mode):
-        return False
-    with open(path, "rb") as handle:
-        return handle.read(2) != GZIP_MAGIC
+# Compressed bytes per gzip range at least. A gzip file under two ranges is
+# one partition, parsed in-process, so a small file starts no worker pool.
+GZIP_MIN_RANGE = 128 * 1024
+# Decompressed bytes asked of each read of a gzip range, and compressed bytes
+# read from the file at a time, at most. Every worker must use the same read
+# loop, since a range owns lines by where those reads end. The compressed cap
+# is no more than any Python's gzip module asks for (8 KiB up to 3.11, 128 KiB
+# after), so where the reads end does not depend on the interpreter.
+_INFLATE_READ = 256 * 1024
+_COMPRESSED_READ = 8 * 1024
+
+
+class _CappedReads:
+    """A binary file whose reads return at most ``_COMPRESSED_READ`` bytes."""
+
+    def __init__(self, raw: Any):
+        self.raw = raw
+
+    def read(self, size: int = -1) -> bytes:
+        return self.raw.read(_COMPRESSED_READ if size < 0 else min(size, _COMPRESSED_READ))
 
 
 def plan_partitions(paths: Sequence[str], workers: int) -> list[Partition]:
@@ -103,26 +125,34 @@ def plan_partitions(paths: Sequence[str], workers: int) -> list[Partition]:
     index = 0
     for path in paths:
         path = os.fspath(path)
-        if workers <= 1 or not _is_plain_seekable(path):
+        count = 1
+        if workers > 1:
+            kind = source_kind(path)
+            if kind != STREAM:
+                size = os.path.getsize(path)
+                count = workers if kind == PLAIN else min(workers, size // GZIP_MIN_RANGE)
+        if count <= 1:
             partitions.append(Partition(path, 0, -1, index))
             index += 1
             continue
-        size = os.path.getsize(path)
-        bounds = [size * i // workers for i in range(workers + 1)]
+        bounds = [size * i // count for i in range(count + 1)]
         for start, end in zip(bounds, bounds[1:]):
-            partitions.append(Partition(path, start, end, index))
+            partitions.append(Partition(path, start, end, index, kind == GZIP))
             index += 1
     return partitions
 
 
 def iter_partition_lines(part: Partition) -> Iterator[bytes]:
-    """Yield exactly the lines that begin inside the partition's range."""
+    """Yield exactly the lines the partition's range owns, in file order."""
     if part.end == -1:
         lines, close = _as_line_iter(sys.stdin.buffer if part.path == "-" else part.path)
         try:
             yield from lines  # type: ignore[misc]
         finally:
             close()
+        return
+    if part.compressed:
+        yield from _gzip_range_lines(part.path, part.start, part.end)
         return
     with open(part.path, "rb") as handle:
         if part.start > 0:
@@ -137,6 +167,47 @@ def iter_partition_lines(part: Partition) -> Iterator[bytes]:
             if not line:
                 break
             yield line
+
+
+def _gzip_range_lines(path: str, start: int, end: int) -> Iterator[bytes]:
+    """The lines of a gzip file owned by the compressed range ``(start, end]``.
+
+    Inflates from byte 0. A decompressed read belongs to the range holding
+    the file offset after it, and a line to the range of the read that gave
+    its first byte. Output before ``start`` is discarded; after ``end`` the
+    reader only finishes the line it owns. The last range ends at the file's
+    size, so it reads to EOF and meets every CRC or truncation error.
+    """
+    with open(path, "rb") as raw, gzip.GzipFile(fileobj=_CappedReads(raw)) as unzipped:
+        # The owned line begun so far; None inside a line an earlier range owns.
+        pending: bytes | None = b""
+        for chunk in iter(partial(unzipped.read1, _INFLATE_READ), b""):
+            offset = raw.tell()
+            if offset <= start:
+                pending = b"" if chunk.endswith(b"\n") else None
+                continue
+            if offset > end:  # only the line in progress is still owned
+                if not pending:
+                    return
+                cut = chunk.find(b"\n") + 1
+                if cut:
+                    yield pending + chunk[:cut]
+                    return
+                pending += chunk
+                continue
+            if pending is None:
+                cut = chunk.find(b"\n") + 1
+                if not cut:
+                    continue
+                chunk = chunk[cut:]
+                pending = b""
+            lines = chunk.split(b"\n")
+            lines[0] = pending + lines[0]
+            pending = lines.pop()
+            for line in lines:
+                yield line + b"\n"
+        if pending:
+            yield pending
 
 
 # --- folds and the one per-partition job ------------------------------------------
@@ -211,7 +282,8 @@ class SchemaFold:
         config = self.schema
 
         def feed(triple: Triple) -> None:
-            feed_schema_triple(schemas, triple, config, lint)
+            if triple.subject is not None:  # a projected triple: a predicate it does not read
+                feed_schema_triple(schemas, triple, config, lint)
 
         return feed, lambda: {"schemas": schemas}
 
@@ -242,6 +314,8 @@ class SemanticsFold:
         rules: set[IncompatibilityRule] = set()
 
         def feed(triple: Triple) -> None:
+            if triple.subject is None:  # a projected triple: a predicate it does not read
+                return
             feed_merge_edge(merge_map, triple, self.replaced_by, lint)
             feed_value_notation(notations, triple, self.accept_reversed, lint)
             assertion = match_type_assertion(triple, self.type_predicate)

@@ -1,6 +1,7 @@
 import gzip
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -360,6 +361,69 @@ class TestCmdStudy:
 
     def test_no_inputs_and_no_intermediates_exits_2(self, tmp_path, capsys):
         assert main(["study", "--out", str(tmp_path / "out")]) == 2
+
+
+def gzip_ranges_fixture(tmp_path, monkeypatch, fault=None):
+    """A gzip dump with study, semantics and malformed lines, split into ranges.
+
+    The minimum range size is lowered so the small file splits at any worker
+    count. ``fault`` truncates the file mid-stream or corrupts its CRC.
+    """
+    lines, _ = study_fixture_lines()
+    lines += random_dump_lines(3_000, seed=11, malformed_rate=0.05)
+    lines += [obj_line(f"m.d{i}", "dataworld.gardening_hint.replaced_by", f"m.c{i % 5}") for i in range(200)]
+    lines += [obj_line(f"people.person.p{i}", "freebase.valuenotation.has_value", f"m.x{i}") for i in range(50)]
+    types = ("film.film", "film.film_series", "tv.tv_series")
+    lines += [obj_line(f"m.t{i % 120}", "type.object.type", types[i % 3]) for i in range(300)]
+    random.Random(3).shuffle(lines)
+    data = bytearray(gzip.compress("".join(l + "\n" for l in lines).encode(), 6))
+    if fault == "truncated":
+        del data[len(data) * 2 // 3 :]
+    elif fault == "bad-crc":
+        data[-8] ^= 0xFF  # the trailer is CRC-32, then the length
+    path = tmp_path / "dump.nt.gz"
+    path.write_bytes(bytes(data))
+    monkeypatch.setattr(pipeline, "GZIP_MIN_RANGE", 1024)
+    return str(path)
+
+
+class TestGzipRanges:
+    def test_workers_produce_identical_outputs(self, tmp_path, monkeypatch):
+        dump = gzip_ranges_fixture(tmp_path, monkeypatch)
+        parts = pipeline.plan_partitions([dump], 4)
+        assert len(parts) == 4
+        assert all(next(pipeline.iter_partition_lines(part), None) for part in parts)  # each owns lines
+        rules = tmp_path / "rules.tsv"
+        rules.write_text("/film/film\t/film/film_series\n")
+        commands = {
+            "study": ["study", "--exclude", "music"],
+            "semantics": ["semantics", "--rules", str(rules), "--json"],
+            "slice": ["slice", "--materialize", "--count-distinct"],
+        }
+        for name, command in commands.items():
+            trees = []
+            for workers in (1, 2, 4):
+                out = tmp_path / f"{name}-w{workers}"
+                assert main([*command, dump, "--workers", str(workers), "--out", str(out)]) == 0
+                trees.append(read_tree(out))
+            assert trees[0] == trees[1] == trees[2], name
+            report = json.loads(trees[0]["parse_report.json"])
+            assert report["lines_malformed"] > 0 and report["first_errors"]
+        assert "violations.json" in read_tree(tmp_path / "semantics-w1")
+        assert not (tmp_path / "slice-w4" / "slices" / ".parts").exists()
+
+    @pytest.mark.parametrize("fault", ["truncated", "bad-crc"])
+    def test_corrupt_gzip_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, fault):
+        dump = gzip_ranges_fixture(tmp_path, monkeypatch, fault)
+        for workers in (1, 2):
+            assert len(pipeline.plan_partitions([dump], workers)) == workers
+            for extra in ([], ["--materialize"]):
+                out = tmp_path / f"out-w{workers}-{len(extra)}"
+                argv = ["slice", dump, "--workers", str(workers), "--out", str(out), *extra]
+                assert main(argv) == 2
+                assert "stream aborted" in capsys.readouterr().err
+                assert read_tree(out) == {}  # no taxonomy.*, no parse_report.json, no shards
+                assert not (out / "slices" / ".parts").exists()
 
 
 class TestFailureExits:

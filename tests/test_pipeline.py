@@ -1,5 +1,8 @@
 import gzip
 import os
+import random
+import signal
+import threading
 from collections import Counter
 from dataclasses import dataclass
 
@@ -7,6 +10,7 @@ import pytest
 
 from conftest import lit_line, obj_line
 from dumpgen import random_dump_lines
+from fbont import pipeline
 from fbont.model import idpath
 from fbont.parser import MalformedLineError, ParserConfig, Projection, parse_line
 from fbont.pipeline import (
@@ -66,6 +70,85 @@ class TestPartitionPlanning:
         assert parts[0].end == -1
         text = b"".join(iter_partition_lines(parts[0])).decode()
         assert text == data
+
+    def test_gzip_ranges_cover_every_line_once(self, tmp_path, monkeypatch):
+        rng = random.Random(7)
+        noise = bytes(rng.randrange(32, 127) for _ in range(40_000))  # spans several compressed reads
+        lines = [l.encode() for l in random_dump_lines(2_000, seed=5, malformed_rate=0.1)]
+        lines[100:100] = [b"", b"<http://a>\t<http://b>\t<http://c>\t.\r", b"\r", b""]
+        lines[500:500] = [b""] * 300_000  # over one decompressed read: reads that end at a line end
+        lines[900:900] = [b"x" * 1_200_000, noise]  # longer than several decompressed reads
+        last = b"\n<http://a>\t<http://b>\t<http://c>\t."  # no final newline
+        text = b"\n".join(lines) + last
+        # the same lines and more that barely compress: over 3 x 128 KiB of gzip
+        printable = bytes(32 + i % 95 for i in range(256))
+        for at in range(lines.index(noise) + 1_000, 0, -100):
+            lines.insert(at, rng.randbytes(rng.randrange(1, 40_000)).translate(printable))
+        wide = b"\n".join(lines) + last
+
+        def two_member_gzip(name, data):
+            path = tmp_path / name
+            cut = len(data) // 3
+            path.write_bytes(gzip.compress(data[:cut], 1) + gzip.compress(data[cut:], 9))
+            return path
+
+        monkeypatch.setattr(pipeline, "GZIP_MIN_RANGE", 1)
+        path = two_member_gzip("wide.nt.gz", wide)
+        assert path.stat().st_size > 3 * 128 * 1024
+        for workers in (2, 3, 5, 8, 16):
+            parts = plan_partitions([str(path)], workers)
+            assert len(parts) == workers
+            owned = [list(iter_partition_lines(part)) for part in parts]
+            assert b"".join(l for lines in owned for l in lines) == wide
+            assert sum(1 for lines in owned if lines) >= min(workers, 5)
+        # every cut at or next to a point where a read of the range loop ends
+        path = two_member_gzip("dump.nt.gz", text)
+        size = path.stat().st_size
+        with open(path, "rb") as raw, gzip.GzipFile(fileobj=pipeline._CappedReads(raw)) as unzipped:
+            ends = set()
+            while unzipped.read1(pipeline._INFLATE_READ):
+                ends.add(raw.tell())
+        assert len(ends) > 5
+        for cut in sorted({c + d for c in ends for d in (-1, 0, 1)} & set(range(1, size))):
+            first = list(iter_partition_lines(Partition(str(path), 0, cut, 0, True)))
+            second = list(iter_partition_lines(Partition(str(path), cut, size, 1, True)))
+            assert b"".join(first + second) == text
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_pipe_loses_no_bytes(self, tmp_path, compress):
+        data = "".join(l + "\n" for l in random_dump_lines(3_000)).encode()
+        fifo = tmp_path / "dump.fifo"
+        os.mkfifo(fifo)
+        payload = gzip.compress(data) if compress else data
+        writer = threading.Thread(target=fifo.write_bytes, args=(payload,), daemon=True)
+        writer.start()
+
+        def stuck(signum, frame):
+            raise TimeoutError("reading the pipe blocked: was it opened twice?")
+
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(10)
+        try:
+            parts = plan_partitions([str(fifo)], 4)
+            assert parts == [Partition(str(fifo), 0, -1, 0)]
+            assert b"".join(iter_partition_lines(parts[0])) == data
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        writer.join(10)
+        assert not writer.is_alive()
+
+    def test_small_gzip_is_one_partition(self, tmp_path, monkeypatch):
+        empty = tmp_path / "empty.nt.gz"
+        empty.write_bytes(gzip.compress(b""))
+        small = tmp_path / "small.nt.gz"
+        small.write_bytes(gzip.compress("".join(l + "\n" for l in random_dump_lines(500)).encode()))
+        size = small.stat().st_size
+        assert plan_partitions([str(empty)], 8) == [Partition(str(empty), 0, -1, 0)]
+        monkeypatch.setattr(pipeline, "GZIP_MIN_RANGE", size // 2 + 1)
+        assert plan_partitions([str(small)], 8) == [Partition(str(small), 0, -1, 0)]
+        monkeypatch.setattr(pipeline, "GZIP_MIN_RANGE", size // 2)
+        assert len(plan_partitions([str(small)], 8)) == 2
 
     def test_boundary_never_duplicates_or_drops(self, tmp_path):
         lines = ["<http://a>\t<http://b>\t<http://c>\t."] * 100
