@@ -24,14 +24,16 @@ malformed-reason code and the same lint counts; ``tests/test_parser_fast.py``
 checks that line by line.
 
 A caller whose consumers read only the predicate of most triples may pass a
-:class:`Projection`: a per-stream memo from predicate token to either None
-(build the triple in full) or one shared predicate-only triple, decided once
-per distinct predicate by the consumers' ``reads(predicate)``. A regex-route
-line whose predicate is projected is still validated whole (the predicate's
-lint and ``strict_ids``, the literal parser on every literal the regex does
-not build), but returns the shared triple instead of building its subject,
-object and triple. Lines that take the reference route are always built in
-full, so projection never changes which lines are malformed or any lint.
+:class:`Projection`: a per-stream memo from predicate token to two count
+cells, one for mid subjects and one for the rest, decided once per distinct
+predicate and subject kind by the consumers' ``reads(predicate,
+mid_subject)``. A regex-route line that no consumer reads is still validated
+whole (the predicate's lint and ``strict_ids``, a validate-only check of any
+literal the regex does not build), then counted in its cell instead of
+built: :func:`parse_line` returns None for it, and the consumers get the
+non-zero cells once, from :meth:`Projection.tallies`. Lines that take the
+reference route are always built in full, so projection never changes which
+lines are malformed or any lint.
 
 Parsing is pure per line. Callers may split a file at line boundaries,
 parse partitions independently, and merge the resulting reports in partition
@@ -187,11 +189,31 @@ _SIMPLE_ESCAPES = {
 }
 
 
+_HEX_DIGITS = re.compile("[0-9A-Fa-f]+").fullmatch
+
+
+def _code_point(hexpart: str) -> int | None:
+    """The Unicode scalar value a ``\\u``/``\\U`` escape's digits name, or None.
+
+    Only ASCII hex digits count (``int`` would also take signs, underscores,
+    spaces and non-ASCII digits), and surrogates and values past U+10FFFF
+    name no character that UTF-8 can encode.
+    """
+    if not _HEX_DIGITS(hexpart):
+        return None
+    value = int(hexpart, 16)
+    if value > 0x10FFFF or 0xD800 <= value <= 0xDFFF:
+        return None
+    return value
+
+
 def unescape_literal(raw: str) -> tuple[str, int]:
     """Decode N-Triples escapes. Returns (text, count of unknown escapes).
 
-    Unknown or truncated escapes are preserved verbatim rather than dropped;
-    the count lets the stream surface them as lint.
+    Unknown or truncated escapes, and ``\\u``/``\\U`` escapes that are not
+    exactly 4 or 8 hex digits naming a Unicode scalar value, are preserved
+    verbatim rather than dropped; the count lets the stream surface them as
+    lint.
     """
     if "\\" not in raw:
         return raw, 0
@@ -209,23 +231,18 @@ def unescape_literal(raw: str) -> tuple[str, int]:
         if code in _SIMPLE_ESCAPES:
             out.append(_SIMPLE_ESCAPES[code])
             i += 2
-        elif code in ("u", "U"):
+            continue
+        if code in ("u", "U"):
             width = 4 if code == "u" else 8
             hexpart = raw[i + 2 : i + 2 + width]
-            if len(hexpart) == width:
-                try:
-                    out.append(chr(int(hexpart, 16)))
-                    i += 2 + width
-                    continue
-                except ValueError:
-                    pass
-            out.append(raw[i : i + 2])
-            unknown += 1
-            i += 2
-        else:
-            out.append(raw[i : i + 2])
-            unknown += 1
-            i += 2
+            value = _code_point(hexpart) if len(hexpart) == width else None
+            if value is not None:
+                out.append(chr(value))
+                i += 2 + width
+                continue
+        out.append(raw[i : i + 2])
+        unknown += 1
+        i += 2
     return "".join(out), unknown
 
 
@@ -339,6 +356,40 @@ def _parse_literal_term(token: str, counters: Counter | None) -> Literal:
     raise MalformedLineError(BAD_LITERAL_SUFFIX)
 
 
+# A literal _parse_literal_term accepts: the body up to the first unescaped
+# quote, then nothing, an alphanumeric-or-hyphen language tag, or a datatype
+# IRI. ``[^\W_]`` is exactly str.isalnum.
+_VALID_LITERAL = re.compile(
+    r'"((?:[^"\\]|\\.)*)"(?:@(?:[^\W_]|-)+|\^\^<.+>)?', re.DOTALL
+).fullmatch
+# One escape of a body, aligned as unescape_literal reads them.
+_ESCAPES = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL).findall
+
+
+def _check_literal_term(token: str, counters: Counter | None) -> None:
+    """Validate a literal as :func:`_parse_literal_term` does, without building it.
+
+    Same reason codes and the same ``unknown-escape`` count; the body is not
+    unescaped. Any token the one regex does not accept takes the full parse,
+    which raises its reason.
+    """
+    found = _VALID_LITERAL(token)
+    if found is None:
+        _parse_literal_term(token, counters)
+        return
+    body = found[1]
+    if "\\" not in body or counters is None:
+        return
+    unknown = 0
+    for short, long, other in _ESCAPES(body):
+        if other:
+            unknown += other not in _SIMPLE_ESCAPES
+        else:
+            unknown += _code_point(short or long) is None
+    if unknown:
+        counters["unknown-escape"] += unknown
+
+
 def _parse_term(
     token: str,
     position: str,
@@ -426,27 +477,38 @@ def _predicate_term(token: str, namespace: str) -> tuple[NodeRef, bool]:
     return ref, _is_nonstandard(ref)
 
 
-class Projection(dict):
-    """Per-stream memo: predicate token -> shared predicate-only triple, or None.
+Tally = tuple[NodeRef, bool, int]  # (predicate, mid_subject, lines counted)
 
-    ``reads(predicate)`` says whether some consumer reads the subject and
-    object of that predicate's triples; it is asked once per distinct token.
-    A predicate nobody reads maps to one ``Triple(None, predicate, None)``
-    that every such line returns; the others map to None, built in full.
+
+class Projection(dict):
+    """Per-stream memo: predicate token -> (predicate, cell, cell) of unread lines.
+
+    ``reads(predicate, mid_subject)`` says whether some consumer reads the
+    subject and object of that predicate's triples whose subject is (or is
+    not) a mid; it is asked once per distinct token and subject kind. The
+    entry's cells are indexed by ``1 + mid_subject``: a one-item list that
+    counts the lines nobody reads, or None where they are built in full.
     """
 
-    def __init__(self, reads: Callable[[NodeRef], bool], namespace: str = DEFAULT_NAMESPACE):
+    def __init__(self, reads: Callable[[NodeRef, bool], bool], namespace: str = DEFAULT_NAMESPACE):
         super().__init__()
         self.reads = reads
         self.namespace = namespace
 
-    def __missing__(self, token: str) -> Triple | None:
+    def __missing__(self, token: str) -> tuple:
         predicate, _ = _predicate_term(token, self.namespace)
-        shared = None
-        if not self.reads(predicate):
-            shared = Triple(None, predicate, None)  # type: ignore[arg-type]
-        self[token] = shared
-        return shared
+        plain, mid = (None if self.reads(predicate, kind) else [0] for kind in (False, True))
+        entry = self[token] = (predicate, plain, mid)
+        return entry
+
+    def tallies(self) -> list[Tally]:
+        """The non-zero counts, in the order their predicates were first seen."""
+        return [
+            (predicate, mid, cell[0])
+            for predicate, *cells in self.values()
+            for mid, cell in zip((False, True), cells)
+            if cell is not None and cell[0]
+        ]
 
 
 def parse_line(
@@ -454,15 +516,15 @@ def parse_line(
     config: ParserConfig = DEFAULT_CONFIG,
     counters: Counter | None = None,
     projection: Projection | None = None,
-) -> Triple:
+) -> Triple | None:
     """Parse one physical line (no trailing newline) into a Triple.
 
     Raises MalformedLineError with a short reason code otherwise. Pure when
     ``counters`` is omitted; pass a Counter to collect lint tallies
     (nonstandard ids, unknown escapes). Canonical dump lines take the regex
     fast path; every other line goes to :func:`parse_line_reference`. With a
-    ``projection`` (same namespace as ``config``), a fast-path line whose
-    predicate it projects returns the shared predicate-only triple.
+    ``projection`` (same namespace as ``config``), a fast-path line that no
+    consumer reads is counted in the projection and None is returned.
     """
     match = _canonical_line(config.namespace)
     found = match(line) if match is not None else None
@@ -473,11 +535,12 @@ def parse_line(
     if nonstandard:
         _flag_nonstandard(config, counters)
     if projection is not None:
-        shared = projection[p_token]
-        if shared is not None:
+        cell = projection[p_token][1 + (found[1] is not None)]
+        if cell is not None:
             if found[11] is not None:
-                _parse_literal_term(found[11], counters)  # its errors and lint still count
-            return shared
+                _check_literal_term(found[11], counters)  # its errors and lint still count
+            cell[0] += 1
+            return None
     (s_mid, s_path, s_iri, _, o_mid, o_path, o_iri,
      lexical, language, datatype, o_literal) = found.groups()
     subject = _matched_term(s_mid, s_path, s_iri)
@@ -594,7 +657,9 @@ def iter_triples(
     ``source`` may be a path (gzip detected by magic bytes), a binary file
     object, or any iterable of lines. Malformed lines are counted and sampled,
     never fatal; an I/O failure raises StreamAbortedError with the partial
-    report attached. ``projection`` is passed to :func:`parse_line`.
+    report attached. ``projection`` is passed to :func:`parse_line`; the
+    lines it counts are recorded as well-formed but neither built nor
+    yielded.
     """
     lines, close = _as_line_iter(source)
     try:
@@ -611,7 +676,8 @@ def iter_triples(
                 report.record_malformed(line_number, exc.reason)
                 continue
             report.record_ok()
-            yield triple
+            if triple is not None:
+                yield triple
     except (OSError, EOFError) as exc:
         raise StreamAbortedError(report, exc) from exc
     finally:

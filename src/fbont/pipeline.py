@@ -28,7 +28,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import IdPath, Mid, NodeRef, Triple
 from .parser import (
@@ -38,6 +38,8 @@ from .parser import (
     ParseReport,
     ParserConfig,
     Projection,
+    StreamAbortedError,
+    Tally,
     _as_line_iter,
     iter_triples,
     serialize,
@@ -47,6 +49,7 @@ from .schema import (
     DomainSchema,
     SchemaConfig,
     UndefinedComplexityError,
+    absorb_schema_tally,
     complexity_score,
     feed_schema_triple,
     merge_schemas,
@@ -73,6 +76,7 @@ from .slicer import (
     GroupConfig,
     SliceKey,
     SliceWriter,
+    count_slice,
     feed_slice_triple,
     group_for,
     merge_counts,
@@ -80,6 +84,7 @@ from .slicer import (
 from .stats import StudyRow
 
 Feed = Callable[[Triple], None]
+Absorb = Callable[[Sequence[Tally]], None]
 Finish = Callable[[], dict]
 
 
@@ -213,20 +218,24 @@ def _gzip_range_lines(path: str, start: int, end: int) -> Iterator[bytes]:
 # --- folds and the one per-partition job ------------------------------------------
 #
 # A fold is a frozen, picklable recipe for one aggregate. ``start`` binds the
-# fold's per-partition state once and returns a (feed, finish) pair: ``feed``
-# folds one triple in, writing lint straight into the partition report's
-# counter, and ``finish`` returns the fold's payload fields. Every payload
-# field has one merge law in MERGE_LAWS, so partitions reduce in order to the
-# single-pass result.
+# fold's per-partition state once and returns a (feed, absorb, finish)
+# triple: ``feed`` folds one triple in, writing lint straight into the
+# partition report's counter, ``absorb`` folds in the lines the parser
+# counted instead of building, and ``finish`` returns the fold's payload
+# fields. Every payload field has one merge law in MERGE_LAWS, so partitions
+# reduce in order to the single-pass result.
 #
-# A fold also declares what it reads. ``reads(predicate)`` is False when its
-# feed looks at nothing but the predicate of that predicate's triples, and
-# ``reads_all`` is True when it reads the subject and object of every triple.
-# Job.run asks once per distinct predicate and per partition: where no fold
-# reads them, the parser hands every fold one shared ``Triple(None,
-# predicate, None)`` instead of building the terms (see parser.Projection).
-# A fold must therefore give the same payload and lint for that triple as
-# for the full one, for every predicate it declares unread.
+# A fold also declares what it reads. ``reads(predicate, mid_subject)`` is
+# False when its feed looks at nothing but the predicate of that predicate's
+# triples whose subject is (or is not) a mid, and ``reads_all`` is True when
+# it reads the subject and object of every triple. Job.run asks once per
+# distinct predicate, subject kind and partition: where no fold reads them,
+# the parser validates each such line and counts it instead of building it
+# (see parser.Projection). Once per partition, after the last line and before
+# ``finish``, every fold's ``absorb`` gets the non-zero (predicate,
+# mid_subject, count) tallies. A fold must give the same payload and lint for
+# a tally as for that many full triples, for every predicate and subject kind
+# it declares unread.
 
 
 @dataclass(frozen=True)
@@ -241,10 +250,10 @@ class SliceFold:
     def reads_all(self) -> bool:
         return self.shard_root is not None or self.count_distinct
 
-    def reads(self, predicate: NodeRef) -> bool:
+    def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
         return self.reads_all
 
-    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Finish]:
+    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Absorb, Finish]:
         counts: dict[SliceKey, int] = {}
         keys: dict[NodeRef, SliceKey] = {}
         distinct: set[str] | None = set() if self.count_distinct else None
@@ -259,12 +268,16 @@ class SliceFold:
             if distinct is not None and key is not None:
                 distinct.add(serialize(triple, parser.namespace))
 
+        def absorb(tallies: Sequence[Tally]) -> None:
+            for predicate, _, count in tallies:
+                count_slice(counts, keys, predicate, count, lint)
+
         def finish() -> dict[str, Any]:
             if writer is not None:
                 writer.close()
             return {"counts": counts, "shard_dir": shard_dir, "distinct": distinct}
 
-        return feed, finish
+        return feed, absorb, finish
 
 
 @dataclass(frozen=True)
@@ -274,18 +287,21 @@ class SchemaFold:
     schema: SchemaConfig = SchemaConfig()
     reads_all = False
 
-    def reads(self, predicate: NodeRef) -> bool:
-        return reads_terms(predicate, self.schema)
+    def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
+        return reads_terms(predicate, mid_subject, self.schema)
 
-    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Finish]:
+    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Absorb, Finish]:
         schemas: dict[str, DomainSchema] = {}
         config = self.schema
 
         def feed(triple: Triple) -> None:
-            if triple.subject is not None:  # a projected triple: a predicate it does not read
-                feed_schema_triple(schemas, triple, config, lint)
+            feed_schema_triple(schemas, triple, config, lint)
 
-        return feed, lambda: {"schemas": schemas}
+        def absorb(tallies: Sequence[Tally]) -> None:
+            for predicate, mid_subject, count in tallies:
+                absorb_schema_tally(predicate, mid_subject, count, config, lint)
+
+        return feed, absorb, lambda: {"schemas": schemas}
 
 
 @dataclass(frozen=True)
@@ -298,7 +314,7 @@ class SemanticsFold:
     accept_reversed: bool = False
     reads_all = False
 
-    def reads(self, predicate: NodeRef) -> bool:
+    def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
         return predicate in (
             self.replaced_by,
             HAS_VALUE_PREDICATE,
@@ -307,15 +323,13 @@ class SemanticsFold:
             self.incompatibility_predicate,
         )
 
-    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Finish]:
+    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Absorb, Finish]:
         merge_map = MergeMap()
         notations: list[ValueNotation] = []
         assertions: list[tuple[Mid, IdPath]] = []
         rules: set[IncompatibilityRule] = set()
 
         def feed(triple: Triple) -> None:
-            if triple.subject is None:  # a projected triple: a predicate it does not read
-                return
             feed_merge_edge(merge_map, triple, self.replaced_by, lint)
             feed_value_notation(notations, triple, self.accept_reversed, lint)
             assertion = match_type_assertion(triple, self.type_predicate)
@@ -326,6 +340,9 @@ class SemanticsFold:
                 if rule is not None:
                     rules.add(rule)
 
+        def absorb(tallies: Sequence[Tally]) -> None:
+            pass  # the triples of a predicate it does not read leave no trace
+
         def finish() -> dict[str, Any]:
             return {
                 "merge_map": merge_map,
@@ -334,7 +351,7 @@ class SemanticsFold:
                 "rules": rules,
             }
 
-        return feed, finish
+        return feed, absorb, finish
 
 
 @dataclass(frozen=True)
@@ -351,7 +368,7 @@ class Job:
     max_errors: int = 20
 
     def projection(self) -> Projection | None:
-        """A fresh per-partition memo of the predicates no fold reads, or None.
+        """A fresh per-partition tally of the lines no fold reads, or None.
 
         None when some fold reads every triple: the parser then builds every
         triple in full, with no memo lookup.
@@ -360,13 +377,13 @@ class Job:
             return None
         return Projection(self.reads, self.parser.namespace)
 
-    def reads(self, predicate: NodeRef) -> bool:
-        return any(fold.reads(predicate) for fold in self.folds)
+    def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
+        return any(fold.reads(predicate, mid_subject) for fold in self.folds)
 
     def run(self, part: Partition) -> tuple[ParseReport, dict[str, Any]]:
         report = ParseReport(max_errors=self.max_errors)
         started = [fold.start(part, self.parser, report.lint) for fold in self.folds]
-        feeds = [feed for feed, _ in started]
+        feeds = [feed for feed, _, _ in started]
         projection = self.projection()
         payload: dict[str, Any] = {}
         try:
@@ -374,7 +391,10 @@ class Job:
                 for feed in feeds:
                     feed(triple)
         finally:
-            for _, finish in started:
+            # Also on an abort, so a partial report's lint counts every line read.
+            tallies = projection.tallies() if projection is not None else []
+            for _, absorb, finish in started:
+                absorb(tallies)
                 payload.update(finish())
         return report, payload
 
@@ -476,15 +496,28 @@ def run_partitioned(
 ) -> tuple[ParseReport, list[dict[str, Any]]]:
     """Run a job over every partition, merging reports in partition order."""
     if workers <= 1 or len(partitions) <= 1:
-        results = [job.run(part) for part in partitions]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(partitions))) as pool:
-            results = list(pool.map(job.run, partitions))
+        return _merge_results(job, map(job.run, partitions))
+    with ProcessPoolExecutor(max_workers=min(workers, len(partitions))) as pool:
+        return _merge_results(job, pool.map(job.run, partitions))
+
+
+def _merge_results(
+    job: Job, results: Iterable[tuple[ParseReport, dict[str, Any]]]
+) -> tuple[ParseReport, list[dict[str, Any]]]:
+    """Merge partition reports as the results arrive, in partition order.
+
+    A partition's StreamAbortedError is raised again with the report of the
+    stream so far: every earlier partition's, then the failing one's partial
+    report, so its line count does not depend on the worker count.
+    """
     report = ParseReport(max_errors=job.max_errors)
     payloads = []
-    for part_report, payload in results:
-        report = report.merge(part_report)
-        payloads.append(payload)
+    try:
+        for part_report, payload in results:
+            report = report.merge(part_report)
+            payloads.append(payload)
+    except StreamAbortedError as exc:
+        raise StreamAbortedError(report.merge(exc.report), exc.cause) from exc.cause
     return report, payloads
 
 

@@ -181,6 +181,30 @@ def slice_relpath(key: SliceKey, layout: str = DEFAULT_SLICE_LAYOUT) -> str:
     return layout.format(kind=key.kind, name=key.name)
 
 
+def count_slice(
+    counts: dict[SliceKey, int],
+    keys: dict[NodeRef, SliceKey],
+    pred: NodeRef,
+    count: int = 1,
+    counters: Counter | None = None,
+) -> SliceKey | None:
+    """Add ``count`` triples of predicate ``pred`` to its slice count.
+
+    ``keys`` remembers each distinct predicate's slice key, so a predicate is
+    classified once per stream. Returns the slice key, or None for a mid
+    predicate, whose triples are counted as ``mid-predicate`` lint instead.
+    """
+    key = keys.get(pred)
+    if key is None:
+        if isinstance(pred, Mid):
+            if counters is not None:
+                counters["mid-predicate"] += count
+            return None
+        key = keys[pred] = classify_predicate(pred)
+    counts[key] = counts.get(key, 0) + count
+    return key
+
+
 def feed_slice_triple(
     counts: dict[SliceKey, int],
     keys: dict[NodeRef, SliceKey],
@@ -188,22 +212,9 @@ def feed_slice_triple(
     writer: SliceWriter | None = None,
     counters: Counter | None = None,
 ) -> SliceKey | None:
-    """Fold one triple into its slice count (see slice_stream).
-
-    ``keys`` remembers each distinct predicate's slice key, so a predicate is
-    classified once per stream. Returns the triple's slice key, or None for a
-    mid-predicate triple.
-    """
-    pred = triple.predicate
-    key = keys.get(pred)
-    if key is None:
-        if isinstance(pred, Mid):
-            if counters is not None:
-                counters["mid-predicate"] += 1
-            return None
-        key = keys[pred] = classify_predicate(pred)
-    counts[key] = counts.get(key, 0) + 1
-    if writer is not None:
+    """Fold one triple into its slice count (see slice_stream and count_slice)."""
+    key = count_slice(counts, keys, triple.predicate, 1, counters)
+    if writer is not None and key is not None:
         writer.write(key, triple)
     return key
 

@@ -1,11 +1,14 @@
 import gzip
 import json
+import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
-
+import zlib
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 
 import pytest
 
@@ -13,7 +16,10 @@ from conftest import lit_line, obj_line
 from dumpgen import oracle_linreg, oracle_pearson, random_dump_lines
 from fbont import cli, pipeline
 from fbont.cli import main
-from fbont.parser import stream_parse
+from fbont.parser import StreamAbortedError, stream_parse
+from fbont.pipeline import Job, SliceFold
+
+TEST_PID = os.getpid()
 
 
 def write_lines(tmp_path, lines, name="dump.nt"):
@@ -166,6 +172,22 @@ class TestCmdSlice:
         )
         assert code == 0
         assert (out / "slices" / "flat_domain_people.nt").exists()
+
+
+    @pytest.mark.parametrize("escape", [r"\UFFFFFFFF", r"\uD800"])
+    @pytest.mark.parametrize("materialize", [False, True])
+    def test_undecodable_unicode_escape_is_lint(self, tmp_path, escape, materialize):
+        lines = [obj_line("m.a", "people.person.spouse_s", "m.b"), lit_line("m.a", "type.object.name", f"x{escape}")]
+        dump = write_lines(tmp_path, lines)
+        out = tmp_path / "out"
+        argv = ["slice", dump, "--out", str(out)] + (["--materialize"] if materialize else [])
+        assert main(argv) == 0
+        report = json.loads((out / "parse_report.json").read_text())
+        assert report["triples_ok"] == 2
+        assert report["lint"] == {"unknown-escape": 1}
+        if materialize:  # kept verbatim, so the backslash itself is escaped on output
+            written = (out / "slices" / "domain" / "type.nt").read_text(encoding="utf-8")
+            assert f'"x\\{escape}"' in written
 
 
 class TestCmdSchema:
@@ -426,6 +448,37 @@ class TestGzipRanges:
                 assert not (out / "slices" / ".parts").exists()
 
 
+    def test_abort_counts_the_lines_of_every_partition(self, tmp_path, monkeypatch, capsys):
+        dump = gzip_ranges_fixture(tmp_path, monkeypatch, "truncated")
+        with open(dump, "rb") as handle:
+            inflated = zlib.decompressobj(wbits=31).decompress(handle.read())
+        complete_lines = inflated.count(b"\n")
+        expected = f"stream aborted after {complete_lines} lines"
+        messages, errors = [], []
+        for workers in (1, 2, 4):
+            parts = pipeline.plan_partitions([dump], workers)
+            assert len(parts) == workers
+            with pytest.raises(StreamAbortedError) as caught:
+                pipeline.run_partitioned(Job((SliceFold(),)), parts, workers)
+            messages.append(str(caught.value))
+            argv = ["study", dump, "--workers", str(workers), "--out", str(tmp_path / "out")]
+            assert main(argv) == 2
+            errors.append(capsys.readouterr().err)
+        assert messages[0].startswith(expected)
+        assert messages[0] == messages[1] == messages[2]
+        assert errors[0] == errors[1] == errors[2] == f"error: {messages[0]}\n"
+
+
+@dataclass(frozen=True)
+class KillingSliceFold(SliceFold):
+    """A slice fold whose worker process kills itself with SIGKILL in partition 1."""
+
+    def start(self, part, parser, lint):
+        if part.index == 1 and os.getpid() != TEST_PID:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().start(part, parser, lint)
+
+
 class TestFailureExits:
     def test_worker_crash_exits_5(self, tmp_path, monkeypatch, capsys):
         def crash(*args):
@@ -450,6 +503,23 @@ class TestFailureExits:
         assert main(argv) == 5
         assert "worker failure" in capsys.readouterr().err
         assert os.listdir(out / "slices") == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="a fold defined in a test module reaches workers by fork",
+    )
+    def test_killed_worker_exits_5_and_leaves_no_shards(self, tmp_path, monkeypatch, capsys):
+        dump = write_lines(tmp_path, random_dump_lines(2_000, seed=2))
+        parts = pipeline.plan_partitions([dump], 2)
+        with pytest.raises(BrokenProcessPool):
+            pipeline.run_partitioned(Job((KillingSliceFold(),)), parts, 2)
+        monkeypatch.setattr(cli, "SliceFold", KillingSliceFold)
+        out = tmp_path / "out"
+        argv = ["slice", dump, "--workers", "2", "--out", str(out), "--materialize"]
+        assert main(argv) == 5
+        assert "worker failure" in capsys.readouterr().err
+        assert not (out / "slices" / ".parts").exists()
+        assert not (out / "taxonomy.csv").exists()
 
     def test_materialize_read_failure_leaves_no_shards(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"

@@ -1,0 +1,82 @@
+"""Every supported interpreter on PATH writes the same ``study`` outputs.
+
+A gzip range owns the lines whose first byte came out of a read that ended
+inside it, so the outputs hold only while every interpreter's ``gzip`` module
+reads the same way (3.12 raised its read size to 128 KiB). For each
+``python3.X`` on PATH at or above the package's floor, this runs
+``python3.X -m fbont.cli study`` on a gzip file of at least three minimum
+ranges, at 1 and 2 workers, and compares each output tree with this
+interpreter's. Interpreters that do not start are skipped; with pyenv, list
+the versions to test in ``PYENV_VERSION`` (e.g. ``3.11.7:3.10.13:3.12.1``)
+so that their shims resolve.
+"""
+
+import base64
+import gzip
+import os
+import random
+import re
+import subprocess
+import sys
+
+import pytest
+
+from conftest import lit_line
+from fbont.pipeline import GZIP_MIN_RANGE
+from test_cli import read_tree, study_fixture_lines
+
+FLOOR = (3, 10)  # requires-python in pyproject.toml
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+
+def interpreters_on_path() -> list[str]:
+    names = set()
+    for directory in os.environ.get("PATH", "").split(os.pathsep):
+        try:
+            entries = os.listdir(directory or ".")
+        except OSError:
+            continue
+        for name in entries:
+            found = re.fullmatch(r"python3\.(\d+)", name)
+            if found and (3, int(found[1])) >= FLOOR:
+                names.add(name)
+    return sorted(names, key=lambda name: int(name.split(".")[1]))
+
+
+def run_study(python: str, dump: str, out: str, workers: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    argv = [python, "-m", "fbont.cli", "study", dump, "--workers", str(workers), "--out", out]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return read_tree(out)
+
+
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory):
+    """A gzip dump of at least three ranges, and this interpreter's study tree."""
+    root = tmp_path_factory.mktemp("interpreters")
+    rng = random.Random(94)
+    lines, _ = study_fixture_lines()
+    # base64 of random bytes barely compresses, so the file spans several ranges
+    lines += [
+        lit_line(f"m.r{i}", "common.topic.alias", base64.b64encode(rng.randbytes(60)).decode())
+        for i in range(7_000)
+    ]
+    rng.shuffle(lines)
+    dump = root / "dump.nt.gz"
+    dump.write_bytes(gzip.compress("".join(l + "\n" for l in lines).encode(), 1))
+    assert dump.stat().st_size >= 3 * GZIP_MIN_RANGE
+    trees = [run_study(sys.executable, str(dump), str(root / f"ref-w{w}"), w) for w in (1, 2)]
+    assert trees[0] == trees[1]
+    assert "study.json" in trees[0]
+    return str(dump), trees[0]
+
+
+@pytest.mark.parametrize("python", interpreters_on_path())
+def test_study_tree_equals_this_interpreters(python, reference, tmp_path):
+    probe = subprocess.run([python, "-c", "import sys"], capture_output=True, timeout=60)
+    if probe.returncode != 0:
+        pytest.skip(f"{python} does not start")
+    dump, expected = reference
+    for workers in (1, 2):
+        assert run_study(python, dump, str(tmp_path / f"w{workers}"), workers) == expected, (python, workers)

@@ -19,6 +19,8 @@ from fbont.parser import (
     MalformedLineError,
     ParserConfig,
     Projection,
+    _check_literal_term,
+    _parse_literal_term,
     parse_line,
     parse_line_reference,
 )
@@ -113,6 +115,20 @@ EDGE_CASES = [
     f'{S}\t{P}\t"a\\U0001F600"\t.',
     f'{S}\t{P}\t"a\\u12"\t.',
     f'{S}\t{P}\t"a\\uZZZZ"\t.',
+    # \u and \U decode only 4 or 8 ASCII hex digits naming a Unicode scalar value.
+    f'{S}\t{P}\t"x\\UFFFFFFFF"\t.',
+    f'{S}\t{P}\t"x\\U80000000"\t.',
+    f'{S}\t{P}\t"x\\U00110000"\t.',
+    f'{S}\t{P}\t"x\\U0010FFFF"\t.',
+    f'{S}\t{P}\t"x\\uD800"\t.',
+    f'{S}\t{P}\t"x\\udfff\\uFFFF"\t.',
+    f'{S}\t{P}\t"x\\U0000D83D\\uDE00"\t.',
+    f'{S}\t{P}\t"x\\u+fff"\t.',
+    f'{S}\t{P}\t"x\\u fff"\t.',
+    f'{S}\t{P}\t"x\\uf_ff"\t.',
+    f'{S}\t{P}\t"x\\u-fff"@en\t.',
+    f'{S}\t{P}\t"x\\u\u0661\u0662\u0663\u0664"\t.',
+    f'{S}\t{P}\t"x\\\\u0041\\u0041"\t.',
     f'{S}\t{P}\t"a\\qb\\z"\t.',
     f'{S}\t{P}\t"a\\"b"\t.',
     f'{S}\t{P}\t"a\\tb\\nc\\\\"\t.',
@@ -225,35 +241,49 @@ class TestFastPathIsTaken:
 
 # --- the projected route -------------------------------------------------------
 #
-# With a Projection, a regex-route line whose predicate no consumer reads
-# returns one shared predicate-only triple. Validation must not change: the
-# same malformed reason and the same lint as parse_line, line by line.
+# With a Projection, a regex-route line that no consumer reads for its
+# predicate and subject kind is counted, not built. Validation must not
+# change: the same malformed reason and the same lint as parse_line, line by
+# line; and the lines built plus the lines counted are every well-formed line,
+# per predicate and subject kind.
 
 READS = {
-    "nothing": lambda pred: False,
-    "people": lambda pred: isinstance(pred, IdPath) and pred.domain == "people",
+    "nothing": lambda pred, mid: False,
+    "people": lambda pred, mid: isinstance(pred, IdPath) and pred.domain == "people",
+    "non-mid subjects": lambda pred, mid: not mid,
 }
 
 
 def assert_projected_same(lines, configs=CONFIGS):
-    projected_lines = 0
+    counted_lines = 0
     for config in configs:
         for reads in READS.values():
             projection = Projection(reads, config.namespace)
-            shared = {}
+            expected: Counter = Counter()
+            built: Counter = Counter()
             for text in lines:
                 full, full_lint = outcome(parse_line, text, config)
                 got, got_lint = outcome(
                     lambda t, c, k: parse_line(t, c, k, projection), text, config
                 )
                 assert got_lint == full_lint, (config, text)
-                if isinstance(full, str) or reads(full.predicate):
+                if isinstance(full, str):
                     assert got == full, (config, text)
-                elif got != full:
-                    assert (got.subject, got.predicate, got.object) == (None, full.predicate, None)
-                    assert shared.setdefault(full.predicate, got) is got, (config, text)
-                    projected_lines += 1
-    return projected_lines
+                    continue
+                kind = (full.predicate, isinstance(full.subject, Mid))
+                expected[kind] += 1
+                if got is None:
+                    assert not reads(*kind), (config, text)
+                    counted_lines += 1
+                else:  # read, or a reference-route line, always built in full
+                    assert got == full, (config, text)
+                    built[kind] += 1
+            tallied: Counter = Counter()
+            for predicate, mid, count in projection.tallies():
+                assert count > 0
+                tallied[predicate, mid] += count
+            assert built + tallied == expected, config
+    return counted_lines
 
 
 class TestProjectedDifferential:
@@ -271,8 +301,51 @@ class TestProjectedDifferential:
         assert_projected_same(lines)
 
     def test_reads_is_asked_once_per_predicate_token(self):
+        """Once per distinct token and subject kind."""
         asked = []
-        projection = Projection(lambda pred: asked.append(pred) or False)
+        projection = Projection(lambda pred, mid: asked.append((pred, mid)) or not mid)
         for text in random_dump_lines(500, seed=4):
             parse_line(text, ParserConfig(), None, projection)
-        assert len(asked) == len(set(asked)) == len(projection)
+        assert len(asked) == len(set(asked)) == 2 * len(projection)
+        assert {mid for _, mid, _ in projection.tallies()} == {True}
+
+
+# --- the validate-only literal check ---------------------------------------------
+#
+# A counted line checks its literal with _check_literal_term, which must raise
+# the reason _parse_literal_term raises and count the same unknown escapes.
+
+LITERAL_PIECES = [
+    '"', "\\", "u", "U", *"0123456789abcdefABCDEF", "+", "-", "_", " ", "@", "en",
+    "^^<", "^^<a>", "^^<>", ">", "<", "é", "\u0663", "\U0001d7d8", "ß", "t", "n", "q",
+]
+literal_tokens = st.lists(st.sampled_from(LITERAL_PIECES), max_size=20).map(
+    lambda pieces: '"' + "".join(pieces)
+)
+
+
+def literal_outcome(check, token):
+    counters: Counter = Counter()
+    try:
+        check(token, counters)
+    except MalformedLineError as exc:
+        return exc.reason, counters
+    return None, counters
+
+
+class TestLiteralCheck:
+    @settings(max_examples=1000)
+    @given(literal_tokens)
+    def test_check_agrees_with_parse(self, token):
+        assert literal_outcome(_check_literal_term, token) == literal_outcome(
+            _parse_literal_term, token
+        )
+
+    def test_edge_case_literals(self):
+        tokens = [text.split("\t")[2] for text in EDGE_CASES if text.count("\t") == 3]
+        tokens = [t for t in tokens if t.startswith('"')]
+        assert len(tokens) > 30
+        for token in tokens:
+            assert literal_outcome(_check_literal_term, token) == literal_outcome(
+                _parse_literal_term, token
+            ), token

@@ -11,8 +11,8 @@ import pytest
 from conftest import lit_line, obj_line
 from dumpgen import random_dump_lines
 from fbont import pipeline
-from fbont.model import idpath
-from fbont.parser import MalformedLineError, ParserConfig, Projection, parse_line
+from fbont.model import Mid, idpath
+from fbont.parser import MalformedLineError, ParserConfig, Projection, StreamAbortedError, parse_line
 from fbont.pipeline import (
     Job,
     Partition,
@@ -275,6 +275,12 @@ PROBE_LINES = SCHEMA_FIXTURE + random_dump_lines(400, seed=5, malformed_rate=0.0
     lit_line("base", "base.custom.describes", "custom doc"),
     obj_line("base.pets.name", "base.custom.detail", "type.text"),
     obj_line("m.a", "base.custom.detail", "type.text"),
+    obj_line("m.a", "type.property.expected_type", "type.text"),
+    obj_line("m.a", "type.property.unique", "m.b"),
+    obj_line("m.a", "common.topic.description", "m.b"),
+    lit_line("m.a", "type.object.name", "A"),
+    obj_line("m.a", "m.b", "m.c"),
+    obj_line("people.person", "m.b", "m.c"),
     obj_line("base.pets.name", "base.custom.is_a", "type.property"),
     obj_line("m.a", "base.custom.is_a", "film.film"),
     obj_line("m.a", "dataworld.gardening_hint.replaced_by", "m.b"),
@@ -317,42 +323,58 @@ class ReadsEverything:
 
     reads_all = True
 
-    def reads(self, predicate):
+    def reads(self, predicate, mid_subject):
         return True
 
     def start(self, part, parser, lint):
-        return (lambda triple: None), dict
+        return (lambda triple: None), (lambda tallies: None), dict
 
 
 class TestProjection:
     @pytest.mark.parametrize("name", sorted(PROJECTING_FOLDS))
     def test_projected_triple_feeds_like_the_full_one(self, name):
+        """The lines built and fed plus the tallies absorbed fold like every full triple fed."""
         fold = PROJECTING_FOLDS[name]
         part = Partition("-", 0, -1, 0)
         full_lint, projected_lint = Counter(), Counter()
-        feed_full, finish_full = fold.start(part, ParserConfig(), full_lint)
-        feed_projected, finish_projected = fold.start(part, ParserConfig(), projected_lint)
+        feed_full, absorb_full, finish_full = fold.start(part, ParserConfig(), full_lint)
+        feed_projected, absorb, finish_projected = fold.start(part, ParserConfig(), projected_lint)
         projection = Projection(fold.reads)
-        shared = read = 0
+        counted = read = 0
         for text in PROBE_LINES:
             try:
                 full = parse_line(text)
             except MalformedLineError:
                 continue
-            projected = parse_line(text, projection=projection)
-            if fold.reads(full.predicate):
-                assert projected == full
-                read += 1
-            elif projected != full:  # reference-route lines are always built in full
-                assert (projected.subject, projected.predicate, projected.object) == (
-                    None, full.predicate, None)
-                shared += 1
             feed_full(full)
+            projected = parse_line(text, projection=projection)
+            if projected is None:
+                assert not fold.reads(full.predicate, isinstance(full.subject, Mid))
+                counted += 1
+                continue
+            assert projected == full
+            read += fold.reads(full.predicate, isinstance(full.subject, Mid))
             feed_projected(projected)
+        absorb_full([])
+        absorb(projection.tallies())
         assert finish_full() == finish_projected()
         assert full_lint == projected_lint
-        assert shared > 100
+        assert counted > 100
         assert name == "slice" or read > 3
+
+    def test_mid_subjects_are_counted_for_schema_and_linted(self):
+        lines = [
+            obj_line("m.a", "type.property.expected_type", "type.text"),
+            obj_line("m.a", "type.object.type", "people.person"),
+            obj_line("people.person.name", "type.property.expected_type", "type.text"),
+        ]
+        projection = Projection(SchemaFold().reads)
+        lint = Counter()
+        built = [parse_line(text, ParserConfig(), lint, projection) for text in lines]
+        assert built[:2] == [None, None] and built[2] is not None
+        feed, absorb, finish = SchemaFold().start(Partition("-", 0, -1, 0), ParserConfig(), lint)
+        absorb(projection.tallies())
+        assert lint == Counter({"unattributable-detail": 1})
 
     def test_folds_reading_every_triple_disable_projection(self):
         assert Job((SliceFold(), SchemaFold(), SemanticsFold())).projection() is not None
@@ -380,3 +402,23 @@ class TestProjection:
             ref_report, ref_payloads = run_partitioned(unprojected, parts, workers)
             assert report.to_dict() == ref_report.to_dict(), folds
             assert merge_payloads(payloads) == merge_payloads(ref_payloads), folds
+
+    def test_aborted_partition_report_keeps_tallied_lint(self, tmp_path, monkeypatch):
+        path = write_lines(tmp_path, PROBE_LINES * 2)
+        real_lines = pipeline.iter_partition_lines
+
+        def failing_lines(part):
+            for number, text in enumerate(real_lines(part)):
+                if number == len(PROBE_LINES) + 40:
+                    raise OSError(5, "Input/output error")
+                yield text
+
+        monkeypatch.setattr(pipeline, "iter_partition_lines", failing_lines)
+        reports = []
+        for folds in [(SliceFold(), SchemaFold()), (SliceFold(), SchemaFold(), ReadsEverything())]:
+            with pytest.raises(StreamAbortedError) as caught:
+                Job(folds).run(Partition(path, 0, -1, 0))
+            reports.append(caught.value.report.to_dict())
+        assert reports[0] == reports[1]
+        assert reports[0]["lint"]["mid-predicate"] > 0
+        assert reports[0]["lint"]["unattributable-detail"] > 0
