@@ -5,12 +5,13 @@ materializes predicate-domain slices, ``schema`` summarizes each domain's
 ontology, ``semantics`` exports merges / value notations / incompatibility
 violations, and ``study`` runs the triples-vs-complexity correlation.
 
-Exit codes: 0 success, 2 I/O failure, 3 insufficient data, 4 data integrity
-(replaced-by cycle under the fail policy), 5 worker failure (a worker
-process died, e.g. killed or out of memory). Reruns on identical inputs
-write byte-identical output files, and each file is replaced atomically, so
-a failed write leaves the previous content in place. ``slice --materialize``
-removes its ``.parts`` shard directory on every failure exit.
+Exit codes: 0 success, 2 I/O failure or a bad ``semantics --rules`` file
+(read before the dump), 3 insufficient data, 4 data integrity (replaced-by
+cycle under the fail policy), 5 worker failure (a worker process died, e.g.
+killed or out of memory). Reruns on identical inputs write byte-identical
+output files, and each file is replaced atomically, so a failed write leaves
+the previous content in place. ``slice --materialize`` removes its ``.parts``
+shard directory on every failure exit.
 """
 
 from __future__ import annotations
@@ -190,6 +191,14 @@ def cmd_schema(args: argparse.Namespace) -> int:
 
 
 def cmd_semantics(args: argparse.Namespace) -> int:
+    rules: set = set()
+    if args.rules:  # before the parse, so a bad file fails fast and writes nothing
+        try:
+            with open(args.rules, "r", encoding="utf-8") as handle:
+                rules |= load_rules(handle)
+        except ValueError as exc:  # a malformed line, or not UTF-8
+            print(f"error: {args.rules}: {exc}", file=sys.stderr)
+            return 2
     incompat = idpath(args.incompatibility_predicate) if args.incompatibility_predicate else None
     fold = SemanticsFold(
         replaced_by=idpath(args.replaced_by_predicate),
@@ -215,10 +224,7 @@ def cmd_semantics(args: argparse.Namespace) -> int:
         ],
     )
 
-    rules = set(merged["rules"])
-    if args.rules:
-        with open(args.rules, "r", encoding="utf-8") as handle:
-            rules |= load_rules(handle)
+    rules |= merged["rules"]
     if rules or args.rules or incompat:
         violations = check_incompatibilities(merged["assertions"], rules)
         _write_rows(

@@ -35,6 +35,18 @@ non-zero cells once, from :meth:`Projection.tallies`. Lines that take the
 reference route are always built in full, so projection never changes which
 lines are malformed or any lint.
 
+A stream is parsed a block at a time. :func:`read_blocks` reads every
+source (a plain or gzip range, a whole file, standard input) as blocks of
+whole lines, at most 16 KiB each, and :func:`parse_blocks` decodes a block
+at once and scans it with one ``finditer`` of the canonical regex's
+multiline twin, so most lines cost one turn of the match loop: a line the
+projection counts is counted right there, any other matched line is built
+from its match. A match that does not start where the previous one ended
+leaves a gap; each line in it (CRLF, malformed, reference-route) goes
+through :func:`parse_line`. The results, line numbers and lint equal a
+:func:`parse_line` call per line; ``tests/test_parser_fast.py`` checks that
+too.
+
 Parsing is pure per line. Callers may split a file at line boundaries,
 parse partitions independently, and merge the resulting reports in partition
 order (see :meth:`ParseReport.merge`).
@@ -49,7 +61,8 @@ import re
 import stat
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import islice
 from typing import IO, Callable, Iterable, Iterator, Union
 
 from .model import (
@@ -437,8 +450,8 @@ def parse_line_reference(
     return Triple(subject, predicate, obj)
 
 
-@lru_cache(maxsize=8)
-def _canonical_line(namespace: str) -> Callable[[str], re.Match | None] | None:
+@lru_cache(maxsize=16)
+def _canonical_line(namespace: str, block: bool = False) -> Callable | None:
     """The fast path's line matcher for one namespace, compiled once.
 
     Each IRI term is three groups: a mid suffix, a dotted path, or an IRI
@@ -447,19 +460,25 @@ def _canonical_line(namespace: str) -> Callable[[str], re.Match | None] | None:
     either plain (no quote or backslash inside, with an optional ASCII
     language tag or datatype) and built here, or any other token without a
     tab and not ending in a space, which equals the token the tab split
-    gives and goes to the literal parser. None when the namespace holds a
-    tab or bracket, since the regex and the tab split could then disagree on
-    where a term ends.
+    gives and goes to the literal parser. No class matches a newline.
+
+    Returns ``fullmatch`` for one line, or with ``block`` the multiline
+    twin's ``finditer``, whose every match is one whole line of a block.
+    None when the namespace holds a tab, bracket or newline, since the regex
+    and the tab split could then disagree on where a term or line ends.
     """
-    if any(c in namespace for c in "\t<>"):
+    if any(c in namespace for c in "\t<>\n"):
         return None
     ns = re.escape(namespace)
     segment = "[0-9a-z_]+"
     term = rf"<(?:{ns}(?:m\.({segment})|({segment}(?:\.{segment}){{0,2}}))|(?!{ns})([^<>\s]+))>"
     predicate = r"(<[^<>\s]+>)"
-    plain = r'"([^"\\\t]*)"(?:@([A-Za-z0-9-]+)|\^\^<([^\t]+)>)?'
-    literal = r'("(?:[^\t]*[^\t ])?)'
-    return re.compile(rf"{term}\t{predicate}\t(?:{term}|{plain}|{literal})\t\.").fullmatch
+    plain = r'"([^"\\\t\n]*)"(?:@([A-Za-z0-9-]+)|\^\^<([^\t\n]+)>)?'
+    literal = r'("(?:[^\t\n]*[^\t\n ])?)'
+    line = rf"{term}\t{predicate}\t(?:{term}|{plain}|{literal})\t\."
+    if block:
+        return re.compile(rf"(?m)^{line}$").finditer
+    return re.compile(line).fullmatch
 
 
 def _matched_term(mid: str | None, path: str | None, iri: str) -> NodeRef:
@@ -530,6 +549,21 @@ def parse_line(
     found = match(line) if match is not None else None
     if found is None:
         return parse_line_reference(line, config, counters)
+    return _matched_triple(found, config, counters, projection)
+
+
+def _matched_triple(
+    found: re.Match,
+    config: ParserConfig,
+    counters: Counter | None,
+    projection: Projection | None,
+) -> Triple | None:
+    """The fast path's triple for a line the canonical regex matched.
+
+    Applies the predicate's lint and ``strict_ids`` check, then counts the
+    line in the projection (after validating any literal the regex does not
+    build) and returns None, or builds the triple.
+    """
     p_token = found[4]
     predicate, nonstandard = _predicate_term(p_token, config.namespace)
     if nonstandard:
@@ -629,13 +663,138 @@ def open_dump(path: str | os.PathLike) -> IO[bytes]:
     return stream
 
 
-def _as_line_iter(source: Source) -> tuple[Iterator[bytes | str], Callable[[], None]]:
-    if isinstance(source, (str, os.PathLike)):
-        handle = open_dump(source)
-        return iter(handle), handle.close
-    if hasattr(source, "read"):
-        return iter(_sniffed(source)), lambda: None  # type: ignore[arg-type]
-    return iter(source), lambda: None
+# Bytes per block of whole lines at most, unless one line is longer. A block
+# is decoded and scanned at once, and a worker's peak memory grows with it:
+# 64 KiB blocks cost about 10 MB more than 16 KiB ones.
+_BLOCK = 16 * 1024
+# Decompressed bytes asked of each read of a gzip file, and compressed bytes
+# read from the file at a time, at most. Every worker must use the same read
+# loop, since a gzip range owns lines by where those reads end. The compressed
+# cap is no more than any Python's gzip module asks for (8 KiB up to 3.11,
+# 128 KiB after), so where the reads end does not depend on the interpreter.
+_INFLATE_READ = 256 * 1024
+_COMPRESSED_READ = 8 * 1024
+
+# Where a chunk of a range's stream lies: before the range, in it, or past it.
+_BEFORE, _OWNED, _AFTER = range(3)
+
+
+class _CappedReads:
+    """A binary file whose reads return at most ``_COMPRESSED_READ`` bytes."""
+
+    def __init__(self, raw: IO[bytes]):
+        self.raw = raw
+
+    def read(self, size: int = -1) -> bytes:
+        return self.raw.read(_COMPRESSED_READ if size < 0 else min(size, _COMPRESSED_READ))
+
+
+def read_blocks(
+    source: str | os.PathLike | IO[bytes],
+    start: int = 0,
+    end: int = -1,
+    compressed: bool = False,
+) -> Iterator[bytes]:
+    """Yield, in blocks, exactly the lines a byte range of ``source`` owns.
+
+    A block is whole lines, each ending in ``\\n`` except the stream's last,
+    cut at line ends to at most ``_BLOCK`` bytes unless one line is longer.
+    ``end == -1`` reads all of ``source``: a path or a binary stream, gzip
+    detected by magic bytes. Otherwise ``source`` is a regular file's path,
+    and a plain range owns the lines that begin in ``[start, end)``. With
+    ``compressed`` the range counts a gzip file's compressed bytes: the file
+    is inflated from byte 0, a decompressed read belongs to the range holding
+    the file offset after it, and a line to the range of the read that gave
+    its first byte. Gzip is read with ``read1``, which returns every byte
+    inflated before a truncation or CRC error is raised.
+    """
+    if compressed:
+        yield from _owned_blocks(_gzip_chunks(source, start, end))  # type: ignore[arg-type]
+    elif isinstance(source, (str, os.PathLike)):
+        with open_dump(source) as stream:
+            yield from _owned_blocks(_chunks(stream, start, end))
+    else:
+        yield from _owned_blocks(_chunks(_sniffed(source), start, end))
+
+
+def _gzip_chunks(path: str | os.PathLike, start: int, end: int) -> Iterator[tuple[bytes, int]]:
+    """A gzip file's decompressed reads, each placed by the compressed offset after it."""
+    with open(path, "rb") as raw, gzip.GzipFile(fileobj=_CappedReads(raw)) as unzipped:
+        for chunk in iter(partial(unzipped.read1, _INFLATE_READ), b""):
+            offset = raw.tell()
+            yield chunk, _BEFORE if offset <= start else _OWNED if offset <= end else _AFTER
+
+
+def _chunks(stream: IO[bytes], start: int, end: int) -> Iterator[tuple[bytes, int]]:
+    """The reads of a plain range (or of a whole stream), each with where it lies."""
+    if start > 0:
+        stream.seek(start - 1)
+        yield stream.read(1), _BEFORE  # whether ``start`` begins a line
+    position = start
+    while end == -1 or position < end:
+        chunk = stream.read1(_BLOCK if end == -1 else min(_BLOCK, end - position))  # type: ignore[attr-defined]
+        if not chunk:
+            return
+        position += len(chunk)
+        yield chunk, _OWNED
+    for chunk in iter(partial(stream.read1, _BLOCK), b""):  # type: ignore[attr-defined]
+        yield chunk, _AFTER
+
+
+def _owned_blocks(chunks: Iterable[tuple[bytes, int]]) -> Iterator[bytes]:
+    """Blocks of the whole lines whose first byte lies in an ``_OWNED`` chunk.
+
+    Every whole line of a chunk is yielded before the next chunk is read, so
+    a read error loses only the line in progress. Past the range the reader
+    only finishes the line it owns.
+    """
+    # Pieces of the owned line begun so far; None inside a line begun before
+    # the range. Joined once the line ends, so a long line costs linear time.
+    pending: list[bytes] | None = []
+    for chunk, where in chunks:
+        if where == _BEFORE:
+            pending = [] if chunk.endswith(b"\n") else None
+            continue
+        if where == _AFTER:
+            if not pending:
+                return
+            cut = chunk.find(b"\n") + 1
+            pending.append(chunk[:cut] if cut else chunk)
+            if cut:
+                break
+            continue
+        if pending is None:
+            cut = chunk.find(b"\n") + 1
+            if not cut:
+                continue
+            chunk, pending = chunk[cut:], []
+            if not chunk:
+                continue
+        pending.append(chunk)
+        if b"\n" not in chunk:
+            continue
+        data = b"".join(pending)
+        stop = data.rfind(b"\n") + 1
+        pending = [data[stop:]] if stop < len(data) else []
+        begin = 0
+        while stop - begin > _BLOCK:
+            cut = data.rfind(b"\n", begin, begin + _BLOCK) + 1 or data.find(b"\n", begin + _BLOCK) + 1
+            yield data[begin:cut]
+            begin = cut
+        if stop > begin:
+            yield data[begin:stop]
+    if pending:
+        yield b"".join(pending)
+
+
+def _line_blocks(lines: Iterable[bytes] | Iterable[str]) -> Iterator[bytes | str]:
+    """An iterable of lines as blocks, each item one line without its line end."""
+    items = iter(lines)
+    while group := list(islice(items, 256)):
+        if isinstance(group[0], bytes):
+            yield b"".join([line.rstrip(b"\r\n") + b"\n" for line in group])
+        else:
+            yield "".join([line.rstrip("\r\n") + "\n" for line in group])
 
 
 def _decode(raw: bytes, report: ParseReport) -> str:
@@ -644,6 +803,118 @@ def _decode(raw: bytes, report: ParseReport) -> str:
     except UnicodeDecodeError:
         report.lint["invalid-utf8-lines"] += 1
         return raw.decode("utf-8", errors="replace")
+
+
+def _decode_block(block: bytes, report: ParseReport) -> str:
+    """A block as text; one that is not UTF-8 is decoded line by line, for the lint."""
+    try:
+        return block.decode("utf-8")
+    except UnicodeDecodeError:
+        return "\n".join([_decode(line, report) for line in block.split(b"\n")])
+
+
+def parse_blocks(
+    blocks: Iterable[bytes | str],
+    report: ParseReport,
+    config: ParserConfig = DEFAULT_CONFIG,
+    projection: Projection | None = None,
+) -> Iterator[list[Triple]]:
+    """Parse a stream given as blocks of whole lines; yield each block's triples.
+
+    A block (see :func:`read_blocks`) is scanned with one ``finditer`` of the
+    canonical regex's multiline twin. A matched line whose predicate is
+    standard and that the projection counts, with no literal to validate, is
+    counted right here; any other matched line takes :func:`parse_line`'s
+    fast path from its match. Lines between matches (CRLF, malformed,
+    reference-route lines) go through :func:`parse_line`. The results equal a
+    :func:`parse_line` call per line. ``report`` takes the block's counts
+    before its triples are yielded, and an I/O failure while reading raises
+    StreamAbortedError with the report of every line before it.
+    """
+    scan = _canonical_line(config.namespace, block=True)
+    lint = report.lint
+    # predicate token -> (cell for other subjects, cell for mids): the
+    # projection's cells a matched line may be counted in right here, None
+    # where it must take the fast path (built, or a nonstandard predicate).
+    counted: dict[str, tuple] = {}
+    lines = 0  # in the blocks before this one
+    try:
+        for block in blocks:
+            text = block if isinstance(block, str) else _decode_block(block, report)
+            if not text:
+                continue
+            triples: list[Triple] = []
+            malformed = report.lines_malformed
+            base = lines  # lines before ``mark``, a line start at or before ``pos``
+            mark = pos = 0
+            for found in scan(text) if scan is not None else ():
+                start, end = found.span()
+                if start != pos:
+                    base += text.count("\n", mark, pos)
+                    mark = start
+                    base = _parse_lines(text[pos : start - 1], base, report, config, projection, triples)
+                pos = end + 1
+                cells = counted.get(found[4])
+                if cells is None:
+                    cells = counted[found[4]] = _inline_cells(found[4], config, projection)
+                cell = cells[found[1] is not None]
+                if cell is not None and found[11] is None:
+                    cell[0] += 1
+                    continue
+                try:
+                    triple = _matched_triple(found, config, lint, projection)
+                except MalformedLineError as exc:
+                    base += text.count("\n", mark, start)
+                    mark = start
+                    report.record_malformed(base + 1, exc.reason)
+                    continue
+                if triple is not None:
+                    triples.append(triple)
+            if pos < len(text):
+                base += text.count("\n", mark, pos)
+                tail = text[pos:-1] if text.endswith("\n") else text[pos:]
+                _parse_lines(tail, base, report, config, projection, triples)
+            count = text.count("\n") + (not text.endswith("\n"))
+            lines += count
+            ok = count - (report.lines_malformed - malformed)
+            report.lines_read += ok
+            report.triples_ok += ok
+            if triples:
+                yield triples
+    except (OSError, EOFError) as exc:
+        raise StreamAbortedError(report, exc) from exc
+
+
+def _inline_cells(token: str, config: ParserConfig, projection: Projection | None) -> tuple:
+    """A predicate token's projection cells for :func:`parse_blocks` to count in."""
+    if projection is None or _predicate_term(token, config.namespace)[1]:
+        return None, None
+    _, plain, mid = projection[token]
+    return plain, mid
+
+
+def _parse_lines(
+    text: str,
+    base: int,
+    report: ParseReport,
+    config: ParserConfig,
+    projection: Projection | None,
+    triples: list[Triple],
+) -> int:
+    """Parse the ``\\n``-separated lines of ``text``, numbered from ``base + 1``.
+
+    Malformed lines are recorded, built triples appended; returns the number
+    of the last line.
+    """
+    for base, line in enumerate(text.split("\n"), base + 1):
+        try:
+            triple = parse_line(line.rstrip("\r"), config, report.lint, projection)
+        except MalformedLineError as exc:
+            report.record_malformed(base, exc.reason)
+            continue
+        if triple is not None:
+            triples.append(triple)
+    return base
 
 
 def iter_triples(
@@ -655,33 +926,18 @@ def iter_triples(
     """Yield the well-formed triples of ``source``, tallying into ``report``.
 
     ``source`` may be a path (gzip detected by magic bytes), a binary file
-    object, or any iterable of lines. Malformed lines are counted and sampled,
-    never fatal; an I/O failure raises StreamAbortedError with the partial
-    report attached. ``projection`` is passed to :func:`parse_line`; the
-    lines it counts are recorded as well-formed but neither built nor
-    yielded.
+    object, or any iterable of lines (bytes or str; a newline inside an item
+    ends a line there). Malformed lines are counted and sampled, never fatal;
+    an I/O failure raises StreamAbortedError with the partial report
+    attached. ``projection`` is passed to :func:`parse_blocks`; the lines it
+    counts are recorded as well-formed but neither built nor yielded.
     """
-    lines, close = _as_line_iter(source)
-    try:
-        # Only reading raises OSError/EOFError here: a consumer's exception
-        # is raised in its own frame, never at this generator's yield.
-        for line_number, raw in enumerate(lines, 1):
-            if isinstance(raw, bytes):
-                line = _decode(raw.rstrip(b"\r\n"), report)
-            else:
-                line = raw.rstrip("\r\n")
-            try:
-                triple = parse_line(line, config, report.lint, projection)
-            except MalformedLineError as exc:
-                report.record_malformed(line_number, exc.reason)
-                continue
-            report.record_ok()
-            if triple is not None:
-                yield triple
-    except (OSError, EOFError) as exc:
-        raise StreamAbortedError(report, exc) from exc
-    finally:
-        close()
+    if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
+        blocks = read_blocks(source)  # type: ignore[arg-type]
+    else:
+        blocks = _line_blocks(source)  # type: ignore[arg-type]
+    for triples in parse_blocks(blocks, report, config, projection):
+        yield from triples
 
 
 def stream_parse(
@@ -690,7 +946,7 @@ def stream_parse(
     config: ParserConfig = DEFAULT_CONFIG,
     max_errors: int = 20,
 ) -> ParseReport:
-    """Dispatch every line of ``source`` through parse_line, feeding ``sink``."""
+    """Parse every line of ``source`` (see :func:`iter_triples`), feeding ``sink``."""
     report = ParseReport(max_errors=max_errors)
     for triple in iter_triples(source, report, config):
         sink(triple)

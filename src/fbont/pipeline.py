@@ -7,11 +7,14 @@ file's range is a range of compressed bytes: every worker inflates the file
 from byte 0 with the same fixed read loop, and a range owns exactly the
 lines whose first byte came out of a read that left the compressed file
 offset inside ``(start, end]``. Either way every line lands in exactly one
-range, in file order. A fold returns its per-partition aggregate as payload
-fields, and every field is a mergeable monoid with one declared merge law
-(``MERGE_LAWS``) that ``merge_payloads`` applies in partition order. Any
-worker count therefore produces byte-identical outputs to a single-threaded
-run.
+range, in file order. One block reader (``parser.read_blocks``) applies
+both rules, and reads whole files and standard input as the range without
+bounds; ``Job.run`` parses its blocks with ``parser.parse_blocks``.
+
+A fold returns its per-partition aggregate as payload fields, and every
+field is a mergeable monoid with one declared merge law (``MERGE_LAWS``)
+that ``merge_payloads`` applies in partition order. Any worker count
+therefore produces byte-identical outputs to a single-threaded run.
 
 Standard input, pipes and gzip files under two minimum ranges are read as
 one partition.
@@ -19,7 +22,7 @@ one partition.
 
 from __future__ import annotations
 
-import gzip
+import io
 import operator
 import os
 import shutil
@@ -27,7 +30,6 @@ import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import IdPath, Mid, NodeRef, Triple
@@ -40,11 +42,14 @@ from .parser import (
     Projection,
     StreamAbortedError,
     Tally,
-    _as_line_iter,
-    iter_triples,
+    parse_blocks,
+    read_blocks,
     serialize,
     source_kind,
 )
+# The parts of the fixed gzip read loop that decide which range owns a line,
+# kept importable here beside the ownership rules for code that replays it.
+from .parser import _INFLATE_READ, _CappedReads  # noqa: F401
 from .schema import (
     DomainSchema,
     SchemaConfig,
@@ -105,23 +110,6 @@ class Partition:
 # Compressed bytes per gzip range at least. A gzip file under two ranges is
 # one partition, parsed in-process, so a small file starts no worker pool.
 GZIP_MIN_RANGE = 128 * 1024
-# Decompressed bytes asked of each read of a gzip range, and compressed bytes
-# read from the file at a time, at most. Every worker must use the same read
-# loop, since a range owns lines by where those reads end. The compressed cap
-# is no more than any Python's gzip module asks for (8 KiB up to 3.11, 128 KiB
-# after), so where the reads end does not depend on the interpreter.
-_INFLATE_READ = 256 * 1024
-_COMPRESSED_READ = 8 * 1024
-
-
-class _CappedReads:
-    """A binary file whose reads return at most ``_COMPRESSED_READ`` bytes."""
-
-    def __init__(self, raw: Any):
-        self.raw = raw
-
-    def read(self, size: int = -1) -> bytes:
-        return self.raw.read(_COMPRESSED_READ if size < 0 else min(size, _COMPRESSED_READ))
 
 
 def plan_partitions(paths: Sequence[str], workers: int) -> list[Partition]:
@@ -147,72 +135,16 @@ def plan_partitions(paths: Sequence[str], workers: int) -> list[Partition]:
     return partitions
 
 
+def partition_blocks(part: Partition) -> Iterator[bytes]:
+    """The lines the partition's range owns, in file order, as blocks (see read_blocks)."""
+    source = sys.stdin.buffer if part.path == "-" else part.path
+    return read_blocks(source, part.start, part.end, part.compressed)
+
+
 def iter_partition_lines(part: Partition) -> Iterator[bytes]:
     """Yield exactly the lines the partition's range owns, in file order."""
-    if part.end == -1:
-        lines, close = _as_line_iter(sys.stdin.buffer if part.path == "-" else part.path)
-        try:
-            yield from lines  # type: ignore[misc]
-        finally:
-            close()
-        return
-    if part.compressed:
-        yield from _gzip_range_lines(part.path, part.start, part.end)
-        return
-    with open(part.path, "rb") as handle:
-        if part.start > 0:
-            handle.seek(part.start - 1)
-            if handle.read(1) != b"\n":
-                handle.readline()  # partial line: belongs to the previous partition
-        while True:
-            position = handle.tell()
-            if position >= part.end:
-                break
-            line = handle.readline()
-            if not line:
-                break
-            yield line
-
-
-def _gzip_range_lines(path: str, start: int, end: int) -> Iterator[bytes]:
-    """The lines of a gzip file owned by the compressed range ``(start, end]``.
-
-    Inflates from byte 0. A decompressed read belongs to the range holding
-    the file offset after it, and a line to the range of the read that gave
-    its first byte. Output before ``start`` is discarded; after ``end`` the
-    reader only finishes the line it owns. The last range ends at the file's
-    size, so it reads to EOF and meets every CRC or truncation error.
-    """
-    with open(path, "rb") as raw, gzip.GzipFile(fileobj=_CappedReads(raw)) as unzipped:
-        # The owned line begun so far; None inside a line an earlier range owns.
-        pending: bytes | None = b""
-        for chunk in iter(partial(unzipped.read1, _INFLATE_READ), b""):
-            offset = raw.tell()
-            if offset <= start:
-                pending = b"" if chunk.endswith(b"\n") else None
-                continue
-            if offset > end:  # only the line in progress is still owned
-                if not pending:
-                    return
-                cut = chunk.find(b"\n") + 1
-                if cut:
-                    yield pending + chunk[:cut]
-                    return
-                pending += chunk
-                continue
-            if pending is None:
-                cut = chunk.find(b"\n") + 1
-                if not cut:
-                    continue
-                chunk = chunk[cut:]
-                pending = b""
-            lines = chunk.split(b"\n")
-            lines[0] = pending + lines[0]
-            pending = lines.pop()
-            for line in lines:
-                yield line + b"\n"
-        if pending:
-            yield pending
+    for block in partition_blocks(part):
+        yield from io.BytesIO(block)
 
 
 # --- folds and the one per-partition job ------------------------------------------
@@ -387,9 +319,10 @@ class Job:
         projection = self.projection()
         payload: dict[str, Any] = {}
         try:
-            for triple in iter_triples(iter_partition_lines(part), report, self.parser, projection):
-                for feed in feeds:
-                    feed(triple)
+            for triples in parse_blocks(partition_blocks(part), report, self.parser, projection):
+                for triple in triples:
+                    for feed in feeds:
+                        feed(triple)
         finally:
             # Also on an abort, so a partial report's lint counts every line read.
             tallies = projection.tallies() if projection is not None else []

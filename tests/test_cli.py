@@ -1,4 +1,5 @@
 import gzip
+import io
 import json
 import multiprocessing
 import os
@@ -247,6 +248,27 @@ class TestCmdSemantics:
         assert body[0] == "mid,type_a,type_b"
         assert body[1] == "/m/terminator,/film/film,/film/film_series"
         assert len(body) == 2
+
+    @pytest.mark.parametrize("rules_text", [None, "/film/film\n", "/film/film\tm.x\n", b"\xff\n"])
+    def test_bad_rules_file_exits_2_before_the_parse(self, tmp_path, monkeypatch, capsys, rules_text):
+        def no_parse(*args):
+            raise AssertionError("the dump was parsed before the rules file was read")
+
+        monkeypatch.setattr(cli, "run_partitioned", no_parse)
+        rules = tmp_path / "rules.tsv"
+        if isinstance(rules_text, str):
+            rules.write_text(rules_text)
+        elif rules_text is not None:
+            rules.write_bytes(rules_text)
+        dump = write_lines(tmp_path, random_dump_lines(20, seed=2))
+        out = tmp_path / "out"
+        for workers in ("1", "2"):
+            argv = ["semantics", dump, "--out", str(out), "--rules", str(rules), "--workers", workers]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert str(rules) in err
+            assert not out.exists()
 
     def test_cycle_fail_loud_exits_4(self, tmp_path):
         lines = [
@@ -523,15 +545,15 @@ class TestFailureExits:
 
     def test_materialize_read_failure_leaves_no_shards(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"
-        real_lines = pipeline.iter_partition_lines
+        real_blocks = pipeline.partition_blocks
 
-        def failing_lines(part):
-            for number, line in enumerate(real_lines(part)):
+        def failing_blocks(part):  # one line per block, then a read error
+            for number, line in enumerate(io.BytesIO(b"".join(real_blocks(part)))):
                 if number == 30:
                     raise OSError(5, "Input/output error")
                 yield line
 
-        monkeypatch.setattr(pipeline, "iter_partition_lines", failing_lines)
+        monkeypatch.setattr(pipeline, "partition_blocks", failing_blocks)
         dump = write_lines(tmp_path, random_dump_lines(100, seed=2))
         argv = ["slice", dump, "--workers", "1", "--out", str(out), "--materialize"]
         assert main(argv) == 2

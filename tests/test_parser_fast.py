@@ -1,11 +1,14 @@
-"""Differential test: parse_line's regex fast path against parse_line_reference.
+"""Differential tests: parse_line's regex fast path against parse_line_reference,
+and the block loop against one parse_line call per line.
 
 For every input line both routes must agree on the triple (or the malformed
 reason code) and on every lint count, under both strict_ids settings and
 under the default and non-default namespaces.
 """
 
+import io
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +20,12 @@ from dumpgen import MALFORMED_LINES, random_dump_lines
 from fbont.model import IdPath, Mid
 from fbont.parser import (
     MalformedLineError,
+    ParseReport,
     ParserConfig,
     Projection,
     _check_literal_term,
     _parse_literal_term,
+    iter_triples,
     parse_line,
     parse_line_reference,
 )
@@ -349,3 +354,128 @@ class TestLiteralCheck:
             assert literal_outcome(_check_literal_term, token) == literal_outcome(
                 _parse_literal_term, token
             ), token
+
+
+# --- the block loop -------------------------------------------------------------
+#
+# parse_blocks scans each block with one finditer and sends the lines between
+# matches through parse_line. Over any bytes it must give what a parse_line
+# call per line gives: the same report, the same tallies, the same triples.
+
+UNICODE_LINES = [
+    f'{S}\t{P}\t"a\x85b"\t.',
+    f'{S}\t{P}\t"a\u2028b"@en\t.',
+    f'{S}\t{P}\t"\x1c\x0b\x0c"\t.',
+    f'{S}\t{P}\t"\U0001F600 non-BMP"\t.',
+    f'{S}\t{P}\t"\\u00e9\U0001F600"\t.',
+    f"{S}\t{P}\t<http://x/\U0001F600>\t.",
+    f"{S}\t{P}\t<http://x/a\x85b>\t.",
+    f'{S}\t{P}\t"a\rb"\t.',
+]
+# Pairs of lines that one regex match could take for one line if a class
+# of the block regex matched a newline.
+STRADDLING = [
+    f'{S}\t{P}\t"open', 'close"\t.',
+    f'{S}\t{P}\t"open\\', 'n"@en\t.',
+    f'{S}\t{P}\t"x"^^<http://a', 'b>\t.',
+    f"{S}\t{P}\t<http://a", "b>\t.",
+]
+TEXT_POOL = (
+    random_dump_lines(300, seed=12, malformed_rate=0.2)
+    + [text.replace(NS, ALT_NS) for text in random_dump_lines(100, seed=13)]
+    + MALFORMED_LINES
+    + EDGE_CASES
+    + UNICODE_LINES
+)
+INVALID_UTF8 = [
+    f'{S}\t{P}\t"\xff"\t.'.encode("latin-1"),
+    f"{S}\t{P}\t{O}\t.".encode() + b"\xc3",
+    b"\xe2\x82\r",
+    b"\x80abc",
+    f'{S}\t{P}\t"'.encode() + "é".encode()[:1] + b'"\t.',
+]
+ENDINGS = ["", "", "", "\r", "\r\r", "\t"]
+
+byte_lines = st.one_of(
+    st.builds(lambda text, end: (text + end).encode(), st.sampled_from(TEXT_POOL), st.sampled_from(ENDINGS)),
+    st.sampled_from(INVALID_UTF8),
+    st.sampled_from(STRADDLING).map(str.encode),
+)
+
+
+def per_line_parse(data: bytes, config: ParserConfig, reads):
+    """The stream as one parse_line call per line: the loop the blocks replace."""
+    report = ParseReport()
+    projection = Projection(reads, config.namespace) if reads else None
+    triples = []
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()  # the final newline ends the last line, it begins none
+    for number, raw in enumerate(lines, 1):
+        raw = raw.rstrip(b"\r")
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            report.lint["invalid-utf8-lines"] += 1
+            text = raw.decode("utf-8", errors="replace")
+        try:
+            triple = parse_line(text, config, report.lint, projection)
+        except MalformedLineError as exc:
+            report.record_malformed(number, exc.reason)
+            continue
+        report.record_ok()
+        if triple is not None:
+            triples.append(triple)
+    return report.to_dict(), projection.tallies() if projection else None, triples
+
+
+def block_parse(source, config: ParserConfig, reads):
+    report = ParseReport()
+    projection = Projection(reads, config.namespace) if reads else None
+    triples = list(iter_triples(source, report, config, projection))
+    return report.to_dict(), projection.tallies() if projection else None, triples
+
+
+def assert_blocks_same(data: bytes, cap: int, configs=CONFIGS):
+    with mock.patch.object(parser_module, "_BLOCK", cap):
+        for config in configs:
+            for reads in (None, *READS.values()):
+                expected = per_line_parse(data, config, reads)
+                assert block_parse(io.BytesIO(data), config, reads) == expected, (config, cap)
+                try:
+                    lines = data.decode("utf-8").split("\n")
+                except UnicodeDecodeError:
+                    continue
+                if lines[-1] == "":
+                    lines.pop()
+                assert block_parse(lines, config, reads) == expected, (config, cap)
+
+
+class TestBlockDifferential:
+    @pytest.mark.parametrize("cap", [5, 64, 16 * 1024])
+    def test_dumpgen_lines_with_malformed_injection(self, cap):
+        lines = random_dump_lines(800, seed=11, malformed_rate=0.2)
+        data = "\n".join(lines + MALFORMED_LINES + EDGE_CASES + UNICODE_LINES + STRADDLING).encode()
+        assert_blocks_same(data + b"\n", cap)
+        assert_blocks_same(data.replace(b"\n", b"\r\n"), cap, CONFIGS[:2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(byte_lines, max_size=12),
+        st.booleans(),
+        st.integers(min_value=1, max_value=64),
+    )
+    def test_generated_streams(self, lines, final_newline, cap):
+        data = b"\n".join(lines) + (b"\n" if final_newline else b"")
+        assert_blocks_same(data, cap)
+
+    def test_the_scan_counts_canonical_lines_itself(self, monkeypatch):
+        data = "".join(t + "\n" for t in random_dump_lines(500, seed=3)).encode()
+        expected = block_parse(io.BytesIO(data), ParserConfig(), READS["nothing"])
+
+        def refuse(*args):
+            raise AssertionError("a canonical line reached parse_line")
+
+        monkeypatch.setattr(parser_module, "parse_line", refuse)
+        assert block_parse(io.BytesIO(data), ParserConfig(), READS["nothing"]) == expected
+        assert expected[0]["triples_ok"] == 500

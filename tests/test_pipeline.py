@@ -1,4 +1,5 @@
 import gzip
+import io
 import os
 import random
 import signal
@@ -10,6 +11,7 @@ import pytest
 
 from conftest import lit_line, obj_line
 from dumpgen import random_dump_lines
+from fbont import parser as parser_module
 from fbont import pipeline
 from fbont.model import Mid, idpath
 from fbont.parser import MalformedLineError, ParserConfig, Projection, StreamAbortedError, parse_line
@@ -165,6 +167,25 @@ class TestPartitionPlanning:
         parts = plan_partitions([a, b], 2)
         assert [p.path for p in parts] == [a, a, b, b]
         assert [p.index for p in parts] == [0, 1, 2, 3]
+
+
+class TestBlockReader:
+    @pytest.mark.parametrize("cap", [1, 3, 16 * 1024])
+    def test_every_three_way_split_owns_each_line_once(self, tmp_path, monkeypatch, cap):
+        monkeypatch.setattr(parser_module, "_BLOCK", cap)
+        data = b"a\n\nbcd\nefghij\r\nk\n\n\nlmnopq\n" + b"x" * 9 + b"\nrs"  # no final newline
+        path = str(tmp_path / "dump.nt")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        size = len(data)
+        for a in range(size + 1):
+            for b in range(a, size + 1):
+                bounds = [(0, a), (a, b), (b, size)]
+                owned = [list(iter_partition_lines(Partition(path, s, e, i))) for i, (s, e) in enumerate(bounds)]
+                assert b"".join(line for lines in owned for line in lines) == data, (a, b)
+                for i, (s, e) in enumerate(bounds):  # a block over the cap is one line
+                    for block in pipeline.partition_blocks(Partition(path, s, e, i)):
+                        assert block and (len(block) <= cap or block.count(b"\n") <= 1)
 
 
 class TestWorkerEquivalence:
@@ -405,15 +426,15 @@ class TestProjection:
 
     def test_aborted_partition_report_keeps_tallied_lint(self, tmp_path, monkeypatch):
         path = write_lines(tmp_path, PROBE_LINES * 2)
-        real_lines = pipeline.iter_partition_lines
+        real_blocks = pipeline.partition_blocks
 
-        def failing_lines(part):
-            for number, text in enumerate(real_lines(part)):
+        def failing_blocks(part):  # one line per block, then a read error
+            for number, text in enumerate(io.BytesIO(b"".join(real_blocks(part)))):
                 if number == len(PROBE_LINES) + 40:
                     raise OSError(5, "Input/output error")
                 yield text
 
-        monkeypatch.setattr(pipeline, "iter_partition_lines", failing_lines)
+        monkeypatch.setattr(pipeline, "partition_blocks", failing_blocks)
         reports = []
         for folds in [(SliceFold(), SchemaFold()), (SliceFold(), SchemaFold(), ReadsEverything())]:
             with pytest.raises(StreamAbortedError) as caught:
