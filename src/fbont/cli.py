@@ -40,10 +40,12 @@ from .pipeline import (
     run_partitioned,
 )
 from .report import (
+    DEFAULT_TAXONOMY_FORMATS,
+    TAXONOMY_SUFFIX,
     ReportBundle,
     build_scatter_points,
+    parse_taxonomy_csv,
     render_schema_table,
-    render_taxonomy,
     schema_to_json,
 )
 from .schema import SchemaConfig
@@ -58,6 +60,7 @@ from .slicer import (
     DEFAULT_IMPLEMENTATION_DOMAINS,
     DEFAULT_SLICE_LAYOUT,
     DOMAIN,
+    OWL_TERM,
     GroupConfig,
     SliceKey,
     build_taxonomy,
@@ -65,9 +68,6 @@ from .slicer import (
 from .stats import InsufficientDataError, run_study
 
 OUTPUT_DIR_ENV = "FBONT_OUT"
-
-_FORMAT_SUFFIX = {"markdown": "md", "csv": "csv", "tsv": "tsv", "json": "json"}
-_DEFAULT_FORMATS = ("markdown", "csv", "tsv")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -166,10 +166,9 @@ def cmd_slice(args: argparse.Namespace) -> int:
             shutil.rmtree(shard_root, ignore_errors=True)  # no half-written shards on any exit
         raise
 
-    taxonomy = build_taxonomy(merged["counts"], _group_config(args))
-    for fmt in args.format or _DEFAULT_FORMATS:
-        path = os.path.join(args.out, f"taxonomy.{_FORMAT_SUFFIX[fmt]}")
-        _write_text(path, render_taxonomy(taxonomy, fmt))
+    bundle = ReportBundle(taxonomy=build_taxonomy(merged["counts"], _group_config(args)))
+    for name, text in bundle.documents(args.format or DEFAULT_TAXONOMY_FORMATS).items():
+        _write_text(os.path.join(args.out, name), text)
     extra = {}
     if merged["distinct"] is not None:
         extra["distinct_triples"] = len(merged["distinct"])
@@ -247,9 +246,9 @@ def cmd_semantics(args: argparse.Namespace) -> int:
 def _load_counts_csv(path: str) -> dict[SliceKey, int]:
     counts: dict[SliceKey, int] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        for record in csv.DictReader(handle):
-            kind = DOMAIN if record["predicate_pattern"].startswith("/") else "owl"
-            counts[SliceKey(kind, record["name"])] = int(record["triples"])
+        for row in parse_taxonomy_csv(handle.read()):
+            kind = DOMAIN if row["predicate_pattern"].startswith("/") else OWL_TERM
+            counts[SliceKey(kind, row["name"])] = row["triples"]
     return counts
 
 
@@ -377,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_slice.add_argument(
         "--format",
         action="append",
-        choices=tuple(_FORMAT_SUFFIX),
+        choices=tuple(TAXONOMY_SUFFIX),
         default=None,
-        help="taxonomy formats to write (repeatable; default all)",
+        help="taxonomy formats to write (repeatable; default markdown, csv and tsv)",
     )
     p_slice.add_argument(
         "--implementation-domain",

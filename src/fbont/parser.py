@@ -13,9 +13,10 @@ regex per namespace recognizes such lines:
   no lint and an external IRI none either, so neither can fail;
 - a literal without escapes or inner quotes is built directly too, and any
   other literal goes through the literal parser (escapes, suffix checks);
-- the predicate resolves through a bounded memo of token -> (term,
-  is-nonstandard); the ``nonstandard-id`` lint and the ``strict_ids``
-  check are applied again on every line, hit or miss.
+- the predicate resolves through the stream's :class:`Projection` entry,
+  or for a lone line through a bounded memo of token -> (term,
+  is-nonstandard); the ``nonstandard-id`` lint and the ``strict_ids`` check
+  are applied again on every line, hit or miss.
 
 Every line the regex rejects goes to :func:`parse_line_reference`: a plain
 tab split, falling back to a quote-aware whitespace tokenizer so
@@ -24,26 +25,28 @@ malformed-reason code and the same lint counts; ``tests/test_parser_fast.py``
 checks that line by line.
 
 A caller whose consumers read only the predicate of most triples may pass a
-:class:`Projection`: a per-stream memo from predicate token to two count
-cells, one for mid subjects and one for the rest, decided once per distinct
-predicate and subject kind by the consumers' ``reads(predicate,
-mid_subject)``. A regex-route line that no consumer reads is still validated
-whole (the predicate's lint and ``strict_ids``, a validate-only check of any
-literal the regex does not build), then counted in its cell instead of
-built: :func:`parse_line` returns None for it, and the consumers get the
-non-zero cells once, from :meth:`Projection.tallies`. Lines that take the
-reference route are always built in full, so projection never changes which
-lines are malformed or any lint.
+:class:`Projection`: the per-stream table from predicate token to the
+predicate's term, whether it is nonstandard, and two count cells, one for
+mid subjects and one for the rest, decided once per distinct predicate and
+subject kind by the consumers' ``reads(predicate, mid_subject)``. A
+regex-route line that no consumer reads is still validated whole (the
+predicate's lint and ``strict_ids``, a validate-only check of any literal
+the regex does not build), then counted in its cell instead of built:
+:func:`parse_line` returns None for it, and the consumers get the non-zero
+cells once, from :meth:`Projection.tallies`. Lines that take the reference
+route are always built in full, so projection never changes which lines are
+malformed or any lint. A stream parsed without one gets a Projection that
+reads everything, so every stream takes the same route through one table.
 
 A stream is parsed a block at a time. :func:`read_blocks` reads every
 source (a plain or gzip range, a whole file, standard input) as blocks of
 whole lines, at most 16 KiB each, and :func:`parse_blocks` decodes a block
-at once and scans it with one ``finditer`` of the canonical regex's
-multiline twin, so most lines cost one turn of the match loop: a line the
-projection counts is counted right there, any other matched line is built
-from its match. A match that does not start where the previous one ended
-leaves a gap; each line in it (CRLF, malformed, reference-route) goes
-through :func:`parse_line`. The results, line numbers and lint equal a
+at once and scans it with one ``finditer`` of the canonical regex, so most
+lines cost one turn of the match loop: a line the projection counts is
+counted right there, any other matched line is built from its match. A
+match that does not start where the previous one ended leaves a gap; each
+line in it (CRLF, malformed, reference-route) goes through
+:func:`parse_line`. The results, line numbers and lint equal a
 :func:`parse_line` call per line; ``tests/test_parser_fast.py`` checks that
 too.
 
@@ -451,8 +454,8 @@ def parse_line_reference(
 
 
 @lru_cache(maxsize=16)
-def _canonical_line(namespace: str, block: bool = False) -> Callable | None:
-    """The fast path's line matcher for one namespace, compiled once.
+def _canonical_line(namespace: str) -> re.Pattern | None:
+    """The fast path's line regex for one namespace, compiled once.
 
     Each IRI term is three groups: a mid suffix, a dotted path, or an IRI
     outside the namespace. Only standard ids match the first two (a
@@ -460,12 +463,14 @@ def _canonical_line(namespace: str, block: bool = False) -> Callable | None:
     either plain (no quote or backslash inside, with an optional ASCII
     language tag or datatype) and built here, or any other token without a
     tab and not ending in a space, which equals the token the tab split
-    gives and goes to the literal parser. No class matches a newline.
+    gives and goes to the literal parser.
 
-    Returns ``fullmatch`` for one line, or with ``block`` the multiline
-    twin's ``finditer``, whose every match is one whole line of a block.
-    None when the namespace holds a tab, bracket or newline, since the regex
-    and the tab split could then disagree on where a term or line ends.
+    The pattern is anchored as ``(?m)^...$``: :func:`parse_line` calls its
+    ``fullmatch`` on one line and :func:`parse_blocks` its ``finditer`` on a
+    block, whose every match is then one whole line. Since no class matches
+    a newline, the two agree on every line. None when the namespace holds a
+    tab, bracket or newline, since the regex and the tab split could then
+    disagree on where a term or line ends.
     """
     if any(c in namespace for c in "\t<>\n"):
         return None
@@ -475,10 +480,7 @@ def _canonical_line(namespace: str, block: bool = False) -> Callable | None:
     predicate = r"(<[^<>\s]+>)"
     plain = r'"([^"\\\t\n]*)"(?:@([A-Za-z0-9-]+)|\^\^<([^\t\n]+)>)?'
     literal = r'("(?:[^\t\n]*[^\t\n ])?)'
-    line = rf"{term}\t{predicate}\t(?:{term}|{plain}|{literal})\t\."
-    if block:
-        return re.compile(rf"(?m)^{line}$").finditer
-    return re.compile(line).fullmatch
+    return re.compile(rf"(?m)^{term}\t{predicate}\t(?:{term}|{plain}|{literal})\t\.$")
 
 
 def _matched_term(mid: str | None, path: str | None, iri: str) -> NodeRef:
@@ -499,32 +501,42 @@ def _predicate_term(token: str, namespace: str) -> tuple[NodeRef, bool]:
 Tally = tuple[NodeRef, bool, int]  # (predicate, mid_subject, lines counted)
 
 
+def _reads_everything(predicate: NodeRef, mid_subject: bool) -> bool:
+    return True
+
+
 class Projection(dict):
-    """Per-stream memo: predicate token -> (predicate, cell, cell) of unread lines.
+    """Per-stream table: predicate token -> (predicate, nonstandard, cell, cell).
 
     ``reads(predicate, mid_subject)`` says whether some consumer reads the
     subject and object of that predicate's triples whose subject is (or is
     not) a mid; it is asked once per distinct token and subject kind. The
-    entry's cells are indexed by ``1 + mid_subject``: a one-item list that
-    counts the lines nobody reads, or None where they are built in full.
+    entry holds the predicate term, whether it is a nonstandard id, and one
+    cell for other subjects and one for mids: a one-item list that counts
+    the lines nobody reads, or None where they are built in full. Without
+    ``reads`` every line is built.
     """
 
-    def __init__(self, reads: Callable[[NodeRef, bool], bool], namespace: str = DEFAULT_NAMESPACE):
+    def __init__(
+        self,
+        reads: Callable[[NodeRef, bool], bool] = _reads_everything,
+        namespace: str = DEFAULT_NAMESPACE,
+    ):
         super().__init__()
         self.reads = reads
         self.namespace = namespace
 
     def __missing__(self, token: str) -> tuple:
-        predicate, _ = _predicate_term(token, self.namespace)
+        predicate, nonstandard = _predicate_term(token, self.namespace)
         plain, mid = (None if self.reads(predicate, kind) else [0] for kind in (False, True))
-        entry = self[token] = (predicate, plain, mid)
+        entry = self[token] = (predicate, nonstandard, plain, mid)
         return entry
 
     def tallies(self) -> list[Tally]:
         """The non-zero counts, in the order their predicates were first seen."""
         return [
             (predicate, mid, cell[0])
-            for predicate, *cells in self.values()
+            for predicate, _, *cells in self.values()
             for mid, cell in zip((False, True), cells)
             if cell is not None and cell[0]
         ]
@@ -545,36 +557,39 @@ def parse_line(
     ``projection`` (same namespace as ``config``), a fast-path line that no
     consumer reads is counted in the projection and None is returned.
     """
-    match = _canonical_line(config.namespace)
-    found = match(line) if match is not None else None
+    pattern = _canonical_line(config.namespace)
+    found = pattern.fullmatch(line) if pattern is not None else None
     if found is None:
         return parse_line_reference(line, config, counters)
-    return _matched_triple(found, config, counters, projection)
+    if projection is not None:
+        entry = projection[found[4]]
+    else:
+        entry = (*_predicate_term(found[4], config.namespace), None, None)
+    return _matched_triple(found, entry, config, counters)
 
 
 def _matched_triple(
     found: re.Match,
+    entry: tuple,
     config: ParserConfig,
     counters: Counter | None,
-    projection: Projection | None,
 ) -> Triple | None:
     """The fast path's triple for a line the canonical regex matched.
 
-    Applies the predicate's lint and ``strict_ids`` check, then counts the
-    line in the projection (after validating any literal the regex does not
-    build) and returns None, or builds the triple.
+    ``entry`` is the predicate's :class:`Projection` entry. Applies its lint
+    and ``strict_ids`` check, then counts the line in its cell (after
+    validating any literal the regex does not build) and returns None, or
+    builds the triple.
     """
-    p_token = found[4]
-    predicate, nonstandard = _predicate_term(p_token, config.namespace)
+    predicate, nonstandard, plain, mid = entry
     if nonstandard:
         _flag_nonstandard(config, counters)
-    if projection is not None:
-        cell = projection[p_token][1 + (found[1] is not None)]
-        if cell is not None:
-            if found[11] is not None:
-                _check_literal_term(found[11], counters)  # its errors and lint still count
-            cell[0] += 1
-            return None
+    cell = mid if found[1] is not None else plain
+    if cell is not None:
+        if found[11] is not None:
+            _check_literal_term(found[11], counters)  # its errors and lint still count
+        cell[0] += 1
+        return None
     (s_mid, s_path, s_iri, _, o_mid, o_path, o_iri,
      lexical, language, datatype, o_literal) = found.groups()
     subject = _matched_term(s_mid, s_path, s_iri)
@@ -822,21 +837,21 @@ def parse_blocks(
     """Parse a stream given as blocks of whole lines; yield each block's triples.
 
     A block (see :func:`read_blocks`) is scanned with one ``finditer`` of the
-    canonical regex's multiline twin. A matched line whose predicate is
-    standard and that the projection counts, with no literal to validate, is
-    counted right here; any other matched line takes :func:`parse_line`'s
-    fast path from its match. Lines between matches (CRLF, malformed,
-    reference-route lines) go through :func:`parse_line`. The results equal a
-    :func:`parse_line` call per line. ``report`` takes the block's counts
-    before its triples are yielded, and an I/O failure while reading raises
-    StreamAbortedError with the report of every line before it.
+    canonical regex. A matched line whose predicate is standard and that the
+    projection counts, with no literal to validate, is counted right here;
+    any other matched line takes :func:`parse_line`'s fast path from its
+    match. Lines between matches (CRLF, malformed, reference-route lines) go
+    through :func:`parse_line`. The results equal a :func:`parse_line` call
+    per line. Without a ``projection`` every line is built. ``report`` takes
+    the block's counts before its triples are yielded, and an I/O failure
+    while reading raises StreamAbortedError with the report of every line
+    before it.
     """
-    scan = _canonical_line(config.namespace, block=True)
+    pattern = _canonical_line(config.namespace)
+    scan = pattern.finditer if pattern is not None else lambda text: ()
+    if projection is None:
+        projection = Projection(namespace=config.namespace)
     lint = report.lint
-    # predicate token -> (cell for other subjects, cell for mids): the
-    # projection's cells a matched line may be counted in right here, None
-    # where it must take the fast path (built, or a nonstandard predicate).
-    counted: dict[str, tuple] = {}
     lines = 0  # in the blocks before this one
     try:
         for block in blocks:
@@ -847,22 +862,20 @@ def parse_blocks(
             malformed = report.lines_malformed
             base = lines  # lines before ``mark``, a line start at or before ``pos``
             mark = pos = 0
-            for found in scan(text) if scan is not None else ():
+            for found in scan(text):
                 start, end = found.span()
                 if start != pos:
                     base += text.count("\n", mark, pos)
                     mark = start
                     base = _parse_lines(text[pos : start - 1], base, report, config, projection, triples)
                 pos = end + 1
-                cells = counted.get(found[4])
-                if cells is None:
-                    cells = counted[found[4]] = _inline_cells(found[4], config, projection)
-                cell = cells[found[1] is not None]
-                if cell is not None and found[11] is None:
+                entry = projection[found[4]]
+                cell = entry[3] if found[1] is not None else entry[2]
+                if cell is not None and found[11] is None and not entry[1]:
                     cell[0] += 1
                     continue
                 try:
-                    triple = _matched_triple(found, config, lint, projection)
+                    triple = _matched_triple(found, entry, config, lint)
                 except MalformedLineError as exc:
                     base += text.count("\n", mark, start)
                     mark = start
@@ -885,20 +898,12 @@ def parse_blocks(
         raise StreamAbortedError(report, exc) from exc
 
 
-def _inline_cells(token: str, config: ParserConfig, projection: Projection | None) -> tuple:
-    """A predicate token's projection cells for :func:`parse_blocks` to count in."""
-    if projection is None or _predicate_term(token, config.namespace)[1]:
-        return None, None
-    _, plain, mid = projection[token]
-    return plain, mid
-
-
 def _parse_lines(
     text: str,
     base: int,
     report: ParseReport,
     config: ParserConfig,
-    projection: Projection | None,
+    projection: Projection,
     triples: list[Triple],
 ) -> int:
     """Parse the ``\\n``-separated lines of ``text``, numbered from ``base + 1``.

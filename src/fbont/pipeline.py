@@ -47,9 +47,6 @@ from .parser import (
     serialize,
     source_kind,
 )
-# The parts of the fixed gzip read loop that decide which range owns a line,
-# kept importable here beside the ownership rules for code that replays it.
-from .parser import _INFLATE_READ, _CappedReads  # noqa: F401
 from .schema import (
     DomainSchema,
     SchemaConfig,
@@ -157,17 +154,16 @@ def iter_partition_lines(part: Partition) -> Iterator[bytes]:
 # fields. Every payload field has one merge law in MERGE_LAWS, so partitions
 # reduce in order to the single-pass result.
 #
-# A fold also declares what it reads. ``reads(predicate, mid_subject)`` is
-# False when its feed looks at nothing but the predicate of that predicate's
-# triples whose subject is (or is not) a mid, and ``reads_all`` is True when
-# it reads the subject and object of every triple. Job.run asks once per
-# distinct predicate, subject kind and partition: where no fold reads them,
-# the parser validates each such line and counts it instead of building it
-# (see parser.Projection). Once per partition, after the last line and before
-# ``finish``, every fold's ``absorb`` gets the non-zero (predicate,
-# mid_subject, count) tallies. A fold must give the same payload and lint for
-# a tally as for that many full triples, for every predicate and subject kind
-# it declares unread.
+# A fold also declares what it reads, and only that: ``reads(predicate,
+# mid_subject)`` is False when its feed looks at nothing but the predicate of
+# that predicate's triples whose subject is (or is not) a mid. Job.run asks
+# once per distinct predicate, subject kind and partition: where no fold
+# reads them, the parser validates each such line and counts it instead of
+# building it (see parser.Projection). Once per partition, after the last
+# line and before ``finish``, every fold's ``absorb`` gets the non-zero
+# (predicate, mid_subject, count) tallies. A fold must give the same payload
+# and lint for a tally as for that many full triples, for every predicate and
+# subject kind it declares unread.
 
 
 @dataclass(frozen=True)
@@ -178,12 +174,8 @@ class SliceFold:
     count_distinct: bool = False
     slice_layout: str = DEFAULT_SLICE_LAYOUT
 
-    @property
-    def reads_all(self) -> bool:
-        return self.shard_root is not None or self.count_distinct
-
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
-        return self.reads_all
+        return self.shard_root is not None or self.count_distinct
 
     def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Absorb, Finish]:
         counts: dict[SliceKey, int] = {}
@@ -217,7 +209,6 @@ class SchemaFold:
     """Per-domain ontology summaries."""
 
     schema: SchemaConfig = SchemaConfig()
-    reads_all = False
 
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
         return reads_terms(predicate, mid_subject, self.schema)
@@ -244,7 +235,6 @@ class SemanticsFold:
     type_predicate: IdPath = TYPE_ASSERTION_PREDICATE
     incompatibility_predicate: IdPath | None = None
     accept_reversed: bool = False
-    reads_all = False
 
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
         return predicate in (
@@ -299,16 +289,6 @@ class Job:
     parser: ParserConfig = ParserConfig()
     max_errors: int = 20
 
-    def projection(self) -> Projection | None:
-        """A fresh per-partition tally of the lines no fold reads, or None.
-
-        None when some fold reads every triple: the parser then builds every
-        triple in full, with no memo lookup.
-        """
-        if any(fold.reads_all for fold in self.folds):
-            return None
-        return Projection(self.reads, self.parser.namespace)
-
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
         return any(fold.reads(predicate, mid_subject) for fold in self.folds)
 
@@ -316,7 +296,7 @@ class Job:
         report = ParseReport(max_errors=self.max_errors)
         started = [fold.start(part, self.parser, report.lint) for fold in self.folds]
         feeds = [feed for feed, _, _ in started]
-        projection = self.projection()
+        projection = Projection(self.reads, self.parser.namespace)
         payload: dict[str, Any] = {}
         try:
             for triples in parse_blocks(partition_blocks(part), report, self.parser, projection):
@@ -325,28 +305,11 @@ class Job:
                         feed(triple)
         finally:
             # Also on an abort, so a partial report's lint counts every line read.
-            tallies = projection.tallies() if projection is not None else []
+            tallies = projection.tallies()
             for _, absorb, finish in started:
                 absorb(tallies)
                 payload.update(finish())
         return report, payload
-
-
-# Single-command shorthands, kept because the test suites build jobs by these names.
-def SliceJob(parser: ParserConfig = ParserConfig(), max_errors: int = 20, **fold: Any) -> Job:
-    return Job((SliceFold(**fold),), parser, max_errors)
-
-
-def StudyJob(
-    parser: ParserConfig = ParserConfig(),
-    max_errors: int = 20,
-    schema: SchemaConfig = SchemaConfig(),
-) -> Job:
-    return Job((SliceFold(), SchemaFold(schema)), parser, max_errors)
-
-
-def SemanticsJob(parser: ParserConfig = ParserConfig(), max_errors: int = 20, **fold: Any) -> Job:
-    return Job((SemanticsFold(**fold),), parser, max_errors)
 
 
 # One merge law per payload field; each is associative, so merging partition

@@ -28,6 +28,9 @@ GROUP_TITLES = {
 TAXONOMY_COLUMNS = ("group", "name", "predicate_pattern", "triples", "total_pct", "group_pct")
 SCHEMA_COLUMNS = ("domain", "n_types", "n_properties", "n_descriptions", "n_details", "complexity_score")
 SCATTER_COLUMNS = ("domain", "complexity", "triples", "excluded")
+# Taxonomy format -> file suffix; markdown, csv and tsv are written by default.
+TAXONOMY_SUFFIX = {"markdown": "md", "csv": "csv", "tsv": "tsv", "json": "json"}
+DEFAULT_TAXONOMY_FORMATS = ("markdown", "csv", "tsv")
 
 
 def _pct(fraction: float) -> str:
@@ -343,13 +346,12 @@ class ReportBundle:
     study: StudyResult | None = None
     scatter: Sequence[ScatterPoint] | None = None
 
-    def documents(self, taxonomy_formats: Sequence[str] = ("markdown", "csv", "tsv")) -> dict[str, str]:
+    def documents(self, taxonomy_formats: Sequence[str] = DEFAULT_TAXONOMY_FORMATS) -> dict[str, str]:
         """Filename to document-text mapping for every piece present."""
-        suffix = {"markdown": "md", "csv": "csv", "tsv": "tsv", "json": "json"}
         docs: dict[str, str] = {}
         if self.taxonomy is not None:
             for fmt in taxonomy_formats:
-                docs[f"taxonomy.{suffix[fmt]}"] = render_taxonomy(self.taxonomy, fmt)
+                docs[f"taxonomy.{TAXONOMY_SUFFIX[fmt]}"] = render_taxonomy(self.taxonomy, fmt)
         if self.schemas is not None:
             docs["schema.csv"] = render_schema_table(self.schemas)
         if self.study is not None:

@@ -29,7 +29,8 @@ from fbont.cli import main
 from fbont.model import Mid, idpath
 from fbont.parser import stream_parse
 from fbont.pipeline import (
-    SliceJob,
+    Job,
+    SliceFold,
     merge_slice_payloads,
     plan_partitions,
     run_partitioned,
@@ -122,7 +123,7 @@ def test_criterion_3_parser_robustness_and_worker_determinism(tmp_path):
         path = write_lines(tmp_path, lines, "million.nt")
         started = time.perf_counter()
         parts = plan_partitions([path], 1)
-        report, payloads = run_partitioned(SliceJob(), parts, 1)
+        report, payloads = run_partitioned(Job((SliceFold(),)), parts, 1)
         elapsed = time.perf_counter() - started
         assert report.lines_read == 1_000_000
         assert report.triples_ok + report.lines_malformed == report.lines_read
@@ -131,7 +132,7 @@ def test_criterion_3_parser_robustness_and_worker_determinism(tmp_path):
         baseline = (report, merge_slice_payloads(payloads)["counts"])
         for workers in (4, 16):
             parts = plan_partitions([path], workers)
-            worker_report, worker_payloads = run_partitioned(SliceJob(), parts, workers)
+            worker_report, worker_payloads = run_partitioned(Job((SliceFold(),)), parts, workers)
             assert worker_report == baseline[0]
             assert merge_slice_payloads(worker_payloads)["counts"] == baseline[1]
         assert elapsed < 30.0

@@ -5,7 +5,7 @@ import random
 import signal
 import threading
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -20,10 +20,7 @@ from fbont.pipeline import (
     Partition,
     SchemaFold,
     SemanticsFold,
-    SemanticsJob,
     SliceFold,
-    SliceJob,
-    StudyJob,
     concatenate_shards,
     iter_partition_lines,
     join_study_rows,
@@ -106,9 +103,9 @@ class TestPartitionPlanning:
         # every cut at or next to a point where a read of the range loop ends
         path = two_member_gzip("dump.nt.gz", text)
         size = path.stat().st_size
-        with open(path, "rb") as raw, gzip.GzipFile(fileobj=pipeline._CappedReads(raw)) as unzipped:
+        with open(path, "rb") as raw, gzip.GzipFile(fileobj=parser_module._CappedReads(raw)) as unzipped:
             ends = set()
-            while unzipped.read1(pipeline._INFLATE_READ):
+            while unzipped.read1(parser_module._INFLATE_READ):
                 ends.add(raw.tell())
         assert len(ends) > 5
         for cut in sorted({c + d for c in ends for d in (-1, 0, 1)} & set(range(1, size))):
@@ -195,7 +192,7 @@ class TestWorkerEquivalence:
         results = {}
         for workers in (1, 4, 16):
             parts = plan_partitions([path], workers)
-            report, payloads = run_partitioned(SliceJob(), parts, workers)
+            report, payloads = run_partitioned(Job((SliceFold(),)), parts, workers)
             merged = merge_slice_payloads(payloads)
             results[workers] = (report, merged["counts"])
         assert results[1] == results[4] == results[16]
@@ -208,7 +205,7 @@ class TestWorkerEquivalence:
             out_dir = tmp_path / f"slices_w{workers}"
             shard_root = str(out_dir / ".parts")
             parts = plan_partitions([path], workers)
-            _, payloads = run_partitioned(SliceJob(shard_root=shard_root), parts, workers)
+            _, payloads = run_partitioned(Job((SliceFold(shard_root),)), parts, workers)
             merged = merge_slice_payloads(payloads)
             concatenate_shards(merged["shard_dirs"], str(out_dir))
             tree = {}
@@ -228,7 +225,7 @@ class TestWorkerEquivalence:
         outcomes = {}
         for workers in (1, 5):
             parts = plan_partitions([path], workers)
-            report, payloads = run_partitioned(StudyJob(), parts, workers)
+            report, payloads = run_partitioned(Job((SliceFold(), SchemaFold())), parts, workers)
             merged = merge_study_payloads(payloads)
             rows, skipped = join_study_rows(merged["counts"], merged["schemas"])
             outcomes[workers] = (report, rows, skipped)
@@ -241,7 +238,7 @@ class TestWorkerEquivalence:
         merged = {}
         for workers in (1, 6):
             parts = plan_partitions([path], workers)
-            _, payloads = run_partitioned(SemanticsJob(), parts, workers)
+            _, payloads = run_partitioned(Job((SemanticsFold(),)), parts, workers)
             result = merge_semantics_payloads(payloads)
             merged[workers] = (result["merge_map"].edges, result["notations"])
         assert merged[1] == merged[6]
@@ -257,7 +254,7 @@ class TestJoinStudyRows:
         lines = SCHEMA_FIXTURE + data_lines
         path = write_lines(tmp_path, lines)
         parts = plan_partitions([path], 1)
-        _, payloads = run_partitioned(StudyJob(), parts, 1)
+        _, payloads = run_partitioned(Job((SliceFold(), SchemaFold())), parts, 1)
         merged = merge_study_payloads(payloads)
         rows, skipped = join_study_rows(merged["counts"], merged["schemas"])
         by_domain = {r.domain: r for r in rows}
@@ -342,13 +339,33 @@ PROJECTING_FOLDS = {
 class ReadsEverything:
     """A fold with no payload that reads every triple, so Job.run projects nothing."""
 
-    reads_all = True
-
     def reads(self, predicate, mid_subject):
         return True
 
     def start(self, part, parser, lint):
         return (lambda triple: None), (lambda tallies: None), dict
+
+
+@dataclass(frozen=True)
+class Recorder:
+    """A fold that reads nothing and keeps the triples and tallies Job.run hands it."""
+
+    fed: list = field(default_factory=list)
+    absorbed: list = field(default_factory=list)
+
+    def reads(self, predicate, mid_subject):
+        return False
+
+    def start(self, part, parser, lint):
+        return self.fed.append, self.absorbed.extend, dict
+
+
+def built_and_counted(folds, path):
+    """Run the folds over the whole file in-process: (lines built, tallies, report)."""
+    recorder = Recorder()
+    report, _ = Job(folds + (recorder,)).run(Partition(path, 0, -1, 0))
+    assert len(recorder.fed) + sum(count for _, _, count in recorder.absorbed) == report.triples_ok
+    return len(recorder.fed), recorder.absorbed, report
 
 
 class TestProjection:
@@ -397,11 +414,17 @@ class TestProjection:
         absorb(projection.tallies())
         assert lint == Counter({"unattributable-detail": 1})
 
-    def test_folds_reading_every_triple_disable_projection(self):
-        assert Job((SliceFold(), SchemaFold(), SemanticsFold())).projection() is not None
-        assert Job((SliceFold(count_distinct=True),)).projection() is None
-        assert Job((SliceFold(shard_root="parts"), SchemaFold())).projection() is None
-        assert Job((SemanticsFold(), ReadsEverything())).projection() is None
+    def test_folds_reading_every_triple_disable_projection(self, tmp_path):
+        path = write_lines(tmp_path, PROBE_LINES)
+        built, tallies, report = built_and_counted((SliceFold(), SchemaFold(), SemanticsFold()), path)
+        assert tallies and built < report.triples_ok
+        for folds in [
+            (SliceFold(count_distinct=True),),
+            (SliceFold(shard_root=str(tmp_path / "parts")), SchemaFold()),
+            (SemanticsFold(), ReadsEverything()),
+        ]:
+            built, tallies, report = built_and_counted(folds, path)
+            assert tallies == [] and built == report.triples_ok > 300, folds
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_job_output_is_the_same_with_and_without_projection(self, tmp_path, workers):
@@ -418,7 +441,8 @@ class TestProjection:
         for folds in fold_sets:
             projected = Job(folds)
             unprojected = Job(folds + (ReadsEverything(),))
-            assert projected.projection() is not None and unprojected.projection() is None
+            assert built_and_counted(projected.folds, path)[1]
+            assert built_and_counted(unprojected.folds, path)[1] == []
             report, payloads = run_partitioned(projected, parts, workers)
             ref_report, ref_payloads = run_partitioned(unprojected, parts, workers)
             assert report.to_dict() == ref_report.to_dict(), folds
