@@ -5,13 +5,19 @@ materializes predicate-domain slices, ``schema`` summarizes each domain's
 ontology, ``semantics`` exports merges / value notations / incompatibility
 violations, and ``study`` runs the triples-vs-complexity correlation.
 
-Exit codes: 0 success, 2 I/O failure or a bad ``semantics --rules`` file
-(read before the dump), 3 insufficient data, 4 data integrity (replaced-by
-cycle under the fail policy), 5 worker failure (a worker process died, e.g.
-killed or out of memory). Reruns on identical inputs write byte-identical
-output files, and each file is replaced atomically, so a failed write leaves
-the previous content in place. ``slice --materialize`` removes its ``.parts``
-shard directory on every failure exit.
+Each subcommand builds its documents as a ``{file name: text}`` map, the
+tables rendered by :mod:`fbont.report`, and ends in one publish step
+(:func:`_publish`) that writes them, with ``parse_report.json`` when the dump
+was parsed, and prints the parse summary.
+
+Exit codes: 0 success, 2 I/O failure, a bad ``semantics --rules`` file (read
+before the dump) or a bad ``study --from-counts``/``--from-schema`` file
+(read before anything is written), 3 insufficient data, 4 data integrity
+(replaced-by cycle under the fail policy), 5 worker failure (a worker process
+died, e.g. killed or out of memory). Reruns on identical inputs write
+byte-identical output files, and each file is replaced atomically, so a
+failed write leaves the previous content in place. ``slice --materialize``
+removes its ``.parts`` shard directory on every failure exit.
 """
 
 from __future__ import annotations
@@ -19,13 +25,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import shutil
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from typing import Callable, TextIO, TypeVar
 
-from .model import DEFAULT_NAMESPACE, idpath, render
+from .model import DEFAULT_NAMESPACE, idpath
 from .parser import ParseReport, ParserConfig
 from .pipeline import (
     Job,
@@ -41,12 +47,19 @@ from .pipeline import (
 )
 from .report import (
     DEFAULT_TAXONOMY_FORMATS,
+    SCHEMA_COLUMNS,
     TAXONOMY_SUFFIX,
+    VALUENOTE_COLUMNS,
+    VIOLATION_COLUMNS,
     ReportBundle,
     build_scatter_points,
-    parse_taxonomy_csv,
-    render_schema_table,
-    schema_to_json,
+    load_counts_csv,
+    load_schema_csv,
+    render_json,
+    render_table,
+    schema_rows,
+    valuenote_rows,
+    violation_rows,
 )
 from .schema import SchemaConfig
 from .semantics import (
@@ -59,15 +72,13 @@ from .semantics import (
 from .slicer import (
     DEFAULT_IMPLEMENTATION_DOMAINS,
     DEFAULT_SLICE_LAYOUT,
-    DOMAIN,
-    OWL_TERM,
     GroupConfig,
-    SliceKey,
     build_taxonomy,
 )
 from .stats import InsufficientDataError, run_study
 
 OUTPUT_DIR_ENV = "FBONT_OUT"
+T = TypeVar("T")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -86,23 +97,43 @@ def _write_text(path: str, text: str) -> None:
         raise
 
 
-def _write_parse_report(out_dir: str, report: ParseReport, extra: dict | None = None) -> None:
-    payload = report.to_dict()
-    if extra:
-        payload.update(extra)
-    _write_text(
-        os.path.join(out_dir, "parse_report.json"),
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-    )
+def _publish(
+    args: argparse.Namespace, docs: dict[str, str], report: ParseReport | None = None, **extra
+) -> None:
+    """Write each ``{file name: text}`` document into --out, each replaced atomically.
 
-
-def _print_summary(report: ParseReport) -> None:
+    With a parse report, also write parse_report.json, with ``extra`` added
+    to it, and print the parse summary.
+    """
+    if report is not None:
+        docs = {**docs, "parse_report.json": render_json({**report.to_dict(), **extra})}
+    for name, text in docs.items():
+        _write_text(os.path.join(args.out, name), text)
+    if report is None:
+        return
     print(
         f"parsed {report.lines_read:,} lines: "
         f"{report.triples_ok:,} triples, {report.lines_malformed:,} malformed"
     )
     for key in sorted(report.lint):
         print(f"  lint {key}: {report.lint[key]:,}")
+
+
+class _InputFileError(Exception):
+    """A rules or intermediate file read before the dump is not valid: exit 2."""
+
+
+def _read_input(path: str, load: Callable[[TextIO], T]) -> T:
+    """``load`` of a UTF-8 file that is read before the dump.
+
+    A ValueError (a malformed line, a missing column, a bad number, bytes that
+    are not UTF-8) is raised again as an _InputFileError naming the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            return load(handle)
+    except (ValueError, csv.Error) as exc:
+        raise _InputFileError(f"{path}: {exc}") from exc
 
 
 def _parser_config(args: argparse.Namespace) -> ParserConfig:
@@ -137,19 +168,10 @@ def _run(args: argparse.Namespace, *folds) -> tuple[ParseReport, dict]:
     return report, merge_payloads(payloads)
 
 
-def _write_rows(args: argparse.Namespace, name: str, header: tuple, rows: list[tuple]) -> None:
-    """Write rows as NAME.csv and, with --json, as NAME.json records keyed by header."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_text(os.path.join(args.out, f"{name}.csv"), out.getvalue())
-    if args.json:
-        records = [dict(zip(header, row)) for row in rows]
-        _write_text(
-            os.path.join(args.out, f"{name}.json"),
-            json.dumps(records, indent=2, sort_keys=True) + "\n",
-        )
+def _tables(args: argparse.Namespace, name: str, header: tuple, rows: list[tuple]) -> dict[str, str]:
+    """NAME.csv and, with --json, NAME.json: the rows as records keyed by header."""
+    formats = ("csv", "json") if args.json else ("csv",)
+    return {f"{name}.{fmt}": render_table(header, rows, fmt) for fmt in formats}
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
@@ -167,37 +189,23 @@ def cmd_slice(args: argparse.Namespace) -> int:
         raise
 
     bundle = ReportBundle(taxonomy=build_taxonomy(merged["counts"], _group_config(args)))
-    for name, text in bundle.documents(args.format or DEFAULT_TAXONOMY_FORMATS).items():
-        _write_text(os.path.join(args.out, name), text)
-    extra = {}
-    if merged["distinct"] is not None:
-        extra["distinct_triples"] = len(merged["distinct"])
-    _write_parse_report(args.out, report, extra)
-    _print_summary(report)
-    if merged["distinct"] is not None:
-        print(f"distinct triples: {len(merged['distinct']):,}")
+    docs = bundle.documents(args.format or DEFAULT_TAXONOMY_FORMATS)
+    extra = {} if merged["distinct"] is None else {"distinct_triples": len(merged["distinct"])}
+    _publish(args, docs, report, **extra)
+    if extra:
+        print(f"distinct triples: {extra['distinct_triples']:,}")
     return 0
 
 
 def cmd_schema(args: argparse.Namespace) -> int:
     report, merged = _run(args, SchemaFold(_schema_config(args)))
-    _write_text(os.path.join(args.out, "schema.csv"), render_schema_table(merged["schemas"]))
-    if args.json:
-        _write_text(os.path.join(args.out, "schema.json"), schema_to_json(merged["schemas"]))
-    _write_parse_report(args.out, report)
-    _print_summary(report)
+    _publish(args, _tables(args, "schema", SCHEMA_COLUMNS, schema_rows(merged["schemas"])), report)
     return 0
 
 
 def cmd_semantics(args: argparse.Namespace) -> int:
-    rules: set = set()
-    if args.rules:  # before the parse, so a bad file fails fast and writes nothing
-        try:
-            with open(args.rules, "r", encoding="utf-8") as handle:
-                rules |= load_rules(handle)
-        except ValueError as exc:  # a malformed line, or not UTF-8
-            print(f"error: {args.rules}: {exc}", file=sys.stderr)
-            return 2
+    # Before the parse, so a bad file fails fast and writes nothing.
+    rules = set(_read_input(args.rules, load_rules)) if args.rules else set()
     incompat = idpath(args.incompatibility_predicate) if args.incompatibility_predicate else None
     fold = SemanticsFold(
         replaced_by=idpath(args.replaced_by_predicate),
@@ -211,31 +219,16 @@ def cmd_semantics(args: argparse.Namespace) -> int:
     merge_map = merged["merge_map"]
     out = io.StringIO()
     write_merge_tsv(merge_map, out, policy)  # MergeCycleError propagates: exit 4
-    _write_text(os.path.join(args.out, "merges.tsv"), out.getvalue())
-
-    _write_rows(
-        args,
-        "valuenotes",
-        ("property", "object", "kind", "orientation"),
-        [
-            (render(n.property), render(n.object), n.kind.value, n.orientation)
-            for n in merged["notations"]
-        ],
-    )
+    docs = {"merges.tsv": out.getvalue()}
+    docs.update(_tables(args, "valuenotes", VALUENOTE_COLUMNS, valuenote_rows(merged["notations"])))
 
     rules |= merged["rules"]
     if rules or args.rules or incompat:
         violations = check_incompatibilities(merged["assertions"], rules)
-        _write_rows(
-            args,
-            "violations",
-            ("mid", "type_a", "type_b"),
-            [(render(v.mid), render(v.type_a), render(v.type_b)) for v in violations],
-        )
+        docs.update(_tables(args, "violations", VIOLATION_COLUMNS, violation_rows(violations)))
         print(f"violations: {len(violations)}")
 
-    _write_parse_report(args.out, report)
-    _print_summary(report)
+    _publish(args, docs, report)
     print(
         f"merge edges: {len(merge_map.edges)}, conflicts: {merge_map.conflicts}, "
         f"value notations: {len(merged['notations'])}"
@@ -243,30 +236,12 @@ def cmd_semantics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_counts_csv(path: str) -> dict[SliceKey, int]:
-    counts: dict[SliceKey, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        for row in parse_taxonomy_csv(handle.read()):
-            kind = DOMAIN if row["predicate_pattern"].startswith("/") else OWL_TERM
-            counts[SliceKey(kind, row["name"])] = row["triples"]
-    return counts
-
-
-def _load_schema_csv(path: str) -> dict[str, float]:
-    scores: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        for record in csv.DictReader(handle):
-            if record["complexity_score"]:
-                scores[record["domain"]] = float(record["complexity_score"])
-    return scores
-
-
 def cmd_study(args: argparse.Namespace) -> int:
     group_config = _group_config(args)
     report = None
     if args.from_counts and args.from_schema:
-        counts = _load_counts_csv(args.from_counts)
-        rows, skipped = join_scores(counts, _load_schema_csv(args.from_schema), group_config)
+        counts = _read_input(args.from_counts, load_counts_csv)
+        rows, skipped = join_scores(counts, _read_input(args.from_schema, load_schema_csv), group_config)
     elif args.inputs:
         report, merged = _run(args, SliceFold(), SchemaFold(_schema_config(args)))
         rows, skipped = join_study_rows(merged["counts"], merged["schemas"], group_config)
@@ -283,12 +258,7 @@ def cmd_study(args: argparse.Namespace) -> int:
 
     result = run_study(rows, args.exclude)  # InsufficientDataError: exit 3
     points = build_scatter_points(rows, args.exclude)
-    bundle = ReportBundle(study=result, scatter=points)
-    for name, text in bundle.documents().items():
-        _write_text(os.path.join(args.out, name), text)
-    if report is not None:
-        _write_parse_report(args.out, report)
-        _print_summary(report)
+    _publish(args, ReportBundle(study=result, scatter=points).documents(), report)
     print(
         f"study: n={result.n} r={result.pearson_r:.4f} slope={result.slope:,.2f} "
         f"excluded={list(result.excluded)}"
@@ -473,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     except InsufficientDataError as exc:
         print(f"error: insufficient data: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (OSError, _InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenProcessPool as exc:

@@ -63,6 +63,7 @@ import os
 import re
 import stat
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import islice
@@ -607,7 +608,13 @@ def _matched_triple(
 def serialize(triple: Triple, namespace: str = DEFAULT_NAMESPACE) -> str:
     """Render a Triple back to one dump-convention line (tab-separated, no newline).
 
-    parse_line(serialize(t)) == t for every well-formed triple.
+    parse_line(serialize(t)) == t for every well-formed triple, but the line
+    equals its source only when the source was canonical: a space-separated
+    line comes out tab-separated, a decodable escape such as ``"\\u0041b"``
+    comes out decoded (``"Ab"``), and an escape kept verbatim as
+    ``unknown-escape`` such as ``"x\\uD800"`` comes out with its backslash
+    escaped (``"x\\\\uD800"``), which re-reads to the same triple but
+    without the lint. A Literal keeps no raw escapes to write back.
     """
     parts = [
         "<" + to_iri(triple.subject, namespace) + ">",
@@ -658,26 +665,6 @@ def source_kind(path: str | os.PathLike) -> str:
         return GZIP if _starts_gzip(probe) else PLAIN
 
 
-def _sniffed(stream: IO[bytes]) -> IO[bytes]:
-    """``stream``, or a gzip reader over it when it starts with the gzip magic."""
-    buffered = stream if hasattr(stream, "peek") else io.BufferedReader(stream)  # type: ignore[arg-type]
-    if _starts_gzip(buffered):
-        return gzip.GzipFile(fileobj=buffered)  # type: ignore[return-value]
-    return buffered
-
-
-def open_dump(path: str | os.PathLike) -> IO[bytes]:
-    """Open a dump path for binary reading, decompressing gzip by magic bytes.
-
-    The path is opened once and peeked at, so a pipe loses no bytes.
-    """
-    handle = open(path, "rb")
-    stream = _sniffed(handle)
-    if stream is not handle:
-        stream.myfileobj = handle  # type: ignore[attr-defined]  # closing the reader closes the file
-    return stream
-
-
 # Bytes per block of whole lines at most, unless one line is longer. A block
 # is decoded and scanned at once, and a worker's peak memory grows with it:
 # 64 KiB blocks cost about 10 MB more than 16 KiB ones.
@@ -695,13 +682,17 @@ _BEFORE, _OWNED, _AFTER = range(3)
 
 
 class _CappedReads:
-    """A binary file whose reads return at most ``_COMPRESSED_READ`` bytes."""
+    """A binary stream whose reads return at most ``_COMPRESSED_READ`` bytes;
+    ``offset`` counts the bytes returned, for a file or a pipe alike."""
 
     def __init__(self, raw: IO[bytes]):
         self.raw = raw
+        self.offset = 0
 
     def read(self, size: int = -1) -> bytes:
-        return self.raw.read(_COMPRESSED_READ if size < 0 else min(size, _COMPRESSED_READ))
+        data = self.raw.read(_COMPRESSED_READ if size < 0 else min(size, _COMPRESSED_READ))
+        self.offset += len(data)
+        return data
 
 
 def read_blocks(
@@ -714,30 +705,33 @@ def read_blocks(
 
     A block is whole lines, each ending in ``\\n`` except the stream's last,
     cut at line ends to at most ``_BLOCK`` bytes unless one line is longer.
-    ``end == -1`` reads all of ``source``: a path or a binary stream, gzip
-    detected by magic bytes. Otherwise ``source`` is a regular file's path,
-    and a plain range owns the lines that begin in ``[start, end)``. With
-    ``compressed`` the range counts a gzip file's compressed bytes: the file
-    is inflated from byte 0, a decompressed read belongs to the range holding
-    the file offset after it, and a line to the range of the read that gave
-    its first byte. Gzip is read with ``read1``, which returns every byte
+    ``source`` is a path or a binary stream, opened once and peeked at once,
+    so a pipe loses no bytes; it is gzip when ``compressed`` is set or it
+    starts with the gzip magic. ``end == -1`` reads all of it. Otherwise
+    ``source`` is a regular file's path, and a plain range owns the lines that
+    begin in ``[start, end)``. A gzip range counts compressed bytes: the
+    stream is inflated from byte 0, a decompressed read belongs to the range
+    holding the compressed offset after it, and a line to the range of the
+    read that gave its first byte. A whole gzip stream runs the same read
+    loop as a range. Gzip is read with ``read1``, which returns every byte
     inflated before a truncation or CRC error is raised.
     """
-    if compressed:
-        yield from _owned_blocks(_gzip_chunks(source, start, end))  # type: ignore[arg-type]
-    elif isinstance(source, (str, os.PathLike)):
-        with open_dump(source) as stream:
-            yield from _owned_blocks(_chunks(stream, start, end))
-    else:
-        yield from _owned_blocks(_chunks(_sniffed(source), start, end))
+    with ExitStack() as stack:
+        if isinstance(source, (str, os.PathLike)):
+            source = stack.enter_context(open(source, "rb"))
+        elif not hasattr(source, "peek"):
+            source = io.BufferedReader(source)  # type: ignore[arg-type]
+        chunks = _gzip_chunks if compressed or _starts_gzip(source) else _chunks
+        yield from _owned_blocks(chunks(source, start, end))
 
 
-def _gzip_chunks(path: str | os.PathLike, start: int, end: int) -> Iterator[tuple[bytes, int]]:
-    """A gzip file's decompressed reads, each placed by the compressed offset after it."""
-    with open(path, "rb") as raw, gzip.GzipFile(fileobj=_CappedReads(raw)) as unzipped:
+def _gzip_chunks(stream: IO[bytes], start: int, end: int) -> Iterator[tuple[bytes, int]]:
+    """A gzip stream's decompressed reads, each placed by the compressed offset after it."""
+    raw = _CappedReads(stream)
+    with gzip.GzipFile(fileobj=raw) as unzipped:  # type: ignore[arg-type]
         for chunk in iter(partial(unzipped.read1, _INFLATE_READ), b""):
-            offset = raw.tell()
-            yield chunk, _BEFORE if offset <= start else _OWNED if offset <= end else _AFTER
+            offset = raw.offset
+            yield chunk, _BEFORE if offset <= start else _OWNED if end == -1 or offset <= end else _AFTER
 
 
 def _chunks(stream: IO[bytes], start: int, end: int) -> Iterator[tuple[bytes, int]]:

@@ -1,8 +1,13 @@
-"""Deterministic renderers for taxonomy tables, schema summaries, and the study.
+"""Deterministic renderers and readers for every table this tool writes.
 
-Identical inputs always produce byte-identical documents: no timestamps, no
-environment-dependent formatting, and the scatterplot is a self-contained SVG
-built from plain strings (generic font family, no external resources).
+This is the only module that knows an output table's columns and format:
+the taxonomy, the schema summary, the scatter points, value notations and
+violations all render through :func:`render_table` as csv, tsv or json
+records, and the readers of ``taxonomy.csv`` and ``schema.csv`` sit beside
+their writers. Identical inputs always produce byte-identical documents: no
+timestamps, no environment-dependent formatting, and the scatterplot is a
+self-contained SVG built from plain strings (generic font family, no
+external resources).
 """
 
 from __future__ import annotations
@@ -12,11 +17,13 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 from xml.sax.saxutils import escape as _xml_escape
 
+from .model import render
 from .schema import DomainSchema, UndefinedComplexityError, complexity_score
-from .slicer import Group, SliceStats
+from .semantics import ValueNotation, Violation
+from .slicer import DOMAIN, OWL_TERM, Group, SliceKey, SliceStats
 from .stats import StudyResult, StudyRow
 
 GROUP_TITLES = {
@@ -28,9 +35,32 @@ GROUP_TITLES = {
 TAXONOMY_COLUMNS = ("group", "name", "predicate_pattern", "triples", "total_pct", "group_pct")
 SCHEMA_COLUMNS = ("domain", "n_types", "n_properties", "n_descriptions", "n_details", "complexity_score")
 SCATTER_COLUMNS = ("domain", "complexity", "triples", "excluded")
+VALUENOTE_COLUMNS = ("property", "object", "kind", "orientation")
+VIOLATION_COLUMNS = ("mid", "type_a", "type_b")
 # Taxonomy format -> file suffix; markdown, csv and tsv are written by default.
 TAXONOMY_SUFFIX = {"markdown": "md", "csv": "csv", "tsv": "tsv", "json": "json"}
 DEFAULT_TAXONOMY_FORMATS = ("markdown", "csv", "tsv")
+_DELIMITER = {"csv": ",", "tsv": "\t"}
+
+
+def render_json(value: object) -> str:
+    """A JSON document: two-space indent, sorted keys, one final newline."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def render_table(header: Sequence[str], rows: Iterable[Sequence], fmt: str = "csv") -> str:
+    """A table as csv, tsv, or json records keyed by ``header``.
+
+    One row list serves every format: csv and tsv write ``None`` as an empty
+    field and a float as its repr, json writes them as null and a number.
+    """
+    if fmt == "json":
+        return render_json([dict(zip(header, row)) for row in rows])
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=_DELIMITER[fmt], lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _pct(fraction: float) -> str:
@@ -44,40 +74,25 @@ def render_taxonomy(stats: Sequence[SliceStats], fmt: str = "markdown") -> str:
     Markdown mirrors the published table layout: one section per group,
     per-group row numbering, comma-grouped counts. The machine formats carry
     the columns (group, name, predicate_pattern, triples, total_pct,
-    group_pct) with raw integers.
+    group_pct) with raw integers; json's percentages are numbers.
     """
     if fmt == "markdown":
         return _taxonomy_markdown(stats)
-    if fmt == "json":
-        rows = [
-            {
-                "group": row.group.value,
-                "name": row.key.name,
-                "predicate_pattern": row.key.pattern(),
-                "triples": row.triples,
-                "total_pct": float(_pct(row.total_pct)),
-                "group_pct": float(_pct(row.group_pct)),
-            }
-            for row in stats
-        ]
-        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    if fmt in ("csv", "tsv"):
-        out = io.StringIO()
-        writer = csv.writer(out, delimiter="," if fmt == "csv" else "\t", lineterminator="\n")
-        writer.writerow(TAXONOMY_COLUMNS)
-        for row in stats:
-            writer.writerow(
-                (
-                    row.group.value,
-                    row.key.name,
-                    row.key.pattern(),
-                    row.triples,
-                    _pct(row.total_pct),
-                    _pct(row.group_pct),
-                )
-            )
-        return out.getvalue()
-    raise ValueError(f"unknown taxonomy format: {fmt!r}")
+    if fmt not in TAXONOMY_SUFFIX:
+        raise ValueError(f"unknown taxonomy format: {fmt!r}")
+    pct = float if fmt == "json" else str
+    rows = [
+        (
+            row.group.value,
+            row.key.name,
+            row.key.pattern(),
+            row.triples,
+            pct(_pct(row.total_pct)),
+            pct(_pct(row.group_pct)),
+        )
+        for row in stats
+    ]
+    return render_table(TAXONOMY_COLUMNS, rows, fmt)
 
 
 def _taxonomy_markdown(stats: Sequence[SliceStats]) -> str:
@@ -105,39 +120,58 @@ def _taxonomy_markdown(stats: Sequence[SliceStats]) -> str:
     return "".join(lines)
 
 
+def _records(lines: Iterable[str], columns: Sequence[str], delimiter: str = ",") -> csv.DictReader:
+    """The dict rows of a table, after checking that its header has ``columns``."""
+    reader = csv.DictReader(lines, delimiter=delimiter, restval="")
+    for column in columns:
+        if column not in (reader.fieldnames or ()):
+            raise ValueError(f"missing column {column!r}")
+    return reader
+
+
 def parse_taxonomy_csv(text: str, delimiter: str = ",") -> list[dict]:
-    """Read a taxonomy CSV/TSV back into plain dict rows (round-trip aid)."""
-    reader = csv.DictReader(io.StringIO(text), delimiter=delimiter)
-    rows = []
-    for record in reader:
-        rows.append(
-            {
-                "group": record["group"],
-                "name": record["name"],
-                "predicate_pattern": record["predicate_pattern"],
-                "triples": int(record["triples"]),
-                "total_pct": float(record["total_pct"]),
-                "group_pct": float(record["group_pct"]),
-            }
-        )
-    return rows
+    """Read a taxonomy CSV/TSV back into plain dict rows (round-trip aid).
 
-
-def render_schema_table(schemas: Mapping[str, DomainSchema]) -> str:
-    """Schema summary CSV, one row per domain, sorted by domain name.
-
-    Domains with no types and no properties get an empty score field.
+    Raises ValueError on a missing column or a field that is not a number.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SCHEMA_COLUMNS)
-    for domain in sorted(schemas):
-        schema = schemas[domain]
+    numbers = {"triples": int, "total_pct": float, "group_pct": float}
+    return [
+        {column: numbers.get(column, str)(record[column]) for column in TAXONOMY_COLUMNS}
+        for record in _records(io.StringIO(text), TAXONOMY_COLUMNS, delimiter)
+    ]
+
+
+def load_counts_csv(stream: TextIO) -> dict[SliceKey, int]:
+    """Triples per slice from a ``taxonomy.csv`` written by ``slice``."""
+    counts: dict[SliceKey, int] = {}
+    for row in parse_taxonomy_csv(stream.read()):
+        kind = DOMAIN if row["predicate_pattern"].startswith("/") else OWL_TERM
+        counts[SliceKey(kind, row["name"])] = row["triples"]
+    return counts
+
+
+def load_schema_csv(stream: TextIO) -> dict[str, float]:
+    """Complexity score per domain from a ``schema.csv`` written by ``schema``.
+
+    Domains whose score is undefined (an empty field) are left out. Raises
+    ValueError on a missing column or a score that is not a number.
+    """
+    return {
+        record["domain"]: float(record["complexity_score"])
+        for record in _records(stream, ("domain", "complexity_score"))
+        if record["complexity_score"]
+    }
+
+
+def schema_rows(schemas: Mapping[str, DomainSchema]) -> list[tuple]:
+    """One row per domain, sorted by domain name; the score is None when undefined."""
+    rows = []
+    for domain, schema in sorted(schemas.items()):
         try:
-            score = repr(complexity_score(schema))
+            score = complexity_score(schema)
         except UndefinedComplexityError:
-            score = ""
-        writer.writerow(
+            score = None
+        rows.append(
             (
                 domain,
                 len(schema.types),
@@ -147,33 +181,27 @@ def render_schema_table(schemas: Mapping[str, DomainSchema]) -> str:
                 score,
             )
         )
-    return out.getvalue()
+    return rows
 
 
-def schema_to_json(schemas: Mapping[str, DomainSchema]) -> str:
-    """JSON twin of the schema CSV; undefined scores come out as null."""
-    rows = []
-    for domain in sorted(schemas):
-        schema = schemas[domain]
-        try:
-            score = complexity_score(schema)
-        except UndefinedComplexityError:
-            score = None
-        rows.append(
-            {
-                "domain": domain,
-                "n_types": len(schema.types),
-                "n_properties": len(schema.properties),
-                "n_descriptions": schema.description_count,
-                "n_details": schema.property_detail_count,
-                "complexity_score": score,
-            }
-        )
-    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+def render_schema_table(schemas: Mapping[str, DomainSchema]) -> str:
+    """Schema summary CSV, one row per domain, sorted by domain name.
+
+    Domains with no types and no properties get an empty score field.
+    """
+    return render_table(SCHEMA_COLUMNS, schema_rows(schemas))
+
+
+def valuenote_rows(notations: Iterable[ValueNotation]) -> list[tuple]:
+    return [(render(n.property), render(n.object), n.kind.value, n.orientation) for n in notations]
+
+
+def violation_rows(violations: Iterable[Violation]) -> list[tuple]:
+    return [(render(v.mid), render(v.type_a), render(v.type_b)) for v in violations]
 
 
 def study_to_json(result: StudyResult) -> str:
-    return json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
+    return render_json(result.to_dict())
 
 
 @dataclass(frozen=True)
@@ -195,14 +223,11 @@ def build_scatter_points(
 
 
 def render_scatter_csv(points: Sequence[ScatterPoint]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SCATTER_COLUMNS)
-    for point in sorted(points, key=lambda p: p.domain):
-        writer.writerow(
-            (point.domain, repr(point.complexity), point.triples, str(point.excluded).lower())
-        )
-    return out.getvalue()
+    rows = [
+        (point.domain, point.complexity, point.triples, str(point.excluded).lower())
+        for point in sorted(points, key=lambda p: p.domain)
+    ]
+    return render_table(SCATTER_COLUMNS, rows)
 
 
 # --- SVG scatterplot ----------------------------------------------------------

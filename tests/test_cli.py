@@ -393,6 +393,34 @@ class TestCmdStudy:
         assert main(["study", dump, "--out", str(direct_out)]) == 0
         assert (out / "study.json").read_text() == (direct_out / "study.json").read_text()
 
+    @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            ("taxonomy.csv", b"predicate_pattern", b"pattern"),
+            ("taxonomy.csv", b",60,", b",sixty,"),
+            ("schema.csv", b",2.0\n", b",two\n"),
+            ("schema.csv", b"domain", b"\xffdomain"),
+        ],
+        ids=["missing-column", "triples-not-integer", "score-not-number", "not-utf8"],
+    )
+    def test_bad_intermediate_file_exits_2_before_any_write(self, tmp_path, capsys, name, old, new):
+        lines, _ = study_fixture_lines()
+        dump = write_lines(tmp_path, lines)
+        pre = tmp_path / "pre"
+        assert main(["slice", dump, "--out", str(pre)]) == 0
+        assert main(["schema", dump, "--out", str(pre)]) == 0
+        bad = pre / name
+        assert old in bad.read_bytes()
+        bad.write_bytes(bad.read_bytes().replace(old, new))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = ["study", "--from-counts", str(pre / "taxonomy.csv"), "--from-schema", str(pre / "schema.csv")]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: ") and captured.err.count("\n") == 1, captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_study_outputs_are_idempotent(self, tmp_path):
         lines, _ = study_fixture_lines()
         dump = write_lines(tmp_path, lines)

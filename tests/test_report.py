@@ -1,3 +1,4 @@
+import json
 import math
 import xml.etree.ElementTree as ET
 
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import load_census
 from fbont.report import (
+    SCHEMA_COLUMNS,
     ReportBundle,
     ScatterPoint,
     build_scatter_points,
@@ -12,10 +14,12 @@ from fbont.report import (
     render_scatter_csv,
     render_scatter_svg,
     render_schema_table,
+    render_table,
     render_taxonomy,
+    schema_rows,
     study_to_json,
 )
-from fbont.schema import extract_schema
+from fbont.schema import DomainSchema, extract_schema
 from fbont.slicer import DOMAIN, OWL_TERM, SliceKey, build_taxonomy
 from fbont.stats import StudyRow, run_study
 
@@ -97,6 +101,13 @@ class TestRenderSchemaTable:
         assert render_schema_table({}).splitlines() == [
             "domain,n_types,n_properties,n_descriptions,n_details,complexity_score"
         ]
+
+    def test_undefined_score_is_empty_in_csv_and_null_in_json(self):
+        schemas = {"x": DomainSchema("x")}
+        assert render_schema_table(schemas).splitlines()[1] == "x,0,0,0,0,"
+        doc = render_table(SCHEMA_COLUMNS, schema_rows(schemas), "json")
+        assert '"complexity_score": null' in doc
+        assert json.loads(doc) == [dict(zip(SCHEMA_COLUMNS, ("x", 0, 0, 0, 0, None)))]
 
 
 def sample_study():
