@@ -43,6 +43,7 @@ from .pipeline import (
     join_study_rows,
     merge_payloads,
     plan_partitions,
+    replacing,
     run_partitioned,
 )
 from .report import (
@@ -83,18 +84,8 @@ T = TypeVar("T")
 
 def _write_text(path: str, text: str) -> None:
     """Write ``text`` to a temp file beside ``path``, then rename it over ``path``."""
-    directory, name = os.path.split(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    try:
-        with open(temp, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(temp, path)
-    except BaseException:
-        if os.path.exists(temp):
-            os.remove(temp)
-        raise
+    with replacing(path) as temp, open(temp, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
 
 
 def _publish(

@@ -26,17 +26,27 @@ checks that line by line.
 
 A caller whose consumers read only the predicate of most triples may pass a
 :class:`Projection`: the per-stream table from predicate token to the
-predicate's term, whether it is nonstandard, and two count cells, one for
-mid subjects and one for the rest, decided once per distinct predicate and
-subject kind by the consumers' ``reads(predicate, mid_subject)``. A
-regex-route line that no consumer reads is still validated whole (the
-predicate's lint and ``strict_ids``, a validate-only check of any literal
-the regex does not build), then counted in its cell instead of built:
-:func:`parse_line` returns None for it, and the consumers get the non-zero
-cells once, from :meth:`Projection.tallies`. Lines that take the reference
-route are always built in full, so projection never changes which lines are
-malformed or any lint. A stream parsed without one gets a Projection that
-reads everything, so every stream takes the same route through one table.
+predicate's term, whether it is nonstandard, two count cells, one for mid
+subjects and one for the rest, decided once per distinct predicate and
+subject kind by the consumers' ``reads(predicate, mid_subject)``, and a copy
+buffer. A regex-route line that no consumer reads is still validated whole
+(the predicate's lint and ``strict_ids``, a validate-only check of any
+literal the regex does not build), then counted in its cell instead of
+built: :func:`parse_line` returns None for it, and the consumers get the
+non-zero cells once, from :meth:`Projection.tallies`. Lines that take the
+reference route are always built in full, so projection never changes which
+lines are malformed or any lint. A stream parsed without one gets a
+Projection that reads everything, so every stream takes the same route
+through one table.
+
+The third disposition is copy, for a consumer that wants a predicate's
+lines as text, as a materialized slice does. Where the projection's
+``copy(predicate)`` gives a buffer, :func:`parse_blocks` appends each
+well-formed line of that predicate to it, in input order, instead of
+yielding a triple: as it was read when the regex matched it without its
+literal-parser group, which makes the line exactly what :func:`serialize`
+gives back (after the predicate's lint and ``strict_ids`` check), and
+otherwise as the :func:`serialize` text of the built triple.
 
 A stream is parsed a block at a time. :func:`read_blocks` reads every
 source (a plain or gzip range, a whole file, standard input) as blocks of
@@ -461,10 +471,12 @@ def _canonical_line(namespace: str) -> re.Pattern | None:
     Each IRI term is three groups: a mid suffix, a dotted path, or an IRI
     outside the namespace. Only standard ids match the first two (a
     2-segment ``m.x`` is a mid, as in normalize_iri). A literal object is
-    either plain (no quote or backslash inside, with an optional ASCII
+    either plain (no quote, backslash or CR inside, with an optional ASCII
     language tag or datatype) and built here, or any other token without a
     tab and not ending in a space, which equals the token the tab split
-    gives and goes to the literal parser.
+    gives and goes to the literal parser. Every term but that last group
+    is written back by :func:`serialize` as it was read, so a line matched
+    without it is its own serialization.
 
     The pattern is anchored as ``(?m)^...$``: :func:`parse_line` calls its
     ``fullmatch`` on one line and :func:`parse_blocks` its ``finditer`` on a
@@ -479,7 +491,7 @@ def _canonical_line(namespace: str) -> re.Pattern | None:
     segment = "[0-9a-z_]+"
     term = rf"<(?:{ns}(?:m\.({segment})|({segment}(?:\.{segment}){{0,2}}))|(?!{ns})([^<>\s]+))>"
     predicate = r"(<[^<>\s]+>)"
-    plain = r'"([^"\\\t\n]*)"(?:@([A-Za-z0-9-]+)|\^\^<([^\t\n]+)>)?'
+    plain = r'"([^"\\\t\n\r]*)"(?:@([A-Za-z0-9-]+)|\^\^<([^\t\n]+)>)?'
     literal = r'("(?:[^\t\n]*[^\t\n ])?)'
     return re.compile(rf"(?m)^{term}\t{predicate}\t(?:{term}|{plain}|{literal})\t\.$")
 
@@ -507,7 +519,7 @@ def _reads_everything(predicate: NodeRef, mid_subject: bool) -> bool:
 
 
 class Projection(dict):
-    """Per-stream table: predicate token -> (predicate, nonstandard, cell, cell).
+    """Per-stream table: predicate token -> (predicate, nonstandard, cell, cell, copy).
 
     ``reads(predicate, mid_subject)`` says whether some consumer reads the
     subject and object of that predicate's triples whose subject is (or is
@@ -516,28 +528,42 @@ class Projection(dict):
     cell for other subjects and one for mids: a one-item list that counts
     the lines nobody reads, or None where they are built in full. Without
     ``reads`` every line is built.
+
+    ``copy(predicate)`` returns the list that takes the text of that
+    predicate's lines, or None. A predicate with a list is copied, whatever
+    ``reads`` says: both its cells are None, and :func:`parse_blocks`
+    appends each of its well-formed lines to the list instead of yielding
+    it. ``copy`` is asked once per distinct token, and again for each built
+    line between matches, so it must give the same list for the same
+    predicate.
     """
 
     def __init__(
         self,
         reads: Callable[[NodeRef, bool], bool] = _reads_everything,
         namespace: str = DEFAULT_NAMESPACE,
+        copy: Callable[[NodeRef], list[str] | None] | None = None,
     ):
         super().__init__()
         self.reads = reads
         self.namespace = namespace
+        self.copy = copy
 
     def __missing__(self, token: str) -> tuple:
         predicate, nonstandard = _predicate_term(token, self.namespace)
-        plain, mid = (None if self.reads(predicate, kind) else [0] for kind in (False, True))
-        entry = self[token] = (predicate, nonstandard, plain, mid)
+        buffer = self.copy(predicate) if self.copy is not None else None
+        if buffer is not None:
+            plain = mid = None
+        else:
+            plain, mid = (None if self.reads(predicate, kind) else [0] for kind in (False, True))
+        entry = self[token] = (predicate, nonstandard, plain, mid, buffer)
         return entry
 
     def tallies(self) -> list[Tally]:
         """The non-zero counts, in the order their predicates were first seen."""
         return [
             (predicate, mid, cell[0])
-            for predicate, _, *cells in self.values()
+            for predicate, _, *cells, _ in self.values()
             for mid, cell in zip((False, True), cells)
             if cell is not None and cell[0]
         ]
@@ -556,7 +582,9 @@ def parse_line(
     (nonstandard ids, unknown escapes). Canonical dump lines take the regex
     fast path; every other line goes to :func:`parse_line_reference`. With a
     ``projection`` (same namespace as ``config``), a fast-path line that no
-    consumer reads is counted in the projection and None is returned.
+    consumer reads is counted in the projection and None is returned; a
+    line of a copied predicate is built, since only :func:`parse_blocks`
+    copies.
     """
     pattern = _canonical_line(config.namespace)
     found = pattern.fullmatch(line) if pattern is not None else None
@@ -565,7 +593,7 @@ def parse_line(
     if projection is not None:
         entry = projection[found[4]]
     else:
-        entry = (*_predicate_term(found[4], config.namespace), None, None)
+        entry = (*_predicate_term(found[4], config.namespace), None, None, None)
     return _matched_triple(found, entry, config, counters)
 
 
@@ -582,7 +610,7 @@ def _matched_triple(
     validating any literal the regex does not build) and returns None, or
     builds the triple.
     """
-    predicate, nonstandard, plain, mid = entry
+    predicate, nonstandard, plain, mid, _ = entry
     if nonstandard:
         _flag_nonstandard(config, counters)
     cell = mid if found[1] is not None else plain
@@ -832,14 +860,20 @@ def parse_blocks(
 
     A block (see :func:`read_blocks`) is scanned with one ``finditer`` of the
     canonical regex. A matched line whose predicate is standard and that the
-    projection counts, with no literal to validate, is counted right here;
-    any other matched line takes :func:`parse_line`'s fast path from its
-    match. Lines between matches (CRLF, malformed, reference-route lines) go
-    through :func:`parse_line`. The results equal a :func:`parse_line` call
-    per line. Without a ``projection`` every line is built. ``report`` takes
-    the block's counts before its triples are yielded, and an I/O failure
-    while reading raises StreamAbortedError with the report of every line
-    before it.
+    projection counts, with no literal to validate, is counted right here,
+    and one of a copied predicate with no literal to validate is appended to
+    its buffer as it was read, after its predicate's lint and ``strict_ids``
+    check; any other matched line takes :func:`parse_line`'s fast path from
+    its match. Lines between matches (CRLF, malformed, reference-route
+    lines) go through :func:`parse_line`. A built line of a copied predicate
+    is appended as its :func:`serialize` text at its place in the scan, so
+    each buffer keeps input order. The results equal a :func:`parse_line`
+    call per line. Without a ``projection`` every line is built. Each block
+    yields its triples, an empty list when every line was counted or
+    copied, so a caller can empty the buffers block by block. ``report``
+    takes the block's counts before its triples are yielded, and an I/O
+    failure while reading raises StreamAbortedError with the report of every
+    line before it.
     """
     pattern = _canonical_line(config.namespace)
     scan = pattern.finditer if pattern is not None else lambda text: ()
@@ -868,14 +902,22 @@ def parse_blocks(
                 if cell is not None and found[11] is None and not entry[1]:
                     cell[0] += 1
                     continue
+                buffer = entry[4]
                 try:
+                    if buffer is not None and found[11] is None:
+                        if entry[1]:
+                            _flag_nonstandard(config, lint)
+                        buffer.append(found[0])
+                        continue
                     triple = _matched_triple(found, entry, config, lint)
                 except MalformedLineError as exc:
                     base += text.count("\n", mark, start)
                     mark = start
                     report.record_malformed(base + 1, exc.reason)
                     continue
-                if triple is not None:
+                if buffer is not None:
+                    buffer.append(serialize(triple, config.namespace))
+                elif triple is not None:
                     triples.append(triple)
             if pos < len(text):
                 base += text.count("\n", mark, pos)
@@ -886,8 +928,7 @@ def parse_blocks(
             ok = count - (report.lines_malformed - malformed)
             report.lines_read += ok
             report.triples_ok += ok
-            if triples:
-                yield triples
+            yield triples
     except (OSError, EOFError) as exc:
         raise StreamAbortedError(report, exc) from exc
 
@@ -902,17 +943,24 @@ def _parse_lines(
 ) -> int:
     """Parse the ``\\n``-separated lines of ``text``, numbered from ``base + 1``.
 
-    Malformed lines are recorded, built triples appended; returns the number
-    of the last line.
+    Malformed lines are recorded; a built triple is appended to its copy
+    buffer as its :func:`serialize` text, or else to ``triples``. Returns
+    the number of the last line.
     """
+    copy = projection.copy
     for base, line in enumerate(text.split("\n"), base + 1):
         try:
             triple = parse_line(line.rstrip("\r"), config, report.lint, projection)
         except MalformedLineError as exc:
             report.record_malformed(base, exc.reason)
             continue
-        if triple is not None:
+        if triple is None:
+            continue
+        buffer = copy(triple.predicate) if copy is not None else None
+        if buffer is None:
             triples.append(triple)
+        else:
+            buffer.append(serialize(triple, config.namespace))
     return base
 
 
@@ -929,7 +977,7 @@ def iter_triples(
     ends a line there). Malformed lines are counted and sampled, never fatal;
     an I/O failure raises StreamAbortedError with the partial report
     attached. ``projection`` is passed to :func:`parse_blocks`; the lines it
-    counts are recorded as well-formed but neither built nor yielded.
+    counts or copies are recorded as well-formed but not yielded.
     """
     if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
         blocks = read_blocks(source)  # type: ignore[arg-type]

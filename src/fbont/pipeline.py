@@ -29,6 +29,7 @@ import shutil
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -78,8 +79,8 @@ from .slicer import (
     GroupConfig,
     SliceKey,
     SliceWriter,
+    classify_predicate,
     count_slice,
-    feed_slice_triple,
     group_for,
     merge_counts,
 )
@@ -164,11 +165,26 @@ def iter_partition_lines(part: Partition) -> Iterator[bytes]:
 # (predicate, mid_subject, count) tallies. A fold must give the same payload
 # and lint for a tally as for that many full triples, for every predicate and
 # subject kind it declares unread.
+#
+# A fold that wants lines as text returns two more functions from ``start``:
+# ``copy(predicate)``, the list that takes the text of that predicate's
+# lines (or None), and ``flush``, which Job.run calls after each block to
+# take the lines out of those lists. Its feed appends the serialize text of
+# each triple it is fed to the same lists. When it is the Job's one fold the
+# parser copies instead (see parser.Projection): each line of a predicate
+# with a list is appended in the scan, as it was read where that is its
+# serialization, and never built, counted or fed. A copied line reaches no
+# other fold, so in a Job of several folds every line is fed as before.
 
 
 @dataclass(frozen=True)
 class SliceFold:
-    """Slice counts; optionally materialized shards and the distinct-triple set."""
+    """Slice counts; optionally materialized shards and the distinct-triple set.
+
+    Materializing or counting distinct triples needs each line's text, so
+    the fold then reads every line and takes its slices' lines as text
+    (``copy``); otherwise it reads none and only counts.
+    """
 
     shard_root: str | None = None
     count_distinct: bool = False
@@ -177,7 +193,7 @@ class SliceFold:
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
         return self.shard_root is not None or self.count_distinct
 
-    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Absorb, Finish]:
+    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Callable, ...]:
         counts: dict[SliceKey, int] = {}
         keys: dict[NodeRef, SliceKey] = {}
         distinct: set[str] | None = set() if self.count_distinct else None
@@ -186,11 +202,6 @@ class SliceFold:
         if self.shard_root is not None:
             shard_dir = os.path.join(self.shard_root, f"{part.index:05d}")
             writer = SliceWriter(shard_dir, parser.namespace, self.slice_layout)
-
-        def feed(triple: Triple) -> None:
-            key = feed_slice_triple(counts, keys, triple, writer, lint)
-            if distinct is not None and key is not None:
-                distinct.add(serialize(triple, parser.namespace))
 
         def absorb(tallies: Sequence[Tally]) -> None:
             for predicate, _, count in tallies:
@@ -201,7 +212,40 @@ class SliceFold:
                 writer.close()
             return {"counts": counts, "shard_dir": shard_dir, "distinct": distinct}
 
-        return feed, absorb, finish
+        if writer is None and distinct is None:
+            return (lambda triple: count_slice(counts, keys, triple.predicate, 1, lint)), absorb, finish
+
+        buffers: dict[SliceKey, list[str]] = {}  # each slice's lines since the last flush
+
+        def copy(predicate: NodeRef) -> list[str] | None:
+            key = keys.get(predicate)
+            if key is None:
+                if isinstance(predicate, Mid):
+                    return None  # counted as mid-predicate lint, in no slice
+                key = keys[predicate] = classify_predicate(predicate)
+            buffer = buffers.get(key)
+            if buffer is None:
+                buffer = buffers[key] = []
+            return buffer
+
+        def feed(triple: Triple) -> None:
+            buffer = copy(triple.predicate)
+            if buffer is None:
+                count_slice(counts, keys, triple.predicate, 1, lint)
+            else:
+                buffer.append(serialize(triple, parser.namespace))
+
+        def flush() -> None:
+            for key, lines in buffers.items():
+                if lines:
+                    counts[key] = counts.get(key, 0) + len(lines)
+                    if writer is not None:
+                        writer.write_lines(key, lines)
+                    if distinct is not None:
+                        distinct.update(lines)
+                    lines.clear()
+
+        return feed, absorb, finish, copy, flush
 
 
 @dataclass(frozen=True)
@@ -295,18 +339,22 @@ class Job:
     def run(self, part: Partition) -> tuple[ParseReport, dict[str, Any]]:
         report = ParseReport(max_errors=self.max_errors)
         started = [fold.start(part, self.parser, report.lint) for fold in self.folds]
-        feeds = [feed for feed, _, _ in started]
-        projection = Projection(self.reads, self.parser.namespace)
+        feeds = [functions[0] for functions in started]
+        flushes = [functions[4] for functions in started if len(functions) > 3]
+        copy = started[0][3] if len(started) == 1 and flushes else None
+        projection = Projection(self.reads, self.parser.namespace, copy)
         payload: dict[str, Any] = {}
         try:
             for triples in parse_blocks(partition_blocks(part), report, self.parser, projection):
                 for triple in triples:
                     for feed in feeds:
                         feed(triple)
+                for flush in flushes:
+                    flush()
         finally:
             # Also on an abort, so a partial report's lint counts every line read.
             tallies = projection.tallies()
-            for _, absorb, finish in started:
+            for _, absorb, finish, *_ in started:
                 absorb(tallies)
                 payload.update(finish())
         return report, payload
@@ -417,11 +465,32 @@ def _merge_results(
     return report, payloads
 
 
+@contextmanager
+def replacing(path: str) -> Iterator[str]:
+    """A temp path beside ``path``, renamed over ``path`` when the block ends.
+
+    On any exception the temp file is removed and ``path`` keeps its old
+    content, so no reader sees a half-written file.
+    """
+    directory, name = os.path.split(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        yield temp
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.remove(temp)
+        raise
+
+
 def concatenate_shards(shard_dirs: Sequence[str], out_dir: str) -> list[str]:
     """Merge worker-private slice shards into final per-slice files.
 
     Shards concatenate in partition order, so the result is byte-identical to
-    a single-worker run. Shard directories are removed afterwards.
+    a single-worker run. Each final file is replaced atomically. Shard
+    directories are removed afterwards.
     """
     relpaths: list[str] = []
     seen = set()
@@ -434,9 +503,7 @@ def concatenate_shards(shard_dirs: Sequence[str], out_dir: str) -> list[str]:
                     relpaths.append(rel)
     relpaths.sort()
     for rel in relpaths:
-        out_path = os.path.join(out_dir, rel)
-        os.makedirs(os.path.dirname(out_path), exist_ok=True)
-        with open(out_path, "wb") as out:
+        with replacing(os.path.join(out_dir, rel)) as temp, open(temp, "wb") as out:
             for shard_dir in shard_dirs:
                 piece = os.path.join(shard_dir, rel)
                 if os.path.exists(piece):

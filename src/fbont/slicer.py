@@ -154,6 +154,10 @@ class SliceWriter:
         self._files: dict[SliceKey, IO[str]] = {}
 
     def write(self, key: SliceKey, triple: Triple) -> None:
+        self.write_lines(key, [serialize(triple, self.namespace)])
+
+    def write_lines(self, key: SliceKey, lines: list[str]) -> None:
+        """Append dump-convention lines (no line ends) to the key's file, in one write."""
         handle = self._files.get(key)
         if handle is None:
             path = os.path.join(self.directory, slice_relpath(key, self.layout))
@@ -162,8 +166,7 @@ class SliceWriter:
                 os.makedirs(parent, exist_ok=True)
             handle = open(path, "w", encoding="utf-8", newline="\n")
             self._files[key] = handle
-        handle.write(serialize(triple, self.namespace))
-        handle.write("\n")
+        handle.write("\n".join(lines) + "\n")
 
     def close(self) -> None:
         for handle in self._files.values():

@@ -589,6 +589,31 @@ class TestFailureExits:
         assert os.listdir(out / "slices") == []
         assert not os.path.exists(out / "taxonomy.csv")
 
+    def test_failed_slice_concatenation_keeps_previous_file(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        old = write_lines(tmp_path, [lit_line("m.0a", "people.person.name", "old")], "old.nt")
+        assert main(["slice", old, "--out", str(out), "--materialize"]) == 0
+        previous = (out / "slices" / "domain" / "people.nt").read_bytes()
+        lines = [lit_line(f"m.0{i}", "people.person.name", f"new {i}") for i in range(200)]
+        dump = write_lines(tmp_path, lines)
+        real_copy = pipeline.shutil.copyfileobj
+        calls = []
+
+        def failing_copy(source, target):  # the second shard piece fails to copy
+            calls.append(source.name)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            real_copy(source, target)
+
+        monkeypatch.setattr(pipeline.shutil, "copyfileobj", failing_copy)
+        argv = ["slice", dump, "--workers", "2", "--out", str(out), "--materialize"]
+        assert main(argv) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(calls) == 2 and all(name.endswith("people.nt") for name in calls)
+        assert (out / "slices" / "domain" / "people.nt").read_bytes() == previous
+        assert os.listdir(out / "slices") == ["domain"]
+        assert os.listdir(out / "slices" / "domain") == ["people.nt"]
+
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         target = tmp_path / "out" / "taxonomy.csv"
         cli._write_text(str(target), "old\n")

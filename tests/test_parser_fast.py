@@ -479,3 +479,133 @@ class TestBlockDifferential:
         monkeypatch.setattr(parser_module, "parse_line", refuse)
         assert block_parse(io.BytesIO(data), ParserConfig(), READS["nothing"]) == expected
         assert expected[0]["triples_ok"] == 500
+
+
+# --- the copy disposition ----------------------------------------------------------
+#
+# With a projection that copies, parse_blocks appends each well-formed line of
+# a copied predicate to its buffer: as it was read where the regex matched it
+# without its literal-parser group, else as serialize of the built triple.
+# Either way the buffer must hold serialize(parse_line(line)) for each such
+# line, in input order; so a line copied as it was read must be its own
+# serialization.
+
+real_serialize = parser_module.serialize
+
+
+class Serialized(str):
+    """serialize's text, marked so a built line can be told from one copied as read."""
+
+
+def marked_serialize(triple, namespace=NS):
+    return Serialized(real_serialize(triple, namespace))
+
+
+def assert_copies_serialize(lines: list[str], cap: int = 16 * 1024, configs=CONFIGS) -> int:
+    """Copy every non-mid predicate into one buffer; returns the lines copied as read."""
+    data = "".join(text + "\n" for text in lines).encode()
+    raw_lines = data.split(b"\n")[:-1]
+    as_read = 0
+    with mock.patch.object(parser_module, "_BLOCK", cap), mock.patch.object(
+        parser_module, "serialize", marked_serialize
+    ):
+        for config in configs:
+            expected_copies, expected_triples = [], []
+            for raw in raw_lines:
+                try:
+                    triple = parse_line(raw.decode().rstrip("\r"), config)
+                except MalformedLineError:
+                    continue
+                if isinstance(triple.predicate, Mid):
+                    expected_triples.append(triple)
+                else:
+                    expected_copies.append(real_serialize(triple, config.namespace))
+            buffer: list[str] = []
+            projection = Projection(
+                namespace=config.namespace,
+                copy=lambda predicate: None if isinstance(predicate, Mid) else buffer,
+            )
+            report, full_report = ParseReport(), ParseReport()
+            triples = list(iter_triples(io.BytesIO(data), report, config, projection))
+            list(iter_triples(io.BytesIO(data), full_report, config))
+            assert report.to_dict() == full_report.to_dict(), config
+            assert triples == expected_triples, config
+            assert [str(text) for text in buffer] == expected_copies, config
+            for text in buffer:
+                if not isinstance(text, Serialized):
+                    assert text.encode() in raw_lines, (config, text)
+                    assert real_serialize(parse_line(text, config), config.namespace) == text
+                    as_read += 1
+    return as_read
+
+
+COPY_LITERAL_LINES = [
+    f'{S}\t{P}\t"a\rb"\t.',
+    f'{S}\t{P}\t"a\rb"@en\t.',
+    f'{S}\t{P}\t"\r"^^<http://www.w3.org/2001/XMLSchema#string>\t.',
+    f'{S}\t{P}\t"x"^^<a\rb>\t.',
+    f'{S}\t{P}\t"a\x85b"\t.',
+    f'{S}\t{P}\t"a\u2028b"@en\t.',
+    f'{S}\t{P}\t"\U0001F600 non-BMP"\t.',
+    f'{S}\t{P}\t"\\u0041b"\t.',
+    f'{S}\t{P}\t"x\\uD800"\t.',
+    f'{S}\t{P}\t"q\\"uote"\t.',
+    f'{S}\t{fbt("people.Person.name")}\t"nonstandard"\t.',
+    f'{S}\t{fbt("base.a.b.c")}\t{O}\t.',
+    f"{S}\t{fbt('m.0pred')}\t{O}\t.",
+    f"{S}\t<http://www.w3.org/2000/01/rdf-schema#label>\t\"label\"@en\t.",
+]
+
+copy_terms = st.one_of(
+    st.builds(
+        lambda ns, local: f"<{ns}{local}>",
+        st.sampled_from(NAMESPACES),
+        st.sampled_from(["m.0abc", "m.ABC", "people.person", "film", "a.b.c.d", "m.a.b", "people.é"]),
+    ),
+    st.sampled_from(["<http://x/a>", "<http://x/\U0001F600>"]),
+)
+copy_predicates = st.one_of(
+    st.builds(
+        lambda ns, local: f"<{ns}{local}>",
+        st.sampled_from(NAMESPACES),
+        st.sampled_from(["people.person.name", "people.Person.name", "base.a.b.c", "m.0pred", "film"]),
+    ),
+    st.sampled_from(["<http://www.w3.org/2000/01/rdf-schema#label>", "<http://x/p>"]),
+)
+copy_literals = st.builds(
+    lambda body, suffix: f'"{body}"{suffix}',
+    st.text(alphabet='ab "\\uU0A\r\x85\u2028\U0001F600é\t', max_size=8),
+    st.sampled_from(["", "@en", "@en-GB", "^^<http://www.w3.org/2001/XMLSchema#int>", "^^<a\rb>", "@", "^^<>"]),
+)
+copy_lines = st.builds(
+    lambda s, p, o, sep, end: sep.join([s, p, o, "."]) + end,
+    copy_terms,
+    copy_predicates,
+    st.one_of(copy_terms, copy_literals),
+    st.sampled_from(["\t", "\t", "\t", " "]),
+    st.sampled_from(["", "", "\r"]),
+)
+
+
+class TestCopyDifferential:
+    def test_dumpgen_lines_with_malformed_injection(self):
+        lines = random_dump_lines(1500, seed=11, malformed_rate=0.2)
+        alt = [text.replace(NS, ALT_NS) for text in lines[:500]]
+        assert assert_copies_serialize(lines + alt + MALFORMED_LINES) > 1000
+
+    @pytest.mark.parametrize("cap", [1, 64, 16 * 1024])
+    def test_edge_cases_and_literals(self, cap):
+        lines = EDGE_CASES + UNICODE_LINES + COPY_LITERAL_LINES
+        alt = [text.replace(NS, ALT_NS) for text in lines] + [text.replace(NS, "") for text in lines]
+        assert assert_copies_serialize(lines + alt, cap) > 50
+
+    def test_a_raw_cr_in_a_literal_is_never_copied_as_read(self):
+        lines = [text for text in COPY_LITERAL_LINES if '"' in text and "\r" in text.split('"')[1]]
+        assert len(lines) == 3
+        assert assert_copies_serialize(lines) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(copy_lines, min_size=1, max_size=8), st.integers(min_value=1, max_value=64))
+    def test_generated_lines(self, lines, cap):
+        assert_copies_serialize(lines, cap)
+        assert_copies_serialize(lines)

@@ -14,7 +14,16 @@ from dumpgen import random_dump_lines
 from fbont import parser as parser_module
 from fbont import pipeline
 from fbont.model import Mid, idpath
-from fbont.parser import MalformedLineError, ParserConfig, Projection, StreamAbortedError, parse_line
+from fbont.parser import (
+    MalformedLineError,
+    ParseReport,
+    ParserConfig,
+    Projection,
+    StreamAbortedError,
+    iter_triples,
+    parse_line,
+    serialize,
+)
 from fbont.pipeline import (
     Job,
     Partition,
@@ -32,9 +41,10 @@ from fbont.pipeline import (
     run_partitioned,
 )
 from fbont.schema import SchemaConfig, extract_schema
-from fbont.slicer import DOMAIN, SliceKey
+from fbont.slicer import DOMAIN, SliceKey, SliceWriter, slice_stream
 from fbont.stats import StudyRow
 
+from test_cli import read_tree
 from test_schema import SCHEMA_FIXTURE, parse_fixture
 
 
@@ -467,3 +477,87 @@ class TestProjection:
         assert reports[0] == reports[1]
         assert reports[0]["lint"]["mid-predicate"] > 0
         assert reports[0]["lint"]["unattributable-detail"] > 0
+
+
+# --- copied slices -------------------------------------------------------------------
+#
+# A Job whose one fold materializes slices copies each slice's lines in the
+# block scan: a canonical line as it was read, any other line as its
+# serialize text, at its place in the scan. The slice files must equal what
+# SliceWriter writes for iter_triples' triples, in input order.
+
+FB = "http://rdf.freebase.com/ns/"
+
+
+def alternating_lines(groups=40):
+    """Lines of one slice alternating canonical and rewritten ones, with others between."""
+    lines = []
+    for i in range(groups):
+        s, p = f"<{FB}m.0s{i}>", f"<{FB}people.person.p{i % 3}>"
+        lines += [
+            f"{s}\t{p}\t<{FB}m.0o{i}>\t.",
+            f'{s}\t{p}\t"crlf {i}"@en\t.\r',
+            f'{s}\t{p}\t"v{i}"\t.',
+            f"{s} {p} <{FB}m.0x> .",
+            f'{s}\t{p}\t"\\u0041b"\t.',
+            f'{s}\t{p}\t"typed"^^<http://www.w3.org/2001/XMLSchema#string>\t.',
+            f'{s}\t{p}\t"x\\uD800"\t.',
+            f'{s}\t{p}\t"a\rb"@en\t.',
+            f"{s}\t<{FB}m.0pred>\t<{FB}m.0o>\t.",
+            f"{s}\t<{FB}film.film.genre>\t<{FB}m.0g{i}>\t.",
+            f"{s}\t{p}\tbroken\t.",
+        ]
+    return lines
+
+
+REWRITTEN_PER_GROUP = 6  # CRLF, space-separated, two escapes, raw CR, mid predicate
+
+
+def copied_slices(path, out_dir, workers, parser=ParserConfig()):
+    """Slice files of a materializing, distinct-counting Job, its partitions run in-process."""
+    fold = SliceFold(str(out_dir / ".parts"), count_distinct=True)
+    report, payloads = run_partitioned(Job((fold,), parser), plan_partitions([path], workers), 1)
+    merged = merge_payloads(payloads)
+    concatenate_shards(merged["shard_dirs"], str(out_dir))
+    return report, merged, read_tree(out_dir)
+
+
+class TestCopiedSlices:
+    @pytest.mark.parametrize("cap", [1, 17, 64, 300, 16 * 1024])
+    def test_slice_files_equal_the_built_triples_written_in_order(self, tmp_path, monkeypatch, cap):
+        path = write_lines(tmp_path, alternating_lines())
+        monkeypatch.setattr(parser_module, "_BLOCK", cap)
+        oracle_report = ParseReport()
+        with SliceWriter(tmp_path / "oracle", FB) as writer:
+            triples = list(iter_triples(path, oracle_report))
+            oracle_counts = slice_stream(triples, writer, oracle_report.lint)
+        oracle = read_tree(tmp_path / "oracle")
+        assert len(oracle) == 2 and len(oracle["domain/people.nt"].splitlines()) == 40 * 8
+        built = []
+
+        class CountedTriple(parser_module.Triple):
+            def __post_init__(self):
+                super().__post_init__()
+                built.append(self)
+
+        monkeypatch.setattr(parser_module, "Triple", CountedTriple)
+        for workers in (1, 2, 4):
+            built.clear()
+            report, merged, tree = copied_slices(path, tmp_path / f"w{workers}", workers)
+            assert tree == oracle, workers
+            assert report.to_dict() == oracle_report.to_dict()
+            assert merged["counts"] == oracle_counts
+            assert merged["distinct"] == {serialize(t) for t in triples if not isinstance(t.predicate, Mid)}
+            assert len(built) == 40 * REWRITTEN_PER_GROUP  # the scan builds only what it cannot copy
+
+    def test_strict_ids_drops_a_nonstandard_predicate_line(self, tmp_path):
+        odd = f'<{FB}m.0a>\t<{FB}people.Person.name>\t"odd"\t.'
+        lines = [f'<{FB}m.0a>\t<{FB}people.person.name>\t"n{i}"\t.' for i in range(3)]
+        path = write_lines(tmp_path, lines[:1] + [odd] + lines[1:])
+        report, merged, tree = copied_slices(path, tmp_path / "lenient", 1)
+        assert tree["domain/people.nt"].decode().splitlines() == lines[:1] + [odd] + lines[1:]
+        assert report.lint["nonstandard-id"] == 1 and report.lines_malformed == 0
+        report, merged, tree = copied_slices(path, tmp_path / "strict", 2, ParserConfig(strict_ids=True))
+        assert tree["domain/people.nt"].decode().splitlines() == lines
+        assert report.errors == [(2, "nonstandard-id")] and not report.lint
+        assert merged["counts"] == {SliceKey(DOMAIN, "people"): 3} and len(merged["distinct"]) == 3
