@@ -11,8 +11,10 @@ regex per namespace recognizes such lines:
 
 - the subject and an IRI object are built directly: a canonical id carries
   no lint and an external IRI none either, so neither can fail;
-- a literal without escapes or inner quotes is built directly too, and any
-  other literal goes through the literal parser (escapes, suffix checks);
+- a literal whose only escapes are ``\\\\``, ``\\"``, ``\\n``, ``\\r`` and
+  ``\\t`` is built directly too, since none of those can be unknown; any
+  other literal goes through the literal parser (other escapes, suffix
+  checks);
 - the predicate resolves through the stream's :class:`Projection` entry,
   or for a lone line through a bounded memo of token -> (term,
   is-nonstandard); the ``nonstandard-id`` lint and the ``strict_ids`` check
@@ -471,12 +473,17 @@ def _canonical_line(namespace: str) -> re.Pattern | None:
     Each IRI term is three groups: a mid suffix, a dotted path, or an IRI
     outside the namespace. Only standard ids match the first two (a
     2-segment ``m.x`` is a mid, as in normalize_iri). A literal object is
-    either plain (no quote, backslash or CR inside, with an optional ASCII
-    language tag or datatype) and built here, or any other token without a
-    tab and not ending in a space, which equals the token the tab split
-    gives and goes to the literal parser. Every term but that last group
-    is written back by :func:`serialize` as it was read, so a line matched
-    without it is its own serialization.
+    either plain (no raw quote, tab or CR inside, and no backslash but one
+    that starts a ``\\\\``, ``\\"``, ``\\n``, ``\\r`` or ``\\t`` escape,
+    with an optional ASCII language tag or datatype) and built here, or any
+    other token without a tab and not ending in a space, which equals the
+    token the tab split gives and goes to the literal parser. Every term
+    but that last group is written back by :func:`serialize` as it was
+    read (:func:`escape_literal` writes exactly those five escapes, while
+    ``\\b``, ``\\f``, ``\\'``, ``\\u`` and ``\\U`` come back otherwise), so a
+    line matched without it is its own serialization. The plain body is
+    unrolled, every backslash starting an escape, so it cannot backtrack
+    catastrophically.
 
     The pattern is anchored as ``(?m)^...$``: :func:`parse_line` calls its
     ``fullmatch`` on one line and :func:`parse_blocks` its ``finditer`` on a
@@ -491,7 +498,8 @@ def _canonical_line(namespace: str) -> re.Pattern | None:
     segment = "[0-9a-z_]+"
     term = rf"<(?:{ns}(?:m\.({segment})|({segment}(?:\.{segment}){{0,2}}))|(?!{ns})([^<>\s]+))>"
     predicate = r"(<[^<>\s]+>)"
-    plain = r'"([^"\\\t\n\r]*)"(?:@([A-Za-z0-9-]+)|\^\^<([^\t\n]+)>)?'
+    body = r'[^"\\\t\n\r]*'
+    plain = rf'"({body}(?:\\[\\"nrt]{body})*)"(?:@([A-Za-z0-9-]+)|\^\^<([^\t\n]+)>)?'
     literal = r'("(?:[^\t\n]*[^\t\n ])?)'
     return re.compile(rf"(?m)^{term}\t{predicate}\t(?:{term}|{plain}|{literal})\t\.$")
 
@@ -623,6 +631,8 @@ def _matched_triple(
      lexical, language, datatype, o_literal) = found.groups()
     subject = _matched_term(s_mid, s_path, s_iri)
     if lexical is not None:
+        if "\\" in lexical:
+            lexical = unescape_literal(lexical)[0]
         obj: NodeRef | Literal = Literal(
             lexical, language, ExternalIri(datatype) if datatype is not None else None
         )
@@ -863,8 +873,11 @@ def parse_blocks(
     projection counts, with no literal to validate, is counted right here,
     and one of a copied predicate with no literal to validate is appended to
     its buffer as it was read, after its predicate's lint and ``strict_ids``
-    check; any other matched line takes :func:`parse_line`'s fast path from
-    its match. Lines between matches (CRLF, malformed, reference-route
+    check. A literal needs no validating when the regex's plain group takes
+    it: its only escapes are ``\\\\``, ``\\"``, ``\\n``, ``\\r`` and ``\\t``,
+    which are never unknown and which :func:`serialize` writes back as read.
+    Any other matched line takes :func:`parse_line`'s fast path from its
+    match. Lines between matches (CRLF, malformed, reference-route
     lines) go through :func:`parse_line`. A built line of a copied predicate
     is appended as its :func:`serialize` text at its place in the scan, so
     each buffer keeps input order. The results equal a :func:`parse_line`

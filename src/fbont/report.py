@@ -18,7 +18,6 @@ import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, TextIO
-from xml.sax.saxutils import escape as _xml_escape
 
 from .model import render
 from .schema import DomainSchema, UndefinedComplexityError, complexity_score
@@ -254,6 +253,15 @@ def _ticks(lo: float, hi: float) -> list[float]:
         ticks.append(value)
         value += step
     return ticks
+
+
+def _xml_escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as entities, as ``xml.sax.saxutils.escape`` gives them.
+
+    That module is not imported: it pulls ``urllib.request`` and with it
+    ``http.client``, ``ssl`` and ``email`` into every CLI process.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _tick_label(value: float) -> str:

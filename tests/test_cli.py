@@ -1,3 +1,4 @@
+import ast
 import gzip
 import io
 import json
@@ -679,3 +680,15 @@ class TestConsoleScript:
         monkeypatch.setenv("FBONT_OUT", str(out))
         assert main(["slice", dump]) == 0
         assert (out / "taxonomy.csv").exists()
+
+    def test_import_loads_no_network_modules(self):
+        """The scatterplot's XML escaping must not pull urllib.request and its imports."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import fbont.cli, sys; print(sorted(sys.modules))"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(ast.literal_eval(proc.stdout))
+        assert "fbont.report" in loaded
+        assert not loaded & {"urllib.request", "http.client", "ssl", "email"}

@@ -1,14 +1,18 @@
-"""Every supported interpreter on PATH writes the same ``study`` outputs.
+"""Every supported interpreter on PATH writes the same ``study`` and slice outputs.
 
 A gzip range owns the lines whose first byte came out of a read that ended
 inside it, so the outputs hold only while every interpreter's ``gzip`` module
-reads the same way (3.12 raised its read size to 128 KiB). For each
-``python3.X`` on PATH at or above the package's floor, this runs
-``python3.X -m fbont.cli study`` on a gzip file of at least three minimum
-ranges, at 1 and 2 workers, and compares each output tree with this
-interpreter's. Interpreters that do not start are skipped; with pyenv, list
-the versions to test in ``PYENV_VERSION`` (e.g. ``3.11.7:3.10.13:3.12.1``)
-so that their shims resolve.
+reads the same way (3.12 raised its read size to 128 KiB). A materialized
+slice copies the lines the canonical regex matches as they were read, so its
+files hold only while every interpreter's ``re`` matches the same lines. For
+each ``python3.X`` on PATH at or above the package's floor, this runs
+``python3.X -m fbont.cli study`` and ``slice --materialize --count-distinct``
+on a gzip file of at least three minimum ranges, holding literals with
+``\\\\``, ``\\"``, ``\\n``, ``\\r`` and ``\\t`` escapes, at 1 and 2 workers, and
+compares each output tree with this interpreter's. Interpreters that do not
+start are skipped; with pyenv, list the versions to test in
+``PYENV_VERSION`` (e.g. ``3.11.7:3.10.13:3.12.1:3.13.0``) so that their
+shims resolve.
 """
 
 import base64
@@ -43,9 +47,19 @@ def interpreters_on_path() -> list[str]:
     return sorted(names, key=lambda name: int(name.split(".")[1]))
 
 
-def run_study(python: str, dump: str, out: str, workers: int) -> dict:
+def skip_unless_it_starts(python: str) -> None:
+    probe = subprocess.run([python, "-c", "import sys"], capture_output=True, timeout=60)
+    if probe.returncode != 0:
+        pytest.skip(f"{python} does not start")
+
+
+STUDY = ("study",)
+SLICE = ("slice", "--materialize", "--count-distinct")
+
+
+def run_fbont(python: str, command: tuple, dump: str, out: str, workers: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    argv = [python, "-m", "fbont.cli", "study", dump, "--workers", str(workers), "--out", out]
+    argv = [python, "-m", "fbont.cli", *command, dump, "--workers", str(workers), "--out", out]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return read_tree(out)
@@ -62,11 +76,15 @@ def reference(tmp_path_factory):
         lit_line(f"m.r{i}", "common.topic.alias", base64.b64encode(rng.randbytes(60)).decode())
         for i in range(7_000)
     ]
+    lines += [
+        lit_line(f"m.e{i}", "common.topic.description", f'line {i}\\n\\"quoted\\"\\tand C:\\\\dir\\r', "@en")
+        for i in range(500)
+    ]
     rng.shuffle(lines)
     dump = root / "dump.nt.gz"
     dump.write_bytes(gzip.compress("".join(l + "\n" for l in lines).encode(), 1))
     assert dump.stat().st_size >= 3 * GZIP_MIN_RANGE
-    trees = [run_study(sys.executable, str(dump), str(root / f"ref-w{w}"), w) for w in (1, 2)]
+    trees = [run_fbont(sys.executable, STUDY, str(dump), str(root / f"ref-w{w}"), w) for w in (1, 2)]
     assert trees[0] == trees[1]
     assert "study.json" in trees[0]
     return str(dump), trees[0]
@@ -74,9 +92,27 @@ def reference(tmp_path_factory):
 
 @pytest.mark.parametrize("python", interpreters_on_path())
 def test_study_tree_equals_this_interpreters(python, reference, tmp_path):
-    probe = subprocess.run([python, "-c", "import sys"], capture_output=True, timeout=60)
-    if probe.returncode != 0:
-        pytest.skip(f"{python} does not start")
+    skip_unless_it_starts(python)
     dump, expected = reference
     for workers in (1, 2):
-        assert run_study(python, dump, str(tmp_path / f"w{workers}"), workers) == expected, (python, workers)
+        assert run_fbont(python, STUDY, dump, str(tmp_path / f"w{workers}"), workers) == expected, (python, workers)
+
+
+@pytest.fixture(scope="module")
+def slice_reference(reference, tmp_path_factory):
+    """This interpreter's materialized, distinct-counted slice tree of the same dump."""
+    root = tmp_path_factory.mktemp("slices")
+    dump, _ = reference
+    trees = [run_fbont(sys.executable, SLICE, dump, str(root / f"ref-w{w}"), w) for w in (1, 2)]
+    assert trees[0] == trees[1]
+    assert b'\\"quoted\\"' in trees[0]["slices/domain/common.nt"]
+    return trees[0]
+
+
+@pytest.mark.parametrize("python", interpreters_on_path())
+def test_materialized_slice_tree_equals_this_interpreters(python, reference, slice_reference, tmp_path):
+    skip_unless_it_starts(python)
+    dump, _ = reference
+    for workers in (1, 2):
+        tree = run_fbont(python, SLICE, dump, str(tmp_path / f"w{workers}"), workers)
+        assert tree == slice_reference, (python, workers)

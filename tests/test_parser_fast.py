@@ -609,3 +609,116 @@ class TestCopyDifferential:
     def test_generated_lines(self, lines, cap):
         assert_copies_serialize(lines, cap)
         assert_copies_serialize(lines)
+
+
+# --- escapes the regex vouches for ------------------------------------------------
+#
+# A literal whose only escapes are \\ \" \n \r \t takes the regex's plain
+# group: escape_literal writes each of them back as read and none is unknown,
+# so such a line is counted and copied from the scan like an unescaped one,
+# and built by unescaping its lexical. Any other escape, an escaped quote
+# that closes nothing, or a raw tab keeps the line off the plain group.
+
+ESCAPE_CLASS_LINES = [
+    *[f'{S}\t{P}\t"a{e}b"\t.' for e in ("\\\\", '\\"', "\\n", "\\r", "\\t")],
+    f'{S}\t{P}\t"\\\\\\"\\n\\r\\t"\t.',
+    f'{S}\t{P}\t"line one\\nline \\"two\\"\\r\\n\\tand a \\\\ path"\t.',
+    f'{S}\t{P}\t"\\nstarts"\t.',
+    f'{S}\t{P}\t"ends\\t"\t.',
+    f'{S}\t{P}\t"a\\\\"\t.',  # an escaped backslash before the closing quote
+    f'{S}\t{P}\t"\\\\"\t.',
+    f'{S}\t{P}\t"\\""\t.',
+    f'{S}\t{P}\t"\\\\\\\\n"\t.',  # two escaped backslashes, then a plain n
+    f'{S}\t{P}\t"say \\"hi\\""@en\t.',
+    f'{S}\t{P}\t"a\\nb"@en-GB\t.',
+    f'{S}\t{P}\t"1\\t2"^^<http://www.w3.org/2001/XMLSchema#string>\t.',
+    f'{S}\t{P}\t"\\\\"^^<a>\t.',
+    f'{S}\t{P}\t"é\\n\U0001F600\\"\x85"\t.',
+    f"{S}\t<http://www.w3.org/2000/01/rdf-schema#label>\t\"q\\\"uote\\\\\"@en\t.",
+]
+ESCAPE_NEAR_MISSES = [
+    f'{S}\t{P}\t"a\\bb"\t.',
+    f'{S}\t{P}\t"a\\fb"\t.',
+    f"{S}\t{P}\t\"a\\'b\"\t.",
+    f'{S}\t{P}\t"a\\u0041"\t.',
+    f'{S}\t{P}\t"x\\uD800"\t.',
+    f'{S}\t{P}\t"a\\qb"\t.',
+    f'{S}\t{P}\t"a\\n\\U0001F600"@en\t.',
+    f'{S}\t{P}\t"a\\"\t.',  # the escaped quote closes nothing
+    f'{S}\t{P}\t"a\\\\\\"\t.',  # an escaped backslash, then the same
+    f'{S}\t{P}\t"a\tb"\t.',  # a raw tab
+    f'{S}\t{P}\t"a\\nb\tc"@en\t.',
+]
+
+
+def takes_plain_group(text: str, namespace: str = NS) -> bool:
+    found = parser_module._canonical_line(namespace).fullmatch(text)
+    return found is not None and found[11] is None
+
+
+def in_escape_class(body: str) -> bool:
+    """Whether a literal body (between its quotes) holds only the five escapes."""
+    i = 0
+    while i < len(body):
+        if body[i] in '"\t\n\r':
+            return False
+        if body[i] == "\\":
+            if body[i + 1 : i + 2] not in ("\\", '"', "n", "r", "t"):
+                return False
+            i += 1
+        i += 1
+    return True
+
+
+escape_class_literals = st.tuples(
+    st.text(alphabet="\\ntrbf'\"a", max_size=10),
+    st.sampled_from(["", "@en", "@en-GB", "^^<http://www.w3.org/2001/XMLSchema#string>"]),
+)
+
+
+class TestEscapeClass:
+    def test_class_lines_take_the_plain_group(self):
+        for text in ESCAPE_CLASS_LINES:
+            assert takes_plain_group(text), text
+            assert takes_plain_group(text.replace(NS, ALT_NS), ALT_NS), text
+
+    def test_near_misses_do_not(self):
+        for text in ESCAPE_NEAR_MISSES:
+            assert not takes_plain_group(text), text
+        found = [parser_module._canonical_line(NS).fullmatch(t) for t in ESCAPE_NEAR_MISSES]
+        # all but the two with a raw tab, which no alternative matches, take group 11
+        assert sum(f is not None and f[11] is not None for f in found) == len(found) - 2
+
+    def test_same_triple_reason_and_lint_as_the_reference(self):
+        lines = ESCAPE_CLASS_LINES + ESCAPE_NEAR_MISSES
+        assert_same(lines)
+        reference = [outcome(parse_line_reference, t, ParserConfig())[0] for t in lines]
+        assert all(not isinstance(r, str) for r in reference[: len(ESCAPE_CLASS_LINES)])
+        assert [r for r in reference if isinstance(r, str)] == ["unbalanced-quotes"] * 2
+        lint: Counter = Counter()
+        for text in ESCAPE_NEAR_MISSES:
+            lint += outcome(parse_line, text, ParserConfig())[1]
+        assert lint == Counter({"unknown-escape": 2})  # \uD800 and \q
+
+    def test_projected_and_block_routes_agree(self):
+        lines = ESCAPE_CLASS_LINES + ESCAPE_NEAR_MISSES
+        assert assert_projected_same(lines) > 0
+        for cap in (1, 64, 16 * 1024):
+            assert_blocks_same("".join(t + "\n" for t in lines).encode(), cap)
+
+    @pytest.mark.parametrize("cap", [1, 64, 16 * 1024])
+    def test_class_lines_are_copied_as_read(self, cap):
+        for ns in NAMESPACES:
+            lines = [text.replace(NS, ns) for text in ESCAPE_CLASS_LINES]
+            configs = [config for config in CONFIGS if config.namespace == ns]
+            assert assert_copies_serialize(lines, cap, configs) == 2 * len(lines), ns
+        assert assert_copies_serialize(ESCAPE_NEAR_MISSES, cap) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(escape_class_literals, min_size=1, max_size=8), st.integers(min_value=1, max_value=64))
+    def test_generated_escapes(self, literals, cap):
+        lines = [f'{S}\t{P}\t"{body}"{suffix}\t.' for body, suffix in literals]
+        in_class = sum(in_escape_class(body) for body, _ in literals)
+        assert_same(lines)
+        assert_projected_same(lines)
+        assert assert_copies_serialize(lines, cap, CONFIGS[:2]) == 2 * in_class

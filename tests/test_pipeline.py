@@ -561,3 +561,43 @@ class TestCopiedSlices:
         assert tree["domain/people.nt"].decode().splitlines() == lines
         assert report.errors == [(2, "nonstandard-id")] and not report.lint
         assert merged["counts"] == {SliceKey(DOMAIN, "people"): 3} and len(merged["distinct"]) == 3
+
+    @pytest.mark.parametrize("cap", [1, 64, 16 * 1024])
+    def test_escaped_literals_are_copied_without_building(self, tmp_path, monkeypatch, cap):
+        """Literals whose only escapes are \\\\ \\" \\n \\r \\t are copied from the scan."""
+        lines = []
+        for i in range(40):
+            s, p = f"<{FB}m.0s{i}>", f"<{FB}people.person.p{i % 3}>"
+            lines += [
+                f'{s}\t{p}\t"line {i}\\nsecond \\"quoted\\""@en\t.',
+                f'{s}\t{p}\t"\\ttab\\r\\n"\t.',
+                f'{s}\t{p}\t"C:\\\\dir\\\\{i}"^^<http://www.w3.org/2001/XMLSchema#string>\t.',
+                f'{s}\t{p}\t"a\\\\"\t.',
+                f"{s}\t{p}\t<{FB}m.0o{i}>\t.",
+                f"{s}\t<{FB}film.film.genre>\t\"\\\"{i}\\\"\"@en-GB\t.",
+                f'{s}\t<http://www.w3.org/2000/01/rdf-schema#label>\t"x\\ty"@en\t.',
+            ]
+        path = write_lines(tmp_path, lines)
+        monkeypatch.setattr(parser_module, "_BLOCK", cap)
+        oracle_report = ParseReport()
+        with SliceWriter(tmp_path / "oracle", FB) as writer:
+            triples = list(iter_triples(path, oracle_report))
+            oracle_counts = slice_stream(triples, writer, oracle_report.lint)
+        oracle = read_tree(tmp_path / "oracle")
+        assert sum(len(text.splitlines()) for text in oracle.values()) == len(lines)
+        assert [line.encode() for line in lines[:4]] == oracle["domain/people.nt"].splitlines()[:4]
+        built = []
+
+        class CountedTriple(parser_module.Triple):
+            def __post_init__(self):
+                super().__post_init__()
+                built.append(self)
+
+        monkeypatch.setattr(parser_module, "Triple", CountedTriple)
+        for workers in (1, 2, 4):
+            report, merged, tree = copied_slices(path, tmp_path / f"w{workers}", workers)
+            assert tree == oracle, workers
+            assert report.to_dict() == oracle_report.to_dict()
+            assert merged["counts"] == oracle_counts
+            assert len(merged["distinct"]) == len(set(lines))
+        assert built == []  # every line was copied as it was read

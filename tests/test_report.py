@@ -216,3 +216,18 @@ class TestReportBundle:
             "scatter.svg",
         }
         assert ScatterPoint("music", 12.0, 500_000, True) in points
+
+    @pytest.mark.parametrize("name", ["a&b<c>", "&amp;", "x>&<y", "<&>&<>"])
+    def test_escaping_equals_saxutils(self, name, monkeypatch):
+        from xml.sax.saxutils import escape
+
+        import fbont.report as report_module
+
+        rows = [StudyRow(name, 10, 1.0), StudyRow("plain", 30, 3.0)]
+        result = run_study(rows)
+        points = build_scatter_points(rows, {name})
+        labels = {"x_label": f"{name} complexity", "y_label": f"{name} triples"}
+        ours = render_scatter_svg(points, result, **labels)
+        monkeypatch.setattr(report_module, "_xml_escape", escape)
+        assert ours == render_scatter_svg(points, result, **labels)
+        assert escape(name) in ours
