@@ -11,8 +11,9 @@ tables rendered by :mod:`fbont.report`, and ends in one publish step
 was parsed, and prints the parse summary.
 
 Exit codes: 0 success, 2 I/O failure, a bad ``semantics --rules`` file (read
-before the dump) or a bad ``study --from-counts``/``--from-schema`` file
-(read before anything is written), 3 insufficient data, 4 data integrity
+before the dump), a bad ``study --from-counts``/``--from-schema`` file (read
+before anything is written) or a ``study`` given anything but dump inputs
+alone or both of those files alone, 3 insufficient data, 4 data integrity
 (replaced-by cycle under the fail policy), 5 worker failure (a worker process
 died, e.g. killed or out of memory). Reruns on identical inputs write
 byte-identical output files, and each file is replaced atomically, so a
@@ -228,17 +229,19 @@ def cmd_semantics(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
+    # Dump inputs and no intermediate file, or both intermediate files alone.
+    unset = (args.from_counts, args.from_schema).count(None)
+    if (bool(args.inputs), unset) not in ((True, 2), (False, 0)):
+        print("error: give dump inputs, or both --from-counts and --from-schema", file=sys.stderr)
+        return 2
     group_config = _group_config(args)
     report = None
-    if args.from_counts and args.from_schema:
-        counts = _read_input(args.from_counts, load_counts_csv)
-        rows, skipped = join_scores(counts, _read_input(args.from_schema, load_schema_csv), group_config)
-    elif args.inputs:
+    if args.inputs:
         report, merged = _run(args, SliceFold(), SchemaFold(_schema_config(args)))
         rows, skipped = join_study_rows(merged["counts"], merged["schemas"], group_config)
     else:
-        print("error: provide dump inputs or --from-counts with --from-schema", file=sys.stderr)
-        return 2
+        counts = _read_input(args.from_counts, load_counts_csv)
+        rows, skipped = join_scores(counts, _read_input(args.from_schema, load_schema_csv), group_config)
 
     for name in skipped:
         print(f"warning: no ontology extracted for domain {name!r}; excluded", file=sys.stderr)

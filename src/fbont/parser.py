@@ -24,7 +24,10 @@ Every line the regex rejects goes to :func:`parse_line_reference`: a plain
 tab split, falling back to a quote-aware whitespace tokenizer so
 hand-written fixtures parse too. Both routes give the same triple, the same
 malformed-reason code and the same lint counts; ``tests/test_parser_fast.py``
-checks that line by line.
+checks that line by line. Both routes read a literal with the one literal
+parser, which spells the N-Triples literal grammar once: one quote pattern
+finds the closing quote (the tokenizer uses it too) and one escape pattern
+decodes the body.
 
 A caller whose consumers read only the predicate of most triples may pass a
 :class:`Projection`: the per-stream table from predicate token to the
@@ -32,14 +35,14 @@ predicate's term, whether it is nonstandard, two count cells, one for mid
 subjects and one for the rest, decided once per distinct predicate and
 subject kind by the consumers' ``reads(predicate, mid_subject)``, and a copy
 buffer. A regex-route line that no consumer reads is still validated whole
-(the predicate's lint and ``strict_ids``, a validate-only check of any
-literal the regex does not build), then counted in its cell instead of
-built: :func:`parse_line` returns None for it, and the consumers get the
-non-zero cells once, from :meth:`Projection.tallies`. Lines that take the
-reference route are always built in full, so projection never changes which
-lines are malformed or any lint. A stream parsed without one gets a
-Projection that reads everything, so every stream takes the same route
-through one table.
+(the predicate's lint and ``strict_ids``, and the literal parser on any
+literal the regex does not build, its result dropped), then counted in its
+cell instead of built: :func:`parse_line` returns None for it, and the
+consumers get the non-zero cells once, from :meth:`Projection.tallies`.
+Lines that take the reference route are always built in full, so projection
+never changes which lines are malformed or any lint. A stream parsed without
+one gets a Projection that reads everything, so every stream takes the same
+route through one table.
 
 The third disposition is copy, for a consumer that wants a predicate's
 lines as text, as a materialized slice does. Where the projection's
@@ -218,61 +221,38 @@ _SIMPLE_ESCAPES = {
 }
 
 
-_HEX_DIGITS = re.compile("[0-9A-Fa-f]+").fullmatch
-
-
-def _code_point(hexpart: str) -> int | None:
-    """The Unicode scalar value a ``\\u``/``\\U`` escape's digits name, or None.
-
-    Only ASCII hex digits count (``int`` would also take signs, underscores,
-    spaces and non-ASCII digits), and surrogates and values past U+10FFFF
-    name no character that UTF-8 can encode.
-    """
-    if not _HEX_DIGITS(hexpart):
-        return None
-    value = int(hexpart, 16)
-    if value > 0x10FFFF or 0xD800 <= value <= 0xDFFF:
-        return None
-    return value
+# One escape: a backslash and the 4 or 8 ASCII hex digits of a ``\u``/``\U``
+# escape, or else the one character after it. ``int`` alone would also take
+# signs, underscores, spaces and non-ASCII digits.
+_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
 
 
 def unescape_literal(raw: str) -> tuple[str, int]:
     """Decode N-Triples escapes. Returns (text, count of unknown escapes).
 
     Unknown or truncated escapes, and ``\\u``/``\\U`` escapes that are not
-    exactly 4 or 8 hex digits naming a Unicode scalar value, are preserved
+    exactly 4 or 8 hex digits naming a Unicode scalar value (surrogates and
+    values past U+10FFFF name no character UTF-8 can encode), are preserved
     verbatim rather than dropped; the count lets the stream surface them as
-    lint.
+    lint. A lone backslash at the end is kept and not counted.
     """
     if "\\" not in raw:
         return raw, 0
-    out: list[str] = []
     unknown = 0
-    i = 0
-    n = len(raw)
-    while i < n:
-        ch = raw[i]
-        if ch != "\\" or i + 1 >= n:
-            out.append(ch)
-            i += 1
-            continue
-        code = raw[i + 1]
-        if code in _SIMPLE_ESCAPES:
-            out.append(_SIMPLE_ESCAPES[code])
-            i += 2
-            continue
-        if code in ("u", "U"):
-            width = 4 if code == "u" else 8
-            hexpart = raw[i + 2 : i + 2 + width]
-            value = _code_point(hexpart) if len(hexpart) == width else None
-            if value is not None:
-                out.append(chr(value))
-                i += 2 + width
-                continue
-        out.append(raw[i : i + 2])
+
+    def decode(escape: re.Match) -> str:
+        nonlocal unknown
+        short, long, code = escape.groups()
+        if code is None:
+            value = int(short or long, 16)
+            if value <= 0x10FFFF and not 0xD800 <= value <= 0xDFFF:
+                return chr(value)
+        elif code in _SIMPLE_ESCAPES:
+            return _SIMPLE_ESCAPES[code]
         unknown += 1
-        i += 2
-    return "".join(out), unknown
+        return escape[0]
+
+    return _ESCAPE.sub(decode, raw), unknown
 
 
 def escape_literal(text: str) -> str:
@@ -288,6 +268,14 @@ def escape_literal(text: str) -> str:
 # --- single-line parsing ------------------------------------------------------
 
 
+# A quoted literal body: up to the first quote no backslash escapes. Unrolled,
+# every backslash taking the character after it, so it cannot backtrack
+# catastrophically.
+_QUOTED = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"', re.DOTALL).match
+_BLANKS = re.compile(r"[ \t]*").match
+_UNBLANKS = re.compile(r"[^ \t]*").match
+
+
 def _tokenize(line: str) -> list[str]:
     """Split on runs of whitespace outside quoted literals.
 
@@ -295,36 +283,17 @@ def _tokenize(line: str) -> list[str]:
     ``<s> <p> <o>.`` parse; inside quotes nothing splits.
     """
     tokens: list[str] = []
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n:
-                c = line[j]
-                if c == "\\":
-                    j += 2
-                    continue
-                if c == '"':
-                    break
-                j += 1
-            if j >= n:
+    start = _BLANKS(line).end()
+    while start < len(line):
+        end = start
+        if line[start] == '"':
+            quoted = _QUOTED(line, start)
+            if quoted is None:
                 raise MalformedLineError(UNBALANCED_QUOTES)
-            k = j + 1
-            while k < n and line[k] not in " \t":
-                k += 1
-            tokens.append(line[i:k])
-            i = k
-        else:
-            k = i
-            while k < n and line[k] not in " \t":
-                k += 1
-            tokens.append(line[i:k])
-            i = k
+            end = quoted.end()
+        end = _UNBLANKS(line, end).end()
+        tokens.append(line[start:end])
+        start = _BLANKS(line, end).end()
     if tokens and tokens[-1] != "." and tokens[-1].endswith("."):
         tokens[-1] = tokens[-1][:-1]
         tokens.append(".")
@@ -357,22 +326,13 @@ def _parse_iri_term(token: str, config: ParserConfig, counters: Counter | None) 
 
 
 def _parse_literal_term(token: str, counters: Counter | None) -> Literal:
-    j = 1
-    n = len(token)
-    while j < n:
-        c = token[j]
-        if c == "\\":
-            j += 2
-            continue
-        if c == '"':
-            break
-        j += 1
-    if j >= n:
+    quoted = _QUOTED(token)
+    if quoted is None:
         raise MalformedLineError(UNBALANCED_QUOTES)
-    lexical, unknown = unescape_literal(token[1:j])
+    lexical, unknown = unescape_literal(quoted[1])
     if unknown and counters is not None:
         counters["unknown-escape"] += unknown
-    rest = token[j + 1 :]
+    rest = token[quoted.end() :]
     if not rest:
         return Literal(lexical)
     if rest.startswith("@"):
@@ -383,40 +343,6 @@ def _parse_literal_term(token: str, counters: Counter | None) -> Literal:
     if rest.startswith("^^<") and rest.endswith(">") and len(rest) > 4:
         return Literal(lexical, datatype=ExternalIri(rest[3:-1]))
     raise MalformedLineError(BAD_LITERAL_SUFFIX)
-
-
-# A literal _parse_literal_term accepts: the body up to the first unescaped
-# quote, then nothing, an alphanumeric-or-hyphen language tag, or a datatype
-# IRI. ``[^\W_]`` is exactly str.isalnum.
-_VALID_LITERAL = re.compile(
-    r'"((?:[^"\\]|\\.)*)"(?:@(?:[^\W_]|-)+|\^\^<.+>)?', re.DOTALL
-).fullmatch
-# One escape of a body, aligned as unescape_literal reads them.
-_ESCAPES = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL).findall
-
-
-def _check_literal_term(token: str, counters: Counter | None) -> None:
-    """Validate a literal as :func:`_parse_literal_term` does, without building it.
-
-    Same reason codes and the same ``unknown-escape`` count; the body is not
-    unescaped. Any token the one regex does not accept takes the full parse,
-    which raises its reason.
-    """
-    found = _VALID_LITERAL(token)
-    if found is None:
-        _parse_literal_term(token, counters)
-        return
-    body = found[1]
-    if "\\" not in body or counters is None:
-        return
-    unknown = 0
-    for short, long, other in _ESCAPES(body):
-        if other:
-            unknown += other not in _SIMPLE_ESCAPES
-        else:
-            unknown += _code_point(short or long) is None
-    if unknown:
-        counters["unknown-escape"] += unknown
 
 
 def _parse_term(
@@ -614,9 +540,9 @@ def _matched_triple(
     """The fast path's triple for a line the canonical regex matched.
 
     ``entry`` is the predicate's :class:`Projection` entry. Applies its lint
-    and ``strict_ids`` check, then counts the line in its cell (after
-    validating any literal the regex does not build) and returns None, or
-    builds the triple.
+    and ``strict_ids`` check, then counts the line in its cell and returns
+    None, or builds the triple. A counted line's literal that the regex does
+    not build is parsed and dropped, so its errors and lint still count.
     """
     predicate, nonstandard, plain, mid, _ = entry
     if nonstandard:
@@ -624,7 +550,7 @@ def _matched_triple(
     cell = mid if found[1] is not None else plain
     if cell is not None:
         if found[11] is not None:
-            _check_literal_term(found[11], counters)  # its errors and lint still count
+            _parse_literal_term(found[11], counters)
         cell[0] += 1
         return None
     (s_mid, s_path, s_iri, _, o_mid, o_path, o_iri,
@@ -737,15 +663,14 @@ def read_blocks(
     source: str | os.PathLike | IO[bytes],
     start: int = 0,
     end: int = -1,
-    compressed: bool = False,
 ) -> Iterator[bytes]:
     """Yield, in blocks, exactly the lines a byte range of ``source`` owns.
 
     A block is whole lines, each ending in ``\\n`` except the stream's last,
     cut at line ends to at most ``_BLOCK`` bytes unless one line is longer.
     ``source`` is a path or a binary stream, opened once and peeked at once,
-    so a pipe loses no bytes; it is gzip when ``compressed`` is set or it
-    starts with the gzip magic. ``end == -1`` reads all of it. Otherwise
+    so a pipe loses no bytes; it is gzip when it starts with the gzip magic,
+    as :func:`source_kind` decides. ``end == -1`` reads all of it. Otherwise
     ``source`` is a regular file's path, and a plain range owns the lines that
     begin in ``[start, end)``. A gzip range counts compressed bytes: the
     stream is inflated from byte 0, a decompressed read belongs to the range
@@ -759,7 +684,7 @@ def read_blocks(
             source = stack.enter_context(open(source, "rb"))
         elif not hasattr(source, "peek"):
             source = io.BufferedReader(source)  # type: ignore[arg-type]
-        chunks = _gzip_chunks if compressed or _starts_gzip(source) else _chunks
+        chunks = _gzip_chunks if _starts_gzip(source) else _chunks
         yield from _owned_blocks(chunks(source, start, end))
 
 

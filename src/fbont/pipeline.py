@@ -35,7 +35,6 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import IdPath, Mid, NodeRef, Triple
 from .parser import (
-    GZIP,
     PLAIN,
     STREAM,
     ParseReport,
@@ -95,14 +94,13 @@ Finish = Callable[[], dict]
 class Partition:
     """A byte range of one file; end == -1 means the whole file.
 
-    ``compressed`` marks a range of a gzip file, which counts compressed bytes.
+    A range of a gzip file counts compressed bytes.
     """
 
     path: str
     start: int
     end: int
     index: int
-    compressed: bool = False
 
 
 # Compressed bytes per gzip range at least. A gzip file under two ranges is
@@ -128,7 +126,7 @@ def plan_partitions(paths: Sequence[str], workers: int) -> list[Partition]:
             continue
         bounds = [size * i // count for i in range(count + 1)]
         for start, end in zip(bounds, bounds[1:]):
-            partitions.append(Partition(path, start, end, index, kind == GZIP))
+            partitions.append(Partition(path, start, end, index))
             index += 1
     return partitions
 
@@ -136,7 +134,7 @@ def plan_partitions(paths: Sequence[str], workers: int) -> list[Partition]:
 def partition_blocks(part: Partition) -> Iterator[bytes]:
     """The lines the partition's range owns, in file order, as blocks (see read_blocks)."""
     source = sys.stdin.buffer if part.path == "-" else part.path
-    return read_blocks(source, part.start, part.end, part.compressed)
+    return read_blocks(source, part.start, part.end)
 
 
 def iter_partition_lines(part: Partition) -> Iterator[bytes]:

@@ -11,6 +11,7 @@ import sys
 import zlib
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from unittest import mock
 
 import pytest
 
@@ -434,6 +435,36 @@ class TestCmdStudy:
 
     def test_no_inputs_and_no_intermediates_exits_2(self, tmp_path, capsys):
         assert main(["study", "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize(
+        "dump, flags",
+        [
+            (True, ["--from-counts"]),
+            (True, ["--from-schema"]),
+            (True, ["--from-counts", "--from-schema"]),
+            (False, ["--from-counts"]),
+            (False, ["--from-schema"]),
+        ],
+        ids=["dump-and-counts", "dump-and-schema", "dump-and-both", "counts-alone", "schema-alone"],
+    )
+    def test_mixed_inputs_exit_2_before_parsing(self, tmp_path, capsys, monkeypatch, dump, flags):
+        lines, _ = study_fixture_lines()
+        path = write_lines(tmp_path, lines)
+        pre = tmp_path / "pre"
+        assert main(["slice", path, "--out", str(pre)]) == 0
+        assert main(["schema", path, "--out", str(pre)]) == 0
+        files = {"--from-counts": pre / "taxonomy.csv", "--from-schema": pre / "schema.csv"}
+        monkeypatch.setattr(cli, "_run", mock.Mock(side_effect=AssertionError("dump parsed")))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = ["study", *([path] if dump else []), "--out", str(out)]
+        for flag in flags:
+            argv += [flag, str(files[flag])]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def gzip_ranges_fixture(tmp_path, monkeypatch, fault=None):

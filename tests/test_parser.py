@@ -110,6 +110,21 @@ class TestEscapes:
         assert text == r"a\qb\u12"
         assert unknown == 2
 
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            (r"\uA", (r"\uA", 1)),
+            (r"\uD800A", (r"\uD800A", 1)),
+            ("ab\\", ("ab\\", 0)),  # a lone trailing backslash is kept, not counted
+            ("a\\\nb", ("a\\\nb", 1)),
+            (r"x\U0001F600y", ("x\U0001F600y", 0)),
+            (r"\UFFFFFFFF", (r"\UFFFFFFFF", 1)),
+        ],
+        ids=["short-u", "surrogate", "trailing-backslash", "before-newline", "astral-U", "past-max-U"],
+    )
+    def test_edge_escapes(self, raw, expected):
+        assert unescape_literal(raw) == expected
+
     def test_unknown_escape_lint_flows_to_report(self):
         report = stream_parse([lit_line("m.a", "type.object.name", r"x\qy")], lambda t: None)
         assert report.lint["unknown-escape"] == 1

@@ -23,8 +23,6 @@ from fbont.parser import (
     ParseReport,
     ParserConfig,
     Projection,
-    _check_literal_term,
-    _parse_literal_term,
     iter_triples,
     parse_line,
     parse_line_reference,
@@ -315,10 +313,10 @@ class TestProjectedDifferential:
         assert {mid for _, mid, _ in projection.tallies()} == {True}
 
 
-# --- the validate-only literal check ---------------------------------------------
+# --- literal tokens ---------------------------------------------------------------
 #
-# A counted line checks its literal with _check_literal_term, which must raise
-# the reason _parse_literal_term raises and count the same unknown escapes.
+# A counted line parses its literal and drops it; it must raise the reason and
+# count the unknown escapes that building the line does.
 
 LITERAL_PIECES = [
     '"', "\\", "u", "U", *"0123456789abcdefABCDEF", "+", "-", "_", " ", "@", "en",
@@ -329,31 +327,13 @@ literal_tokens = st.lists(st.sampled_from(LITERAL_PIECES), max_size=20).map(
 )
 
 
-def literal_outcome(check, token):
-    counters: Counter = Counter()
-    try:
-        check(token, counters)
-    except MalformedLineError as exc:
-        return exc.reason, counters
-    return None, counters
-
-
-class TestLiteralCheck:
+class TestLiteralTokens:
     @settings(max_examples=1000)
     @given(literal_tokens)
-    def test_check_agrees_with_parse(self, token):
-        assert literal_outcome(_check_literal_term, token) == literal_outcome(
-            _parse_literal_term, token
-        )
-
-    def test_edge_case_literals(self):
-        tokens = [text.split("\t")[2] for text in EDGE_CASES if text.count("\t") == 3]
-        tokens = [t for t in tokens if t.startswith('"')]
-        assert len(tokens) > 30
-        for token in tokens:
-            assert literal_outcome(_check_literal_term, token) == literal_outcome(
-                _parse_literal_term, token
-            ), token
+    def test_routes_agree(self, token):
+        lines = [f"{S}\t{P}\t{token}\t."]
+        assert_same(lines)
+        assert_projected_same(lines)
 
 
 # --- the block loop -------------------------------------------------------------

@@ -119,8 +119,8 @@ class TestPartitionPlanning:
                 ends.add(raw.tell())
         assert len(ends) > 5
         for cut in sorted({c + d for c in ends for d in (-1, 0, 1)} & set(range(1, size))):
-            first = list(iter_partition_lines(Partition(str(path), 0, cut, 0, True)))
-            second = list(iter_partition_lines(Partition(str(path), cut, size, 1, True)))
+            first = list(iter_partition_lines(Partition(str(path), 0, cut, 0)))
+            second = list(iter_partition_lines(Partition(str(path), cut, size, 1)))
             assert b"".join(first + second) == text
 
     @pytest.mark.parametrize("compress", [False, True])
