@@ -44,14 +44,16 @@ never changes which lines are malformed or any lint. A stream parsed without
 one gets a Projection that reads everything, so every stream takes the same
 route through one table.
 
-The third disposition is copy, for a consumer that wants a predicate's
-lines as text, as a materialized slice does. Where the projection's
-``copy(predicate)`` gives a buffer, :func:`parse_blocks` appends each
-well-formed line of that predicate to it, in input order, instead of
-yielding a triple: as it was read when the regex matched it without its
-literal-parser group, which makes the line exactly what :func:`serialize`
-gives back (after the predicate's lint and ``strict_ids`` check), and
-otherwise as the :func:`serialize` text of the built triple.
+Copy is an extra action beside count and build, for a consumer that wants
+a predicate's lines as text, as a materialized slice does. Where the
+projection's ``copy(predicate)`` gives a buffer, :func:`parse_blocks`
+appends each well-formed line of that predicate to it, in input order: as
+it was read when the regex matched it without its literal-parser group,
+which makes the line exactly what :func:`serialize` gives back (after the
+predicate's lint and ``strict_ids`` check), and otherwise as the
+:func:`serialize` text of the built triple. The line is then counted or
+built exactly as it would be without a buffer, except that a copied line
+whose text must come from :func:`serialize` is built, never counted.
 
 A stream is parsed a block at a time. :func:`read_blocks` reads every
 source (a plain or gzip range, a whole file, standard input) as blocks of
@@ -464,12 +466,12 @@ class Projection(dict):
     ``reads`` every line is built.
 
     ``copy(predicate)`` returns the list that takes the text of that
-    predicate's lines, or None. A predicate with a list is copied, whatever
-    ``reads`` says: both its cells are None, and :func:`parse_blocks`
-    appends each of its well-formed lines to the list instead of yielding
-    it. ``copy`` is asked once per distinct token, and again for each built
-    line between matches, so it must give the same list for the same
-    predicate.
+    predicate's lines, or None. The list is independent of the cells:
+    :func:`parse_blocks` appends each well-formed line of a predicate with a
+    list to it, and also counts or yields the line as ``reads`` decides, but
+    builds any line whose text must come from :func:`serialize`. ``copy`` is
+    asked once per distinct token, and again for each built line between
+    matches, so it must give the same list for the same predicate.
     """
 
     def __init__(
@@ -485,11 +487,8 @@ class Projection(dict):
 
     def __missing__(self, token: str) -> tuple:
         predicate, nonstandard = _predicate_term(token, self.namespace)
+        plain, mid = (None if self.reads(predicate, kind) else [0] for kind in (False, True))
         buffer = self.copy(predicate) if self.copy is not None else None
-        if buffer is not None:
-            plain = mid = None
-        else:
-            plain, mid = (None if self.reads(predicate, kind) else [0] for kind in (False, True))
         entry = self[token] = (predicate, nonstandard, plain, mid, buffer)
         return entry
 
@@ -516,9 +515,9 @@ def parse_line(
     (nonstandard ids, unknown escapes). Canonical dump lines take the regex
     fast path; every other line goes to :func:`parse_line_reference`. With a
     ``projection`` (same namespace as ``config``), a fast-path line that no
-    consumer reads is counted in the projection and None is returned; a
-    line of a copied predicate is built, since only :func:`parse_blocks`
-    copies.
+    consumer reads is counted in the projection and None is returned. A
+    copy buffer changes that only for a line whose literal the regex does
+    not build: it is built, never counted. Only :func:`parse_blocks` copies.
     """
     pattern = _canonical_line(config.namespace)
     found = pattern.fullmatch(line) if pattern is not None else None
@@ -542,13 +541,15 @@ def _matched_triple(
     ``entry`` is the predicate's :class:`Projection` entry. Applies its lint
     and ``strict_ids`` check, then counts the line in its cell and returns
     None, or builds the triple. A counted line's literal that the regex does
-    not build is parsed and dropped, so its errors and lint still count.
+    not build is parsed and dropped, so its errors and lint still count; a
+    line with such a literal and a copy buffer is built instead, so the
+    caller can copy its :func:`serialize` text.
     """
-    predicate, nonstandard, plain, mid, _ = entry
+    predicate, nonstandard, plain, mid, buffer = entry
     if nonstandard:
         _flag_nonstandard(config, counters)
     cell = mid if found[1] is not None else plain
-    if cell is not None:
+    if cell is not None and (found[11] is None or buffer is None):
         if found[11] is not None:
             _parse_literal_term(found[11], counters)
         cell[0] += 1
@@ -796,22 +797,23 @@ def parse_blocks(
     A block (see :func:`read_blocks`) is scanned with one ``finditer`` of the
     canonical regex. A matched line whose predicate is standard and that the
     projection counts, with no literal to validate, is counted right here,
-    and one of a copied predicate with no literal to validate is appended to
-    its buffer as it was read, after its predicate's lint and ``strict_ids``
-    check. A literal needs no validating when the regex's plain group takes
-    it: its only escapes are ``\\\\``, ``\\"``, ``\\n``, ``\\r`` and ``\\t``,
-    which are never unknown and which :func:`serialize` writes back as read.
-    Any other matched line takes :func:`parse_line`'s fast path from its
-    match. Lines between matches (CRLF, malformed, reference-route
-    lines) go through :func:`parse_line`. A built line of a copied predicate
-    is appended as its :func:`serialize` text at its place in the scan, so
-    each buffer keeps input order. The results equal a :func:`parse_line`
-    call per line. Without a ``projection`` every line is built. Each block
-    yields its triples, an empty list when every line was counted or
-    copied, so a caller can empty the buffers block by block. ``report``
-    takes the block's counts before its triples are yielded, and an I/O
-    failure while reading raises StreamAbortedError with the report of every
-    line before it.
+    and appended as it was read to its predicate's copy buffer, if any. A
+    literal needs no validating when the regex's plain group takes it: its
+    only escapes are ``\\\\``, ``\\"``, ``\\n``, ``\\r`` and ``\\t``, which are
+    never unknown and which :func:`serialize` writes back as read. Any other
+    matched line takes :func:`parse_line`'s fast path from its match, and
+    lines between matches (CRLF, malformed, reference-route lines) go
+    through :func:`parse_line`. A line of a predicate with a buffer is
+    appended there too, as it was read when the regex matched it without its
+    literal-parser group, else as the :func:`serialize` text of its triple,
+    which is then built, at its place in the scan, so each buffer keeps
+    input order. The results equal a :func:`parse_line` call per line.
+    Without a ``projection`` every line is built. Each block yields its
+    triples, an empty list when every line was counted, so a caller can
+    empty the buffers block by block.
+    ``report`` takes the block's counts before its triples are yielded, and
+    an I/O failure while reading raises StreamAbortedError with the report
+    of every line before it.
     """
     pattern = _canonical_line(config.namespace)
     scan = pattern.finditer if pattern is not None else lambda text: ()
@@ -839,23 +841,19 @@ def parse_blocks(
                 cell = entry[3] if found[1] is not None else entry[2]
                 if cell is not None and found[11] is None and not entry[1]:
                     cell[0] += 1
+                    if entry[4] is not None:
+                        entry[4].append(found[0])
                     continue
-                buffer = entry[4]
                 try:
-                    if buffer is not None and found[11] is None:
-                        if entry[1]:
-                            _flag_nonstandard(config, lint)
-                        buffer.append(found[0])
-                        continue
                     triple = _matched_triple(found, entry, config, lint)
                 except MalformedLineError as exc:
                     base += text.count("\n", mark, start)
                     mark = start
                     report.record_malformed(base + 1, exc.reason)
                     continue
-                if buffer is not None:
-                    buffer.append(serialize(triple, config.namespace))
-                elif triple is not None:
+                if entry[4] is not None:
+                    entry[4].append(found[0] if found[11] is None else serialize(triple, config.namespace))
+                if triple is not None:
                     triples.append(triple)
             if pos < len(text):
                 base += text.count("\n", mark, pos)
@@ -881,24 +879,25 @@ def _parse_lines(
 ) -> int:
     """Parse the ``\\n``-separated lines of ``text``, numbered from ``base + 1``.
 
-    Malformed lines are recorded; a built triple is appended to its copy
-    buffer as its :func:`serialize` text, or else to ``triples``. Returns
-    the number of the last line.
+    Malformed lines are recorded; a built triple is appended to ``triples``,
+    and its :func:`serialize` text to its copy buffer, if any. A stream that
+    copies builds each of these lines, so that none is counted uncopied.
+    Returns the number of the last line.
     """
     copy = projection.copy
+    counting = projection if copy is None else None
     for base, line in enumerate(text.split("\n"), base + 1):
         try:
-            triple = parse_line(line.rstrip("\r"), config, report.lint, projection)
+            triple = parse_line(line.rstrip("\r"), config, report.lint, counting)
         except MalformedLineError as exc:
             report.record_malformed(base, exc.reason)
             continue
         if triple is None:
             continue
         buffer = copy(triple.predicate) if copy is not None else None
-        if buffer is None:
-            triples.append(triple)
-        else:
+        if buffer is not None:
             buffer.append(serialize(triple, config.namespace))
+        triples.append(triple)
     return base
 
 
@@ -915,7 +914,7 @@ def iter_triples(
     ends a line there). Malformed lines are counted and sampled, never fatal;
     an I/O failure raises StreamAbortedError with the partial report
     attached. ``projection`` is passed to :func:`parse_blocks`; the lines it
-    counts or copies are recorded as well-formed but not yielded.
+    counts are recorded as well-formed but not yielded.
     """
     if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
         blocks = read_blocks(source)  # type: ignore[arg-type]

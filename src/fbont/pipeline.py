@@ -44,7 +44,6 @@ from .parser import (
     Tally,
     parse_blocks,
     read_blocks,
-    serialize,
     source_kind,
 )
 from .schema import (
@@ -167,21 +166,22 @@ def iter_partition_lines(part: Partition) -> Iterator[bytes]:
 # A fold that wants lines as text returns two more functions from ``start``:
 # ``copy(predicate)``, the list that takes the text of that predicate's
 # lines (or None), and ``flush``, which Job.run calls after each block to
-# take the lines out of those lists. Its feed appends the serialize text of
-# each triple it is fed to the same lists. When it is the Job's one fold the
-# parser copies instead (see parser.Projection): each line of a predicate
-# with a list is appended in the scan, as it was read where that is its
-# serialization, and never built, counted or fed. A copied line reaches no
-# other fold, so in a Job of several folds every line is fed as before.
+# take the lines out of those lists. The parser appends each line of a
+# predicate with a list in the scan (see parser.Projection), as it was read
+# where that is its serialization, and still counts or builds and feeds the
+# line as ``reads`` decides, so copying changes no fold's input. One fold of
+# a Job at most may copy.
 
 
 @dataclass(frozen=True)
 class SliceFold:
     """Slice counts; optionally materialized shards and the distinct-triple set.
 
-    Materializing or counting distinct triples needs each line's text, so
-    the fold then reads every line and takes its slices' lines as text
-    (``copy``); otherwise it reads none and only counts.
+    The fold reads no line: it counts each slice from the predicate alone,
+    whether the line is fed or tallied. Materializing or counting distinct
+    triples needs each line's text besides, so the fold then takes its
+    slices' lines as text (``copy``) and writes them, or adds them to the
+    distinct set, once per block (``flush``).
     """
 
     shard_root: str | None = None
@@ -189,7 +189,7 @@ class SliceFold:
     slice_layout: str = DEFAULT_SLICE_LAYOUT
 
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
-        return self.shard_root is not None or self.count_distinct
+        return False
 
     def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Callable, ...]:
         counts: dict[SliceKey, int] = {}
@@ -201,6 +201,9 @@ class SliceFold:
             shard_dir = os.path.join(self.shard_root, f"{part.index:05d}")
             writer = SliceWriter(shard_dir, parser.namespace, self.slice_layout)
 
+        def feed(triple: Triple) -> None:
+            count_slice(counts, keys, triple.predicate, 1, lint)
+
         def absorb(tallies: Sequence[Tally]) -> None:
             for predicate, _, count in tallies:
                 count_slice(counts, keys, predicate, count, lint)
@@ -211,7 +214,7 @@ class SliceFold:
             return {"counts": counts, "shard_dir": shard_dir, "distinct": distinct}
 
         if writer is None and distinct is None:
-            return (lambda triple: count_slice(counts, keys, triple.predicate, 1, lint)), absorb, finish
+            return feed, absorb, finish
 
         buffers: dict[SliceKey, list[str]] = {}  # each slice's lines since the last flush
 
@@ -226,17 +229,9 @@ class SliceFold:
                 buffer = buffers[key] = []
             return buffer
 
-        def feed(triple: Triple) -> None:
-            buffer = copy(triple.predicate)
-            if buffer is None:
-                count_slice(counts, keys, triple.predicate, 1, lint)
-            else:
-                buffer.append(serialize(triple, parser.namespace))
-
         def flush() -> None:
             for key, lines in buffers.items():
                 if lines:
-                    counts[key] = counts.get(key, 0) + len(lines)
                     if writer is not None:
                         writer.write_lines(key, lines)
                     if distinct is not None:
@@ -338,8 +333,10 @@ class Job:
         report = ParseReport(max_errors=self.max_errors)
         started = [fold.start(part, self.parser, report.lint) for fold in self.folds]
         feeds = [functions[0] for functions in started]
-        flushes = [functions[4] for functions in started if len(functions) > 3]
-        copy = started[0][3] if len(started) == 1 and flushes else None
+        copying = [functions[3:] for functions in started if len(functions) > 3]
+        if len(copying) > 1:
+            raise ValueError("at most one fold of a Job may copy lines")
+        copy, flush = copying[0] if copying else (None, None)
         projection = Projection(self.reads, self.parser.namespace, copy)
         payload: dict[str, Any] = {}
         try:
@@ -347,7 +344,7 @@ class Job:
                 for triple in triples:
                     for feed in feeds:
                         feed(triple)
-                for flush in flushes:
+                if flush is not None:
                     flush()
         finally:
             # Also on an abort, so a partial report's lint counts every line read.
@@ -368,7 +365,7 @@ MERGE_LAWS: dict[str, Callable[[Any, Any], Any]] = {
     "assertions": operator.add,
     "rules": operator.or_,
     "distinct": operator.or_,
-    "lint": operator.add,
+    "lint": operator.add,  # bench/traced.py returns lint as a payload field
 }
 
 

@@ -39,16 +39,8 @@ DEFAULT_IMPLEMENTATION_DOMAINS = frozenset(
     }
 )
 
-# Standard vocabulary IRIs whose local names appear as OWL-group slices.
-WELL_KNOWN_OWL_IRIS = {
-    "type": "http://www.w3.org/1999/02/22-rdf-syntax-ns#type",
-    "label": "http://www.w3.org/2000/01/rdf-schema#label",
-    "domain": "http://www.w3.org/2000/01/rdf-schema#domain",
-    "range": "http://www.w3.org/2000/01/rdf-schema#range",
-    "inverseOf": "http://www.w3.org/2002/07/owl#inverseOf",
-}
-
-# Conventional short spellings for those terms (vocabulary file + fragment).
+# Conventional short spellings (vocabulary file + fragment) of the standard
+# vocabulary terms whose local names appear as OWL-group slices.
 WELL_KNOWN_OWL_PATTERNS = {
     "type": "rdf-syntax-ns#type",
     "label": "rdf-schema#label",

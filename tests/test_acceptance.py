@@ -282,7 +282,8 @@ def test_criterion_7_complexity_score_and_merge_stability():
 
 def test_criterion_8_full_dump_figures_documented_not_asserted():
     with criterion(8, "full-dump study documented; count divergence noted as expected"):
-        readme = open(README, encoding="utf-8").read()
+        with open(README, encoding="utf-8") as handle:
+            readme = handle.read()
         # the exact reproduction command for the full-dump figures
         assert "fbont study" in readme
         assert "--exclude music" in readme
@@ -290,7 +291,8 @@ def test_criterion_8_full_dump_figures_documented_not_asserted():
         for figure in ("0.2824", "78,424.08", "0.6680", "33,899.53"):
             assert figure in readme
         # the known published-count divergence is an expected note, not a failure
-        census_text = open(CENSUS, encoding="utf-8").read()
+        with open(CENSUS, encoding="utf-8") as handle:
+            census_text = handle.read()
         assert "278,179" in census_text and "american_football" in census_text
         census_value = next(
             row["triples"] for row in load_census() if row["name"] == "american_football"

@@ -36,7 +36,8 @@ def read_tree(directory):
     for root, _, files in os.walk(directory):
         for name in files:
             full = os.path.join(root, name)
-            tree[os.path.relpath(full, directory)] = open(full, "rb").read()
+            with open(full, "rb") as handle:
+                tree[os.path.relpath(full, directory)] = handle.read()
     return tree
 
 
@@ -104,9 +105,8 @@ class TestCmdSlice:
         concatenated = []
         for root, _, files in os.walk(slice_dir):
             for name in files:
-                concatenated.extend(
-                    open(os.path.join(root, name), encoding="utf-8").read().splitlines()
-                )
+                with open(os.path.join(root, name), encoding="utf-8") as handle:
+                    concatenated.extend(handle.read().splitlines())
         # concatenate-and-diff oracle: slices are a permutation of the input
         assert sorted(concatenated) == sorted(lines)
         # and every slice file is valid N-Triples readable by the parser

@@ -468,7 +468,8 @@ class TestBlockDifferential:
 # without its literal-parser group, else as serialize of the built triple.
 # Either way the buffer must hold serialize(parse_line(line)) for each such
 # line, in input order; so a line copied as it was read must be its own
-# serialization.
+# serialization. Copying is beside counting and building: the line is still
+# counted or yielded as the projection's reads decide.
 
 real_serialize = parser_module.serialize
 
@@ -482,7 +483,12 @@ def marked_serialize(triple, namespace=NS):
 
 
 def assert_copies_serialize(lines: list[str], cap: int = 16 * 1024, configs=CONFIGS) -> int:
-    """Copy every non-mid predicate into one buffer; returns the lines copied as read."""
+    """Copy every non-mid predicate into one buffer; returns the lines copied as read.
+
+    Copy is independent of the count/build decision: a projection that reads
+    everything and one that reads nothing fill the same buffer and report,
+    and each well-formed line is either yielded or tallied.
+    """
     data = "".join(text + "\n" for text in lines).encode()
     raw_lines = data.split(b"\n")[:-1]
     as_read = 0
@@ -496,20 +502,30 @@ def assert_copies_serialize(lines: list[str], cap: int = 16 * 1024, configs=CONF
                     triple = parse_line(raw.decode().rstrip("\r"), config)
                 except MalformedLineError:
                     continue
-                if isinstance(triple.predicate, Mid):
-                    expected_triples.append(triple)
-                else:
+                expected_triples.append(triple)
+                if not isinstance(triple.predicate, Mid):
                     expected_copies.append(real_serialize(triple, config.namespace))
-            buffer: list[str] = []
-            projection = Projection(
-                namespace=config.namespace,
-                copy=lambda predicate: None if isinstance(predicate, Mid) else buffer,
-            )
-            report, full_report = ParseReport(), ParseReport()
-            triples = list(iter_triples(io.BytesIO(data), report, config, projection))
+            full_report = ParseReport()
             list(iter_triples(io.BytesIO(data), full_report, config))
-            assert report.to_dict() == full_report.to_dict(), config
-            assert triples == expected_triples, config
+            buffers = []
+            for reads in (parser_module._reads_everything, READS["nothing"]):
+                buffer: list[str] = []
+                projection = Projection(
+                    reads,
+                    config.namespace,
+                    copy=lambda predicate: None if isinstance(predicate, Mid) else buffer,
+                )
+                report = ParseReport()
+                triples = list(iter_triples(io.BytesIO(data), report, config, projection))
+                assert report.to_dict() == full_report.to_dict(), config
+                tallied = sum(count for _, _, count in projection.tallies())
+                assert len(triples) + tallied == report.triples_ok, config
+                remaining = iter(expected_triples)
+                assert all(triple in remaining for triple in triples), config  # in input order
+                if reads is parser_module._reads_everything:
+                    assert triples == expected_triples, config
+                buffers.append([(type(text), text) for text in buffer])
+            assert buffers[0] == buffers[1], config
             assert [str(text) for text in buffer] == expected_copies, config
             for text in buffer:
                 if not isinstance(text, Serialized):

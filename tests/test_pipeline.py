@@ -68,7 +68,8 @@ class TestPartitionPlanning:
         collected = []
         for part in parts:
             collected.extend(iter_partition_lines(part))
-        assert b"".join(collected) == open(path, "rb").read()
+        with open(path, "rb") as handle:
+            assert b"".join(collected) == handle.read()
 
     def test_gzip_is_one_partition(self, tmp_path):
         data = "".join(l + "\n" for l in random_dump_lines(50))
@@ -222,7 +223,8 @@ class TestWorkerEquivalence:
             for root, _, files in os.walk(out_dir):
                 for name in files:
                     full = os.path.join(root, name)
-                    tree[os.path.relpath(full, out_dir)] = open(full, "rb").read()
+                    with open(full, "rb") as handle:
+                        tree[os.path.relpath(full, out_dir)] = handle.read()
             outputs[workers] = tree
         assert outputs[1] == outputs[4]
         assert not (tmp_path / "slices_w1" / ".parts").exists()
@@ -426,15 +428,15 @@ class TestProjection:
 
     def test_folds_reading_every_triple_disable_projection(self, tmp_path):
         path = write_lines(tmp_path, PROBE_LINES)
-        built, tallies, report = built_and_counted((SliceFold(), SchemaFold(), SemanticsFold()), path)
-        assert tallies and built < report.triples_ok
         for folds in [
+            (SliceFold(), SchemaFold(), SemanticsFold()),
             (SliceFold(count_distinct=True),),
             (SliceFold(shard_root=str(tmp_path / "parts")), SchemaFold()),
-            (SemanticsFold(), ReadsEverything()),
         ]:
             built, tallies, report = built_and_counted(folds, path)
-            assert tallies == [] and built == report.triples_ok > 300, folds
+            assert tallies and built < report.triples_ok, folds
+        built, tallies, report = built_and_counted((SemanticsFold(), ReadsEverything()), path)
+        assert tallies == [] and built == report.triples_ok > 300
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_job_output_is_the_same_with_and_without_projection(self, tmp_path, workers):
@@ -481,9 +483,9 @@ class TestProjection:
 
 # --- copied slices -------------------------------------------------------------------
 #
-# A Job whose one fold materializes slices copies each slice's lines in the
-# block scan: a canonical line as it was read, any other line as its
-# serialize text, at its place in the scan. The slice files must equal what
+# A Job with a materializing SliceFold copies each slice's lines in the block
+# scan: a canonical line as it was read, any other line as its serialize
+# text, at its place in the scan. The slice files must equal what
 # SliceWriter writes for iter_triples' triples, in input order.
 
 FB = "http://rdf.freebase.com/ns/"
@@ -510,7 +512,7 @@ def alternating_lines(groups=40):
     return lines
 
 
-REWRITTEN_PER_GROUP = 6  # CRLF, space-separated, two escapes, raw CR, mid predicate
+REWRITTEN_PER_GROUP = 5  # CRLF, space-separated, two escapes, raw CR
 
 
 def copied_slices(path, out_dir, workers, parser=ParserConfig()):
@@ -601,3 +603,69 @@ class TestCopiedSlices:
             assert merged["counts"] == oracle_counts
             assert len(merged["distinct"]) == len(set(lines))
         assert built == []  # every line was copied as it was read
+
+
+# --- copy beside other folds -------------------------------------------------------
+#
+# Copy is an extra action: a materializing SliceFold in a Job with other folds
+# copies its slices' lines in the scan and changes nothing that the other
+# folds are fed or absorb, so each line is built only where some fold reads it.
+
+OTHER_FOLDS = (SchemaFold(CUSTOM_SCHEMA), CUSTOM_SEMANTICS)
+
+
+def merged_run(folds, parts, out_dir=None):
+    """(report dict, merged payload) of a Job over the partitions, run in-process."""
+    report, payloads = run_partitioned(Job(folds), parts, 1)
+    merged = merge_payloads(payloads)
+    shard_dirs = merged.pop("shard_dirs", [])
+    if out_dir is not None:
+        concatenate_shards(shard_dirs, str(out_dir))
+    return report.to_dict(), merged
+
+
+def materializing(out_dir):
+    return SliceFold(str(out_dir / ".parts"), count_distinct=True)
+
+
+class TestCopyBesideOtherFolds:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_outputs_equal_the_separate_jobs(self, tmp_path, workers):
+        lines = PROBE_LINES + alternating_lines() + random_dump_lines(2_000, seed=9, malformed_rate=0.02)
+        parts = plan_partitions([write_lines(tmp_path, lines)], workers)
+        together, alone = tmp_path / "together", tmp_path / "alone"
+        report, merged = merged_run((materializing(together),) + OTHER_FOLDS, parts, together)
+        slice_report, sliced = merged_run((materializing(alone),), parts, alone)
+        other_report, others = merged_run(OTHER_FOLDS, parts)
+        assert read_tree(together) == read_tree(alone) != {}
+        assert merged.pop("counts") == sliced["counts"] and merged.pop("distinct") == sliced["distinct"]
+        assert merged == others
+        # the slice fold's one lint of its own is the mid-predicate count
+        mid_predicates = report["lint"].pop("mid-predicate")
+        assert mid_predicates == slice_report["lint"]["mid-predicate"] > 0
+        assert report == other_report
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_builds_only_what_the_other_folds_read(self, tmp_path, monkeypatch, workers):
+        lines = SCHEMA_FIXTURE + random_dump_lines(3_000, seed=4)
+        lines += [lit_line(f"m.0n{i}", "people.Person.name", f"n{i}") for i in range(30)]  # nonstandard
+        parts = plan_partitions([write_lines(tmp_path, lines)], workers)
+        built = []
+
+        class CountedTriple(parser_module.Triple):
+            def __post_init__(self):
+                super().__post_init__()
+                built.append(self)
+
+        monkeypatch.setattr(parser_module, "Triple", CountedTriple)
+        merged_run(OTHER_FOLDS, parts)
+        read = len(built)
+        built.clear()
+        merged_run((materializing(tmp_path / "out"),) + OTHER_FOLDS, parts, tmp_path / "out")
+        assert len(built) == read > 0
+
+    def test_two_copying_folds_are_refused(self, tmp_path):
+        path = write_lines(tmp_path, random_dump_lines(10))
+        job = Job((SliceFold(count_distinct=True), SliceFold(str(tmp_path / "parts"))))
+        with pytest.raises(ValueError, match="one fold"):
+            job.run(Partition(path, 0, -1, 0))
