@@ -3,11 +3,16 @@
 Built for multi-billion-line inputs: one pass, constant memory, malformed
 lines counted and sampled instead of aborting the run.
 
-:func:`parse_line` has two routes to one answer. The dump convention is one
+A stream has two parse routes to one answer. The dump convention is one
 tab-separated statement per line (``<s>\\t<p>\\t<o>\\t.``), and nearly every
 subject and object is a canonical ``m.<suffix>`` mid, a 1-3 segment dotted
-path under the namespace, an IRI outside it, or a literal. One compiled
-regex per namespace recognizes such lines:
+path under the namespace, an IRI outside it, or a literal. A stream is
+parsed a block at a time: :func:`read_blocks` reads every source (a plain
+or gzip range, a whole file, standard input) as blocks of whole lines, at
+most 16 KiB each, and :func:`parse_blocks` decodes a block at once, drops
+the CRs before each ``\\n`` (N-Triples counts them in the line end), and
+scans it with one ``finditer`` of a compiled regex per namespace that
+recognizes such lines:
 
 - the subject and an IRI object are built directly: a canonical id carries
   no lint and an external IRI none either, so neither can fail;
@@ -15,57 +20,42 @@ regex per namespace recognizes such lines:
   ``\\t`` is built directly too, since none of those can be unknown; any
   other literal goes through the literal parser (other escapes, suffix
   checks);
-- the predicate resolves through the stream's :class:`Projection` entry,
-  or for a lone line through a bounded memo of token -> (term,
-  is-nonstandard); the ``nonstandard-id`` lint and the ``strict_ids`` check
-  are applied again on every line, hit or miss.
+- the predicate resolves through the stream's :class:`Projection` entry;
+  the ``nonstandard-id`` lint and the ``strict_ids`` check are applied again
+  on every line.
 
-Every line the regex rejects goes to :func:`parse_line_reference`: a plain
-tab split, falling back to a quote-aware whitespace tokenizer so
-hand-written fixtures parse too. Both routes give the same triple, the same
-malformed-reason code and the same lint counts; ``tests/test_parser_fast.py``
-checks that line by line. Both routes read a literal with the one literal
-parser, which spells the N-Triples literal grammar once: one quote pattern
-finds the closing quote (the tokenizer uses it too) and one escape pattern
-decodes the body.
+A match that does not start where the previous one ended leaves a gap; each
+line in it goes to :func:`parse_line`, the reference: a plain tab split,
+falling back to a quote-aware whitespace tokenizer so hand-written fixtures
+parse too. Both routes give the same triple, the same malformed-reason code,
+the same lint counts and the same line numbers; ``tests/test_parser_fast.py``
+checks that line by line. Both read a literal with the one literal parser,
+which spells the N-Triples literal grammar once: one quote pattern finds the
+closing quote (the tokenizer uses it too) and one escape pattern decodes the
+body.
 
-A caller whose consumers read only the predicate of most triples may pass a
-:class:`Projection`: the per-stream table from predicate token to the
+The :class:`Projection` is the per-stream table from predicate token to the
 predicate's term, whether it is nonstandard, two count cells, one for mid
 subjects and one for the rest, decided once per distinct predicate and
 subject kind by the consumers' ``reads(predicate, mid_subject)``, and a copy
-buffer. A regex-route line that no consumer reads is still validated whole
-(the predicate's lint and ``strict_ids``, and the literal parser on any
-literal the regex does not build, its result dropped), then counted in its
-cell instead of built: :func:`parse_line` returns None for it, and the
+buffer. A matched line that no consumer reads is still validated whole (the
+predicate's lint and ``strict_ids``, and the literal parser on any literal
+the regex does not build), then counted in its cell instead of built; the
 consumers get the non-zero cells once, from :meth:`Projection.tallies`.
-Lines that take the reference route are always built in full, so projection
-never changes which lines are malformed or any lint. A stream parsed without
-one gets a Projection that reads everything, so every stream takes the same
-route through one table.
+Lines in the gaps are always built in full, so projection never changes
+which lines are malformed or any lint. A stream parsed without one gets a
+Projection that reads everything.
 
 Copy is an extra action beside count and build, for a consumer that wants
 a predicate's lines as text, as a materialized slice does. Where the
 projection's ``copy(predicate)`` gives a buffer, :func:`parse_blocks`
 appends each well-formed line of that predicate to it, in input order: as
 it was read when the regex matched it without its literal-parser group,
-which makes the line exactly what :func:`serialize` gives back (after the
-predicate's lint and ``strict_ids`` check), and otherwise as the
-:func:`serialize` text of the built triple. The line is then counted or
-built exactly as it would be without a buffer, except that a copied line
-whose text must come from :func:`serialize` is built, never counted.
-
-A stream is parsed a block at a time. :func:`read_blocks` reads every
-source (a plain or gzip range, a whole file, standard input) as blocks of
-whole lines, at most 16 KiB each, and :func:`parse_blocks` decodes a block
-at once and scans it with one ``finditer`` of the canonical regex, so most
-lines cost one turn of the match loop: a line the projection counts is
-counted right there, any other matched line is built from its match. A
-match that does not start where the previous one ended leaves a gap; each
-line in it (CRLF, malformed, reference-route) goes through
-:func:`parse_line`. The results, line numbers and lint equal a
-:func:`parse_line` call per line; ``tests/test_parser_fast.py`` checks that
-too.
+which makes the line exactly what :func:`serialize` gives back, and
+otherwise as the :func:`serialize` text of the built triple. The line is
+then counted or built exactly as it would be without a buffer, except that
+a copied line whose text must come from :func:`serialize` is built, never
+counted.
 
 Parsing is pure per line. Callers may split a file at line boundaries,
 parse partitions independently, and merge the resulting reports in partition
@@ -365,16 +355,19 @@ def _parse_term(
     raise MalformedLineError(BAD_TERM, token[:40])
 
 
-def parse_line_reference(
+def parse_line(
     line: str,
     config: ParserConfig = DEFAULT_CONFIG,
     counters: Counter | None = None,
 ) -> Triple:
-    """The general route of :func:`parse_line`, with the same contract.
+    """Parse one physical line (no line end) into a Triple.
 
-    Splits on tabs, or tokenizes when the line is not in the tab convention,
-    and builds every term through :func:`normalize_iri`. It is the reference
-    the regex fast path is checked against.
+    Raises MalformedLineError with a short reason code otherwise. Pure when
+    ``counters`` is omitted; pass a Counter to collect lint tallies
+    (nonstandard ids, unknown escapes). Splits on tabs, or tokenizes when the
+    line is not in the tab convention, and builds every term through
+    :func:`normalize_iri`. It is the reference the block scan is checked
+    against, and the route of every line the scan does not match.
     """
     fields = line.split("\t")
     if len(fields) == 4 and fields[3] == ".":
@@ -396,7 +389,7 @@ def parse_line_reference(
 
 @lru_cache(maxsize=16)
 def _canonical_line(namespace: str) -> re.Pattern | None:
-    """The fast path's line regex for one namespace, compiled once.
+    """The block scan's line regex for one namespace, compiled once.
 
     Each IRI term is three groups: a mid suffix, a dotted path, or an IRI
     outside the namespace. Only standard ids match the first two (a
@@ -413,12 +406,10 @@ def _canonical_line(namespace: str) -> re.Pattern | None:
     unrolled, every backslash starting an escape, so it cannot backtrack
     catastrophically.
 
-    The pattern is anchored as ``(?m)^...$``: :func:`parse_line` calls its
-    ``fullmatch`` on one line and :func:`parse_blocks` its ``finditer`` on a
-    block, whose every match is then one whole line. Since no class matches
-    a newline, the two agree on every line. None when the namespace holds a
-    tab, bracket or newline, since the regex and the tab split could then
-    disagree on where a term or line ends.
+    The pattern is anchored as ``(?m)^...$`` and no class matches a
+    newline, so every match of its ``finditer`` on a block is one whole
+    line. None when the namespace holds a tab, bracket or newline, since the
+    regex and the tab split could then disagree on where a term or line ends.
     """
     if any(c in namespace for c in "\t<>\n"):
         return None
@@ -438,13 +429,6 @@ def _matched_term(mid: str | None, path: str | None, iri: str) -> NodeRef:
     if path is not None:
         return IdPath(tuple(path.split(".")))
     return ExternalIri(iri)
-
-
-@lru_cache(maxsize=1 << 14)
-def _predicate_term(token: str, namespace: str) -> tuple[NodeRef, bool]:
-    """Memoized predicate token -> (term, is-nonstandard); lint is the caller's."""
-    ref = _parse_iri_term(token, ParserConfig(namespace), None)
-    return ref, _is_nonstandard(ref)
 
 
 Tally = tuple[NodeRef, bool, int]  # (predicate, mid_subject, lines counted)
@@ -486,7 +470,8 @@ class Projection(dict):
         self.copy = copy
 
     def __missing__(self, token: str) -> tuple:
-        predicate, nonstandard = _predicate_term(token, self.namespace)
+        predicate = _parse_iri_term(token, ParserConfig(self.namespace), None)
+        nonstandard = _is_nonstandard(predicate)
         plain, mid = (None if self.reads(predicate, kind) else [0] for kind in (False, True))
         buffer = self.copy(predicate) if self.copy is not None else None
         entry = self[token] = (predicate, nonstandard, plain, mid, buffer)
@@ -502,60 +487,12 @@ class Projection(dict):
         ]
 
 
-def parse_line(
-    line: str,
-    config: ParserConfig = DEFAULT_CONFIG,
-    counters: Counter | None = None,
-    projection: Projection | None = None,
-) -> Triple | None:
-    """Parse one physical line (no trailing newline) into a Triple.
+def _matched_triple(found: re.Match, predicate: NodeRef, literal: Literal | None) -> Triple:
+    """The triple of a line the canonical regex matched.
 
-    Raises MalformedLineError with a short reason code otherwise. Pure when
-    ``counters`` is omitted; pass a Counter to collect lint tallies
-    (nonstandard ids, unknown escapes). Canonical dump lines take the regex
-    fast path; every other line goes to :func:`parse_line_reference`. With a
-    ``projection`` (same namespace as ``config``), a fast-path line that no
-    consumer reads is counted in the projection and None is returned. A
-    copy buffer changes that only for a line whose literal the regex does
-    not build: it is built, never counted. Only :func:`parse_blocks` copies.
+    ``literal`` is the parsed literal-parser group, if the line has one.
     """
-    pattern = _canonical_line(config.namespace)
-    found = pattern.fullmatch(line) if pattern is not None else None
-    if found is None:
-        return parse_line_reference(line, config, counters)
-    if projection is not None:
-        entry = projection[found[4]]
-    else:
-        entry = (*_predicate_term(found[4], config.namespace), None, None, None)
-    return _matched_triple(found, entry, config, counters)
-
-
-def _matched_triple(
-    found: re.Match,
-    entry: tuple,
-    config: ParserConfig,
-    counters: Counter | None,
-) -> Triple | None:
-    """The fast path's triple for a line the canonical regex matched.
-
-    ``entry`` is the predicate's :class:`Projection` entry. Applies its lint
-    and ``strict_ids`` check, then counts the line in its cell and returns
-    None, or builds the triple. A counted line's literal that the regex does
-    not build is parsed and dropped, so its errors and lint still count; a
-    line with such a literal and a copy buffer is built instead, so the
-    caller can copy its :func:`serialize` text.
-    """
-    predicate, nonstandard, plain, mid, buffer = entry
-    if nonstandard:
-        _flag_nonstandard(config, counters)
-    cell = mid if found[1] is not None else plain
-    if cell is not None and (found[11] is None or buffer is None):
-        if found[11] is not None:
-            _parse_literal_term(found[11], counters)
-        cell[0] += 1
-        return None
-    (s_mid, s_path, s_iri, _, o_mid, o_path, o_iri,
-     lexical, language, datatype, o_literal) = found.groups()
+    (s_mid, s_path, s_iri, _, o_mid, o_path, o_iri, lexical, language, datatype, _) = found.groups()
     subject = _matched_term(s_mid, s_path, s_iri)
     if lexical is not None:
         if "\\" in lexical:
@@ -563,8 +500,8 @@ def _matched_triple(
         obj: NodeRef | Literal = Literal(
             lexical, language, ExternalIri(datatype) if datatype is not None else None
         )
-    elif o_literal is not None:
-        obj = _parse_literal_term(o_literal, counters)
+    elif literal is not None:
+        obj = literal
     else:
         obj = _matched_term(o_mid, o_path, o_iri)
     return Triple(subject, predicate, obj)
@@ -786,6 +723,10 @@ def _decode_block(block: bytes, report: ParseReport) -> str:
         return "\n".join([_decode(line, report) for line in block.split(b"\n")])
 
 
+# The CRs that end a line with its ``\\n`` (N-Triples' ``EOL ::= [#xD#xA]+``).
+_LINE_END_CRS = re.compile(r"\r+\n").sub
+
+
 def parse_blocks(
     blocks: Iterable[bytes | str],
     report: ParseReport,
@@ -794,23 +735,23 @@ def parse_blocks(
 ) -> Iterator[list[Triple]]:
     """Parse a stream given as blocks of whole lines; yield each block's triples.
 
-    A block (see :func:`read_blocks`) is scanned with one ``finditer`` of the
-    canonical regex. A matched line whose predicate is standard and that the
-    projection counts, with no literal to validate, is counted right here,
-    and appended as it was read to its predicate's copy buffer, if any. A
-    literal needs no validating when the regex's plain group takes it: its
-    only escapes are ``\\\\``, ``\\"``, ``\\n``, ``\\r`` and ``\\t``, which are
-    never unknown and which :func:`serialize` writes back as read. Any other
-    matched line takes :func:`parse_line`'s fast path from its match, and
-    lines between matches (CRLF, malformed, reference-route lines) go
-    through :func:`parse_line`. A line of a predicate with a buffer is
-    appended there too, as it was read when the regex matched it without its
-    literal-parser group, else as the :func:`serialize` text of its triple,
-    which is then built, at its place in the scan, so each buffer keeps
-    input order. The results equal a :func:`parse_line` call per line.
-    Without a ``projection`` every line is built. Each block yields its
-    triples, an empty list when every line was counted, so a caller can
-    empty the buffers block by block.
+    A block (see :func:`read_blocks`) is ended with a ``\\n`` if it is not,
+    stripped of the CRs before each ``\\n``, and scanned with one
+    ``finditer`` of the canonical regex. A matched line is validated (its
+    predicate's lint and ``strict_ids``, and the literal parser on a literal
+    the regex's plain group does not take), then counted if the projection
+    counts it, else built from its match. A literal needs no validating when
+    the plain group takes it: its only escapes are ``\\\\``, ``\\"``,
+    ``\\n``, ``\\r`` and ``\\t``, which are never unknown and which
+    :func:`serialize` writes back as read. Lines between matches go through
+    :func:`parse_line` and are always built. A line of a predicate with a
+    buffer is appended there too, as it was read when the regex matched it
+    without its literal-parser group, else as the :func:`serialize` text of
+    its triple, which is then built, at its place in the scan, so each
+    buffer keeps input order. The results equal a :func:`parse_line` call
+    per line. Without a ``projection`` every line is built. Each block
+    yields its triples, an empty list when every line was counted, so a
+    caller can empty the buffers block by block.
     ``report`` takes the block's counts before its triples are yielded, and
     an I/O failure while reading raises StreamAbortedError with the report
     of every line before it.
@@ -826,6 +767,10 @@ def parse_blocks(
             text = block if isinstance(block, str) else _decode_block(block, report)
             if not text:
                 continue
+            if not text.endswith("\n"):
+                text += "\n"
+            if "\r" in text:
+                text = _LINE_END_CRS("\n", text)
             triples: list[Triple] = []
             malformed = report.lines_malformed
             base = lines  # lines before ``mark``, a line start at or before ``pos``
@@ -837,29 +782,32 @@ def parse_blocks(
                     mark = start
                     base = _parse_lines(text[pos : start - 1], base, report, config, projection, triples)
                 pos = end + 1
-                entry = projection[found[4]]
-                cell = entry[3] if found[1] is not None else entry[2]
-                if cell is not None and found[11] is None and not entry[1]:
-                    cell[0] += 1
-                    if entry[4] is not None:
-                        entry[4].append(found[0])
-                    continue
+                predicate, nonstandard, plain, mid, buffer = projection[found[4]]
+                literal = found[11]
                 try:
-                    triple = _matched_triple(found, entry, config, lint)
+                    if nonstandard:
+                        _flag_nonstandard(config, lint)
+                    if literal is not None:
+                        literal = _parse_literal_term(literal, lint)
                 except MalformedLineError as exc:
                     base += text.count("\n", mark, start)
                     mark = start
                     report.record_malformed(base + 1, exc.reason)
                     continue
-                if entry[4] is not None:
-                    entry[4].append(found[0] if found[11] is None else serialize(triple, config.namespace))
-                if triple is not None:
-                    triples.append(triple)
+                cell = mid if found[1] is not None else plain
+                if cell is not None and (literal is None or buffer is None):
+                    cell[0] += 1
+                    if buffer is not None:
+                        buffer.append(found[0])
+                    continue
+                triple = _matched_triple(found, predicate, literal)
+                if buffer is not None:
+                    buffer.append(found[0] if literal is None else serialize(triple, config.namespace))
+                triples.append(triple)
             if pos < len(text):
                 base += text.count("\n", mark, pos)
-                tail = text[pos:-1] if text.endswith("\n") else text[pos:]
-                _parse_lines(tail, base, report, config, projection, triples)
-            count = text.count("\n") + (not text.endswith("\n"))
+                _parse_lines(text[pos:-1], base, report, config, projection, triples)
+            count = text.count("\n")
             lines += count
             ok = count - (report.lines_malformed - malformed)
             report.lines_read += ok
@@ -879,20 +827,16 @@ def _parse_lines(
 ) -> int:
     """Parse the ``\\n``-separated lines of ``text``, numbered from ``base + 1``.
 
-    Malformed lines are recorded; a built triple is appended to ``triples``,
-    and its :func:`serialize` text to its copy buffer, if any. A stream that
-    copies builds each of these lines, so that none is counted uncopied.
+    Malformed lines are recorded; each other line's triple is appended to
+    ``triples``, and its :func:`serialize` text to its copy buffer, if any.
     Returns the number of the last line.
     """
     copy = projection.copy
-    counting = projection if copy is None else None
     for base, line in enumerate(text.split("\n"), base + 1):
         try:
-            triple = parse_line(line.rstrip("\r"), config, report.lint, counting)
+            triple = parse_line(line, config, report.lint)
         except MalformedLineError as exc:
             report.record_malformed(base, exc.reason)
-            continue
-        if triple is None:
             continue
         buffer = copy(triple.predicate) if copy is not None else None
         if buffer is not None:

@@ -172,8 +172,13 @@ class SliceWriter:
         self.close()
 
 
+# A slice name is dump text. Percent-encoding "%", "/" and NUL keeps every
+# name one file under its kind, never the same file as another name's.
+_PATH_ESCAPES = str.maketrans({"%": "%25", "/": "%2F", "\0": "%00"})
+
+
 def slice_relpath(key: SliceKey, layout: str = DEFAULT_SLICE_LAYOUT) -> str:
-    return layout.format(kind=key.kind, name=key.name)
+    return layout.format(kind=key.kind, name=key.name.translate(_PATH_ESCAPES))
 
 
 def count_slice(

@@ -15,12 +15,13 @@ from unittest import mock
 
 import pytest
 
-from conftest import lit_line, obj_line
+from conftest import fb, lit_line, obj_line
 from dumpgen import oracle_linreg, oracle_pearson, random_dump_lines
 from fbont import cli, pipeline
 from fbont.cli import main
 from fbont.parser import StreamAbortedError, stream_parse
 from fbont.pipeline import Job, SliceFold
+from fbont.slicer import slice_relpath, slice_stream
 
 TEST_PID = os.getpid()
 
@@ -114,6 +115,32 @@ class TestCmdSlice:
             for name in files:
                 report = stream_parse(os.path.join(root, name), lambda t: None)
                 assert report.lines_malformed == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_slice_names_stay_inside_their_kind(self, tmp_path, workers):
+        """A slice name is dump text: "/", ".." or a NUL in it must neither leave
+        slices/ nor share a file with another name."""
+        names = ["x/../../../../escaped", "x/../y", "y", "a\x00b", "100%", "100%25", "%2F"]
+        lines = random_dump_lines(300, seed=2)
+        lines += [f'{fb("m.0a")}\t<http://example.org/v#{name}>\t"v{i}"\t.' for i, name in enumerate(names)]
+        dump = write_lines(tmp_path, lines)
+        data = (tmp_path / "dump.nt").read_bytes()
+        out = os.path.join("run", "out")
+        argv = ["slice", dump, "--out", str(tmp_path / out), "--materialize", "--format", "json"]
+        assert main(argv + ["--workers", str(workers)]) == 0
+        tree = read_tree(tmp_path)
+        assert tree.pop("dump.nt") == data
+        assert tree.pop(os.path.join(out, "parse_report.json")) and tree.pop(os.path.join(out, "taxonomy.json"))
+        assert all(path.startswith(os.path.join(out, "slices", "")) for path in tree)
+        triples = []
+        stream_parse(dump, triples.append)
+        counts = slice_stream(triples)
+        assert {key.name for key in counts} >= set(names)
+        assert len(tree) == len(counts)  # one file per slice key
+        for key, count in counts.items():
+            assert tree[os.path.join(out, "slices", slice_relpath(key))].count(b"\n") == count, key
+        rows = json.loads((tmp_path / out / "taxonomy.json").read_text())
+        assert {(row["name"], row["triples"]) for row in rows} == {(k.name, n) for k, n in counts.items()}
 
     def test_workers_produce_identical_outputs(self, tmp_path):
         lines = random_dump_lines(3_000, seed=13, malformed_rate=0.01)

@@ -15,7 +15,6 @@ from fbont import parser as parser_module
 from fbont import pipeline
 from fbont.model import Mid, idpath
 from fbont.parser import (
-    MalformedLineError,
     ParseReport,
     ParserConfig,
     Projection,
@@ -386,31 +385,29 @@ class TestProjection:
         """The lines built and fed plus the tallies absorbed fold like every full triple fed."""
         fold = PROJECTING_FOLDS[name]
         part = Partition("-", 0, -1, 0)
-        full_lint, projected_lint = Counter(), Counter()
-        feed_full, absorb_full, finish_full = fold.start(part, ParserConfig(), full_lint)
-        feed_projected, absorb, finish_projected = fold.start(part, ParserConfig(), projected_lint)
+        full_report, projected_report = ParseReport(), ParseReport()
+        feed_full, absorb_full, finish_full = fold.start(part, ParserConfig(), full_report.lint)
+        feed_projected, absorb, finish_projected = fold.start(part, ParserConfig(), projected_report.lint)
         projection = Projection(fold.reads)
-        counted = read = 0
-        for text in PROBE_LINES:
-            try:
-                full = parse_line(text)
-            except MalformedLineError:
-                continue
-            feed_full(full)
-            projected = parse_line(text, projection=projection)
-            if projected is None:
-                assert not fold.reads(full.predicate, isinstance(full.subject, Mid))
-                counted += 1
-                continue
-            assert projected == full
-            read += fold.reads(full.predicate, isinstance(full.subject, Mid))
-            feed_projected(projected)
+        full = list(iter_triples(PROBE_LINES, full_report))
+        projected = list(iter_triples(PROBE_LINES, projected_report, ParserConfig(), projection))
+        for triple in full:
+            feed_full(triple)
+        for triple in projected:
+            feed_projected(triple)
         absorb_full([])
-        absorb(projection.tallies())
+        tallies = projection.tallies()
+        absorb(tallies)
         assert finish_full() == finish_projected()
-        assert full_lint == projected_lint
+        assert full_report.to_dict() == projected_report.to_dict()
+        read = [t for t in full if fold.reads(t.predicate, isinstance(t.subject, Mid))]
+        remaining = iter(projected)
+        assert all(triple in remaining for triple in read)  # every read line is built, in order
+        assert not any(fold.reads(predicate, mid) for predicate, mid, _ in tallies)
+        counted = sum(count for _, _, count in tallies)
+        assert len(projected) + counted == len(full)
         assert counted > 100
-        assert name == "slice" or read > 3
+        assert name == "slice" or len(read) > 3
 
     def test_mid_subjects_are_counted_for_schema_and_linted(self):
         lines = [
@@ -419,12 +416,11 @@ class TestProjection:
             obj_line("people.person.name", "type.property.expected_type", "type.text"),
         ]
         projection = Projection(SchemaFold().reads)
-        lint = Counter()
-        built = [parse_line(text, ParserConfig(), lint, projection) for text in lines]
-        assert built[:2] == [None, None] and built[2] is not None
-        feed, absorb, finish = SchemaFold().start(Partition("-", 0, -1, 0), ParserConfig(), lint)
+        report = ParseReport()
+        assert list(iter_triples(lines, report, ParserConfig(), projection)) == [parse_line(lines[2])]
+        feed, absorb, finish = SchemaFold().start(Partition("-", 0, -1, 0), ParserConfig(), report.lint)
         absorb(projection.tallies())
-        assert lint == Counter({"unattributable-detail": 1})
+        assert report.lint == Counter({"unattributable-detail": 1})
 
     def test_folds_reading_every_triple_disable_projection(self, tmp_path):
         path = write_lines(tmp_path, PROBE_LINES)
@@ -512,7 +508,7 @@ def alternating_lines(groups=40):
     return lines
 
 
-REWRITTEN_PER_GROUP = 5  # CRLF, space-separated, two escapes, raw CR
+REWRITTEN_PER_GROUP = 4  # space-separated, two escapes, raw CR
 
 
 def copied_slices(path, out_dir, workers, parser=ParserConfig()):
@@ -551,6 +547,28 @@ class TestCopiedSlices:
             assert merged["counts"] == oracle_counts
             assert merged["distinct"] == {serialize(t) for t in triples if not isinstance(t.predicate, Mid)}
             assert len(built) == 40 * REWRITTEN_PER_GROUP  # the scan builds only what it cannot copy
+
+    def test_crlf_lines_are_copied_without_building(self, tmp_path, monkeypatch):
+        """A materializing SliceFold alone builds no canonical line, whatever CRs end it."""
+        lines = random_dump_lines(500, seed=3)
+        built = []
+
+        class CountedTriple(parser_module.Triple):
+            def __post_init__(self):
+                super().__post_init__()
+                built.append(self)
+
+        monkeypatch.setattr(parser_module, "Triple", CountedTriple)
+        trees = []
+        for name, end in (("lf", "\n"), ("crlf", "\r\n")):
+            path = tmp_path / f"{name}.nt"
+            path.write_bytes("".join(text + end for text in lines).encode())
+            out = tmp_path / name
+            report, payload = Job((SliceFold(str(out / ".parts")),)).run(Partition(str(path), 0, -1, 0))
+            concatenate_shards([payload["shard_dir"]], str(out))
+            assert report.triples_ok == 500 and built == [], name
+            trees.append(read_tree(out))
+        assert trees[0] == trees[1] != {}
 
     def test_strict_ids_drops_a_nonstandard_predicate_line(self, tmp_path):
         odd = f'<{FB}m.0a>\t<{FB}people.Person.name>\t"odd"\t.'
