@@ -4,6 +4,10 @@ Subcommands compose the library end to end: ``slice`` counts and optionally
 materializes predicate-domain slices, ``schema`` summarizes each domain's
 ontology, ``semantics`` exports merges / value notations / incompatibility
 violations, and ``study`` runs the triples-vs-complexity correlation.
+The commands read the public dump's own predicate spellings (the library
+defaults of :class:`fbont.schema.SchemaConfig` and
+:class:`fbont.pipeline.SemanticsFold`); materialized slices are always
+``slices/<kind>/<name>.nt``.
 
 Each subcommand builds its documents as a ``{file name: text}`` map, the
 tables rendered by :mod:`fbont.report`, and ends in one publish step
@@ -63,7 +67,6 @@ from .report import (
     valuenote_rows,
     violation_rows,
 )
-from .schema import SchemaConfig
 from .semantics import (
     CyclePolicy,
     MergeCycleError,
@@ -73,7 +76,6 @@ from .semantics import (
 )
 from .slicer import (
     DEFAULT_IMPLEMENTATION_DOMAINS,
-    DEFAULT_SLICE_LAYOUT,
     GroupConfig,
     build_taxonomy,
 )
@@ -138,17 +140,6 @@ def _group_config(args: argparse.Namespace) -> GroupConfig:
     return GroupConfig(frozenset(DEFAULT_IMPLEMENTATION_DOMAINS))
 
 
-def _schema_config(args: argparse.Namespace) -> SchemaConfig:
-    kwargs: dict = {"description_predicate": idpath(args.description_predicate)}
-    if args.schema_domain:
-        kwargs["schema_domains"] = frozenset(args.schema_domain)
-    if args.detail_predicate:
-        kwargs["detail_predicates"] = frozenset(idpath(p) for p in args.detail_predicate)
-    if args.type_predicate:
-        kwargs["type_declaration_predicate"] = idpath(args.type_predicate)
-    return SchemaConfig(**kwargs)
-
-
 # --- subcommands ----------------------------------------------------------------
 
 
@@ -172,7 +163,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
         materialize_dir = args.materialize or os.path.join(args.out, "slices")
     shard_root = os.path.join(materialize_dir, ".parts") if materialize_dir else None
     try:
-        report, merged = _run(args, SliceFold(shard_root, args.count_distinct, args.slice_layout))
+        report, merged = _run(args, SliceFold(shard_root, args.count_distinct))
         if shard_root is not None:
             concatenate_shards(merged["shard_dirs"], materialize_dir)
     except BaseException:
@@ -190,7 +181,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 
 def cmd_schema(args: argparse.Namespace) -> int:
-    report, merged = _run(args, SchemaFold(_schema_config(args)))
+    report, merged = _run(args, SchemaFold())
     _publish(args, _tables(args, "schema", SCHEMA_COLUMNS, schema_rows(merged["schemas"])), report)
     return 0
 
@@ -199,12 +190,7 @@ def cmd_semantics(args: argparse.Namespace) -> int:
     # Before the parse, so a bad file fails fast and writes nothing.
     rules = set(_read_input(args.rules, load_rules)) if args.rules else set()
     incompat = idpath(args.incompatibility_predicate) if args.incompatibility_predicate else None
-    fold = SemanticsFold(
-        replaced_by=idpath(args.replaced_by_predicate),
-        type_predicate=idpath(args.type_predicate_sem),
-        incompatibility_predicate=incompat,
-        accept_reversed=args.accept_reversed,
-    )
+    fold = SemanticsFold(incompatibility_predicate=incompat, accept_reversed=args.accept_reversed)
     report, merged = _run(args, fold)
     policy = CyclePolicy(args.cycle_policy)
 
@@ -237,7 +223,7 @@ def cmd_study(args: argparse.Namespace) -> int:
     group_config = _group_config(args)
     report = None
     if args.inputs:
-        report, merged = _run(args, SliceFold(), SchemaFold(_schema_config(args)))
+        report, merged = _run(args, SliceFold(), SchemaFold())
         rows, skipped = join_study_rows(merged["counts"], merged["schemas"], group_config)
     else:
         counts = _read_input(args.from_counts, load_counts_csv)
@@ -295,31 +281,6 @@ def _add_common(sub: argparse.ArgumentParser, inputs_required: bool = True) -> N
     )
 
 
-def _add_schema_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--description-predicate",
-        default="/common/topic/description",
-        help="predicate carrying schema descriptions",
-    )
-    sub.add_argument(
-        "--detail-predicate",
-        action="append",
-        default=None,
-        help="property-detail predicate (repeatable; replaces the default set)",
-    )
-    sub.add_argument(
-        "--type-predicate",
-        default=None,
-        help="explicit is-a declaration predicate (default /type/object/type)",
-    )
-    sub.add_argument(
-        "--schema-domain",
-        action="append",
-        default=None,
-        help="domain whose predicates mark schema triples (repeatable; default: type)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fbont",
@@ -355,32 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also count distinct triples (in-memory; fixture scale only)",
     )
-    p_slice.add_argument(
-        "--slice-layout",
-        default=DEFAULT_SLICE_LAYOUT,
-        help="materialized-slice path template with {kind} and {name} placeholders",
-    )
     p_slice.set_defaults(func=cmd_slice)
 
     p_schema = sub.add_parser("schema", help="summarize each domain's ontology")
     _add_common(p_schema)
-    _add_schema_options(p_schema)
     p_schema.add_argument("--json", action="store_true", help="also write schema.json")
     p_schema.set_defaults(func=cmd_schema)
 
     p_sem = sub.add_parser("semantics", help="merges, value notations, incompatibilities")
     _add_common(p_sem)
-    p_sem.add_argument(
-        "--replaced-by-predicate",
-        default="/dataworld/gardening_hint/replaced_by",
-        help="merge-edge predicate",
-    )
-    p_sem.add_argument(
-        "--type-predicate",
-        dest="type_predicate_sem",
-        default="/type/object/type",
-        help="instance-typing predicate for incompatibility checks",
-    )
     p_sem.add_argument(
         "--incompatibility-predicate",
         default=None,
@@ -403,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_study = sub.add_parser("study", help="correlate triple volume with ontology complexity")
     _add_common(p_study, inputs_required=False)
-    _add_schema_options(p_study)
     p_study.add_argument(
         "--exclude",
         action="append",

@@ -71,7 +71,6 @@ from .semantics import (
 )
 from .slicer import (
     DEFAULT_GROUPS,
-    DEFAULT_SLICE_LAYOUT,
     DOMAIN,
     Group,
     GroupConfig,
@@ -186,7 +185,6 @@ class SliceFold:
 
     shard_root: str | None = None
     count_distinct: bool = False
-    slice_layout: str = DEFAULT_SLICE_LAYOUT
 
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
         return False
@@ -199,7 +197,7 @@ class SliceFold:
         shard_dir: str | None = None
         if self.shard_root is not None:
             shard_dir = os.path.join(self.shard_root, f"{part.index:05d}")
-            writer = SliceWriter(shard_dir, parser.namespace, self.slice_layout)
+            writer = SliceWriter(shard_dir, parser.namespace)
 
         def feed(triple: Triple) -> None:
             count_slice(counts, keys, triple.predicate, 1, lint)
@@ -465,12 +463,13 @@ def replacing(path: str) -> Iterator[str]:
     """A temp path beside ``path``, renamed over ``path`` when the block ends.
 
     On any exception the temp file is removed and ``path`` keeps its old
-    content, so no reader sees a half-written file.
+    content, so no reader sees a half-written file. The temp name holds only
+    the process id, so it is short enough wherever ``path``'s name is.
     """
-    directory, name = os.path.split(path)
+    directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
-    temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    temp = os.path.join(directory, f".{os.getpid()}.tmp")
     try:
         yield temp
         os.replace(temp, path)

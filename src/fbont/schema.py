@@ -39,9 +39,9 @@ DEFAULT_DETAIL_PREDICATES = frozenset(
 class SchemaConfig:
     """Recognition rules for schema-bearing triples.
 
-    The dump does not announce its schema conventions, so all predicate
-    spellings are configurable; the defaults follow the ``/type`` domain
-    conventions of the public dump.
+    The defaults follow the ``/type`` domain conventions of the public dump,
+    and the CLI uses only them. Other spellings (a mirror or a test dump) are
+    configurable here, in the library only.
     """
 
     schema_domains: frozenset[str] = frozenset({"type"})

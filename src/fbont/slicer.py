@@ -173,12 +173,25 @@ class SliceWriter:
 
 
 # A slice name is dump text. Percent-encoding "%", "/" and NUL keeps every
-# name one file under its kind, never the same file as another name's.
+# name one file under its kind, never the same file as another name's. An
+# encoding longer than a file name allows (255 bytes, less ".nt") is cut to
+# a prefix, then "%~" and 32 hex digits of the SHA-256 of the name: no
+# shorter encoding holds "%~", so two names share a file only if their
+# 128-bit digests collide.
 _PATH_ESCAPES = str.maketrans({"%": "%25", "/": "%2F", "\0": "%00"})
+_NAME_BYTES = 255 - len(".nt")
 
 
 def slice_relpath(key: SliceKey, layout: str = DEFAULT_SLICE_LAYOUT) -> str:
-    return layout.format(kind=key.kind, name=key.name.translate(_PATH_ESCAPES))
+    name = key.name.translate(_PATH_ESCAPES)
+    encoded = name.encode("utf-8")
+    if len(encoded) > _NAME_BYTES:
+        import hashlib  # only here: a module-level import raises every command's peak RSS by megabytes
+
+        digest = hashlib.sha256(key.name.encode("utf-8")).hexdigest()[:32]
+        prefix = encoded[: _NAME_BYTES - len(digest) - 2].decode("utf-8", "ignore")
+        name = f"{prefix}%~{digest}"
+    return layout.format(kind=key.kind, name=name)
 
 
 def count_slice(

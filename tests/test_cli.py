@@ -119,8 +119,11 @@ class TestCmdSlice:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_slice_names_stay_inside_their_kind(self, tmp_path, workers):
         """A slice name is dump text: "/", ".." or a NUL in it must neither leave
-        slices/ nor share a file with another name."""
+        slices/ nor share a file with another name. A name of 252 UTF-8 bytes
+        keeps its own file name, and a longer one is still written."""
+        long_a, long_b = "a" * 252 + "x" * 48, "a" * 252 + "y" * 48
         names = ["x/../../../../escaped", "x/../y", "y", "a\x00b", "100%", "100%25", "%2F"]
+        names += ["", ".", "..", "b" * 252, long_a, long_b, "\u00e9" * 200]
         lines = random_dump_lines(300, seed=2)
         lines += [f'{fb("m.0a")}\t<http://example.org/v#{name}>\t"v{i}"\t.' for i, name in enumerate(names)]
         dump = write_lines(tmp_path, lines)
@@ -139,6 +142,7 @@ class TestCmdSlice:
         assert len(tree) == len(counts)  # one file per slice key
         for key, count in counts.items():
             assert tree[os.path.join(out, "slices", slice_relpath(key))].count(b"\n") == count, key
+        assert os.path.join(out, "slices", "owl", "b" * 252 + ".nt") in tree  # 255 bytes: its own name
         rows = json.loads((tmp_path / out / "taxonomy.json").read_text())
         assert {(row["name"], row["triples"]) for row in rows} == {(k.name, n) for k, n in counts.items()}
 
@@ -191,17 +195,6 @@ class TestCmdSlice:
         assert sum(r["triples"] for r in rows) > 0
         assert {"group", "name", "predicate_pattern", "triples", "total_pct", "group_pct"} <= set(rows[0])
         assert not (out / "taxonomy.csv").exists()  # only the requested format
-
-    def test_slice_layout_template(self, tmp_path):
-        lines = [obj_line("m.a", "people.person.p", "m.b")]
-        dump = write_lines(tmp_path, lines)
-        out = tmp_path / "out"
-        code = main(
-            ["slice", dump, "--out", str(out), "--materialize",
-             "--slice-layout", "flat_{kind}_{name}.nt"]
-        )
-        assert code == 0
-        assert (out / "slices" / "flat_domain_people.nt").exists()
 
 
     @pytest.mark.parametrize("escape", [r"\UFFFFFFFF", r"\uD800"])
@@ -740,7 +733,9 @@ class TestConsoleScript:
         assert (out / "taxonomy.csv").exists()
 
     def test_import_loads_no_network_modules(self):
-        """The scatterplot's XML escaping must not pull urllib.request and its imports."""
+        """The scatterplot's XML escaping must not pull urllib.request and its imports,
+        and hashlib is imported only for a slice name too long for a file name:
+        each of them raises every command's peak RSS by megabytes."""
         proc = subprocess.run(
             [sys.executable, "-c", "import fbont.cli, sys; print(sorted(sys.modules))"],
             capture_output=True,
@@ -749,4 +744,24 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         loaded = set(ast.literal_eval(proc.stdout))
         assert "fbont.report" in loaded
-        assert not loaded & {"urllib.request", "http.client", "ssl", "email"}
+        assert not loaded & {"urllib.request", "http.client", "ssl", "email", "hashlib"}
+
+
+# No option respells the public dump's predicates or chooses the slice path:
+# the commands read the dump's own spellings, and argparse refuses these.
+SCHEMA_OPTIONS = ("--description-predicate", "--detail-predicate", "--type-predicate", "--schema-domain")
+REMOVED_OPTIONS = [(command, option) for command in ("schema", "study") for option in SCHEMA_OPTIONS] + [
+    ("semantics", "--replaced-by-predicate"),
+    ("semantics", "--type-predicate"),
+    ("slice", "--slice-layout"),
+]
+
+
+@pytest.mark.parametrize("command,option", REMOVED_OPTIONS)
+def test_removed_option_is_a_usage_error(tmp_path, capsys, command, option):
+    dump = write_lines(tmp_path, random_dump_lines(10, seed=1))
+    with pytest.raises(SystemExit) as exc:
+        main([command, dump, "--out", str(tmp_path / "out"), option, "/x/y/z"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
