@@ -6,8 +6,8 @@ ontology, ``semantics`` exports merges / value notations / incompatibility
 violations, and ``study`` runs the triples-vs-complexity correlation.
 The commands read the public dump's own predicate spellings (the library
 defaults of :class:`fbont.schema.SchemaConfig` and
-:class:`fbont.pipeline.SemanticsFold`); materialized slices are always
-``slices/<kind>/<name>.nt``.
+:class:`fbont.pipeline.SemanticsFold`); ``slice --materialize`` is a flag
+that takes no value, and always writes ``OUT/slices/<kind>/<name>.nt``.
 
 Each subcommand builds its documents as a ``{file name: text}`` map, the
 tables rendered by :mod:`fbont.report`, and ends in one publish step
@@ -158,10 +158,8 @@ def _tables(args: argparse.Namespace, name: str, header: tuple, rows: list[tuple
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
-    materialize_dir = None
-    if args.materialize is not None:
-        materialize_dir = args.materialize or os.path.join(args.out, "slices")
-    shard_root = os.path.join(materialize_dir, ".parts") if materialize_dir else None
+    materialize_dir = os.path.join(args.out, "slices")
+    shard_root = os.path.join(materialize_dir, ".parts") if args.materialize else None
     try:
         report, merged = _run(args, SliceFold(shard_root, args.count_distinct))
         if shard_root is not None:
@@ -187,10 +185,17 @@ def cmd_schema(args: argparse.Namespace) -> int:
 
 
 def cmd_semantics(args: argparse.Namespace) -> int:
-    # Before the parse, so a bad file fails fast and writes nothing.
-    rules = set(_read_input(args.rules, load_rules)) if args.rules else set()
+    """Merges, value notations and, given rules, the objects that break one.
+
+    The --rules file is read before the parse, so a bad file fails fast and
+    writes nothing, and so the fold keeps only the type assertions those
+    rules can use, none without --rules (see SemanticsFold.known_rules).
+    """
+    rules = _read_input(args.rules, load_rules) if args.rules else frozenset()
     incompat = idpath(args.incompatibility_predicate) if args.incompatibility_predicate else None
-    fold = SemanticsFold(incompatibility_predicate=incompat, accept_reversed=args.accept_reversed)
+    fold = SemanticsFold(
+        incompatibility_predicate=incompat, accept_reversed=args.accept_reversed, known_rules=rules
+    )
     report, merged = _run(args, fold)
     policy = CyclePolicy(args.cycle_policy)
 
@@ -292,11 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_slice)
     p_slice.add_argument(
         "--materialize",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="DIR",
-        help="also write one N-Triples file per slice (default DIR: OUT/slices)",
+        action="store_true",
+        help="also write one N-Triples file per slice, under OUT/slices",
     )
     p_slice.add_argument(
         "--format",
@@ -368,7 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    # argparse fills the inputs from one run of arguments, so it leaves a dump
+    # named after an option (``slice a.nt --materialize b.nt``) unrecognized.
+    more_inputs = [arg for arg in extras if arg == "-" or not arg.startswith("-")]
+    if len(more_inputs) < len(extras):
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.inputs += more_inputs
     if args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 2

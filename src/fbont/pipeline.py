@@ -264,12 +264,23 @@ class SchemaFold:
 
 @dataclass(frozen=True)
 class SemanticsFold:
-    """Merge edges, value notations, type assertions and dump-stated rules."""
+    """Merge edges, value notations, type assertions and dump-stated rules.
+
+    ``known_rules`` are the incompatibility rules known before the parse.
+    When they are given and no rule can come from the dump (no
+    ``incompatibility_predicate``), only the assertions of a type some known
+    rule names are kept: a violation needs both of a rule's types, so no
+    other assertion can take part in one. With None, or with an
+    ``incompatibility_predicate``, every assertion is kept. Either way each
+    kept type is one shared IdPath per partition, so a payload holds and
+    pickles each type once.
+    """
 
     replaced_by: IdPath = REPLACED_BY_PREDICATE
     type_predicate: IdPath = TYPE_ASSERTION_PREDICATE
     incompatibility_predicate: IdPath | None = None
     accept_reversed: bool = False
+    known_rules: frozenset[IncompatibilityRule] | None = None
 
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
         return predicate in (
@@ -285,13 +296,20 @@ class SemanticsFold:
         notations: list[ValueNotation] = []
         assertions: list[tuple[Mid, IdPath]] = []
         rules: set[IncompatibilityRule] = set()
+        filtering = self.known_rules is not None and self.incompatibility_predicate is None
+        types: dict[IdPath, IdPath] = {}  # each kept type to its one shared object
+        if filtering:
+            types = {named: named for rule in self.known_rules for named in (rule.type_a, rule.type_b)}
 
         def feed(triple: Triple) -> None:
             feed_merge_edge(merge_map, triple, self.replaced_by, lint)
             feed_value_notation(notations, triple, self.accept_reversed, lint)
             assertion = match_type_assertion(triple, self.type_predicate)
             if assertion is not None:
-                assertions.append(assertion)
+                mid, asserted = assertion
+                asserted = types.get(asserted) if filtering else types.setdefault(asserted, asserted)
+                if asserted is not None:
+                    assertions.append((mid, asserted))
             if self.incompatibility_predicate is not None:
                 rule = match_rule(triple, self.incompatibility_predicate)
                 if rule is not None:

@@ -16,11 +16,13 @@ from unittest import mock
 import pytest
 
 from conftest import fb, lit_line, obj_line
-from dumpgen import oracle_linreg, oracle_pearson, random_dump_lines
+from dumpgen import oracle_linreg, oracle_pearson, oracle_violations, random_dump_lines
 from fbont import cli, pipeline
 from fbont.cli import main
+from fbont.model import render
 from fbont.parser import StreamAbortedError, stream_parse
 from fbont.pipeline import Job, SliceFold
+from fbont.semantics import check_incompatibilities
 from fbont.slicer import slice_relpath, slice_stream
 
 TEST_PID = os.getpid()
@@ -115,6 +117,22 @@ class TestCmdSlice:
             for name in files:
                 report = stream_parse(os.path.join(root, name), lambda t: None)
                 assert report.lines_malformed == 0
+
+    def test_materialize_takes_no_directory(self, tmp_path):
+        """A dump after --materialize is one more input, not the slice directory."""
+        a = write_lines(tmp_path, random_dump_lines(300, seed=3), "a.nt")
+        b = write_lines(tmp_path, random_dump_lines(200, seed=4), "b.nt")
+        data = (tmp_path / "b.nt").read_bytes()
+        out = tmp_path / "out"
+        assert main(["slice", a, "--out", str(out), "--materialize", b]) == 0
+        report = json.loads((out / "parse_report.json").read_text())
+        assert report["lines_read"] == 500
+        tree = read_tree(tmp_path)
+        assert tree.pop("b.nt") == data and tree.pop("a.nt")
+        slices = [path for path in tree if path.startswith(os.path.join("out", "slices", ""))]
+        assert slices
+        names = ("parse_report.json", "taxonomy.csv", "taxonomy.md", "taxonomy.tsv")
+        assert set(tree) - set(slices) == {os.path.join("out", name) for name in names}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_slice_names_stay_inside_their_kind(self, tmp_path, workers):
@@ -345,6 +363,46 @@ class TestCmdSemantics:
         ]
         violations = json.loads((out / "violations.json").read_text())
         assert violations[0]["mid"] == "/m/terminator"
+
+    def test_rules_naming_some_types_give_the_oracle_violations(self, tmp_path, monkeypatch):
+        """The fold keeps only the named types' assertions; the violations are
+        those of all assertions, at any worker count, on plain and gzip input."""
+        rng = random.Random(5)
+        types = ["film.film", "film.film_series", "tv.tv_series", "book.book", "people.person", "zoo.animal"]
+        lines = random_dump_lines(2_000, seed=5, malformed_rate=0.02)
+        typed = [(f"m.t{rng.randrange(150)}", rng.choice(types)) for _ in range(1_500)]
+        lines += [obj_line(mid, "type.object.type", asserted) for mid, asserted in typed]
+        rng.shuffle(lines)
+        plain = write_lines(tmp_path, lines)
+        packed = tmp_path / "dump.nt.gz"
+        packed.write_bytes(gzip.compress((tmp_path / "dump.nt").read_bytes(), 6))
+        monkeypatch.setattr(pipeline, "GZIP_MIN_RANGE", 1024)
+        assert len(pipeline.plan_partitions([str(packed)], 4)) == 4
+        rules = tmp_path / "rules.tsv"
+        rules.write_text("/film/film /film/film_series\n/tv/tv_series /book/book\n/film/film /book/book\n")
+        checked = []
+
+        def check(assertions, rules):
+            checked.extend(assertions)
+            return check_incompatibilities(assertions, rules)
+
+        monkeypatch.setattr(cli, "check_incompatibilities", check)
+        names = ("violations.csv", "violations.json", "parse_report.json")
+        trees = []
+        for dump in (plain, str(packed)):
+            for workers in (1, 2, 4):
+                out = tmp_path / f"out-{len(trees)}"
+                argv = ["semantics", dump, "--rules", str(rules), "--json", "--workers", str(workers)]
+                assert main(argv + ["--out", str(out)]) == 0
+                trees.append({name: (out / name).read_bytes() for name in names})
+        assert all(tree == trees[0] for tree in trees)
+        assertions = [("/" + mid.replace(".", "/"), "/" + t.replace(".", "/")) for mid, t in typed]
+        pairs = [line.split() for line in rules.read_text().splitlines()]
+        expected = oracle_violations(assertions, pairs)
+        rows = json.loads(trees[0]["violations.json"])
+        assert {(row["mid"], row["type_a"], row["type_b"]) for row in rows} == expected
+        assert len(rows) == len(expected) > 0
+        assert {render(t) for _, t in checked} == {t for pair in pairs for t in pair}  # 4 of 6 types
 
 
 class TestCmdStudy:

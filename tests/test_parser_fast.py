@@ -11,6 +11,7 @@ strict_ids settings and under the default and non-default namespaces.
 """
 
 import io
+import re
 from collections import Counter
 from unittest import mock
 
@@ -797,3 +798,13 @@ class TestEscapeClass:
         assert_alone_same(lines)
         assert_stream_same(lines)
         assert assert_copies_serialize(lines, cap, CONFIGS[:2]) == 2 * in_class
+
+
+def test_spelled_out_space_is_the_whitespace_class():
+    """The scan's spelled-out whitespace set is exactly what ``\\s`` matches, on
+    every code point under this interpreter's Unicode tables."""
+    every = "".join(map(chr, range(0x110000)))
+    category = re.compile(r"[^<>\s]")
+    spelled = re.compile(rf"[^<>{parser_module._SPACE}]")
+    assert spelled.sub("", every) == category.sub("", every)
+    assert set(category.sub("", every)) == {c for c in every if c.isspace()} | {"<", ">"}

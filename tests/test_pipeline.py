@@ -1,6 +1,7 @@
 import gzip
 import io
 import os
+import pickle
 import random
 import signal
 import threading
@@ -40,6 +41,7 @@ from fbont.pipeline import (
     run_partitioned,
 )
 from fbont.schema import SchemaConfig, extract_schema
+from fbont.semantics import IncompatibilityRule
 from fbont.slicer import DOMAIN, SliceKey, SliceWriter, slice_stream
 from fbont.stats import StudyRow
 
@@ -687,3 +689,57 @@ class TestCopyBesideOtherFolds:
         job = Job((SliceFold(count_distinct=True), SliceFold(str(tmp_path / "parts"))))
         with pytest.raises(ValueError, match="one fold"):
             job.run(Partition(path, 0, -1, 0))
+
+
+# --- the semantics fold keeps only the type assertions a known rule can use ------
+
+NAMED_TYPES = ("film.film", "film.film_series", "tv.tv_series", "book.book")
+KNOWN_RULES = frozenset(
+    {
+        IncompatibilityRule(idpath("/film/film"), idpath("/film/film_series")),
+        IncompatibilityRule(idpath("/tv/tv_series"), idpath("/book/book")),
+    }
+)
+KEEP_ALL = {"known_rules": KNOWN_RULES, "incompatibility_predicate": idpath("/base/incompatible/with")}
+
+
+def typed_lines(seed):
+    """Type assertions of the named types and of unnamed ones, among other lines."""
+    rng = random.Random(seed)
+    types = NAMED_TYPES + ("people.person", "location.location")
+    lines = random_dump_lines(500, seed=seed, malformed_rate=0.02)
+    lines += [obj_line(f"m.t{rng.randrange(80)}", "type.object.type", rng.choice(types)) for _ in range(600)]
+    lines += [obj_line(f"m.t{i}", "type.object.type", f"m.x{i}") for i in range(10)]  # no type object
+    rng.shuffle(lines)
+    return lines
+
+
+def semantics_payload(path, **fold):
+    return Job((SemanticsFold(**fold),)).run(Partition(path, 0, -1, 0))[1]
+
+
+class TestSemanticsRetainedState:
+    def test_assertions_of_unnamed_types_leave_no_trace(self, tmp_path):
+        lines = typed_lines(seed=6)
+        extra = [obj_line(f"m.e{i}", "type.object.type", "zoo.animal") for i in range(5_000)]
+        padded, rng = list(lines), random.Random(7)
+        for line in extra:  # among the other lines, which keep their order
+            padded.insert(rng.randrange(len(padded) + 1), line)
+        plain = write_lines(tmp_path, lines, "plain.nt")
+        path = write_lines(tmp_path, padded, "padded.nt")
+        kept = semantics_payload(plain, known_rules=KNOWN_RULES)["assertions"]
+        padded_kept = semantics_payload(path, known_rules=KNOWN_RULES)["assertions"]
+        assert padded_kept == kept and pickle.dumps(padded_kept) == pickle.dumps(kept)
+        everything = semantics_payload(path)["assertions"]
+        assert len(everything) == len(semantics_payload(plain)["assertions"]) + 5_000
+        assert kept == [(mid, t) for mid, t in everything if t.domain in ("film", "tv", "book")]
+        # with rules that can come from the dump, every assertion is kept
+        assert semantics_payload(path, **KEEP_ALL)["assertions"] == everything
+
+    @pytest.mark.parametrize(
+        "fold", [{}, {"known_rules": KNOWN_RULES}, KEEP_ALL], ids=["default", "filter", "keep-all"]
+    )
+    def test_one_object_per_asserted_type(self, tmp_path, fold):
+        assertions = semantics_payload(write_lines(tmp_path, typed_lines(seed=8)), **fold)["assertions"]
+        assert assertions
+        assert len({id(t) for _, t in assertions}) == len({t for _, t in assertions})
