@@ -13,14 +13,19 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, TextIO
 
-from .model import IdPath, Mid, Triple, idpath, parse_ref, render
+from .model import IdPath, Mid, Triple, idpath, parse_ref, reduce_value, render
 
 REPLACED_BY_PREDICATE = idpath("/dataworld/gardening_hint/replaced_by")
 HAS_VALUE_PREDICATE = idpath("/freebase/valuenotation/has_value")
 HAS_NO_VALUE_PREDICATE = idpath("/freebase/valuenotation/has_no_value")
 TYPE_ASSERTION_PREDICATE = idpath("/type/object/type")
+
+# Sorts mids as their one-field dataclass order does, with C string compares.
+_SUFFIX = attrgetter("suffix")
 
 
 class CyclePolicy(enum.Enum):
@@ -37,9 +42,9 @@ class CyclePolicy(enum.Enum):
 
 class MergeCycleError(ValueError):
     def __init__(self, members: list[Mid]):
-        rendered = ", ".join(render(m) for m in sorted(members))
+        rendered = ", ".join(render(m) for m in sorted(members, key=_SUFFIX))
         super().__init__(f"replaced-by cycle: {rendered}")
-        self.members = sorted(members)
+        self.members = sorted(members, key=_SUFFIX)
 
 
 @dataclass
@@ -99,7 +104,7 @@ class MergeMap:
                 members = path[position[current]:]
                 if policy is CyclePolicy.FAIL:
                     raise MergeCycleError(members)
-                terminal = min(members, key=lambda m: m.suffix)
+                terminal = min(members, key=_SUFFIX)
                 self.cycles_resolved += 1
                 break
             position[current] = len(path)
@@ -190,7 +195,7 @@ class NotationKind(enum.Enum):
     HAS_NO_VALUE = "has_no_value"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueNotation:
     """One has-value / has-no-value statement: a property paired with an object.
 
@@ -203,6 +208,7 @@ class ValueNotation:
     object: Mid
     kind: NotationKind
     orientation: str = "forward"
+    __reduce__ = reduce_value
 
 
 _NOTATION_KINDS = {
@@ -251,12 +257,13 @@ def extract_value_notations(
     return notations
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class IncompatibilityRule:
     """An unordered pair of mutually exclusive types."""
 
     type_a: IdPath
     type_b: IdPath
+    __reduce__ = reduce_value
 
     def __post_init__(self) -> None:
         if not (self.type_a.is_type and self.type_b.is_type):
@@ -269,11 +276,12 @@ class IncompatibilityRule:
             object.__setattr__(self, "type_b", high)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Violation:
     mid: Mid
     type_a: IdPath
     type_b: IdPath
+    __reduce__ = reduce_value
 
 
 def match_type_assertion(
@@ -310,17 +318,37 @@ def check_incompatibilities(
 
     Output is deterministically ordered by mid, then rule. Adding a rule can
     only add violations, never remove one.
+
+    One pass: the rules' types are numbered in IdPath order, so a rule is a
+    pair of indices ``a < b`` and rule order is index-pair order. Per mid
+    suffix, the index of its first named type is kept, and a set of indices
+    only once it asserts a second one; only the suffixes with a set are
+    sorted and checked.
     """
-    types_by_mid: dict[Mid, set[IdPath]] = {}
+    rules = set(rules)
+    named = sorted({typ for rule in rules for typ in (rule.type_a, rule.type_b)})
+    index = {typ: i for i, typ in enumerate(named)}
+    pairs = {(index[rule.type_a], index[rule.type_b]) for rule in rules}
+    first: dict[str, int] = {}
+    several: dict[str, set[int]] = {}
     for mid, asserted in assertions:
-        types_by_mid.setdefault(mid, set()).add(asserted)
-    rule_list = sorted(set(rules))
+        i = index.get(asserted)
+        if i is None:
+            continue
+        suffix = mid.suffix
+        j = first.setdefault(suffix, i)
+        if j != i:
+            held = several.get(suffix)
+            if held is None:
+                several[suffix] = {j, i}
+            else:
+                held.add(i)
     violations: list[Violation] = []
-    for mid in sorted(types_by_mid):
-        asserted = types_by_mid[mid]
-        for rule in rule_list:
-            if rule.type_a in asserted and rule.type_b in asserted:
-                violations.append(Violation(mid, rule.type_a, rule.type_b))
+    for suffix in sorted(several):
+        mid = Mid(suffix)
+        for a, b in combinations(sorted(several[suffix]), 2):
+            if (a, b) in pairs:
+                violations.append(Violation(mid, named[a], named[b]))
     return violations
 
 
@@ -363,7 +391,7 @@ def write_merge_tsv(merge_map: MergeMap, stream: TextIO, policy: CyclePolicy = C
     """Export the resolved canonical mapping as duplicate/canonical TSV rows."""
     resolved = merge_map.resolve_all(policy)
     count = 0
-    for duplicate in sorted(resolved):
+    for duplicate in sorted(resolved, key=_SUFFIX):
         stream.write(f"{render(duplicate)}\t{render(resolved[duplicate])}\n")
         count += 1
     return count

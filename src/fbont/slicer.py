@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO, Iterable, Mapping
 
-from .model import ExternalIri, IdPath, Mid, NodeRef, Triple
+from .model import ExternalIri, IdPath, Mid, NodeRef, Triple, reduce_value
 from .parser import serialize
 
 # Domains implementing Freebase itself rather than describing the world.
@@ -62,12 +62,13 @@ DOMAIN = "domain"
 OWL_TERM = "owl"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SliceKey:
     """Identity of one slice: a Freebase domain name or an OWL-term local name."""
 
     kind: str  # DOMAIN or OWL_TERM
     name: str
+    __reduce__ = reduce_value
 
     def pattern(self) -> str:
         """Human-readable predicate pattern, e.g. ``/people/*`` or ``rdf-schema#label``."""
@@ -123,15 +124,33 @@ class SliceStats:
 
 DEFAULT_SLICE_LAYOUT = os.path.join("{kind}", "{name}.nt")
 
+# Slice files one writer keeps open at most, so a worker's open files do not
+# grow with the dump's slice count; under a lower soft RLIMIT_NOFILE a writer
+# keeps half of that limit instead.
+MAX_OPEN_SLICE_FILES = 128
+
+
+def _open_file_cap() -> int:
+    try:
+        import resource  # only where slices are written; Unix only
+    except ImportError:
+        return MAX_OPEN_SLICE_FILES
+    soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+    if soft == resource.RLIM_INFINITY:
+        return MAX_OPEN_SLICE_FILES
+    return max(1, min(MAX_OPEN_SLICE_FILES, soft // 2))
+
 
 class SliceWriter:
     """Materializes slices as N-Triples files, one per slice key.
 
     Files open lazily under ``directory`` at the path the ``layout`` template
     gives them (``{kind}``/``{name}`` placeholders, default
-    ``<kind>/<name>.nt``) and must be closed (use as a context manager). A
-    writer owns its files exclusively; parallel runs give each worker a
-    private directory and concatenate afterwards.
+    ``<kind>/<name>.nt``) and must be closed (use as a context manager). At
+    most ``MAX_OPEN_SLICE_FILES`` are open at once: a file is created the
+    first time it is written and appended to when it is reopened. A writer
+    owns its files exclusively; parallel runs give each worker a private
+    directory and concatenate afterwards.
     """
 
     def __init__(
@@ -143,22 +162,32 @@ class SliceWriter:
         self.directory = os.fspath(directory)
         self.namespace = namespace
         self.layout = layout
-        self._files: dict[SliceKey, IO[str]] = {}
+        self._files: dict[SliceKey, IO[str]] = {}  # least recently written first
+        self._created: set[SliceKey] = set()
+        self._cap = _open_file_cap()
 
     def write(self, key: SliceKey, triple: Triple) -> None:
         self.write_lines(key, [serialize(triple, self.namespace)])
 
     def write_lines(self, key: SliceKey, lines: list[str]) -> None:
         """Append dump-convention lines (no line ends) to the key's file, in one write."""
-        handle = self._files.get(key)
+        handle = self._files.pop(key, None)
         if handle is None:
-            path = os.path.join(self.directory, slice_relpath(key, self.layout))
-            parent = os.path.dirname(path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            handle = open(path, "w", encoding="utf-8", newline="\n")
-            self._files[key] = handle
+            handle = self._open(key)
+        self._files[key] = handle
         handle.write("\n".join(lines) + "\n")
+
+    def _open(self, key: SliceKey) -> IO[str]:
+        if len(self._files) >= self._cap:
+            self._files.pop(next(iter(self._files))).close()
+        path = os.path.join(self.directory, slice_relpath(key, self.layout))
+        mode = "a" if key in self._created else "w"
+        parent = os.path.dirname(path)
+        if mode == "w" and parent:
+            os.makedirs(parent, exist_ok=True)
+        handle = open(path, mode, encoding="utf-8", newline="\n")
+        self._created.add(key)
+        return handle
 
     def close(self) -> None:
         for handle in self._files.values():

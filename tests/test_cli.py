@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import random
+import resource
 import signal
 import subprocess
 import sys
@@ -782,6 +783,27 @@ class TestConsoleScript:
             report = json.loads((out / "parse_report.json").read_text())
             assert report["lines_read"] == 30
             assert report["lines_malformed"] == 0
+
+    def test_materialize_under_a_low_open_file_limit(self, tmp_path):
+        """Workers keep a bounded number of slice files open: 350 slices under a
+        soft RLIMIT_NOFILE of 64 give the same tree as an unlimited run."""
+        rng = random.Random(64)
+        lines = [obj_line(f"m.s{i}", f"d{i % 350}.t.p", f"m.o{i}") for i in range(3_500)]
+        rng.shuffle(lines)  # each slice's lines spread over many 16 KiB blocks
+        dump = write_lines(tmp_path, lines)
+        argv = [sys.executable, "-m", "fbont.cli", "slice", dump, "--materialize", "--workers", "2"]
+
+        def lower_open_file_limit():  # runs in the child only, never in this process
+            resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+
+        trees = []
+        for name, preexec in (("unlimited", None), ("limited", lower_open_file_limit)):
+            out = tmp_path / name
+            proc = subprocess.run(argv + ["--out", str(out)], capture_output=True, text=True, preexec_fn=preexec)
+            assert proc.returncode == 0, proc.stderr
+            trees.append(read_tree(out))
+        assert len(trees[0]) == 350 + 4  # the slices, taxonomy.csv/.md/.tsv and parse_report.json
+        assert trees[1] == trees[0]
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         dump = write_lines(tmp_path, random_dump_lines(20, seed=3))

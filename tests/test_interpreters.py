@@ -1,18 +1,21 @@
-"""Every supported interpreter on PATH writes the same ``study`` and slice outputs.
+"""Every supported interpreter on PATH writes the same ``study``, slice and semantics outputs.
 
 A gzip range owns the lines whose first byte came out of a read that ended
 inside it, so the outputs hold only while every interpreter's ``gzip`` module
 reads the same way (3.12 raised its read size to 128 KiB). A materialized
 slice copies the lines the canonical regex matches as they were read, so its
-files hold only while every interpreter's ``re`` matches the same lines. For
-each ``python3.X`` on PATH at or above the package's floor, this runs
-``python3.X -m fbont.cli study`` and ``slice --materialize --count-distinct``
-on a gzip file of at least three minimum ranges, holding literals with
-``\\\\``, ``\\"``, ``\\n``, ``\\r`` and ``\\t`` escapes, at 1 and 2 workers, and
-compares each output tree with this interpreter's. Interpreters that do not
-start are skipped; with pyenv, list the versions to test in
-``PYENV_VERSION`` (e.g. ``3.11.7:3.10.13:3.12.1:3.13.0``) so that their
-shims resolve.
+files hold only while every interpreter's ``re`` matches the same lines.
+``semantics`` pickles slotted value types (mids, types, notations) from each
+worker to the parent, so its files hold only while every interpreter
+rebuilds them alike. For each ``python3.X`` on PATH at or above the
+package's floor, this runs ``python3.X -m fbont.cli study``, ``slice
+--materialize --count-distinct`` and ``semantics --rules R --json`` on a gzip
+file of at least three minimum ranges, holding literals with ``\\\\``,
+``\\"``, ``\\n``, ``\\r`` and ``\\t`` escapes, type assertions, replaced-by
+edges and value notations, at 1 and 2 workers, and compares each output tree
+with this interpreter's. Interpreters that do not start are skipped; with
+pyenv, list the versions to test in ``PYENV_VERSION`` (e.g.
+``3.11.7:3.10.13:3.12.1:3.13.0``) so that their shims resolve.
 """
 
 import base64
@@ -25,7 +28,7 @@ import sys
 
 import pytest
 
-from conftest import lit_line
+from conftest import lit_line, obj_line
 from fbont.pipeline import GZIP_MIN_RANGE
 from test_cli import read_tree, study_fixture_lines
 
@@ -65,6 +68,24 @@ def run_fbont(python: str, command: tuple, dump: str, out: str, workers: int) ->
     return read_tree(out)
 
 
+TYPES = ("film.film", "film.film_series", "people.person", "music.artist", "book.author", "tv.tv_program")
+RULES = "/film/film /film/film_series\n/people/person /music/artist\n/book/author /film/film\n"
+
+
+def semantics_lines(rng: random.Random) -> list[str]:
+    """Type assertions of named types, an acyclic replaced-by forest and value notations."""
+    lines = []
+    for i in range(1_500):
+        for typ in rng.sample(TYPES, rng.randint(1, 3)):
+            lines.append(obj_line(f"m.t{i}", "type.object.type", typ))
+    for i in range(1, 600):
+        lines.append(obj_line(f"m.t{i}", "dataworld.gardening_hint.replaced_by", f"m.t{rng.randrange(i)}"))
+    for i in range(400):
+        kind = "has_value" if i % 3 else "has_no_value"
+        lines.append(obj_line("people.person.date_of_birth", f"freebase.valuenotation.{kind}", f"m.t{i}"))
+    return lines
+
+
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
     """A gzip dump of at least three ranges, and this interpreter's study tree."""
@@ -80,6 +101,7 @@ def reference(tmp_path_factory):
         lit_line(f"m.e{i}", "common.topic.description", f'line {i}\\n\\"quoted\\"\\tand C:\\\\dir\\r', "@en")
         for i in range(500)
     ]
+    lines += semantics_lines(rng)
     rng.shuffle(lines)
     dump = root / "dump.nt.gz"
     dump.write_bytes(gzip.compress("".join(l + "\n" for l in lines).encode(), 1))
@@ -116,3 +138,28 @@ def test_materialized_slice_tree_equals_this_interpreters(python, reference, sli
     for workers in (1, 2):
         tree = run_fbont(python, SLICE, dump, str(tmp_path / f"w{workers}"), workers)
         assert tree == slice_reference, (python, workers)
+
+
+@pytest.fixture(scope="module")
+def semantics_reference(reference, tmp_path_factory):
+    """The semantics command with its rules file, and this interpreter's tree of the same dump."""
+    root = tmp_path_factory.mktemp("semantics")
+    dump, _ = reference
+    rules = root / "rules.tsv"
+    rules.write_text(RULES)
+    command = ("semantics", "--rules", str(rules), "--json")
+    trees = [run_fbont(sys.executable, command, dump, str(root / f"ref-w{w}"), w) for w in (1, 2)]
+    assert trees[0] == trees[1]
+    for name in ("merges.tsv", "valuenotes.csv", "violations.csv"):
+        assert trees[0][name].count(b"\n") > 100, name
+    return command, trees[0]
+
+
+@pytest.mark.parametrize("python", interpreters_on_path())
+def test_semantics_tree_equals_this_interpreters(python, reference, semantics_reference, tmp_path):
+    skip_unless_it_starts(python)
+    dump, _ = reference
+    command, expected = semantics_reference
+    for workers in (1, 2):
+        tree = run_fbont(python, command, dump, str(tmp_path / f"w{workers}"), workers)
+        assert tree == expected, (python, workers)

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import string
 
 import pytest
@@ -17,6 +19,8 @@ from fbont.model import (
     render,
     to_iri,
 )
+from fbont.semantics import IncompatibilityRule, NotationKind, ValueNotation, Violation
+from fbont.slicer import DOMAIN, SliceKey
 
 STANDARD = string.digits + string.ascii_lowercase + "_"
 
@@ -146,3 +150,33 @@ class TestInvariants:
         assert prop.parent_type() == idpath("/people/person")
         with pytest.raises(ValueError):
             idpath("/people").parent_type()
+
+
+XSD_DATE = ExternalIri("http://www.w3.org/2001/XMLSchema#date")
+SLOTTED_VALUES = [
+    Mid("0dl567"),
+    idpath("/people/person/date_of_birth"),
+    XSD_DATE,
+    Literal("plain"),
+    Literal("Platon", language="de"),
+    Literal("1960-01-01", datatype=XSD_DATE),
+    Triple(Mid("a"), idpath("/people/person/name"), Literal("Ann", language="en")),
+    Triple(Mid("a"), ExternalIri("http://www.w3.org/2000/01/rdf-schema#label"), Mid("b")),
+    SliceKey(DOMAIN, "people"),
+    ValueNotation(idpath("/people/person/date_of_birth"), Mid("plato"), NotationKind.HAS_VALUE, "reversed"),
+    IncompatibilityRule(idpath("/film/film_series"), idpath("/film/film")),
+    Violation(Mid("terminator"), idpath("/film/film"), idpath("/film/film_series")),
+]
+
+
+@pytest.mark.parametrize("protocol", range(2, 6))
+@pytest.mark.parametrize("value", SLOTTED_VALUES, ids=lambda v: type(v).__name__)
+def test_slotted_value_round_trips_through_pickle(value, protocol):
+    assert value.__reduce_ex__(protocol)[0] is type(value)  # a constructor call, not __setstate__
+    again = pickle.loads(pickle.dumps(value, protocol))
+    assert again == value
+    assert type(again) is type(value)
+    assert hash(again) == hash(value)
+    assert not hasattr(again, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(again, dataclasses.fields(again)[0].name, None)

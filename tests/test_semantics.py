@@ -118,6 +118,13 @@ class TestResolve:
             merge_map.resolve(Mid("p"))
         assert err.value.members == [Mid("p"), Mid("q"), Mid("r")]
 
+    def test_cycle_members_and_message_sorted_by_suffix(self):
+        merge_map = MergeMap({Mid("p"): Mid("q"), Mid("q"): Mid("r"), Mid("r"): Mid("p")})
+        with pytest.raises(MergeCycleError) as err:
+            merge_map.resolve(Mid("r"))  # walks r, p, q
+        assert err.value.members == [Mid("p"), Mid("q"), Mid("r")]
+        assert str(err.value) == "replaced-by cycle: /m/p, /m/q, /m/r"
+
     def test_cycle_smallest_policy(self):
         merge_map = MergeMap({Mid("p"): Mid("q"), Mid("q"): Mid("c"), Mid("c"): Mid("p")})
         for start in ("p", "q", "c"):
@@ -287,6 +294,40 @@ class TestIncompatibilities:
         # deterministic order: by mid then rule
         assert violations == sorted(violations)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_one_pass_matches_the_oracle(self, seed):
+        """Duplicates, mids with 3-6 named types, shared and unasserted rule types, >64 types."""
+        rng = random.Random(seed)
+        n_types = rng.choice([3, 8, 70, 150])
+        pool = [idpath(f"/d{i % 5}/t{i}") for i in range(n_types)]
+        asserted_pool = pool[: max(2, n_types * 3 // 4)]  # the rest are named by rules only
+        assertions = []
+        for i in range(rng.randint(0, 120)):
+            mid = Mid(f"o{rng.randrange(10_000)}")
+            for typ in rng.sample(asserted_pool, rng.randint(1, min(6, len(asserted_pool)))):
+                assertions.append((mid, typ))
+        assertions += rng.sample(assertions, len(assertions) // 4)  # duplicate assertions
+        rng.shuffle(assertions)
+        hub = rng.choice(pool)  # a type many rules share
+        rules = [IncompatibilityRule(hub, other) for other in rng.sample(pool, n_types // 2) if other != hub]
+        rules += [IncompatibilityRule(*rng.sample(pool, 2)) for _ in range(rng.randint(0, 3 * n_types))]
+        if seed % 10 == 0:
+            rules = []
+        violations = check_incompatibilities(assertions, rules)
+        expected = oracle_violations(assertions, [(r.type_a, r.type_b) for r in rules])
+        assert len(violations) == len(expected)
+        assert {(v.mid, v.type_a, v.type_b) for v in violations} == expected
+        assert violations == sorted(violations)
+
+    def test_one_pass_many_named_types_per_mid(self):
+        pool = [idpath(f"/d/t{i:03d}") for i in range(100)]
+        assertions = [(Mid("many"), typ) for typ in pool] + [(Mid("two"), pool[0]), (Mid("two"), pool[7])]
+        rules = [IncompatibilityRule(pool[i], pool[j]) for i in range(100) for j in range(i + 1, 100) if (i + j) % 7 == 0]
+        violations = check_incompatibilities(reversed(assertions), iter(rules))
+        assert violations == sorted(Violation(Mid("many"), r.type_a, r.type_b) for r in rules) + [
+            Violation(Mid("two"), pool[0], pool[7])
+        ]
+
     def test_monotone_in_rules(self):
         rng = random.Random(23)
         type_pool = [idpath(f"/d/t{i}") for i in range(6)]
@@ -330,6 +371,13 @@ class TestMergeTsv:
         # exported rows are fully resolved, so resolution is single-step stable
         for duplicate in edges:
             assert again.resolve(duplicate) == merge_map.resolve(duplicate)
+
+    def test_rows_sort_by_duplicate_mid(self):
+        lines, edges = forest_lines(300, seed=37)  # shuffled, so edges arrive out of order
+        out = io.StringIO()
+        write_merge_tsv(build_merge_map(parse_lines(lines)), out)
+        duplicates = [row.split("\t")[0] for row in out.getvalue().splitlines()]
+        assert duplicates == sorted(f"/m/{mid.suffix}" for mid in edges)
 
     def test_rows_sorted_and_canonical(self):
         merge_map = MergeMap({Mid("b"): Mid("a"), Mid("c"): Mid("b")})

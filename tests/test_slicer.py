@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import load_census
 from dumpgen import oracle_slice_counts, random_dump_lines
 from fbont.model import ExternalIri, Mid, Triple, idpath
+from fbont import slicer
 from fbont.parser import stream_parse
 from fbont.slicer import (
     DEFAULT_IMPLEMENTATION_DOMAINS,
@@ -15,6 +16,7 @@ from fbont.slicer import (
     Group,
     PredicateKindError,
     SliceKey,
+    SliceWriter,
     build_taxonomy,
     classify_predicate,
     feed_slice_triple,
@@ -68,6 +70,25 @@ class TestGroups:
             groups = [group_for(SliceKey(DOMAIN, name)), group_for(SliceKey(OWL_TERM, name))]
             assert groups[0] in (Group.IMPLEMENTATION, Group.SUBJECT_MATTER)
             assert groups[1] is Group.OWL
+
+
+class TestSliceWriter:
+    def test_open_files_stay_under_the_cap(self, tmp_path, monkeypatch):
+        """The least recently written file is closed first; a reopened file is
+        appended to, and a file from an earlier writer is overwritten."""
+        monkeypatch.setattr(slicer, "MAX_OPEN_SLICE_FILES", 2)
+        keys = [SliceKey(DOMAIN, f"d{i}") for i in range(5)]
+        (tmp_path / "domain").mkdir()
+        (tmp_path / "domain" / "d0.nt").write_text("stale\n")
+        expected = {key: "" for key in keys}
+        with SliceWriter(tmp_path, "ns") as writer:
+            for round_ in range(3):
+                for key in keys[round_:] + keys[:round_]:
+                    writer.write_lines(key, [f"{key.name} {round_}"])
+                    expected[key] += f"{key.name} {round_}\n"
+                    assert len(writer._files) <= 2
+        for key in keys:
+            assert (tmp_path / "domain" / f"{key.name}.nt").read_text() == expected[key]
 
 
 class TestSliceStream:
