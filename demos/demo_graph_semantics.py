@@ -11,28 +11,41 @@ Three pieces of graph semantics beyond raw triples:
   has an unknown value or definitely none;
 - incompatibility rules flag objects asserting mutually exclusive types
   (the reporting hook for conflated objects that need splitting).
+
+The demo writes miniature dumps under demos/out/ and runs the semantics fold
+of ``fbont semantics`` over them.
 """
+
+import os
 
 from fbont import (
     CyclePolicy,
     IncompatibilityRule,
     Mid,
-    build_merge_map,
+    ParseReport,
     check_incompatibilities,
-    extract_value_notations,
     idpath,
-    iter_type_assertions,
+    iter_triples,
     render,
     rewrite_canonical,
     serialize,
-    stream_parse,
 )
+from fbont.pipeline import SemanticsFold, run_folds
 
 NS = "http://rdf.freebase.com/ns/"
+OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
 
 def obj(s, p, o):
     return f"<{NS}{s}>\t<{NS}{p}>\t<{NS}{o}>\t."
+
+
+def write_dump(name, lines):
+    os.makedirs(OUT_DIR, exist_ok=True)
+    path = os.path.join(OUT_DIR, name)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("".join(line + "\n" for line in lines))
+    return path
 
 
 lines = [
@@ -50,26 +63,28 @@ lines = [
     obj("m.terminator", "type.object.type", "film.film_series"),
 ]
 
-triples = []
-stream_parse(lines, triples.append)
+dump = write_dump("semantics.nt", lines)
+# The rule is known before the parse, so the fold keeps only the type
+# assertions it names.
+rule = IncompatibilityRule(idpath("/film/film"), idpath("/film/film_series"))
+_, merged = run_folds([dump], [SemanticsFold(known_rules=frozenset({rule}))])
 
-merge_map = build_merge_map(triples)
+merge_map = merged["merge_map"]
 print("merge edges:", {render(k): render(v) for k, v in merge_map.edges.items()})
 print("resolve(/m/xyz123) ->", render(merge_map.resolve(Mid("xyz123"))))
 
 rewritten = []
-report = rewrite_canonical(triples, merge_map, rewritten.append)
+report = rewrite_canonical(iter_triples(dump, ParseReport()), merge_map, rewritten.append)
 print(f"rewrote {report.subjects_rewritten} subjects, {report.objects_rewritten} objects:")
 for triple in rewritten[2:4]:
     print("  ", serialize(triple))
 
 print()
-for note in extract_value_notations(triples):
+for note in merged["notations"]:
     print(f"{render(note.property)} - {note.kind.value} - {render(note.object)}")
 
 print()
-rule = IncompatibilityRule(idpath("/film/film"), idpath("/film/film_series"))
-violations = check_incompatibilities(iter_type_assertions(triples), [rule])
+violations = check_incompatibilities(merged["assertions"], [rule])
 for violation in violations:
     print(f"split candidate: {render(violation.mid)} asserts both "
           f"{render(violation.type_a)} and {render(violation.type_b)}")
@@ -80,8 +95,7 @@ cycle_lines = [
     obj("m.b", "dataworld.gardening_hint.replaced_by", "m.c"),
     obj("m.c", "dataworld.gardening_hint.replaced_by", "m.b"),
 ]
-cycle_triples = []
-stream_parse(cycle_lines, cycle_triples.append)
-cycle_map = build_merge_map(cycle_triples)
+_, cycle = run_folds([write_dump("cycle.nt", cycle_lines)], [SemanticsFold()])
+cycle_map = cycle["merge_map"]
 survivor = cycle_map.resolve(next(iter(cycle_map.edges)), CyclePolicy.SMALLEST)
 print(f"\ncycle canonicalized to {render(survivor)} under the resilience policy")

@@ -5,11 +5,15 @@ Reconstructing the ontology layer
 The ontology is stored in the dump as ordinary triples: declarations under
 /type, descriptions under /common/topic/description, and constraint triples
 (expected value type, uniqueness, schema membership) as property details.
-This demo extracts the per-domain summaries and scores how densely each
-domain's schema is documented.
+This demo writes a miniature dump under demos/out/, runs the schema fold of
+``fbont schema`` over it to extract the per-domain summaries, and scores how
+densely each domain's schema is documented.
 """
 
-from fbont import complexity_score, extract_schema, stream_parse
+import os
+
+from fbont import complexity_score
+from fbont.pipeline import SchemaFold, run_folds
 from fbont.report import render_schema_table
 
 NS = "http://rdf.freebase.com/ns/"
@@ -41,9 +45,14 @@ lines = [
     lit("m.obama", "common.topic.description", "A person, not schema"),
 ]
 
-triples = []
-stream_parse(lines, triples.append)
-schemas = extract_schema(triples)
+out_dir = os.path.join(os.path.dirname(__file__), "out")
+os.makedirs(out_dir, exist_ok=True)
+dump = os.path.join(out_dir, "schema.nt")
+with open(dump, "w", encoding="utf-8") as handle:
+    handle.write("".join(line + "\n" for line in lines))
+
+_, merged = run_folds([dump], [SchemaFold()])
+schemas = merged["schemas"]
 
 for domain, schema in sorted(schemas.items()):
     score = complexity_score(schema)

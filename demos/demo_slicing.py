@@ -2,12 +2,15 @@
 Slicing a dump by predicate domain
 ==================================
 
-Builds a miniature N-Triples dump in memory, streams it through the parser,
-counts one slice per predicate domain, and renders the three-group taxonomy
-the way the published census table lays it out.
+Writes a miniature N-Triples dump under demos/out/, runs the slice fold of
+``fbont slice`` over it to count one slice per predicate domain, and renders
+the three-group taxonomy the way the published census table lays it out.
 """
 
-from fbont import build_taxonomy, slice_stream, stream_parse
+import os
+
+from fbont import build_taxonomy
+from fbont.pipeline import SliceFold, run_folds
 from fbont.report import render_taxonomy
 
 NS = "http://rdf.freebase.com/ns/"
@@ -27,13 +30,17 @@ for i in range(15):
     lines.append(f'<{NS}m.s{i}>\t<http://www.w3.org/2000/01/rdf-schema#label>\t"thing"@en\t.')
 lines.append("this line is corrupt and will be counted, not fatal")
 
-triples = []
-report = stream_parse(lines, triples.append)
+out_dir = os.path.join(os.path.dirname(__file__), "out")
+os.makedirs(out_dir, exist_ok=True)
+dump = os.path.join(out_dir, "slicing.nt")
+with open(dump, "w", encoding="utf-8") as handle:
+    handle.write("".join(line + "\n" for line in lines))
+
+# One parse feeds every triple to the fold; every triple lands in exactly one slice.
+report, merged = run_folds([dump], [SliceFold()])
 print(f"parsed {report.lines_read} lines -> {report.triples_ok} triples, "
       f"{report.lines_malformed} malformed {report.errors}")
-
-# Counting is a single pass; every triple lands in exactly one slice.
-counts = slice_stream(triples)
+counts = merged["counts"]
 for key, count in sorted(counts.items()):
     print(f"  {key.kind:6s} {key.name:10s} {count}")
 

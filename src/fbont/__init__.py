@@ -4,132 +4,35 @@ Parses dumps at scale, slices triples by predicate domain, reconstructs the
 per-domain ontology layer (types, properties, descriptions, details), applies
 the graph's merge and value-notation semantics, and correlates each domain's
 triple volume with its ontology complexity.
+
+A dump is read through :func:`fbont.pipeline.run_folds`, the route the CLI
+takes: one parse feeds every triple to each fold (``SliceFold``,
+``SchemaFold``, ``SemanticsFold``) and returns the merged payload, whose
+fields the names below turn into results.
 """
 
-from .model import (
-    DEFAULT_NAMESPACE,
-    ExternalIri,
-    IdPath,
-    Literal,
-    Mid,
-    NodeRef,
-    Triple,
-    idpath,
-    normalize_iri,
-    parse_ref,
-    render,
-    to_iri,
-)
-from .parser import (
-    MalformedLineError,
-    ParseReport,
-    ParserConfig,
-    StreamAbortedError,
-    iter_triples,
-    parse_line,
-    serialize,
-    stream_parse,
-)
-from .schema import (
-    DomainSchema,
-    SchemaConfig,
-    UndefinedComplexityError,
-    complexity_score,
-    extract_schema,
-    merge_schemas,
-)
-from .semantics import (
-    CyclePolicy,
-    IncompatibilityRule,
-    MergeCycleError,
-    MergeMap,
-    NotationKind,
-    ValueNotation,
-    Violation,
-    build_merge_map,
-    check_incompatibilities,
-    extract_value_notations,
-    iter_type_assertions,
-    rewrite_canonical,
-)
-from .slicer import (
-    Group,
-    GroupConfig,
-    SliceKey,
-    SliceStats,
-    build_taxonomy,
-    classify_predicate,
-    group_for,
-    merge_counts,
-    slice_stream,
-)
-from .stats import (
-    ConstantInputError,
-    DegenerateFitError,
-    InsufficientDataError,
-    StudyResult,
-    StudyRow,
-    linreg,
-    pearson_r,
-    run_study,
-)
+from .model import Mid, idpath, render
+from .parser import ParseReport, iter_triples, serialize
+from .schema import complexity_score
+from .semantics import CyclePolicy, IncompatibilityRule, check_incompatibilities, rewrite_canonical
+from .slicer import build_taxonomy
+from .stats import StudyRow, run_study
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_NAMESPACE",
-    "ConstantInputError",
     "CyclePolicy",
-    "DegenerateFitError",
-    "DomainSchema",
-    "ExternalIri",
-    "Group",
-    "GroupConfig",
-    "IdPath",
     "IncompatibilityRule",
-    "InsufficientDataError",
-    "Literal",
-    "MalformedLineError",
-    "MergeCycleError",
-    "MergeMap",
     "Mid",
-    "NodeRef",
-    "NotationKind",
     "ParseReport",
-    "ParserConfig",
-    "SchemaConfig",
-    "SliceKey",
-    "SliceStats",
-    "StreamAbortedError",
-    "StudyResult",
     "StudyRow",
-    "Triple",
-    "UndefinedComplexityError",
-    "ValueNotation",
-    "Violation",
-    "build_merge_map",
     "build_taxonomy",
     "check_incompatibilities",
-    "classify_predicate",
     "complexity_score",
-    "extract_schema",
-    "extract_value_notations",
-    "group_for",
     "idpath",
     "iter_triples",
-    "iter_type_assertions",
-    "linreg",
-    "merge_counts",
-    "merge_schemas",
-    "normalize_iri",
-    "parse_line",
-    "parse_ref",
-    "pearson_r",
     "render",
     "rewrite_canonical",
     "run_study",
     "serialize",
-    "slice_stream",
-    "stream_parse",
-    "to_iri",
 ]

@@ -39,17 +39,14 @@ from typing import Callable, TextIO, TypeVar
 from .model import DEFAULT_NAMESPACE, idpath
 from .parser import ParseReport, ParserConfig
 from .pipeline import (
-    Job,
     SchemaFold,
     SemanticsFold,
     SliceFold,
     concatenate_shards,
     join_scores,
     join_study_rows,
-    merge_payloads,
-    plan_partitions,
     replacing,
-    run_partitioned,
+    run_folds,
 )
 from .report import (
     DEFAULT_TAXONOMY_FORMATS,
@@ -144,11 +141,8 @@ def _group_config(args: argparse.Namespace) -> GroupConfig:
 
 
 def _run(args: argparse.Namespace, *folds) -> tuple[ParseReport, dict]:
-    """Parse the inputs once, feeding every triple to each fold; merged report and payload."""
-    job = Job(folds, _parser_config(args), args.max_errors)
-    partitions = plan_partitions(args.inputs, args.workers)
-    report, payloads = run_partitioned(job, partitions, args.workers)
-    return report, merge_payloads(payloads)
+    """run_folds over the command's inputs, with its --workers and parser options."""
+    return run_folds(args.inputs, folds, args.workers, _parser_config(args), args.max_errors)
 
 
 def _tables(args: argparse.Namespace, name: str, header: tuple, rows: list[tuple]) -> dict[str, str]:

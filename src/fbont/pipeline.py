@@ -18,6 +18,11 @@ therefore produces byte-identical outputs to a single-threaded run.
 
 Standard input, pipes and gzip files under two minimum ranges are read as
 one partition.
+
+``run_folds`` is the library's one entry point, and the CLI's: it plans the
+partitions, runs one ``Job`` of the given folds over them and returns the
+merged report and payload, e.g. ``run_folds(["dump.nt.gz"], [SliceFold(),
+SchemaFold()], workers=4)``.
 """
 
 from __future__ import annotations
@@ -454,6 +459,19 @@ def run_partitioned(
         return _merge_results(job, map(job.run, partitions))
     with ProcessPoolExecutor(max_workers=min(workers, len(partitions))) as pool:
         return _merge_results(job, pool.map(job.run, partitions))
+
+
+def run_folds(
+    inputs: Sequence[str],
+    folds: Sequence[Any],
+    workers: int = 1,
+    parser: ParserConfig = ParserConfig(),
+    max_errors: int = 20,
+) -> tuple[ParseReport, dict[str, Any]]:
+    """Parse the inputs once, feeding every triple to each fold; the merged report and payload."""
+    job = Job(tuple(folds), parser, max_errors)
+    report, payloads = run_partitioned(job, plan_partitions(inputs, workers), workers)
+    return report, merge_payloads(payloads)
 
 
 def _merge_results(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .model import IdPath, Mid, NodeRef, Triple, idpath
 
@@ -152,7 +152,13 @@ def feed_schema_triple(
     config: SchemaConfig = DEFAULT_SCHEMA_CONFIG,
     counters: Counter | None = None,
 ) -> None:
-    """Fold one triple into the per-domain summaries (see extract_schema)."""
+    """Attribute one schema-bearing triple to exactly one domain's summary.
+
+    Subjects are recognized by segment count (two segments: type, three:
+    property) and cross-checked against explicit declarations when present;
+    mismatches and unattributable schema triples are counted as lint, never
+    fatal. Triples about mids are knowledge-base content and are ignored.
+    """
     pred = triple.predicate
     if not isinstance(pred, IdPath):
         return
@@ -201,24 +207,6 @@ def feed_schema_triple(
             else:
                 lint("unattributable-schema-subject")
         # mid subjects under /type/* (names, keys, ...) are instance data
-
-
-def extract_schema(
-    triples: Iterable[Triple],
-    config: SchemaConfig = DEFAULT_SCHEMA_CONFIG,
-    counters: Counter | None = None,
-) -> dict[str, DomainSchema]:
-    """Attribute every schema-bearing triple to exactly one domain's summary.
-
-    Subjects are recognized by segment count (two segments: type, three:
-    property) and cross-checked against explicit declarations when present;
-    mismatches and unattributable schema triples are counted as lint, never
-    fatal. Triples about mids are knowledge-base content and are ignored.
-    """
-    schemas: dict[str, DomainSchema] = {}
-    for triple in triples:
-        feed_schema_triple(schemas, triple, config, counters)
-    return schemas
 
 
 def merge_schemas(

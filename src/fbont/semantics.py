@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, TextIO
 
 from .model import IdPath, Mid, Triple, idpath, parse_ref, reduce_value, render
 
@@ -134,22 +134,6 @@ def feed_merge_edge(
         counters["replaced-by-shape"] += 1
 
 
-def build_merge_map(
-    triples: Iterable[Triple],
-    predicate: IdPath = REPLACED_BY_PREDICATE,
-    counters: Counter | None = None,
-) -> MergeMap:
-    """Collect duplicate-to-replacement edges from a stream.
-
-    Replaced-by triples whose endpoints are not both mids are skipped and
-    counted under the ``replaced-by-shape`` lint key.
-    """
-    merge_map = MergeMap()
-    for triple in triples:
-        feed_merge_edge(merge_map, triple, predicate, counters)
-    return merge_map
-
-
 @dataclass
 class RewriteReport:
     triples_seen: int = 0
@@ -241,22 +225,6 @@ def feed_value_notation(
         counters["valuenotation-shape"] += 1
 
 
-def extract_value_notations(
-    triples: Iterable[Triple],
-    accept_reversed: bool = False,
-    counters: Counter | None = None,
-) -> list[ValueNotation]:
-    """One ValueNotation per conforming notation triple, in stream order.
-
-    Notation triples with unexpected endpoint kinds are skipped and counted
-    under ``valuenotation-shape``.
-    """
-    notations: list[ValueNotation] = []
-    for triple in triples:
-        feed_value_notation(notations, triple, accept_reversed, counters)
-    return notations
-
-
 @dataclass(frozen=True, order=True, slots=True)
 class IncompatibilityRule:
     """An unordered pair of mutually exclusive types."""
@@ -297,17 +265,6 @@ def match_type_assertion(
     ):
         return triple.subject, triple.object
     return None
-
-
-def iter_type_assertions(
-    triples: Iterable[Triple],
-    predicate: IdPath = TYPE_ASSERTION_PREDICATE,
-) -> Iterator[tuple[Mid, IdPath]]:
-    """(object mid, asserted type) pairs from instance-typing triples."""
-    for triple in triples:
-        assertion = match_type_assertion(triple, predicate)
-        if assertion is not None:
-            yield assertion
 
 
 def check_incompatibilities(
@@ -395,19 +352,3 @@ def write_merge_tsv(merge_map: MergeMap, stream: TextIO, policy: CyclePolicy = C
         stream.write(f"{render(duplicate)}\t{render(resolved[duplicate])}\n")
         count += 1
     return count
-
-
-def read_merge_tsv(stream: TextIO) -> MergeMap:
-    merge_map = MergeMap()
-    for line_number, line in enumerate(stream, 1):
-        text = line.rstrip("\n")
-        if not text:
-            continue
-        parts = text.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"merge tsv line {line_number}: expected two columns")
-        duplicate, canonical = (parse_ref(p) for p in parts)
-        if not (isinstance(duplicate, Mid) and isinstance(canonical, Mid)):
-            raise ValueError(f"merge tsv line {line_number}: not mids: {text!r}")
-        merge_map.add_edge(duplicate, canonical)
-    return merge_map

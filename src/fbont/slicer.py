@@ -17,7 +17,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import IO, Iterable, Mapping
+from typing import IO, Mapping
 
 from .model import ExternalIri, IdPath, Mid, NodeRef, Triple, reduce_value
 from .parser import serialize
@@ -245,37 +245,6 @@ def count_slice(
         key = keys[pred] = classify_predicate(pred)
     counts[key] = counts.get(key, 0) + count
     return key
-
-
-def feed_slice_triple(
-    counts: dict[SliceKey, int],
-    keys: dict[NodeRef, SliceKey],
-    triple: Triple,
-    writer: SliceWriter | None = None,
-    counters: Counter | None = None,
-) -> SliceKey | None:
-    """Fold one triple into its slice count (see slice_stream and count_slice)."""
-    key = count_slice(counts, keys, triple.predicate, 1, counters)
-    if writer is not None and key is not None:
-        writer.write(key, triple)
-    return key
-
-
-def slice_stream(
-    triples: Iterable[Triple],
-    writer: SliceWriter | None = None,
-    counters: Counter | None = None,
-) -> dict[SliceKey, int]:
-    """Count (and optionally materialize) every triple into its slice.
-
-    Mid-predicate triples are a data error: counted under the
-    ``mid-predicate`` lint key and excluded from every slice.
-    """
-    counts: dict[SliceKey, int] = {}
-    keys: dict[NodeRef, SliceKey] = {}
-    for triple in triples:
-        feed_slice_triple(counts, keys, triple, writer, counters)
-    return counts
 
 
 def merge_counts(

@@ -1,11 +1,15 @@
-"""Shared fixture helpers: dump-line builders and the published domain census."""
+"""Shared fixture helpers: dump-line builders, feeding triples to one fold, and the published domain census."""
 
 from __future__ import annotations
 
 import os
 import sys
+from collections import Counter
 
 import pytest
+
+from fbont.parser import ParserConfig
+from fbont.pipeline import Partition
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -31,6 +35,21 @@ def obj_line(s_local: str, p_local: str, o_local: str) -> str:
 
 def lit_line(s_local: str, p_local: str, lexical: str, suffix: str = "") -> str:
     return line(fb(s_local), fb(p_local), f'"{lexical}"{suffix}')
+
+
+def fold_triples(fold, triples) -> tuple[dict, Counter]:
+    """(payload, lint) of one fold fed these triples through its own start() closures.
+
+    Each triple goes to ``feed``, as Job.run feeds a built triple, then
+    ``absorb`` takes no tallies (every line was built) and ``finish`` gives
+    the payload, so a test drives the code the CLI runs.
+    """
+    lint: Counter = Counter()
+    feed, absorb, finish, *_ = fold.start(Partition("-", 0, -1, 0), ParserConfig(), lint)
+    for triple in triples:
+        feed(triple)
+    absorb(())
+    return finish(), lint
 
 
 def load_census() -> list[dict]:

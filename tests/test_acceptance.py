@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import load_census, obj_line
+from conftest import fold_triples, load_census, obj_line
 from dumpgen import (
     oracle_count_wellformed,
     oracle_linreg,
@@ -27,29 +27,29 @@ from dumpgen import (
 )
 from fbont.cli import main
 from fbont.model import Mid, idpath
-from fbont.parser import stream_parse
 from fbont.pipeline import (
     Job,
+    SemanticsFold,
     SliceFold,
-    merge_slice_payloads,
+    concatenate_shards,
+    merge_payloads,
     plan_partitions,
+    run_folds,
     run_partitioned,
 )
-from fbont.schema import extract_schema, merge_schemas
+from fbont.schema import merge_schemas
 from fbont.semantics import (
     CyclePolicy,
     MergeCycleError,
     MergeMap,
     NotationKind,
-    build_merge_map,
-    extract_value_notations,
     rewrite_canonical,
 )
-from fbont.slicer import DOMAIN, OWL_TERM, SliceKey, SliceWriter, build_taxonomy, slice_stream
+from fbont.slicer import DOMAIN, OWL_TERM, SliceKey, build_taxonomy
 from fbont.stats import linreg, pearson_r, run_study
 
 from test_cli import read_tree, study_fixture_lines, write_lines
-from test_schema import parse_fixture
+from test_schema import fixture_schemas, parse_fixture
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 CENSUS = os.path.join(os.path.dirname(__file__), "data", "domain_census.tsv")
@@ -99,10 +99,10 @@ def test_criterion_2_slicer_oracle_equivalence(tmp_path):
     with criterion(2, "slice counts equal naive filter oracle; slices partition input"):
         started = time.perf_counter()
         lines = random_dump_lines(100_000, seed=1234)
-        triples = []
-        stream_parse(lines, triples.append)
-        with SliceWriter(tmp_path / "slices", "http://rdf.freebase.com/ns/") as writer:
-            counts = slice_stream(triples, writer)
+        path = write_lines(tmp_path, lines)
+        _, merged = run_folds([path], [SliceFold(str(tmp_path / "slices" / ".parts"))])
+        concatenate_shards(merged["shard_dirs"], str(tmp_path / "slices"))
+        counts = merged["counts"]
         got = {(k.kind, k.name): v for k, v in counts.items()}
         expected = oracle_slice_counts(lines)
         assert got == expected
@@ -129,12 +129,12 @@ def test_criterion_3_parser_robustness_and_worker_determinism(tmp_path):
         assert report.triples_ok + report.lines_malformed == report.lines_read
         assert report.lines_malformed > 0
         assert report.triples_ok == oracle_count_wellformed(lines)
-        baseline = (report, merge_slice_payloads(payloads)["counts"])
+        baseline = (report, merge_payloads(payloads)["counts"])
         for workers in (4, 16):
             parts = plan_partitions([path], workers)
             worker_report, worker_payloads = run_partitioned(Job((SliceFold(),)), parts, workers)
             assert worker_report == baseline[0]
-            assert merge_slice_payloads(worker_payloads)["counts"] == baseline[1]
+            assert merge_payloads(worker_payloads)["counts"] == baseline[1]
         assert elapsed < 30.0
 
 
@@ -161,7 +161,7 @@ def test_criterion_4_merge_semantics():
             for i in range(400)
         ]
         triples = parse_fixture(lines)
-        merge_map = build_merge_map(triples)
+        merge_map = fold_triples(SemanticsFold(), triples)[0]["merge_map"]
         rewritten = []
         report = rewrite_canonical(triples, merge_map, rewritten.append)
         assert report.triples_seen == len(triples) == len(rewritten)
@@ -179,7 +179,7 @@ def test_criterion_5_value_notations():
         ] + [
             obj_line("m.a", "people.person.spouse_s", "m.b")
         ]
-        notations = extract_value_notations(parse_fixture(forward))
+        notations = fold_triples(SemanticsFold(), parse_fixture(forward))[0]["notations"]
         assert sum(1 for n in notations if n.kind is NotationKind.HAS_VALUE) == 7
         assert sum(1 for n in notations if n.kind is NotationKind.HAS_NO_VALUE) == 5
 
@@ -190,7 +190,7 @@ def test_criterion_5_value_notations():
             obj_line(f"m.w{i}", "freebase.valuenotation.has_no_value", f"people.person.q{i}")
             for i in range(5)
         ]
-        flagged = extract_value_notations(parse_fixture(reversed_fixture), accept_reversed=True)
+        flagged = fold_triples(SemanticsFold(accept_reversed=True), parse_fixture(reversed_fixture))[0]["notations"]
         assert sum(1 for n in flagged if n.kind is NotationKind.HAS_VALUE) == 7
         assert sum(1 for n in flagged if n.kind is NotationKind.HAS_NO_VALUE) == 5
         assert all(n.orientation == "reversed" for n in flagged)
@@ -251,7 +251,7 @@ def test_criterion_7_complexity_score_and_merge_stability():
     with criterion(7, "score fixture equals 2.0; partitioned extraction merges exactly"):
         from test_schema import SCHEMA_FIXTURE
 
-        schemas = extract_schema(parse_fixture(SCHEMA_FIXTURE))
+        schemas = fixture_schemas(SCHEMA_FIXTURE)
         people = schemas["people"]
         assert (len(people.types), len(people.properties)) == (2, 3)
         assert (people.description_count, people.property_detail_count) == (4, 6)
@@ -272,11 +272,8 @@ def test_criterion_7_complexity_score_and_merge_stability():
                 for _ in range(rng.randint(0, 60))
             ]
             cut = rng.randint(0, len(lines)) if lines else 0
-            whole = extract_schema(parse_fixture(lines))
-            merged = merge_schemas(
-                extract_schema(parse_fixture(lines[:cut])),
-                extract_schema(parse_fixture(lines[cut:])),
-            )
+            whole = fixture_schemas(lines)
+            merged = merge_schemas(fixture_schemas(lines[:cut]), fixture_schemas(lines[cut:]))
             assert merged == whole, f"trial {trial}"
 
 

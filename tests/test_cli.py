@@ -16,15 +16,15 @@ from unittest import mock
 
 import pytest
 
-from conftest import fb, lit_line, obj_line
+from conftest import fb, fold_triples, lit_line, obj_line
 from dumpgen import oracle_linreg, oracle_pearson, oracle_violations, random_dump_lines
 from fbont import cli, pipeline
 from fbont.cli import main
 from fbont.model import render
-from fbont.parser import StreamAbortedError, stream_parse
+from fbont.parser import ParseReport, StreamAbortedError, iter_triples, stream_parse
 from fbont.pipeline import Job, SliceFold
 from fbont.semantics import check_incompatibilities
-from fbont.slicer import slice_relpath, slice_stream
+from fbont.slicer import slice_relpath
 
 TEST_PID = os.getpid()
 
@@ -154,9 +154,7 @@ class TestCmdSlice:
         assert tree.pop("dump.nt") == data
         assert tree.pop(os.path.join(out, "parse_report.json")) and tree.pop(os.path.join(out, "taxonomy.json"))
         assert all(path.startswith(os.path.join(out, "slices", "")) for path in tree)
-        triples = []
-        stream_parse(dump, triples.append)
-        counts = slice_stream(triples)
+        counts = fold_triples(SliceFold(), iter_triples(dump, ParseReport()))[0]["counts"]
         assert {key.name for key in counts} >= set(names)
         assert len(tree) == len(counts)  # one file per slice key
         for key, count in counts.items():
@@ -295,7 +293,7 @@ class TestCmdSemantics:
         def no_parse(*args):
             raise AssertionError("the dump was parsed before the rules file was read")
 
-        monkeypatch.setattr(cli, "run_partitioned", no_parse)
+        monkeypatch.setattr(pipeline, "run_partitioned", no_parse)
         rules = tmp_path / "rules.tsv"
         if isinstance(rules_text, str):
             rules.write_text(rules_text)
@@ -645,7 +643,7 @@ class TestFailureExits:
         def crash(*args):
             raise BrokenProcessPool("a worker process terminated abruptly")
 
-        monkeypatch.setattr(cli, "run_partitioned", crash)
+        monkeypatch.setattr(pipeline, "run_partitioned", crash)
         dump = write_lines(tmp_path, random_dump_lines(20, seed=2))
         assert main(["slice", dump, "--workers", "2", "--out", str(tmp_path / "out")]) == 5
         assert "worker failure" in capsys.readouterr().err
@@ -658,7 +656,7 @@ class TestFailureExits:
             assert os.listdir(out / "slices" / ".parts") == ["00000"]
             raise BrokenProcessPool("a worker process terminated abruptly")
 
-        monkeypatch.setattr(cli, "run_partitioned", crash)
+        monkeypatch.setattr(pipeline, "run_partitioned", crash)
         dump = write_lines(tmp_path, random_dump_lines(20, seed=2))
         argv = ["slice", dump, "--workers", "2", "--out", str(out), "--materialize"]
         assert main(argv) == 5

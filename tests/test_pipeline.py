@@ -34,19 +34,16 @@ from fbont.pipeline import (
     iter_partition_lines,
     join_study_rows,
     merge_payloads,
-    merge_semantics_payloads,
-    merge_slice_payloads,
-    merge_study_payloads,
     plan_partitions,
     run_partitioned,
 )
-from fbont.schema import SchemaConfig, extract_schema
+from fbont.schema import SchemaConfig
 from fbont.semantics import IncompatibilityRule
-from fbont.slicer import DOMAIN, SliceKey, SliceWriter, slice_stream
+from fbont.slicer import DOMAIN, SliceKey, SliceWriter, count_slice
 from fbont.stats import StudyRow
 
 from test_cli import read_tree
-from test_schema import SCHEMA_FIXTURE, parse_fixture
+from test_schema import SCHEMA_FIXTURE, fixture_schemas
 
 
 def write_lines(tmp_path, lines, name="dump.nt"):
@@ -205,7 +202,7 @@ class TestWorkerEquivalence:
         for workers in (1, 4, 16):
             parts = plan_partitions([path], workers)
             report, payloads = run_partitioned(Job((SliceFold(),)), parts, workers)
-            merged = merge_slice_payloads(payloads)
+            merged = merge_payloads(payloads)
             results[workers] = (report, merged["counts"])
         assert results[1] == results[4] == results[16]
 
@@ -218,7 +215,7 @@ class TestWorkerEquivalence:
             shard_root = str(out_dir / ".parts")
             parts = plan_partitions([path], workers)
             _, payloads = run_partitioned(Job((SliceFold(shard_root),)), parts, workers)
-            merged = merge_slice_payloads(payloads)
+            merged = merge_payloads(payloads)
             concatenate_shards(merged["shard_dirs"], str(out_dir))
             tree = {}
             for root, _, files in os.walk(out_dir):
@@ -239,7 +236,7 @@ class TestWorkerEquivalence:
         for workers in (1, 5):
             parts = plan_partitions([path], workers)
             report, payloads = run_partitioned(Job((SliceFold(), SchemaFold())), parts, workers)
-            merged = merge_study_payloads(payloads)
+            merged = merge_payloads(payloads)
             rows, skipped = join_study_rows(merged["counts"], merged["schemas"])
             outcomes[workers] = (report, rows, skipped)
         assert outcomes[1] == outcomes[5]
@@ -252,7 +249,7 @@ class TestWorkerEquivalence:
         for workers in (1, 6):
             parts = plan_partitions([path], workers)
             _, payloads = run_partitioned(Job((SemanticsFold(),)), parts, workers)
-            result = merge_semantics_payloads(payloads)
+            result = merge_payloads(payloads)
             merged[workers] = (result["merge_map"].edges, result["notations"])
         assert merged[1] == merged[6]
 
@@ -268,7 +265,7 @@ class TestJoinStudyRows:
         path = write_lines(tmp_path, lines)
         parts = plan_partitions([path], 1)
         _, payloads = run_partitioned(Job((SliceFold(), SchemaFold())), parts, 1)
-        merged = merge_study_payloads(payloads)
+        merged = merge_payloads(payloads)
         rows, skipped = join_study_rows(merged["counts"], merged["schemas"])
         by_domain = {r.domain: r for r in rows}
         # schema triples live under /type and /common: implementation, not counted here
@@ -280,7 +277,7 @@ class TestJoinStudyRows:
 
     def test_domains_without_schema_are_skipped(self):
         counts = {SliceKey(DOMAIN, "zoo"): 5, SliceKey(DOMAIN, "film"): 2}
-        schemas = extract_schema(parse_fixture(SCHEMA_FIXTURE))
+        schemas = fixture_schemas(SCHEMA_FIXTURE)
         rows, skipped = join_study_rows(counts, schemas)
         assert [r.domain for r in rows] == ["film"]
         assert skipped == ["zoo"]
@@ -513,6 +510,17 @@ def alternating_lines(groups=40):
 REWRITTEN_PER_GROUP = 4  # space-separated, two escapes, raw CR
 
 
+def written_slices(triples, out_dir, lint):
+    """The reference the copy path is compared with: every built triple, counted and written by SliceWriter.write."""
+    counts, keys = {}, {}
+    with SliceWriter(out_dir, FB) as writer:
+        for triple in triples:
+            key = count_slice(counts, keys, triple.predicate, 1, lint)
+            if key is not None:
+                writer.write(key, triple)
+    return counts
+
+
 def copied_slices(path, out_dir, workers, parser=ParserConfig()):
     """Slice files of a materializing, distinct-counting Job, its partitions run in-process."""
     fold = SliceFold(str(out_dir / ".parts"), count_distinct=True)
@@ -528,9 +536,8 @@ class TestCopiedSlices:
         path = write_lines(tmp_path, alternating_lines())
         monkeypatch.setattr(parser_module, "_BLOCK", cap)
         oracle_report = ParseReport()
-        with SliceWriter(tmp_path / "oracle", FB) as writer:
-            triples = list(iter_triples(path, oracle_report))
-            oracle_counts = slice_stream(triples, writer, oracle_report.lint)
+        triples = list(iter_triples(path, oracle_report))
+        oracle_counts = written_slices(triples, tmp_path / "oracle", oracle_report.lint)
         oracle = read_tree(tmp_path / "oracle")
         assert len(oracle) == 2 and len(oracle["domain/people.nt"].splitlines()) == 40 * 8
         built = []
@@ -602,9 +609,8 @@ class TestCopiedSlices:
         path = write_lines(tmp_path, lines)
         monkeypatch.setattr(parser_module, "_BLOCK", cap)
         oracle_report = ParseReport()
-        with SliceWriter(tmp_path / "oracle", FB) as writer:
-            triples = list(iter_triples(path, oracle_report))
-            oracle_counts = slice_stream(triples, writer, oracle_report.lint)
+        triples = list(iter_triples(path, oracle_report))
+        oracle_counts = written_slices(triples, tmp_path / "oracle", oracle_report.lint)
         oracle = read_tree(tmp_path / "oracle")
         assert sum(len(text.splitlines()) for text in oracle.values()) == len(lines)
         assert [line.encode() for line in lines[:4]] == oracle["domain/people.nt"].splitlines()[:4]

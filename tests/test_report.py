@@ -19,11 +19,11 @@ from fbont.report import (
     schema_rows,
     study_to_json,
 )
-from fbont.schema import DomainSchema, extract_schema
+from fbont.schema import DomainSchema
 from fbont.slicer import DOMAIN, OWL_TERM, SliceKey, build_taxonomy
 from fbont.stats import StudyRow, run_study
 
-from test_schema import SCHEMA_FIXTURE, parse_fixture
+from test_schema import SCHEMA_FIXTURE, fixture_schemas
 
 
 def census_taxonomy():
@@ -87,12 +87,12 @@ class TestRenderTaxonomy:
 
 class TestRenderSchemaTable:
     def test_fixture_row(self):
-        schemas = extract_schema(parse_fixture(SCHEMA_FIXTURE))
+        schemas = fixture_schemas(SCHEMA_FIXTURE)
         doc = render_schema_table(schemas)
         assert "people,2,3,4,6,2.0" in doc.splitlines()
 
     def test_sorted_and_headed(self):
-        schemas = extract_schema(parse_fixture(SCHEMA_FIXTURE))
+        schemas = fixture_schemas(SCHEMA_FIXTURE)
         lines = render_schema_table(schemas).splitlines()
         assert lines[0] == "domain,n_types,n_properties,n_descriptions,n_details,complexity_score"
         assert [l.split(",")[0] for l in lines[1:]] == ["film", "music", "people"]
@@ -201,7 +201,7 @@ class TestScatterSvg:
 class TestReportBundle:
     def test_documents_cover_all_outputs(self):
         rows, result, points = sample_study()
-        schemas = extract_schema(parse_fixture(SCHEMA_FIXTURE))
+        schemas = fixture_schemas(SCHEMA_FIXTURE)
         bundle = ReportBundle(
             taxonomy=census_taxonomy(), schemas=schemas, study=result, scatter=points
         )

@@ -1,18 +1,16 @@
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lit_line, obj_line
+from conftest import fold_triples, lit_line, obj_line
 from fbont.model import Mid, Triple, idpath
 from fbont.parser import stream_parse
+from fbont.pipeline import SchemaFold
 from fbont.schema import (
     DomainSchema,
     SchemaConfig,
     UndefinedComplexityError,
     complexity_score,
-    extract_schema,
     merge_schemas,
 )
 
@@ -56,10 +54,14 @@ def parse_fixture(lines):
     return triples
 
 
+def fixture_schemas(lines, config=SchemaConfig()):
+    """The per-domain summaries the schema fold makes of these dump lines."""
+    return fold_triples(SchemaFold(config), parse_fixture(lines))[0]["schemas"]
+
+
 class TestExtractSchema:
     def test_property_declaration_example(self):
-        triples = parse_fixture([obj_line("people.person.date_of_birth", "type.object.type", "type.property")])
-        schemas = extract_schema(triples)
+        schemas = fixture_schemas([obj_line("people.person.date_of_birth", "type.object.type", "type.property")])
         assert idpath("/people/person/date_of_birth") in schemas["people"].properties
 
     def test_description_attributed_by_subject_domain(self):
@@ -68,16 +70,16 @@ class TestExtractSchema:
             "common.topic.description",
             "Note: this property takes a MID as value",
         )
-        schemas = extract_schema(parse_fixture([line]))
+        schemas = fixture_schemas([line])
         assert schemas["freebase"].description_count == 1
         # the described property itself registers under its own domain
         assert idpath("/freebase/valuenotation/has_value") in schemas["freebase"].properties
 
     def test_empty_stream(self):
-        assert extract_schema([]) == {}
+        assert fixture_schemas([]) == {}
 
     def test_hand_tally_oracle(self):
-        schemas = extract_schema(parse_fixture(SCHEMA_FIXTURE))
+        schemas = fixture_schemas(SCHEMA_FIXTURE)
         assert set(schemas) == {"people", "film", "music"}
         people = schemas["people"]
         assert len(people.types) == 2
@@ -92,23 +94,16 @@ class TestExtractSchema:
         assert (music.description_count, music.property_detail_count) == (0, 0)
 
     def test_domain_level_description_is_lint(self):
-        counters = Counter()
-        extract_schema(parse_fixture([lit_line("people", "common.topic.description", "The domain")]), counters=counters)
-        assert counters["domain-description-skipped"] == 1
+        _, lint = fold_triples(SchemaFold(), parse_fixture([lit_line("people", "common.topic.description", "The domain")]))
+        assert lint["domain-description-skipped"] == 1
 
     def test_declaration_mismatch_is_lint(self):
-        counters = Counter()
         # a two-segment subject explicitly declared a property
-        extract_schema(
-            parse_fixture([obj_line("people.person", "type.object.type", "type.property")]),
-            counters=counters,
-        )
-        assert counters["declaration-mismatch"] == 1
+        _, lint = fold_triples(SchemaFold(), parse_fixture([obj_line("people.person", "type.object.type", "type.property")]))
+        assert lint["declaration-mismatch"] == 1
 
     def test_orphan_properties_reported_but_counted(self):
-        schemas = extract_schema(
-            parse_fixture([obj_line("people.stray.thing", "type.object.type", "type.property")])
-        )
+        schemas = fixture_schemas([obj_line("people.stray.thing", "type.object.type", "type.property")])
         people = schemas["people"]
         assert people.orphan_properties() == {idpath("/people/stray/thing")}
         assert len(people.properties) == 1
@@ -116,21 +111,21 @@ class TestExtractSchema:
     def test_custom_detail_predicates(self):
         config = SchemaConfig(detail_predicates=frozenset({idpath("/type/property/reverse_property")}))
         lines = [obj_line("people.person.parents", "type.property.reverse_property", "people.person.children")]
-        schemas = extract_schema(parse_fixture(lines), config)
+        schemas = fixture_schemas(lines, config)
         assert schemas["people"].property_detail_count == 1
 
 
 class TestComplexityScore:
     def test_forced_example(self):
-        schemas = extract_schema(parse_fixture(SCHEMA_FIXTURE))
+        schemas = fixture_schemas(SCHEMA_FIXTURE)
         assert complexity_score(schemas["people"]) == 2.0
 
     def test_zero_documentation_scores_zero(self):
-        schemas = extract_schema(parse_fixture(SCHEMA_FIXTURE))
+        schemas = fixture_schemas(SCHEMA_FIXTURE)
         assert complexity_score(schemas["music"]) == 0.0
 
     def test_hand_tally_all_domains(self):
-        schemas = extract_schema(parse_fixture(SCHEMA_FIXTURE))
+        schemas = fixture_schemas(SCHEMA_FIXTURE)
         assert complexity_score(schemas["people"]) == pytest.approx((4 + 6) / (2 + 3))
         assert complexity_score(schemas["film"]) == pytest.approx((3 + 1) / (1 + 2))
 
@@ -178,15 +173,13 @@ class TestMergeStability:
     @settings(max_examples=60)
     def test_partitioned_equals_single_pass(self, lines, cut_raw):
         cut = min(cut_raw, len(lines))
-        triples = parse_fixture(lines)
-        whole = extract_schema(triples)
-        first = extract_schema(parse_fixture(lines[:cut]))
-        second = extract_schema(parse_fixture(lines[cut:]))
+        whole = fixture_schemas(lines)
+        first = fixture_schemas(lines[:cut])
+        second = fixture_schemas(lines[cut:])
         merged = merge_schemas(first, second)
         assert merged == whole
 
     def test_merge_identity_and_order(self):
-        triples = parse_fixture(SCHEMA_FIXTURE)
-        schemas = extract_schema(triples)
+        schemas = fixture_schemas(SCHEMA_FIXTURE)
         assert merge_schemas({}, schemas) == schemas
         assert merge_schemas(schemas, {}) == schemas

@@ -4,10 +4,11 @@ from collections import Counter
 
 import pytest
 
-from conftest import NS, lit_line, obj_line
+from conftest import NS, fold_triples, lit_line, obj_line
 from dumpgen import oracle_resolve, oracle_violations
 from fbont.model import Literal, Mid, Triple, idpath, parse_ref
 from fbont.parser import serialize, stream_parse
+from fbont.pipeline import SemanticsFold
 from fbont.semantics import (
     CyclePolicy,
     IncompatibilityRule,
@@ -15,12 +16,8 @@ from fbont.semantics import (
     MergeMap,
     NotationKind,
     Violation,
-    build_merge_map,
     check_incompatibilities,
-    extract_value_notations,
-    iter_type_assertions,
     load_rules,
-    read_merge_tsv,
     rewrite_canonical,
     write_merge_tsv,
 )
@@ -32,6 +29,33 @@ def parse_lines(lines):
     triples = []
     stream_parse(lines, triples.append)
     return triples
+
+
+def merge_map_of(triples):
+    """The merge map the semantics fold makes of these triples."""
+    return fold_triples(SemanticsFold(), triples)[0]["merge_map"]
+
+
+def notations_of(triples, accept_reversed=False):
+    """The value notations the semantics fold makes of these triples."""
+    return fold_triples(SemanticsFold(accept_reversed=accept_reversed), triples)[0]["notations"]
+
+
+def read_merge_tsv(stream):
+    """A merge map of the duplicate/canonical rows write_merge_tsv writes."""
+    merge_map = MergeMap()
+    for line_number, line in enumerate(stream, 1):
+        text = line.rstrip("\n")
+        if not text:
+            continue
+        parts = text.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"merge tsv line {line_number}: expected two columns")
+        duplicate, canonical = (parse_ref(p) for p in parts)
+        if not (isinstance(duplicate, Mid) and isinstance(canonical, Mid)):
+            raise ValueError(f"merge tsv line {line_number}: not mids: {text!r}")
+        merge_map.add_edge(duplicate, canonical)
+    return merge_map
 
 
 def forest_lines(n_nodes, seed, edge_probability=0.6):
@@ -51,15 +75,15 @@ def forest_lines(n_nodes, seed, edge_probability=0.6):
 
 class TestBuildMergeMap:
     def test_single_edge(self):
-        merge_map = build_merge_map(parse_lines([obj_line("m.xyz123", REPLACED_BY, "m.abc123")]))
+        merge_map = merge_map_of(parse_lines([obj_line("m.xyz123", REPLACED_BY, "m.abc123")]))
         assert merge_map.edges == {Mid("xyz123"): Mid("abc123")}
 
     def test_empty_stream(self):
-        assert build_merge_map([]).edges == {}
+        assert merge_map_of([]).edges == {}
 
     def test_forest_matches_filter_oracle(self):
         lines, expected = forest_lines(10_000, seed=5)
-        merge_map = build_merge_map(parse_lines(lines))
+        merge_map = merge_map_of(parse_lines(lines))
         assert merge_map.edges == expected
 
     def test_conflicting_edge_last_writer_wins(self):
@@ -67,20 +91,19 @@ class TestBuildMergeMap:
             obj_line("m.a", REPLACED_BY, "m.b"),
             obj_line("m.a", REPLACED_BY, "m.c"),
         ]
-        merge_map = build_merge_map(parse_lines(lines))
+        merge_map = merge_map_of(parse_lines(lines))
         assert merge_map.edges == {Mid("a"): Mid("c")}
         assert merge_map.conflicts == 1
 
     def test_non_mid_endpoint_is_lint(self):
-        counters = Counter()
-        build_merge_map(parse_lines([lit_line("m.a", REPLACED_BY, "b")]), counters=counters)
-        assert counters["replaced-by-shape"] == 1
+        _, lint = fold_triples(SemanticsFold(), parse_lines([lit_line("m.a", REPLACED_BY, "b")]))
+        assert lint["replaced-by-shape"] == 1
 
     def test_partition_merge_equals_single_pass(self):
         lines, _ = forest_lines(500, seed=9)
-        whole = build_merge_map(parse_lines(lines))
-        first = build_merge_map(parse_lines(lines[:250]))
-        second = build_merge_map(parse_lines(lines[250:]))
+        whole = merge_map_of(parse_lines(lines))
+        first = merge_map_of(parse_lines(lines[:250]))
+        second = merge_map_of(parse_lines(lines[250:]))
         assert first.merge(second).edges == whole.edges
 
 
@@ -107,7 +130,7 @@ class TestResolve:
 
     def test_idempotent(self):
         lines, edges = forest_lines(300, seed=2)
-        merge_map = build_merge_map(parse_lines(lines))
+        merge_map = merge_map_of(parse_lines(lines))
         for mid in list(edges)[:50]:
             once = merge_map.resolve(mid)
             assert merge_map.resolve(once) == once
@@ -138,7 +161,7 @@ class TestResolve:
 
     def test_resolve_all_shares_canonical_mapping(self):
         lines, edges = forest_lines(200, seed=13)
-        merge_map = build_merge_map(parse_lines(lines))
+        merge_map = merge_map_of(parse_lines(lines))
         canonical = merge_map.resolve_all()
         assert set(canonical) == set(edges)
         for duplicate, terminal in canonical.items():
@@ -181,7 +204,7 @@ class TestRewriteCanonical:
             naive.add(resolved)
             lines.append(obj_line(f"m.{subject}", "people.person.gender", f"m.g{i % 3}"))
         triples = parse_lines(lines)
-        merge_map = build_merge_map(triples)
+        merge_map = merge_map_of(triples)
         out = []
         rewrite_canonical((t for t in triples if t.predicate == idpath("/people/person/gender")), merge_map, out.append)
         assert {t.subject.suffix for t in out} == naive
@@ -189,7 +212,7 @@ class TestRewriteCanonical:
     def test_preserves_count_and_predicates(self):
         lines, _ = forest_lines(400, seed=3)
         triples = parse_lines(lines)
-        merge_map = build_merge_map(triples)
+        merge_map = merge_map_of(triples)
         out = []
         report = rewrite_canonical(triples, merge_map, out.append)
         assert report.triples_seen == len(triples) == len(out)
@@ -199,7 +222,7 @@ class TestRewriteCanonical:
 class TestValueNotations:
     def test_plato_example(self):
         lines = [obj_line("people.person.date_of_birth", "freebase.valuenotation.has_value", "m.plato")]
-        notations = extract_value_notations(parse_lines(lines))
+        notations = notations_of(parse_lines(lines))
         assert len(notations) == 1
         note = notations[0]
         assert note.property == idpath("/people/person/date_of_birth")
@@ -207,7 +230,7 @@ class TestValueNotations:
         assert note.kind is NotationKind.HAS_VALUE
 
     def test_no_notation_triples(self):
-        assert extract_value_notations(parse_lines([obj_line("m.a", "people.person.spouse_s", "m.b")])) == []
+        assert notations_of(parse_lines([obj_line("m.a", "people.person.spouse_s", "m.b")])) == []
 
     def test_mixed_counts_match_filter_oracle(self):
         lines = []
@@ -217,7 +240,7 @@ class TestValueNotations:
             lines.append(obj_line(f"film.film.q{i}", "freebase.valuenotation.has_no_value", f"m.y{i}"))
         for i in range(9):
             lines.append(obj_line(f"m.s{i}", "people.person.spouse_s", f"m.o{i}"))
-        notations = extract_value_notations(parse_lines(lines))
+        notations = notations_of(parse_lines(lines))
         kinds = Counter(n.kind for n in notations)
         assert kinds[NotationKind.HAS_VALUE] == 7
         assert kinds[NotationKind.HAS_NO_VALUE] == 5
@@ -230,28 +253,27 @@ class TestValueNotations:
             obj_line(f"m.e{i}", "freebase.valuenotation.has_no_value", f"film.film.q{i}")
             for i in range(5)
         ]
-        strict = extract_value_notations(parse_lines(reversed_lines))
+        strict = notations_of(parse_lines(reversed_lines))
         assert strict == []
-        both = extract_value_notations(parse_lines(reversed_lines), accept_reversed=True)
+        both = notations_of(parse_lines(reversed_lines), accept_reversed=True)
         kinds = Counter(n.kind for n in both)
         assert kinds[NotationKind.HAS_VALUE] == 7
         assert kinds[NotationKind.HAS_NO_VALUE] == 5
         assert all(n.orientation == "reversed" for n in both)
 
     def test_nonconforming_shape_is_lint(self):
-        counters = Counter()
         lines = [lit_line("people.person.p", "freebase.valuenotation.has_value", "oops")]
-        extract_value_notations(parse_lines(lines), counters=counters)
-        assert counters["valuenotation-shape"] == 1
+        _, lint = fold_triples(SemanticsFold(), parse_lines(lines))
+        assert lint["valuenotation-shape"] == 1
 
     def test_partition_counts_add(self):
         lines = [
             obj_line(f"people.person.p{i}", "freebase.valuenotation.has_value", f"m.x{i}")
             for i in range(10)
         ]
-        whole = extract_value_notations(parse_lines(lines))
-        first = extract_value_notations(parse_lines(lines[:4]))
-        second = extract_value_notations(parse_lines(lines[4:]))
+        whole = notations_of(parse_lines(lines))
+        first = notations_of(parse_lines(lines[:4]))
+        second = notations_of(parse_lines(lines[4:]))
         assert first + second == whole
 
 
@@ -347,7 +369,7 @@ class TestIncompatibilities:
             obj_line("m.terminator", "type.object.type", "film.film_series"),
             lit_line("m.terminator", "type.object.name", "The Terminator"),
         ]
-        assertions = list(iter_type_assertions(parse_lines(lines)))
+        assertions = fold_triples(SemanticsFold(), parse_lines(lines))[0]["assertions"]
         assert assertions == [
             (Mid("terminator"), self.film),
             (Mid("terminator"), self.series),
@@ -363,7 +385,7 @@ class TestIncompatibilities:
 class TestMergeTsv:
     def test_roundtrip(self):
         lines, edges = forest_lines(100, seed=31)
-        merge_map = build_merge_map(parse_lines(lines))
+        merge_map = merge_map_of(parse_lines(lines))
         out = io.StringIO()
         count = write_merge_tsv(merge_map, out)
         assert count == len(edges)
@@ -375,7 +397,7 @@ class TestMergeTsv:
     def test_rows_sort_by_duplicate_mid(self):
         lines, edges = forest_lines(300, seed=37)  # shuffled, so edges arrive out of order
         out = io.StringIO()
-        write_merge_tsv(build_merge_map(parse_lines(lines)), out)
+        write_merge_tsv(merge_map_of(parse_lines(lines)), out)
         duplicates = [row.split("\t")[0] for row in out.getvalue().splitlines()]
         assert duplicates == sorted(f"/m/{mid.suffix}" for mid in edges)
 

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import load_census
+from conftest import fold_triples, load_census
 from dumpgen import oracle_slice_counts, random_dump_lines
 from fbont.model import ExternalIri, Mid, Triple, idpath
 from fbont import slicer
 from fbont.parser import stream_parse
+from fbont.pipeline import SliceFold
 from fbont.slicer import (
     DEFAULT_IMPLEMENTATION_DOMAINS,
     DOMAIN,
@@ -19,10 +20,9 @@ from fbont.slicer import (
     SliceWriter,
     build_taxonomy,
     classify_predicate,
-    feed_slice_triple,
+    count_slice,
     group_for,
     merge_counts,
-    slice_stream,
 )
 
 
@@ -49,8 +49,8 @@ class TestClassifyPredicate:
     def test_predicates_of_one_slice_share_one_key_object(self):
         counts: dict = {}
         keys: dict = {}
-        name = feed_slice_triple(counts, keys, Triple(Mid("a"), idpath("/people/person/name"), Mid("b")))
-        born = feed_slice_triple(counts, keys, Triple(Mid("a"), idpath("/people/person/born"), Mid("b")))
+        name = count_slice(counts, keys, idpath("/people/person/name"))
+        born = count_slice(counts, keys, idpath("/people/person/born"))
         assert name is born
         assert list(counts) == [name] and counts[name] == 2
         label = ExternalIri("http://www.w3.org/2000/01/rdf-schema#label")
@@ -100,14 +100,14 @@ class TestSliceStream:
             lines.append(f"<http://rdf.freebase.com/ns/m.s{i}>\t<http://rdf.freebase.com/ns/film.film.f>\t<http://rdf.freebase.com/ns/m.o{i}>\t.")
         triples = []
         stream_parse(lines, triples.append)
-        counts = slice_stream(triples)
+        counts = fold_triples(SliceFold(), triples)[0]["counts"]
         assert counts == {SliceKey(DOMAIN, "people"): 5, SliceKey(DOMAIN, "film"): 3}
 
     def test_oracle_equivalence_10k(self):
         lines = random_dump_lines(10_000, seed=21)
         triples = []
         report = stream_parse(lines, triples.append)
-        counts = slice_stream(triples)
+        counts = fold_triples(SliceFold(), triples)[0]["counts"]
         expected = oracle_slice_counts(lines)
         assert {(k.kind, k.name): v for k, v in counts.items()} == expected
         # every parsed triple lands in exactly one slice
@@ -122,10 +122,9 @@ class TestSliceStream:
             Triple(Mid("c"), idpath("/people/person/age"), Mid("d")),
             Triple(Mid("e"), Mid("p"), Mid("f")),
         ]
-        counters: Counter = Counter()
-        counts = slice_stream(triples, counters=counters)
-        assert counts == {SliceKey(DOMAIN, "people"): 2}
-        assert counters == Counter({"mid-predicate": 3})
+        payload, lint = fold_triples(SliceFold(), triples)
+        assert payload["counts"] == {SliceKey(DOMAIN, "people"): 2}
+        assert lint == Counter({"mid-predicate": 3})
 
     counts_maps = st.dictionaries(
         st.tuples(st.sampled_from([DOMAIN, OWL_TERM]), st.sampled_from("abcdef")).map(
