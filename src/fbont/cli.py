@@ -4,10 +4,15 @@ Subcommands compose the library end to end: ``slice`` counts and optionally
 materializes predicate-domain slices, ``schema`` summarizes each domain's
 ontology, ``semantics`` exports merges / value notations / incompatibility
 violations, and ``study`` runs the triples-vs-complexity correlation.
-The commands read the public dump's own predicate spellings (the library
-defaults of :class:`fbont.schema.SchemaConfig` and
-:class:`fbont.pipeline.SemanticsFold`); ``slice --materialize`` is a flag
-that takes no value, and always writes ``OUT/slices/<kind>/<name>.nt``.
+The commands read the public dump's own namespace and predicate spellings
+(the library defaults of :class:`fbont.parser.ParserConfig` and
+:class:`fbont.schema.SchemaConfig`, and the predicates
+:class:`fbont.pipeline.SemanticsFold` reads). No option keeps state that
+grows with the dump: ``slice --materialize`` is a flag that takes no value
+and writes each well-formed line, as it was read, to
+``OUT/slices/<kind>/<name>.nt``, and ``semantics`` keeps only the type
+assertions its ``--rules`` can use and writes violations exactly when given
+``--rules``.
 
 Each subcommand builds its documents as a ``{file name: text}`` map, the
 tables rendered by :mod:`fbont.report`, and ends in one publish step
@@ -36,7 +41,6 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, TextIO, TypeVar
 
-from .model import DEFAULT_NAMESPACE, idpath
 from .parser import ParseReport, ParserConfig
 from .pipeline import (
     SchemaFold,
@@ -88,16 +92,14 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _publish(
-    args: argparse.Namespace, docs: dict[str, str], report: ParseReport | None = None, **extra
-) -> None:
+def _publish(args: argparse.Namespace, docs: dict[str, str], report: ParseReport | None = None) -> None:
     """Write each ``{file name: text}`` document into --out, each replaced atomically.
 
-    With a parse report, also write parse_report.json, with ``extra`` added
-    to it, and print the parse summary.
+    With a parse report, also write parse_report.json and print the parse
+    summary.
     """
     if report is not None:
-        docs = {**docs, "parse_report.json": render_json({**report.to_dict(), **extra})}
+        docs = {**docs, "parse_report.json": render_json(report.to_dict())}
     for name, text in docs.items():
         _write_text(os.path.join(args.out, name), text)
     if report is None:
@@ -128,7 +130,7 @@ def _read_input(path: str, load: Callable[[TextIO], T]) -> T:
 
 
 def _parser_config(args: argparse.Namespace) -> ParserConfig:
-    return ParserConfig(namespace=args.namespace, strict_ids=args.strict_ids)
+    return ParserConfig(strict_ids=args.strict_ids)
 
 
 def _group_config(args: argparse.Namespace) -> GroupConfig:
@@ -155,7 +157,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
     materialize_dir = os.path.join(args.out, "slices")
     shard_root = os.path.join(materialize_dir, ".parts") if args.materialize else None
     try:
-        report, merged = _run(args, SliceFold(shard_root, args.count_distinct))
+        report, merged = _run(args, SliceFold(shard_root))
         if shard_root is not None:
             concatenate_shards(merged["shard_dirs"], materialize_dir)
     except BaseException:
@@ -165,10 +167,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
     bundle = ReportBundle(taxonomy=build_taxonomy(merged["counts"], _group_config(args)))
     docs = bundle.documents(args.format or DEFAULT_TAXONOMY_FORMATS)
-    extra = {} if merged["distinct"] is None else {"distinct_triples": len(merged["distinct"])}
-    _publish(args, docs, report, **extra)
-    if extra:
-        print(f"distinct triples: {extra['distinct_triples']:,}")
+    _publish(args, docs, report)
     return 0
 
 
@@ -179,18 +178,14 @@ def cmd_schema(args: argparse.Namespace) -> int:
 
 
 def cmd_semantics(args: argparse.Namespace) -> int:
-    """Merges, value notations and, given rules, the objects that break one.
+    """Merges, value notations and, given --rules, the objects that break a rule.
 
     The --rules file is read before the parse, so a bad file fails fast and
     writes nothing, and so the fold keeps only the type assertions those
     rules can use, none without --rules (see SemanticsFold.known_rules).
     """
     rules = _read_input(args.rules, load_rules) if args.rules else frozenset()
-    incompat = idpath(args.incompatibility_predicate) if args.incompatibility_predicate else None
-    fold = SemanticsFold(
-        incompatibility_predicate=incompat, accept_reversed=args.accept_reversed, known_rules=rules
-    )
-    report, merged = _run(args, fold)
+    report, merged = _run(args, SemanticsFold(known_rules=rules, accept_reversed=args.accept_reversed))
     policy = CyclePolicy(args.cycle_policy)
 
     merge_map = merged["merge_map"]
@@ -199,8 +194,7 @@ def cmd_semantics(args: argparse.Namespace) -> int:
     docs = {"merges.tsv": out.getvalue()}
     docs.update(_tables(args, "valuenotes", VALUENOTE_COLUMNS, valuenote_rows(merged["notations"])))
 
-    rules |= merged["rules"]
-    if rules or args.rules or incompat:
+    if args.rules:
         violations = check_incompatibilities(merged["assertions"], rules)
         docs.update(_tables(args, "violations", VIOLATION_COLUMNS, violation_rows(violations)))
         print(f"violations: {len(violations)}")
@@ -267,11 +261,6 @@ def _add_common(sub: argparse.ArgumentParser, inputs_required: bool = True) -> N
         help="worker processes; plain and gzip files are split into byte ranges, "
         "standard input is read by one process",
     )
-    sub.add_argument(
-        "--namespace",
-        default=DEFAULT_NAMESPACE,
-        help="IRI prefix normalized to slash notation",
-    )
     sub.add_argument("--max-errors", type=int, default=20, help="malformed-line samples to keep")
     sub.add_argument(
         "--strict-ids",
@@ -307,11 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the implementation-group domain list (repeatable)",
     )
-    p_slice.add_argument(
-        "--count-distinct",
-        action="store_true",
-        help="also count distinct triples (in-memory; fixture scale only)",
-    )
     p_slice.set_defaults(func=cmd_slice)
 
     p_schema = sub.add_parser("schema", help="summarize each domain's ontology")
@@ -321,11 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sem = sub.add_parser("semantics", help="merges, value notations, incompatibilities")
     _add_common(p_sem)
-    p_sem.add_argument(
-        "--incompatibility-predicate",
-        default=None,
-        help="dump predicate stating incompatibility rules, if the dump has one",
-    )
     p_sem.add_argument("--rules", default=None, help="incompatibility rules file (two types per line)")
     p_sem.add_argument(
         "--cycle-policy",

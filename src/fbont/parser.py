@@ -49,13 +49,9 @@ Projection that reads everything.
 Copy is an extra action beside count and build, for a consumer that wants
 a predicate's lines as text, as a materialized slice does. Where the
 projection's ``copy(predicate)`` gives a buffer, :func:`parse_blocks`
-appends each well-formed line of that predicate to it, in input order: as
-it was read when the regex matched it without its literal-parser group,
-which makes the line exactly what :func:`serialize` gives back, and
-otherwise as the :func:`serialize` text of the built triple. The line is
-then counted or built exactly as it would be without a buffer, except that
-a copied line whose text must come from :func:`serialize` is built, never
-counted.
+appends each well-formed line of that predicate to it, in input order, as
+it was read, less its line-end CRs. The line is then counted or built
+exactly as it would be without a buffer.
 
 Parsing is pure per line. Callers may split a file at line boundaries,
 parse partitions independently, and merge the resulting reports in partition
@@ -406,12 +402,8 @@ def _canonical_line(namespace: str) -> re.Pattern | None:
     that starts a ``\\\\``, ``\\"``, ``\\n``, ``\\r`` or ``\\t`` escape,
     with an optional ASCII language tag or datatype) and built here, or any
     other token without a tab and not ending in a space, which equals the
-    token the tab split gives and goes to the literal parser. Every term
-    but that last group is written back by :func:`serialize` as it was
-    read (:func:`escape_literal` writes exactly those five escapes, while
-    ``\\b``, ``\\f``, ``\\'``, ``\\u`` and ``\\U`` come back otherwise), so a
-    line matched without it is its own serialization. The plain body is
-    unrolled, every backslash starting an escape, so it cannot backtrack
+    token the tab split gives and goes to the literal parser. The plain body
+    is unrolled, every backslash starting an escape, so it cannot backtrack
     catastrophically.
 
     The pattern is anchored as ``(?m)^...$`` and no class matches a
@@ -460,10 +452,9 @@ class Projection(dict):
     ``copy(predicate)`` returns the list that takes the text of that
     predicate's lines, or None. The list is independent of the cells:
     :func:`parse_blocks` appends each well-formed line of a predicate with a
-    list to it, and also counts or yields the line as ``reads`` decides, but
-    builds any line whose text must come from :func:`serialize`. ``copy`` is
-    asked once per distinct token, and again for each built line between
-    matches, so it must give the same list for the same predicate.
+    list to it, and also counts or yields the line as ``reads`` decides.
+    ``copy`` is asked once per distinct token, and again for each line
+    between matches, so it must give the same list for the same predicate.
     """
 
     def __init__(
@@ -750,12 +741,10 @@ def parse_blocks(
     the regex's plain group does not take), then counted if the projection
     counts it, else built from its match. A literal needs no validating when
     the plain group takes it: its only escapes are ``\\\\``, ``\\"``,
-    ``\\n``, ``\\r`` and ``\\t``, which are never unknown and which
-    :func:`serialize` writes back as read. Lines between matches go through
-    :func:`parse_line` and are always built. A line of a predicate with a
-    buffer is appended there too, as it was read when the regex matched it
-    without its literal-parser group, else as the :func:`serialize` text of
-    its triple, which is then built, at its place in the scan, so each
+    ``\\n``, ``\\r`` and ``\\t``, which are never unknown. Lines between
+    matches go through :func:`parse_line` and are always built. A
+    well-formed line of a predicate with a buffer is appended there too, as
+    it was read (less its line-end CRs), at its place in the scan, so each
     buffer keeps input order. The results equal a :func:`parse_line` call
     per line. Without a ``projection`` every line is built. Each block
     yields its triples, an empty list when every line was counted, so a
@@ -802,16 +791,13 @@ def parse_blocks(
                     mark = start
                     report.record_malformed(base + 1, exc.reason)
                     continue
-                cell = mid if found[1] is not None else plain
-                if cell is not None and (literal is None or buffer is None):
-                    cell[0] += 1
-                    if buffer is not None:
-                        buffer.append(found[0])
-                    continue
-                triple = _matched_triple(found, predicate, literal)
                 if buffer is not None:
-                    buffer.append(found[0] if literal is None else serialize(triple, config.namespace))
-                triples.append(triple)
+                    buffer.append(found[0])
+                cell = mid if found[1] is not None else plain
+                if cell is not None:
+                    cell[0] += 1
+                    continue
+                triples.append(_matched_triple(found, predicate, literal))
             if pos < len(text):
                 base += text.count("\n", mark, pos)
                 _parse_lines(text[pos:-1], base, report, config, projection, triples)
@@ -836,8 +822,8 @@ def _parse_lines(
     """Parse the ``\\n``-separated lines of ``text``, numbered from ``base + 1``.
 
     Malformed lines are recorded; each other line's triple is appended to
-    ``triples``, and its :func:`serialize` text to its copy buffer, if any.
-    Returns the number of the last line.
+    ``triples``, and the line to its copy buffer, if any. Returns the number
+    of the last line.
     """
     copy = projection.copy
     for base, line in enumerate(text.split("\n"), base + 1):
@@ -848,7 +834,7 @@ def _parse_lines(
             continue
         buffer = copy(triple.predicate) if copy is not None else None
         if buffer is not None:
-            buffer.append(serialize(triple, config.namespace))
+            buffer.append(line)
         triples.append(triple)
     return base
 

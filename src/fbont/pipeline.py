@@ -14,7 +14,10 @@ bounds; ``Job.run`` parses its blocks with ``parser.parse_blocks``.
 A fold returns its per-partition aggregate as payload fields, and every
 field is a mergeable monoid with one declared merge law (``MERGE_LAWS``)
 that ``merge_payloads`` applies in partition order. Any worker count
-therefore produces byte-identical outputs to a single-threaded run.
+therefore produces byte-identical outputs to a single-threaded run. No fold
+keeps the dump's lines: a materializing ``SliceFold`` holds one block's
+copied lines at a time, and ``SemanticsFold`` keeps only the type
+assertions of the types its known rules name.
 
 Standard input, pipes and gzip files under two minimum ranges are read as
 one partition.
@@ -71,7 +74,6 @@ from .semantics import (
     ValueNotation,
     feed_merge_edge,
     feed_value_notation,
-    match_rule,
     match_type_assertion,
 )
 from .slicer import (
@@ -170,26 +172,24 @@ def iter_partition_lines(part: Partition) -> Iterator[bytes]:
 # A fold that wants lines as text returns two more functions from ``start``:
 # ``copy(predicate)``, the list that takes the text of that predicate's
 # lines (or None), and ``flush``, which Job.run calls after each block to
-# take the lines out of those lists. The parser appends each line of a
-# predicate with a list in the scan (see parser.Projection), as it was read
-# where that is its serialization, and still counts or builds and feeds the
-# line as ``reads`` decides, so copying changes no fold's input. One fold of
-# a Job at most may copy.
+# take the lines out of those lists. The parser appends each well-formed
+# line of a predicate with a list in the scan (see parser.Projection), as it
+# was read, and still counts or builds and feeds the line as ``reads``
+# decides, so copying changes no fold's input. One fold of a Job at most may
+# copy.
 
 
 @dataclass(frozen=True)
 class SliceFold:
-    """Slice counts; optionally materialized shards and the distinct-triple set.
+    """Slice counts; optionally materialized shards.
 
     The fold reads no line: it counts each slice from the predicate alone,
-    whether the line is fed or tallied. Materializing or counting distinct
-    triples needs each line's text besides, so the fold then takes its
-    slices' lines as text (``copy``) and writes them, or adds them to the
-    distinct set, once per block (``flush``).
+    whether the line is fed or tallied. Materializing needs each line's text
+    besides, so the fold then takes its slices' lines as text (``copy``) and
+    writes them once per block (``flush``).
     """
 
     shard_root: str | None = None
-    count_distinct: bool = False
 
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
         return False
@@ -197,7 +197,6 @@ class SliceFold:
     def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Callable, ...]:
         counts: dict[SliceKey, int] = {}
         keys: dict[NodeRef, SliceKey] = {}
-        distinct: set[str] | None = set() if self.count_distinct else None
         writer: SliceWriter | None = None
         shard_dir: str | None = None
         if self.shard_root is not None:
@@ -214,9 +213,9 @@ class SliceFold:
         def finish() -> dict[str, Any]:
             if writer is not None:
                 writer.close()
-            return {"counts": counts, "shard_dir": shard_dir, "distinct": distinct}
+            return {"counts": counts, "shard_dir": shard_dir}
 
-        if writer is None and distinct is None:
+        if writer is None:
             return feed, absorb, finish
 
         buffers: dict[SliceKey, list[str]] = {}  # each slice's lines since the last flush
@@ -235,10 +234,7 @@ class SliceFold:
         def flush() -> None:
             for key, lines in buffers.items():
                 if lines:
-                    if writer is not None:
-                        writer.write_lines(key, lines)
-                    if distinct is not None:
-                        distinct.update(lines)
+                    writer.write_lines(key, lines)
                     lines.clear()
 
         return feed, absorb, finish, copy, flush
@@ -267,58 +263,45 @@ class SchemaFold:
         return feed, absorb, lambda: {"schemas": schemas}
 
 
+_SEMANTICS_PREDICATES = frozenset(
+    {REPLACED_BY_PREDICATE, HAS_VALUE_PREDICATE, HAS_NO_VALUE_PREDICATE, TYPE_ASSERTION_PREDICATE}
+)
+
+
 @dataclass(frozen=True)
 class SemanticsFold:
-    """Merge edges, value notations, type assertions and dump-stated rules.
+    """Merge edges, value notations and the type assertions the known rules can use.
 
-    ``known_rules`` are the incompatibility rules known before the parse.
-    When they are given and no rule can come from the dump (no
-    ``incompatibility_predicate``), only the assertions of a type some known
-    rule names are kept: a violation needs both of a rule's types, so no
-    other assertion can take part in one. With None, or with an
-    ``incompatibility_predicate``, every assertion is kept. Either way each
-    kept type is one shared IdPath per partition, so a payload holds and
-    pickles each type once.
+    ``known_rules`` are the incompatibility rules, known before the parse.
+    Only the assertions of a type some known rule names are kept: a
+    violation needs both of a rule's types, so no other assertion can take
+    part in one, and none is kept without rules. Each kept type is one
+    shared IdPath per partition, so a payload holds and pickles each type
+    once.
     """
 
-    replaced_by: IdPath = REPLACED_BY_PREDICATE
-    type_predicate: IdPath = TYPE_ASSERTION_PREDICATE
-    incompatibility_predicate: IdPath | None = None
+    known_rules: frozenset[IncompatibilityRule] = frozenset()
     accept_reversed: bool = False
-    known_rules: frozenset[IncompatibilityRule] | None = None
 
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
-        return predicate in (
-            self.replaced_by,
-            HAS_VALUE_PREDICATE,
-            HAS_NO_VALUE_PREDICATE,
-            self.type_predicate,
-            self.incompatibility_predicate,
-        )
+        return predicate in _SEMANTICS_PREDICATES
 
     def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Absorb, Finish]:
         merge_map = MergeMap()
         notations: list[ValueNotation] = []
         assertions: list[tuple[Mid, IdPath]] = []
-        rules: set[IncompatibilityRule] = set()
-        filtering = self.known_rules is not None and self.incompatibility_predicate is None
-        types: dict[IdPath, IdPath] = {}  # each kept type to its one shared object
-        if filtering:
-            types = {named: named for rule in self.known_rules for named in (rule.type_a, rule.type_b)}
+        # each kept type to its one shared object
+        types = {named: named for rule in self.known_rules for named in (rule.type_a, rule.type_b)}
 
         def feed(triple: Triple) -> None:
-            feed_merge_edge(merge_map, triple, self.replaced_by, lint)
+            feed_merge_edge(merge_map, triple, lint)
             feed_value_notation(notations, triple, self.accept_reversed, lint)
-            assertion = match_type_assertion(triple, self.type_predicate)
+            assertion = match_type_assertion(triple)
             if assertion is not None:
                 mid, asserted = assertion
-                asserted = types.get(asserted) if filtering else types.setdefault(asserted, asserted)
+                asserted = types.get(asserted)
                 if asserted is not None:
                     assertions.append((mid, asserted))
-            if self.incompatibility_predicate is not None:
-                rule = match_rule(triple, self.incompatibility_predicate)
-                if rule is not None:
-                    rules.add(rule)
 
         def absorb(tallies: Sequence[Tally]) -> None:
             pass  # the triples of a predicate it does not read leave no trace
@@ -328,7 +311,6 @@ class SemanticsFold:
                 "merge_map": merge_map,
                 "notations": notations,
                 "assertions": assertions,
-                "rules": rules,
             }
 
         return feed, absorb, finish
@@ -384,9 +366,9 @@ MERGE_LAWS: dict[str, Callable[[Any, Any], Any]] = {
     "merge_map": MergeMap.merge,
     "notations": operator.add,
     "assertions": operator.add,
+    # bench/traced.py's replica returns these two payload fields; the folds do not
     "rules": operator.or_,
-    "distinct": operator.or_,
-    "lint": operator.add,  # bench/traced.py returns lint as a payload field
+    "lint": operator.add,
 }
 
 

@@ -375,7 +375,6 @@ class ReportBundle:
     """Everything one analysis run renders, bundled for writing as files."""
 
     taxonomy: Sequence[SliceStats] | None = None
-    schemas: Mapping[str, DomainSchema] | None = None
     study: StudyResult | None = None
     scatter: Sequence[ScatterPoint] | None = None
 
@@ -385,8 +384,6 @@ class ReportBundle:
         if self.taxonomy is not None:
             for fmt in taxonomy_formats:
                 docs[f"taxonomy.{TAXONOMY_SUFFIX[fmt]}"] = render_taxonomy(self.taxonomy, fmt)
-        if self.schemas is not None:
-            docs["schema.csv"] = render_schema_table(self.schemas)
         if self.study is not None:
             docs["study.json"] = study_to_json(self.study)
         if self.scatter is not None and self.study is not None:

@@ -73,10 +73,6 @@ class DomainSchema:
         self.description_count += other.description_count
         self.property_detail_count += other.property_detail_count
 
-    def orphan_properties(self) -> set[IdPath]:
-        """Properties whose parent type was never declared (lint, still counted)."""
-        return {p for p in self.properties if p.parent_type() not in self.types}
-
 
 class UndefinedComplexityError(ValueError):
     """The domain has no types and no properties, so its score is undefined."""

@@ -122,11 +122,10 @@ class MergeMap:
 def feed_merge_edge(
     merge_map: MergeMap,
     triple: Triple,
-    predicate: IdPath = REPLACED_BY_PREDICATE,
     counters: Counter | None = None,
 ) -> None:
     """Fold one triple's replaced-by edge (if any) into the map."""
-    if triple.predicate != predicate:
+    if triple.predicate != REPLACED_BY_PREDICATE:
         return
     if isinstance(triple.subject, Mid) and isinstance(triple.object, Mid):
         merge_map.add_edge(triple.subject, triple.object)
@@ -252,13 +251,10 @@ class Violation:
     __reduce__ = reduce_value
 
 
-def match_type_assertion(
-    triple: Triple,
-    predicate: IdPath = TYPE_ASSERTION_PREDICATE,
-) -> tuple[Mid, IdPath] | None:
+def match_type_assertion(triple: Triple) -> tuple[Mid, IdPath] | None:
     """The (object mid, asserted type) pair a typing triple states, or None."""
     if (
-        triple.predicate == predicate
+        triple.predicate == TYPE_ASSERTION_PREDICATE
         and isinstance(triple.subject, Mid)
         and isinstance(triple.object, IdPath)
         and triple.object.is_type
@@ -328,20 +324,6 @@ def load_rules(stream: TextIO) -> frozenset[IncompatibilityRule]:
             raise ValueError(f"rules line {line_number}: not type paths: {text!r}")
         rules.add(IncompatibilityRule(a, b))
     return frozenset(rules)
-
-
-def match_rule(triple: Triple, predicate: IdPath) -> IncompatibilityRule | None:
-    """The incompatibility rule a dump triple states, or None."""
-    if (
-        triple.predicate == predicate
-        and isinstance(triple.subject, IdPath)
-        and triple.subject.is_type
-        and isinstance(triple.object, IdPath)
-        and triple.object.is_type
-        and triple.subject != triple.object
-    ):
-        return IncompatibilityRule(triple.subject, triple.object)
-    return None
 
 
 def write_merge_tsv(merge_map: MergeMap, stream: TextIO, policy: CyclePolicy = CyclePolicy.FAIL) -> int:

@@ -7,7 +7,6 @@ to see them inline). The full-dump correlation figures are out of desk reach
 suite binds criteria 1-7 plus determinism instead.
 """
 
-import json
 import os
 import random
 import time
@@ -26,7 +25,7 @@ from dumpgen import (
     random_dump_lines,
 )
 from fbont.cli import main
-from fbont.model import Mid, idpath
+from fbont.model import Mid
 from fbont.pipeline import (
     Job,
     SemanticsFold,
@@ -46,7 +45,7 @@ from fbont.semantics import (
     rewrite_canonical,
 )
 from fbont.slicer import DOMAIN, OWL_TERM, SliceKey, build_taxonomy
-from fbont.stats import linreg, pearson_r, run_study
+from fbont.stats import linreg, pearson_r
 
 from test_cli import read_tree, study_fixture_lines, write_lines
 from test_schema import fixture_schemas, parse_fixture

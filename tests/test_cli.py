@@ -1,3 +1,4 @@
+import argparse
 import ast
 import gzip
 import io
@@ -16,7 +17,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import fb, fold_triples, lit_line, obj_line
+from conftest import fb, fold_triples, line, lit_line, obj_line
 from dumpgen import oracle_linreg, oracle_pearson, oracle_violations, random_dump_lines
 from fbont import cli, pipeline
 from fbont.cli import main
@@ -176,17 +177,6 @@ class TestCmdSlice:
             trees[workers] = read_tree(out)
         assert trees[1] == trees[4]
 
-    def test_count_distinct(self, tmp_path, capsys):
-        base = random_dump_lines(100, seed=2)
-        dump = write_lines(tmp_path, base + base)  # exact duplicates
-        for workers in (1, 3):  # 3 partitions: the distinct sets must union
-            out = tmp_path / f"out_w{workers}"
-            argv = ["slice", dump, "--out", str(out), "--count-distinct", "--workers", str(workers)]
-            assert main(argv) == 0
-            report = json.loads((out / "parse_report.json").read_text())
-            assert report["distinct_triples"] == 100
-            assert report["triples_ok"] == 200
-
     def test_rerun_is_byte_identical(self, tmp_path):
         dump = write_lines(tmp_path, random_dump_lines(400, seed=21))
         out = tmp_path / "out"
@@ -225,9 +215,42 @@ class TestCmdSlice:
         report = json.loads((out / "parse_report.json").read_text())
         assert report["triples_ok"] == 2
         assert report["lint"] == {"unknown-escape": 1}
-        if materialize:  # kept verbatim, so the backslash itself is escaped on output
+        if materialize:  # copied as it was read
             written = (out / "slices" / "domain" / "type.nt").read_text(encoding="utf-8")
-            assert f'"x\\{escape}"' in written
+            assert written == lines[1] + "\n"
+
+    def test_materialized_slices_are_the_well_formed_input_lines(self, tmp_path):
+        """Each well-formed line is written as it was read, less its line-end CRs, in any form,
+        so re-reading the slices gives the input's escape and identifier lint."""
+        lines = []
+        for i in range(20):
+            s, p, o = fb(f"m.0s{i}"), fb(f"people.person.p{i % 3}"), fb(f"m.0o{i}")
+            lines += [
+                f"{s} {p} {o} .",  # space-separated
+                f"{s}\t{p}\t{o}.",  # the terminator glued to the object
+                line(s, p, '"\\u0041b"'),  # a decodable escape
+                line(s, p, '"x\\uD800"'),  # an unknown escape, kept verbatim
+                line(fb(f"m.0S{i}"), p, f'"v{i}"@en'),  # a nonstandard mid
+                line(s, fb("film.film.genre"), o),
+                f"{s}\t{p}\tbroken\t.",  # malformed
+            ]
+        ends = ["\r\n" if i % 2 else "\n" for i in range(len(lines))]
+        dump = tmp_path / "dump.nt"
+        dump.write_bytes("".join(text + end for text, end in zip(lines, ends)).encode())
+        wellformed = [text for text in lines if not text.endswith("broken\t.")]
+        lint = {}
+        for workers in (1, 2):
+            out = tmp_path / f"out_w{workers}"
+            assert main(["slice", str(dump), "--out", str(out), "--materialize", "--workers", str(workers)]) == 0
+            tree = read_tree(out / "slices")
+            written = [text for data in tree.values() for text in data.decode().split("\n")[:-1]]
+            assert sorted(written) == sorted(wellformed), workers
+            lint[workers] = json.loads((out / "parse_report.json").read_text())["lint"]
+            again = tmp_path / f"again_w{workers}"
+            paths = [str(out / "slices" / name) for name in sorted(tree)]
+            assert main(["slice", *paths, "--out", str(again)]) == 0
+            assert json.loads((again / "parse_report.json").read_text())["lint"] == lint[workers]
+        assert lint[1] == lint[2] == {"nonstandard-id": 20, "unknown-escape": 20}
 
 
 class TestCmdSchema:
@@ -579,7 +602,7 @@ class TestGzipRanges:
         commands = {
             "study": ["study", "--exclude", "music"],
             "semantics": ["semantics", "--rules", str(rules), "--json"],
-            "slice": ["slice", "--materialize", "--count-distinct"],
+            "slice": ["slice", "--materialize"],
         }
         for name, command in commands.items():
             trees = []
@@ -825,13 +848,19 @@ class TestConsoleScript:
         assert not loaded & {"urllib.request", "http.client", "ssl", "email", "hashlib"}
 
 
-# No option respells the public dump's predicates or chooses the slice path:
-# the commands read the dump's own spellings, and argparse refuses these.
+# No option respells the public dump's namespace or predicates, chooses the
+# slice path, or keeps state that grows with the dump (--count-distinct kept
+# every line, --incompatibility-predicate every type assertion): the commands
+# read the dump's own spellings, and argparse refuses these.
 SCHEMA_OPTIONS = ("--description-predicate", "--detail-predicate", "--type-predicate", "--schema-domain")
+COMMANDS = ("slice", "schema", "semantics", "study")
 REMOVED_OPTIONS = [(command, option) for command in ("schema", "study") for option in SCHEMA_OPTIONS] + [
     ("semantics", "--replaced-by-predicate"),
     ("semantics", "--type-predicate"),
     ("slice", "--slice-layout"),
+    ("slice", "--count-distinct"),
+    ("semantics", "--incompatibility-predicate"),
+    *[(command, "--namespace") for command in COMMANDS],
 ]
 
 
@@ -843,3 +872,51 @@ def test_removed_option_is_a_usage_error(tmp_path, capsys, command, option):
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# Every value each subcommand lets a user set (argparse dests, --help aside).
+# A new knob must be added here on purpose.
+SETTABLE_DESTS = {
+    "slice": [
+        "format",
+        "implementation_domain",
+        "inputs",
+        "materialize",
+        "max_errors",
+        "out",
+        "strict_ids",
+        "workers",
+    ],
+    "schema": ["inputs", "json", "max_errors", "out", "strict_ids", "workers"],
+    "semantics": [
+        "accept_reversed",
+        "cycle_policy",
+        "inputs",
+        "json",
+        "max_errors",
+        "out",
+        "rules",
+        "strict_ids",
+        "workers",
+    ],
+    "study": [
+        "exclude",
+        "from_counts",
+        "from_schema",
+        "implementation_domain",
+        "inputs",
+        "max_errors",
+        "out",
+        "strict_ids",
+        "workers",
+    ],
+}
+
+
+def test_settable_values_are_pinned():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    settable = {
+        name: sorted(a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction))
+        for name, parser in sub.choices.items()
+    }
+    assert settable == SETTABLE_DESTS

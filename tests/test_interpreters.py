@@ -3,13 +3,13 @@
 A gzip range owns the lines whose first byte came out of a read that ended
 inside it, so the outputs hold only while every interpreter's ``gzip`` module
 reads the same way (3.12 raised its read size to 128 KiB). A materialized
-slice copies the lines the canonical regex matches as they were read, so its
-files hold only while every interpreter's ``re`` matches the same lines.
+slice copies each well-formed line as it was read, so its files hold only
+while every interpreter's parser accepts and slices the same lines.
 ``semantics`` pickles slotted value types (mids, types, notations) from each
 worker to the parent, so its files hold only while every interpreter
 rebuilds them alike. For each ``python3.X`` on PATH at or above the
 package's floor, this runs ``python3.X -m fbont.cli study``, ``slice
---materialize --count-distinct`` and ``semantics --rules R --json`` on a gzip
+--materialize`` and ``semantics --rules R --json`` on a gzip
 file of at least three minimum ranges, holding literals with ``\\\\``,
 ``\\"``, ``\\n``, ``\\r`` and ``\\t`` escapes, type assertions, replaced-by
 edges and value notations, at 1 and 2 workers, and compares each output tree
@@ -57,7 +57,7 @@ def skip_unless_it_starts(python: str) -> None:
 
 
 STUDY = ("study",)
-SLICE = ("slice", "--materialize", "--count-distinct")
+SLICE = ("slice", "--materialize")
 
 
 def run_fbont(python: str, command: tuple, dump: str, out: str, workers: int) -> dict:
@@ -122,7 +122,7 @@ def test_study_tree_equals_this_interpreters(python, reference, tmp_path):
 
 @pytest.fixture(scope="module")
 def slice_reference(reference, tmp_path_factory):
-    """This interpreter's materialized, distinct-counted slice tree of the same dump."""
+    """This interpreter's materialized slice tree of the same dump."""
     root = tmp_path_factory.mktemp("slices")
     dump, _ = reference
     trees = [run_fbont(sys.executable, SLICE, dump, str(root / f"ref-w{w}"), w) for w in (1, 2)]

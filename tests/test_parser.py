@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NS, fb, line, lit_line, obj_line
+from conftest import fb, lit_line, obj_line
 from dumpgen import oracle_count_wellformed, random_dump_lines
 from fbont.model import ExternalIri, Literal, Mid, Triple, idpath
 from fbont.parser import (

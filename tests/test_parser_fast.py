@@ -6,8 +6,8 @@ each line alone or many as one stream, iter_triples must give what one
 parse_line call per line gives: the same triples, the same malformed reason
 codes at the same line numbers and the same lint counts. With a Projection
 it must count exactly the lines worked out line by line below, and copy
-each copied line as serialize gives it back. All of it under both
-strict_ids settings and under the default and non-default namespaces.
+each copied line as it was read, less its line-end CRs. All of it under
+both strict_ids settings and under the default and non-default namespaces.
 """
 
 import io
@@ -31,7 +31,6 @@ from fbont.parser import (
     iter_triples,
     parse_blocks,
     parse_line,
-    serialize,
 )
 
 ALT_NS = "http://example.org/kb+(v1)?/"
@@ -67,9 +66,9 @@ def copied(predicate) -> bool:
 def per_line_parse(data: bytes, config: ParserConfig):
     """The stream as one parse_line call per line.
 
-    Returns the report, and (triple or None, match) for each line that is
-    well-formed or that the canonical regex fullmatches once its line-end
-    CRs are dropped, in input order.
+    Returns the report, and (triple or None, match, text) for each line that
+    is well-formed or that the canonical regex fullmatches once its line-end
+    CRs are dropped, in input order; the text is the line without them.
     """
     report = ParseReport(max_errors=MAX_ERRORS)
     pattern = parser_module._canonical_line(config.namespace)
@@ -93,37 +92,30 @@ def per_line_parse(data: bytes, config: ParserConfig):
         else:
             report.record_ok()
         if triple is not None or found is not None:
-            parsed.append((triple, found))
+            parsed.append((triple, found, text))
     return report.to_dict(), parsed
 
 
-def dispositions(parsed, config: ParserConfig, reads, copies: bool):
+def dispositions(parsed, reads, copies: bool):
     """What the scan yields, tallies and copies, worked out line by line.
 
     A well-formed line is counted, not yielded, iff no reader reads its
-    (predicate, mid-subject) kind and the canonical regex fullmatches it;
-    but a copied line that needs the regex's literal-parser group is
-    yielded, since its text comes from serialize. Every copied line's text
-    is serialize of its triple. Tallies come in the order their predicate
-    tokens were first matched, on any line.
+    (predicate, mid-subject) kind and the canonical regex fullmatches it.
+    Every copied line's text is the line as read, less its line-end CRs.
+    Tallies come in the order their predicate tokens were first matched, on
+    any line.
     """
     counts: dict[str, list] = {}  # predicate token -> [predicate, other subjects, mids]
     triples, texts = [], []
-    for triple, found in parsed:
+    for triple, found, text in parsed:
         if found is not None:
             cells = counts.setdefault(found[4], [None, 0, 0])
         if triple is None:
             continue
-        copy = copies and copied(triple.predicate)
-        if copy:
-            texts.append(serialize(triple, config.namespace))
+        if copies and copied(triple.predicate):
+            texts.append(text)
         mid = isinstance(triple.subject, Mid)
-        if (
-            reads is not None
-            and found is not None
-            and not reads(triple.predicate, mid)
-            and not (copy and found[11] is not None)
-        ):
+        if reads is not None and found is not None and not reads(triple.predicate, mid):
             cells[0] = triple.predicate
             cells[1 + mid] += 1
         else:
@@ -174,7 +166,7 @@ def assert_blocks_same(data: bytes, cap: int = 16 * 1024, configs=CONFIGS, alone
         for config in configs:
             report, parsed = per_line_parse(data, config)
             for reads, copies in MODES:
-                expected = (report, *dispositions(parsed, config, reads, copies))
+                expected = (report, *dispositions(parsed, reads, copies))
                 if alone:
                     got = block_parse([raw + b"\n" for raw in raws], config, reads, copies, blocks=True)
                 else:
@@ -545,26 +537,18 @@ class TestBlockDifferential:
 # --- the copy disposition ----------------------------------------------------------
 #
 # With a projection that copies, parse_blocks appends each well-formed line of
-# a copied predicate to its buffer: as it was read where the regex matched it
-# without its literal-parser group, else as serialize of the built triple.
-# Either way the buffer must hold serialize(parse_line(line)) for each such
-# line, in input order; so a line copied as it was read must be its own
-# serialization. Copying is beside counting and building: the line is still
-# counted or yielded as the projection's reads decide.
-
-real_serialize = parser_module.serialize
+# a copied predicate to its buffer as it was read, less its line-end CRs, in
+# input order, whichever route parsed it, and never serializes a triple for
+# it. Copying is beside counting and building: the line is still counted or
+# yielded as the projection's reads decide.
 
 
-class Serialized(str):
-    """serialize's text, marked so a built line can be told from one copied as read."""
+def refuse_serialize(*args):
+    raise AssertionError("a copied line was serialized")
 
 
-def marked_serialize(triple, namespace=NS):
-    return Serialized(real_serialize(triple, namespace))
-
-
-def assert_copies_serialize(lines: list[str], cap: int = 16 * 1024, configs=CONFIGS) -> int:
-    """Copy every non-mid predicate into one buffer; returns the lines copied as read.
+def assert_copies_input(lines: list[str], cap: int = 16 * 1024, configs=CONFIGS) -> int:
+    """Copy every non-mid predicate into one buffer; returns the lines copied.
 
     Copy is independent of the count/build decision: a projection that reads
     everything and one that reads nothing fill the same buffer and report,
@@ -572,20 +556,21 @@ def assert_copies_serialize(lines: list[str], cap: int = 16 * 1024, configs=CONF
     """
     data = "".join(text + "\n" for text in lines).encode()
     raw_lines = [raw.rstrip(b"\r") for raw in data.split(b"\n")[:-1]]  # without their line ends
-    as_read = 0
+    copies = 0
     with mock.patch.object(parser_module, "_BLOCK", cap), mock.patch.object(
-        parser_module, "serialize", marked_serialize
+        parser_module, "serialize", refuse_serialize
     ):
         for config in configs:
             expected_copies, expected_triples = [], []
             for raw in raw_lines:
+                text = raw.decode()
                 try:
-                    triple = parse_line(raw.decode(), config)
+                    triple = parse_line(text, config)
                 except MalformedLineError:
                     continue
                 expected_triples.append(triple)
                 if not isinstance(triple.predicate, Mid):
-                    expected_copies.append(real_serialize(triple, config.namespace))
+                    expected_copies.append(text)
             full_report = ParseReport()
             list(iter_triples(io.BytesIO(data), full_report, config))
             buffers = []
@@ -605,15 +590,10 @@ def assert_copies_serialize(lines: list[str], cap: int = 16 * 1024, configs=CONF
                 assert all(triple in remaining for triple in triples), config  # in input order
                 if reads is parser_module._reads_everything:
                     assert triples == expected_triples, config
-                buffers.append([(type(text), text) for text in buffer])
-            assert buffers[0] == buffers[1], config
-            assert [str(text) for text in buffer] == expected_copies, config
-            for text in buffer:
-                if not isinstance(text, Serialized):
-                    assert text.encode() in raw_lines, (config, text)
-                    assert real_serialize(parse_line(text, config), config.namespace) == text
-                    as_read += 1
-    return as_read
+                buffers.append(buffer)
+            assert buffers[0] == buffers[1] == expected_copies, config
+            copies += len(expected_copies)
+    return copies
 
 
 COPY_LITERAL_LINES = [
@@ -668,33 +648,33 @@ class TestCopyDifferential:
     def test_dumpgen_lines_with_malformed_injection(self):
         lines = random_dump_lines(1500, seed=11, malformed_rate=0.2)
         alt = [text.replace(NS, ALT_NS) for text in lines[:500]]
-        assert assert_copies_serialize(lines + alt + MALFORMED_LINES) > 1000
+        assert assert_copies_input(lines + alt + MALFORMED_LINES) > 1000
 
     @pytest.mark.parametrize("cap", [1, 64, 16 * 1024])
     def test_edge_cases_and_literals(self, cap):
         lines = EDGE_CASES + UNICODE_LINES + COPY_LITERAL_LINES
         alt = [text.replace(NS, ALT_NS) for text in lines] + [text.replace(NS, "") for text in lines]
-        assert assert_copies_serialize(lines + alt, cap) > 50
+        assert assert_copies_input(lines + alt, cap) > 50
 
-    def test_a_raw_cr_in_a_literal_is_never_copied_as_read(self):
+    def test_a_raw_cr_in_a_literal_is_copied_as_read(self):
         lines = [text for text in COPY_LITERAL_LINES if '"' in text and "\r" in text.split('"')[1]]
         assert len(lines) == 3
-        assert assert_copies_serialize(lines) == 0
+        assert assert_copies_input(lines) == 3 * len(CONFIGS)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(copy_lines, min_size=1, max_size=8), st.integers(min_value=1, max_value=64))
     def test_generated_lines(self, lines, cap):
-        assert_copies_serialize(lines, cap)
-        assert_copies_serialize(lines)
+        assert_copies_input(lines, cap)
+        assert_copies_input(lines)
 
 
 # --- escapes the regex vouches for ------------------------------------------------
 #
 # A literal whose only escapes are \\ \" \n \r \t takes the regex's plain
-# group: escape_literal writes each of them back as read and none is unknown,
-# so such a line is counted and copied from the scan like an unescaped one,
-# and built by unescaping its lexical. Any other escape, an escaped quote
-# that closes nothing, or a raw tab keeps the line off the plain group.
+# group: none of them is unknown, so such a line is counted like an
+# unescaped one, without the literal parser, and built by unescaping its
+# lexical. Any other escape, an escaped quote that closes nothing, or a raw
+# tab keeps the line off the plain group.
 
 ESCAPE_CLASS_LINES = [
     *[f'{S}\t{P}\t"a{e}b"\t.' for e in ("\\\\", '\\"', "\\n", "\\r", "\\t")],
@@ -787,8 +767,9 @@ class TestEscapeClass:
         for ns in NAMESPACES:
             lines = [text.replace(NS, ns) for text in ESCAPE_CLASS_LINES]
             configs = [config for config in CONFIGS if config.namespace == ns]
-            assert assert_copies_serialize(lines, cap, configs) == 2 * len(lines), ns
-        assert assert_copies_serialize(ESCAPE_NEAR_MISSES, cap) == 0
+            assert assert_copies_input(lines, cap, configs) == 2 * len(lines), ns
+        # so are the well-formed near misses: all but the two with unbalanced quotes
+        assert assert_copies_input(ESCAPE_NEAR_MISSES, cap) == (len(ESCAPE_NEAR_MISSES) - 2) * len(CONFIGS)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(escape_class_literals, min_size=1, max_size=8), st.integers(min_value=1, max_value=64))
@@ -797,7 +778,9 @@ class TestEscapeClass:
         in_class = sum(in_escape_class(body) for body, _ in literals)
         assert_alone_same(lines)
         assert_stream_same(lines)
-        assert assert_copies_serialize(lines, cap, CONFIGS[:2]) == 2 * in_class
+        assert sum(takes_plain_group(text) for text in lines) == in_class
+        wellformed = sum(not isinstance(outcome(parse_line, t, ParserConfig())[0], str) for t in lines)
+        assert assert_copies_input(lines, cap, CONFIGS[:2]) == 2 * wellformed
 
 
 def test_spelled_out_space_is_the_whitespace_class():

@@ -16,13 +16,13 @@ from fbont import parser as parser_module
 from fbont import pipeline
 from fbont.model import Mid, idpath
 from fbont.parser import (
+    MalformedLineError,
     ParseReport,
     ParserConfig,
     Projection,
     StreamAbortedError,
     iter_triples,
     parse_line,
-    serialize,
 )
 from fbont.pipeline import (
     Job,
@@ -38,7 +38,7 @@ from fbont.pipeline import (
     run_partitioned,
 )
 from fbont.schema import SchemaConfig
-from fbont.semantics import IncompatibilityRule
+from fbont.semantics import IncompatibilityRule, match_type_assertion
 from fbont.slicer import DOMAIN, SliceKey, SliceWriter, count_slice
 from fbont.stats import StudyRow
 
@@ -313,15 +313,11 @@ PROBE_LINES = SCHEMA_FIXTURE + random_dump_lines(400, seed=5, malformed_rate=0.0
     obj_line("m.a", "base.custom.is_a", "film.film"),
     obj_line("m.a", "dataworld.gardening_hint.replaced_by", "m.b"),
     lit_line("m.a", "dataworld.gardening_hint.replaced_by", "m.b"),
-    obj_line("m.c", "base.custom.replaced", "m.d"),
-    obj_line("film.film", "base.custom.replaced", "m.d"),
     obj_line("people.person.name", "freebase.valuenotation.has_value", "m.a"),
     obj_line("m.a", "freebase.valuenotation.has_no_value", "people.person.name"),
     lit_line("m.a", "freebase.valuenotation.has_value", "x"),
     obj_line("m.a", "type.object.type", "people.person"),
     obj_line("m.b", "type.object.type", "film.film"),
-    obj_line("people.person", "base.rules.incompatible_with", "film.film"),
-    obj_line("people.person", "base.rules.incompatible_with", "people.person"),
 ]
 
 CUSTOM_SCHEMA = SchemaConfig(
@@ -331,9 +327,7 @@ CUSTOM_SCHEMA = SchemaConfig(
     type_declaration_predicate=idpath("/base/custom/is_a"),
 )
 CUSTOM_SEMANTICS = SemanticsFold(
-    replaced_by=idpath("/base/custom/replaced"),
-    type_predicate=idpath("/base/custom/is_a"),
-    incompatibility_predicate=idpath("/base/rules/incompatible_with"),
+    known_rules=frozenset({IncompatibilityRule(idpath("/people/person"), idpath("/film/film"))}),
     accept_reversed=True,
 )
 PROJECTING_FOLDS = {
@@ -425,7 +419,6 @@ class TestProjection:
         path = write_lines(tmp_path, PROBE_LINES)
         for folds in [
             (SliceFold(), SchemaFold(), SemanticsFold()),
-            (SliceFold(count_distinct=True),),
             (SliceFold(shard_root=str(tmp_path / "parts")), SchemaFold()),
         ]:
             built, tallies, report = built_and_counted(folds, path)
@@ -478,10 +471,10 @@ class TestProjection:
 
 # --- copied slices -------------------------------------------------------------------
 #
-# A Job with a materializing SliceFold copies each slice's lines in the block
-# scan: a canonical line as it was read, any other line as its serialize
-# text, at its place in the scan. The slice files must equal what
-# SliceWriter writes for iter_triples' triples, in input order.
+# A Job with a materializing SliceFold copies each slice's well-formed lines
+# in the block scan, as they were read less their line-end CRs, at their
+# place in the scan. The slice files must equal those lines written to their
+# slices in input order.
 
 FB = "http://rdf.freebase.com/ns/"
 
@@ -507,23 +500,29 @@ def alternating_lines(groups=40):
     return lines
 
 
-REWRITTEN_PER_GROUP = 4  # space-separated, two escapes, raw CR
+BUILT_PER_GROUP = 1  # the space-separated line, which the scan does not match
 
 
-def written_slices(triples, out_dir, lint):
-    """The reference the copy path is compared with: every built triple, counted and written by SliceWriter.write."""
+def written_slices(lines, out_dir, lint):
+    """The reference the copy path is compared with: every well-formed line, less
+    its line-end CRs, counted and written to its slice by SliceWriter, in input order."""
     counts, keys = {}, {}
     with SliceWriter(out_dir, FB) as writer:
-        for triple in triples:
+        for line in lines:
+            line = line.rstrip("\r")
+            try:
+                triple = parse_line(line)
+            except MalformedLineError:
+                continue
             key = count_slice(counts, keys, triple.predicate, 1, lint)
             if key is not None:
-                writer.write(key, triple)
+                writer.write_lines(key, [line])
     return counts
 
 
 def copied_slices(path, out_dir, workers, parser=ParserConfig()):
-    """Slice files of a materializing, distinct-counting Job, its partitions run in-process."""
-    fold = SliceFold(str(out_dir / ".parts"), count_distinct=True)
+    """Slice files of a materializing Job, its partitions run in-process."""
+    fold = SliceFold(str(out_dir / ".parts"))
     report, payloads = run_partitioned(Job((fold,), parser), plan_partitions([path], workers), 1)
     merged = merge_payloads(payloads)
     concatenate_shards(merged["shard_dirs"], str(out_dir))
@@ -533,13 +532,14 @@ def copied_slices(path, out_dir, workers, parser=ParserConfig()):
 class TestCopiedSlices:
     @pytest.mark.parametrize("cap", [1, 17, 64, 300, 16 * 1024])
     def test_slice_files_equal_the_built_triples_written_in_order(self, tmp_path, monkeypatch, cap):
-        path = write_lines(tmp_path, alternating_lines())
+        lines = alternating_lines()
+        path = write_lines(tmp_path, lines)
         monkeypatch.setattr(parser_module, "_BLOCK", cap)
         oracle_report = ParseReport()
-        triples = list(iter_triples(path, oracle_report))
-        oracle_counts = written_slices(triples, tmp_path / "oracle", oracle_report.lint)
+        list(iter_triples(path, oracle_report))
+        oracle_counts = written_slices(lines, tmp_path / "oracle", oracle_report.lint)
         oracle = read_tree(tmp_path / "oracle")
-        assert len(oracle) == 2 and len(oracle["domain/people.nt"].splitlines()) == 40 * 8
+        assert len(oracle) == 2 and oracle["domain/people.nt"].count(b"\n") == 40 * 8
         built = []
 
         class CountedTriple(parser_module.Triple):
@@ -554,8 +554,7 @@ class TestCopiedSlices:
             assert tree == oracle, workers
             assert report.to_dict() == oracle_report.to_dict()
             assert merged["counts"] == oracle_counts
-            assert merged["distinct"] == {serialize(t) for t in triples if not isinstance(t.predicate, Mid)}
-            assert len(built) == 40 * REWRITTEN_PER_GROUP  # the scan builds only what it cannot copy
+            assert len(built) == 40 * BUILT_PER_GROUP  # the scan builds only the lines it does not match
 
     def test_crlf_lines_are_copied_without_building(self, tmp_path, monkeypatch):
         """A materializing SliceFold alone builds no canonical line, whatever CRs end it."""
@@ -589,7 +588,7 @@ class TestCopiedSlices:
         report, merged, tree = copied_slices(path, tmp_path / "strict", 2, ParserConfig(strict_ids=True))
         assert tree["domain/people.nt"].decode().splitlines() == lines
         assert report.errors == [(2, "nonstandard-id")] and not report.lint
-        assert merged["counts"] == {SliceKey(DOMAIN, "people"): 3} and len(merged["distinct"]) == 3
+        assert merged["counts"] == {SliceKey(DOMAIN, "people"): 3}
 
     @pytest.mark.parametrize("cap", [1, 64, 16 * 1024])
     def test_escaped_literals_are_copied_without_building(self, tmp_path, monkeypatch, cap):
@@ -609,8 +608,8 @@ class TestCopiedSlices:
         path = write_lines(tmp_path, lines)
         monkeypatch.setattr(parser_module, "_BLOCK", cap)
         oracle_report = ParseReport()
-        triples = list(iter_triples(path, oracle_report))
-        oracle_counts = written_slices(triples, tmp_path / "oracle", oracle_report.lint)
+        list(iter_triples(path, oracle_report))
+        oracle_counts = written_slices(lines, tmp_path / "oracle", oracle_report.lint)
         oracle = read_tree(tmp_path / "oracle")
         assert sum(len(text.splitlines()) for text in oracle.values()) == len(lines)
         assert [line.encode() for line in lines[:4]] == oracle["domain/people.nt"].splitlines()[:4]
@@ -627,7 +626,6 @@ class TestCopiedSlices:
             assert tree == oracle, workers
             assert report.to_dict() == oracle_report.to_dict()
             assert merged["counts"] == oracle_counts
-            assert len(merged["distinct"]) == len(set(lines))
         assert built == []  # every line was copied as it was read
 
 
@@ -651,7 +649,7 @@ def merged_run(folds, parts, out_dir=None):
 
 
 def materializing(out_dir):
-    return SliceFold(str(out_dir / ".parts"), count_distinct=True)
+    return SliceFold(str(out_dir / ".parts"))
 
 
 class TestCopyBesideOtherFolds:
@@ -664,7 +662,7 @@ class TestCopyBesideOtherFolds:
         slice_report, sliced = merged_run((materializing(alone),), parts, alone)
         other_report, others = merged_run(OTHER_FOLDS, parts)
         assert read_tree(together) == read_tree(alone) != {}
-        assert merged.pop("counts") == sliced["counts"] and merged.pop("distinct") == sliced["distinct"]
+        assert merged.pop("counts") == sliced["counts"]
         assert merged == others
         # the slice fold's one lint of its own is the mid-predicate count
         mid_predicates = report["lint"].pop("mid-predicate")
@@ -692,7 +690,7 @@ class TestCopyBesideOtherFolds:
 
     def test_two_copying_folds_are_refused(self, tmp_path):
         path = write_lines(tmp_path, random_dump_lines(10))
-        job = Job((SliceFold(count_distinct=True), SliceFold(str(tmp_path / "parts"))))
+        job = Job((SliceFold(str(tmp_path / "a")), SliceFold(str(tmp_path / "b"))))
         with pytest.raises(ValueError, match="one fold"):
             job.run(Partition(path, 0, -1, 0))
 
@@ -706,7 +704,6 @@ KNOWN_RULES = frozenset(
         IncompatibilityRule(idpath("/tv/tv_series"), idpath("/book/book")),
     }
 )
-KEEP_ALL = {"known_rules": KNOWN_RULES, "incompatibility_predicate": idpath("/base/incompatible/with")}
 
 
 def typed_lines(seed):
@@ -736,16 +733,13 @@ class TestSemanticsRetainedState:
         kept = semantics_payload(plain, known_rules=KNOWN_RULES)["assertions"]
         padded_kept = semantics_payload(path, known_rules=KNOWN_RULES)["assertions"]
         assert padded_kept == kept and pickle.dumps(padded_kept) == pickle.dumps(kept)
-        everything = semantics_payload(path)["assertions"]
-        assert len(everything) == len(semantics_payload(plain)["assertions"]) + 5_000
-        assert kept == [(mid, t) for mid, t in everything if t.domain in ("film", "tv", "book")]
-        # with rules that can come from the dump, every assertion is kept
-        assert semantics_payload(path, **KEEP_ALL)["assertions"] == everything
+        named = {rule_type for rule in KNOWN_RULES for rule_type in (rule.type_a, rule.type_b)}
+        asserted = [match_type_assertion(triple) for triple in iter_triples(path, ParseReport())]
+        assert kept == [(mid, t) for mid, t in filter(None, asserted) if t in named]
+        assert semantics_payload(path)["assertions"] == []  # no rules, no assertion kept
 
-    @pytest.mark.parametrize(
-        "fold", [{}, {"known_rules": KNOWN_RULES}, KEEP_ALL], ids=["default", "filter", "keep-all"]
-    )
+    @pytest.mark.parametrize("fold", [{}, {"known_rules": KNOWN_RULES}], ids=["default", "filter"])
     def test_one_object_per_asserted_type(self, tmp_path, fold):
         assertions = semantics_payload(write_lines(tmp_path, typed_lines(seed=8)), **fold)["assertions"]
-        assert assertions
+        assert bool(assertions) == bool(fold)  # none kept without rules
         assert len({id(t) for _, t in assertions}) == len({t for _, t in assertions})

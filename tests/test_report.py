@@ -201,16 +201,12 @@ class TestScatterSvg:
 class TestReportBundle:
     def test_documents_cover_all_outputs(self):
         rows, result, points = sample_study()
-        schemas = fixture_schemas(SCHEMA_FIXTURE)
-        bundle = ReportBundle(
-            taxonomy=census_taxonomy(), schemas=schemas, study=result, scatter=points
-        )
+        bundle = ReportBundle(taxonomy=census_taxonomy(), study=result, scatter=points)
         docs = bundle.documents()
         assert set(docs) == {
             "taxonomy.md",
             "taxonomy.csv",
             "taxonomy.tsv",
-            "schema.csv",
             "study.json",
             "scatter.csv",
             "scatter.svg",

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fold_triples, lit_line, obj_line
-from fbont.model import Mid, Triple, idpath
+from fbont.model import idpath
 from fbont.parser import stream_parse
 from fbont.pipeline import SchemaFold
 from fbont.schema import (
@@ -102,11 +102,10 @@ class TestExtractSchema:
         _, lint = fold_triples(SchemaFold(), parse_fixture([obj_line("people.person", "type.object.type", "type.property")]))
         assert lint["declaration-mismatch"] == 1
 
-    def test_orphan_properties_reported_but_counted(self):
+    def test_property_of_an_undeclared_type_is_counted(self):
         schemas = fixture_schemas([obj_line("people.stray.thing", "type.object.type", "type.property")])
         people = schemas["people"]
-        assert people.orphan_properties() == {idpath("/people/stray/thing")}
-        assert len(people.properties) == 1
+        assert people.properties == {idpath("/people/stray/thing")} and people.types == set()
 
     def test_custom_detail_predicates(self):
         config = SchemaConfig(detail_predicates=frozenset({idpath("/type/property/reverse_property")}))

@@ -4,9 +4,9 @@ from collections import Counter
 
 import pytest
 
-from conftest import NS, fold_triples, lit_line, obj_line
+from conftest import fold_triples, lit_line, obj_line
 from dumpgen import oracle_resolve, oracle_violations
-from fbont.model import Literal, Mid, Triple, idpath, parse_ref
+from fbont.model import Literal, Mid, idpath, parse_ref
 from fbont.parser import serialize, stream_parse
 from fbont.pipeline import SemanticsFold
 from fbont.semantics import (
@@ -369,7 +369,8 @@ class TestIncompatibilities:
             obj_line("m.terminator", "type.object.type", "film.film_series"),
             lit_line("m.terminator", "type.object.name", "The Terminator"),
         ]
-        assertions = fold_triples(SemanticsFold(), parse_lines(lines))[0]["assertions"]
+        fold = SemanticsFold(known_rules=frozenset({IncompatibilityRule(self.film, self.series)}))
+        assertions = fold_triples(fold, parse_lines(lines))[0]["assertions"]
         assert assertions == [
             (Mid("terminator"), self.film),
             (Mid("terminator"), self.series),
