@@ -23,7 +23,6 @@ from fbont import (
     IncompatibilityRule,
     Mid,
     ParseReport,
-    check_incompatibilities,
     idpath,
     iter_triples,
     render,
@@ -64,10 +63,11 @@ lines = [
 ]
 
 dump = write_dump("semantics.nt", lines)
-# The rule is known before the parse, so the fold keeps only the type
-# assertions it names.
+# The rule is known before the parse, so the fold keeps, per mid, a bitmask
+# of only the types it names, and decodes those masks itself.
 rule = IncompatibilityRule(idpath("/film/film"), idpath("/film/film_series"))
-_, merged = run_folds([dump], [SemanticsFold(known_rules=frozenset({rule}))])
+fold = SemanticsFold(known_rules=frozenset({rule}))
+_, merged = run_folds([dump], [fold])
 
 merge_map = merged["merge_map"]
 print("merge edges:", {render(k): render(v) for k, v in merge_map.edges.items()})
@@ -84,7 +84,7 @@ for note in merged["notations"]:
     print(f"{render(note.property)} - {note.kind.value} - {render(note.object)}")
 
 print()
-violations = check_incompatibilities(merged["assertions"], [rule])
+violations = fold.violations(merged["type_masks"])
 for violation in violations:
     print(f"split candidate: {render(violation.mid)} asserts both "
           f"{render(violation.type_a)} and {render(violation.type_b)}")

@@ -10,9 +10,9 @@ The commands read the public dump's own namespace and predicate spellings
 :class:`fbont.pipeline.SemanticsFold` reads). No option keeps state that
 grows with the dump: ``slice --materialize`` is a flag that takes no value
 and writes each well-formed line, as it was read, to
-``OUT/slices/<kind>/<name>.nt``, and ``semantics`` keeps only the type
-assertions its ``--rules`` can use and writes violations exactly when given
-``--rules``.
+``OUT/slices/<kind>/<name>.nt``, and ``semantics`` keeps, per mid, one
+bitmask of the types its ``--rules`` name, and writes violations exactly
+when given ``--rules``.
 
 Each subcommand builds its documents as a ``{file name: text}`` map, the
 tables rendered by :mod:`fbont.report`, and ends in one publish step
@@ -71,7 +71,6 @@ from .report import (
 from .semantics import (
     CyclePolicy,
     MergeCycleError,
-    check_incompatibilities,
     load_rules,
     write_merge_tsv,
 )
@@ -181,11 +180,13 @@ def cmd_semantics(args: argparse.Namespace) -> int:
     """Merges, value notations and, given --rules, the objects that break a rule.
 
     The --rules file is read before the parse, so a bad file fails fast and
-    writes nothing, and so the fold keeps only the type assertions those
-    rules can use, none without --rules (see SemanticsFold.known_rules).
+    writes nothing, and so the fold keeps, per mid, only the bits of the
+    types those rules name, none without --rules; the fold decodes its own
+    masks (see SemanticsFold).
     """
     rules = _read_input(args.rules, load_rules) if args.rules else frozenset()
-    report, merged = _run(args, SemanticsFold(known_rules=rules, accept_reversed=args.accept_reversed))
+    fold = SemanticsFold(known_rules=rules, accept_reversed=args.accept_reversed)
+    report, merged = _run(args, fold)
     policy = CyclePolicy(args.cycle_policy)
 
     merge_map = merged["merge_map"]
@@ -195,7 +196,7 @@ def cmd_semantics(args: argparse.Namespace) -> int:
     docs.update(_tables(args, "valuenotes", VALUENOTE_COLUMNS, valuenote_rows(merged["notations"])))
 
     if args.rules:
-        violations = check_incompatibilities(merged["assertions"], rules)
+        violations = fold.violations(merged["type_masks"])
         docs.update(_tables(args, "violations", VIOLATION_COLUMNS, violation_rows(violations)))
         print(f"violations: {len(violations)}")
 

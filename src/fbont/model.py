@@ -106,12 +106,6 @@ class IdPath:
             _STANDARD_TOKEN.match(seg) for seg in self.segments
         )
 
-    def parent_type(self) -> IdPath:
-        """The two-segment type this property belongs to."""
-        if len(self.segments) < 2:
-            raise ValueError(f"/{self.segments[0]} has no parent type")
-        return IdPath(self.segments[:2])
-
 
 def idpath(text: str) -> IdPath:
     """Build an IdPath from slash notation, e.g. ``idpath('/people/person')``."""

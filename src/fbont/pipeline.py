@@ -16,8 +16,8 @@ field is a mergeable monoid with one declared merge law (``MERGE_LAWS``)
 that ``merge_payloads`` applies in partition order. Any worker count
 therefore produces byte-identical outputs to a single-threaded run. No fold
 keeps the dump's lines: a materializing ``SliceFold`` holds one block's
-copied lines at a time, and ``SemanticsFold`` keeps only the type
-assertions of the types its known rules name.
+copied lines at a time, and ``SemanticsFold`` keeps one bitmask per mid
+of the types its known rules name that the mid asserts.
 
 Standard input, pipes and gzip files under two minimum ranges are read as
 one partition.
@@ -41,7 +41,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .model import IdPath, Mid, NodeRef, Triple
+from .model import Mid, NodeRef, Triple
 from .parser import (
     PLAIN,
     STREAM,
@@ -72,9 +72,13 @@ from .semantics import (
     IncompatibilityRule,
     MergeMap,
     ValueNotation,
+    Violation,
     feed_merge_edge,
+    feed_type_mask,
     feed_value_notation,
-    match_type_assertion,
+    mask_violations,
+    merge_type_masks,
+    type_bits,
 )
 from .slicer import (
     DEFAULT_GROUPS,
@@ -270,14 +274,14 @@ _SEMANTICS_PREDICATES = frozenset(
 
 @dataclass(frozen=True)
 class SemanticsFold:
-    """Merge edges, value notations and the type assertions the known rules can use.
+    """Merge edges, value notations and each mid's mask of the types the known rules name.
 
     ``known_rules`` are the incompatibility rules, known before the parse.
-    Only the assertions of a type some known rule names are kept: a
-    violation needs both of a rule's types, so no other assertion can take
-    part in one, and none is kept without rules. Each kept type is one
-    shared IdPath per partition, so a payload holds and pickles each type
-    once.
+    A violation needs both of a rule's types, so only the assertions of a
+    type some known rule names are kept, none without rules: each as one
+    bit (``semantics.type_bits``) ORed into ``type_masks``, a map from mid
+    suffix to mask. A mid costs one dict entry whatever the number of its
+    assertions; ``violations`` decodes the merged map.
     """
 
     known_rules: frozenset[IncompatibilityRule] = frozenset()
@@ -286,22 +290,20 @@ class SemanticsFold:
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
         return predicate in _SEMANTICS_PREDICATES
 
+    def violations(self, type_masks: Mapping[str, int]) -> list[Violation]:
+        """The violations of the known rules in a merged ``type_masks``, by mid, then rule."""
+        return mask_violations(type_masks, self.known_rules)
+
     def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Absorb, Finish]:
         merge_map = MergeMap()
         notations: list[ValueNotation] = []
-        assertions: list[tuple[Mid, IdPath]] = []
-        # each kept type to its one shared object
-        types = {named: named for rule in self.known_rules for named in (rule.type_a, rule.type_b)}
+        type_masks: dict[str, int] = {}
+        bits = type_bits(self.known_rules)
 
         def feed(triple: Triple) -> None:
             feed_merge_edge(merge_map, triple, lint)
             feed_value_notation(notations, triple, self.accept_reversed, lint)
-            assertion = match_type_assertion(triple)
-            if assertion is not None:
-                mid, asserted = assertion
-                asserted = types.get(asserted)
-                if asserted is not None:
-                    assertions.append((mid, asserted))
+            feed_type_mask(type_masks, bits, triple)
 
         def absorb(tallies: Sequence[Tally]) -> None:
             pass  # the triples of a predicate it does not read leave no trace
@@ -310,7 +312,7 @@ class SemanticsFold:
             return {
                 "merge_map": merge_map,
                 "notations": notations,
-                "assertions": assertions,
+                "type_masks": type_masks,
             }
 
         return feed, absorb, finish
@@ -365,8 +367,9 @@ MERGE_LAWS: dict[str, Callable[[Any, Any], Any]] = {
     "schemas": merge_schemas,
     "merge_map": MergeMap.merge,
     "notations": operator.add,
+    "type_masks": merge_type_masks,
+    # bench/traced.py's replica returns these three payload fields; the folds do not
     "assertions": operator.add,
-    # bench/traced.py's replica returns these two payload fields; the folds do not
     "rules": operator.or_,
     "lint": operator.add,
 }

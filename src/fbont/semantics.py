@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import attrgetter
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Collection, Iterable, Mapping, TextIO
 
 from .model import IdPath, Mid, Triple, idpath, parse_ref, reduce_value, render
 
@@ -52,29 +52,45 @@ class MergeMap:
     """Directed duplicate-to-replacement edges over mids.
 
     A later conflicting edge for an already-seen duplicate wins and is
-    counted. Resolution caches its results (path compression), so resolve a
-    shared map fully (``resolve_all``) before handing it to workers.
+    counted. ``firsts`` keeps a duplicate's first replacement only while its
+    last one differs, so a later map's first edge is counted against the
+    earlier map's last, as a single pass counts it. Resolution caches its
+    results (path compression), so resolve a shared map fully
+    (``resolve_all``) before handing it to workers.
     """
 
     edges: dict[Mid, Mid] = field(default_factory=dict)
     conflicts: int = 0
     cycles_resolved: int = 0
+    firsts: dict[Mid, Mid] = field(default_factory=dict)
     _cache: dict[Mid, Mid] = field(default_factory=dict, repr=False, compare=False)
 
     def add_edge(self, duplicate: Mid, replacement: Mid) -> None:
         existing = self.edges.get(duplicate)
         if existing is not None and existing != replacement:
             self.conflicts += 1
+            self._set_last(duplicate, self.firsts.get(duplicate, existing), replacement)
         self.edges[duplicate] = replacement
         self._cache.clear()
 
+    def _set_last(self, duplicate: Mid, first: Mid, last: Mid) -> None:
+        if first != last:
+            self.firsts[duplicate] = first
+        else:
+            self.firsts.pop(duplicate, None)
+
     def merge(self, later: "MergeMap") -> "MergeMap":
         """Combine with edges from a later partition (later edges win)."""
-        merged = MergeMap(dict(self.edges), self.conflicts + later.conflicts)
+        merged = MergeMap(dict(self.edges), self.conflicts + later.conflicts, firsts=dict(self.firsts))
         for duplicate, replacement in later.edges.items():
+            later_first = later.firsts.get(duplicate, replacement)
             existing = merged.edges.get(duplicate)
-            if existing is not None and existing != replacement:
-                merged.conflicts += 1
+            if existing is None:
+                first = later_first
+            else:
+                first = merged.firsts.get(duplicate, existing)
+                merged.conflicts += existing != later_first
+            merged._set_last(duplicate, first, replacement)
             merged.edges[duplicate] = replacement
         return merged
 
@@ -263,6 +279,63 @@ def match_type_assertion(triple: Triple) -> tuple[Mid, IdPath] | None:
     return None
 
 
+def type_bits(rules: Iterable[IncompatibilityRule]) -> dict[IdPath, int]:
+    """Each type the rules name to its mask bit: ``1 << i`` for the i-th in IdPath order.
+
+    Rule order is then the order of the rules' (low bit, high bit) pairs.
+    """
+    named = sorted({typ for rule in rules for typ in (rule.type_a, rule.type_b)})
+    return {typ: 1 << i for i, typ in enumerate(named)}
+
+
+def feed_type_mask(type_masks: dict[str, int], bits: Mapping[IdPath, int], triple: Triple) -> None:
+    """OR the bit of the type one typing triple asserts into its mid's mask, if ``bits`` has one.
+
+    ``bits`` comes from ``type_bits``, so only two-segment types have a bit.
+    """
+    if triple.predicate != TYPE_ASSERTION_PREDICATE or not isinstance(triple.subject, Mid):
+        return
+    bit = bits.get(triple.object)  # type: ignore[arg-type]
+    if bit is not None:
+        suffix = triple.subject.suffix
+        type_masks[suffix] = type_masks.get(suffix, 0) | bit
+
+
+def merge_type_masks(first: Mapping[str, int], later: Mapping[str, int]) -> dict[str, int]:
+    """OR two mid-suffix -> type-mask maps key by key; neither input changes."""
+    merged = dict(first)
+    for suffix, mask in later.items():
+        merged[suffix] = merged.get(suffix, 0) | mask
+    return merged
+
+
+def mask_violations(type_masks: Mapping[str, int], rules: Collection[IncompatibilityRule]) -> list[Violation]:
+    """Every (object, rule) pair whose two type bits the object's mask holds.
+
+    ``type_masks`` maps a mid suffix to the OR of the ``type_bits(rules)`` of
+    the types it asserts. Output is ordered by mid, then rule. One scan: a
+    mask with fewer than two bits costs one test, and a mid with k named
+    types costs k bit extractions and k(k-1)/2 pair lookups, after the sort
+    of the suffixes with two bits or more.
+    """
+    bits = type_bits(rules)
+    named = {bit: typ for typ, bit in bits.items()}
+    pairs = {(bits[rule.type_a], bits[rule.type_b]) for rule in rules}
+    violations: list[Violation] = []
+    for suffix in sorted(suffix for suffix, mask in type_masks.items() if mask & (mask - 1)):
+        mask = type_masks[suffix]
+        held = []  # the mask's bits, low to high
+        while mask:
+            low = mask & -mask
+            held.append(low)
+            mask ^= low
+        mid = Mid(suffix)
+        for a, b in combinations(held, 2):
+            if (a, b) in pairs:
+                violations.append(Violation(mid, named[a], named[b]))
+    return violations
+
+
 def check_incompatibilities(
     assertions: Iterable[tuple[Mid, IdPath]],
     rules: Iterable[IncompatibilityRule],
@@ -270,39 +343,17 @@ def check_incompatibilities(
     """Every (object, rule) pair where the object asserts both types.
 
     Output is deterministically ordered by mid, then rule. Adding a rule can
-    only add violations, never remove one.
-
-    One pass: the rules' types are numbered in IdPath order, so a rule is a
-    pair of indices ``a < b`` and rule order is index-pair order. Per mid
-    suffix, the index of its first named type is kept, and a set of indices
-    only once it asserts a second one; only the suffixes with a set are
-    sorted and checked.
+    only add violations, never remove one. The assertions are folded into
+    one type mask per mid suffix and checked by ``mask_violations``.
     """
     rules = set(rules)
-    named = sorted({typ for rule in rules for typ in (rule.type_a, rule.type_b)})
-    index = {typ: i for i, typ in enumerate(named)}
-    pairs = {(index[rule.type_a], index[rule.type_b]) for rule in rules}
-    first: dict[str, int] = {}
-    several: dict[str, set[int]] = {}
+    bits = type_bits(rules)
+    type_masks: dict[str, int] = {}
     for mid, asserted in assertions:
-        i = index.get(asserted)
-        if i is None:
-            continue
-        suffix = mid.suffix
-        j = first.setdefault(suffix, i)
-        if j != i:
-            held = several.get(suffix)
-            if held is None:
-                several[suffix] = {j, i}
-            else:
-                held.add(i)
-    violations: list[Violation] = []
-    for suffix in sorted(several):
-        mid = Mid(suffix)
-        for a, b in combinations(sorted(several[suffix]), 2):
-            if (a, b) in pairs:
-                violations.append(Violation(mid, named[a], named[b]))
-    return violations
+        bit = bits.get(asserted)
+        if bit is not None:
+            type_masks[mid.suffix] = type_masks.get(mid.suffix, 0) | bit
+    return mask_violations(type_masks, rules)
 
 
 def load_rules(stream: TextIO) -> frozenset[IncompatibilityRule]:

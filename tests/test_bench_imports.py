@@ -82,3 +82,20 @@ def test_traced_replica_calls_bind_to_fbont_signatures():
         checked += 1
     assert checked > 10
     assert not unbound, f"bench/traced.py calls no longer bind: {unbound}"
+
+
+def test_traced_replica_payload_fields_have_merge_laws(tmp_path, monkeypatch):
+    """Every field the replica's partitions return merges by a law of MERGE_LAWS,
+    so deleting a law the folds no longer need cannot break ``--trace 1``."""
+    from dumpgen import random_dump_lines
+    from fbont.pipeline import MERGE_LAWS, Partition
+
+    monkeypatch.syspath_prepend(os.path.dirname(TRACED))
+    traced = importlib.import_module("traced")
+    dump = tmp_path / "dump.nt"
+    dump.write_text("".join(line + "\n" for line in random_dump_lines(200, seed=2)), encoding="utf-8")
+    part = Partition(str(dump), 0, -1, 0)
+    for command in ("slice", "study", "semantics"):
+        payload = traced.run_partition((command, part, None, None, True))["payload"]
+        fields = {name for name, value in payload.items() if value is not None}
+        assert fields and not fields - set(MERGE_LAWS), command

@@ -21,10 +21,10 @@ from conftest import fb, fold_triples, line, lit_line, obj_line
 from dumpgen import oracle_linreg, oracle_pearson, oracle_violations, random_dump_lines
 from fbont import cli, pipeline
 from fbont.cli import main
-from fbont.model import render
+from fbont.model import idpath, render
 from fbont.parser import ParseReport, StreamAbortedError, iter_triples, stream_parse
-from fbont.pipeline import Job, SliceFold
-from fbont.semantics import check_incompatibilities
+from fbont.pipeline import Job, SemanticsFold, SliceFold
+from fbont.semantics import load_rules, type_bits
 from fbont.slicer import slice_relpath
 
 TEST_PID = os.getpid()
@@ -34,6 +34,17 @@ def write_lines(tmp_path, lines, name="dump.nt"):
     path = tmp_path / name
     path.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
     return str(path)
+
+
+def modules_loaded_by_importing_the_cli():
+    """The names in sys.modules after ``import fbont.cli`` in a new interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import fbont.cli, sys; print(sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout))
 
 
 def read_tree(directory):
@@ -387,8 +398,8 @@ class TestCmdSemantics:
         assert violations[0]["mid"] == "/m/terminator"
 
     def test_rules_naming_some_types_give_the_oracle_violations(self, tmp_path, monkeypatch):
-        """The fold keeps only the named types' assertions; the violations are
-        those of all assertions, at any worker count, on plain and gzip input."""
+        """The fold keeps one mask per mid of the named types' bits; the violations
+        are those of all assertions, at any worker count, on plain and gzip input."""
         rng = random.Random(5)
         types = ["film.film", "film.film_series", "tv.tv_series", "book.book", "people.person", "zoo.animal"]
         lines = random_dump_lines(2_000, seed=5, malformed_rate=0.02)
@@ -403,12 +414,13 @@ class TestCmdSemantics:
         rules = tmp_path / "rules.tsv"
         rules.write_text("/film/film /film/film_series\n/tv/tv_series /book/book\n/film/film /book/book\n")
         checked = []
+        violations = SemanticsFold.violations
 
-        def check(assertions, rules):
-            checked.extend(assertions)
-            return check_incompatibilities(assertions, rules)
+        def check(fold, type_masks):
+            checked.append(dict(type_masks))
+            return violations(fold, type_masks)
 
-        monkeypatch.setattr(cli, "check_incompatibilities", check)
+        monkeypatch.setattr(SemanticsFold, "violations", check)
         names = ("violations.csv", "violations.json", "parse_report.json")
         trees = []
         for dump in (plain, str(packed)):
@@ -424,7 +436,14 @@ class TestCmdSemantics:
         rows = json.loads(trees[0]["violations.json"])
         assert {(row["mid"], row["type_a"], row["type_b"]) for row in rows} == expected
         assert len(rows) == len(expected) > 0
-        assert {render(t) for _, t in checked} == {t for pair in pairs for t in pair}  # 4 of 6 types
+        bits = type_bits(load_rules(io.StringIO(rules.read_text())))
+        assert {render(t) for t in bits} == {t for pair in pairs for t in pair}  # 4 of 6 types
+        masks: dict[str, int] = {}
+        for mid, asserted in typed:
+            bit = bits.get(idpath("/" + asserted.replace(".", "/")), 0)
+            if bit:
+                masks[mid[2:]] = masks.get(mid[2:], 0) | bit
+        assert len(checked) == len(trees) and all(kept == masks for kept in checked)
 
 
 class TestCmdStudy:
@@ -837,15 +856,16 @@ class TestConsoleScript:
         """The scatterplot's XML escaping must not pull urllib.request and its imports,
         and hashlib is imported only for a slice name too long for a file name:
         each of them raises every command's peak RSS by megabytes."""
-        proc = subprocess.run(
-            [sys.executable, "-c", "import fbont.cli, sys; print(sorted(sys.modules))"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded = set(ast.literal_eval(proc.stdout))
+        loaded = modules_loaded_by_importing_the_cli()
         assert "fbont.report" in loaded
         assert not loaded & {"urllib.request", "http.client", "ssl", "email", "hashlib"}
+
+    def test_import_loads_none_of_the_lazily_imported_modules(self):
+        """slicer imports hashlib and resource only where it needs them, and report
+        escapes XML by itself: xml.sax alone once added 5.6 MB to every command's
+        peak RSS. Importing the CLI must load no module of these packages."""
+        packages = {name.split(".")[0] for name in modules_loaded_by_importing_the_cli()}
+        assert not packages & {"hashlib", "xml", "resource"}
 
 
 # No option respells the public dump's namespace or predicates, chooses the

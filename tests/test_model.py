@@ -145,12 +145,6 @@ class TestInvariants:
         with pytest.raises(ValueError):
             Triple(ref, lit, ref)
 
-    def test_parent_type(self):
-        prop = idpath("/people/person/date_of_birth")
-        assert prop.parent_type() == idpath("/people/person")
-        with pytest.raises(ValueError):
-            idpath("/people").parent_type()
-
 
 XSD_DATE = ExternalIri("http://www.w3.org/2001/XMLSchema#date")
 SLOTTED_VALUES = [

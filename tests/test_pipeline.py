@@ -38,7 +38,7 @@ from fbont.pipeline import (
     run_partitioned,
 )
 from fbont.schema import SchemaConfig
-from fbont.semantics import IncompatibilityRule, match_type_assertion
+from fbont.semantics import IncompatibilityRule, match_type_assertion, type_bits
 from fbont.slicer import DOMAIN, SliceKey, SliceWriter, count_slice
 from fbont.stats import StudyRow
 
@@ -721,6 +721,17 @@ def semantics_payload(path, **fold):
     return Job((SemanticsFold(**fold),)).run(Partition(path, 0, -1, 0))[1]
 
 
+def oracle_masks(path, rules):
+    """Each mid suffix to the OR of the bits of the rules' types it asserts, from every triple."""
+    bits = type_bits(rules)
+    masks: dict[str, int] = {}
+    for triple in iter_triples(path, ParseReport()):
+        assertion = match_type_assertion(triple)
+        if assertion is not None and assertion[1] in bits:
+            masks[assertion[0].suffix] = masks.get(assertion[0].suffix, 0) | bits[assertion[1]]
+    return masks
+
+
 class TestSemanticsRetainedState:
     def test_assertions_of_unnamed_types_leave_no_trace(self, tmp_path):
         lines = typed_lines(seed=6)
@@ -730,16 +741,54 @@ class TestSemanticsRetainedState:
             padded.insert(rng.randrange(len(padded) + 1), line)
         plain = write_lines(tmp_path, lines, "plain.nt")
         path = write_lines(tmp_path, padded, "padded.nt")
-        kept = semantics_payload(plain, known_rules=KNOWN_RULES)["assertions"]
-        padded_kept = semantics_payload(path, known_rules=KNOWN_RULES)["assertions"]
+        kept = semantics_payload(plain, known_rules=KNOWN_RULES)["type_masks"]
+        padded_kept = semantics_payload(path, known_rules=KNOWN_RULES)["type_masks"]
         assert padded_kept == kept and pickle.dumps(padded_kept) == pickle.dumps(kept)
-        named = {rule_type for rule in KNOWN_RULES for rule_type in (rule.type_a, rule.type_b)}
-        asserted = [match_type_assertion(triple) for triple in iter_triples(path, ParseReport())]
-        assert kept == [(mid, t) for mid, t in filter(None, asserted) if t in named]
-        assert semantics_payload(path)["assertions"] == []  # no rules, no assertion kept
+        assert kept == oracle_masks(path, KNOWN_RULES)
+        assert semantics_payload(path)["type_masks"] == {}  # no rules, no mask kept
 
     @pytest.mark.parametrize("fold", [{}, {"known_rules": KNOWN_RULES}], ids=["default", "filter"])
-    def test_one_object_per_asserted_type(self, tmp_path, fold):
-        assertions = semantics_payload(write_lines(tmp_path, typed_lines(seed=8)), **fold)["assertions"]
-        assert bool(assertions) == bool(fold)  # none kept without rules
-        assert len({id(t) for _, t in assertions}) == len({t for _, t in assertions})
+    def test_one_entry_per_typed_mid(self, tmp_path, fold):
+        path = write_lines(tmp_path, typed_lines(seed=8))
+        type_masks = semantics_payload(path, **fold)["type_masks"]
+        assert bool(type_masks) == bool(fold)  # none kept without rules
+        typed = [m for m in map(match_type_assertion, iter_triples(path, ParseReport())) if m]
+        assert len(typed) > 2 * len(type_masks)  # many assertions, one entry per mid
+        assert type_masks == oracle_masks(path, fold.get("known_rules", ()))
+
+
+# --- every payload field merges by an associative law that changes no input -------
+
+def law_lines(seed):
+    """Slice, schema and semantics lines, with replaced-by edges that conflict."""
+    rng = random.Random(seed)
+    lines = random_dump_lines(600, seed=seed, malformed_rate=0.02) + SCHEMA_FIXTURE + typed_lines(seed)
+    lines += [
+        obj_line(f"m.d{rng.randrange(40)}", "dataworld.gardening_hint.replaced_by", f"m.c{rng.randrange(3)}")
+        for _ in range(300)
+    ]
+    lines += [obj_line(f"people.person.p{i}", "freebase.valuenotation.has_value", f"m.x{i}") for i in range(60)]
+    rng.shuffle(lines)
+    return lines
+
+
+class TestMergeLaws:
+    @pytest.mark.parametrize(
+        "fold",
+        [SliceFold(), SchemaFold(), SemanticsFold(known_rules=KNOWN_RULES)],
+        ids=["slice", "schema", "semantics"],
+    )
+    def test_three_partitions_merge_associatively_and_leave_their_payloads(self, tmp_path, fold):
+        parts = plan_partitions([write_lines(tmp_path, law_lines(seed=13))], 3)
+        assert len(parts) == 3
+        _, payloads = run_partitioned(Job((fold,)), parts, 1)
+        copies = pickle.loads(pickle.dumps(payloads))
+        fields = set(payloads[0]) - {"shard_dir"}
+        assert fields and fields <= set(pipeline.MERGE_LAWS)
+        for name in fields:
+            law = pipeline.MERGE_LAWS[name]
+            p0, p1, p2 = (payload[name] for payload in payloads)
+            assert all(p != type(p)() for p in (p0, p1, p2))  # each partition holds some of every field
+            assert law(law(p0, p1), p2) == law(p0, law(p1, p2))
+        merge_payloads(payloads)
+        assert payloads == copies

@@ -95,6 +95,25 @@ class TestBuildMergeMap:
         assert merge_map.edges == {Mid("a"): Mid("c")}
         assert merge_map.conflicts == 1
 
+    def test_conflicts_count_as_one_pass_counts_them_wherever_the_edges_split(self):
+        """A later partition's first edge of a duplicate is checked against the
+        earlier partition's last edge of it, so every split gives the one-pass map."""
+        rng = random.Random(4)
+        edges = [(Mid(f"d{rng.randrange(5)}"), Mid(f"c{rng.randrange(3)}")) for _ in range(40)]
+
+        def built(pairs):
+            merge_map = MergeMap()
+            for duplicate, replacement in pairs:
+                merge_map.add_edge(duplicate, replacement)
+            return merge_map
+
+        whole = built(edges)
+        assert whole.conflicts > 0 and whole.firsts
+        for i in range(len(edges) + 1):
+            for j in range(i, len(edges) + 1):
+                a, b, c = built(edges[:i]), built(edges[i:j]), built(edges[j:])
+                assert a.merge(b).merge(c) == a.merge(b.merge(c)) == whole
+
     def test_non_mid_endpoint_is_lint(self):
         _, lint = fold_triples(SemanticsFold(), parse_lines([lit_line("m.a", REPLACED_BY, "b")]))
         assert lint["replaced-by-shape"] == 1
@@ -370,11 +389,9 @@ class TestIncompatibilities:
             lit_line("m.terminator", "type.object.name", "The Terminator"),
         ]
         fold = SemanticsFold(known_rules=frozenset({IncompatibilityRule(self.film, self.series)}))
-        assertions = fold_triples(fold, parse_lines(lines))[0]["assertions"]
-        assert assertions == [
-            (Mid("terminator"), self.film),
-            (Mid("terminator"), self.series),
-        ]
+        type_masks = fold_triples(fold, parse_lines(lines))[0]["type_masks"]
+        assert type_masks == {"terminator": 0b11}  # /film/film is bit 0, /film/film_series bit 1
+        assert fold.violations(type_masks) == [Violation(Mid("terminator"), self.film, self.series)]
 
     def test_load_rules_file(self):
         text = "# pairs\n/film/film\t/film/film_series\n\n/people/person /people/deceased_person\n"
