@@ -23,8 +23,9 @@ Exit codes: 0 success, 2 I/O failure, a bad ``semantics --rules`` file (read
 before the dump), a bad ``study --from-counts``/``--from-schema`` file (read
 before anything is written) or a ``study`` given anything but dump inputs
 alone or both of those files alone, 3 insufficient data, 4 data integrity
-(replaced-by cycle under the fail policy), 5 worker failure (a worker process
-died, e.g. killed or out of memory). Reruns on identical inputs write
+(replaced-by cycle under the fail policy), 5 worker failure (a forked worker
+process ended before it sent its result: killed, out of memory, or holding
+an exception that cannot be pickled). Reruns on identical inputs write
 byte-identical output files, and each file is replaced atomically, so a
 failed write leaves the previous content in place. ``slice --materialize``
 removes its ``.parts`` shard directory on every failure exit.
@@ -38,7 +39,6 @@ import io
 import os
 import shutil
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, TextIO, TypeVar
 
 from .parser import ParseReport, ParserConfig
@@ -46,6 +46,7 @@ from .pipeline import (
     SchemaFold,
     SemanticsFold,
     SliceFold,
+    WorkerFailure,
     concatenate_shards,
     join_scores,
     join_study_rows,
@@ -366,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, _InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenProcessPool as exc:
+    except WorkerFailure as exc:
         print(f"error: worker failure: {exc}", file=sys.stderr)
         return 5
 

@@ -22,6 +22,10 @@ of the types its known rules name that the mid asserts.
 Standard input, pipes and gzip files under two minimum ranges are read as
 one partition.
 
+Workers are forked where ``os.fork`` exists: each inherits the job and
+pickles its partitions' results back down its own pipe (``run_partitioned``).
+Elsewhere the partitions run in-process, with the same outputs.
+
 ``run_folds`` is the library's one entry point, and the CLI's: it plans the
 partitions, runs one ``Job`` of the given folds over them and returns the
 merged report and payload, e.g. ``run_folds(["dump.nt.gz"], [SliceFold(),
@@ -33,13 +37,14 @@ from __future__ import annotations
 import io
 import operator
 import os
+import pickle
 import shutil
+import signal
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .model import Mid, NodeRef, Triple
 from .parser import (
@@ -113,7 +118,7 @@ class Partition:
 
 
 # Compressed bytes per gzip range at least. A gzip file under two ranges is
-# one partition, parsed in-process, so a small file starts no worker pool.
+# one partition, parsed in-process, so a small file forks no worker.
 GZIP_MIN_RANGE = 128 * 1024
 
 
@@ -154,7 +159,7 @@ def iter_partition_lines(part: Partition) -> Iterator[bytes]:
 
 # --- folds and the one per-partition job ------------------------------------------
 #
-# A fold is a frozen, picklable recipe for one aggregate. ``start`` binds the
+# A fold is a frozen recipe for one aggregate. ``start`` binds the
 # fold's per-partition state once and returns a (feed, absorb, finish)
 # triple: ``feed`` folds one triple in, writing lint straight into the
 # partition report's counter, ``absorb`` folds in the lines the parser
@@ -322,9 +327,9 @@ class SemanticsFold:
 class Job:
     """Parse a partition once, feeding every triple to each fold.
 
-    Frozen so it pickles cleanly into worker processes; ``run`` returns the
-    partition's (ParseReport, payload), the payload being the union of the
-    folds' fields.
+    Forked workers inherit it, so only what ``run`` returns crosses a pipe:
+    the partition's (ParseReport, payload), the payload being the union of
+    the folds' fields.
     """
 
     folds: tuple[Any, ...]
@@ -436,14 +441,75 @@ def join_study_rows(
     return join_scores(counts, scores, group_config)
 
 
+class WorkerFailure(Exception):
+    """A worker process ended before it sent a partition's result: killed, or
+    holding an exception that cannot be pickled."""
+
+
 def run_partitioned(
     job: Job, partitions: Sequence[Partition], workers: int
 ) -> tuple[ParseReport, list[dict[str, Any]]]:
-    """Run a job over every partition, merging reports in partition order."""
-    if workers <= 1 or len(partitions) <= 1:
+    """Run a job over every partition, merging reports in partition order.
+
+    Child k of W = min(workers, partitions) forked children runs partitions
+    k, k + W, ...; the parent reads partition i from child i % W, and on any
+    exit kills and reaps every child. In-process over one partition, at one
+    worker or without ``os.fork``. fbont starts no thread, so a fork copies no
+    lock another thread holds.
+    """
+    if workers <= 1 or len(partitions) <= 1 or not hasattr(os, "fork"):
         return _merge_results(job, map(job.run, partitions))
-    with ProcessPoolExecutor(max_workers=min(workers, len(partitions))) as pool:
-        return _merge_results(job, pool.map(job.run, partitions))
+    count = min(workers, len(partitions))
+    pids: list[int] = []
+    pipes: list[BinaryIO] = []
+    try:
+        for k in range(count):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    for pipe in pipes:
+                        pipe.close()  # a write then fails, not blocks, once the parent is gone
+                    _run_child(job, partitions[k::count], write_fd)
+            finally:
+                os.close(write_fd)  # a child never gets here: it ends in os._exit
+            pids.append(pid)
+        return _merge_results(job, _read_results(partitions, pids, pipes))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # a child that has exited stays a zombie until reaped
+            os.waitpid(pid, 0)
+
+
+def _run_child(job: Job, partitions: Sequence[Partition], write_fd: int) -> NoReturn:
+    """Send each partition's pickled (ok, result or exception) down the pipe, then exit."""
+    try:
+        with open(write_fd, "wb") as out:
+            for part in partitions:
+                try:
+                    outcome = pickle.dumps((True, job.run(part)), pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:
+                    out.write(pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL))
+                    break
+                out.write(outcome)
+                out.flush()
+    finally:
+        os._exit(0)
+
+
+def _read_results(partitions: Sequence[Partition], pids: list[int], pipes: list[BinaryIO]) -> Iterator[Any]:
+    """Each partition's result in partition order, from the child that ran it."""
+    for i, part in enumerate(partitions):
+        try:
+            ok, value = pickle.load(pipes[i % len(pipes)])
+        except (EOFError, pickle.UnpicklingError) as exc:
+            raise WorkerFailure(f"worker {pids[i % len(pids)]} ended before partition {part.index}'s result") from exc
+        if not ok:
+            raise value
+        yield value
 
 
 def run_folds(

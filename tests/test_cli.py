@@ -3,15 +3,15 @@ import ast
 import gzip
 import io
 import json
-import multiprocessing
 import os
 import random
 import resource
 import signal
 import subprocess
 import sys
+import time
 import zlib
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
 from unittest import mock
 
@@ -37,11 +37,13 @@ def write_lines(tmp_path, lines, name="dump.nt"):
 
 
 def modules_loaded_by_importing_the_cli():
-    """The names in sys.modules after ``import fbont.cli`` in a new interpreter."""
+    """The names in sys.modules after ``import fbont.cli`` in a new ``python -S``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run(
-        [sys.executable, "-c", "import fbont.cli, sys; print(sorted(sys.modules))"],
+        [sys.executable, "-S", "-c", "import fbont.cli, sys; print(sorted(sys.modules))"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
     return set(ast.literal_eval(proc.stdout))
@@ -683,7 +685,7 @@ class KillingSliceFold(SliceFold):
 class TestFailureExits:
     def test_worker_crash_exits_5(self, tmp_path, monkeypatch, capsys):
         def crash(*args):
-            raise BrokenProcessPool("a worker process terminated abruptly")
+            raise pipeline.WorkerFailure("worker process 1 ended before the result of partition 1")
 
         monkeypatch.setattr(pipeline, "run_partitioned", crash)
         dump = write_lines(tmp_path, random_dump_lines(20, seed=2))
@@ -696,7 +698,7 @@ class TestFailureExits:
         def crash(job, partitions, workers):
             job.run(partitions[0])  # one partition's shards are written, then a worker dies
             assert os.listdir(out / "slices" / ".parts") == ["00000"]
-            raise BrokenProcessPool("a worker process terminated abruptly")
+            raise pipeline.WorkerFailure("worker process 1 ended before the result of partition 1")
 
         monkeypatch.setattr(pipeline, "run_partitioned", crash)
         dump = write_lines(tmp_path, random_dump_lines(20, seed=2))
@@ -705,14 +707,11 @@ class TestFailureExits:
         assert "worker failure" in capsys.readouterr().err
         assert os.listdir(out / "slices") == []
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="a fold defined in a test module reaches workers by fork",
-    )
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers run in-process without os.fork")
     def test_killed_worker_exits_5_and_leaves_no_shards(self, tmp_path, monkeypatch, capsys):
         dump = write_lines(tmp_path, random_dump_lines(2_000, seed=2))
         parts = pipeline.plan_partitions([dump], 2)
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(pipeline.WorkerFailure):
             pipeline.run_partitioned(Job((KillingSliceFold(),)), parts, 2)
         monkeypatch.setattr(cli, "SliceFold", KillingSliceFold)
         out = tmp_path / "out"
@@ -798,6 +797,156 @@ class TestFailureExits:
         assert os.listdir(tmp_path) == ["taxonomy.csv"]
 
 
+@dataclass(frozen=True)
+class SleepingSliceFold(SliceFold):
+    """A slice fold whose worker process sleeps for a minute before partition 1."""
+
+    def start(self, part, parser, lint):
+        if part.index == 1 and os.getpid() != TEST_PID:
+            time.sleep(60)
+        return super().start(part, parser, lint)
+
+
+class UnpicklableError(Exception):
+    def __init__(self):
+        super().__init__("holds a lambda")
+        self.callback = lambda: None
+
+
+@dataclass(frozen=True)
+class UnpicklableErrorSliceFold(SliceFold):
+    """A slice fold whose worker raises an exception that pickle refuses, in partition 1."""
+
+    def start(self, part, parser, lint):
+        if part.index == 1 and os.getpid() != TEST_PID:
+            raise UnpicklableError()
+        return super().start(part, parser, lint)
+
+
+@contextmanager
+def reaps_and_closes_within(seconds=30):
+    """The block must end within ``seconds``, reap every child it forks and close
+    every descriptor it opens."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    before = set(os.listdir("/dev/fd"))
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert set(os.listdir("/dev/fd")) == before
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers run in-process without os.fork")
+class TestForkedWorkers:
+    def test_killed_worker_leaves_no_child_or_pipe(self, tmp_path):
+        dump = write_lines(tmp_path, random_dump_lines(2_000, seed=2))
+        with reaps_and_closes_within(), pytest.raises(pipeline.WorkerFailure):
+            pipeline.run_partitioned(Job((KillingSliceFold(),)), pipeline.plan_partitions([dump], 2), 2)
+
+    def test_aborted_stream_leaves_no_child_or_pipe(self, tmp_path, monkeypatch):
+        dump = gzip_ranges_fixture(tmp_path, monkeypatch, "truncated")
+        with reaps_and_closes_within(), pytest.raises(StreamAbortedError):
+            pipeline.run_partitioned(Job((SliceFold(),)), pipeline.plan_partitions([dump], 2), 2)
+
+    def test_parent_exception_kills_running_children(self, tmp_path, monkeypatch):
+        def failing_merge(job, results):
+            next(iter(results))  # partition 0 arrives while partition 1's worker sleeps
+            raise RuntimeError("merge failed")
+
+        monkeypatch.setattr(pipeline, "_merge_results", failing_merge)
+        dump = write_lines(tmp_path, random_dump_lines(2_000, seed=2))
+        # within 30 s: the sleeping worker is killed, not waited out
+        with reaps_and_closes_within(30), pytest.raises(RuntimeError, match="merge failed"):
+            pipeline.run_partitioned(Job((SleepingSliceFold(),)), pipeline.plan_partitions([dump], 2), 2)
+
+    def three_inputs(self, tmp_path, monkeypatch, fault=None):
+        """A plain file, a gzip file of at least three minimum ranges and a plain file."""
+        first = write_lines(tmp_path, random_dump_lines(400, seed=4), "first.nt")
+        middle = gzip_ranges_fixture(tmp_path, monkeypatch, fault)
+        last = write_lines(tmp_path, random_dump_lines(400, seed=5), "last.nt")
+        assert os.path.getsize(middle) >= 3 * pipeline.GZIP_MIN_RANGE
+        inputs = [first, middle, last]
+        assert len(pipeline.plan_partitions(inputs, 2)) == 6
+        return inputs
+
+    def counting_forks(self, monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    def test_more_partitions_than_workers_give_identical_trees(self, tmp_path, monkeypatch):
+        inputs = self.three_inputs(tmp_path, monkeypatch)
+        forks = self.counting_forks(monkeypatch)
+        rules = tmp_path / "rules.tsv"
+        rules.write_text("/film/film\t/film/film_series\n")
+        commands = {
+            "study": ["study", "--exclude", "music"],
+            "semantics": ["semantics", "--rules", str(rules)],
+            "slice": ["slice", "--materialize"],
+        }
+        for name, command in commands.items():
+            trees = []
+            for workers in (1, 2):
+                forks.clear()
+                out = tmp_path / f"{name}-w{workers}"
+                assert main([*command, *inputs, "--workers", str(workers), "--out", str(out)]) == 0
+                assert len(forks) == (0 if workers == 1 else 2), name
+                trees.append(read_tree(out))
+            assert trees[0] == trees[1], name
+        assert "violations.csv" in read_tree(tmp_path / "semantics-w1")
+
+    def test_truncated_middle_input_aborts_after_the_same_lines(self, tmp_path, monkeypatch, capsys):
+        inputs = self.three_inputs(tmp_path, monkeypatch, "truncated")
+        with open(inputs[1], "rb") as handle:
+            inflated = zlib.decompressobj(wbits=31).decompress(handle.read())
+        with open(inputs[0], "rb") as handle:
+            lines = handle.read().count(b"\n") + inflated.count(b"\n")
+        errors = []
+        for workers in (1, 2):
+            argv = ["slice", *inputs, "--workers", str(workers), "--out", str(tmp_path / "out")]
+            assert main(argv) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith(f"error: stream aborted after {lines} lines")
+        assert errors[0] == errors[1]
+
+    def test_unpicklable_exception_is_a_worker_failure(self, tmp_path, monkeypatch):
+        parts = pipeline.plan_partitions(self.three_inputs(tmp_path, monkeypatch), 2)
+        with reaps_and_closes_within(), pytest.raises(pipeline.WorkerFailure, match="partition 1"):
+            pipeline.run_partitioned(Job((UnpicklableErrorSliceFold(),)), parts, 2)
+
+    def test_stdin_beside_a_file_is_read_by_a_worker(self, tmp_path):
+        """A worker reads standard input from the descriptor it inherits: a
+        process-pool worker read /dev/null there, and dropped every stdin line."""
+        data = "".join(l + "\n" for l in random_dump_lines(30, seed=6)).encode()
+        dump = write_lines(tmp_path, random_dump_lines(40, seed=7))
+        trees = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "fbont.cli", "slice", "-", dump, "--workers", str(workers), "--out", str(out)],
+                input=data,
+                capture_output=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            trees.append(read_tree(out))
+        assert json.loads(trees[0]["parse_report.json"])["lines_read"] == 70
+        assert trees[0] == trees[1]
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path):
         dump = write_lines(tmp_path, random_dump_lines(50, seed=1))
@@ -861,11 +1010,13 @@ class TestConsoleScript:
         assert not loaded & {"urllib.request", "http.client", "ssl", "email", "hashlib"}
 
     def test_import_loads_none_of_the_lazily_imported_modules(self):
-        """slicer imports hashlib and resource only where it needs them, and report
-        escapes XML by itself: xml.sax alone once added 5.6 MB to every command's
-        peak RSS. Importing the CLI must load no module of these packages."""
+        """slicer imports hashlib and resource only where it needs them, report
+        escapes XML by itself, and pipeline forks its workers without a process
+        pool: xml.sax alone once added 5.6 MB to every command's peak RSS, and
+        concurrent.futures with multiprocessing 2.2 MB. Importing the CLI must
+        load no module of these packages."""
         packages = {name.split(".")[0] for name in modules_loaded_by_importing_the_cli()}
-        assert not packages & {"hashlib", "xml", "resource"}
+        assert not packages & {"hashlib", "xml", "resource", "concurrent", "multiprocessing"}
 
 
 # No option respells the public dump's namespace or predicates, chooses the
