@@ -22,13 +22,15 @@ was parsed, and prints the parse summary.
 Exit codes: 0 success, 2 I/O failure, a bad ``semantics --rules`` file (read
 before the dump), a bad ``study --from-counts``/``--from-schema`` file (read
 before anything is written) or a ``study`` given anything but dump inputs
-alone or both of those files alone, 3 insufficient data, 4 data integrity
-(replaced-by cycle under the fail policy), 5 worker failure (a forked worker
-process ended before it sent its result: killed, out of memory, or holding
-an exception that cannot be pickled). Reruns on identical inputs write
-byte-identical output files, and each file is replaced atomically, so a
-failed write leaves the previous content in place. ``slice --materialize``
-removes its ``.parts`` shard directory on every failure exit.
+alone or both of those files alone, 3 insufficient data (fewer than two
+study domains left, or all of them with the same complexity score or the
+same triple count), 4 data integrity (replaced-by cycle under the fail
+policy), 5 worker failure (a forked worker process ended before it sent its
+result: killed, out of memory, or holding an exception that cannot be
+pickled). Reruns on identical inputs write byte-identical output files, and
+each file is replaced atomically, so a failed write leaves the previous
+content in place. ``slice --materialize`` removes its ``.parts`` shard
+directory on every failure exit.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from .slicer import (
     GroupConfig,
     build_taxonomy,
 )
-from .stats import InsufficientDataError, run_study
+from .stats import ConstantInputError, DegenerateFitError, InsufficientDataError, run_study
 
 OUTPUT_DIR_ENV = "FBONT_OUT"
 T = TypeVar("T")
@@ -231,7 +233,7 @@ def cmd_study(args: argparse.Namespace) -> int:
         if name not in known:
             print(f"warning: exclusion {name!r} matches no study domain", file=sys.stderr)
 
-    result = run_study(rows, args.exclude)  # InsufficientDataError: exit 3
+    result = run_study(rows, args.exclude)  # too few rows, or a constant variable: exit 3
     points = build_scatter_points(rows, args.exclude)
     _publish(args, ReportBundle(study=result, scatter=points).documents(), report)
     print(
@@ -361,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     except MergeCycleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except InsufficientDataError as exc:
+    except (InsufficientDataError, ConstantInputError, DegenerateFitError) as exc:
         print(f"error: insufficient data: {exc}", file=sys.stderr)
         return 3
     except (OSError, _InputFileError) as exc:

@@ -15,6 +15,7 @@ so a worker's payload unpickles in the parent into compact objects.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 DEFAULT_NAMESPACE = "http://rdf.freebase.com/ns/"
@@ -105,6 +106,16 @@ class IdPath:
         return len(self.segments) <= 3 and all(
             _STANDARD_TOKEN.match(seg) for seg in self.segments
         )
+
+
+def intern_path(path: IdPath) -> IdPath:
+    """An equal IdPath whose segments are ``sys.intern``ed.
+
+    A fold that keeps an IdPath in its payload keeps this one: equal segments
+    are then one ``str``, which pickle writes once per payload and the parent
+    builds once, where the parser gives each line's subject fresh copies.
+    """
+    return IdPath(tuple(map(sys.intern, path.segments)))
 
 
 def idpath(text: str) -> IdPath:

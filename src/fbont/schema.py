@@ -13,11 +13,12 @@ Extraction is merge-stable: schemas built over stream partitions and merged
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .model import IdPath, Mid, NodeRef, Triple, idpath
+from .model import IdPath, Mid, NodeRef, Triple, idpath, intern_path
 
 TYPE_DECLARATION_PREDICATE = idpath("/type/object/type")
 TYPE_MARKER = idpath("/type/type")
@@ -96,12 +97,11 @@ def _register(
 ) -> DomainSchema:
     schema = schemas.get(subject.domain)
     if schema is None:
-        schema = DomainSchema(subject.domain)
-        schemas[subject.domain] = schema
-    if subject.is_type:
-        schema.types.add(subject)
-    else:
-        schema.properties.add(subject)
+        schema = DomainSchema(sys.intern(subject.domain))
+        schemas[schema.domain] = schema
+    items = schema.types if subject.is_type else schema.properties
+    if subject not in items:  # intern once per distinct item, not per triple
+        items.add(intern_path(subject))
     return schema
 
 

@@ -17,7 +17,7 @@ from itertools import combinations
 from operator import attrgetter
 from typing import Callable, Collection, Iterable, Mapping, TextIO
 
-from .model import IdPath, Mid, Triple, idpath, parse_ref, reduce_value, render
+from .model import IdPath, Mid, Triple, idpath, intern_path, parse_ref, reduce_value, render
 
 REPLACED_BY_PREDICATE = idpath("/dataworld/gardening_hint/replaced_by")
 HAS_VALUE_PREDICATE = idpath("/freebase/valuenotation/has_value")
@@ -228,14 +228,14 @@ def feed_value_notation(
         return
     subj, obj = triple.subject, triple.object
     if isinstance(subj, IdPath) and subj.is_property and isinstance(obj, Mid):
-        notations.append(ValueNotation(subj, obj, kind))
+        notations.append(ValueNotation(intern_path(subj), obj, kind))
     elif (
         accept_reversed
         and isinstance(subj, Mid)
         and isinstance(obj, IdPath)
         and obj.is_property
     ):
-        notations.append(ValueNotation(obj, subj, kind, orientation="reversed"))
+        notations.append(ValueNotation(intern_path(obj), subj, kind, orientation="reversed"))
     elif counters is not None:
         counters["valuenotation-shape"] += 1
 

@@ -489,6 +489,38 @@ class TestCmdStudy:
         dump = write_lines(tmp_path, lines)
         assert main(["study", dump, "--out", str(tmp_path / "out")]) == 3
 
+    @pytest.mark.parametrize(
+        "details, data",
+        [((1, 1), (1, 2)), ((1, 0), (3, 3))],
+        ids=["same-complexity", "same-triple-count"],
+    )
+    @pytest.mark.parametrize("route", ["dump", "intermediates"])
+    def test_a_constant_variable_exits_3_and_writes_nothing(self, tmp_path, capsys, details, data, route):
+        # Each domain: one type, one property, its /type/property/unique details
+        # and its data triples; so one of the two variables never varies.
+        lines = []
+        for domain, n_det, n_data in zip(("zoo", "opera"), details, data):
+            lines += [
+                obj_line(f"{domain}.t0", "type.object.type", "type.type"),
+                obj_line(f"{domain}.t0.p", "type.object.type", "type.property"),
+            ]
+            lines += [lit_line(f"{domain}.t0.p", "type.property.unique", "true")] * n_det
+            lines += [obj_line(f"m.s{i}", f"{domain}.t0.p", "m.o") for i in range(n_data)]
+        dump = write_lines(tmp_path, lines)
+        argv = ["study", dump]
+        if route == "intermediates":
+            pre = tmp_path / "pre"
+            assert main(["slice", dump, "--out", str(pre)]) == 0
+            assert main(["schema", dump, "--out", str(pre)]) == 0
+            argv = ["study", "--from-counts", str(pre / "taxonomy.csv"), "--from-schema", str(pre / "schema.csv")]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: insufficient data: ") and captured.err.count("\n") == 1, captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_unknown_exclusion_warns(self, tmp_path, capsys):
         lines, _ = study_fixture_lines()
         dump = write_lines(tmp_path, lines)

@@ -6,7 +6,7 @@ import random
 import signal
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import pytest
 
@@ -14,7 +14,7 @@ from conftest import lit_line, obj_line
 from dumpgen import random_dump_lines
 from fbont import parser as parser_module
 from fbont import pipeline
-from fbont.model import Mid, idpath
+from fbont.model import IdPath, Mid, idpath
 from fbont.parser import (
     MalformedLineError,
     ParseReport,
@@ -37,7 +37,7 @@ from fbont.pipeline import (
     plan_partitions,
     run_partitioned,
 )
-from fbont.schema import SchemaConfig
+from fbont.schema import DomainSchema, SchemaConfig
 from fbont.semantics import IncompatibilityRule, match_type_assertion, type_bits
 from fbont.slicer import DOMAIN, SliceKey, SliceWriter, count_slice
 from fbont.stats import StudyRow
@@ -792,3 +792,66 @@ class TestMergeLaws:
             assert law(law(p0, p1), p2) == law(p0, law(p1, p2))
         merge_payloads(payloads)
         assert payloads == copies
+
+
+# --- a payload's equal id segments are one str, which pickle writes once ----------
+
+def fresh(text):
+    """An equal str that is a new object (CPython shares only the one-character ones)."""
+    return text.encode().decode()
+
+
+def fresh_path(path):
+    return IdPath(tuple(map(fresh, path.segments)))
+
+
+def segment_strings(name, value):
+    """Every str of a ``schemas`` or ``notations`` payload field that spells an id segment."""
+    if name == "schemas":
+        for key, schema in value.items():
+            yield key
+            yield schema.domain
+            for item in schema.types | schema.properties:
+                yield from item.segments
+    else:
+        for notation in value:
+            yield from notation.property.segments
+
+
+def with_fresh_segments(name, value):
+    """The same field, each segment a str of its own, as the parser builds them."""
+    if name == "schemas":
+        return {
+            fresh(key): DomainSchema(
+                fresh(schema.domain),
+                set(map(fresh_path, schema.types)),
+                set(map(fresh_path, schema.properties)),
+                schema.description_count,
+                schema.property_detail_count,
+            )
+            for key, schema in value.items()
+        }
+    return [replace(notation, property=fresh_path(notation.property)) for notation in value]
+
+
+class TestSharedSegments:
+    @pytest.mark.parametrize(
+        "fold, name",
+        [(SchemaFold(), "schemas"), (SemanticsFold(accept_reversed=True), "notations")],
+        ids=["schema", "semantics"],
+    )
+    def test_equal_segments_are_one_str_that_pickles_once(self, tmp_path, fold, name):
+        lines = law_lines(seed=13)
+        lines += [obj_line(f"m.y{i}", "freebase.valuenotation.has_no_value", f"film.film.q{i}") for i in range(40)]
+        value = Job((fold,)).run(Partition(write_lines(tmp_path, lines), 0, -1, 0))[1][name]
+        data = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+        loaded = pickle.loads(data)
+        assert loaded == value
+        for held in (value, loaded):  # in the worker, and in the parent
+            spelled: dict[str, str] = {}
+            for text in segment_strings(name, held):
+                assert spelled.setdefault(text, text) is text, text
+            assert len(spelled) > 3
+        rebuilt = with_fresh_segments(name, value)
+        assert rebuilt == value
+        assert len(data) < len(pickle.dumps(rebuilt, pickle.HIGHEST_PROTOCOL))
