@@ -35,22 +35,23 @@ closing quote (the tokenizer uses it too) and one escape pattern decodes the
 body.
 
 The :class:`Projection` is the per-stream table from predicate token to the
-predicate's term, whether it is nonstandard, two count cells, one for mid
-subjects and one for the rest, decided once per distinct predicate and
-subject kind by the consumers' ``reads(predicate, mid_subject)``, and a copy
-buffer. A matched line that no consumer reads is still validated whole (the
-predicate's lint and ``strict_ids``, and the literal parser on any literal
-the regex does not build), then counted in its cell instead of built; the
-consumers get the non-zero cells once, from :meth:`Projection.tallies`.
-Lines in the gaps are always built in full, so projection never changes
-which lines are malformed or any lint. A stream parsed without one gets a
-Projection that reads everything.
+predicate's term, whether it is nonstandard, a count cell, two read flags,
+one for mid subjects and one for the rest, decided once per distinct
+predicate and subject kind by the consumers' ``reads(predicate,
+mid_subject)``, and a copy buffer. Every well-formed line adds 1 to its
+predicate's cell, matched or not, read or not; the consumers get the
+non-zero counts once, from :meth:`Projection.tallies`. A matched line that
+no consumer reads is still validated whole (the predicate's lint and
+``strict_ids``, and the literal parser on any literal the regex does not
+build), but not built. Lines in the gaps are always built in full, so
+projection never changes which lines are malformed or any lint. A stream
+parsed without one gets a Projection that reads everything.
 
 Copy is an extra action beside count and build, for a consumer that wants
 a predicate's lines as text, as a materialized slice does. Where the
 projection's ``copy(predicate)`` gives a buffer, :func:`parse_blocks`
 appends each well-formed line of that predicate to it, in input order, as
-it was read, less its line-end CRs. The line is then counted or built
+it was read, less its line-end CRs. The line is then counted and built
 exactly as it would be without a buffer.
 
 Parsing is pure per line. Callers may split a file at line boundaries,
@@ -431,7 +432,7 @@ def _matched_term(mid: str | None, path: str | None, iri: str) -> NodeRef:
     return ExternalIri(iri)
 
 
-Tally = tuple[NodeRef, bool, int]  # (predicate, mid_subject, lines counted)
+Tally = tuple[NodeRef, int]  # (predicate, well-formed lines)
 
 
 def _reads_everything(predicate: NodeRef, mid_subject: bool) -> bool:
@@ -439,22 +440,23 @@ def _reads_everything(predicate: NodeRef, mid_subject: bool) -> bool:
 
 
 class Projection(dict):
-    """Per-stream table: predicate token -> (predicate, nonstandard, cell, cell, copy).
+    """Per-stream table: predicate token -> (predicate, nonstandard, cell, plain, mid, copy).
 
-    ``reads(predicate, mid_subject)`` says whether some consumer reads the
-    subject and object of that predicate's triples whose subject is (or is
-    not) a mid; it is asked once per distinct token and subject kind. The
-    entry holds the predicate term, whether it is a nonstandard id, and one
-    cell for other subjects and one for mids: a one-item list that counts
-    the lines nobody reads, or None where they are built in full. Without
-    ``reads`` every line is built.
+    The entry holds the predicate term, whether it is a nonstandard id, a
+    one-item list that counts every well-formed line of the token, read or
+    not, and two flags, one for other subjects and one for mids: whether
+    ``reads(predicate, mid_subject)`` says some consumer reads the subject
+    and object of that predicate's triples whose subject is (or is not) a
+    mid, so that a matched line of that kind is built. Without ``reads``
+    every line is built.
 
     ``copy(predicate)`` returns the list that takes the text of that
-    predicate's lines, or None. The list is independent of the cells:
-    :func:`parse_blocks` appends each well-formed line of a predicate with a
-    list to it, and also counts or yields the line as ``reads`` decides.
-    ``copy`` is asked once per distinct token, and again for each line
-    between matches, so it must give the same list for the same predicate.
+    predicate's lines, or None. :func:`parse_blocks` appends each
+    well-formed line of a predicate with a list to it, and also counts it,
+    and builds it as ``reads`` decides. ``reads`` and ``copy`` are asked
+    once per distinct token. A line between matches finds its entry under
+    ``"<" + to_iri(predicate, namespace) + ">"``, which is its token, since
+    ``to_iri(normalize_iri(iri, namespace), namespace) == iri``.
     """
 
     def __init__(
@@ -471,19 +473,14 @@ class Projection(dict):
     def __missing__(self, token: str) -> tuple:
         predicate = _parse_iri_term(token, ParserConfig(self.namespace), None)
         nonstandard = _is_nonstandard(predicate)
-        plain, mid = (None if self.reads(predicate, kind) else [0] for kind in (False, True))
+        plain, mid = (self.reads(predicate, kind) for kind in (False, True))
         buffer = self.copy(predicate) if self.copy is not None else None
-        entry = self[token] = (predicate, nonstandard, plain, mid, buffer)
+        entry = self[token] = (predicate, nonstandard, [0], plain, mid, buffer)
         return entry
 
     def tallies(self) -> list[Tally]:
         """The non-zero counts, in the order their predicates were first seen."""
-        return [
-            (predicate, mid, cell[0])
-            for predicate, _, *cells, _ in self.values()
-            for mid, cell in zip((False, True), cells)
-            if cell is not None and cell[0]
-        ]
+        return [(predicate, cell[0]) for predicate, _, cell, *_ in self.values() if cell[0]]
 
 
 def _matched_triple(found: re.Match, predicate: NodeRef, literal: Literal | None) -> Triple:
@@ -738,17 +735,17 @@ def parse_blocks(
     stripped of the CRs before each ``\\n``, and scanned with one
     ``finditer`` of the canonical regex. A matched line is validated (its
     predicate's lint and ``strict_ids``, and the literal parser on a literal
-    the regex's plain group does not take), then counted if the projection
-    counts it, else built from its match. A literal needs no validating when
-    the plain group takes it: its only escapes are ``\\\\``, ``\\"``,
-    ``\\n``, ``\\r`` and ``\\t``, which are never unknown. Lines between
-    matches go through :func:`parse_line` and are always built. A
-    well-formed line of a predicate with a buffer is appended there too, as
-    it was read (less its line-end CRs), at its place in the scan, so each
-    buffer keeps input order. The results equal a :func:`parse_line` call
-    per line. Without a ``projection`` every line is built. Each block
-    yields its triples, an empty list when every line was counted, so a
-    caller can empty the buffers block by block.
+    the regex's plain group does not take), counted in its projection entry,
+    and built from its match if the projection reads its kind. A literal
+    needs no validating when the plain group takes it: its only escapes are
+    ``\\\\``, ``\\"``, ``\\n``, ``\\r`` and ``\\t``, which are never unknown.
+    Lines between matches go through :func:`parse_line`, are counted too,
+    and are always built. A well-formed line of a predicate with a buffer is
+    appended there too, as it was read (less its line-end CRs), at its place
+    in the scan, so each buffer keeps input order. The results equal a
+    :func:`parse_line` call per line. Without a ``projection`` every line is
+    built. Each block yields its triples, an empty list when none was built,
+    so a caller can empty the buffers block by block.
     ``report`` takes the block's counts before its triples are yielded, and
     an I/O failure while reading raises StreamAbortedError with the report
     of every line before it.
@@ -779,7 +776,7 @@ def parse_blocks(
                     mark = start
                     base = _parse_lines(text[pos : start - 1], base, report, config, projection, triples)
                 pos = end + 1
-                predicate, nonstandard, plain, mid, buffer = projection[found[4]]
+                predicate, nonstandard, cell, plain, mid, buffer = projection[found[4]]
                 literal = found[11]
                 try:
                     if nonstandard:
@@ -791,13 +788,11 @@ def parse_blocks(
                     mark = start
                     report.record_malformed(base + 1, exc.reason)
                     continue
+                cell[0] += 1
                 if buffer is not None:
                     buffer.append(found[0])
-                cell = mid if found[1] is not None else plain
-                if cell is not None:
-                    cell[0] += 1
-                    continue
-                triples.append(_matched_triple(found, predicate, literal))
+                if (mid if found[1] is not None else plain):
+                    triples.append(_matched_triple(found, predicate, literal))
             if pos < len(text):
                 base += text.count("\n", mark, pos)
                 _parse_lines(text[pos:-1], base, report, config, projection, triples)
@@ -821,18 +816,19 @@ def _parse_lines(
 ) -> int:
     """Parse the ``\\n``-separated lines of ``text``, numbered from ``base + 1``.
 
-    Malformed lines are recorded; each other line's triple is appended to
-    ``triples``, and the line to its copy buffer, if any. Returns the number
-    of the last line.
+    Malformed lines are recorded; each other line is counted in its
+    predicate's entry, its triple appended to ``triples``, and the line to
+    its copy buffer, if any. Returns the number of the last line.
     """
-    copy = projection.copy
+    namespace = projection.namespace
     for base, line in enumerate(text.split("\n"), base + 1):
         try:
             triple = parse_line(line, config, report.lint)
         except MalformedLineError as exc:
             report.record_malformed(base, exc.reason)
             continue
-        buffer = copy(triple.predicate) if copy is not None else None
+        _, _, cell, _, _, buffer = projection["<" + to_iri(triple.predicate, namespace) + ">"]
+        cell[0] += 1
         if buffer is not None:
             buffer.append(line)
         triples.append(triple)
@@ -851,8 +847,9 @@ def iter_triples(
     object, or any iterable of lines (bytes or str; a newline inside an item
     ends a line there). Malformed lines are counted and sampled, never fatal;
     an I/O failure raises StreamAbortedError with the partial report
-    attached. ``projection`` is passed to :func:`parse_blocks`; the lines it
-    counts are recorded as well-formed but not yielded.
+    attached. ``projection`` is passed to :func:`parse_blocks`; it counts
+    every well-formed line, and a matched line whose kind it does not read
+    is recorded as well-formed but not yielded.
     """
     if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
         blocks = read_blocks(source)  # type: ignore[arg-type]

@@ -63,7 +63,6 @@ from .schema import (
     DomainSchema,
     SchemaConfig,
     UndefinedComplexityError,
-    absorb_schema_tally,
     complexity_score,
     feed_schema_triple,
     merge_schemas,
@@ -100,8 +99,7 @@ from .slicer import (
 from .stats import StudyRow
 
 Feed = Callable[[Triple], None]
-Absorb = Callable[[Sequence[Tally]], None]
-Finish = Callable[[], dict]
+Finish = Callable[[Sequence[Tally]], dict]
 
 
 @dataclass(frozen=True)
@@ -160,30 +158,31 @@ def iter_partition_lines(part: Partition) -> Iterator[bytes]:
 # --- folds and the one per-partition job ------------------------------------------
 #
 # A fold is a frozen recipe for one aggregate. ``start`` binds the
-# fold's per-partition state once and returns a (feed, absorb, finish)
-# triple: ``feed`` folds one triple in, writing lint straight into the
-# partition report's counter, ``absorb`` folds in the lines the parser
-# counted instead of building, and ``finish`` returns the fold's payload
+# fold's per-partition state once and returns a (feed, finish) pair:
+# ``feed`` folds one built triple in, writing lint straight into the
+# partition report's counter, or is None for a fold that reads no triple;
+# ``finish`` takes the partition's tallies and returns the fold's payload
 # fields. Every payload field has one merge law in MERGE_LAWS, so partitions
 # reduce in order to the single-pass result.
 #
 # A fold also declares what it reads, and only that: ``reads(predicate,
-# mid_subject)`` is False when its feed looks at nothing but the predicate of
-# that predicate's triples whose subject is (or is not) a mid. Job.run asks
-# once per distinct predicate, subject kind and partition: where no fold
-# reads them, the parser validates each such line and counts it instead of
-# building it (see parser.Projection). Once per partition, after the last
-# line and before ``finish``, every fold's ``absorb`` gets the non-zero
-# (predicate, mid_subject, count) tallies. A fold must give the same payload
-# and lint for a tally as for that many full triples, for every predicate and
-# subject kind it declares unread.
+# mid_subject)`` is False for the triples of a predicate whose subject is
+# (or is not) a mid that its feed does nothing with. Job.run asks once per
+# distinct predicate, subject kind and partition, and where no fold reads
+# them the parser validates each such line without building it (see
+# parser.Projection). The contract: a fold's feed, given a triple of a kind
+# the fold declares unread (as when another fold reads it), leaves the
+# payload and the lint as they were. The parser counts every well-formed
+# line by predicate, read or not; after a partition's last line each
+# ``finish`` gets the non-zero (predicate, count) tallies, from which a fold
+# that needs only each line's predicate, as slice counts do, folds them all.
 #
 # A fold that wants lines as text returns two more functions from ``start``:
 # ``copy(predicate)``, the list that takes the text of that predicate's
 # lines (or None), and ``flush``, which Job.run calls after each block to
 # take the lines out of those lists. The parser appends each well-formed
 # line of a predicate with a list in the scan (see parser.Projection), as it
-# was read, and still counts or builds and feeds the line as ``reads``
+# was read, and still counts it and builds and feeds it as ``reads``
 # decides, so copying changes no fold's input. One fold of a Job at most may
 # copy.
 
@@ -192,10 +191,10 @@ def iter_partition_lines(part: Partition) -> Iterator[bytes]:
 class SliceFold:
     """Slice counts; optionally materialized shards.
 
-    The fold reads no line: it counts each slice from the predicate alone,
-    whether the line is fed or tallied. Materializing needs each line's text
-    besides, so the fold then takes its slices' lines as text (``copy``) and
-    writes them once per block (``flush``).
+    The fold reads no line: it counts each slice from the predicate tallies
+    alone. Materializing needs each line's text besides, so the fold then
+    takes its slices' lines as text (``copy``) and writes them once per
+    block (``flush``).
     """
 
     shard_root: str | None = None
@@ -203,42 +202,30 @@ class SliceFold:
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
         return False
 
-    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Callable, ...]:
-        counts: dict[SliceKey, int] = {}
-        keys: dict[NodeRef, SliceKey] = {}
+    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Callable | None, ...]:
         writer: SliceWriter | None = None
         shard_dir: str | None = None
         if self.shard_root is not None:
             shard_dir = os.path.join(self.shard_root, f"{part.index:05d}")
             writer = SliceWriter(shard_dir, parser.namespace)
 
-        def feed(triple: Triple) -> None:
-            count_slice(counts, keys, triple.predicate, 1, lint)
-
-        def absorb(tallies: Sequence[Tally]) -> None:
-            for predicate, _, count in tallies:
-                count_slice(counts, keys, predicate, count, lint)
-
-        def finish() -> dict[str, Any]:
+        def finish(tallies: Sequence[Tally]) -> dict[str, Any]:
+            counts: dict[SliceKey, int] = {}
+            for predicate, count in tallies:
+                count_slice(counts, predicate, count, lint)
             if writer is not None:
                 writer.close()
             return {"counts": counts, "shard_dir": shard_dir}
 
         if writer is None:
-            return feed, absorb, finish
+            return None, finish
 
         buffers: dict[SliceKey, list[str]] = {}  # each slice's lines since the last flush
 
         def copy(predicate: NodeRef) -> list[str] | None:
-            key = keys.get(predicate)
-            if key is None:
-                if isinstance(predicate, Mid):
-                    return None  # counted as mid-predicate lint, in no slice
-                key = keys[predicate] = classify_predicate(predicate)
-            buffer = buffers.get(key)
-            if buffer is None:
-                buffer = buffers[key] = []
-            return buffer
+            if isinstance(predicate, Mid):
+                return None  # counted as mid-predicate lint, in no slice
+            return buffers.setdefault(classify_predicate(predicate), [])
 
         def flush() -> None:
             for key, lines in buffers.items():
@@ -246,7 +233,7 @@ class SliceFold:
                     writer.write_lines(key, lines)
                     lines.clear()
 
-        return feed, absorb, finish, copy, flush
+        return None, finish, copy, flush
 
 
 @dataclass(frozen=True)
@@ -258,18 +245,14 @@ class SchemaFold:
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
         return reads_terms(predicate, mid_subject, self.schema)
 
-    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Absorb, Finish]:
+    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Finish]:
         schemas: dict[str, DomainSchema] = {}
         config = self.schema
 
         def feed(triple: Triple) -> None:
             feed_schema_triple(schemas, triple, config, lint)
 
-        def absorb(tallies: Sequence[Tally]) -> None:
-            for predicate, mid_subject, count in tallies:
-                absorb_schema_tally(predicate, mid_subject, count, config, lint)
-
-        return feed, absorb, lambda: {"schemas": schemas}
+        return feed, lambda tallies: {"schemas": schemas}
 
 
 _SEMANTICS_PREDICATES = frozenset(
@@ -299,7 +282,7 @@ class SemanticsFold:
         """The violations of the known rules in a merged ``type_masks``, by mid, then rule."""
         return mask_violations(type_masks, self.known_rules)
 
-    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Absorb, Finish]:
+    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Finish]:
         merge_map = MergeMap()
         notations: list[ValueNotation] = []
         type_masks: dict[str, int] = {}
@@ -310,22 +293,20 @@ class SemanticsFold:
             feed_value_notation(notations, triple, self.accept_reversed, lint)
             feed_type_mask(type_masks, bits, triple)
 
-        def absorb(tallies: Sequence[Tally]) -> None:
-            pass  # the triples of a predicate it does not read leave no trace
-
-        def finish() -> dict[str, Any]:
+        def finish(tallies: Sequence[Tally]) -> dict[str, Any]:
             return {
                 "merge_map": merge_map,
                 "notations": notations,
                 "type_masks": type_masks,
             }
 
-        return feed, absorb, finish
+        return feed, finish
 
 
 @dataclass(frozen=True)
 class Job:
-    """Parse a partition once, feeding every triple to each fold.
+    """Parse a partition once, feeding every built triple to each fold's feed
+    and the partition's tallies to each fold's finish.
 
     Forked workers inherit it, so only what ``run`` returns crosses a pipe:
     the partition's (ParseReport, payload), the payload being the union of
@@ -342,8 +323,8 @@ class Job:
     def run(self, part: Partition) -> tuple[ParseReport, dict[str, Any]]:
         report = ParseReport(max_errors=self.max_errors)
         started = [fold.start(part, self.parser, report.lint) for fold in self.folds]
-        feeds = [functions[0] for functions in started]
-        copying = [functions[3:] for functions in started if len(functions) > 3]
+        feeds = [functions[0] for functions in started if functions[0] is not None]
+        copying = [functions[2:] for functions in started if len(functions) > 2]
         if len(copying) > 1:
             raise ValueError("at most one fold of a Job may copy lines")
         copy, flush = copying[0] if copying else (None, None)
@@ -359,9 +340,8 @@ class Job:
         finally:
             # Also on an abort, so a partial report's lint counts every line read.
             tallies = projection.tallies()
-            for _, absorb, finish, *_ in started:
-                absorb(tallies)
-                payload.update(finish())
+            for _, finish, *_ in started:
+                payload.update(finish(tallies))
         return report, payload
 
 

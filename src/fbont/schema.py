@@ -108,38 +108,22 @@ def _register(
 def reads_terms(
     pred: NodeRef, mid_subject: bool, config: SchemaConfig = DEFAULT_SCHEMA_CONFIG
 ) -> bool:
-    """Whether feed_schema_triple reads the subject and object of a triple.
+    """Whether feed_schema_triple does anything with a triple of this predicate and subject kind.
 
-    It reads no triple whose subject is a mid: those are instance data, and
-    the one lint they can raise needs only the predicate (see
-    absorb_schema_tally).
+    Of the triples whose subject is a mid, which are instance data, it reads
+    only the property details, to count each as ``unattributable-detail``;
+    it ignores every other one.
     """
-    return not mid_subject and isinstance(pred, IdPath) and (
+    if not isinstance(pred, IdPath):
+        return False
+    if mid_subject:
+        return pred in config.detail_predicates
+    return (
         pred == config.description_predicate
         or pred in config.detail_predicates
         or pred == config.type_declaration_predicate
         or pred.domain in config.schema_domains
     )
-
-
-def absorb_schema_tally(
-    pred: NodeRef,
-    mid_subject: bool,
-    count: int,
-    config: SchemaConfig = DEFAULT_SCHEMA_CONFIG,
-    counters: Counter | None = None,
-) -> None:
-    """Fold in ``count`` triples reads_terms declares unread, as feed_schema_triple would.
-
-    Only a property detail about a mid leaves a trace: it is unattributable.
-    """
-    if (
-        mid_subject
-        and counters is not None
-        and pred != config.description_predicate
-        and pred in config.detail_predicates
-    ):
-        counters["unattributable-detail"] += count
 
 
 def feed_schema_triple(

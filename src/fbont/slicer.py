@@ -225,24 +225,20 @@ def slice_relpath(key: SliceKey, layout: str = DEFAULT_SLICE_LAYOUT) -> str:
 
 def count_slice(
     counts: dict[SliceKey, int],
-    keys: dict[NodeRef, SliceKey],
     pred: NodeRef,
     count: int = 1,
     counters: Counter | None = None,
 ) -> SliceKey | None:
     """Add ``count`` triples of predicate ``pred`` to its slice count.
 
-    ``keys`` remembers each distinct predicate's slice key, so a predicate is
-    classified once per stream. Returns the slice key, or None for a mid
-    predicate, whose triples are counted as ``mid-predicate`` lint instead.
+    Returns the slice key, or None for a mid predicate, whose triples are
+    counted as ``mid-predicate`` lint instead.
     """
-    key = keys.get(pred)
-    if key is None:
-        if isinstance(pred, Mid):
-            if counters is not None:
-                counters["mid-predicate"] += count
-            return None
-        key = keys[pred] = classify_predicate(pred)
+    if isinstance(pred, Mid):
+        if counters is not None:
+            counters["mid-predicate"] += count
+        return None
+    key = classify_predicate(pred)
     counts[key] = counts.get(key, 0) + count
     return key
 

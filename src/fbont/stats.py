@@ -92,7 +92,8 @@ def run_study(
 
     ``exclusions`` names domains dropped by inspection (the published outlier
     run drops music); names that match no row are ignored here, callers warn.
-    Row order never matters.
+    Row order never matters. A ConstantInputError names the variable that
+    never varies and the domains left.
     """
     excluded_names = set(exclusions)
     rows = list(rows)
@@ -103,7 +104,15 @@ def run_study(
         )
     xs = [row.complexity for row in used]
     ys = [float(row.triple_count) for row in used]
-    r = pearson_r(xs, ys)
+    try:
+        r = pearson_r(xs, ys)
+    except ConstantInputError:
+        variables = (("complexity score", xs), ("triple count", ys))
+        constant = [name for name, values in variables if len(set(values)) == 1]
+        domains = ", ".join(sorted(row.domain for row in used))
+        raise ConstantInputError(
+            f"correlation undefined: the same {' and '.join(constant)} for every domain left: {domains}"
+        ) from None
     slope, intercept = linreg(xs, ys)
     applied = sorted(excluded_names & {row.domain for row in rows})
     return StudyResult(

@@ -40,16 +40,19 @@ def lit_line(s_local: str, p_local: str, lexical: str, suffix: str = "") -> str:
 def fold_triples(fold, triples) -> tuple[dict, Counter]:
     """(payload, lint) of one fold fed these triples through its own start() closures.
 
-    Each triple goes to ``feed``, as Job.run feeds a built triple, then
-    ``absorb`` takes no tallies (every line was built) and ``finish`` gives
-    the payload, so a test drives the code the CLI runs.
+    Each triple goes to ``feed`` (if the fold has one), as Job.run feeds a
+    built triple, and is counted by predicate, as the parser counts every
+    well-formed line; ``finish`` takes those tallies and gives the payload,
+    so a test drives the code the CLI runs.
     """
     lint: Counter = Counter()
-    feed, absorb, finish, *_ = fold.start(Partition("-", 0, -1, 0), ParserConfig(), lint)
+    feed, finish, *_ = fold.start(Partition("-", 0, -1, 0), ParserConfig(), lint)
+    tallies: Counter = Counter()
     for triple in triples:
-        feed(triple)
-    absorb(())
-    return finish(), lint
+        if feed is not None:
+            feed(triple)
+        tallies[triple.predicate] += 1
+    return finish(list(tallies.items())), lint
 
 
 def load_census() -> list[dict]:

@@ -521,6 +521,39 @@ class TestCmdStudy:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "route, details, data, constant",
+        [
+            ("dump", (1, 1, 0), (1, 2, 3), "complexity score"),
+            ("intermediates", (1, 0, 0), (2, 2, 3), "triple count"),
+        ],
+        ids=["dump", "intermediates"],
+    )
+    def test_a_constant_variable_is_named_with_the_domains_left(self, tmp_path, capsys, route, details, data, constant):
+        # jazz differs in both variables, so only excluding it leaves one constant.
+        lines = []
+        for domain, n_det, n_data in zip(("zoo", "opera", "jazz"), details, data):
+            lines += [
+                obj_line(f"{domain}.t0", "type.object.type", "type.type"),
+                obj_line(f"{domain}.t0.p", "type.object.type", "type.property"),
+            ]
+            lines += [lit_line(f"{domain}.t0.p", "type.property.unique", "true")] * n_det
+            lines += [obj_line(f"m.s{i}", f"{domain}.t0.p", "m.o") for i in range(n_data)]
+        dump = write_lines(tmp_path, lines)
+        argv = ["study", dump]
+        if route == "intermediates":
+            pre = tmp_path / "pre"
+            assert main(["slice", dump, "--out", str(pre)]) == 0
+            assert main(["schema", dump, "--out", str(pre)]) == 0
+            argv = ["study", "--from-counts", str(pre / "taxonomy.csv"), "--from-schema", str(pre / "schema.csv")]
+        assert main(argv + ["--out", str(tmp_path / "all")]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "out"), "--exclude", "jazz"]) == 3
+        assert capsys.readouterr().err == (
+            "error: insufficient data: correlation undefined: "
+            f"the same {constant} for every domain left: opera, zoo\n"
+        )
+
     def test_unknown_exclusion_warns(self, tmp_path, capsys):
         lines, _ = study_fixture_lines()
         dump = write_lines(tmp_path, lines)

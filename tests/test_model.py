@@ -3,7 +3,7 @@ import pickle
 import string
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fbont.model import (
@@ -97,6 +97,25 @@ class TestRender:
     @given(noderefs)
     def test_roundtrip_through_iri(self, ref):
         assert normalize_iri(to_iri(ref)) == ref
+
+    # parser.Projection finds the entry of a line between matches by this
+    # identity: the IRI a predicate term renders back to is its token's.
+    @given(
+        st.sampled_from([DEFAULT_NAMESPACE, "http://example.org/kb+(v1)?/", ""]),
+        st.text(alphabet="ambZ09_./#é", max_size=10),
+    )
+    @example(DEFAULT_NAMESPACE, "a..b")
+    @example(DEFAULT_NAMESPACE, "m.")
+    @example(DEFAULT_NAMESPACE, "m.a/b")
+    def test_iri_roundtrips_through_normalize(self, namespace, local):
+        iri = namespace + local
+        if iri:
+            assert to_iri(normalize_iri(iri, namespace), namespace) == iri
+
+    @pytest.mark.parametrize("local", ["a..b", "m.", "m.a/b"])
+    def test_fallback_locals_roundtrip_as_external(self, local):
+        ref = normalize_iri(DEFAULT_NAMESPACE + local)
+        assert isinstance(ref, ExternalIri) and to_iri(ref) == DEFAULT_NAMESPACE + local
 
     @given(st.lists(segments, min_size=1, max_size=4))
     def test_freebase_renderings_use_slash_alphabet(self, segs):

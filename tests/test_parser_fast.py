@@ -5,9 +5,10 @@ regex, and parse_line for every line between its matches. Over any input,
 each line alone or many as one stream, iter_triples must give what one
 parse_line call per line gives: the same triples, the same malformed reason
 codes at the same line numbers and the same lint counts. With a Projection
-it must count exactly the lines worked out line by line below, and copy
-each copied line as it was read, less its line-end CRs. All of it under
-both strict_ids settings and under the default and non-default namespaces.
+it must count every well-formed line by predicate, build exactly the lines
+worked out line by line below, and copy each copied line as it was read,
+less its line-end CRs. All of it under both strict_ids settings and under
+the default and non-default namespaces.
 """
 
 import io
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 import fbont.parser as parser_module
 from conftest import NS
 from dumpgen import MALFORMED_LINES, random_dump_lines
-from fbont.model import IdPath, Mid
+from fbont.model import IdPath, Mid, normalize_iri
 from fbont.parser import (
     MalformedLineError,
     ParseReport,
@@ -96,36 +97,29 @@ def per_line_parse(data: bytes, config: ParserConfig):
     return report.to_dict(), parsed
 
 
-def dispositions(parsed, reads, copies: bool):
+def dispositions(parsed, reads, copies: bool, namespace: str):
     """What the scan yields, tallies and copies, worked out line by line.
 
-    A well-formed line is counted, not yielded, iff no reader reads its
-    (predicate, mid-subject) kind and the canonical regex fullmatches it.
-    Every copied line's text is the line as read, less its line-end CRs.
-    Tallies come in the order their predicate tokens were first matched, on
-    any line.
+    Every well-formed line is counted under its predicate. It is yielded
+    unless no reader reads its (predicate, mid-subject) kind and the
+    canonical regex fullmatches it. Every copied line's text is the line as
+    read, less its line-end CRs. Tallies come in the order their predicates
+    were first seen, on a matched line or a well-formed one; a line between
+    matches is counted under the same predicate as a matched one.
     """
-    counts: dict[str, list] = {}  # predicate token -> [predicate, other subjects, mids]
+    counts: dict = {}  # predicate -> well-formed lines
     triples, texts = [], []
     for triple, found, text in parsed:
-        if found is not None:
-            cells = counts.setdefault(found[4], [None, 0, 0])
+        predicate = normalize_iri(found[4][1:-1], namespace) if found is not None else triple.predicate
+        counts.setdefault(predicate, 0)
         if triple is None:
             continue
+        counts[predicate] += 1
         if copies and copied(triple.predicate):
             texts.append(text)
-        mid = isinstance(triple.subject, Mid)
-        if reads is not None and found is not None and not reads(triple.predicate, mid):
-            cells[0] = triple.predicate
-            cells[1 + mid] += 1
-        else:
+        if reads is None or found is None or reads(triple.predicate, isinstance(triple.subject, Mid)):
             triples.append(triple)
-    tallies = [
-        (predicate, mid, cells[mid])
-        for predicate, *cells in counts.values()
-        for mid in (False, True)
-        if cells[mid]
-    ]
+    tallies = [(predicate, count) for predicate, count in counts.items() if count]
     return tallies, triples, texts
 
 
@@ -150,7 +144,8 @@ def block_parse(source, config: ParserConfig, reads, copies: bool = False, block
 def assert_blocks_same(data: bytes, cap: int = 16 * 1024, configs=CONFIGS, alone: bool = False) -> int:
     """The scan of ``data``, as bytes and as a list of lines, against per_line_parse.
 
-    In every mode; returns the lines counted, over all configs and modes.
+    In every mode; returns the well-formed lines not built, over all configs
+    and modes.
     ``alone`` gives parse_blocks each line as a block of its own instead,
     as bytes and as text.
     """
@@ -161,12 +156,14 @@ def assert_blocks_same(data: bytes, cap: int = 16 * 1024, configs=CONFIGS, alone
         lines = [raw.decode("utf-8") for raw in raws]
     except UnicodeDecodeError:
         lines = None
-    counted = 0
+    unbuilt = 0
     with mock.patch.object(parser_module, "_BLOCK", cap):
         for config in configs:
             report, parsed = per_line_parse(data, config)
             for reads, copies in MODES:
-                expected = (report, *dispositions(parsed, reads, copies))
+                tallies, triples, texts = dispositions(parsed, reads, copies, config.namespace)
+                projected = reads is not None or copies
+                expected = (report, tallies if projected else [], triples, texts)
                 if alone:
                     got = block_parse([raw + b"\n" for raw in raws], config, reads, copies, blocks=True)
                 else:
@@ -178,8 +175,8 @@ def assert_blocks_same(data: bytes, cap: int = 16 * 1024, configs=CONFIGS, alone
                     else:
                         got = block_parse(lines, config, reads, copies)
                     assert got == expected, (config, cap)
-                counted += sum(count for _, _, count in expected[1])
-    return counted
+                unbuilt += report["triples_ok"] - len(triples)
+    return unbuilt
 
 
 def assert_alone_same(lines, configs=CONFIGS) -> None:
@@ -188,7 +185,7 @@ def assert_alone_same(lines, configs=CONFIGS) -> None:
 
 
 def assert_stream_same(lines, configs=CONFIGS) -> int:
-    """All the lines as one stream; returns the lines counted."""
+    """All the lines as one stream; returns the well-formed lines not built."""
     return assert_blocks_same("".join(text + "\n" for text in lines).encode(), configs=configs)
 
 
@@ -406,9 +403,22 @@ class TestProjectedDifferential:
         """Once per distinct token and subject kind."""
         asked = []
         projection = Projection(lambda pred, mid: asked.append((pred, mid)) or not mid)
-        list(iter_triples(random_dump_lines(500, seed=4), ParseReport(), ParserConfig(), projection))
+        triples = list(iter_triples(random_dump_lines(500, seed=4), ParseReport(), ParserConfig(), projection))
         assert len(asked) == len(set(asked)) == 2 * len(projection)
-        assert {mid for _, mid, _ in projection.tallies()} == {True}
+        assert triples == [] and sum(count for _, count in projection.tallies()) == 500  # every subject a mid
+
+    def test_copy_is_asked_once_per_predicate_token(self):
+        """Once per distinct token, also for the tokens of the lines between matches."""
+        asked = []
+        projection = Projection(copy=lambda pred: asked.append(pred))
+        gap_only = fbt("people.person.gap_only")
+        lines = random_dump_lines(200, seed=4) + [f"{S} {P} {O} .", f"{S} {gap_only} {O} .", f"{S} {gap_only} {O} ."]
+        report = ParseReport()
+        triples = list(iter_triples(lines, report, ParserConfig(), projection))
+        assert report.triples_ok == len(lines)
+        assert len(asked) == len(set(asked)) == len(projection)
+        assert set(asked) == {triple.predicate for triple in triples}
+        assert (IdPath(("people", "person", "gap_only")), 2) in projection.tallies()
 
 
 # --- literal tokens ---------------------------------------------------------------
@@ -584,8 +594,7 @@ def assert_copies_input(lines: list[str], cap: int = 16 * 1024, configs=CONFIGS)
                 report = ParseReport()
                 triples = list(iter_triples(io.BytesIO(data), report, config, projection))
                 assert report.to_dict() == full_report.to_dict(), config
-                tallied = sum(count for _, _, count in projection.tallies())
-                assert len(triples) + tallied == report.triples_ok, config
+                assert sum(count for _, count in projection.tallies()) == report.triples_ok, config
                 remaining = iter(expected_triples)
                 assert all(triple in remaining for triple in triples), config  # in input order
                 if reads is parser_module._reads_everything:

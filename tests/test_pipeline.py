@@ -341,13 +341,13 @@ PROJECTING_FOLDS = {
 
 @dataclass(frozen=True)
 class ReadsEverything:
-    """A fold with no payload that reads every triple, so Job.run projects nothing."""
+    """A fold with no payload that reads every triple, so Job.run builds every line."""
 
     def reads(self, predicate, mid_subject):
         return True
 
     def start(self, part, parser, lint):
-        return (lambda triple: None), (lambda tallies: None), dict
+        return (lambda triple: None), (lambda tallies: {})
 
 
 @dataclass(frozen=True)
@@ -355,52 +355,65 @@ class Recorder:
     """A fold that reads nothing and keeps the triples and tallies Job.run hands it."""
 
     fed: list = field(default_factory=list)
-    absorbed: list = field(default_factory=list)
+    tallies: list = field(default_factory=list)
 
     def reads(self, predicate, mid_subject):
         return False
 
     def start(self, part, parser, lint):
-        return self.fed.append, self.absorbed.extend, dict
+        return self.fed.append, lambda tallies: self.tallies.extend(tallies) or {}
 
 
 def built_and_counted(folds, path):
     """Run the folds over the whole file in-process: (lines built, tallies, report)."""
     recorder = Recorder()
     report, _ = Job(folds + (recorder,)).run(Partition(path, 0, -1, 0))
-    assert len(recorder.fed) + sum(count for _, _, count in recorder.absorbed) == report.triples_ok
-    return len(recorder.fed), recorder.absorbed, report
+    assert sum(count for _, count in recorder.tallies) == report.triples_ok >= len(recorder.fed)
+    return len(recorder.fed), recorder.tallies, report
+
+
+def started(fold, lint):
+    """The (feed, finish) of a fresh start of the fold over standard input."""
+    return fold.start(Partition("-", 0, -1, 0), ParserConfig(), lint)[:2]
 
 
 class TestProjection:
     @pytest.mark.parametrize("name", sorted(PROJECTING_FOLDS))
     def test_projected_triple_feeds_like_the_full_one(self, name):
-        """The lines built and fed plus the tallies absorbed fold like every full triple fed."""
+        """The lines built and fed, and the tallies, fold like every full triple fed."""
         fold = PROJECTING_FOLDS[name]
-        part = Partition("-", 0, -1, 0)
         full_report, projected_report = ParseReport(), ParseReport()
-        feed_full, absorb_full, finish_full = fold.start(part, ParserConfig(), full_report.lint)
-        feed_projected, absorb, finish_projected = fold.start(part, ParserConfig(), projected_report.lint)
-        projection = Projection(fold.reads)
-        full = list(iter_triples(PROBE_LINES, full_report))
+        feed_full, finish_full = started(fold, full_report.lint)
+        feed_projected, finish_projected = started(fold, projected_report.lint)
+        full_projection, projection = Projection(), Projection(fold.reads)
+        full = list(iter_triples(PROBE_LINES, full_report, ParserConfig(), full_projection))
         projected = list(iter_triples(PROBE_LINES, projected_report, ParserConfig(), projection))
-        for triple in full:
-            feed_full(triple)
-        for triple in projected:
-            feed_projected(triple)
-        absorb_full([])
+        for feed, triples in ((feed_full, full), (feed_projected, projected)):
+            for triple in triples if feed is not None else ():
+                feed(triple)
         tallies = projection.tallies()
-        absorb(tallies)
-        assert finish_full() == finish_projected()
+        assert tallies == full_projection.tallies()
+        assert finish_full(tallies) == finish_projected(tallies)
         assert full_report.to_dict() == projected_report.to_dict()
         read = [t for t in full if fold.reads(t.predicate, isinstance(t.subject, Mid))]
         remaining = iter(projected)
         assert all(triple in remaining for triple in read)  # every read line is built, in order
-        assert not any(fold.reads(predicate, mid) for predicate, mid, _ in tallies)
-        counted = sum(count for _, _, count in tallies)
-        assert len(projected) + counted == len(full)
-        assert counted > 100
+        assert sum(count for _, count in tallies) == len(full)
+        assert len(full) - len(projected) > 100
         assert name == "slice" or len(read) > 3
+
+    @pytest.mark.parametrize("name", sorted(PROJECTING_FOLDS))
+    def test_unread_triples_leave_no_trace(self, name):
+        """Fed every PROBE_LINES triple it declares unread, a fold ends as a fresh start does."""
+        fold = PROJECTING_FOLDS[name]
+        unread = [t for t in iter_triples(PROBE_LINES, ParseReport()) if not fold.reads(t.predicate, isinstance(t.subject, Mid))]
+        assert len(unread) > 100
+        fed_lint, fresh_lint = Counter(), Counter()
+        feed, finish = started(fold, fed_lint)
+        for triple in unread if feed is not None else ():
+            feed(triple)
+        assert finish([]) == started(fold, fresh_lint)[1]([])
+        assert fed_lint == fresh_lint
 
     def test_mid_subjects_are_counted_for_schema_and_linted(self):
         lines = [
@@ -410,9 +423,13 @@ class TestProjection:
         ]
         projection = Projection(SchemaFold().reads)
         report = ParseReport()
-        assert list(iter_triples(lines, report, ParserConfig(), projection)) == [parse_line(lines[2])]
-        feed, absorb, finish = SchemaFold().start(Partition("-", 0, -1, 0), ParserConfig(), report.lint)
-        absorb(projection.tallies())
+        built = list(iter_triples(lines, report, ParserConfig(), projection))
+        assert built == [parse_line(lines[0]), parse_line(lines[2])]  # the typing of a mid is not read
+        assert projection.tallies() == [(idpath("/type/property/expected_type"), 2), (idpath("/type/object/type"), 1)]
+        feed, finish = started(SchemaFold(), report.lint)
+        for triple in built:
+            feed(triple)
+        assert finish(projection.tallies())["schemas"]["people"].property_detail_count == 1
         assert report.lint == Counter({"unattributable-detail": 1})
 
     def test_folds_reading_every_triple_disable_projection(self, tmp_path):
@@ -424,7 +441,7 @@ class TestProjection:
             built, tallies, report = built_and_counted(folds, path)
             assert tallies and built < report.triples_ok, folds
         built, tallies, report = built_and_counted((SemanticsFold(), ReadsEverything()), path)
-        assert tallies == [] and built == report.triples_ok > 300
+        assert tallies and built == report.triples_ok > 300
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_job_output_is_the_same_with_and_without_projection(self, tmp_path, workers):
@@ -441,8 +458,8 @@ class TestProjection:
         for folds in fold_sets:
             projected = Job(folds)
             unprojected = Job(folds + (ReadsEverything(),))
-            assert built_and_counted(projected.folds, path)[1]
-            assert built_and_counted(unprojected.folds, path)[1] == []
+            built, _, full_report = built_and_counted(projected.folds, path)
+            assert built < built_and_counted(unprojected.folds, path)[0] == full_report.triples_ok
             report, payloads = run_partitioned(projected, parts, workers)
             ref_report, ref_payloads = run_partitioned(unprojected, parts, workers)
             assert report.to_dict() == ref_report.to_dict(), folds
@@ -506,7 +523,7 @@ BUILT_PER_GROUP = 1  # the space-separated line, which the scan does not match
 def written_slices(lines, out_dir, lint):
     """The reference the copy path is compared with: every well-formed line, less
     its line-end CRs, counted and written to its slice by SliceWriter, in input order."""
-    counts, keys = {}, {}
+    counts = {}
     with SliceWriter(out_dir, FB) as writer:
         for line in lines:
             line = line.rstrip("\r")
@@ -514,7 +531,7 @@ def written_slices(lines, out_dir, lint):
                 triple = parse_line(line)
             except MalformedLineError:
                 continue
-            key = count_slice(counts, keys, triple.predicate, 1, lint)
+            key = count_slice(counts, triple.predicate, 1, lint)
             if key is not None:
                 writer.write_lines(key, [line])
     return counts
@@ -633,7 +650,8 @@ class TestCopiedSlices:
 #
 # Copy is an extra action: a materializing SliceFold in a Job with other folds
 # copies its slices' lines in the scan and changes nothing that the other
-# folds are fed or absorb, so each line is built only where some fold reads it.
+# folds are fed or finish with, so each line is built only where some fold
+# reads it.
 
 OTHER_FOLDS = (SchemaFold(CUSTOM_SCHEMA), CUSTOM_SEMANTICS)
 

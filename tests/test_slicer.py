@@ -48,9 +48,8 @@ class TestClassifyPredicate:
 
     def test_predicates_of_one_slice_share_one_key_object(self):
         counts: dict = {}
-        keys: dict = {}
-        name = count_slice(counts, keys, idpath("/people/person/name"))
-        born = count_slice(counts, keys, idpath("/people/person/born"))
+        name = count_slice(counts, idpath("/people/person/name"))
+        born = count_slice(counts, idpath("/people/person/born"))
         assert name is born
         assert list(counts) == [name] and counts[name] == 2
         label = ExternalIri("http://www.w3.org/2000/01/rdf-schema#label")
