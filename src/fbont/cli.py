@@ -30,7 +30,8 @@ result: killed, out of memory, or holding an exception that cannot be
 pickled). Reruns on identical inputs write byte-identical output files, and
 each file is replaced atomically, so a failed write leaves the previous
 content in place. ``slice --materialize`` removes its ``.parts`` shard
-directory on every failure exit.
+directory before it parses, so shards a killed run left are never read,
+and on every failure exit.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from .slicer import (
     GroupConfig,
     build_taxonomy,
 )
-from .stats import ConstantInputError, DegenerateFitError, InsufficientDataError, run_study
+from .stats import ConstantInputError, InsufficientDataError, run_study
 
 OUTPUT_DIR_ENV = "FBONT_OUT"
 T = TypeVar("T")
@@ -158,6 +159,8 @@ def _tables(args: argparse.Namespace, name: str, header: tuple, rows: list[tuple
 def cmd_slice(args: argparse.Namespace) -> int:
     materialize_dir = os.path.join(args.out, "slices")
     shard_root = os.path.join(materialize_dir, ".parts") if args.materialize else None
+    if shard_root is not None:
+        shutil.rmtree(shard_root, ignore_errors=True)  # shards a killed run left behind
     try:
         report, merged = _run(args, SliceFold(shard_root))
         if shard_root is not None:
@@ -363,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     except MergeCycleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (InsufficientDataError, ConstantInputError, DegenerateFitError) as exc:
+    except (InsufficientDataError, ConstantInputError) as exc:
         print(f"error: insufficient data: {exc}", file=sys.stderr)
         return 3
     except (OSError, _InputFileError) as exc:

@@ -10,9 +10,9 @@ path under the namespace, an IRI outside it, or a literal. A stream is
 parsed a block at a time: :func:`read_blocks` reads every source (a plain
 or gzip range, a whole file, standard input) as blocks of whole lines, at
 most 16 KiB each, and :func:`parse_blocks` decodes a block at once, drops
-the CRs before each ``\\n`` (N-Triples counts them in the line end), and
-scans it with one ``finditer`` of a compiled regex per namespace that
-recognizes such lines:
+the CRs before each ``\\n`` (N-Triples counts them in the line end), splits
+it into lines and fullmatches each against a compiled regex per namespace
+that recognizes such lines:
 
 - the subject and an IRI object are built directly: a canonical id carries
   no lint and an external IRI none either, so neither can fail;
@@ -24,15 +24,14 @@ recognizes such lines:
   the ``nonstandard-id`` lint and the ``strict_ids`` check are applied again
   on every line.
 
-A match that does not start where the previous one ended leaves a gap; each
-line in it goes to :func:`parse_line`, the reference: a plain tab split,
-falling back to a quote-aware whitespace tokenizer so hand-written fixtures
-parse too. Both routes give the same triple, the same malformed-reason code,
-the same lint counts and the same line numbers; ``tests/test_parser_fast.py``
-checks that line by line. Both read a literal with the one literal parser,
-which spells the N-Triples literal grammar once: one quote pattern finds the
-closing quote (the tokenizer uses it too) and one escape pattern decodes the
-body.
+Each line the regex does not fullmatch goes to :func:`parse_line`, the
+reference: a plain tab split, falling back to a quote-aware whitespace
+tokenizer so hand-written fixtures parse too. Both routes give the same
+triple, the same malformed-reason code, the same lint counts and the same
+line numbers; ``tests/test_parser_fast.py`` checks that line by line. Both
+read a literal with the one literal parser, which spells the N-Triples
+literal grammar once: one quote pattern finds the closing quote (the
+tokenizer uses it too) and one escape pattern decodes the body.
 
 The :class:`Projection` is the per-stream table from predicate token to the
 predicate's term, whether it is nonstandard, a count cell, two read flags,
@@ -43,9 +42,10 @@ predicate's cell, matched or not, read or not; the consumers get the
 non-zero counts once, from :meth:`Projection.tallies`. A matched line that
 no consumer reads is still validated whole (the predicate's lint and
 ``strict_ids``, and the literal parser on any literal the regex does not
-build), but not built. Lines in the gaps are always built in full, so
-projection never changes which lines are malformed or any lint. A stream
-parsed without one gets a Projection that reads everything.
+build), but not built. Lines that go to :func:`parse_line` are always
+built in full, so projection never changes which lines are malformed or
+any lint. A stream parsed without one gets a Projection that reads
+everything.
 
 Copy is an extra action beside count and build, for a consumer that wants
 a predicate's lines as text, as a materialized slice does. Where the
@@ -364,7 +364,8 @@ def parse_line(
     (nonstandard ids, unknown escapes). Splits on tabs, or tokenizes when the
     line is not in the tab convention, and builds every term through
     :func:`normalize_iri`. It is the reference the block scan is checked
-    against, and the route of every line the scan does not match.
+    against, and the route of every line the canonical regex does not
+    fullmatch.
     """
     fields = line.split("\t")
     if len(fields) == 4 and fields[3] == ".":
@@ -407,10 +408,9 @@ def _canonical_line(namespace: str) -> re.Pattern | None:
     is unrolled, every backslash starting an escape, so it cannot backtrack
     catastrophically.
 
-    The pattern is anchored as ``(?m)^...$`` and no class matches a
-    newline, so every match of its ``finditer`` on a block is one whole
-    line. None when the namespace holds a tab, bracket or newline, since the
-    regex and the tab split could then disagree on where a term or line ends.
+    It is meant for ``fullmatch`` on one line. None when the namespace holds
+    a tab, bracket or newline, since the regex and the tab split could then
+    disagree on where a term or line ends.
     """
     if any(c in namespace for c in "\t<>\n"):
         return None
@@ -421,7 +421,7 @@ def _canonical_line(namespace: str) -> re.Pattern | None:
     body = r'[^"\\\t\n\r]*'
     plain = rf'"({body}(?:\\[\\"nrt]{body})*)"(?:@([A-Za-z0-9-]+)|\^\^<([^\t\n]+)>)?'
     literal = r'("(?:[^\t\n]*[^\t\n ])?)'
-    return re.compile(rf"(?m)^{term}\t{predicate}\t(?:{term}|{plain}|{literal})\t\.$")
+    return re.compile(rf"{term}\t{predicate}\t(?:{term}|{plain}|{literal})\t\.")
 
 
 def _matched_term(mid: str | None, path: str | None, iri: str) -> NodeRef:
@@ -454,9 +454,9 @@ class Projection(dict):
     predicate's lines, or None. :func:`parse_blocks` appends each
     well-formed line of a predicate with a list to it, and also counts it,
     and builds it as ``reads`` decides. ``reads`` and ``copy`` are asked
-    once per distinct token. A line between matches finds its entry under
-    ``"<" + to_iri(predicate, namespace) + ">"``, which is its token, since
-    ``to_iri(normalize_iri(iri, namespace), namespace) == iri``.
+    once per distinct token. A line the regex does not fullmatch finds its
+    entry under ``"<" + to_iri(predicate, namespace) + ">"``, which is its
+    token, since ``to_iri(normalize_iri(iri, namespace), namespace) == iri``.
     """
 
     def __init__(
@@ -732,28 +732,28 @@ def parse_blocks(
     """Parse a stream given as blocks of whole lines; yield each block's triples.
 
     A block (see :func:`read_blocks`) is ended with a ``\\n`` if it is not,
-    stripped of the CRs before each ``\\n``, and scanned with one
-    ``finditer`` of the canonical regex. A matched line is validated (its
-    predicate's lint and ``strict_ids``, and the literal parser on a literal
-    the regex's plain group does not take), counted in its projection entry,
-    and built from its match if the projection reads its kind. A literal
-    needs no validating when the plain group takes it: its only escapes are
-    ``\\\\``, ``\\"``, ``\\n``, ``\\r`` and ``\\t``, which are never unknown.
-    Lines between matches go through :func:`parse_line`, are counted too,
-    and are always built. A well-formed line of a predicate with a buffer is
-    appended there too, as it was read (less its line-end CRs), at its place
-    in the scan, so each buffer keeps input order. The results equal a
-    :func:`parse_line` call per line. Without a ``projection`` every line is
-    built. Each block yields its triples, an empty list when none was built,
-    so a caller can empty the buffers block by block.
-    ``report`` takes the block's counts before its triples are yielded, and
-    an I/O failure while reading raises StreamAbortedError with the report
-    of every line before it.
+    stripped of the CRs before each ``\\n`` and split into lines, numbered
+    on from the previous block's. A line the canonical regex fullmatches is
+    validated (its predicate's lint and ``strict_ids``, and the literal
+    parser on a literal the regex's plain group does not take), counted in
+    its projection entry, and built from its match if the projection reads
+    its kind. A literal needs no validating when the plain group takes it:
+    its only escapes are ``\\\\``, ``\\"``, ``\\n``, ``\\r`` and ``\\t``, which
+    are never unknown. Any other line goes through :func:`parse_line`, is
+    counted too, and is always built. A well-formed line of a predicate with
+    a buffer is appended there too, as it was read (less its line-end CRs),
+    in input order. The results equal a :func:`parse_line` call per line.
+    Without a ``projection`` every line is built. Each block yields its
+    triples, an empty list when none was built, so a caller can empty the
+    buffers block by block. ``report`` takes the block's counts before its
+    triples are yielded, and an I/O failure while reading raises
+    StreamAbortedError with the report of every line before it.
     """
     pattern = _canonical_line(config.namespace)
-    scan = pattern.finditer if pattern is not None else lambda text: ()
+    fullmatch = pattern.fullmatch if pattern is not None else lambda line: None
     if projection is None:
         projection = Projection(namespace=config.namespace)
+    namespace = projection.namespace
     lint = report.lint
     lines = 0  # in the blocks before this one
     try:
@@ -765,74 +765,40 @@ def parse_blocks(
                 text += "\n"
             if "\r" in text:
                 text = _LINE_END_CRS("\n", text)
+            rows = text[:-1].split("\n")
             triples: list[Triple] = []
             malformed = report.lines_malformed
-            base = lines  # lines before ``mark``, a line start at or before ``pos``
-            mark = pos = 0
-            for found in scan(text):
-                start, end = found.span()
-                if start != pos:
-                    base += text.count("\n", mark, pos)
-                    mark = start
-                    base = _parse_lines(text[pos : start - 1], base, report, config, projection, triples)
-                pos = end + 1
-                predicate, nonstandard, cell, plain, mid, buffer = projection[found[4]]
-                literal = found[11]
+            for number, line in enumerate(rows, lines + 1):
+                found = fullmatch(line)
                 try:
-                    if nonstandard:
-                        _flag_nonstandard(config, lint)
-                    if literal is not None:
-                        literal = _parse_literal_term(literal, lint)
+                    if found is None:
+                        triple = parse_line(line, config, lint)
+                        token = "<" + to_iri(triple.predicate, namespace) + ">"
+                        _, _, cell, _, _, buffer = projection[token]
+                    else:
+                        predicate, nonstandard, cell, plain, mid, buffer = projection[found[4]]
+                        literal = found[11]
+                        if nonstandard:
+                            _flag_nonstandard(config, lint)
+                        if literal is not None:
+                            literal = _parse_literal_term(literal, lint)
+                        read = mid if found[1] is not None else plain
+                        triple = _matched_triple(found, predicate, literal) if read else None
                 except MalformedLineError as exc:
-                    base += text.count("\n", mark, start)
-                    mark = start
-                    report.record_malformed(base + 1, exc.reason)
+                    report.record_malformed(number, exc.reason)
                     continue
                 cell[0] += 1
                 if buffer is not None:
-                    buffer.append(found[0])
-                if (mid if found[1] is not None else plain):
-                    triples.append(_matched_triple(found, predicate, literal))
-            if pos < len(text):
-                base += text.count("\n", mark, pos)
-                _parse_lines(text[pos:-1], base, report, config, projection, triples)
-            count = text.count("\n")
-            lines += count
-            ok = count - (report.lines_malformed - malformed)
+                    buffer.append(line)
+                if triple is not None:
+                    triples.append(triple)
+            lines += len(rows)
+            ok = len(rows) - (report.lines_malformed - malformed)
             report.lines_read += ok
             report.triples_ok += ok
             yield triples
     except (OSError, EOFError) as exc:
         raise StreamAbortedError(report, exc) from exc
-
-
-def _parse_lines(
-    text: str,
-    base: int,
-    report: ParseReport,
-    config: ParserConfig,
-    projection: Projection,
-    triples: list[Triple],
-) -> int:
-    """Parse the ``\\n``-separated lines of ``text``, numbered from ``base + 1``.
-
-    Malformed lines are recorded; each other line is counted in its
-    predicate's entry, its triple appended to ``triples``, and the line to
-    its copy buffer, if any. Returns the number of the last line.
-    """
-    namespace = projection.namespace
-    for base, line in enumerate(text.split("\n"), base + 1):
-        try:
-            triple = parse_line(line, config, report.lint)
-        except MalformedLineError as exc:
-            report.record_malformed(base, exc.reason)
-            continue
-        _, _, cell, _, _, buffer = projection["<" + to_iri(triple.predicate, namespace) + ">"]
-        cell[0] += 1
-        if buffer is not None:
-            buffer.append(line)
-        triples.append(triple)
-    return base
 
 
 def iter_triples(

@@ -16,7 +16,6 @@ import enum
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import IO, Mapping
 
 from .model import ExternalIri, IdPath, Mid, NodeRef, Triple, reduce_value
@@ -81,17 +80,12 @@ class PredicateKindError(ValueError):
     """A predicate that cannot be sliced (a mid in predicate position)."""
 
 
-# One key object per slice, so a count lookup matches by identity instead of
-# calling the dataclass __eq__ for each predicate of a many-predicate domain.
-_slice_key = lru_cache(maxsize=1 << 12)(SliceKey)
-
-
 def classify_predicate(pred: NodeRef) -> SliceKey:
     """Total over IdPath and ExternalIri predicates; mids raise."""
     if isinstance(pred, IdPath):
-        return _slice_key(DOMAIN, pred.domain)
+        return SliceKey(DOMAIN, pred.domain)
     if isinstance(pred, ExternalIri):
-        return _slice_key(OWL_TERM, pred.local_name)
+        return SliceKey(OWL_TERM, pred.local_name)
     raise PredicateKindError(f"mid predicate cannot be sliced: {pred!r}")
 
 

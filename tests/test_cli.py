@@ -829,6 +829,20 @@ class TestFailureExits:
         assert os.listdir(out / "slices") == ["domain"]
         assert os.listdir(out / "slices" / "domain") == ["people.nt"]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shards_a_killed_run_left_never_reach_the_slices(self, tmp_path, workers):
+        """A run killed outright cannot remove its ``.parts``; the next run must not read them."""
+        dump = write_lines(tmp_path, [lit_line(f"m.0{i}", "film.film.name", f"film {i}") for i in range(50)])
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        stale = out / "slices" / ".parts" / "00000" / "domain" / "music.nt"
+        stale.parent.mkdir(parents=True)
+        stale.write_text(lit_line("m.0x", "music.artist.name", "stale") + "\n", encoding="utf-8")
+        for target in (fresh, out):
+            argv = ["slice", dump, "--workers", str(workers), "--out", str(target), "--materialize"]
+            assert main(argv) == 0
+        assert read_tree(out) == read_tree(fresh)
+        assert not (out / "slices" / ".parts").exists()
+
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         target = tmp_path / "out" / "taxonomy.csv"
         cli._write_text(str(target), "old\n")

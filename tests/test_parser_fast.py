@@ -104,8 +104,9 @@ def dispositions(parsed, reads, copies: bool, namespace: str):
     unless no reader reads its (predicate, mid-subject) kind and the
     canonical regex fullmatches it. Every copied line's text is the line as
     read, less its line-end CRs. Tallies come in the order their predicates
-    were first seen, on a matched line or a well-formed one; a line between
-    matches is counted under the same predicate as a matched one.
+    were first seen, on a matched line or a well-formed one; a line the
+    regex does not fullmatch is counted under the same predicate as a
+    matched one.
     """
     counts: dict = {}  # predicate -> well-formed lines
     triples, texts = [], []
@@ -408,7 +409,7 @@ class TestProjectedDifferential:
         assert triples == [] and sum(count for _, count in projection.tallies()) == 500  # every subject a mid
 
     def test_copy_is_asked_once_per_predicate_token(self):
-        """Once per distinct token, also for the tokens of the lines between matches."""
+        """Once per distinct token, also for the tokens of lines the regex does not fullmatch."""
         asked = []
         projection = Projection(copy=lambda pred: asked.append(pred))
         gap_only = fbt("people.person.gap_only")

@@ -50,11 +50,11 @@ class TestClassifyPredicate:
         counts: dict = {}
         name = count_slice(counts, idpath("/people/person/name"))
         born = count_slice(counts, idpath("/people/person/born"))
-        assert name is born
+        assert name == born
         assert list(counts) == [name] and counts[name] == 2
         label = ExternalIri("http://www.w3.org/2000/01/rdf-schema#label")
         other = ExternalIri("http://example.org/vocab#label")
-        assert classify_predicate(label) is classify_predicate(other)
+        assert classify_predicate(label) == classify_predicate(other)
 
 
 class TestGroups:
