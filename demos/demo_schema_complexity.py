@@ -14,7 +14,7 @@ import os
 
 from fbont import complexity_score
 from fbont.pipeline import SchemaFold, run_folds
-from fbont.report import render_schema_table
+from fbont.report import SCHEMA_COLUMNS, render_table, schema_rows
 
 NS = "http://rdf.freebase.com/ns/"
 
@@ -65,4 +65,4 @@ for domain, schema in sorted(schemas.items()):
 # people pools (2 descriptions + 3 details) over (2 types + 2 properties);
 # zoo has a type but zero documentation, so it scores 0.0
 print()
-print(render_schema_table(schemas), end="")
+print(render_table(SCHEMA_COLUMNS, schema_rows(schemas)), end="")

@@ -147,7 +147,7 @@ def _group_config(args: argparse.Namespace) -> GroupConfig:
 
 def _run(args: argparse.Namespace, *folds) -> tuple[ParseReport, dict]:
     """run_folds over the command's inputs, with its --workers and parser options."""
-    return run_folds(args.inputs, folds, args.workers, _parser_config(args), args.max_errors)
+    return run_folds(args.inputs, folds, args.workers, _parser_config(args))
 
 
 def _tables(args: argparse.Namespace, name: str, header: tuple, rows: list[tuple]) -> dict[str, str]:
@@ -268,7 +268,6 @@ def _add_common(sub: argparse.ArgumentParser, inputs_required: bool = True) -> N
         help="worker processes; plain and gzip files are split into byte ranges, "
         "standard input is read by one process",
     )
-    sub.add_argument("--max-errors", type=int, default=20, help="malformed-line samples to keep")
     sub.add_argument(
         "--strict-ids",
         action="store_true",

@@ -6,13 +6,14 @@ lines counted and sampled instead of aborting the run.
 A stream has two parse routes to one answer. The dump convention is one
 tab-separated statement per line (``<s>\\t<p>\\t<o>\\t.``), and nearly every
 subject and object is a canonical ``m.<suffix>`` mid, a 1-3 segment dotted
-path under the namespace, an IRI outside it, or a literal. A stream is
-parsed a block at a time: :func:`read_blocks` reads every source (a plain
-or gzip range, a whole file, standard input) as blocks of whole lines, at
-most 16 KiB each, and :func:`parse_blocks` decodes a block at once, drops
-the CRs before each ``\\n`` (N-Triples counts them in the line end), splits
-it into lines and fullmatches each against a compiled regex per namespace
-that recognizes such lines:
+path under the namespace, an IRI outside it, or a literal. Every stream
+comes in one way and is parsed a block at a time: :func:`read_blocks`
+reads a path or a binary stream (a plain or gzip range, a whole file,
+standard input) as bytes blocks of whole lines, at most 16 KiB each, and
+:func:`parse_blocks` decodes a block at once, drops the CRs before each
+``\\n`` (N-Triples counts them in the line end), splits it into lines and
+fullmatches each against a compiled regex per namespace that recognizes
+such lines:
 
 - the subject and an IRI object are built directly: a canonical id carries
   no lint and an external IRI none either, so neither can fail;
@@ -70,8 +71,7 @@ from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import islice
-from typing import IO, Callable, Iterable, Iterator, Union
+from typing import IO, Callable, Iterable, Iterator
 
 from .model import (
     DEFAULT_NAMESPACE,
@@ -534,9 +534,6 @@ def serialize(triple: Triple, namespace: str = DEFAULT_NAMESPACE) -> str:
 
 # --- stream parsing -----------------------------------------------------------
 
-Source = Union[str, os.PathLike, IO[bytes], Iterable[bytes], Iterable[str]]
-
-
 # How a dump path can be read (see source_kind).
 PLAIN = "plain"
 GZIP = "gzip"
@@ -693,16 +690,6 @@ def _owned_blocks(chunks: Iterable[tuple[bytes, int]]) -> Iterator[bytes]:
         yield b"".join(pending)
 
 
-def _line_blocks(lines: Iterable[bytes] | Iterable[str]) -> Iterator[bytes | str]:
-    """An iterable of lines as blocks, each item one line without its line end."""
-    items = iter(lines)
-    while group := list(islice(items, 256)):
-        if isinstance(group[0], bytes):
-            yield b"".join([line.rstrip(b"\r\n") + b"\n" for line in group])
-        else:
-            yield "".join([line.rstrip("\r\n") + "\n" for line in group])
-
-
 def _decode(raw: bytes, report: ParseReport) -> str:
     try:
         return raw.decode("utf-8")
@@ -724,20 +711,20 @@ _LINE_END_CRS = re.compile(r"\r+\n").sub
 
 
 def parse_blocks(
-    blocks: Iterable[bytes | str],
+    blocks: Iterable[bytes],
     report: ParseReport,
     config: ParserConfig = DEFAULT_CONFIG,
     projection: Projection | None = None,
 ) -> Iterator[list[Triple]]:
-    """Parse a stream given as blocks of whole lines; yield each block's triples.
+    """Parse a stream given as bytes blocks of whole lines; yield each block's triples.
 
-    A block (see :func:`read_blocks`) is ended with a ``\\n`` if it is not,
-    stripped of the CRs before each ``\\n`` and split into lines, numbered
-    on from the previous block's. A line the canonical regex fullmatches is
-    validated (its predicate's lint and ``strict_ids``, and the literal
-    parser on a literal the regex's plain group does not take), counted in
-    its projection entry, and built from its match if the projection reads
-    its kind. A literal needs no validating when the plain group takes it:
+    A block (see :func:`read_blocks`) is decoded, ended with a ``\\n`` if it
+    is not, stripped of the CRs before each ``\\n`` and split into lines,
+    numbered on from the previous block's. A line the canonical regex
+    fullmatches is validated (its predicate's lint and ``strict_ids``, and
+    the literal parser on a literal the regex's plain group does not take),
+    counted in its projection entry, and built from its match if the
+    projection reads its kind. A literal needs no validating when the plain group takes it:
     its only escapes are ``\\\\``, ``\\"``, ``\\n``, ``\\r`` and ``\\t``, which
     are never unknown. Any other line goes through :func:`parse_line`, is
     counted too, and is always built. A well-formed line of a predicate with
@@ -758,7 +745,7 @@ def parse_blocks(
     lines = 0  # in the blocks before this one
     try:
         for block in blocks:
-            text = block if isinstance(block, str) else _decode_block(block, report)
+            text = _decode_block(block, report)
             if not text:
                 continue
             if not text.endswith("\n"):
@@ -802,37 +789,19 @@ def parse_blocks(
 
 
 def iter_triples(
-    source: Source,
+    source: str | os.PathLike | IO[bytes],
     report: ParseReport,
     config: ParserConfig = DEFAULT_CONFIG,
     projection: Projection | None = None,
 ) -> Iterator[Triple]:
     """Yield the well-formed triples of ``source``, tallying into ``report``.
 
-    ``source`` may be a path (gzip detected by magic bytes), a binary file
-    object, or any iterable of lines (bytes or str; a newline inside an item
-    ends a line there). Malformed lines are counted and sampled, never fatal;
-    an I/O failure raises StreamAbortedError with the partial report
-    attached. ``projection`` is passed to :func:`parse_blocks`; it counts
-    every well-formed line, and a matched line whose kind it does not read
-    is recorded as well-formed but not yielded.
+    ``source`` is a path or a binary stream, read by :func:`read_blocks`
+    (gzip detected by magic bytes) and parsed by :func:`parse_blocks`.
+    Malformed lines are counted and sampled, never fatal; an I/O failure
+    raises StreamAbortedError with the partial report attached.
+    ``projection`` counts every well-formed line, and a matched line whose
+    kind it does not read is recorded as well-formed but not yielded.
     """
-    if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
-        blocks = read_blocks(source)  # type: ignore[arg-type]
-    else:
-        blocks = _line_blocks(source)  # type: ignore[arg-type]
-    for triples in parse_blocks(blocks, report, config, projection):
+    for triples in parse_blocks(read_blocks(source), report, config, projection):
         yield from triples
-
-
-def stream_parse(
-    source: Source,
-    sink: Callable[[Triple], None],
-    config: ParserConfig = DEFAULT_CONFIG,
-    max_errors: int = 20,
-) -> ParseReport:
-    """Parse every line of ``source`` (see :func:`iter_triples`), feeding ``sink``."""
-    report = ParseReport(max_errors=max_errors)
-    for triple in iter_triples(source, report, config):
-        sink(triple)
-    return report

@@ -121,7 +121,11 @@ GZIP_MIN_RANGE = 128 * 1024
 
 
 def plan_partitions(paths: Sequence[str], workers: int) -> list[Partition]:
-    """Split inputs into up to ``workers`` ranges each, in file order."""
+    """Split inputs into up to ``workers`` ranges each, in file order.
+
+    No plain range is empty, so an empty file is one partition, as is a
+    gzip file under two ``GZIP_MIN_RANGE``s.
+    """
     partitions: list[Partition] = []
     index = 0
     for path in paths:
@@ -131,7 +135,7 @@ def plan_partitions(paths: Sequence[str], workers: int) -> list[Partition]:
             kind = source_kind(path)
             if kind != STREAM:
                 size = os.path.getsize(path)
-                count = workers if kind == PLAIN else min(workers, size // GZIP_MIN_RANGE)
+                count = min(workers, size if kind == PLAIN else size // GZIP_MIN_RANGE)
         if count <= 1:
             partitions.append(Partition(path, 0, -1, index))
             index += 1
@@ -315,13 +319,12 @@ class Job:
 
     folds: tuple[Any, ...]
     parser: ParserConfig = ParserConfig()
-    max_errors: int = 20
 
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
         return any(fold.reads(predicate, mid_subject) for fold in self.folds)
 
     def run(self, part: Partition) -> tuple[ParseReport, dict[str, Any]]:
-        report = ParseReport(max_errors=self.max_errors)
+        report = ParseReport()
         started = [fold.start(part, self.parser, report.lint) for fold in self.folds]
         feeds = [functions[0] for functions in started if functions[0] is not None]
         copying = [functions[2:] for functions in started if len(functions) > 2]
@@ -438,7 +441,7 @@ def run_partitioned(
     lock another thread holds.
     """
     if workers <= 1 or len(partitions) <= 1 or not hasattr(os, "fork"):
-        return _merge_results(job, map(job.run, partitions))
+        return _merge_results(map(job.run, partitions))
     count = min(workers, len(partitions))
     pids: list[int] = []
     pipes: list[BinaryIO] = []
@@ -455,7 +458,7 @@ def run_partitioned(
             finally:
                 os.close(write_fd)  # a child never gets here: it ends in os._exit
             pids.append(pid)
-        return _merge_results(job, _read_results(partitions, pids, pipes))
+        return _merge_results(_read_results(partitions, pids, pipes))
     finally:
         for pipe in pipes:
             pipe.close()
@@ -497,16 +500,15 @@ def run_folds(
     folds: Sequence[Any],
     workers: int = 1,
     parser: ParserConfig = ParserConfig(),
-    max_errors: int = 20,
 ) -> tuple[ParseReport, dict[str, Any]]:
     """Parse the inputs once, feeding every triple to each fold; the merged report and payload."""
-    job = Job(tuple(folds), parser, max_errors)
+    job = Job(tuple(folds), parser)
     report, payloads = run_partitioned(job, plan_partitions(inputs, workers), workers)
     return report, merge_payloads(payloads)
 
 
 def _merge_results(
-    job: Job, results: Iterable[tuple[ParseReport, dict[str, Any]]]
+    results: Iterable[tuple[ParseReport, dict[str, Any]]]
 ) -> tuple[ParseReport, list[dict[str, Any]]]:
     """Merge partition reports as the results arrive, in partition order.
 
@@ -514,7 +516,7 @@ def _merge_results(
     stream so far: every earlier partition's, then the failing one's partial
     report, so its line count does not depend on the worker count.
     """
-    report = ParseReport(max_errors=job.max_errors)
+    report = ParseReport()
     payloads = []
     try:
         for part_report, payload in results:

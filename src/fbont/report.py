@@ -183,14 +183,6 @@ def schema_rows(schemas: Mapping[str, DomainSchema]) -> list[tuple]:
     return rows
 
 
-def render_schema_table(schemas: Mapping[str, DomainSchema]) -> str:
-    """Schema summary CSV, one row per domain, sorted by domain name.
-
-    Domains with no types and no properties get an empty score field.
-    """
-    return render_table(SCHEMA_COLUMNS, schema_rows(schemas))
-
-
 def valuenote_rows(notations: Iterable[ValueNotation]) -> list[tuple]:
     return [(render(n.property), render(n.object), n.kind.value, n.orientation) for n in notations]
 

@@ -61,7 +61,6 @@ class MergeMap:
 
     edges: dict[Mid, Mid] = field(default_factory=dict)
     conflicts: int = 0
-    cycles_resolved: int = 0
     firsts: dict[Mid, Mid] = field(default_factory=dict)
     _cache: dict[Mid, Mid] = field(default_factory=dict, repr=False, compare=False)
 
@@ -121,7 +120,6 @@ class MergeMap:
                 if policy is CyclePolicy.FAIL:
                     raise MergeCycleError(members)
                 terminal = min(members, key=_SUFFIX)
-                self.cycles_resolved += 1
                 break
             position[current] = len(path)
             path.append(current)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import os
 import sys
 from collections import Counter
@@ -35,6 +36,15 @@ def obj_line(s_local: str, p_local: str, o_local: str) -> str:
 
 def lit_line(s_local: str, p_local: str, lexical: str, suffix: str = "") -> str:
     return line(fb(s_local), fb(p_local), f'"{lexical}"{suffix}')
+
+
+def dump_stream(lines: list[str]) -> io.BytesIO:
+    """The lines as one UTF-8 binary dump, each ended by a newline.
+
+    The parser reads bytes only, so a test hands it lines the way the CLI
+    does: as a binary stream, which ``read_blocks`` cuts into blocks.
+    """
+    return io.BytesIO("".join(l + "\n" for l in lines).encode())
 
 
 def fold_triples(fold, triples) -> tuple[dict, Counter]:

@@ -22,7 +22,7 @@ from dumpgen import oracle_linreg, oracle_pearson, oracle_violations, random_dum
 from fbont import cli, pipeline
 from fbont.cli import main
 from fbont.model import idpath, render
-from fbont.parser import ParseReport, StreamAbortedError, iter_triples, stream_parse
+from fbont.parser import ParseReport, StreamAbortedError, iter_triples
 from fbont.pipeline import Job, SemanticsFold, SliceFold
 from fbont.semantics import load_rules, type_bits
 from fbont.slicer import slice_relpath
@@ -90,6 +90,25 @@ def study_fixture_lines():
 
 
 class TestCmdSlice:
+    def test_parse_report_samples_the_first_twenty_errors(self, tmp_path):
+        """Each of two partitions holds more than 20 malformed lines;
+        parse_report.json keeps the stream's first 20, globally numbered, at
+        any worker count."""
+        good = random_dump_lines(400, seed=6)
+        lines = good[:100] + ["junk"] * 25 + good[100:300] + ["junk"] * 25 + good[300:]
+        dump = write_lines(tmp_path, lines)
+        parts = pipeline.plan_partitions([dump], 2)
+        assert [Job((SliceFold(),)).run(part)[0].lines_malformed for part in parts] == [25, 25]
+        documents = []
+        for workers in (1, 2):
+            out = tmp_path / f"out-w{workers}"
+            assert main(["slice", dump, "--out", str(out), "--workers", str(workers)]) == 0
+            documents.append((out / "parse_report.json").read_bytes())
+        assert documents[0] == documents[1]
+        report = json.loads(documents[0])
+        assert report["lines_malformed"] == 50
+        assert report["first_errors"] == [[101 + i, "field-count"] for i in range(20)]
+
     def test_counts_only(self, tmp_path, capsys):
         lines = random_dump_lines(500, seed=5)
         dump = write_lines(tmp_path, lines)
@@ -130,7 +149,8 @@ class TestCmdSlice:
         # and every slice file is valid N-Triples readable by the parser
         for root, _, files in os.walk(slice_dir):
             for name in files:
-                report = stream_parse(os.path.join(root, name), lambda t: None)
+                report = ParseReport()
+                list(iter_triples(os.path.join(root, name), report))
                 assert report.lines_malformed == 0
 
     def test_materialize_takes_no_directory(self, tmp_path):
@@ -936,7 +956,7 @@ class TestForkedWorkers:
             pipeline.run_partitioned(Job((SliceFold(),)), pipeline.plan_partitions([dump], 2), 2)
 
     def test_parent_exception_kills_running_children(self, tmp_path, monkeypatch):
-        def failing_merge(job, results):
+        def failing_merge(results):
             next(iter(results))  # partition 0 arrives while partition 1's worker sleeps
             raise RuntimeError("merge failed")
 
@@ -1099,9 +1119,10 @@ class TestConsoleScript:
 
 
 # No option respells the public dump's namespace or predicates, chooses the
-# slice path, or keeps state that grows with the dump (--count-distinct kept
-# every line, --incompatibility-predicate every type assertion): the commands
-# read the dump's own spellings, and argparse refuses these.
+# slice path, keeps state that grows with the dump (--count-distinct kept
+# every line, --incompatibility-predicate every type assertion) or resizes the
+# error sample (--max-errors; parse_report.json keeps the first 20): the
+# commands read the dump's own spellings, and argparse refuses these.
 SCHEMA_OPTIONS = ("--description-predicate", "--detail-predicate", "--type-predicate", "--schema-domain")
 COMMANDS = ("slice", "schema", "semantics", "study")
 REMOVED_OPTIONS = [(command, option) for command in ("schema", "study") for option in SCHEMA_OPTIONS] + [
@@ -1111,6 +1132,7 @@ REMOVED_OPTIONS = [(command, option) for command in ("schema", "study") for opti
     ("slice", "--count-distinct"),
     ("semantics", "--incompatibility-predicate"),
     *[(command, "--namespace") for command in COMMANDS],
+    *[(command, "--max-errors") for command in COMMANDS],
 ]
 
 
@@ -1132,18 +1154,16 @@ SETTABLE_DESTS = {
         "implementation_domain",
         "inputs",
         "materialize",
-        "max_errors",
         "out",
         "strict_ids",
         "workers",
     ],
-    "schema": ["inputs", "json", "max_errors", "out", "strict_ids", "workers"],
+    "schema": ["inputs", "json", "out", "strict_ids", "workers"],
     "semantics": [
         "accept_reversed",
         "cycle_policy",
         "inputs",
         "json",
-        "max_errors",
         "out",
         "rules",
         "strict_ids",
@@ -1155,7 +1175,6 @@ SETTABLE_DESTS = {
         "from_schema",
         "implementation_domain",
         "inputs",
-        "max_errors",
         "out",
         "strict_ids",
         "workers",

@@ -1,24 +1,31 @@
 import gzip
+import io
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fb, lit_line, obj_line
+from conftest import dump_stream, fb, lit_line, obj_line
 from dumpgen import oracle_count_wellformed, random_dump_lines
 from fbont.model import ExternalIri, Literal, Mid, Triple, idpath
 from fbont.parser import (
     MalformedLineError,
     ParseReport,
     ParserConfig,
+    iter_triples,
     parse_line,
     serialize,
-    stream_parse,
     unescape_literal,
 )
 
 from test_model import idpaths, mids, noderefs
+
+
+def parsed(source, max_errors: int = 20) -> tuple[list[Triple], ParseReport]:
+    """The triples of a path or binary stream, and its report."""
+    report = ParseReport(max_errors=max_errors)
+    return list(iter_triples(source, report)), report
 
 
 class TestParseLine:
@@ -126,7 +133,7 @@ class TestEscapes:
         assert unescape_literal(raw) == expected
 
     def test_unknown_escape_lint_flows_to_report(self):
-        report = stream_parse([lit_line("m.a", "type.object.name", r"x\qy")], lambda t: None)
+        _, report = parsed(dump_stream([lit_line("m.a", "type.object.name", r"x\qy")]))
         assert report.lint["unknown-escape"] == 1
 
     @given(st.text(max_size=60))
@@ -164,7 +171,7 @@ class TestRoundTrip:
 
 class TestStreamParse:
     def test_empty_stream(self):
-        report = stream_parse([], lambda t: None)
+        _, report = parsed(dump_stream([]))
         assert (report.lines_read, report.triples_ok, report.lines_malformed) == (0, 0, 0)
 
     def test_counting_contract(self):
@@ -174,15 +181,14 @@ class TestStreamParse:
             "garbage here",
             obj_line("m.b", "film.film.directed_by", "m.c"),
         ]
-        collected = []
-        report = stream_parse(lines, collected.append)
+        collected, report = parsed(dump_stream(lines))
         assert (report.lines_read, report.triples_ok, report.lines_malformed) == (4, 3, 1)
         assert len(collected) == 3
         assert report.errors == [(3, "field-count")]
 
     def test_oracle_equivalence_on_random_dump(self):
         lines = random_dump_lines(10_000, seed=7, malformed_rate=0.02)
-        report = stream_parse(lines, lambda t: None)
+        _, report = parsed(dump_stream(lines))
         assert report.triples_ok == oracle_count_wellformed(lines)
         assert report.lines_read == len(lines)
         assert report.lines_read == report.triples_ok + report.lines_malformed
@@ -191,25 +197,25 @@ class TestStreamParse:
         lines = [obj_line("m.a", "people.person.spouse_s", "m.b")]
         path = tmp_path / "dump.data"  # deliberately not named .gz
         path.write_bytes(gzip.compress("".join(l + "\n" for l in lines).encode()))
-        report = stream_parse(str(path), lambda t: None)
+        _, report = parsed(str(path))
         assert report.triples_ok == 1
 
     def test_plain_file_and_crlf(self, tmp_path):
         path = tmp_path / "dump.nt"
         path.write_bytes(obj_line("m.a", "people.person.spouse_s", "m.b").encode() + b"\r\n")
-        report = stream_parse(str(path), lambda t: None)
+        _, report = parsed(str(path))
         assert report.triples_ok == 1
 
     def test_invalid_utf8_replaced_and_counted(self):
         raw = obj_line("m.a", "people.person.name", "m.b").encode()
         bad = raw.replace(b"m.b", b"m.\xff")
-        report = stream_parse([bad], lambda t: None)
+        _, report = parsed(io.BytesIO(bad + b"\n"))
         assert report.triples_ok == 1
         assert report.lint["invalid-utf8-lines"] == 1
 
     def test_max_errors_caps_sample(self):
         lines = ["junk"] * 50
-        report = stream_parse(lines, lambda t: None, max_errors=5)
+        _, report = parsed(dump_stream(lines), max_errors=5)
         assert len(report.errors) == 5
         assert report.lines_malformed == 50
 
@@ -246,18 +252,16 @@ class TestReportMerge:
 
     def test_partitioned_equals_single_pass(self):
         lines = random_dump_lines(2_000, seed=3, malformed_rate=0.05)
-        whole = stream_parse(lines, lambda t: None)
+        _, whole = parsed(dump_stream(lines))
         for cut in (0, 1, 997, 1999, 2000):
-            first = stream_parse(lines[:cut], lambda t: None)
-            second = stream_parse(lines[cut:], lambda t: None)
+            _, first = parsed(dump_stream(lines[:cut]))
+            _, second = parsed(dump_stream(lines[cut:]))
             assert first.merge(second) == whole
 
     def test_partitioned_triples_equal_single_pass(self):
         lines = random_dump_lines(500, seed=11, malformed_rate=0.05)
-        whole, parts = [], []
-        stream_parse(lines, whole.append)
-        stream_parse(lines[:200], parts.append)
-        stream_parse(lines[200:], parts.append)
+        whole, _ = parsed(dump_stream(lines))
+        parts = parsed(dump_stream(lines[:200]))[0] + parsed(dump_stream(lines[200:]))[0]
         assert parts == whole
 
 

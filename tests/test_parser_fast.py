@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fbont.parser as parser_module
-from conftest import NS
+from conftest import NS, dump_stream
 from dumpgen import MALFORMED_LINES, random_dump_lines
 from fbont.model import IdPath, Mid, normalize_iri
 from fbont.parser import (
@@ -125,7 +125,7 @@ def dispositions(parsed, reads, copies: bool, namespace: str):
 
 
 def block_parse(source, config: ParserConfig, reads, copies: bool = False, blocks: bool = False):
-    """iter_triples over ``source``, or parse_blocks when ``source`` is ``blocks`` already."""
+    """iter_triples over a binary stream, or parse_blocks when ``source`` is ``blocks`` of bytes."""
     report = ParseReport(max_errors=MAX_ERRORS)
     buffer: list[str] = []
     projection = None
@@ -143,20 +143,15 @@ def block_parse(source, config: ParserConfig, reads, copies: bool = False, block
 
 
 def assert_blocks_same(data: bytes, cap: int = 16 * 1024, configs=CONFIGS, alone: bool = False) -> int:
-    """The scan of ``data``, as bytes and as a list of lines, against per_line_parse.
+    """The scan of ``data``, read as a binary stream, against per_line_parse.
 
     In every mode; returns the well-formed lines not built, over all configs
-    and modes.
-    ``alone`` gives parse_blocks each line as a block of its own instead,
-    as bytes and as text.
+    and modes. ``alone`` gives parse_blocks each line as a block of its own
+    instead.
     """
     raws = data.split(b"\n")
     if raws[-1] == b"":
         raws.pop()
-    try:
-        lines = [raw.decode("utf-8") for raw in raws]
-    except UnicodeDecodeError:
-        lines = None
     unbuilt = 0
     with mock.patch.object(parser_module, "_BLOCK", cap):
         for config in configs:
@@ -170,24 +165,18 @@ def assert_blocks_same(data: bytes, cap: int = 16 * 1024, configs=CONFIGS, alone
                 else:
                     got = block_parse(io.BytesIO(data), config, reads, copies)
                 assert got == expected, (config, cap)
-                if lines is not None:
-                    if alone:
-                        got = block_parse([line + "\n" for line in lines], config, reads, copies, blocks=True)
-                    else:
-                        got = block_parse(lines, config, reads, copies)
-                    assert got == expected, (config, cap)
                 unbuilt += report["triples_ok"] - len(triples)
     return unbuilt
 
 
 def assert_alone_same(lines, configs=CONFIGS) -> None:
     """Each line alone: a block of its own."""
-    assert_blocks_same("".join(text + "\n" for text in lines).encode(), configs=configs, alone=True)
+    assert_blocks_same(dump_stream(lines).getvalue(), configs=configs, alone=True)
 
 
 def assert_stream_same(lines, configs=CONFIGS) -> int:
     """All the lines as one stream; returns the well-formed lines not built."""
-    return assert_blocks_same("".join(text + "\n" for text in lines).encode(), configs=configs)
+    return assert_blocks_same(dump_stream(lines).getvalue(), configs=configs)
 
 
 def fbt(local: str, ns: str = NS) -> str:
@@ -366,7 +355,7 @@ class TestFastPathIsTaken:
         triple = parse_line(text)
         assert triple.subject == IdPath(("m", "a", "b"))
         assert triple.object == Mid("abc")
-        assert list(iter_triples([text], ParseReport())) == [triple]
+        assert list(iter_triples(dump_stream([text]), ParseReport())) == [triple]
 
     def test_memo_does_not_hold_strictness(self):
         """The projection keeps whether a predicate is nonstandard; each line is linted or rejected."""
@@ -374,9 +363,9 @@ class TestFastPathIsTaken:
         with pytest.raises(MalformedLineError):
             parse_line(text, ParserConfig(strict_ids=True))
         for reads in (None, READS["nothing"]):
-            report = block_parse([text] * 2, ParserConfig(), reads)[0]
+            report = block_parse(dump_stream([text] * 2), ParserConfig(), reads)[0]
             assert report["lint"] == {"nonstandard-id": 2} and report["triples_ok"] == 2
-            report = block_parse([text] * 2, ParserConfig(strict_ids=True), reads)[0]
+            report = block_parse(dump_stream([text] * 2), ParserConfig(strict_ids=True), reads)[0]
             assert report["first_errors"] == [[1, "nonstandard-id"], [2, "nonstandard-id"]]
 
 
@@ -404,7 +393,8 @@ class TestProjectedDifferential:
         """Once per distinct token and subject kind."""
         asked = []
         projection = Projection(lambda pred, mid: asked.append((pred, mid)) or not mid)
-        triples = list(iter_triples(random_dump_lines(500, seed=4), ParseReport(), ParserConfig(), projection))
+        source = dump_stream(random_dump_lines(500, seed=4))
+        triples = list(iter_triples(source, ParseReport(), ParserConfig(), projection))
         assert len(asked) == len(set(asked)) == 2 * len(projection)
         assert triples == [] and sum(count for _, count in projection.tallies()) == 500  # every subject a mid
 
@@ -415,7 +405,7 @@ class TestProjectedDifferential:
         gap_only = fbt("people.person.gap_only")
         lines = random_dump_lines(200, seed=4) + [f"{S} {P} {O} .", f"{S} {gap_only} {O} .", f"{S} {gap_only} {O} ."]
         report = ParseReport()
-        triples = list(iter_triples(lines, report, ParserConfig(), projection))
+        triples = list(iter_triples(dump_stream(lines), report, ParserConfig(), projection))
         assert report.triples_ok == len(lines)
         assert len(asked) == len(set(asked)) == len(projection)
         assert set(asked) == {triple.predicate for triple in triples}
@@ -508,7 +498,7 @@ class TestBlockDifferential:
         assert_blocks_same(data, cap)
 
     def test_the_scan_counts_canonical_lines_itself(self, monkeypatch):
-        data = "".join(t + "\n" for t in random_dump_lines(500, seed=3)).encode()
+        data = dump_stream(random_dump_lines(500, seed=3)).getvalue()
         expected = block_parse(io.BytesIO(data), ParserConfig(), READS["nothing"])
 
         def refuse(*args):
@@ -522,9 +512,8 @@ class TestBlockDifferential:
     def test_crs_ending_canonical_lines_never_reach_parse_line(self, monkeypatch, reads, copies):
         """The CRs before a line's ``\\n`` are its line end, so the scan still matches it."""
         lines = random_dump_lines(500, seed=3)
-        data = "".join(text + "\n" for text in lines).encode()
         crs = "".join(text + ("\r\n", "\r\r\n")[i % 2] for i, text in enumerate(lines)).encode()
-        expected = block_parse(io.BytesIO(data), ParserConfig(), reads, copies)
+        expected = block_parse(dump_stream(lines), ParserConfig(), reads, copies)
 
         def refuse(*args):
             raise AssertionError("a canonical line reached parse_line")
@@ -539,10 +528,9 @@ class TestBlockDifferential:
         """A last line made only of CRs, with no ``\\n``, is still a line."""
         data = f"{S}\t{P}\t{O}\t.\n".encode() + final
         assert assert_blocks_same(data, cap) > 0
-        for source in (io.BytesIO(data), data.decode().split("\n")):
-            report = block_parse(source, ParserConfig(), None)[0]
-            assert report["lines_read"] == 2 and report["triples_ok"] == 1
-            assert report["first_errors"] == [[2, "field-count"]]
+        report = block_parse(io.BytesIO(data), ParserConfig(), None)[0]
+        assert report["lines_read"] == 2 and report["triples_ok"] == 1
+        assert report["first_errors"] == [[2, "field-count"]]
 
 
 # --- the copy disposition ----------------------------------------------------------
@@ -565,7 +553,7 @@ def assert_copies_input(lines: list[str], cap: int = 16 * 1024, configs=CONFIGS)
     everything and one that reads nothing fill the same buffer and report,
     and each well-formed line is either yielded or tallied.
     """
-    data = "".join(text + "\n" for text in lines).encode()
+    data = dump_stream(lines).getvalue()
     raw_lines = [raw.rstrip(b"\r") for raw in data.split(b"\n")[:-1]]  # without their line ends
     copies = 0
     with mock.patch.object(parser_module, "_BLOCK", cap), mock.patch.object(
@@ -770,7 +758,7 @@ class TestEscapeClass:
     def test_projected_and_block_routes_agree(self):
         lines = ESCAPE_CLASS_LINES + ESCAPE_NEAR_MISSES
         for cap in (1, 64, 16 * 1024):
-            assert assert_blocks_same("".join(t + "\n" for t in lines).encode(), cap) > 0
+            assert assert_blocks_same(dump_stream(lines).getvalue(), cap) > 0
 
     @pytest.mark.parametrize("cap", [1, 64, 16 * 1024])
     def test_class_lines_are_copied_as_read(self, cap):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 import pytest
 
-from conftest import lit_line, obj_line
+from conftest import dump_stream, lit_line, obj_line
 from dumpgen import random_dump_lines
 from fbont import parser as parser_module
 from fbont import pipeline
@@ -68,6 +68,18 @@ class TestPartitionPlanning:
             collected.extend(iter_partition_lines(part))
         with open(path, "rb") as handle:
             assert b"".join(collected) == handle.read()
+
+    def test_no_plain_range_is_empty(self, tmp_path):
+        """An empty file is one in-process partition, and a file of fewer
+        bytes than workers gets one range per byte."""
+        empty = tmp_path / "empty.nt"
+        empty.write_bytes(b"")
+        assert plan_partitions([str(empty)], 8) == [Partition(str(empty), 0, -1, 0)]
+        tiny = tmp_path / "tiny.nt"
+        tiny.write_bytes(b"x\ny")
+        parts = plan_partitions([str(tiny)], 8)
+        assert [(part.start, part.end) for part in parts] == [(0, 1), (1, 2), (2, 3)]
+        assert b"".join(line for part in parts for line in iter_partition_lines(part)) == b"x\ny"
 
     def test_gzip_is_one_partition(self, tmp_path):
         data = "".join(l + "\n" for l in random_dump_lines(50))
@@ -386,8 +398,8 @@ class TestProjection:
         feed_full, finish_full = started(fold, full_report.lint)
         feed_projected, finish_projected = started(fold, projected_report.lint)
         full_projection, projection = Projection(), Projection(fold.reads)
-        full = list(iter_triples(PROBE_LINES, full_report, ParserConfig(), full_projection))
-        projected = list(iter_triples(PROBE_LINES, projected_report, ParserConfig(), projection))
+        full = list(iter_triples(dump_stream(PROBE_LINES), full_report, ParserConfig(), full_projection))
+        projected = list(iter_triples(dump_stream(PROBE_LINES), projected_report, ParserConfig(), projection))
         for feed, triples in ((feed_full, full), (feed_projected, projected)):
             for triple in triples if feed is not None else ():
                 feed(triple)
@@ -406,7 +418,7 @@ class TestProjection:
     def test_unread_triples_leave_no_trace(self, name):
         """Fed every PROBE_LINES triple it declares unread, a fold ends as a fresh start does."""
         fold = PROJECTING_FOLDS[name]
-        unread = [t for t in iter_triples(PROBE_LINES, ParseReport()) if not fold.reads(t.predicate, isinstance(t.subject, Mid))]
+        unread = [t for t in iter_triples(dump_stream(PROBE_LINES), ParseReport()) if not fold.reads(t.predicate, isinstance(t.subject, Mid))]
         assert len(unread) > 100
         fed_lint, fresh_lint = Counter(), Counter()
         feed, finish = started(fold, fed_lint)
@@ -423,7 +435,7 @@ class TestProjection:
         ]
         projection = Projection(SchemaFold().reads)
         report = ParseReport()
-        built = list(iter_triples(lines, report, ParserConfig(), projection))
+        built = list(iter_triples(dump_stream(lines), report, ParserConfig(), projection))
         assert built == [parse_line(lines[0]), parse_line(lines[2])]  # the typing of a mid is not read
         assert projection.tallies() == [(idpath("/type/property/expected_type"), 2), (idpath("/type/object/type"), 1)]
         feed, finish = started(SchemaFold(), report.lint)

@@ -13,7 +13,6 @@ from fbont.report import (
     parse_taxonomy_csv,
     render_scatter_csv,
     render_scatter_svg,
-    render_schema_table,
     render_table,
     render_taxonomy,
     schema_rows,
@@ -85,26 +84,31 @@ class TestRenderTaxonomy:
         assert parsed[0]["name"] == "common"
 
 
+def schema_csv(schemas) -> str:
+    """The schema summary CSV that ``fbont schema`` writes as schema.csv."""
+    return render_table(SCHEMA_COLUMNS, schema_rows(schemas))
+
+
 class TestRenderSchemaTable:
     def test_fixture_row(self):
         schemas = fixture_schemas(SCHEMA_FIXTURE)
-        doc = render_schema_table(schemas)
+        doc = schema_csv(schemas)
         assert "people,2,3,4,6,2.0" in doc.splitlines()
 
     def test_sorted_and_headed(self):
         schemas = fixture_schemas(SCHEMA_FIXTURE)
-        lines = render_schema_table(schemas).splitlines()
+        lines = schema_csv(schemas).splitlines()
         assert lines[0] == "domain,n_types,n_properties,n_descriptions,n_details,complexity_score"
         assert [l.split(",")[0] for l in lines[1:]] == ["film", "music", "people"]
 
     def test_empty_schemas(self):
-        assert render_schema_table({}).splitlines() == [
+        assert schema_csv({}).splitlines() == [
             "domain,n_types,n_properties,n_descriptions,n_details,complexity_score"
         ]
 
     def test_undefined_score_is_empty_in_csv_and_null_in_json(self):
         schemas = {"x": DomainSchema("x")}
-        assert render_schema_table(schemas).splitlines()[1] == "x,0,0,0,0,"
+        assert schema_csv(schemas).splitlines()[1] == "x,0,0,0,0,"
         doc = render_table(SCHEMA_COLUMNS, schema_rows(schemas), "json")
         assert '"complexity_score": null' in doc
         assert json.loads(doc) == [dict(zip(SCHEMA_COLUMNS, ("x", 0, 0, 0, 0, None)))]

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fold_triples, lit_line, obj_line
+from conftest import dump_stream, fold_triples, lit_line, obj_line
 from fbont.model import idpath
-from fbont.parser import stream_parse
+from fbont.parser import ParseReport, iter_triples
 from fbont.pipeline import SchemaFold
 from fbont.schema import (
     DomainSchema,
@@ -49,9 +49,7 @@ SCHEMA_FIXTURE = [
 
 
 def parse_fixture(lines):
-    triples = []
-    stream_parse(lines, triples.append)
-    return triples
+    return list(iter_triples(dump_stream(lines), ParseReport()))
 
 
 def fixture_schemas(lines, config=SchemaConfig()):

@@ -4,10 +4,10 @@ from collections import Counter
 
 import pytest
 
-from conftest import fold_triples, lit_line, obj_line
+from conftest import dump_stream, fold_triples, lit_line, obj_line
 from dumpgen import oracle_resolve, oracle_violations
 from fbont.model import Literal, Mid, idpath, parse_ref
-from fbont.parser import serialize, stream_parse
+from fbont.parser import ParseReport, iter_triples, serialize
 from fbont.pipeline import SemanticsFold
 from fbont.semantics import (
     CyclePolicy,
@@ -26,9 +26,7 @@ REPLACED_BY = "dataworld.gardening_hint.replaced_by"
 
 
 def parse_lines(lines):
-    triples = []
-    stream_parse(lines, triples.append)
-    return triples
+    return list(iter_triples(dump_stream(lines), ParseReport()))
 
 
 def merge_map_of(triples):

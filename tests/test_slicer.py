@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import fold_triples, load_census
+from conftest import dump_stream, fold_triples, load_census
 from dumpgen import oracle_slice_counts, random_dump_lines
 from fbont.model import ExternalIri, Mid, Triple, idpath
 from fbont import slicer
-from fbont.parser import stream_parse
+from fbont.parser import ParseReport, iter_triples
 from fbont.pipeline import SliceFold
 from fbont.slicer import (
     DEFAULT_IMPLEMENTATION_DOMAINS,
@@ -97,15 +97,14 @@ class TestSliceStream:
             lines.append(f"<http://rdf.freebase.com/ns/m.s{i}>\t<http://rdf.freebase.com/ns/people.person.p>\t<http://rdf.freebase.com/ns/m.o{i}>\t.")
         for i in range(3):
             lines.append(f"<http://rdf.freebase.com/ns/m.s{i}>\t<http://rdf.freebase.com/ns/film.film.f>\t<http://rdf.freebase.com/ns/m.o{i}>\t.")
-        triples = []
-        stream_parse(lines, triples.append)
+        triples = iter_triples(dump_stream(lines), ParseReport())
         counts = fold_triples(SliceFold(), triples)[0]["counts"]
         assert counts == {SliceKey(DOMAIN, "people"): 5, SliceKey(DOMAIN, "film"): 3}
 
     def test_oracle_equivalence_10k(self):
         lines = random_dump_lines(10_000, seed=21)
-        triples = []
-        report = stream_parse(lines, triples.append)
+        report = ParseReport()
+        triples = iter_triples(dump_stream(lines), report)
         counts = fold_triples(SliceFold(), triples)[0]["counts"]
         expected = oracle_slice_counts(lines)
         assert {(k.kind, k.name): v for k, v in counts.items()} == expected
