@@ -17,6 +17,7 @@ of ``fbont semantics`` over them.
 """
 
 import os
+import shutil
 
 from fbont import (
     CyclePolicy,
@@ -64,9 +65,11 @@ lines = [
 
 dump = write_dump("semantics.nt", lines)
 # The rule is known before the parse, so the fold keeps, per mid, a bitmask
-# of only the types it names, and decodes those masks itself.
+# of only the types it names. It writes those masks as sorted runs under its
+# run_root, and its violations() merges them as a stream and decodes them.
 rule = IncompatibilityRule(idpath("/film/film"), idpath("/film/film_series"))
-fold = SemanticsFold(known_rules=frozenset({rule}))
+run_root = os.path.join(OUT_DIR, ".mask-runs")
+fold = SemanticsFold(known_rules=frozenset({rule}), run_root=run_root)
 _, merged = run_folds([dump], [fold])
 
 merge_map = merged["merge_map"]
@@ -84,7 +87,8 @@ for note in merged["notations"]:
     print(f"{render(note.property)} - {note.kind.value} - {render(note.object)}")
 
 print()
-violations = fold.violations(merged["type_masks"])
+violations = fold.violations(merged["type_masks"])  # the run paths
+shutil.rmtree(run_root)
 for violation in violations:
     print(f"split candidate: {render(violation.mid)} asserts both "
           f"{render(violation.type_a)} and {render(violation.type_b)}")

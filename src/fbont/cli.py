@@ -11,8 +11,9 @@ The commands read the public dump's own namespace and predicate spellings
 grows with the dump: ``slice --materialize`` is a flag that takes no value
 and writes each well-formed line, as it was read, to
 ``OUT/slices/<kind>/<name>.nt``, and ``semantics`` keeps, per mid, one
-bitmask of the types its ``--rules`` name, and writes violations exactly
-when given ``--rules``.
+bitmask of the types its ``--rules`` name (its workers write them as sorted
+runs under ``OUT/.mask-runs``, which the fold merges as a stream) and
+writes violations exactly when given ``--rules``.
 
 Each subcommand builds its documents as a ``{file name: text}`` map, the
 tables rendered by :mod:`fbont.report`, and ends in one publish step
@@ -26,12 +27,14 @@ alone or both of those files alone, 3 insufficient data (fewer than two
 study domains left, or all of them with the same complexity score or the
 same triple count), 4 data integrity (replaced-by cycle under the fail
 policy), 5 worker failure (a forked worker process ended before it sent its
-result: killed, out of memory, or holding an exception that cannot be
-pickled). Reruns on identical inputs write byte-identical output files, and
-each file is replaced atomically, so a failed write leaves the previous
-content in place. ``slice --materialize`` removes its ``.parts`` shard
-directory before it parses, so shards a killed run left are never read,
-and on every failure exit.
+result: killed, or holding an exception that cannot be pickled) or out of
+memory (a MemoryError raised in this process or sent back by a worker: one
+line, ``error: out of memory: ...``). Reruns on identical inputs write
+byte-identical output files, and each file is replaced atomically, so a
+failed write leaves the previous content in place. ``slice --materialize``
+removes its ``.parts`` shard directory, and ``semantics`` its
+``.mask-runs`` run directory, before it parses, so files a killed run left
+are never read, and on every exit.
 """
 
 from __future__ import annotations
@@ -187,12 +190,20 @@ def cmd_semantics(args: argparse.Namespace) -> int:
 
     The --rules file is read before the parse, so a bad file fails fast and
     writes nothing, and so the fold keeps, per mid, only the bits of the
-    types those rules name, none without --rules; the fold decodes its own
-    masks (see SemanticsFold).
+    types those rules name, none without --rules. The workers write those
+    masks as sorted runs under OUT/.mask-runs, which the fold merges as a
+    stream (see SemanticsFold); the directory is removed before the parse,
+    so runs a killed run left are never read, and on every exit.
     """
     rules = _read_input(args.rules, load_rules) if args.rules else frozenset()
-    fold = SemanticsFold(known_rules=rules, accept_reversed=args.accept_reversed)
-    report, merged = _run(args, fold)
+    run_root = os.path.join(args.out, ".mask-runs")
+    fold = SemanticsFold(known_rules=rules, accept_reversed=args.accept_reversed, run_root=run_root)
+    shutil.rmtree(run_root, ignore_errors=True)  # runs a killed run left behind
+    try:
+        report, merged = _run(args, fold)
+        violations = fold.violations(merged["type_masks"])
+    finally:
+        shutil.rmtree(run_root, ignore_errors=True)  # no run file on any exit
     policy = CyclePolicy(args.cycle_policy)
 
     merge_map = merged["merge_map"]
@@ -202,7 +213,6 @@ def cmd_semantics(args: argparse.Namespace) -> int:
     docs.update(_tables(args, "valuenotes", VALUENOTE_COLUMNS, valuenote_rows(merged["notations"])))
 
     if args.rules:
-        violations = fold.violations(merged["type_masks"])
         docs.update(_tables(args, "violations", VIOLATION_COLUMNS, violation_rows(violations)))
         print(f"violations: {len(violations)}")
 
@@ -373,6 +383,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except WorkerFailure as exc:
         print(f"error: worker failure: {exc}", file=sys.stderr)
+        return 5
+    except MemoryError as exc:  # raised here or in a worker, which sends it back
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return 5
 
 

@@ -16,8 +16,11 @@ field is a mergeable monoid with one declared merge law (``MERGE_LAWS``)
 that ``merge_payloads`` applies in partition order. Any worker count
 therefore produces byte-identical outputs to a single-threaded run. No fold
 keeps the dump's lines: a materializing ``SliceFold`` holds one block's
-copied lines at a time, and ``SemanticsFold`` keeps one bitmask per mid
-of the types its known rules name that the mid asserts.
+copied lines at a time, and ``SemanticsFold`` keeps one bitmask per mid of
+the types its known rules name that the mid asserts, at most
+``MASK_RUN_ENTRIES`` of them at a time: the rest are on disk, as sorted runs
+that only their paths name in the payload and that the parent merges as a
+stream.
 
 Standard input, pipes and gzip files under two minimum ranges are read as
 one partition.
@@ -80,9 +83,11 @@ from .semantics import (
     feed_merge_edge,
     feed_type_mask,
     feed_value_notation,
+    mask_run_path,
     mask_violations,
-    merge_type_masks,
+    merge_mask_runs,
     type_bits,
+    write_mask_run,
 )
 from .slicer import (
     DEFAULT_GROUPS,
@@ -91,6 +96,7 @@ from .slicer import (
     GroupConfig,
     SliceKey,
     SliceWriter,
+    _open_file_cap,
     classify_predicate,
     count_slice,
     group_for,
@@ -264,6 +270,12 @@ _SEMANTICS_PREDICATES = frozenset(
 )
 
 
+# Mask entries a semantics worker holds before it writes them out as one
+# sorted run, so its memory does not grow with the dump's typed mids (about
+# 5 MB at 80 bytes an entry).
+MASK_RUN_ENTRIES = 1 << 16
+
+
 @dataclass(frozen=True)
 class SemanticsFold:
     """Merge edges, value notations and each mid's mask of the types the known rules name.
@@ -271,37 +283,63 @@ class SemanticsFold:
     ``known_rules`` are the incompatibility rules, known before the parse.
     A violation needs both of a rule's types, so only the assertions of a
     type some known rule names are kept, none without rules: each as one
-    bit (``semantics.type_bits``) ORed into ``type_masks``, a map from mid
-    suffix to mask. A mid costs one dict entry whatever the number of its
-    assertions; ``violations`` decodes the merged map.
+    bit (``semantics.type_bits``) ORed into a map from mid suffix to mask. A
+    mid costs one entry whatever the number of its assertions. At
+    ``MASK_RUN_ENTRIES`` entries, and at the partition's end, the map is
+    written sorted by suffix as one mask run under ``run_root`` and
+    cleared, so the ``type_masks`` field is the list of the partition's run
+    paths. A fold with rules needs a ``run_root``; the caller removes it.
+    ``violations`` streams the merged runs.
     """
 
     known_rules: frozenset[IncompatibilityRule] = frozenset()
     accept_reversed: bool = False
+    run_root: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.known_rules and self.run_root is None:
+            raise ValueError("a SemanticsFold with known rules needs a run_root for its mask runs")
 
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
         return predicate in _SEMANTICS_PREDICATES
 
-    def violations(self, type_masks: Mapping[str, int]) -> list[Violation]:
-        """The violations of the known rules in a merged ``type_masks``, by mid, then rule."""
-        return mask_violations(type_masks, self.known_rules)
+    def violations(self, runs: Sequence[str]) -> list[Violation]:
+        """The violations of the known rules in the ``type_masks`` runs, by mid, then rule.
+
+        The runs are merged as a stream, never more of them open than
+        ``slicer._open_file_cap()`` (three at least); a merge pass writes its
+        runs under ``run_root`` and removes them.
+        """
+        return mask_violations(merge_mask_runs(runs, self.run_root, _open_file_cap()), self.known_rules)
 
     def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Finish]:
         merge_map = MergeMap()
         notations: list[ValueNotation] = []
         type_masks: dict[str, int] = {}
+        runs: list[str] = []
         bits = type_bits(self.known_rules)
+
+        def spill() -> None:
+            os.makedirs(self.run_root, exist_ok=True)
+            path = mask_run_path(self.run_root, f"{part.index:05d}")
+            runs.append(path)
+            write_mask_run(path, ((suffix, type_masks[suffix]) for suffix in sorted(type_masks)))
+            type_masks.clear()
 
         def feed(triple: Triple) -> None:
             feed_merge_edge(merge_map, triple, lint)
             feed_value_notation(notations, triple, self.accept_reversed, lint)
             feed_type_mask(type_masks, bits, triple)
+            if len(type_masks) >= MASK_RUN_ENTRIES:
+                spill()
 
         def finish(tallies: Sequence[Tally]) -> dict[str, Any]:
+            if type_masks:
+                spill()
             return {
                 "merge_map": merge_map,
                 "notations": notations,
-                "type_masks": type_masks,
+                "type_masks": runs,
             }
 
         return feed, finish
@@ -355,7 +393,7 @@ MERGE_LAWS: dict[str, Callable[[Any, Any], Any]] = {
     "schemas": merge_schemas,
     "merge_map": MergeMap.merge,
     "notations": operator.add,
-    "type_masks": merge_type_masks,
+    "type_masks": operator.add,
     # bench/traced.py's replica returns these three payload fields; the folds do not
     "assertions": operator.add,
     "rules": operator.or_,

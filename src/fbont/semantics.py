@@ -11,11 +11,13 @@ which is also the reporting hook for conflated objects needing a split.
 from __future__ import annotations
 
 import enum
+import os
+import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
-from operator import attrgetter
-from typing import Callable, Collection, Iterable, Mapping, TextIO
+from itertools import combinations, count, groupby
+from operator import attrgetter, itemgetter
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .model import IdPath, Mid, Triple, idpath, intern_path, parse_ref, reduce_value, render
 
@@ -299,29 +301,96 @@ def feed_type_mask(type_masks: dict[str, int], bits: Mapping[IdPath, int], tripl
         type_masks[suffix] = type_masks.get(suffix, 0) | bit
 
 
-def merge_type_masks(first: Mapping[str, int], later: Mapping[str, int]) -> dict[str, int]:
-    """OR two mid-suffix -> type-mask maps key by key; neither input changes."""
-    merged = dict(first)
-    for suffix, mask in later.items():
-        merged[suffix] = merged.get(suffix, 0) | mask
-    return merged
+# A mask run is one file of (suffix, mask) records in suffix order, each
+# suffix once: the two byte lengths, then the suffix as UTF-8 and the mask
+# as little-endian bytes.
+_RECORD = struct.Struct("<II")
+# Numbers this process's runs, so two folds sharing a directory, or two
+# starts of one fold, never name a run alike.
+_RUN_SERIAL = count()
 
 
-def mask_violations(type_masks: Mapping[str, int], rules: Collection[IncompatibilityRule]) -> list[Violation]:
+def mask_run_path(directory: str, prefix: str) -> str:
+    """A run path under ``directory`` that no other run of this process, or of another live one, takes."""
+    return os.path.join(directory, f"{prefix}-{os.getpid()}-{next(_RUN_SERIAL)}.run")
+
+
+def write_mask_run(path: str, records: Iterable[tuple[str, int]]) -> None:
+    """Write (suffix, mask) records, already in suffix order, as one new mask run."""
+    pack = _RECORD.pack
+    with open(path, "xb") as handle:
+        write = handle.write
+        for suffix, mask in records:
+            key = suffix.encode("utf-8", "surrogatepass")
+            width = (mask.bit_length() + 7) // 8
+            write(pack(len(key), width) + key + mask.to_bytes(width, "little"))
+
+
+def read_mask_run(path: str) -> Iterator[tuple[str, int]]:
+    """The (suffix, mask) records of one mask run, in file order; the file is open until the last."""
+    size, unpack = _RECORD.size, _RECORD.unpack
+    with open(path, "rb") as handle:
+        read = handle.read
+        while head := read(size):
+            length, width = unpack(head)
+            body = read(length + width)
+            yield body[:length].decode("utf-8", "surrogatepass"), int.from_bytes(body[length:], "little")
+
+
+def _or_runs(runs: Sequence[str]) -> Iterator[tuple[str, int]]:
+    """Each suffix of the runs once, in str order, with the OR of its masks."""
+    import heapq  # only where runs are merged, so no other command's peak RSS pays for it
+
+    for suffix, group in groupby(heapq.merge(*map(read_mask_run, runs)), itemgetter(0)):
+        mask = 0
+        for _, bits in group:
+            mask |= bits
+        yield suffix, mask
+
+
+def merge_mask_runs(runs: Sequence[str], directory: str, open_runs: int) -> Iterator[tuple[str, int]]:
+    """Stream every suffix of the runs once, in str order, with the OR of its masks.
+
+    At most ``open_runs`` runs (three at least) are open at once: while
+    there are more, ``open_runs - 1`` of them are merged into one new run
+    under ``directory``, which is removed once it is merged in turn. The
+    given runs are only read.
+    """
+    fan_in = max(3, open_runs) - 1
+    runs, made = list(runs), []
+    try:
+        while len(runs) > fan_in + 1:
+            group, runs = runs[:fan_in], runs[fan_in:]
+            path = mask_run_path(directory, "merged")
+            made.append(path)
+            write_mask_run(path, _or_runs(group))
+            runs.append(path)
+            for done in group:
+                if done in made:
+                    os.remove(done)
+        yield from _or_runs(runs)
+    finally:
+        for path in made:
+            if os.path.exists(path):
+                os.remove(path)
+
+
+def mask_violations(type_masks: Iterable[tuple[str, int]], rules: Collection[IncompatibilityRule]) -> list[Violation]:
     """Every (object, rule) pair whose two type bits the object's mask holds.
 
-    ``type_masks`` maps a mid suffix to the OR of the ``type_bits(rules)`` of
-    the types it asserts. Output is ordered by mid, then rule. One scan: a
-    mask with fewer than two bits costs one test, and a mid with k named
-    types costs k bit extractions and k(k-1)/2 pair lookups, after the sort
-    of the suffixes with two bits or more.
+    ``type_masks`` gives each mid suffix once, in str order, with the OR of
+    the ``type_bits(rules)`` of the types it asserts, so the output is
+    ordered by mid, then rule. A mask with fewer than two bits costs one
+    test, and a mid with k named types costs k bit extractions and k(k-1)/2
+    pair lookups.
     """
     bits = type_bits(rules)
     named = {bit: typ for typ, bit in bits.items()}
     pairs = {(bits[rule.type_a], bits[rule.type_b]) for rule in rules}
     violations: list[Violation] = []
-    for suffix in sorted(suffix for suffix, mask in type_masks.items() if mask & (mask - 1)):
-        mask = type_masks[suffix]
+    for suffix, mask in type_masks:
+        if not mask & (mask - 1):
+            continue
         held = []  # the mask's bits, low to high
         while mask:
             low = mask & -mask
@@ -342,7 +411,8 @@ def check_incompatibilities(
 
     Output is deterministically ordered by mid, then rule. Adding a rule can
     only add violations, never remove one. The assertions are folded into
-    one type mask per mid suffix and checked by ``mask_violations``.
+    one type mask per mid suffix and checked, in suffix order, by
+    ``mask_violations``.
     """
     rules = set(rules)
     bits = type_bits(rules)
@@ -351,7 +421,7 @@ def check_incompatibilities(
         bit = bits.get(asserted)
         if bit is not None:
             type_masks[mid.suffix] = type_masks.get(mid.suffix, 0) | bit
-    return mask_violations(type_masks, rules)
+    return mask_violations(sorted(type_masks.items()), rules)
 
 
 def load_rules(stream: TextIO) -> frozenset[IncompatibilityRule]:

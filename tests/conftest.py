@@ -1,4 +1,4 @@
-"""Shared fixture helpers: dump-line builders, feeding triples to one fold, and the published domain census."""
+"""Shared fixture helpers: dump-line builders, feeding triples to one fold, reading mask runs back, and the published domain census."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import pytest
 
 from fbont.parser import ParserConfig
 from fbont.pipeline import Partition
+from fbont.semantics import read_mask_run
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -63,6 +64,23 @@ def fold_triples(fold, triples) -> tuple[dict, Counter]:
             feed(triple)
         tallies[triple.predicate] += 1
     return finish(list(tallies.items())), lint
+
+
+def read_masks(runs) -> dict[str, int]:
+    """A semantics payload's ``type_masks`` runs read back as one suffix -> mask map.
+
+    Each run must hold each of its suffixes once, in str order, with a mask;
+    the masks of a suffix found in several runs are ORed, as the merge does.
+    """
+    masks: dict[str, int] = {}
+    for path in runs:
+        records = list(read_mask_run(path))
+        suffixes = [suffix for suffix, _ in records]
+        assert suffixes == sorted(set(suffixes)), path
+        for suffix, mask in records:
+            assert mask > 0, path
+            masks[suffix] = masks.get(suffix, 0) | mask
+    return masks
 
 
 def load_census() -> list[dict]:

@@ -11,20 +11,21 @@ import subprocess
 import sys
 import time
 import zlib
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from unittest import mock
 
 import pytest
 
-from conftest import fb, fold_triples, line, lit_line, obj_line
+from conftest import fb, fold_triples, line, lit_line, obj_line, read_masks
 from dumpgen import oracle_linreg, oracle_pearson, oracle_violations, random_dump_lines
 from fbont import cli, pipeline
 from fbont.cli import main
 from fbont.model import idpath, render
 from fbont.parser import ParseReport, StreamAbortedError, iter_triples
 from fbont.pipeline import Job, SemanticsFold, SliceFold
-from fbont.semantics import load_rules, type_bits
+from fbont.semantics import load_rules, type_bits, write_mask_run
 from fbont.slicer import slice_relpath
 
 TEST_PID = os.getpid()
@@ -438,9 +439,9 @@ class TestCmdSemantics:
         checked = []
         violations = SemanticsFold.violations
 
-        def check(fold, type_masks):
-            checked.append(dict(type_masks))
-            return violations(fold, type_masks)
+        def check(fold, runs):
+            checked.append(read_masks(runs))
+            return violations(fold, runs)
 
         monkeypatch.setattr(SemanticsFold, "violations", check)
         names = ("violations.csv", "violations.json", "parse_report.json")
@@ -466,6 +467,91 @@ class TestCmdSemantics:
             if bit:
                 masks[mid[2:]] = masks.get(mid[2:], 0) | bit
         assert len(checked) == len(trees) and all(kept == masks for kept in checked)
+
+
+    def test_mask_runs_per_partition_change_no_output(self, tmp_path, monkeypatch, capsys):
+        """One, two and many mask runs per partition give the same files and stdout,
+        at 1, 2 and 4 workers, on plain, gzip and stdin input, and leave no run."""
+        rng = random.Random(8)
+        types = ["film.film", "film.film_series", "tv.tv_series", "book.book", "people.person"]
+        lines = random_dump_lines(3_000, seed=8, malformed_rate=0.02)
+        typed = iter([obj_line(f"m.t{i}", "type.object.type", t) for i in range(600) for t in rng.sample(types, 2)])
+        slots = set(rng.sample(range(len(lines) + 1_200), 1_200))
+        others = iter(lines)  # the typing lines spread evenly, in mid order, among the others
+        lines = [next(typed if i in slots else others) for i in range(len(lines) + 1_200)]
+        plain = write_lines(tmp_path, lines)
+        packed = tmp_path / "dump.nt.gz"
+        packed.write_bytes(gzip.compress((tmp_path / "dump.nt").read_bytes(), 6))
+        monkeypatch.setattr(pipeline, "GZIP_MIN_RANGE", 1024)
+        rules = tmp_path / "rules.tsv"
+        rules.write_text("/film/film /film/film_series\n/tv/tv_series /book/book\n/book/book /people/person\n")
+        seen = []
+        violations = SemanticsFold.violations
+
+        def check(fold, runs):
+            seen.append(sorted(Counter(os.path.basename(run).split("-")[0] for run in runs).values()))
+            return violations(fold, runs)
+
+        monkeypatch.setattr(SemanticsFold, "violations", check)
+        outputs = []
+        for source in (plain, str(packed), "-"):
+            for workers in (1, 2, 4):
+                partitions = 1 if source == "-" else len(pipeline.plan_partitions([source], workers))
+                # one run per partition, two (three for a long gzip range) and many
+                for cap, low, high in ((pipeline.MASK_RUN_ENTRIES, 1, 1), (360 // partitions, 2, 3), (2, 100, 600)):
+                    if source == "-":
+                        stdin = io.TextIOWrapper(io.BytesIO((tmp_path / "dump.nt").read_bytes()))
+                        monkeypatch.setattr(sys, "stdin", stdin)
+                    out = tmp_path / f"out-{len(outputs)}"
+                    argv = ["semantics", source, "--rules", str(rules), "--json", "--workers", str(workers)]
+                    with monkeypatch.context() as patch:
+                        patch.setattr(pipeline, "MASK_RUN_ENTRIES", cap)
+                        assert main(argv + ["--out", str(out)]) == 0
+                    outputs.append((read_tree(out), capsys.readouterr()))
+                    assert len(seen[-1]) == partitions and low <= min(seen[-1]) <= max(seen[-1]) <= high
+        assert all(output == outputs[0] for output in outputs)
+        assert json.loads(outputs[0][0]["violations.json"]) != []
+        assert ".mask-runs" not in outputs[0][0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_runs_a_killed_run_left_are_removed_before_the_parse(self, tmp_path, monkeypatch, workers):
+        """A run killed outright cannot remove its mask runs; the next run removes
+        them before it parses, so none can reach its violations."""
+        lines = [obj_line(f"m.{mid}", "type.object.type", t) for mid in ("a", "b") for t in ("film.film", "book.book")]
+        lines += random_dump_lines(300, seed=3)
+        dump = write_lines(tmp_path, lines)
+        rules = tmp_path / "rules.tsv"
+        rules.write_text("/film/film /film/film_series\n/book/book /tv/tv_series\n")
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        stale = out / ".mask-runs" / "00000-1-0.run"
+        stale.parent.mkdir(parents=True)
+        # bits 1 and 2 are /film/film and /film/film_series: a violation, were it read
+        write_mask_run(str(stale), [("never_typed", 0b0110)])
+        run_folds = cli.run_folds
+
+        def parse(inputs, folds, *args):
+            assert not os.path.exists(folds[0].run_root)  # removed before the parse
+            return run_folds(inputs, folds, *args)
+
+        monkeypatch.setattr(cli, "run_folds", parse)
+        for target in (fresh, out):
+            argv = ["semantics", dump, "--rules", str(rules), "--workers", str(workers), "--out", str(target)]
+            assert main(argv) == 0
+        assert read_tree(out) == read_tree(fresh)
+        assert (out / "violations.csv").read_text().splitlines() == ["mid,type_a,type_b"]
+        assert not stale.parent.exists()
+
+    def test_no_run_is_written_without_rules(self, tmp_path, monkeypatch):
+        def refuse(path, records):
+            raise AssertionError(f"a run was written: {path}")
+
+        monkeypatch.setattr(pipeline, "write_mask_run", refuse)
+        lines = [obj_line("m.a", "type.object.type", t) for t in ("film.film", "film.film_series")]
+        dump = write_lines(tmp_path, lines + random_dump_lines(300, seed=3))
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            assert main(["semantics", dump, "--workers", str(workers), "--out", str(out)]) == 0
+            assert sorted(read_tree(out)) == ["merges.tsv", "parse_report.json", "valuenotes.csv"]
 
 
 class TestCmdStudy:
@@ -767,7 +853,120 @@ class KillingSliceFold(SliceFold):
         return super().start(part, parser, lint)
 
 
+@dataclass(frozen=True)
+class OutOfMemorySemanticsFold(SemanticsFold):
+    """A semantics fold that runs out of memory in every partition once it has written a mask run."""
+
+    def start(self, part, parser, lint):
+        feed, finish = super().start(part, parser, lint)
+
+        def feed_until_a_run(triple):
+            feed(triple)
+            runs = os.listdir(self.run_root) if os.path.isdir(self.run_root) else []
+            if any(name.startswith(f"{part.index:05d}-") for name in runs):
+                raise MemoryError(f"cannot allocate a mask entry in partition {part.index}")
+
+        return feed_until_a_run, finish
+
+
+def typed_semantics_fixture(tmp_path, lines=2_000, mids=300):
+    """(dump path, rules path): random lines among type assertions of mids that break the rules."""
+    rng = random.Random(lines)
+    types = ("film.film", "film.film_series")
+    typed = [obj_line(f"m.t{rng.randrange(mids)}", "type.object.type", rng.choice(types)) for _ in range(2 * mids)]
+    dump_lines = random_dump_lines(lines, seed=4) + typed
+    rng.shuffle(dump_lines)
+    rules = tmp_path / "rules.tsv"
+    rules.write_text("/film/film /film/film_series\n")
+    return write_lines(tmp_path, dump_lines), str(rules)
+
+
+def limit_file_size(limit):
+    """A preexec_fn that caps the child's file size, with SIGXFSZ ignored so a write fails with EFBIG."""
+
+    def preexec():  # runs in the child only, never in this process
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    return preexec
+
+
 class TestFailureExits:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_out_of_memory_exits_5_and_writes_nothing(self, tmp_path, monkeypatch, capsys, workers):
+        """A MemoryError, raised in this process at 1 worker and sent back by a worker at 2,
+        is one line and exit 5, with no output and no mask run left."""
+        dump, rules = typed_semantics_fixture(tmp_path)
+        monkeypatch.setattr(pipeline, "MASK_RUN_ENTRIES", 5)
+        monkeypatch.setattr(cli, "SemanticsFold", OutOfMemorySemanticsFold)
+        assert len(pipeline.plan_partitions([dump], workers)) == workers
+        out = tmp_path / "out"
+        argv = ["semantics", dump, "--rules", rules, "--workers", str(workers), "--out", str(out)]
+        assert main(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory: cannot allocate a mask entry in partition 0\n"
+        assert captured.out == ""
+        assert read_tree(out) == {}
+        assert not (out / ".mask-runs").exists()
+
+    @pytest.mark.parametrize("code", [0, 2, 4, 5])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_mask_run_is_left_on_any_exit(self, tmp_path, monkeypatch, capsys, code, workers):
+        dump, rules = typed_semantics_fixture(tmp_path)
+        monkeypatch.setattr(pipeline, "MASK_RUN_ENTRIES", 5)
+        if code == 2:  # a read error once the first runs are written
+            real_blocks = pipeline.partition_blocks
+
+            def failing_blocks(part):
+                for number, line in enumerate(io.BytesIO(b"".join(real_blocks(part)))):
+                    if number == 1_000:
+                        raise OSError(5, "Input/output error")
+                    yield line
+
+            monkeypatch.setattr(pipeline, "partition_blocks", failing_blocks)
+        elif code == 4:
+            replaced_by = "dataworld.gardening_hint.replaced_by"
+            cycle = [obj_line("m.p", replaced_by, "m.q"), obj_line("m.q", replaced_by, "m.p")]
+            with open(dump, "a", encoding="utf-8") as handle:
+                handle.write("".join(line + "\n" for line in cycle))
+        elif code == 5:
+            monkeypatch.setattr(cli, "SemanticsFold", OutOfMemorySemanticsFold)
+        written = []
+        write_run = pipeline.write_mask_run
+
+        def counted_write(path, records):
+            written.append(path)
+            write_run(path, records)
+
+        monkeypatch.setattr(pipeline, "write_mask_run", counted_write)
+        out = tmp_path / "out"
+        argv = ["semantics", dump, "--rules", rules, "--workers", str(workers), "--out", str(out)]
+        assert main(argv) == code
+        assert written or workers == 2  # a forked worker's runs are written in the worker
+        assert not (out / ".mask-runs").exists()
+        assert (out / "violations.csv").exists() == (code == 0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_full_disk_exits_2_and_leaves_no_parts_or_runs(self, tmp_path, workers):
+        """A write past the file-size limit fails with EFBIG, as on a full disk: exit 2,
+        with no slice shard and no mask run left."""
+        dump, rules = typed_semantics_fixture(tmp_path, lines=4_000, mids=12_000)  # runs past 64 KiB
+        assert os.path.getsize(dump) > 4 * 64 * 1024
+        limit = limit_file_size(64 * 1024)
+        cli_argv = [sys.executable, "-m", "fbont.cli"]
+        out = tmp_path / "sliced"
+        argv = cli_argv + ["slice", dump, "--materialize", "--workers", str(workers), "--out", str(out)]
+        proc = subprocess.run(argv, capture_output=True, text=True, preexec_fn=limit)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: [Errno 27] File too large")
+        assert os.listdir(out / "slices") == []
+        out = tmp_path / "semantics"
+        argv = cli_argv + ["semantics", dump, "--rules", rules, "--workers", str(workers), "--out", str(out)]
+        proc = subprocess.run(argv, capture_output=True, text=True, preexec_fn=limit)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: [Errno 27] File too large")
+        assert os.listdir(out) == []
+
     def test_worker_crash_exits_5(self, tmp_path, monkeypatch, capsys):
         def crash(*args):
             raise pipeline.WorkerFailure("worker process 1 ended before the result of partition 1")

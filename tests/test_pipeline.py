@@ -3,17 +3,20 @@ import io
 import os
 import pickle
 import random
+import shutil
 import signal
+import tempfile
 import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import pytest
 
-from conftest import dump_stream, lit_line, obj_line
+from conftest import dump_stream, lit_line, obj_line, read_masks
 from dumpgen import random_dump_lines
 from fbont import parser as parser_module
-from fbont import pipeline
+from fbont import pipeline, semantics
 from fbont.model import IdPath, Mid, idpath
 from fbont.parser import (
     MalformedLineError,
@@ -38,7 +41,7 @@ from fbont.pipeline import (
     run_partitioned,
 )
 from fbont.schema import DomainSchema, SchemaConfig
-from fbont.semantics import IncompatibilityRule, match_type_assertion, type_bits
+from fbont.semantics import IncompatibilityRule, check_incompatibilities, match_type_assertion, type_bits
 from fbont.slicer import DOMAIN, SliceKey, SliceWriter, count_slice
 from fbont.stats import StudyRow
 
@@ -338,9 +341,27 @@ CUSTOM_SCHEMA = SchemaConfig(
     detail_predicates=frozenset({idpath("/base/custom/detail")}),
     type_declaration_predicate=idpath("/base/custom/is_a"),
 )
+# Where the module's semantics folds with rules write their mask runs.
+RUN_ROOT = os.path.join(tempfile.gettempdir(), f"fbont-test-runs-{os.getpid()}")
+
+
+@pytest.fixture(autouse=True, scope="module")
+def remove_run_root():
+    yield
+    shutil.rmtree(RUN_ROOT, ignore_errors=True)
+
+
+def masks_read(payload):
+    """The payload, its ``type_masks`` runs (if any) read back as one map."""
+    if "type_masks" not in payload:
+        return payload
+    return {**payload, "type_masks": read_masks(payload["type_masks"])}
+
+
 CUSTOM_SEMANTICS = SemanticsFold(
     known_rules=frozenset({IncompatibilityRule(idpath("/people/person"), idpath("/film/film"))}),
     accept_reversed=True,
+    run_root=RUN_ROOT,
 )
 PROJECTING_FOLDS = {
     "slice": SliceFold(),
@@ -405,7 +426,7 @@ class TestProjection:
                 feed(triple)
         tallies = projection.tallies()
         assert tallies == full_projection.tallies()
-        assert finish_full(tallies) == finish_projected(tallies)
+        assert masks_read(finish_full(tallies)) == masks_read(finish_projected(tallies))
         assert full_report.to_dict() == projected_report.to_dict()
         read = [t for t in full if fold.reads(t.predicate, isinstance(t.subject, Mid))]
         remaining = iter(projected)
@@ -475,7 +496,7 @@ class TestProjection:
             report, payloads = run_partitioned(projected, parts, workers)
             ref_report, ref_payloads = run_partitioned(unprojected, parts, workers)
             assert report.to_dict() == ref_report.to_dict(), folds
-            assert merge_payloads(payloads) == merge_payloads(ref_payloads), folds
+            assert masks_read(merge_payloads(payloads)) == masks_read(merge_payloads(ref_payloads)), folds
 
     def test_aborted_partition_report_keeps_tallied_lint(self, tmp_path, monkeypatch):
         path = write_lines(tmp_path, PROBE_LINES * 2)
@@ -675,7 +696,7 @@ def merged_run(folds, parts, out_dir=None):
     shard_dirs = merged.pop("shard_dirs", [])
     if out_dir is not None:
         concatenate_shards(shard_dirs, str(out_dir))
-    return report.to_dict(), merged
+    return report.to_dict(), masks_read(merged)
 
 
 def materializing(out_dir):
@@ -747,8 +768,8 @@ def typed_lines(seed):
     return lines
 
 
-def semantics_payload(path, **fold):
-    return Job((SemanticsFold(**fold),)).run(Partition(path, 0, -1, 0))[1]
+def semantics_payload(path, run_root, **fold):
+    return Job((SemanticsFold(run_root=str(run_root), **fold),)).run(Partition(path, 0, -1, 0))[1]
 
 
 def oracle_masks(path, rules):
@@ -771,20 +792,87 @@ class TestSemanticsRetainedState:
             padded.insert(rng.randrange(len(padded) + 1), line)
         plain = write_lines(tmp_path, lines, "plain.nt")
         path = write_lines(tmp_path, padded, "padded.nt")
-        kept = semantics_payload(plain, known_rules=KNOWN_RULES)["type_masks"]
-        padded_kept = semantics_payload(path, known_rules=KNOWN_RULES)["type_masks"]
+        runs = semantics_payload(plain, tmp_path / "runs", known_rules=KNOWN_RULES)["type_masks"]
+        padded_runs = semantics_payload(path, tmp_path / "runs", known_rules=KNOWN_RULES)["type_masks"]
+        kept, padded_kept = read_masks(runs), read_masks(padded_runs)
         assert padded_kept == kept and pickle.dumps(padded_kept) == pickle.dumps(kept)
+        assert [Path(run).read_bytes() for run in padded_runs] == [Path(run).read_bytes() for run in runs]
         assert kept == oracle_masks(path, KNOWN_RULES)
-        assert semantics_payload(path)["type_masks"] == {}  # no rules, no mask kept
+        no_rules = semantics_payload(path, tmp_path / "none")["type_masks"]
+        assert no_rules == [] and read_masks(no_rules) == {}  # no rules, no mask kept
+        assert not (tmp_path / "none").exists()
 
     @pytest.mark.parametrize("fold", [{}, {"known_rules": KNOWN_RULES}], ids=["default", "filter"])
     def test_one_entry_per_typed_mid(self, tmp_path, fold):
         path = write_lines(tmp_path, typed_lines(seed=8))
-        type_masks = semantics_payload(path, **fold)["type_masks"]
+        type_masks = read_masks(semantics_payload(path, tmp_path / "runs", **fold)["type_masks"])
         assert bool(type_masks) == bool(fold)  # none kept without rules
         typed = [m for m in map(match_type_assertion, iter_triples(path, ParseReport())) if m]
         assert len(typed) > 2 * len(type_masks)  # many assertions, one entry per mid
         assert type_masks == oracle_masks(path, fold.get("known_rules", ()))
+
+    def test_payload_holds_run_paths_and_no_mask_map(self, tmp_path, monkeypatch):
+        path = write_lines(tmp_path, typed_lines(seed=9))
+        run_root = tmp_path / "runs"
+        counts = []
+        for cap in (pipeline.MASK_RUN_ENTRIES, 10):
+            monkeypatch.setattr(pipeline, "MASK_RUN_ENTRIES", cap)
+            payload = semantics_payload(path, run_root, known_rules=KNOWN_RULES)
+            runs = payload["type_masks"]
+            assert isinstance(runs, list)
+            assert all(isinstance(run, str) and os.path.dirname(run) == str(run_root) for run in runs)
+            assert not any(isinstance(value, dict) for value in payload.values())
+            assert len(pickle.dumps(runs)) < sum(len(run) + 10 for run in runs) + 20  # the paths alone
+            assert read_masks(runs) == oracle_masks(path, KNOWN_RULES)
+            counts.append(len(runs))
+        assert counts[0] == 1 and counts[1] > 5
+
+
+class TestMaskRunMerge:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open files in /proc/self/fd")
+    def test_more_runs_than_the_open_file_budget(self, tmp_path, monkeypatch):
+        """Merged in passes, the runs give the violations of a one-run parse, and
+        no more runs are open at once than the budget."""
+        path = write_lines(tmp_path, law_lines(seed=21))
+        parts = plan_partitions([path], 3)
+        single = SemanticsFold(known_rules=KNOWN_RULES, run_root=str(tmp_path / "single"))
+        (run,) = semantics_payload(path, tmp_path / "single", known_rules=KNOWN_RULES)["type_masks"]
+        expected = single.violations([run])
+        assertions = [m for m in map(match_type_assertion, iter_triples(path, ParseReport())) if m]
+        assert expected == check_incompatibilities(assertions, KNOWN_RULES) != []
+
+        run_root = str(tmp_path / "runs")
+        fold = SemanticsFold(known_rules=KNOWN_RULES, run_root=run_root)
+        monkeypatch.setattr(pipeline, "MASK_RUN_ENTRIES", 4)
+        _, payloads = run_partitioned(Job((fold,)), parts, 1)
+        runs = merge_payloads(payloads)["type_masks"]
+        budget = 3
+        assert len(runs) > 3 * budget
+
+        def open_runs():
+            targets = []
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    targets.append(os.readlink(f"/proc/self/fd/{fd}"))
+                except OSError:
+                    pass  # the descriptor listdir itself used
+            return sum(target.startswith(run_root + os.sep) for target in targets)
+
+        read_run = semantics.read_mask_run
+        seen, opened = [], []
+
+        def counted_read(run):
+            opened.append(run)
+            for record in read_run(run):
+                seen.append(open_runs())
+                yield record
+
+        monkeypatch.setattr(semantics, "read_mask_run", counted_read)
+        monkeypatch.setattr(pipeline, "_open_file_cap", lambda: budget)
+        assert fold.violations(runs) == expected
+        assert max(seen) == budget
+        assert len(opened) > len(runs)  # the merge took passes
+        assert sorted(os.listdir(run_root)) == sorted(os.path.basename(run) for run in runs)
 
 
 # --- every payload field merges by an associative law that changes no input -------
@@ -805,11 +893,12 @@ def law_lines(seed):
 class TestMergeLaws:
     @pytest.mark.parametrize(
         "fold",
-        [SliceFold(), SchemaFold(), SemanticsFold(known_rules=KNOWN_RULES)],
+        [SliceFold(), SchemaFold(), SemanticsFold(known_rules=KNOWN_RULES, run_root=RUN_ROOT)],
         ids=["slice", "schema", "semantics"],
     )
     def test_three_partitions_merge_associatively_and_leave_their_payloads(self, tmp_path, fold):
-        parts = plan_partitions([write_lines(tmp_path, law_lines(seed=13))], 3)
+        path = write_lines(tmp_path, law_lines(seed=13))
+        parts = plan_partitions([path], 3)
         assert len(parts) == 3
         _, payloads = run_partitioned(Job((fold,)), parts, 1)
         copies = pickle.loads(pickle.dumps(payloads))
@@ -820,6 +909,8 @@ class TestMergeLaws:
             p0, p1, p2 = (payload[name] for payload in payloads)
             assert all(p != type(p)() for p in (p0, p1, p2))  # each partition holds some of every field
             assert law(law(p0, p1), p2) == law(p0, law(p1, p2))
+            if name == "type_masks":  # run paths, which read back as the single pass's masks
+                assert read_masks(law(law(p0, p1), p2)) == oracle_masks(path, KNOWN_RULES)
         merge_payloads(payloads)
         assert payloads == copies
 

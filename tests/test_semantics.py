@@ -1,10 +1,11 @@
 import io
+import os
 import random
 from collections import Counter
 
 import pytest
 
-from conftest import dump_stream, fold_triples, lit_line, obj_line
+from conftest import dump_stream, fold_triples, lit_line, obj_line, read_masks
 from dumpgen import oracle_resolve, oracle_violations
 from fbont.model import Literal, Mid, idpath, parse_ref
 from fbont.parser import ParseReport, iter_triples, serialize
@@ -18,7 +19,11 @@ from fbont.semantics import (
     Violation,
     check_incompatibilities,
     load_rules,
+    mask_run_path,
+    merge_mask_runs,
+    read_mask_run,
     rewrite_canonical,
+    write_mask_run,
     write_merge_tsv,
 )
 
@@ -380,22 +385,68 @@ class TestIncompatibilities:
         more = set(check_incompatibilities(assertions, rules + [IncompatibilityRule(type_pool[2], type_pool[3])]))
         assert base <= more
 
-    def test_type_assertions_from_stream(self):
+    def test_type_assertions_from_stream(self, tmp_path):
         lines = [
             obj_line("m.terminator", "type.object.type", "film.film"),
             obj_line("m.terminator", "type.object.type", "film.film_series"),
             lit_line("m.terminator", "type.object.name", "The Terminator"),
         ]
-        fold = SemanticsFold(known_rules=frozenset({IncompatibilityRule(self.film, self.series)}))
-        type_masks = fold_triples(fold, parse_lines(lines))[0]["type_masks"]
-        assert type_masks == {"terminator": 0b11}  # /film/film is bit 0, /film/film_series bit 1
-        assert fold.violations(type_masks) == [Violation(Mid("terminator"), self.film, self.series)]
+        rules = frozenset({IncompatibilityRule(self.film, self.series)})
+        fold = SemanticsFold(known_rules=rules, run_root=str(tmp_path))
+        runs = fold_triples(fold, parse_lines(lines))[0]["type_masks"]
+        assert read_masks(runs) == {"terminator": 0b11}  # /film/film is bit 0, /film/film_series bit 1
+        assert fold.violations(runs) == [Violation(Mid("terminator"), self.film, self.series)]
 
     def test_load_rules_file(self):
         text = "# pairs\n/film/film\t/film/film_series\n\n/people/person /people/deceased_person\n"
         rules = load_rules(io.StringIO(text))
         assert IncompatibilityRule(self.film, self.series) in rules
         assert len(rules) == 2
+
+
+# Mid suffixes the parser builds from non-canonical ids: non-ASCII, a space, a
+# CR inside the id, a quote, upper case, and characters beyond the BMP.
+ODD_SUFFIXES = ["é", "a b", "x\ry", "日本", "\U0001F600", "Z", "_", 'A"q', "0", "\u00ff", "\uffff", "zz"]
+
+
+class TestMaskRuns:
+    def test_records_round_trip(self, tmp_path):
+        records = [(suffix, (1 << i) | (1 << (3 * i + 70))) for i, suffix in enumerate(sorted(ODD_SUFFIXES))]
+        records.append(("\U0010ffff", 1))
+        path = mask_run_path(str(tmp_path), "00000")
+        write_mask_run(path, records)
+        assert list(read_mask_run(path)) == records
+        with pytest.raises(FileExistsError):  # a run is never written over
+            write_mask_run(path, records[:1])
+
+    def test_fold_runs_hold_parsed_suffixes_in_str_order(self, tmp_path):
+        film, series = idpath("/film/film"), idpath("/film/film_series")
+        lines = [obj_line(f"m.{suffix}", "type.object.type", "film.film") for suffix in ODD_SUFFIXES]
+        lines += [obj_line(f"m.{suffix}", "type.object.type", "film.film_series") for suffix in ODD_SUFFIXES[::3]]
+        triples = parse_lines(lines)
+        assert {t.subject.suffix for t in triples} == set(ODD_SUFFIXES)
+        fold = SemanticsFold(known_rules=frozenset({IncompatibilityRule(film, series)}), run_root=str(tmp_path))
+        (run,) = fold_triples(fold, triples)[0]["type_masks"]
+        records = list(read_mask_run(run))
+        assert [suffix for suffix, _ in records] == sorted(ODD_SUFFIXES)
+        assert dict(records) == {s: 0b11 if s in ODD_SUFFIXES[::3] else 0b01 for s in ODD_SUFFIXES}
+        expected = [Violation(Mid(s), film, series) for s in sorted(ODD_SUFFIXES[::3])]
+        assert fold.violations([run]) == expected
+
+    @pytest.mark.parametrize("open_runs", [1, 3, 4, 100])
+    def test_merge_ors_equal_suffixes_in_str_order(self, tmp_path, open_runs):
+        rng = random.Random(open_runs)
+        oracle: dict[str, int] = {}
+        runs = []
+        for n in range(9):
+            masks = {rng.choice(ODD_SUFFIXES) + str(rng.randrange(5)): 1 << rng.randrange(6) for _ in range(12)}
+            for suffix, mask in masks.items():
+                oracle[suffix] = oracle.get(suffix, 0) | mask
+            runs.append(mask_run_path(str(tmp_path), f"{n:05d}"))
+            write_mask_run(runs[-1], sorted(masks.items()))
+        merged = list(merge_mask_runs(runs, str(tmp_path), open_runs))
+        assert merged == sorted(oracle.items())
+        assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(run) for run in runs)  # passes removed
 
 
 class TestMergeTsv:
