@@ -12,13 +12,20 @@ grows with the dump: ``slice --materialize`` is a flag that takes no value
 and writes each well-formed line, as it was read, to
 ``OUT/slices/<kind>/<name>.nt``, and ``semantics`` keeps, per mid, one
 bitmask of the types its ``--rules`` name (its workers write them as sorted
-runs under ``OUT/.mask-runs``, which the fold merges as a stream) and
+runs in the work directory, which the fold merges as a stream) and
 writes violations exactly when given ``--rules``.
 
 Each subcommand builds its documents as a ``{file name: text}`` map, the
 tables rendered by :mod:`fbont.report`, and ends in one publish step
 (:func:`_publish`) that writes them, with ``parse_report.json`` when the dump
 was parsed, and prints the parse summary.
+
+Each run has one work directory, ``OUT/.fbont-<command>`` (:func:`_work_dir`):
+slice shards go under its ``parts/``, mask runs under its ``runs/``, and
+every output file, materialized slices included, is written under its
+``out/`` and then renamed into OUT, so no file reaches OUT until all of them
+are written. The directory is removed when the run starts, so files a killed
+run left are never read, and on every exit.
 
 Exit codes: 0 success, 2 I/O failure, a bad ``semantics --rules`` file (read
 before the dump), a bad ``study --from-counts``/``--from-schema`` file (read
@@ -30,11 +37,7 @@ policy), 5 worker failure (a forked worker process ended before it sent its
 result: killed, or holding an exception that cannot be pickled) or out of
 memory (a MemoryError raised in this process or sent back by a worker: one
 line, ``error: out of memory: ...``). Reruns on identical inputs write
-byte-identical output files, and each file is replaced atomically, so a
-failed write leaves the previous content in place. ``slice --materialize``
-removes its ``.parts`` shard directory, and ``semantics`` its
-``.mask-runs`` run directory, before it parses, so files a killed run left
-are never read, and on every exit.
+byte-identical output files, and a run that fails leaves OUT as it was.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ import io
 import os
 import shutil
 import sys
-from typing import Callable, TextIO, TypeVar
+from contextlib import contextmanager
+from typing import Callable, Iterator, TextIO, TypeVar
 
 from .parser import ParseReport, ParserConfig
 from .pipeline import (
@@ -56,7 +60,6 @@ from .pipeline import (
     concatenate_shards,
     join_scores,
     join_study_rows,
-    replacing,
     run_folds,
 )
 from .report import (
@@ -92,22 +95,41 @@ OUTPUT_DIR_ENV = "FBONT_OUT"
 T = TypeVar("T")
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write ``text`` to a temp file beside ``path``, then rename it over ``path``."""
-    with replacing(path) as temp, open(temp, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+@contextmanager
+def _work_dir(out: str, command: str) -> Iterator[str]:
+    """The command's work directory, OUT/.fbont-<command>, removed on entry and on every exit.
+
+    Nothing creates it here, so a command that fails before it writes leaves
+    no OUT. Each command has its own, so two commands can write into one OUT
+    at once.
+    """
+    work = os.path.join(out, f".fbont-{command}")
+    shutil.rmtree(work, ignore_errors=True)  # what a killed run left behind
+    try:
+        yield work
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
 
 
 def _publish(args: argparse.Namespace, docs: dict[str, str], report: ParseReport | None = None) -> None:
-    """Write each ``{file name: text}`` document into --out, each replaced atomically.
+    """Write each ``{file name: text}`` document under the work directory's out/,
+    then rename every file there into --out.
 
     With a parse report, also write parse_report.json and print the parse
     summary.
     """
     if report is not None:
         docs = {**docs, "parse_report.json": render_json(report.to_dict())}
+    staged = os.path.join(args.work, "out")
+    os.makedirs(staged, exist_ok=True)
     for name, text in docs.items():
-        _write_text(os.path.join(args.out, name), text)
+        with open(os.path.join(staged, name), "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    for root, _, files in os.walk(staged):
+        target = os.path.join(args.out, os.path.relpath(root, staged))
+        os.makedirs(target, exist_ok=True)
+        for name in files:
+            os.replace(os.path.join(root, name), os.path.join(target, name))
     if report is None:
         return
     print(
@@ -140,9 +162,7 @@ def _parser_config(args: argparse.Namespace) -> ParserConfig:
 
 
 def _group_config(args: argparse.Namespace) -> GroupConfig:
-    if getattr(args, "implementation_domain", None):
-        return GroupConfig(frozenset(args.implementation_domain))
-    return GroupConfig(frozenset(DEFAULT_IMPLEMENTATION_DOMAINS))
+    return GroupConfig(frozenset(args.implementation_domain or DEFAULT_IMPLEMENTATION_DOMAINS))
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -160,19 +180,10 @@ def _tables(args: argparse.Namespace, name: str, header: tuple, rows: list[tuple
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
-    materialize_dir = os.path.join(args.out, "slices")
-    shard_root = os.path.join(materialize_dir, ".parts") if args.materialize else None
+    shard_root = os.path.join(args.work, "parts") if args.materialize else None
+    report, merged = _run(args, SliceFold(shard_root))
     if shard_root is not None:
-        shutil.rmtree(shard_root, ignore_errors=True)  # shards a killed run left behind
-    try:
-        report, merged = _run(args, SliceFold(shard_root))
-        if shard_root is not None:
-            concatenate_shards(merged["shard_dirs"], materialize_dir)
-    except BaseException:
-        if shard_root is not None:
-            shutil.rmtree(shard_root, ignore_errors=True)  # no half-written shards on any exit
-        raise
-
+        concatenate_shards(merged["shard_dirs"], os.path.join(args.work, "out", "slices"))
     bundle = ReportBundle(taxonomy=build_taxonomy(merged["counts"], _group_config(args)))
     docs = bundle.documents(args.format or DEFAULT_TAXONOMY_FORMATS)
     _publish(args, docs, report)
@@ -191,19 +202,14 @@ def cmd_semantics(args: argparse.Namespace) -> int:
     The --rules file is read before the parse, so a bad file fails fast and
     writes nothing, and so the fold keeps, per mid, only the bits of the
     types those rules name, none without --rules. The workers write those
-    masks as sorted runs under OUT/.mask-runs, which the fold merges as a
-    stream (see SemanticsFold); the directory is removed before the parse,
-    so runs a killed run left are never read, and on every exit.
+    masks as sorted runs under the work directory's runs/, which the fold
+    merges as a stream (see SemanticsFold).
     """
     rules = _read_input(args.rules, load_rules) if args.rules else frozenset()
-    run_root = os.path.join(args.out, ".mask-runs")
+    run_root = os.path.join(args.work, "runs")
     fold = SemanticsFold(known_rules=rules, accept_reversed=args.accept_reversed, run_root=run_root)
-    shutil.rmtree(run_root, ignore_errors=True)  # runs a killed run left behind
-    try:
-        report, merged = _run(args, fold)
-        violations = fold.violations(merged["type_masks"])
-    finally:
-        shutil.rmtree(run_root, ignore_errors=True)  # no run file on any exit
+    report, merged = _run(args, fold)
+    violations = fold.violations(merged["type_masks"])
     policy = CyclePolicy(args.cycle_policy)
 
     merge_map = merged["merge_map"]
@@ -371,7 +377,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        with _work_dir(args.out, args.command) as args.work:
+            return args.func(args)
     except MergeCycleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

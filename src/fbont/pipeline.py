@@ -45,7 +45,6 @@ import shutil
 import signal
 import sys
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
@@ -212,12 +211,12 @@ class SliceFold:
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
         return False
 
-    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Callable | None, ...]:
+    def start(self, part: Partition, lint: Counter) -> tuple[Callable | None, ...]:
         writer: SliceWriter | None = None
         shard_dir: str | None = None
         if self.shard_root is not None:
             shard_dir = os.path.join(self.shard_root, f"{part.index:05d}")
-            writer = SliceWriter(shard_dir, parser.namespace)
+            writer = SliceWriter(shard_dir)
 
         def finish(tallies: Sequence[Tally]) -> dict[str, Any]:
             counts: dict[SliceKey, int] = {}
@@ -255,7 +254,7 @@ class SchemaFold:
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
         return reads_terms(predicate, mid_subject, self.schema)
 
-    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Finish]:
+    def start(self, part: Partition, lint: Counter) -> tuple[Feed, Finish]:
         schemas: dict[str, DomainSchema] = {}
         config = self.schema
 
@@ -312,7 +311,7 @@ class SemanticsFold:
         """
         return mask_violations(merge_mask_runs(runs, self.run_root, _open_file_cap()), self.known_rules)
 
-    def start(self, part: Partition, parser: ParserConfig, lint: Counter) -> tuple[Feed, Finish]:
+    def start(self, part: Partition, lint: Counter) -> tuple[Feed, Finish]:
         merge_map = MergeMap()
         notations: list[ValueNotation] = []
         type_masks: dict[str, int] = {}
@@ -363,7 +362,7 @@ class Job:
 
     def run(self, part: Partition) -> tuple[ParseReport, dict[str, Any]]:
         report = ParseReport()
-        started = [fold.start(part, self.parser, report.lint) for fold in self.folds]
+        started = [fold.start(part, report.lint) for fold in self.folds]
         feeds = [functions[0] for functions in started if functions[0] is not None]
         copying = [functions[2:] for functions in started if len(functions) > 2]
         if len(copying) > 1:
@@ -565,33 +564,13 @@ def _merge_results(
     return report, payloads
 
 
-@contextmanager
-def replacing(path: str) -> Iterator[str]:
-    """A temp path beside ``path``, renamed over ``path`` when the block ends.
-
-    On any exception the temp file is removed and ``path`` keeps its old
-    content, so no reader sees a half-written file. The temp name holds only
-    the process id, so it is short enough wherever ``path``'s name is.
-    """
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    temp = os.path.join(directory, f".{os.getpid()}.tmp")
-    try:
-        yield temp
-        os.replace(temp, path)
-    except BaseException:
-        if os.path.exists(temp):
-            os.remove(temp)
-        raise
-
-
 def concatenate_shards(shard_dirs: Sequence[str], out_dir: str) -> list[str]:
     """Merge worker-private slice shards into final per-slice files.
 
     Shards concatenate in partition order, so the result is byte-identical to
-    a single-worker run. Each final file is replaced atomically. Shard
-    directories are removed afterwards.
+    a single-worker run. Each final file is written in place: the CLI writes
+    them into its work directory and publishes them by rename. The shard
+    directories and their parents are removed afterwards.
     """
     relpaths: list[str] = []
     seen = set()
@@ -604,7 +583,9 @@ def concatenate_shards(shard_dirs: Sequence[str], out_dir: str) -> list[str]:
                     relpaths.append(rel)
     relpaths.sort()
     for rel in relpaths:
-        with replacing(os.path.join(out_dir, rel)) as temp, open(temp, "wb") as out:
+        path = os.path.join(out_dir, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as out:
             for shard_dir in shard_dirs:
                 piece = os.path.join(shard_dir, rel)
                 if os.path.exists(piece):

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Mapping
 
-from .model import ExternalIri, IdPath, Mid, NodeRef, Triple, reduce_value
+from .model import DEFAULT_NAMESPACE, ExternalIri, IdPath, Mid, NodeRef, Triple, reduce_value
 from .parser import serialize
 
 # Domains implementing Freebase itself rather than describing the world.
@@ -150,7 +150,7 @@ class SliceWriter:
     def __init__(
         self,
         directory: str | os.PathLike,
-        namespace: str,
+        namespace: str = DEFAULT_NAMESPACE,
         layout: str = DEFAULT_SLICE_LAYOUT,
     ):
         self.directory = os.fspath(directory)

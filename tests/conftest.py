@@ -9,7 +9,6 @@ from collections import Counter
 
 import pytest
 
-from fbont.parser import ParserConfig
 from fbont.pipeline import Partition
 from fbont.semantics import read_mask_run
 
@@ -57,7 +56,7 @@ def fold_triples(fold, triples) -> tuple[dict, Counter]:
     so a test drives the code the CLI runs.
     """
     lint: Counter = Counter()
-    feed, finish, *_ = fold.start(Partition("-", 0, -1, 0), ParserConfig(), lint)
+    feed, finish, *_ = fold.start(Partition("-", 0, -1, 0), lint)
     tallies: Counter = Counter()
     for triple in triples:
         if feed is not None:

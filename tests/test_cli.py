@@ -511,7 +511,7 @@ class TestCmdSemantics:
                     assert len(seen[-1]) == partitions and low <= min(seen[-1]) <= max(seen[-1]) <= high
         assert all(output == outputs[0] for output in outputs)
         assert json.loads(outputs[0][0]["violations.json"]) != []
-        assert ".mask-runs" not in outputs[0][0]
+        assert not any(name.startswith(".fbont-") for name in outputs[0][0])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_runs_a_killed_run_left_are_removed_before_the_parse(self, tmp_path, monkeypatch, workers):
@@ -523,7 +523,7 @@ class TestCmdSemantics:
         rules = tmp_path / "rules.tsv"
         rules.write_text("/film/film /film/film_series\n/book/book /tv/tv_series\n")
         fresh, out = tmp_path / "fresh", tmp_path / "out"
-        stale = out / ".mask-runs" / "00000-1-0.run"
+        stale = out / ".fbont-semantics" / "runs" / "00000-1-0.run"
         stale.parent.mkdir(parents=True)
         # bits 1 and 2 are /film/film and /film/film_series: a violation, were it read
         write_mask_run(str(stale), [("never_typed", 0b0110)])
@@ -539,7 +539,7 @@ class TestCmdSemantics:
             assert main(argv) == 0
         assert read_tree(out) == read_tree(fresh)
         assert (out / "violations.csv").read_text().splitlines() == ["mid,type_a,type_b"]
-        assert not stale.parent.exists()
+        assert not (out / ".fbont-semantics").exists()
 
     def test_no_run_is_written_without_rules(self, tmp_path, monkeypatch):
         def refuse(path, records):
@@ -806,7 +806,7 @@ class TestGzipRanges:
             report = json.loads(trees[0]["parse_report.json"])
             assert report["lines_malformed"] > 0 and report["first_errors"]
         assert "violations.json" in read_tree(tmp_path / "semantics-w1")
-        assert not (tmp_path / "slice-w4" / "slices" / ".parts").exists()
+        assert not (tmp_path / "slice-w4" / ".fbont-slice").exists()
 
     @pytest.mark.parametrize("fault", ["truncated", "bad-crc"])
     def test_corrupt_gzip_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, fault):
@@ -819,7 +819,7 @@ class TestGzipRanges:
                 assert main(argv) == 2
                 assert "stream aborted" in capsys.readouterr().err
                 assert read_tree(out) == {}  # no taxonomy.*, no parse_report.json, no shards
-                assert not (out / "slices" / ".parts").exists()
+                assert not (out / ".fbont-slice").exists()
 
 
     def test_abort_counts_the_lines_of_every_partition(self, tmp_path, monkeypatch, capsys):
@@ -847,18 +847,18 @@ class TestGzipRanges:
 class KillingSliceFold(SliceFold):
     """A slice fold whose worker process kills itself with SIGKILL in partition 1."""
 
-    def start(self, part, parser, lint):
+    def start(self, part, lint):
         if part.index == 1 and os.getpid() != TEST_PID:
             os.kill(os.getpid(), signal.SIGKILL)
-        return super().start(part, parser, lint)
+        return super().start(part, lint)
 
 
 @dataclass(frozen=True)
 class OutOfMemorySemanticsFold(SemanticsFold):
     """A semantics fold that runs out of memory in every partition once it has written a mask run."""
 
-    def start(self, part, parser, lint):
-        feed, finish = super().start(part, parser, lint)
+    def start(self, part, lint):
+        feed, finish = super().start(part, lint)
 
         def feed_until_a_run(triple):
             feed(triple)
@@ -879,6 +879,12 @@ def typed_semantics_fixture(tmp_path, lines=2_000, mids=300):
     rules = tmp_path / "rules.tsv"
     rules.write_text("/film/film /film/film_series\n")
     return write_lines(tmp_path, dump_lines), str(rules)
+
+
+def publish(out, docs):
+    """cli._publish of the documents into ``out``, inside a slice command's work directory."""
+    with cli._work_dir(str(out), "slice") as work:
+        cli._publish(argparse.Namespace(out=str(out), work=work), docs)
 
 
 def limit_file_size(limit):
@@ -907,7 +913,7 @@ class TestFailureExits:
         assert captured.err == "error: out of memory: cannot allocate a mask entry in partition 0\n"
         assert captured.out == ""
         assert read_tree(out) == {}
-        assert not (out / ".mask-runs").exists()
+        assert not (out / ".fbont-semantics").exists()
 
     @pytest.mark.parametrize("code", [0, 2, 4, 5])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -943,7 +949,7 @@ class TestFailureExits:
         argv = ["semantics", dump, "--rules", rules, "--workers", str(workers), "--out", str(out)]
         assert main(argv) == code
         assert written or workers == 2  # a forked worker's runs are written in the worker
-        assert not (out / ".mask-runs").exists()
+        assert not (out / ".fbont-semantics").exists()
         assert (out / "violations.csv").exists() == (code == 0)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -959,13 +965,95 @@ class TestFailureExits:
         proc = subprocess.run(argv, capture_output=True, text=True, preexec_fn=limit)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: [Errno 27] File too large")
-        assert os.listdir(out / "slices") == []
+        assert read_tree(out) == {}
         out = tmp_path / "semantics"
         argv = cli_argv + ["semantics", dump, "--rules", rules, "--workers", str(workers), "--out", str(out)]
         proc = subprocess.run(argv, capture_output=True, text=True, preexec_fn=limit)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: [Errno 27] File too large")
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "command, old_argv, failing",
+        [
+            # merges.tsv and valuenotes.csv are written, then valuenotes.json fails
+            (["semantics", "--rules", "RULES", "--json"], ["semantics"], 3),
+            # the slices and taxonomy.json are written, then parse_report.json fails
+            (["slice", "--materialize", "--format", "json"], ["slice", "--materialize"], 2),
+        ],
+    )
+    def test_failed_publish_leaves_out_as_it_was(
+        self, tmp_path, monkeypatch, capsys, command, old_argv, failing, workers
+    ):
+        """A document that fails to write after others were written exits 2 and leaves
+        OUT byte-identical to its state before the run: the old files unchanged, no
+        new file and no work directory."""
+        dump, rules = typed_semantics_fixture(tmp_path)
+        edge = obj_line("m.old", "dataworld.gardening_hint.replaced_by", "m.new")  # changes merges.tsv
+        old = write_lines(tmp_path, random_dump_lines(200, seed=5) + [edge], "old.nt")
+        out = tmp_path / "out"
+        assert main([*old_argv, old, "--out", str(out)]) == 0
+        before = read_tree(out), sorted(root for root, _, _ in os.walk(out))
+        real_open = open
+        written = []
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            if "w" in mode:
+                written.append(os.path.basename(file))
+                if len(written) == failing:
+                    raise OSError(28, "No space left on device")
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        argv = [rules if arg == "RULES" else arg for arg in command]
+        assert main([*argv, dump, "--workers", str(workers), "--out", str(out)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(written) == failing
+        assert (read_tree(out), sorted(root for root, _, _ in os.walk(out))) == before
+        assert not any(name.startswith(".fbont-") for name in os.listdir(out))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("code", [0, 2, 3, 4, 5])
+    def test_no_work_directory_is_left_on_any_exit(self, tmp_path, monkeypatch, code, workers):
+        """Whatever a command exits with, it leaves no work directory, and the stale
+        work directory a killed run left is never read."""
+        dump, rules = typed_semantics_fixture(tmp_path)
+        command = ["slice", "--materialize"]
+        if code == 2:  # a read error once the first shards are written
+            real_blocks = pipeline.partition_blocks
+
+            def failing_blocks(part):
+                for number, line in enumerate(io.BytesIO(b"".join(real_blocks(part)))):
+                    if number == 500:
+                        raise OSError(5, "Input/output error")
+                    yield line
+
+            monkeypatch.setattr(pipeline, "partition_blocks", failing_blocks)
+        elif code == 3:
+            lines, _ = study_fixture_lines()
+            dump = write_lines(tmp_path, lines, "study.nt")
+            command = ["study", *(arg for name in ("music", "film", "tv", "book") for arg in ("--exclude", name))]
+        elif code == 4:
+            replaced_by = "dataworld.gardening_hint.replaced_by"
+            cycle = [obj_line("m.p", replaced_by, "m.q"), obj_line("m.q", replaced_by, "m.p")]
+            with open(dump, "a", encoding="utf-8") as handle:
+                handle.write("".join(line + "\n" for line in cycle))
+            command = ["semantics", "--rules", rules]
+        elif code == 5:
+            monkeypatch.setattr(pipeline, "MASK_RUN_ENTRIES", 5)
+            monkeypatch.setattr(cli, "SemanticsFold", OutOfMemorySemanticsFold)
+            command = ["semantics", "--rules", rules]
+        out = tmp_path / "out"
+        work = out / f".fbont-{command[0]}"
+        for stale in ("out/stale.csv", "parts/00000/domain/music.nt", "runs/00000-1-0.run"):
+            (work / stale).parent.mkdir(parents=True, exist_ok=True)
+            (work / stale).write_text("stale\n")
+        assert main([*command, dump, "--workers", str(workers), "--out", str(out)]) == code
+        names = os.listdir(out)
+        assert not any(name.startswith(".fbont-") for name in names)
+        assert bool(names) == (code == 0)  # a failed run writes nothing
+        assert all(b"stale" not in text for text in read_tree(out).values())
 
     def test_worker_crash_exits_5(self, tmp_path, monkeypatch, capsys):
         def crash(*args):
@@ -981,7 +1069,7 @@ class TestFailureExits:
 
         def crash(job, partitions, workers):
             job.run(partitions[0])  # one partition's shards are written, then a worker dies
-            assert os.listdir(out / "slices" / ".parts") == ["00000"]
+            assert os.listdir(out / ".fbont-slice" / "parts") == ["00000"]
             raise pipeline.WorkerFailure("worker process 1 ended before the result of partition 1")
 
         monkeypatch.setattr(pipeline, "run_partitioned", crash)
@@ -989,7 +1077,7 @@ class TestFailureExits:
         argv = ["slice", dump, "--workers", "2", "--out", str(out), "--materialize"]
         assert main(argv) == 5
         assert "worker failure" in capsys.readouterr().err
-        assert os.listdir(out / "slices") == []
+        assert read_tree(out) == {}
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers run in-process without os.fork")
     def test_killed_worker_exits_5_and_leaves_no_shards(self, tmp_path, monkeypatch, capsys):
@@ -1002,7 +1090,7 @@ class TestFailureExits:
         argv = ["slice", dump, "--workers", "2", "--out", str(out), "--materialize"]
         assert main(argv) == 5
         assert "worker failure" in capsys.readouterr().err
-        assert not (out / "slices" / ".parts").exists()
+        assert not (out / ".fbont-slice").exists()
         assert not (out / "taxonomy.csv").exists()
 
     def test_materialize_read_failure_leaves_no_shards(self, tmp_path, monkeypatch, capsys):
@@ -1020,7 +1108,7 @@ class TestFailureExits:
         argv = ["slice", dump, "--workers", "1", "--out", str(out), "--materialize"]
         assert main(argv) == 2
         assert "Input/output error" in capsys.readouterr().err
-        assert os.listdir(out / "slices") == []
+        assert read_tree(out) == {}
         assert not os.path.exists(out / "taxonomy.csv")
 
     def test_failed_slice_concatenation_keeps_previous_file(self, tmp_path, monkeypatch, capsys):
@@ -1050,21 +1138,21 @@ class TestFailureExits:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_shards_a_killed_run_left_never_reach_the_slices(self, tmp_path, workers):
-        """A run killed outright cannot remove its ``.parts``; the next run must not read them."""
+        """A run killed outright cannot remove its shards; the next run must not read them."""
         dump = write_lines(tmp_path, [lit_line(f"m.0{i}", "film.film.name", f"film {i}") for i in range(50)])
         fresh, out = tmp_path / "fresh", tmp_path / "out"
-        stale = out / "slices" / ".parts" / "00000" / "domain" / "music.nt"
+        stale = out / ".fbont-slice" / "parts" / "00000" / "domain" / "music.nt"
         stale.parent.mkdir(parents=True)
         stale.write_text(lit_line("m.0x", "music.artist.name", "stale") + "\n", encoding="utf-8")
         for target in (fresh, out):
             argv = ["slice", dump, "--workers", str(workers), "--out", str(target), "--materialize"]
             assert main(argv) == 0
         assert read_tree(out) == read_tree(fresh)
-        assert not (out / "slices" / ".parts").exists()
+        assert not (out / ".fbont-slice").exists()
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         target = tmp_path / "out" / "taxonomy.csv"
-        cli._write_text(str(target), "old\n")
+        publish(target.parent, {"taxonomy.csv": "old\n"})
         real_open = open
 
         class FailingHandle:
@@ -1083,14 +1171,14 @@ class TestFailureExits:
 
         monkeypatch.setattr(cli, "open", lambda *a, **k: FailingHandle(real_open(*a, **k)), raising=False)
         with pytest.raises(OSError):
-            cli._write_text(str(target), "new content that does not fit\n")
+            publish(target.parent, {"taxonomy.csv": "new content that does not fit\n"})
         assert target.read_text() == "old\n"
         assert os.listdir(target.parent) == ["taxonomy.csv"]
 
     def test_write_replaces_and_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "taxonomy.csv"
-        cli._write_text(str(target), "old\n")
-        cli._write_text(str(target), "new\n")
+        publish(tmp_path, {"taxonomy.csv": "old\n"})
+        publish(tmp_path, {"taxonomy.csv": "new\n"})
         assert target.read_text() == "new\n"
         assert os.listdir(tmp_path) == ["taxonomy.csv"]
 
@@ -1099,10 +1187,10 @@ class TestFailureExits:
 class SleepingSliceFold(SliceFold):
     """A slice fold whose worker process sleeps for a minute before partition 1."""
 
-    def start(self, part, parser, lint):
+    def start(self, part, lint):
         if part.index == 1 and os.getpid() != TEST_PID:
             time.sleep(60)
-        return super().start(part, parser, lint)
+        return super().start(part, lint)
 
 
 class UnpicklableError(Exception):
@@ -1115,10 +1203,10 @@ class UnpicklableError(Exception):
 class UnpicklableErrorSliceFold(SliceFold):
     """A slice fold whose worker raises an exception that pickle refuses, in partition 1."""
 
-    def start(self, part, parser, lint):
+    def start(self, part, lint):
         if part.index == 1 and os.getpid() != TEST_PID:
             raise UnpicklableError()
-        return super().start(part, parser, lint)
+        return super().start(part, lint)
 
 
 @contextmanager

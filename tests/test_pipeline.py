@@ -379,7 +379,7 @@ class ReadsEverything:
     def reads(self, predicate, mid_subject):
         return True
 
-    def start(self, part, parser, lint):
+    def start(self, part, lint):
         return (lambda triple: None), (lambda tallies: {})
 
 
@@ -393,7 +393,7 @@ class Recorder:
     def reads(self, predicate, mid_subject):
         return False
 
-    def start(self, part, parser, lint):
+    def start(self, part, lint):
         return self.fed.append, lambda tallies: self.tallies.extend(tallies) or {}
 
 
@@ -407,7 +407,7 @@ def built_and_counted(folds, path):
 
 def started(fold, lint):
     """The (feed, finish) of a fresh start of the fold over standard input."""
-    return fold.start(Partition("-", 0, -1, 0), ParserConfig(), lint)[:2]
+    return fold.start(Partition("-", 0, -1, 0), lint)[:2]
 
 
 class TestProjection:
