@@ -31,6 +31,7 @@ from fbont import (
     serialize,
 )
 from fbont.pipeline import SemanticsFold, run_folds
+from fbont.semantics import read_notation_rows
 
 NS = "http://rdf.freebase.com/ns/"
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
@@ -64,12 +65,13 @@ lines = [
 ]
 
 dump = write_dump("semantics.nt", lines)
+# The fold writes the value notations as rows of a shard under its run_root.
 # The rule is known before the parse, so the fold keeps, per mid, a bitmask
 # of only the types it names. It writes those masks as sorted runs under its
-# run_root, and its violations() merges them as a stream and decodes them.
+# run_root too, and its violations() merges them as a stream and decodes them.
 rule = IncompatibilityRule(idpath("/film/film"), idpath("/film/film_series"))
-run_root = os.path.join(OUT_DIR, ".mask-runs")
-fold = SemanticsFold(known_rules=frozenset({rule}), run_root=run_root)
+run_root = os.path.join(OUT_DIR, ".semantics-runs")
+fold = SemanticsFold(run_root, known_rules=frozenset({rule}))
 _, merged = run_folds([dump], [fold])
 
 merge_map = merged["merge_map"]
@@ -83,12 +85,11 @@ for triple in rewritten[2:4]:
     print("  ", serialize(triple))
 
 print()
-for note in merged["notations"]:
-    print(f"{render(note.property)} - {note.kind.value} - {render(note.object)}")
+for prop, mid, kind, _ in read_notation_rows(merged["notations"]):  # the shard paths
+    print(f"{prop} - {kind} - {mid}")
 
 print()
 violations = fold.violations(merged["type_masks"])  # the run paths
-shutil.rmtree(run_root)
 for violation in violations:
     print(f"split candidate: {render(violation.mid)} asserts both "
           f"{render(violation.type_a)} and {render(violation.type_b)}")
@@ -99,7 +100,8 @@ cycle_lines = [
     obj("m.b", "dataworld.gardening_hint.replaced_by", "m.c"),
     obj("m.c", "dataworld.gardening_hint.replaced_by", "m.b"),
 ]
-_, cycle = run_folds([write_dump("cycle.nt", cycle_lines)], [SemanticsFold()])
+_, cycle = run_folds([write_dump("cycle.nt", cycle_lines)], [SemanticsFold(run_root)])
+shutil.rmtree(run_root)
 cycle_map = cycle["merge_map"]
 survivor = cycle_map.resolve(next(iter(cycle_map.edges)), CyclePolicy.SMALLEST)
 print(f"\ncycle canonicalized to {render(survivor)} under the resilience policy")

@@ -12,16 +12,19 @@ grows with the dump: ``slice --materialize`` is a flag that takes no value
 and writes each well-formed line, as it was read, to
 ``OUT/slices/<kind>/<name>.nt``, and ``semantics`` keeps, per mid, one
 bitmask of the types its ``--rules`` name (its workers write them as sorted
-runs in the work directory, which the fold merges as a stream) and
+runs in the work directory, which the fold merges as a stream, and write
+their value notations there as shards of valuenotes.csv rows) and
 writes violations exactly when given ``--rules``.
 
-Each subcommand builds its documents as a ``{file name: text}`` map, the
-tables rendered by :mod:`fbont.report`, and ends in one publish step
-(:func:`_publish`) that writes them, with ``parse_report.json`` when the dump
-was parsed, and prints the parse summary.
+Each subcommand builds its documents as a ``{file name: document}`` map, a
+document being text or an iterable of text chunks, the tables rendered by
+:mod:`fbont.report`, and ends in one publish step (:func:`_publish`) that
+writes them, with ``parse_report.json`` when the dump was parsed, and prints
+the parse summary. ``semantics`` gives every table as chunks.
 
 Each run has one work directory, ``OUT/.fbont-<command>`` (:func:`_work_dir`):
-slice shards go under its ``parts/``, mask runs under its ``runs/``, and
+slice shards go under its ``parts/``, mask runs and notation shards under
+its ``runs/``, and
 every output file, materialized slices included, is written under its
 ``out/`` and then renamed into OUT, so no file reaches OUT until all of them
 are written. The directory is removed when the run starts, so files a killed
@@ -44,12 +47,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import os
 import shutil
 import sys
 from contextlib import contextmanager
-from typing import Callable, Iterator, TextIO, TypeVar
+from itertools import chain
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .parser import ParseReport, ParserConfig
 from .pipeline import (
@@ -75,14 +78,16 @@ from .report import (
     render_json,
     render_table,
     schema_rows,
-    valuenote_rows,
+    stream_table,
     violation_rows,
 )
 from .semantics import (
     CyclePolicy,
     MergeCycleError,
     load_rules,
-    write_merge_tsv,
+    merge_tsv_rows,
+    notation_lines,
+    read_notation_rows,
 )
 from .slicer import (
     DEFAULT_IMPLEMENTATION_DOMAINS,
@@ -111,9 +116,11 @@ def _work_dir(out: str, command: str) -> Iterator[str]:
         shutil.rmtree(work, ignore_errors=True)
 
 
-def _publish(args: argparse.Namespace, docs: dict[str, str], report: ParseReport | None = None) -> None:
-    """Write each ``{file name: text}`` document under the work directory's out/,
-    then rename every file there into --out.
+def _publish(
+    args: argparse.Namespace, docs: dict[str, str | Iterable[str]], report: ParseReport | None = None
+) -> None:
+    """Write each document, given as text or as an iterable of text chunks, under
+    the work directory's out/, then rename every file there into --out.
 
     With a parse report, also write parse_report.json and print the parse
     summary.
@@ -122,9 +129,10 @@ def _publish(args: argparse.Namespace, docs: dict[str, str], report: ParseReport
         docs = {**docs, "parse_report.json": render_json(report.to_dict())}
     staged = os.path.join(args.work, "out")
     os.makedirs(staged, exist_ok=True)
-    for name, text in docs.items():
+    for name, doc in docs.items():
         with open(os.path.join(staged, name), "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            for chunk in [doc] if isinstance(doc, str) else doc:
+                handle.write(chunk)
     for root, _, files in os.walk(staged):
         target = os.path.join(args.out, os.path.relpath(root, staged))
         os.makedirs(target, exist_ok=True)
@@ -173,12 +181,6 @@ def _run(args: argparse.Namespace, *folds) -> tuple[ParseReport, dict]:
     return run_folds(args.inputs, folds, args.workers, _parser_config(args))
 
 
-def _tables(args: argparse.Namespace, name: str, header: tuple, rows: list[tuple]) -> dict[str, str]:
-    """NAME.csv and, with --json, NAME.json: the rows as records keyed by header."""
-    formats = ("csv", "json") if args.json else ("csv",)
-    return {f"{name}.{fmt}": render_table(header, rows, fmt) for fmt in formats}
-
-
 def cmd_slice(args: argparse.Namespace) -> int:
     shard_root = os.path.join(args.work, "parts") if args.materialize else None
     report, merged = _run(args, SliceFold(shard_root))
@@ -192,7 +194,9 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 def cmd_schema(args: argparse.Namespace) -> int:
     report, merged = _run(args, SchemaFold())
-    _publish(args, _tables(args, "schema", SCHEMA_COLUMNS, schema_rows(merged["schemas"])), report)
+    rows = schema_rows(merged["schemas"])
+    formats = ("csv", "json") if args.json else ("csv",)
+    _publish(args, {f"schema.{fmt}": render_table(SCHEMA_COLUMNS, rows, fmt) for fmt in formats}, report)
     return 0
 
 
@@ -201,31 +205,34 @@ def cmd_semantics(args: argparse.Namespace) -> int:
 
     The --rules file is read before the parse, so a bad file fails fast and
     writes nothing, and so the fold keeps, per mid, only the bits of the
-    types those rules name, none without --rules. The workers write those
-    masks as sorted runs under the work directory's runs/, which the fold
-    merges as a stream (see SemanticsFold).
+    types those rules name, none without --rules. The workers write the
+    value notations as shards of valuenotes.csv rows and those masks as
+    sorted runs, both under the work directory's runs/ (see SemanticsFold).
+    The shards are concatenated behind the header, and read back as records
+    for valuenotes.json; the runs are merged as a stream. Every table is
+    written row by row, so no table is ever one string here, and no notation
+    is held once the parse is done.
     """
     rules = _read_input(args.rules, load_rules) if args.rules else frozenset()
-    run_root = os.path.join(args.work, "runs")
-    fold = SemanticsFold(known_rules=rules, accept_reversed=args.accept_reversed, run_root=run_root)
+    fold = SemanticsFold(os.path.join(args.work, "runs"), rules, args.accept_reversed)
     report, merged = _run(args, fold)
     violations = fold.violations(merged["type_masks"])
-    policy = CyclePolicy(args.cycle_policy)
-
-    merge_map = merged["merge_map"]
-    out = io.StringIO()
-    write_merge_tsv(merge_map, out, policy)  # MergeCycleError propagates: exit 4
-    docs = {"merges.tsv": out.getvalue()}
-    docs.update(_tables(args, "valuenotes", VALUENOTE_COLUMNS, valuenote_rows(merged["notations"])))
-
+    merge_map, shards = merged["merge_map"], merged["notations"]
+    docs = {
+        "merges.tsv": merge_tsv_rows(merge_map, CyclePolicy(args.cycle_policy)),  # MergeCycleError: exit 4
+        "valuenotes.csv": chain(stream_table(VALUENOTE_COLUMNS, ()), notation_lines(shards)),
+    }
+    if args.json:
+        docs["valuenotes.json"] = stream_table(VALUENOTE_COLUMNS, read_notation_rows(shards), "json")
     if args.rules:
-        docs.update(_tables(args, "violations", VIOLATION_COLUMNS, violation_rows(violations)))
+        for fmt in ("csv", "json") if args.json else ("csv",):
+            docs[f"violations.{fmt}"] = stream_table(VIOLATION_COLUMNS, violation_rows(violations), fmt)
         print(f"violations: {len(violations)}")
 
     _publish(args, docs, report)
     print(
         f"merge edges: {len(merge_map.edges)}, conflicts: {merge_map.conflicts}, "
-        f"value notations: {len(merged['notations'])}"
+        f"value notations: {merged['notation_rows']}"
     )
     return 0
 

@@ -16,11 +16,13 @@ field is a mergeable monoid with one declared merge law (``MERGE_LAWS``)
 that ``merge_payloads`` applies in partition order. Any worker count
 therefore produces byte-identical outputs to a single-threaded run. No fold
 keeps the dump's lines: a materializing ``SliceFold`` holds one block's
-copied lines at a time, and ``SemanticsFold`` keeps one bitmask per mid of
-the types its known rules name that the mid asserts, at most
-``MASK_RUN_ENTRIES`` of them at a time: the rest are on disk, as sorted runs
-that only their paths name in the payload and that the parent merges as a
-stream.
+copied lines at a time, and ``SemanticsFold`` holds at most
+``NOTATION_BATCH`` value notations and ``MASK_RUN_ENTRIES`` type masks (one
+bitmask per mid of the types its known rules name that the mid asserts) at
+a time. The rest are on disk: one shard of notation rows per partition,
+which the parent concatenates, and sorted mask runs, which it merges as a
+stream; only their paths are in the payload. Its merge map is the one
+aggregate in memory that grows with the dump.
 
 Standard input, pipes and gzip files under two minimum ranges are read as
 one partition.
@@ -87,6 +89,7 @@ from .semantics import (
     merge_mask_runs,
     type_bits,
     write_mask_run,
+    write_notation_rows,
 )
 from .slicer import (
     DEFAULT_GROUPS,
@@ -273,11 +276,22 @@ _SEMANTICS_PREDICATES = frozenset(
 # sorted run, so its memory does not grow with the dump's typed mids (about
 # 5 MB at 80 bytes an entry).
 MASK_RUN_ENTRIES = 1 << 16
+# Value notations a semantics worker holds before it appends them to its
+# partition's notation shard (about 0.4 MB at 400 bytes a notation).
+NOTATION_BATCH = 1 << 10
 
 
 @dataclass(frozen=True)
 class SemanticsFold:
     """Merge edges, value notations and each mid's mask of the types the known rules name.
+
+    Everything but the merge map goes to disk under ``run_root``, which every
+    fold needs and the caller removes. Each partition appends its value
+    notations, ``NOTATION_BATCH`` at a time, to one shard of valuenotes.csv
+    rows (``semantics.write_notation_rows``), made at its first notation. The
+    ``notations`` field is the list of the partition's shard paths, with or
+    without a file, and ``notation_rows`` counts their rows;
+    ``semantics.read_notation_rows`` reads them back.
 
     ``known_rules`` are the incompatibility rules, known before the parse.
     A violation needs both of a rule's types, so only the assertions of a
@@ -287,17 +301,12 @@ class SemanticsFold:
     ``MASK_RUN_ENTRIES`` entries, and at the partition's end, the map is
     written sorted by suffix as one mask run under ``run_root`` and
     cleared, so the ``type_masks`` field is the list of the partition's run
-    paths. A fold with rules needs a ``run_root``; the caller removes it.
-    ``violations`` streams the merged runs.
+    paths. ``violations`` streams the merged runs.
     """
 
+    run_root: str
     known_rules: frozenset[IncompatibilityRule] = frozenset()
     accept_reversed: bool = False
-    run_root: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.known_rules and self.run_root is None:
-            raise ValueError("a SemanticsFold with known rules needs a run_root for its mask runs")
 
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
         return predicate in _SEMANTICS_PREDICATES
@@ -314,6 +323,8 @@ class SemanticsFold:
     def start(self, part: Partition, lint: Counter) -> tuple[Feed, Finish]:
         merge_map = MergeMap()
         notations: list[ValueNotation] = []
+        shard = mask_run_path(self.run_root, f"notes-{part.index:05d}", ".csv")
+        noted = 0  # the rows written to the shard
         type_masks: dict[str, int] = {}
         runs: list[str] = []
         bits = type_bits(self.known_rules)
@@ -325,9 +336,18 @@ class SemanticsFold:
             write_mask_run(path, ((suffix, type_masks[suffix]) for suffix in sorted(type_masks)))
             type_masks.clear()
 
+        def write_notations() -> None:
+            nonlocal noted
+            os.makedirs(self.run_root, exist_ok=True)
+            write_notation_rows(shard, notations)
+            noted += len(notations)
+            notations.clear()
+
         def feed(triple: Triple) -> None:
             feed_merge_edge(merge_map, triple, lint)
             feed_value_notation(notations, triple, self.accept_reversed, lint)
+            if len(notations) >= NOTATION_BATCH:
+                write_notations()
             feed_type_mask(type_masks, bits, triple)
             if len(type_masks) >= MASK_RUN_ENTRIES:
                 spill()
@@ -335,9 +355,12 @@ class SemanticsFold:
         def finish(tallies: Sequence[Tally]) -> dict[str, Any]:
             if type_masks:
                 spill()
+            if notations:
+                write_notations()
             return {
                 "merge_map": merge_map,
-                "notations": notations,
+                "notations": [shard],
+                "notation_rows": noted,
                 "type_masks": runs,
             }
 
@@ -392,6 +415,7 @@ MERGE_LAWS: dict[str, Callable[[Any, Any], Any]] = {
     "schemas": merge_schemas,
     "merge_map": MergeMap.merge,
     "notations": operator.add,
+    "notation_rows": operator.add,
     "type_masks": operator.add,
     # bench/traced.py's replica returns these three payload fields; the folds do not
     "assertions": operator.add,

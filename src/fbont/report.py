@@ -1,13 +1,15 @@
 """Deterministic renderers and readers for every table this tool writes.
 
-This is the only module that knows an output table's columns and format:
-the taxonomy, the schema summary, the scatter points, value notations and
-violations all render through :func:`render_table` as csv, tsv or json
-records, and the readers of ``taxonomy.csv`` and ``schema.csv`` sit beside
-their writers. Identical inputs always produce byte-identical documents: no
-timestamps, no environment-dependent formatting, and the scatterplot is a
-self-contained SVG built from plain strings (generic font family, no
-external resources).
+This module knows the output tables' columns and formats: the taxonomy,
+the schema summary, the scatter points, value notations and violations all
+render through :func:`stream_table` as csv, tsv or json records, in chunks,
+or joined into one document by :func:`render_table`, and the readers of
+``taxonomy.csv`` and ``schema.csv`` sit beside their writers. Only the value
+notations' csv rows are written elsewhere, by the semantics workers
+(:func:`fbont.semantics.write_notation_rows`). Identical inputs always
+produce byte-identical documents: no timestamps, no environment-dependent
+formatting, and the scatterplot is a self-contained SVG built from plain
+strings (generic font family, no external resources).
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, TextIO
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .model import render
 from .schema import DomainSchema, UndefinedComplexityError, complexity_score
-from .semantics import ValueNotation, Violation
+from .semantics import Violation
 from .slicer import DOMAIN, OWL_TERM, Group, SliceKey, SliceStats
 from .stats import StudyResult, StudyRow
 
@@ -48,18 +51,31 @@ def render_json(value: object) -> str:
 
 
 def render_table(header: Sequence[str], rows: Iterable[Sequence], fmt: str = "csv") -> str:
-    """A table as csv, tsv, or json records keyed by ``header``.
+    """A table as csv, tsv, or json records keyed by ``header``: ``stream_table``'s chunks, joined."""
+    return "".join(stream_table(header, rows, fmt))
+
+
+def stream_table(header: Sequence[str], rows: Iterable[Sequence], fmt: str = "csv") -> Iterator[str]:
+    """A table as csv, tsv, or json records keyed by ``header``, one chunk per row.
 
     One row list serves every format: csv and tsv write ``None`` as an empty
     field and a float as its repr, json writes them as null and a number.
+    The json chunks lay the records out as ``render_json`` lays out their list.
     """
     if fmt == "json":
-        return render_json([dict(zip(header, row)) for row in rows])
+        opening = "[\n  "
+        for row in rows:
+            yield opening + json.dumps(dict(zip(header, row)), indent=2, sort_keys=True).replace("\n", "\n  ")
+            opening = ",\n  "
+        yield "[]\n" if opening == "[\n  " else "\n]\n"
+        return
     out = io.StringIO()
     writer = csv.writer(out, delimiter=_DELIMITER[fmt], lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+    for row in chain([header], rows):
+        writer.writerow(row)
+        yield out.getvalue()
+        out.seek(0)
+        out.truncate()
 
 
 def _pct(fraction: float) -> str:
@@ -183,12 +199,8 @@ def schema_rows(schemas: Mapping[str, DomainSchema]) -> list[tuple]:
     return rows
 
 
-def valuenote_rows(notations: Iterable[ValueNotation]) -> list[tuple]:
-    return [(render(n.property), render(n.object), n.kind.value, n.orientation) for n in notations]
-
-
-def violation_rows(violations: Iterable[Violation]) -> list[tuple]:
-    return [(render(v.mid), render(v.type_a), render(v.type_b)) for v in violations]
+def violation_rows(violations: Iterable[Violation]) -> Iterator[tuple]:
+    return ((render(v.mid), render(v.type_a), render(v.type_b)) for v in violations)
 
 
 def study_to_json(result: StudyResult) -> str:

@@ -1,22 +1,29 @@
-"""Shared fixture helpers: dump-line builders, feeding triples to one fold, reading mask runs back, and the published domain census."""
+"""Shared fixture helpers: dump-line builders, feeding triples to one fold, reading mask runs and
+notation shards back, and the published domain census."""
 
 from __future__ import annotations
 
 import io
 import os
+import shutil
 import sys
+import tempfile
 from collections import Counter
 
 import pytest
 
+from fbont.model import parse_ref
 from fbont.pipeline import Partition
-from fbont.semantics import read_mask_run
+from fbont.semantics import NotationKind, ValueNotation, read_mask_run, read_notation_rows
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 NS = "http://rdf.freebase.com/ns/"
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+# Where the semantics folds built without a tmp_path write their notation
+# shards and mask runs; every name there is unique, and the session removes it.
+RUN_ROOT = os.path.join(tempfile.gettempdir(), f"fbont-test-runs-{os.getpid()}")
 CENSUS_PATH = os.path.join(DATA_DIR, "domain_census.tsv")
 
 
@@ -80,6 +87,20 @@ def read_masks(runs) -> dict[str, int]:
             assert mask > 0, path
             masks[suffix] = masks.get(suffix, 0) | mask
     return masks
+
+
+def read_notations(shards) -> list[ValueNotation]:
+    """A semantics payload's ``notations`` shards read back as value notations, in order."""
+    return [
+        ValueNotation(parse_ref(prop), parse_ref(obj), NotationKind(kind), orientation)
+        for prop, obj, kind, orientation in read_notation_rows(shards)
+    ]
+
+
+@pytest.fixture(autouse=True, scope="session")
+def remove_run_root():
+    yield
+    shutil.rmtree(RUN_ROOT, ignore_errors=True)
 
 
 def load_census() -> list[dict]:

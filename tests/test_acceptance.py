@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fold_triples, load_census, obj_line
+from conftest import RUN_ROOT, fold_triples, load_census, obj_line, read_notations
 from dumpgen import (
     oracle_count_wellformed,
     oracle_linreg,
@@ -160,7 +160,7 @@ def test_criterion_4_merge_semantics():
             for i in range(400)
         ]
         triples = parse_fixture(lines)
-        merge_map = fold_triples(SemanticsFold(), triples)[0]["merge_map"]
+        merge_map = fold_triples(SemanticsFold(RUN_ROOT), triples)[0]["merge_map"]
         rewritten = []
         report = rewrite_canonical(triples, merge_map, rewritten.append)
         assert report.triples_seen == len(triples) == len(rewritten)
@@ -178,7 +178,7 @@ def test_criterion_5_value_notations():
         ] + [
             obj_line("m.a", "people.person.spouse_s", "m.b")
         ]
-        notations = fold_triples(SemanticsFold(), parse_fixture(forward))[0]["notations"]
+        notations = read_notations(fold_triples(SemanticsFold(RUN_ROOT), parse_fixture(forward))[0]["notations"])
         assert sum(1 for n in notations if n.kind is NotationKind.HAS_VALUE) == 7
         assert sum(1 for n in notations if n.kind is NotationKind.HAS_NO_VALUE) == 5
 
@@ -189,7 +189,8 @@ def test_criterion_5_value_notations():
             obj_line(f"m.w{i}", "freebase.valuenotation.has_no_value", f"people.person.q{i}")
             for i in range(5)
         ]
-        flagged = fold_triples(SemanticsFold(accept_reversed=True), parse_fixture(reversed_fixture))[0]["notations"]
+        payload = fold_triples(SemanticsFold(RUN_ROOT, accept_reversed=True), parse_fixture(reversed_fixture))[0]
+        flagged = read_notations(payload["notations"])
         assert sum(1 for n in flagged if n.kind is NotationKind.HAS_VALUE) == 7
         assert sum(1 for n in flagged if n.kind is NotationKind.HAS_NO_VALUE) == 5
         assert all(n.orientation == "reversed" for n in flagged)

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import gc
 import gzip
 import io
 import json
@@ -22,10 +23,11 @@ from conftest import fb, fold_triples, line, lit_line, obj_line, read_masks
 from dumpgen import oracle_linreg, oracle_pearson, oracle_violations, random_dump_lines
 from fbont import cli, pipeline
 from fbont.cli import main
-from fbont.model import idpath, render
+from fbont.model import Mid, idpath, render
 from fbont.parser import ParseReport, StreamAbortedError, iter_triples
 from fbont.pipeline import Job, SemanticsFold, SliceFold
-from fbont.semantics import load_rules, type_bits, write_mask_run
+from fbont.report import VALUENOTE_COLUMNS, render_table
+from fbont.semantics import NotationKind, ValueNotation, load_rules, type_bits, write_mask_run
 from fbont.slicer import slice_relpath
 
 TEST_PID = os.getpid()
@@ -541,6 +543,98 @@ class TestCmdSemantics:
         assert (out / "violations.csv").read_text().splitlines() == ["mid,type_a,type_b"]
         assert not (out / ".fbont-semantics").exists()
 
+    def test_notation_shards_change_no_output(self, tmp_path, monkeypatch, capsys):
+        """One, a few and many shard writes per partition give the same files and stdout,
+        at 1, 2 and 4 workers, on plain, gzip and stdin input, and the rows the oracle
+        gives, whatever quotes, commas, CRs or astral text the ids hold."""
+        has_value, has_no_value = "freebase.valuenotation.has_value", "freebase.valuenotation.has_no_value"
+        odd = ['p\rx', 'q"u,o', "r\u00e9\U0001d11e", "s t"]
+        rows, notes = [], []
+        for i in range(300):
+            prop, mid = f"people.person.{odd[i % 4]}{i}", f"m.n{i}{odd[(i // 4) % 4]}"
+            kind = (has_value, has_no_value)[i % 3 == 0]
+            if i % 5 == 0:  # written entity-first
+                notes.append(line(fb(mid), fb(kind), fb(prop)))
+            else:
+                notes.append(line(fb(prop), fb(kind), fb(mid)))
+            slash = "/" + prop.replace(".", "/"), "/" + mid.replace(".", "/")
+            rows.append((*slash, kind.rsplit(".", 1)[1], "reversed" if i % 5 == 0 else "forward"))
+        lines = random_dump_lines(2_000, seed=6)
+        for i, note in enumerate(notes):  # spread evenly, in order, among the others
+            lines.insert(i * 7, note)
+        plain = write_lines(tmp_path, lines)
+        packed = tmp_path / "dump.nt.gz"
+        packed.write_bytes(gzip.compress((tmp_path / "dump.nt").read_bytes(), 6))
+        monkeypatch.setattr(pipeline, "GZIP_MIN_RANGE", 1024)
+        outputs = []
+        for source in (plain, str(packed), "-"):
+            for workers in (1, 2, 4):
+                for batch in (pipeline.NOTATION_BATCH, 40, 1):
+                    if source == "-":
+                        stdin = io.TextIOWrapper(io.BytesIO((tmp_path / "dump.nt").read_bytes()))
+                        monkeypatch.setattr(sys, "stdin", stdin)
+                    out = tmp_path / f"out-{len(outputs)}"
+                    argv = ["semantics", source, "--accept-reversed", "--json", "--workers", str(workers)]
+                    with monkeypatch.context() as patch:
+                        patch.setattr(pipeline, "NOTATION_BATCH", batch)
+                        assert main(argv + ["--out", str(out)]) == 0
+                    outputs.append((read_tree(out), capsys.readouterr()))
+        assert all(output == outputs[0] for output in outputs)
+        tree, printed = outputs[0]
+        assert tree["valuenotes.csv"] == render_table(VALUENOTE_COLUMNS, rows).encode()
+        assert tree["valuenotes.json"] == render_table(VALUENOTE_COLUMNS, rows, "json").encode()
+        assert "value notations: 300\n" in printed.out
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stale_notation_shard_never_reaches_valuenotes(self, tmp_path, workers):
+        """A shard a killed run left in the work directory is removed before the parse."""
+        notes = [obj_line(f"people.person.p{i}", "freebase.valuenotation.has_value", f"m.x{i}") for i in range(30)]
+        dump = write_lines(tmp_path, notes + random_dump_lines(300, seed=3))
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        for name in ("notes-00000-1-0.csv", "notes-00001-1-0.csv"):
+            stale = out / ".fbont-semantics" / "runs" / name
+            stale.parent.mkdir(parents=True, exist_ok=True)
+            stale.write_text("/stale/stale/stale,/m/stale,has_value,forward\n")
+        for target in (fresh, out):
+            argv = ["semantics", dump, "--json", "--workers", str(workers), "--out", str(target)]
+            assert main(argv) == 0
+        assert read_tree(out) == read_tree(fresh)
+        assert b"stale" not in (out / "valuenotes.csv").read_bytes()
+        assert len((out / "valuenotes.csv").read_text().splitlines()) == 31
+        assert not (out / ".fbont-semantics").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_parent_holds_no_value_notation(self, tmp_path, monkeypatch, workers):
+        """After the parse, and after every table is written, this process holds no
+        ValueNotation: the workers wrote them to shards, and the tables stream from there."""
+
+        def held():
+            gc.collect()
+            return sum(isinstance(obj, ValueNotation) for obj in gc.get_objects())
+
+        baseline = held()
+        probe = [ValueNotation(idpath("/people/person/p"), Mid("x"), NotationKind.HAS_VALUE)]
+        assert held() == baseline + 1  # the scan sees a held one
+        del probe
+        notes = [obj_line(f"people.person.p{i}", "freebase.valuenotation.has_value", f"m.x{i}") for i in range(500)]
+        dump, rules = typed_semantics_fixture(tmp_path)
+        with open(dump, "a", encoding="utf-8") as handle:
+            handle.write("".join(note + "\n" for note in notes))
+        counts = []
+        publish_docs = cli._publish
+
+        def publish_and_count(args, docs, report=None):
+            counts.append(held())  # after run_folds, with the merged payload in hand
+            publish_docs(args, docs, report)
+            counts.append(held())  # after every document is written
+
+        monkeypatch.setattr(cli, "_publish", publish_and_count)
+        out = tmp_path / "out"
+        argv = ["semantics", dump, "--rules", rules, "--json", "--workers", str(workers), "--out", str(out)]
+        assert main(argv) == 0
+        assert counts == [baseline, baseline]
+        assert len((out / "valuenotes.csv").read_text().splitlines()) == 501
+
     def test_no_run_is_written_without_rules(self, tmp_path, monkeypatch):
         def refuse(path, records):
             raise AssertionError(f"a run was written: {path}")
@@ -918,8 +1012,15 @@ class TestFailureExits:
     @pytest.mark.parametrize("code", [0, 2, 4, 5])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_mask_run_is_left_on_any_exit(self, tmp_path, monkeypatch, capsys, code, workers):
+        """No mask run and no notation shard is left, whatever the exit."""
         dump, rules = typed_semantics_fixture(tmp_path)
+        with open(dump, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        for i in range(200):  # notations among the first lines, so shards are written before a read error
+            lines.insert(i * 4, obj_line(f"people.person.p{i}", "freebase.valuenotation.has_value", f"m.x{i}"))
+        write_lines(tmp_path, lines)
         monkeypatch.setattr(pipeline, "MASK_RUN_ENTRIES", 5)
+        monkeypatch.setattr(pipeline, "NOTATION_BATCH", 3)
         if code == 2:  # a read error once the first runs are written
             real_blocks = pipeline.partition_blocks
 
@@ -945,10 +1046,18 @@ class TestFailureExits:
             write_run(path, records)
 
         monkeypatch.setattr(pipeline, "write_mask_run", counted_write)
+        shards = []
+        write_notations = pipeline.write_notation_rows
+
+        def counted_notations(path, notations):
+            shards.append(path)
+            write_notations(path, notations)
+
+        monkeypatch.setattr(pipeline, "write_notation_rows", counted_notations)
         out = tmp_path / "out"
         argv = ["semantics", dump, "--rules", rules, "--workers", str(workers), "--out", str(out)]
         assert main(argv) == code
-        assert written or workers == 2  # a forked worker's runs are written in the worker
+        assert (written and shards) or workers == 2  # a forked worker's files are written in the worker
         assert not (out / ".fbont-semantics").exists()
         assert (out / "violations.csv").exists() == (code == 0)
 

@@ -5,15 +5,14 @@ import pickle
 import random
 import shutil
 import signal
-import tempfile
 import threading
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
 
-from conftest import dump_stream, lit_line, obj_line, read_masks
+from conftest import RUN_ROOT, dump_stream, lit_line, obj_line, read_masks, read_notations
 from dumpgen import random_dump_lines
 from fbont import parser as parser_module
 from fbont import pipeline, semantics
@@ -41,7 +40,13 @@ from fbont.pipeline import (
     run_partitioned,
 )
 from fbont.schema import DomainSchema, SchemaConfig
-from fbont.semantics import IncompatibilityRule, check_incompatibilities, match_type_assertion, type_bits
+from fbont.semantics import (
+    IncompatibilityRule,
+    check_incompatibilities,
+    feed_value_notation,
+    match_type_assertion,
+    type_bits,
+)
 from fbont.slicer import DOMAIN, SliceKey, SliceWriter, count_slice
 from fbont.stats import StudyRow
 
@@ -263,9 +268,10 @@ class TestWorkerEquivalence:
         merged = {}
         for workers in (1, 6):
             parts = plan_partitions([path], workers)
-            _, payloads = run_partitioned(Job((SemanticsFold(),)), parts, workers)
+            _, payloads = run_partitioned(Job((SemanticsFold(RUN_ROOT),)), parts, workers)
             result = merge_payloads(payloads)
-            merged[workers] = (result["merge_map"].edges, result["notations"])
+            notations = read_notations(result["notations"])
+            merged[workers] = (result["merge_map"].edges, notations, result["notation_rows"])
         assert merged[1] == merged[6]
 
 
@@ -341,21 +347,14 @@ CUSTOM_SCHEMA = SchemaConfig(
     detail_predicates=frozenset({idpath("/base/custom/detail")}),
     type_declaration_predicate=idpath("/base/custom/is_a"),
 )
-# Where the module's semantics folds with rules write their mask runs.
-RUN_ROOT = os.path.join(tempfile.gettempdir(), f"fbont-test-runs-{os.getpid()}")
 
 
-@pytest.fixture(autouse=True, scope="module")
-def remove_run_root():
-    yield
-    shutil.rmtree(RUN_ROOT, ignore_errors=True)
-
-
-def masks_read(payload):
-    """The payload, its ``type_masks`` runs (if any) read back as one map."""
+def read_back(payload):
+    """The payload, its ``type_masks`` runs and ``notations`` shards (if any) read back."""
     if "type_masks" not in payload:
         return payload
-    return {**payload, "type_masks": read_masks(payload["type_masks"])}
+    shards = payload["notations"]
+    return {**payload, "type_masks": read_masks(payload["type_masks"]), "notations": read_notations(shards)}
 
 
 CUSTOM_SEMANTICS = SemanticsFold(
@@ -367,7 +366,7 @@ PROJECTING_FOLDS = {
     "slice": SliceFold(),
     "schema": SchemaFold(),
     "schema-custom": SchemaFold(CUSTOM_SCHEMA),
-    "semantics": SemanticsFold(),
+    "semantics": SemanticsFold(RUN_ROOT),
     "semantics-custom": CUSTOM_SEMANTICS,
 }
 
@@ -426,7 +425,7 @@ class TestProjection:
                 feed(triple)
         tallies = projection.tallies()
         assert tallies == full_projection.tallies()
-        assert masks_read(finish_full(tallies)) == masks_read(finish_projected(tallies))
+        assert read_back(finish_full(tallies)) == read_back(finish_projected(tallies))
         assert full_report.to_dict() == projected_report.to_dict()
         read = [t for t in full if fold.reads(t.predicate, isinstance(t.subject, Mid))]
         remaining = iter(projected)
@@ -445,7 +444,7 @@ class TestProjection:
         feed, finish = started(fold, fed_lint)
         for triple in unread if feed is not None else ():
             feed(triple)
-        assert finish([]) == started(fold, fresh_lint)[1]([])
+        assert read_back(finish([])) == read_back(started(fold, fresh_lint)[1]([]))
         assert fed_lint == fresh_lint
 
     def test_mid_subjects_are_counted_for_schema_and_linted(self):
@@ -468,12 +467,12 @@ class TestProjection:
     def test_folds_reading_every_triple_disable_projection(self, tmp_path):
         path = write_lines(tmp_path, PROBE_LINES)
         for folds in [
-            (SliceFold(), SchemaFold(), SemanticsFold()),
+            (SliceFold(), SchemaFold(), SemanticsFold(RUN_ROOT)),
             (SliceFold(shard_root=str(tmp_path / "parts")), SchemaFold()),
         ]:
             built, tallies, report = built_and_counted(folds, path)
             assert tallies and built < report.triples_ok, folds
-        built, tallies, report = built_and_counted((SemanticsFold(), ReadsEverything()), path)
+        built, tallies, report = built_and_counted((SemanticsFold(RUN_ROOT), ReadsEverything()), path)
         assert tallies and built == report.triples_ok > 300
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -484,7 +483,7 @@ class TestProjection:
             (SliceFold(),),
             (SliceFold(), SchemaFold()),
             (SliceFold(), SchemaFold(CUSTOM_SCHEMA)),
-            (SemanticsFold(),),
+            (SemanticsFold(RUN_ROOT),),
             (CUSTOM_SEMANTICS,),
             (SliceFold(), SchemaFold(CUSTOM_SCHEMA), CUSTOM_SEMANTICS),
         ]
@@ -496,7 +495,7 @@ class TestProjection:
             report, payloads = run_partitioned(projected, parts, workers)
             ref_report, ref_payloads = run_partitioned(unprojected, parts, workers)
             assert report.to_dict() == ref_report.to_dict(), folds
-            assert masks_read(merge_payloads(payloads)) == masks_read(merge_payloads(ref_payloads)), folds
+            assert read_back(merge_payloads(payloads)) == read_back(merge_payloads(ref_payloads)), folds
 
     def test_aborted_partition_report_keeps_tallied_lint(self, tmp_path, monkeypatch):
         path = write_lines(tmp_path, PROBE_LINES * 2)
@@ -696,7 +695,7 @@ def merged_run(folds, parts, out_dir=None):
     shard_dirs = merged.pop("shard_dirs", [])
     if out_dir is not None:
         concatenate_shards(shard_dirs, str(out_dir))
-    return report.to_dict(), masks_read(merged)
+    return report.to_dict(), read_back(merged)
 
 
 def materializing(out_dir):
@@ -770,6 +769,14 @@ def typed_lines(seed):
 
 def semantics_payload(path, run_root, **fold):
     return Job((SemanticsFold(run_root=str(run_root), **fold),)).run(Partition(path, 0, -1, 0))[1]
+
+
+def oracle_notations(path):
+    """The value notations of every triple, in dump order."""
+    notations = []
+    for triple in iter_triples(path, ParseReport()):
+        feed_value_notation(notations, triple)
+    return notations
 
 
 def oracle_masks(path, rules):
@@ -872,7 +879,8 @@ class TestMaskRunMerge:
         assert fold.violations(runs) == expected
         assert max(seen) == budget
         assert len(opened) > len(runs)  # the merge took passes
-        assert sorted(os.listdir(run_root)) == sorted(os.path.basename(run) for run in runs)
+        left = [name for name in os.listdir(run_root) if name.endswith(".run")]  # beside the notation shards
+        assert sorted(left) == sorted(os.path.basename(run) for run in runs)
 
 
 # --- every payload field merges by an associative law that changes no input -------
@@ -911,6 +919,8 @@ class TestMergeLaws:
             assert law(law(p0, p1), p2) == law(p0, law(p1, p2))
             if name == "type_masks":  # run paths, which read back as the single pass's masks
                 assert read_masks(law(law(p0, p1), p2)) == oracle_masks(path, KNOWN_RULES)
+            if name == "notations":  # shard paths, which read back as the single pass's notations
+                assert read_notations(law(law(p0, p1), p2)) == oracle_notations(path)
         merge_payloads(payloads)
         assert payloads == copies
 
@@ -926,53 +936,60 @@ def fresh_path(path):
     return IdPath(tuple(map(fresh, path.segments)))
 
 
-def segment_strings(name, value):
-    """Every str of a ``schemas`` or ``notations`` payload field that spells an id segment."""
-    if name == "schemas":
-        for key, schema in value.items():
-            yield key
-            yield schema.domain
-            for item in schema.types | schema.properties:
-                yield from item.segments
-    else:
-        for notation in value:
-            yield from notation.property.segments
+def segment_strings(schemas):
+    """Every str of a ``schemas`` payload field that spells an id segment."""
+    for key, schema in schemas.items():
+        yield key
+        yield schema.domain
+        for item in schema.types | schema.properties:
+            yield from item.segments
 
 
-def with_fresh_segments(name, value):
+def with_fresh_segments(schemas):
     """The same field, each segment a str of its own, as the parser builds them."""
-    if name == "schemas":
-        return {
-            fresh(key): DomainSchema(
-                fresh(schema.domain),
-                set(map(fresh_path, schema.types)),
-                set(map(fresh_path, schema.properties)),
-                schema.description_count,
-                schema.property_detail_count,
-            )
-            for key, schema in value.items()
-        }
-    return [replace(notation, property=fresh_path(notation.property)) for notation in value]
+    return {
+        fresh(key): DomainSchema(
+            fresh(schema.domain),
+            set(map(fresh_path, schema.types)),
+            set(map(fresh_path, schema.properties)),
+            schema.description_count,
+            schema.property_detail_count,
+        )
+        for key, schema in schemas.items()
+    }
 
 
 class TestSharedSegments:
-    @pytest.mark.parametrize(
-        "fold, name",
-        [(SchemaFold(), "schemas"), (SemanticsFold(accept_reversed=True), "notations")],
-        ids=["schema", "semantics"],
-    )
+    @pytest.mark.parametrize("fold, name", [(SchemaFold(), "schemas")], ids=["schema"])
     def test_equal_segments_are_one_str_that_pickles_once(self, tmp_path, fold, name):
-        lines = law_lines(seed=13)
-        lines += [obj_line(f"m.y{i}", "freebase.valuenotation.has_no_value", f"film.film.q{i}") for i in range(40)]
-        value = Job((fold,)).run(Partition(write_lines(tmp_path, lines), 0, -1, 0))[1][name]
+        value = Job((fold,)).run(Partition(write_lines(tmp_path, law_lines(seed=13)), 0, -1, 0))[1][name]
         data = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
         loaded = pickle.loads(data)
         assert loaded == value
         for held in (value, loaded):  # in the worker, and in the parent
             spelled: dict[str, str] = {}
-            for text in segment_strings(name, held):
+            for text in segment_strings(held):
                 assert spelled.setdefault(text, text) is text, text
             assert len(spelled) > 3
-        rebuilt = with_fresh_segments(name, value)
+        rebuilt = with_fresh_segments(value)
         assert rebuilt == value
         assert len(data) < len(pickle.dumps(rebuilt, pickle.HIGHEST_PROTOCOL))
+
+    def test_notations_field_pickles_alike_for_0_and_10000_notations(self, tmp_path, monkeypatch):
+        """The ``notations`` field names the partition's shard, so it pickles to the same
+        bytes whatever the number of notations the shard holds."""
+        def fixed_path(directory, prefix, suffix):  # one name for both shards
+            return os.path.join(directory, prefix + suffix)
+
+        monkeypatch.setattr(pipeline, "mask_run_path", fixed_path)
+        run_root = str(tmp_path / "runs")
+        has_value = "freebase.valuenotation.has_value"
+        notes = [obj_line(f"people.person.p{i % 50}", has_value, f"m.x{i}") for i in range(10_000)]
+        fields = []
+        for count in (0, 10_000):
+            shutil.rmtree(run_root, ignore_errors=True)
+            path = write_lines(tmp_path, random_dump_lines(300, seed=3) + notes[:count], f"{count}.nt")
+            payload = Job((SemanticsFold(run_root, accept_reversed=True),)).run(Partition(path, 0, -1, 0))[1]
+            assert payload["notation_rows"] == len(read_notations(payload["notations"])) == count
+            fields.append(pickle.dumps(payload["notations"], pickle.HIGHEST_PROTOCOL))
+        assert fields[0] == fields[1]

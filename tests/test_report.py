@@ -1,24 +1,33 @@
+import csv
+import io
 import json
 import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import load_census
+from fbont.model import IdPath, Mid, render
 from fbont.report import (
     SCHEMA_COLUMNS,
+    VALUENOTE_COLUMNS,
     ReportBundle,
     ScatterPoint,
     build_scatter_points,
     parse_taxonomy_csv,
     render_scatter_csv,
+    render_json,
     render_scatter_svg,
     render_table,
     render_taxonomy,
     schema_rows,
+    stream_table,
     study_to_json,
 )
 from fbont.schema import DomainSchema
+from fbont.semantics import NotationKind, ValueNotation, notation_lines, read_notation_rows, write_notation_rows
 from fbont.slicer import DOMAIN, OWL_TERM, SliceKey, build_taxonomy
 from fbont.stats import StudyRow, run_study
 
@@ -231,3 +240,69 @@ class TestReportBundle:
         monkeypatch.setattr(report_module, "_xml_escape", escape)
         assert ours == render_scatter_svg(points, result, **labels)
         assert escape(name) in ours
+
+
+# Text a table field may hold: quotes, commas, a mid-line CR, tabs, spaces,
+# non-ASCII and astral characters among any others.
+TRICKY = st.sampled_from(['"', ",", "\r", "\t", " ", "é", "\u2028", "\U0001d11e"])
+FIELD = st.text(st.one_of(TRICKY, st.characters(blacklist_categories=("Cs",))), max_size=8)
+VALUE = st.one_of(FIELD, st.integers(), st.none())
+
+
+def tables(value=VALUE):
+    """(header, rows): up to four distinct column names and up to six rows of values."""
+    return st.integers(1, 4).flatmap(
+        lambda width: st.tuples(
+            st.lists(FIELD, min_size=width, max_size=width, unique=True),
+            st.lists(st.lists(value, min_size=width, max_size=width), max_size=6),
+        )
+    )
+
+
+class TestStreamTable:
+    @settings(max_examples=200, deadline=None)
+    @given(tables(), st.sampled_from(["csv", "tsv", "json"]))
+    @example((["property", "object"], []), "json")
+    @example((["property", "object"], []), "csv")
+    @example((["a"], [["x\ry"], ['q"uo,te'], ["\U0001d11e"]]), "json")
+    def test_chunks_join_to_the_whole_document(self, table, fmt):
+        """The chunks are the document rendered whole: csv.writer's rows, or render_json's list."""
+        header, rows = table
+        chunks = list(stream_table(header, iter(rows), fmt))
+        if fmt == "json":
+            whole = render_json([dict(zip(header, row)) for row in rows])
+        else:
+            out = io.StringIO()
+            writer = csv.writer(out, delimiter="," if fmt == "csv" else "\t", lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            whole = out.getvalue()
+        assert "".join(chunks) == whole == render_table(header, rows, fmt)
+        assert len(chunks) == len(rows) + 1  # one chunk per row, and the header or the closing bracket
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                FIELD.filter(lambda t: t and not set(t) & set("/.\n")),
+                FIELD.filter(lambda t: t and not set(t) & set("/.\n")),
+                st.sampled_from(NotationKind),
+                st.sampled_from(["forward", "reversed"]),
+            ),
+            max_size=12,
+        ),
+        st.integers(1, 5),
+    )
+    def test_notation_shards_read_back_as_the_rows_written(self, tmp_path_factory, drawn, batch):
+        """Shards of notation rows, written a batch at a time, give valuenotes.csv behind
+        the header and valuenotes.json through the reader, as render_table gives them."""
+        shard = str(tmp_path_factory.mktemp("shards") / "notes.csv")
+        notations = [ValueNotation(IdPath(("people", "person", p)), Mid(m), k, o) for p, m, k, o in drawn]
+        for start in range(0, len(notations), batch):
+            write_notation_rows(shard, notations[start : start + batch])
+        rows = [(render(n.property), render(n.object), n.kind.value, n.orientation) for n in notations]
+        csv_doc = "".join(stream_table(VALUENOTE_COLUMNS, ())) + "".join(notation_lines([shard]))
+        assert csv_doc == render_table(VALUENOTE_COLUMNS, rows)
+        assert list(read_notation_rows([shard])) == [list(row) for row in rows]
+        json_doc = "".join(stream_table(VALUENOTE_COLUMNS, read_notation_rows([shard]), "json"))
+        assert json_doc == render_table(VALUENOTE_COLUMNS, rows, "json")

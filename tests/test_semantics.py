@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import dump_stream, fold_triples, lit_line, obj_line, read_masks
+from conftest import RUN_ROOT, dump_stream, fold_triples, lit_line, obj_line, read_masks, read_notations
 from dumpgen import oracle_resolve, oracle_violations
 from fbont.model import Literal, Mid, idpath, parse_ref
 from fbont.parser import ParseReport, iter_triples, serialize
@@ -36,12 +36,13 @@ def parse_lines(lines):
 
 def merge_map_of(triples):
     """The merge map the semantics fold makes of these triples."""
-    return fold_triples(SemanticsFold(), triples)[0]["merge_map"]
+    return fold_triples(SemanticsFold(RUN_ROOT), triples)[0]["merge_map"]
 
 
 def notations_of(triples, accept_reversed=False):
     """The value notations the semantics fold makes of these triples."""
-    return fold_triples(SemanticsFold(accept_reversed=accept_reversed), triples)[0]["notations"]
+    payload = fold_triples(SemanticsFold(RUN_ROOT, accept_reversed=accept_reversed), triples)[0]
+    return read_notations(payload["notations"])
 
 
 def read_merge_tsv(stream):
@@ -118,7 +119,7 @@ class TestBuildMergeMap:
                 assert a.merge(b).merge(c) == a.merge(b.merge(c)) == whole
 
     def test_non_mid_endpoint_is_lint(self):
-        _, lint = fold_triples(SemanticsFold(), parse_lines([lit_line("m.a", REPLACED_BY, "b")]))
+        _, lint = fold_triples(SemanticsFold(RUN_ROOT), parse_lines([lit_line("m.a", REPLACED_BY, "b")]))
         assert lint["replaced-by-shape"] == 1
 
     def test_partition_merge_equals_single_pass(self):
@@ -285,7 +286,7 @@ class TestValueNotations:
 
     def test_nonconforming_shape_is_lint(self):
         lines = [lit_line("people.person.p", "freebase.valuenotation.has_value", "oops")]
-        _, lint = fold_triples(SemanticsFold(), parse_lines(lines))
+        _, lint = fold_triples(SemanticsFold(RUN_ROOT), parse_lines(lines))
         assert lint["valuenotation-shape"] == 1
 
     def test_partition_counts_add(self):
