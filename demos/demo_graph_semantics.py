@@ -16,6 +16,7 @@ The demo writes miniature dumps under demos/out/ and runs the semantics fold
 of ``fbont semantics`` over them.
 """
 
+import csv
 import os
 import shutil
 
@@ -30,8 +31,7 @@ from fbont import (
     rewrite_canonical,
     serialize,
 )
-from fbont.pipeline import SemanticsFold, run_folds
-from fbont.semantics import read_notation_rows
+from fbont.pipeline import SemanticsFold, concatenate_shards, run_folds
 
 NS = "http://rdf.freebase.com/ns/"
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
@@ -65,7 +65,8 @@ lines = [
 ]
 
 dump = write_dump("semantics.nt", lines)
-# The fold writes the value notations as rows of a shard under its run_root.
+# The fold writes the value notations as rows of one shard directory per
+# partition under its run_root.
 # The rule is known before the parse, so the fold keeps, per mid, a bitmask
 # of only the types it names. It writes those masks as sorted runs under its
 # run_root too, and its violations() merges them as a stream and decodes them.
@@ -85,8 +86,10 @@ for triple in rewritten[2:4]:
     print("  ", serialize(triple))
 
 print()
-for prop, mid, kind, _ in read_notation_rows(merged["notations"]):  # the shard paths
-    print(f"{prop} - {kind} - {mid}")
+concatenate_shards(merged["notations"], OUT_DIR)  # the shard directories, joined and removed
+with open(os.path.join(OUT_DIR, "valuenotes.csv"), encoding="utf-8", newline="") as handle:
+    for prop, mid, kind, _ in csv.reader(handle):
+        print(f"{prop} - {kind} - {mid}")
 
 print()
 violations = fold.violations(merged["type_masks"])  # the run paths

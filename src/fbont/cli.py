@@ -13,22 +13,23 @@ and writes each well-formed line, as it was read, to
 ``OUT/slices/<kind>/<name>.nt``, and ``semantics`` keeps, per mid, one
 bitmask of the types its ``--rules`` name (its workers write them as sorted
 runs in the work directory, which the fold merges as a stream, and write
-their value notations there as shards of valuenotes.csv rows) and
-writes violations exactly when given ``--rules``.
+their value notations there as shard directories of valuenotes.csv rows)
+and writes violations exactly when given ``--rules``.
 
 Each subcommand builds its documents as a ``{file name: document}`` map, a
 document being text or an iterable of text chunks, the tables rendered by
 :mod:`fbont.report`, and ends in one publish step (:func:`_publish`) that
 writes them, with ``parse_report.json`` when the dump was parsed, and prints
-the parse summary. ``semantics`` gives every table as chunks.
+the parse summary. ``semantics`` gives every table as chunks but
+``valuenotes.csv``, joined from shards as slices are.
 
 Each run has one work directory, ``OUT/.fbont-<command>`` (:func:`_work_dir`):
 slice shards go under its ``parts/``, mask runs and notation shards under
-its ``runs/``, and
-every output file, materialized slices included, is written under its
-``out/`` and then renamed into OUT, so no file reaches OUT until all of them
-are written. The directory is removed when the run starts, so files a killed
-run left are never read, and on every exit.
+its ``runs/``, and every output file, joined shards included, is written
+under its ``out/`` and then renamed into OUT, so no file reaches OUT until
+all of them are written. The directory is removed when the run starts, so
+files a killed run left are never read, and on every exit, with an OUT the
+run made if that is left empty.
 
 Exit codes: 0 success, 2 I/O failure, a bad ``semantics --rules`` file (read
 before the dump), a bad ``study --from-counts``/``--from-schema`` file (read
@@ -50,9 +51,8 @@ import csv
 import os
 import shutil
 import sys
-from contextlib import contextmanager
-from itertools import chain
-from typing import Callable, Iterable, Iterator, TextIO, TypeVar
+from contextlib import contextmanager, suppress
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from .parser import ParseReport, ParserConfig
 from .pipeline import (
@@ -72,6 +72,7 @@ from .report import (
     VALUENOTE_COLUMNS,
     VIOLATION_COLUMNS,
     ReportBundle,
+    _records,
     build_scatter_points,
     load_counts_csv,
     load_schema_csv,
@@ -81,14 +82,7 @@ from .report import (
     stream_table,
     violation_rows,
 )
-from .semantics import (
-    CyclePolicy,
-    MergeCycleError,
-    load_rules,
-    merge_tsv_rows,
-    notation_lines,
-    read_notation_rows,
-)
+from .semantics import CyclePolicy, MergeCycleError, load_rules, merge_tsv_rows
 from .slicer import (
     DEFAULT_IMPLEMENTATION_DOMAINS,
     GroupConfig,
@@ -104,16 +98,20 @@ T = TypeVar("T")
 def _work_dir(out: str, command: str) -> Iterator[str]:
     """The command's work directory, OUT/.fbont-<command>, removed on entry and on every exit.
 
-    Nothing creates it here, so a command that fails before it writes leaves
-    no OUT. Each command has its own, so two commands can write into one OUT
-    at once.
+    Nothing creates it here. An OUT that did not exist on entry is removed
+    on exit if it is empty, so a command that fails leaves no OUT. Each
+    command has its own, so two commands can write into one OUT at once.
     """
     work = os.path.join(out, f".fbont-{command}")
+    made_out = not os.path.exists(out)
     shutil.rmtree(work, ignore_errors=True)  # what a killed run left behind
     try:
         yield work
     finally:
         shutil.rmtree(work, ignore_errors=True)
+        if made_out:
+            with suppress(OSError):  # it holds the outputs, or another command's files
+                os.rmdir(out)
 
 
 def _publish(
@@ -165,6 +163,13 @@ def _read_input(path: str, load: Callable[[TextIO], T]) -> T:
         raise _InputFileError(f"{path}: {exc}") from exc
 
 
+def _csv_rows(path: str, columns: Sequence[str]) -> Iterator[Iterable[str]]:
+    """The rows of a csv table this run wrote, read back as the columns' values."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        for record in _records(handle, columns):
+            yield record.values()
+
+
 def _parser_config(args: argparse.Namespace) -> ParserConfig:
     return ParserConfig(strict_ids=args.strict_ids)
 
@@ -208,22 +213,26 @@ def cmd_semantics(args: argparse.Namespace) -> int:
     types those rules name, none without --rules. The workers write the
     value notations as shards of valuenotes.csv rows and those masks as
     sorted runs, both under the work directory's runs/ (see SemanticsFold).
-    The shards are concatenated behind the header, and read back as records
-    for valuenotes.json; the runs are merged as a stream. Every table is
-    written row by row, so no table is ever one string here, and no notation
-    is held once the parse is done.
+    concatenate_shards joins a header shard and the shards into
+    valuenotes.csv, which the csv module reads back for valuenotes.json;
+    the runs are merged as a stream. Every table is written row by row, so
+    no table is ever one string here, and no notation is held once the
+    parse is done.
     """
     rules = _read_input(args.rules, load_rules) if args.rules else frozenset()
     fold = SemanticsFold(os.path.join(args.work, "runs"), rules, args.accept_reversed)
     report, merged = _run(args, fold)
     violations = fold.violations(merged["type_masks"])
-    merge_map, shards = merged["merge_map"], merged["notations"]
-    docs = {
-        "merges.tsv": merge_tsv_rows(merge_map, CyclePolicy(args.cycle_policy)),  # MergeCycleError: exit 4
-        "valuenotes.csv": chain(stream_table(VALUENOTE_COLUMNS, ()), notation_lines(shards)),
-    }
+    merge_map = merged["merge_map"]
+    docs = {"merges.tsv": merge_tsv_rows(merge_map, CyclePolicy(args.cycle_policy))}  # MergeCycleError: exit 4
+    header = os.path.join(args.work, "header")
+    os.makedirs(header)
+    with open(os.path.join(header, "valuenotes.csv"), "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(stream_table(VALUENOTE_COLUMNS, ()))
+    concatenate_shards([header, *merged["notations"]], os.path.join(args.work, "out"))
     if args.json:
-        docs["valuenotes.json"] = stream_table(VALUENOTE_COLUMNS, read_notation_rows(shards), "json")
+        notes = _csv_rows(os.path.join(args.work, "out", "valuenotes.csv"), VALUENOTE_COLUMNS)
+        docs["valuenotes.json"] = stream_table(VALUENOTE_COLUMNS, notes, "json")
     if args.rules:
         for fmt in ("csv", "json") if args.json else ("csv",):
             docs[f"violations.{fmt}"] = stream_table(VIOLATION_COLUMNS, violation_rows(violations), fmt)

@@ -20,8 +20,8 @@ copied lines at a time, and ``SemanticsFold`` holds at most
 ``NOTATION_BATCH`` value notations and ``MASK_RUN_ENTRIES`` type masks (one
 bitmask per mid of the types its known rules name that the mid asserts) at
 a time. The rest are on disk: one shard of notation rows per partition,
-which the parent concatenates, and sorted mask runs, which it merges as a
-stream; only their paths are in the payload. Its merge map is the one
+which the parent joins as it joins slice shards, and sorted mask runs,
+which it merges as a stream; only their paths are in the payload. Its merge map is the one
 aggregate in memory that grows with the dump.
 
 Standard input, pipes and gzip files under two minimum ranges are read as
@@ -63,6 +63,7 @@ from .parser import (
     read_blocks,
     source_kind,
 )
+from .report import write_notation_rows
 from .schema import (
     DomainSchema,
     SchemaConfig,
@@ -89,7 +90,6 @@ from .semantics import (
     merge_mask_runs,
     type_bits,
     write_mask_run,
-    write_notation_rows,
 )
 from .slicer import (
     DEFAULT_GROUPS,
@@ -287,11 +287,11 @@ class SemanticsFold:
 
     Everything but the merge map goes to disk under ``run_root``, which every
     fold needs and the caller removes. Each partition appends its value
-    notations, ``NOTATION_BATCH`` at a time, to one shard of valuenotes.csv
-    rows (``semantics.write_notation_rows``), made at its first notation. The
-    ``notations`` field is the list of the partition's shard paths, with or
-    without a file, and ``notation_rows`` counts their rows;
-    ``semantics.read_notation_rows`` reads them back.
+    notations, ``NOTATION_BATCH`` at a time, as rows to the valuenotes.csv
+    of one shard directory (``report.write_notation_rows``), made at its
+    first notation. The ``notations`` field lists the partition's shard
+    directories, made or not, and ``notation_rows`` counts their rows;
+    ``concatenate_shards`` joins them, headerless, like slice shards.
 
     ``known_rules`` are the incompatibility rules, known before the parse.
     A violation needs both of a rule's types, so only the assertions of a
@@ -323,7 +323,7 @@ class SemanticsFold:
     def start(self, part: Partition, lint: Counter) -> tuple[Feed, Finish]:
         merge_map = MergeMap()
         notations: list[ValueNotation] = []
-        shard = mask_run_path(self.run_root, f"notes-{part.index:05d}", ".csv")
+        shard = mask_run_path(self.run_root, f"notes-{part.index:05d}")
         noted = 0  # the rows written to the shard
         type_masks: dict[str, int] = {}
         runs: list[str] = []
@@ -338,8 +338,8 @@ class SemanticsFold:
 
         def write_notations() -> None:
             nonlocal noted
-            os.makedirs(self.run_root, exist_ok=True)
-            write_notation_rows(shard, notations)
+            os.makedirs(shard, exist_ok=True)
+            write_notation_rows(os.path.join(shard, "valuenotes.csv"), notations)
             noted += len(notations)
             notations.clear()
 

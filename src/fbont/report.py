@@ -1,15 +1,17 @@
 """Deterministic renderers and readers for every table this tool writes.
 
-This module knows the output tables' columns and formats: the taxonomy,
-the schema summary, the scatter points, value notations and violations all
-render through :func:`stream_table` as csv, tsv or json records, in chunks,
-or joined into one document by :func:`render_table`, and the readers of
-``taxonomy.csv`` and ``schema.csv`` sit beside their writers. Only the value
-notations' csv rows are written elsewhere, by the semantics workers
-(:func:`fbont.semantics.write_notation_rows`). Identical inputs always
-produce byte-identical documents: no timestamps, no environment-dependent
-formatting, and the scatterplot is a self-contained SVG built from plain
-strings (generic font family, no external resources).
+This module knows the output tables' columns and formats, and writes every
+table: the taxonomy, the schema summary, the scatter points, value
+notations and violations all render through :func:`stream_table` as csv,
+tsv or json records, in chunks, or joined into one document by
+:func:`render_table`. The semantics workers append their value notations'
+csv rows to shards through the same row writer
+(:func:`write_notation_rows`), and one reader (:func:`_records`) reads
+``taxonomy.csv``, ``schema.csv`` and ``valuenotes.csv`` back. Identical
+inputs always produce byte-identical documents on every supported Python: no
+timestamps, no environment-dependent formatting, a field holding a carriage
+return always quoted, and the scatterplot is a self-contained SVG built from
+plain strings (generic font family, no external resources).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .model import render
 from .schema import DomainSchema, UndefinedComplexityError, complexity_score
-from .semantics import Violation
+from .semantics import ValueNotation, Violation
 from .slicer import DOMAIN, OWL_TERM, Group, SliceKey, SliceStats
 from .stats import StudyResult, StudyRow
 
@@ -69,13 +71,31 @@ def stream_table(header: Sequence[str], rows: Iterable[Sequence], fmt: str = "cs
             opening = ",\n  "
         yield "[]\n" if opening == "[\n  " else "\n]\n"
         return
+    yield from _csv_lines(chain([header], rows), _DELIMITER[fmt])
+
+
+def _csv_lines(rows: Iterable[Sequence], delimiter: str = ",") -> Iterator[str]:
+    """Each row as one csv line ended by a line feed.
+
+    The writer ends a line with CR LF, which this cuts to LF, so that it
+    quotes a field holding a carriage return on Python 3.10-3.12 as 3.13
+    quotes it, and ``csv.reader`` reads the field back whole.
+    """
     out = io.StringIO()
-    writer = csv.writer(out, delimiter=_DELIMITER[fmt], lineterminator="\n")
-    for row in chain([header], rows):
+    writer = csv.writer(out, delimiter=delimiter, lineterminator="\r\n")
+    for row in rows:
         writer.writerow(row)
-        yield out.getvalue()
+        yield out.getvalue()[:-2] + "\n"
         out.seek(0)
         out.truncate()
+
+
+def write_notation_rows(path: str, notations: Iterable[ValueNotation]) -> None:
+    """Append the notations to a shard as valuenotes.csv rows: property, object, kind, orientation."""
+    with open(path, "a", encoding="utf-8", newline="") as handle:
+        handle.writelines(
+            _csv_lines((render(n.property), render(n.object), n.kind.value, n.orientation) for n in notations)
+        )
 
 
 def _pct(fraction: float) -> str:

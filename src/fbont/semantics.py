@@ -10,10 +10,8 @@ which is also the reporting hook for conflated objects needing a split.
 
 from __future__ import annotations
 
-import csv
 import enum
 import os
-import re
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -242,40 +240,6 @@ def feed_value_notation(
         counters["valuenotation-shape"] += 1
 
 
-# A notation shard holds valuenotes.csv rows, as csv.writer writes them with
-# "\n" line ends; no field holds a "\n", since no dump line does. A field is
-# quoted, its quotes doubled, or bare, and then ends at a comma or the line's
-# end. csv.reader would end a row at a bare field's "\r", which csv.writer
-# leaves unquoted before Python 3.13, so the shards are read back by this
-# pattern, which reads either.
-_CSV_FIELD = re.compile(r'(?:"((?:[^"]|"")*)"|([^,"\n]*))[,\n]')
-
-
-def write_notation_rows(path: str, notations: Iterable[ValueNotation]) -> None:
-    """Append the notations to a shard as valuenotes.csv rows: property, object, kind, orientation."""
-    with open(path, "a", encoding="utf-8", newline="") as handle:
-        csv.writer(handle, lineterminator="\n").writerows(
-            (render(n.property), render(n.object), n.kind.value, n.orientation) for n in notations
-        )
-
-
-def notation_lines(shards: Iterable[str]) -> Iterator[str]:
-    """The rows of the notation shards as text lines, in shard order; only a newline ends a line.
-
-    A shard with no file holds no row: its partition had no notation.
-    """
-    for path in shards:
-        if os.path.exists(path):
-            with open(path, encoding="utf-8", newline="\n") as handle:
-                yield from handle
-
-
-def read_notation_rows(shards: Iterable[str]) -> Iterator[list[str]]:
-    """The rows of the notation shards, in shard order, each ``[property, object, kind, orientation]``."""
-    for line in notation_lines(shards):
-        yield [quoted.replace('""', '"') or bare for quoted, bare in _CSV_FIELD.findall(line)]
-
-
 @dataclass(frozen=True, order=True, slots=True)
 class IncompatibilityRule:
     """An unordered pair of mutually exclusive types."""
@@ -346,9 +310,9 @@ _RECORD = struct.Struct("<II")
 _RUN_SERIAL = count()
 
 
-def mask_run_path(directory: str, prefix: str, suffix: str = ".run") -> str:
-    """A run path under ``directory`` that no other run of this process, or of another live one, takes."""
-    return os.path.join(directory, f"{prefix}-{os.getpid()}-{next(_RUN_SERIAL)}{suffix}")
+def mask_run_path(directory: str, prefix: str) -> str:
+    """A run or shard path under ``directory`` that no other of this process, or of another live one, takes."""
+    return os.path.join(directory, f"{prefix}-{os.getpid()}-{next(_RUN_SERIAL)}.run")
 
 
 def write_mask_run(path: str, records: Iterable[tuple[str, int]]) -> None:

@@ -3,6 +3,7 @@ notation shards back, and the published domain census."""
 
 from __future__ import annotations
 
+import csv
 import io
 import os
 import shutil
@@ -14,7 +15,7 @@ import pytest
 
 from fbont.model import parse_ref
 from fbont.pipeline import Partition
-from fbont.semantics import NotationKind, ValueNotation, read_mask_run, read_notation_rows
+from fbont.semantics import NotationKind, ValueNotation, read_mask_run
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -90,10 +91,20 @@ def read_masks(runs) -> dict[str, int]:
 
 
 def read_notations(shards) -> list[ValueNotation]:
-    """A semantics payload's ``notations`` shards read back as value notations, in order."""
+    """A semantics payload's ``notations`` shard directories read back as value notations, in order.
+
+    A directory holds one valuenotes.csv of headerless rows, or does not
+    exist: its partition had no notation.
+    """
+    rows = []
+    for shard in shards:
+        if os.path.exists(shard):
+            assert os.listdir(shard) == ["valuenotes.csv"], shard
+            with open(os.path.join(shard, "valuenotes.csv"), encoding="utf-8", newline="") as handle:
+                rows += csv.reader(handle)
     return [
         ValueNotation(parse_ref(prop), parse_ref(obj), NotationKind(kind), orientation)
-        for prop, obj, kind, orientation in read_notation_rows(shards)
+        for prop, obj, kind, orientation in rows
     ]
 
 

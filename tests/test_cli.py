@@ -1,5 +1,6 @@
 import argparse
 import ast
+import csv
 import gc
 import gzip
 import io
@@ -368,14 +369,26 @@ class TestCmdSemantics:
             assert str(rules) in err
             assert not out.exists()
 
-    def test_cycle_fail_loud_exits_4(self, tmp_path):
+    def test_cycle_fail_loud_exits_4(self, tmp_path, capsys):
+        """A replaced-by cycle exits 4 before any stdout, with and without --rules, and
+        leaves no OUT, although the workers wrote notation shards and mask runs under it."""
+        dump, rules = typed_semantics_fixture(tmp_path)
         lines = [
             obj_line("m.p", "dataworld.gardening_hint.replaced_by", "m.q"),
             obj_line("m.q", "dataworld.gardening_hint.replaced_by", "m.r"),
             obj_line("m.r", "dataworld.gardening_hint.replaced_by", "m.p"),
         ]
-        dump = write_lines(tmp_path, lines)
-        assert main(["semantics", dump, "--out", str(tmp_path / "out")]) == 4
+        lines += [obj_line(f"people.person.p{i}", "freebase.valuenotation.has_value", f"m.x{i}") for i in range(50)]
+        with open(dump, "a", encoding="utf-8") as handle:
+            handle.write("".join(line + "\n" for line in lines))
+        out = tmp_path / "out"
+        for options in ([], ["--rules", rules]):
+            for workers in ("1", "2"):
+                assert main(["semantics", dump, "--workers", workers, "--out", str(out), *options]) == 4
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == "error: replaced-by cycle: /m/p, /m/q, /m/r\n"
+                assert not out.exists()
 
     def test_cycle_smallest_policy_canonicalizes(self, tmp_path):
         lines = [
@@ -583,6 +596,9 @@ class TestCmdSemantics:
         tree, printed = outputs[0]
         assert tree["valuenotes.csv"] == render_table(VALUENOTE_COLUMNS, rows).encode()
         assert tree["valuenotes.json"] == render_table(VALUENOTE_COLUMNS, rows, "json").encode()
+        records = list(csv.reader(io.StringIO(tree["valuenotes.csv"].decode(), newline="")))
+        assert records == [list(VALUENOTE_COLUMNS), *map(list, rows)]  # one row per notation
+        assert json.loads(tree["valuenotes.json"]) == [dict(zip(records[0], record)) for record in records[1:]]
         assert "value notations: 300\n" in printed.out
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -591,8 +607,8 @@ class TestCmdSemantics:
         notes = [obj_line(f"people.person.p{i}", "freebase.valuenotation.has_value", f"m.x{i}") for i in range(30)]
         dump = write_lines(tmp_path, notes + random_dump_lines(300, seed=3))
         fresh, out = tmp_path / "fresh", tmp_path / "out"
-        for name in ("notes-00000-1-0.csv", "notes-00001-1-0.csv"):
-            stale = out / ".fbont-semantics" / "runs" / name
+        for name in ("notes-00000-1-0.run", "notes-00001-1-0.run"):
+            stale = out / ".fbont-semantics" / "runs" / name / "valuenotes.csv"
             stale.parent.mkdir(parents=True, exist_ok=True)
             stale.write_text("/stale/stale/stale,/m/stale,has_value,forward\n")
         for target in (fresh, out):
@@ -762,24 +778,28 @@ class TestCmdStudy:
         assert "matches no study domain" in capsys.readouterr().err
 
     def test_from_precomputed_intermediates(self, tmp_path):
+        """taxonomy.csv and schema.csv give the study the dump gives, a domain whose name
+        holds a CR included."""
         lines, expected = study_fixture_lines()
-        dump = write_lines(tmp_path, lines)
-        pre = tmp_path / "pre"
-        assert main(["slice", dump, "--out", str(pre)]) == 0
-        assert main(["schema", dump, "--out", str(pre)]) == 0
-        out = tmp_path / "out"
-        code = main(
-            [
-                "study",
-                "--from-counts", str(pre / "taxonomy.csv"),
-                "--from-schema", str(pre / "schema.csv"),
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        direct_out = tmp_path / "direct"
-        assert main(["study", dump, "--out", str(direct_out)]) == 0
-        assert (out / "study.json").read_text() == (direct_out / "study.json").read_text()
+        for zoo in ("zoo", "zo\ro"):
+            dump = write_lines(tmp_path, [line.replace("/ns/zoo.", f"/ns/{zoo}.") for line in lines])
+            pre, out, direct_out = (tmp_path / f"{name}-{len(zoo)}" for name in ("pre", "out", "direct"))
+            assert main(["slice", dump, "--out", str(pre)]) == 0
+            assert main(["schema", dump, "--out", str(pre)]) == 0
+            code = main(
+                [
+                    "study",
+                    "--from-counts", str(pre / "taxonomy.csv"),
+                    "--from-schema", str(pre / "schema.csv"),
+                    "--out", str(out),
+                ]
+            )
+            assert code == 0
+            assert main(["study", dump, "--out", str(direct_out)]) == 0
+            tree = read_tree(out)
+            assert tree == {name: text for name, text in read_tree(direct_out).items() if name != "parse_report.json"}
+            scatter = csv.DictReader(io.StringIO(tree["scatter.csv"].decode(), newline=""))
+            assert zoo in [record["domain"] for record in scatter]
 
     @pytest.mark.parametrize(
         "name, old, new",
@@ -1080,7 +1100,7 @@ class TestFailureExits:
         proc = subprocess.run(argv, capture_output=True, text=True, preexec_fn=limit)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: [Errno 27] File too large")
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(

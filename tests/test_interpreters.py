@@ -12,9 +12,11 @@ package's floor, this runs ``python3.X -m fbont.cli study``, ``slice
 --materialize`` and ``semantics --rules R --json`` on a gzip
 file of at least three minimum ranges, holding literals with ``\\\\``,
 ``\\"``, ``\\n``, ``\\r`` and ``\\t`` escapes, type assertions, replaced-by
-edges and value notations, at 1 and 2 workers, and compares each output tree
-with this interpreter's. Interpreters that do not start are skipped; with
-pyenv, list the versions to test in ``PYENV_VERSION`` (e.g.
+edges and value notations, and a property, a mid and a slice name that hold
+a carriage return, which every csv table must quote alike (``csv.writer``
+quotes it by itself only from 3.13), at 1 and 2 workers, and compares each
+output tree with this interpreter's. Interpreters that do not start are
+skipped; with pyenv, list the versions to test in ``PYENV_VERSION`` (e.g.
 ``3.11.7:3.10.13:3.12.1:3.13.0``) so that their shims resolve.
 """
 
@@ -102,6 +104,12 @@ def reference(tmp_path_factory):
         for i in range(500)
     ]
     lines += semantics_lines(rng)
+    lines += [
+        obj_line("people.person.p\rx", "freebase.valuenotation.has_value", "m.t\ry"),
+        obj_line("m.t\ry", "type.object.type", "film.film"),
+        obj_line("m.t\ry", "type.object.type", "film.film_series"),
+        obj_line("m.s0", "fo\ro.bar.baz", "m.o0"),
+    ]
     rng.shuffle(lines)
     dump = root / "dump.nt.gz"
     dump.write_bytes(gzip.compress("".join(l + "\n" for l in lines).encode(), 1))
@@ -128,6 +136,7 @@ def slice_reference(reference, tmp_path_factory):
     trees = [run_fbont(sys.executable, SLICE, dump, str(root / f"ref-w{w}"), w) for w in (1, 2)]
     assert trees[0] == trees[1]
     assert b'\\"quoted\\"' in trees[0]["slices/domain/common.nt"]
+    assert b',"fo\ro",' in trees[0]["taxonomy.csv"]
     return trees[0]
 
 
@@ -152,6 +161,8 @@ def semantics_reference(reference, tmp_path_factory):
     assert trees[0] == trees[1]
     for name in ("merges.tsv", "valuenotes.csv", "violations.csv"):
         assert trees[0][name].count(b"\n") > 100, name
+    for name in ("valuenotes.csv", "violations.csv"):
+        assert b'"/m/t\ry"' in trees[0][name], name
     return command, trees[0]
 
 

@@ -879,7 +879,7 @@ class TestMaskRunMerge:
         assert fold.violations(runs) == expected
         assert max(seen) == budget
         assert len(opened) > len(runs)  # the merge took passes
-        left = [name for name in os.listdir(run_root) if name.endswith(".run")]  # beside the notation shards
+        left = [name for name in os.listdir(run_root) if not name.startswith("notes-")]  # beside the notation shards
         assert sorted(left) == sorted(os.path.basename(run) for run in runs)
 
 
@@ -978,8 +978,8 @@ class TestSharedSegments:
     def test_notations_field_pickles_alike_for_0_and_10000_notations(self, tmp_path, monkeypatch):
         """The ``notations`` field names the partition's shard, so it pickles to the same
         bytes whatever the number of notations the shard holds."""
-        def fixed_path(directory, prefix, suffix):  # one name for both shards
-            return os.path.join(directory, prefix + suffix)
+        def fixed_path(directory, prefix):  # one name for both shards
+            return os.path.join(directory, prefix)
 
         monkeypatch.setattr(pipeline, "mask_run_path", fixed_path)
         run_root = str(tmp_path / "runs")

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import load_census
 from fbont.model import IdPath, Mid, render
+from fbont.pipeline import concatenate_shards
 from fbont.report import (
     SCHEMA_COLUMNS,
     VALUENOTE_COLUMNS,
@@ -25,9 +27,10 @@ from fbont.report import (
     schema_rows,
     stream_table,
     study_to_json,
+    write_notation_rows,
 )
 from fbont.schema import DomainSchema
-from fbont.semantics import NotationKind, ValueNotation, notation_lines, read_notation_rows, write_notation_rows
+from fbont.semantics import NotationKind, ValueNotation
 from fbont.slicer import DOMAIN, OWL_TERM, SliceKey, build_taxonomy
 from fbont.stats import StudyRow, run_study
 
@@ -265,18 +268,30 @@ class TestStreamTable:
     @example((["property", "object"], []), "json")
     @example((["property", "object"], []), "csv")
     @example((["a"], [["x\ry"], ['q"uo,te'], ["\U0001d11e"]]), "json")
+    @example((["a", "b"], [["x\ry", "\r"], ["p\r\nq", None]]), "csv")
+    @example((["a", "b"], [["x\ry", "\r"], ["\r\t", 7]]), "tsv")
     def test_chunks_join_to_the_whole_document(self, table, fmt):
-        """The chunks are the document rendered whole: csv.writer's rows, or render_json's list."""
+        """The chunks are the document rendered whole: csv.writer's rows, each ended by LF
+        where the writer ends it by CR LF, or render_json's list. csv.reader reads the
+        rows back, a field holding a CR included."""
         header, rows = table
         chunks = list(stream_table(header, iter(rows), fmt))
         if fmt == "json":
             whole = render_json([dict(zip(header, row)) for row in rows])
         else:
+            delimiter = "," if fmt == "csv" else "\t"
             out = io.StringIO()
-            writer = csv.writer(out, delimiter="," if fmt == "csv" else "\t", lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-            whole = out.getvalue()
+            writer = csv.writer(out, delimiter=delimiter, lineterminator="\r\n")
+            lines = []
+            for row in [header, *rows]:
+                writer.writerow(row)
+                lines.append(out.getvalue().removesuffix("\r\n") + "\n")
+                out.seek(0)
+                out.truncate()
+            whole = "".join(lines)
+            if "\0" not in whole or sys.version_info >= (3, 11):  # csv.reader took no NUL before 3.11
+                read = list(csv.reader(io.StringIO(whole, newline=""), delimiter=delimiter))
+                assert read == [["" if v is None else str(v) for v in row] for row in [header, *rows]]
         assert "".join(chunks) == whole == render_table(header, rows, fmt)
         assert len(chunks) == len(rows) + 1  # one chunk per row, and the header or the closing bracket
 
@@ -294,15 +309,23 @@ class TestStreamTable:
         st.integers(1, 5),
     )
     def test_notation_shards_read_back_as_the_rows_written(self, tmp_path_factory, drawn, batch):
-        """Shards of notation rows, written a batch at a time, give valuenotes.csv behind
-        the header and valuenotes.json through the reader, as render_table gives them."""
-        shard = str(tmp_path_factory.mktemp("shards") / "notes.csv")
+        """Shards of notation rows, written a batch at a time and joined behind a header
+        shard, give valuenotes.csv, and valuenotes.json through the csv module, as
+        render_table gives them."""
+        root = tmp_path_factory.mktemp("shards")
+        header, shard = root / "header", root / "notes"
+        header.mkdir()
+        shard.mkdir()
+        (header / "valuenotes.csv").write_bytes("".join(stream_table(VALUENOTE_COLUMNS, ())).encode())
         notations = [ValueNotation(IdPath(("people", "person", p)), Mid(m), k, o) for p, m, k, o in drawn]
         for start in range(0, len(notations), batch):
-            write_notation_rows(shard, notations[start : start + batch])
+            write_notation_rows(str(shard / "valuenotes.csv"), notations[start : start + batch])
+        concatenate_shards([str(header), str(shard)], str(root / "out"))
         rows = [(render(n.property), render(n.object), n.kind.value, n.orientation) for n in notations]
-        csv_doc = "".join(stream_table(VALUENOTE_COLUMNS, ())) + "".join(notation_lines([shard]))
+        with open(root / "out" / "valuenotes.csv", encoding="utf-8", newline="") as handle:
+            csv_doc = handle.read()
         assert csv_doc == render_table(VALUENOTE_COLUMNS, rows)
-        assert list(read_notation_rows([shard])) == [list(row) for row in rows]
-        json_doc = "".join(stream_table(VALUENOTE_COLUMNS, read_notation_rows([shard]), "json"))
+        read = list(csv.reader(io.StringIO(csv_doc, newline="")))
+        assert read == [list(VALUENOTE_COLUMNS), *map(list, rows)]
+        json_doc = "".join(stream_table(VALUENOTE_COLUMNS, read[1:], "json"))
         assert json_doc == render_table(VALUENOTE_COLUMNS, rows, "json")
