@@ -210,14 +210,15 @@ def cmd_semantics(args: argparse.Namespace) -> int:
 
     The --rules file is read before the parse, so a bad file fails fast and
     writes nothing, and so the fold keeps, per mid, only the bits of the
-    types those rules name, none without --rules. The workers write the
-    value notations as shards of valuenotes.csv rows and those masks as
-    sorted runs, both under the work directory's runs/ (see SemanticsFold).
-    concatenate_shards joins a header shard and the shards into
-    valuenotes.csv, which the csv module reads back for valuenotes.json;
-    the runs are merged as a stream. Every table is written row by row, so
-    no table is ever one string here, and no notation is held once the
-    parse is done.
+    types those rules name, and reads the typing of mids only, and only
+    with --rules. The workers write the value notations as shards
+    of valuenotes.csv rows and those masks as sorted runs, both under the
+    work directory's runs/ (see SemanticsFold). concatenate_shards joins a
+    header shard and the shards into valuenotes.csv, which the csv module
+    reads back for valuenotes.json; the runs are merged as a stream. Every
+    table, merges.tsv too, is written row by row through report's row
+    writer, so no table is ever one string here, and no notation is held
+    once the parse is done.
     """
     rules = _read_input(args.rules, load_rules) if args.rules else frozenset()
     fold = SemanticsFold(os.path.join(args.work, "runs"), rules, args.accept_reversed)

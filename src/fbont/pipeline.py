@@ -13,16 +13,17 @@ bounds; ``Job.run`` parses its blocks with ``parser.parse_blocks``.
 
 A fold returns its per-partition aggregate as payload fields, and every
 field is a mergeable monoid with one declared merge law (``MERGE_LAWS``)
-that ``merge_payloads`` applies in partition order. Any worker count
-therefore produces byte-identical outputs to a single-threaded run. No fold
-keeps the dump's lines: a materializing ``SliceFold`` holds one block's
-copied lines at a time, and ``SemanticsFold`` holds at most
-``NOTATION_BATCH`` value notations and ``MASK_RUN_ENTRIES`` type masks (one
-bitmask per mid of the types its known rules name that the mid asserts) at
-a time. The rest are on disk: one shard of notation rows per partition,
-which the parent joins as it joins slice shards, and sorted mask runs,
-which it merges as a stream; only their paths are in the payload. Its merge map is the one
-aggregate in memory that grows with the dump.
+that ``merge_payloads`` applies in partition order, merged as the results
+arrive. Any worker count therefore produces byte-identical outputs to a
+single-threaded run. No fold keeps the dump's lines: a materializing
+``SliceFold`` holds one block's copied lines at a time, and
+``SemanticsFold`` holds at most ``NOTATION_BATCH`` value notations and
+``MASK_RUN_ENTRIES`` type masks (one bitmask per mid of the types its known
+rules name that the mid asserts) at a time. The rest are on disk: one shard
+of notation rows per partition, which the parent joins as it joins slice
+shards, and sorted mask runs, which it merges as a stream; only their paths
+are in the payload. Its merge map is the one aggregate in memory that grows
+with the dump.
 
 Standard input, pipes and gzip files under two minimum ranges are read as
 one partition.
@@ -267,9 +268,7 @@ class SchemaFold:
         return feed, lambda tallies: {"schemas": schemas}
 
 
-_SEMANTICS_PREDICATES = frozenset(
-    {REPLACED_BY_PREDICATE, HAS_VALUE_PREDICATE, HAS_NO_VALUE_PREDICATE, TYPE_ASSERTION_PREDICATE}
-)
+_SEMANTICS_PREDICATES = frozenset({REPLACED_BY_PREDICATE, HAS_VALUE_PREDICATE, HAS_NO_VALUE_PREDICATE})
 
 
 # Mask entries a semantics worker holds before it writes them out as one
@@ -309,6 +308,8 @@ class SemanticsFold:
     accept_reversed: bool = False
 
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
+        if predicate == TYPE_ASSERTION_PREDICATE:  # feed_type_mask takes a mid's, for known rules
+            return mid_subject and bool(self.known_rules)
         return predicate in _SEMANTICS_PREDICATES
 
     def violations(self, runs: Sequence[str]) -> list[Violation]:
@@ -428,7 +429,8 @@ def merge_payloads(payloads: Sequence[dict[str, Any]]) -> dict[str, Any]:
     """Merge partition payloads field by field, in partition order.
 
     A None value means the field was not collected and is skipped. Each
-    partition's ``shard_dir`` is appended to the ordered ``shard_dirs`` list.
+    partition's ``shard_dir`` is appended to the ordered ``shard_dirs`` list,
+    so ``merge_payloads((merged, payload))`` folds one more partition in.
     """
     merged: dict[str, Any] = {}
     for payload in payloads:
@@ -490,10 +492,8 @@ class WorkerFailure(Exception):
     holding an exception that cannot be pickled."""
 
 
-def run_partitioned(
-    job: Job, partitions: Sequence[Partition], workers: int
-) -> tuple[ParseReport, list[dict[str, Any]]]:
-    """Run a job over every partition, merging reports in partition order.
+def run_partitioned(job: Job, partitions: Sequence[Partition], workers: int) -> tuple[ParseReport, dict[str, Any]]:
+    """Run a job over every partition; the reports and payloads merged in partition order.
 
     Child k of W = min(workers, partitions) forked children runs partitions
     k, k + W, ...; the parent reads partition i from child i % W, and on any
@@ -563,29 +563,24 @@ def run_folds(
     parser: ParserConfig = ParserConfig(),
 ) -> tuple[ParseReport, dict[str, Any]]:
     """Parse the inputs once, feeding every triple to each fold; the merged report and payload."""
-    job = Job(tuple(folds), parser)
-    report, payloads = run_partitioned(job, plan_partitions(inputs, workers), workers)
-    return report, merge_payloads(payloads)
+    return run_partitioned(Job(tuple(folds), parser), plan_partitions(inputs, workers), workers)
 
 
-def _merge_results(
-    results: Iterable[tuple[ParseReport, dict[str, Any]]]
-) -> tuple[ParseReport, list[dict[str, Any]]]:
-    """Merge partition reports as the results arrive, in partition order.
+def _merge_results(results: Iterable[tuple[ParseReport, dict[str, Any]]]) -> tuple[ParseReport, dict[str, Any]]:
+    """Fold each partition's report and payload into the running merge as it arrives, in order.
 
     A partition's StreamAbortedError is raised again with the report of the
     stream so far: every earlier partition's, then the failing one's partial
     report, so its line count does not depend on the worker count.
     """
-    report = ParseReport()
-    payloads = []
+    report, merged = ParseReport(), {}
     try:
         for part_report, payload in results:
             report = report.merge(part_report)
-            payloads.append(payload)
+            merged = merge_payloads((merged, payload))
     except StreamAbortedError as exc:
         raise StreamAbortedError(report.merge(exc.report), exc.cause) from exc.cause
-    return report, payloads
+    return report, merged
 
 
 def concatenate_shards(shard_dirs: Sequence[str], out_dir: str) -> list[str]:

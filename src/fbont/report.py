@@ -4,13 +4,13 @@ This module knows the output tables' columns and formats, and writes every
 table: the taxonomy, the schema summary, the scatter points, value
 notations and violations all render through :func:`stream_table` as csv,
 tsv or json records, in chunks, or joined into one document by
-:func:`render_table`. The semantics workers append their value notations'
-csv rows to shards through the same row writer
-(:func:`write_notation_rows`), and one reader (:func:`_records`) reads
-``taxonomy.csv``, ``schema.csv`` and ``valuenotes.csv`` back. Identical
-inputs always produce byte-identical documents on every supported Python: no
-timestamps, no environment-dependent formatting, a field holding a carriage
-return always quoted, and the scatterplot is a self-contained SVG built from
+:func:`render_table`. The notation shards (:func:`write_notation_rows`) and
+``merges.tsv`` (``semantics.merge_tsv_rows``) take their rows from the same
+row writer, and one reader (:func:`_records`) reads ``taxonomy.csv``,
+``schema.csv`` and ``valuenotes.csv`` back. Identical inputs always produce
+byte-identical documents on every supported Python: no timestamps, no
+environment-dependent formatting, a field holding a carriage return always
+quoted, and the scatterplot is a self-contained SVG built from
 plain strings (generic font family, no external resources).
 """
 
@@ -22,13 +22,15 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .model import render
 from .schema import DomainSchema, UndefinedComplexityError, complexity_score
-from .semantics import ValueNotation, Violation
 from .slicer import DOMAIN, OWL_TERM, Group, SliceKey, SliceStats
 from .stats import StudyResult, StudyRow
+
+if TYPE_CHECKING:  # semantics writes merges.tsv through this module's row writer
+    from .semantics import ValueNotation, Violation
 
 GROUP_TITLES = {
     Group.IMPLEMENTATION: "Freebase Implementation Domains",

@@ -20,6 +20,7 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .model import IdPath, Mid, Triple, idpath, intern_path, parse_ref, reduce_value, render
+from .report import _csv_lines
 
 REPLACED_BY_PREDICATE = idpath("/dataworld/gardening_hint/replaced_by")
 HAS_VALUE_PREDICATE = idpath("/freebase/valuenotation/has_value")
@@ -57,8 +58,7 @@ class MergeMap:
     counted. ``firsts`` keeps a duplicate's first replacement only while its
     last one differs, so a later map's first edge is counted against the
     earlier map's last, as a single pass counts it. Resolution caches its
-    results (path compression), so resolve a shared map fully
-    (``resolve_all``) before handing it to workers.
+    results (path compression) in the map, as ``merge_tsv_rows`` relies on.
     """
 
     edges: dict[Mid, Mid] = field(default_factory=dict)
@@ -129,10 +129,6 @@ class MergeMap:
         for node in path:
             cache[node] = terminal
         return terminal
-
-    def resolve_all(self, policy: CyclePolicy = CyclePolicy.FAIL) -> dict[Mid, Mid]:
-        """Canonical mapping for every known duplicate; immutable and shareable."""
-        return {duplicate: self.resolve(duplicate, policy) for duplicate in self.edges}
 
 
 def feed_merge_edge(
@@ -448,11 +444,14 @@ def load_rules(stream: TextIO) -> frozenset[IncompatibilityRule]:
 def merge_tsv_rows(merge_map: MergeMap, policy: CyclePolicy = CyclePolicy.FAIL) -> Iterator[str]:
     """The resolved canonical mapping as duplicate/canonical TSV rows, by duplicate.
 
-    Every duplicate is resolved here, so a MergeCycleError is raised before
-    the first row.
+    Every duplicate is resolved here, into the map's own cache, so a
+    MergeCycleError is raised before the first row. The rows come from
+    ``report``'s row writer, which quotes a mid holding a ``\\r`` or ``"``.
     """
-    resolved = merge_map.resolve_all(policy)
-    return (f"{render(dup)}\t{render(resolved[dup])}\n" for dup in sorted(resolved, key=_SUFFIX))
+    for duplicate in merge_map.edges:
+        merge_map.resolve(duplicate, policy)
+    terminal = merge_map._cache
+    return _csv_lines(((render(dup), render(terminal[dup])) for dup in sorted(merge_map.edges, key=_SUFFIX)), "\t")
 
 
 def write_merge_tsv(merge_map: MergeMap, stream: TextIO, policy: CyclePolicy = CyclePolicy.FAIL) -> int:

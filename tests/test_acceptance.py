@@ -31,7 +31,6 @@ from fbont.pipeline import (
     SemanticsFold,
     SliceFold,
     concatenate_shards,
-    merge_payloads,
     plan_partitions,
     run_folds,
     run_partitioned,
@@ -122,18 +121,18 @@ def test_criterion_3_parser_robustness_and_worker_determinism(tmp_path):
         path = write_lines(tmp_path, lines, "million.nt")
         started = time.perf_counter()
         parts = plan_partitions([path], 1)
-        report, payloads = run_partitioned(Job((SliceFold(),)), parts, 1)
+        report, merged = run_partitioned(Job((SliceFold(),)), parts, 1)
         elapsed = time.perf_counter() - started
         assert report.lines_read == 1_000_000
         assert report.triples_ok + report.lines_malformed == report.lines_read
         assert report.lines_malformed > 0
         assert report.triples_ok == oracle_count_wellformed(lines)
-        baseline = (report, merge_payloads(payloads)["counts"])
+        baseline = (report, merged["counts"])
         for workers in (4, 16):
             parts = plan_partitions([path], workers)
-            worker_report, worker_payloads = run_partitioned(Job((SliceFold(),)), parts, workers)
+            worker_report, worker_merged = run_partitioned(Job((SliceFold(),)), parts, workers)
             assert worker_report == baseline[0]
-            assert merge_payloads(worker_payloads)["counts"] == baseline[1]
+            assert worker_merged["counts"] == baseline[1]
         assert elapsed < 30.0
 
 

@@ -12,12 +12,13 @@ package's floor, this runs ``python3.X -m fbont.cli study``, ``slice
 --materialize`` and ``semantics --rules R --json`` on a gzip
 file of at least three minimum ranges, holding literals with ``\\\\``,
 ``\\"``, ``\\n``, ``\\r`` and ``\\t`` escapes, type assertions, replaced-by
-edges and value notations, and a property, a mid and a slice name that hold
-a carriage return, which every csv table must quote alike (``csv.writer``
-quotes it by itself only from 3.13), at 1 and 2 workers, and compares each
-output tree with this interpreter's. Interpreters that do not start are
-skipped; with pyenv, list the versions to test in ``PYENV_VERSION`` (e.g.
-``3.11.7:3.10.13:3.12.1:3.13.0``) so that their shims resolve.
+edges and value notations, and a property, mids (one of them replaced) and a
+slice name that hold a carriage return, which every csv and tsv table must
+quote alike (``csv.writer`` quotes it by itself only from 3.13), at 1 and 2
+workers, and compares each output tree with this interpreter's.
+Interpreters that do not start are skipped; with pyenv, list the versions
+to test in ``PYENV_VERSION`` (e.g. ``3.11.7:3.10.13:3.12.1:3.13.0``) so
+that their shims resolve.
 """
 
 import base64
@@ -108,6 +109,7 @@ def reference(tmp_path_factory):
         obj_line("people.person.p\rx", "freebase.valuenotation.has_value", "m.t\ry"),
         obj_line("m.t\ry", "type.object.type", "film.film"),
         obj_line("m.t\ry", "type.object.type", "film.film_series"),
+        obj_line("m.d\rz", "dataworld.gardening_hint.replaced_by", "m.t\ry"),
         obj_line("m.s0", "fo\ro.bar.baz", "m.o0"),
     ]
     rng.shuffle(lines)
@@ -163,6 +165,7 @@ def semantics_reference(reference, tmp_path_factory):
         assert trees[0][name].count(b"\n") > 100, name
     for name in ("valuenotes.csv", "violations.csv"):
         assert b'"/m/t\ry"' in trees[0][name], name
+    assert b'"/m/d\rz"\t"/m/t\ry"\n' in trees[0]["merges.tsv"]
     return command, trees[0]
 
 

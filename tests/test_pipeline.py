@@ -221,8 +221,7 @@ class TestWorkerEquivalence:
         results = {}
         for workers in (1, 4, 16):
             parts = plan_partitions([path], workers)
-            report, payloads = run_partitioned(Job((SliceFold(),)), parts, workers)
-            merged = merge_payloads(payloads)
+            report, merged = run_partitioned(Job((SliceFold(),)), parts, workers)
             results[workers] = (report, merged["counts"])
         assert results[1] == results[4] == results[16]
 
@@ -234,8 +233,7 @@ class TestWorkerEquivalence:
             out_dir = tmp_path / f"slices_w{workers}"
             shard_root = str(out_dir / ".parts")
             parts = plan_partitions([path], workers)
-            _, payloads = run_partitioned(Job((SliceFold(shard_root),)), parts, workers)
-            merged = merge_payloads(payloads)
+            _, merged = run_partitioned(Job((SliceFold(shard_root),)), parts, workers)
             concatenate_shards(merged["shard_dirs"], str(out_dir))
             tree = {}
             for root, _, files in os.walk(out_dir):
@@ -255,8 +253,7 @@ class TestWorkerEquivalence:
         outcomes = {}
         for workers in (1, 5):
             parts = plan_partitions([path], workers)
-            report, payloads = run_partitioned(Job((SliceFold(), SchemaFold())), parts, workers)
-            merged = merge_payloads(payloads)
+            report, merged = run_partitioned(Job((SliceFold(), SchemaFold())), parts, workers)
             rows, skipped = join_study_rows(merged["counts"], merged["schemas"])
             outcomes[workers] = (report, rows, skipped)
         assert outcomes[1] == outcomes[5]
@@ -268,8 +265,7 @@ class TestWorkerEquivalence:
         merged = {}
         for workers in (1, 6):
             parts = plan_partitions([path], workers)
-            _, payloads = run_partitioned(Job((SemanticsFold(RUN_ROOT),)), parts, workers)
-            result = merge_payloads(payloads)
+            _, result = run_partitioned(Job((SemanticsFold(RUN_ROOT),)), parts, workers)
             notations = read_notations(result["notations"])
             merged[workers] = (result["merge_map"].edges, notations, result["notation_rows"])
         assert merged[1] == merged[6]
@@ -285,8 +281,7 @@ class TestJoinStudyRows:
         lines = SCHEMA_FIXTURE + data_lines
         path = write_lines(tmp_path, lines)
         parts = plan_partitions([path], 1)
-        _, payloads = run_partitioned(Job((SliceFold(), SchemaFold())), parts, 1)
-        merged = merge_payloads(payloads)
+        _, merged = run_partitioned(Job((SliceFold(), SchemaFold())), parts, 1)
         rows, skipped = join_study_rows(merged["counts"], merged["schemas"])
         by_domain = {r.domain: r for r in rows}
         # schema triples live under /type and /common: implementation, not counted here
@@ -339,6 +334,7 @@ PROBE_LINES = SCHEMA_FIXTURE + random_dump_lines(400, seed=5, malformed_rate=0.0
     lit_line("m.a", "freebase.valuenotation.has_value", "x"),
     obj_line("m.a", "type.object.type", "people.person"),
     obj_line("m.b", "type.object.type", "film.film"),
+    obj_line("base.pets", "type.object.type", "film.film"),  # a rule's type, of no mid
 ]
 
 CUSTOM_SCHEMA = SchemaConfig(
@@ -368,6 +364,7 @@ PROJECTING_FOLDS = {
     "schema-custom": SchemaFold(CUSTOM_SCHEMA),
     "semantics": SemanticsFold(RUN_ROOT),
     "semantics-custom": CUSTOM_SEMANTICS,
+    "semantics-reversed": SemanticsFold(RUN_ROOT, accept_reversed=True),  # no rules
 }
 
 
@@ -446,6 +443,10 @@ class TestProjection:
             feed(triple)
         assert read_back(finish([])) == read_back(started(fold, fresh_lint)[1]([]))
         assert fed_lint == fresh_lint
+        typing = [t.subject for t in unread if t.predicate == idpath("/type/object/type")]
+        if name.startswith("semantics"):  # of no mid always, and of a mid without rules
+            assert any(not isinstance(s, Mid) for s in typing)
+            assert any(isinstance(s, Mid) for s in typing) != bool(fold.known_rules)
 
     def test_mid_subjects_are_counted_for_schema_and_linted(self):
         lines = [
@@ -492,10 +493,10 @@ class TestProjection:
             unprojected = Job(folds + (ReadsEverything(),))
             built, _, full_report = built_and_counted(projected.folds, path)
             assert built < built_and_counted(unprojected.folds, path)[0] == full_report.triples_ok
-            report, payloads = run_partitioned(projected, parts, workers)
-            ref_report, ref_payloads = run_partitioned(unprojected, parts, workers)
+            report, merged = run_partitioned(projected, parts, workers)
+            ref_report, ref_merged = run_partitioned(unprojected, parts, workers)
             assert report.to_dict() == ref_report.to_dict(), folds
-            assert read_back(merge_payloads(payloads)) == read_back(merge_payloads(ref_payloads)), folds
+            assert read_back(merged) == read_back(ref_merged), folds
 
     def test_aborted_partition_report_keeps_tallied_lint(self, tmp_path, monkeypatch):
         path = write_lines(tmp_path, PROBE_LINES * 2)
@@ -572,8 +573,7 @@ def written_slices(lines, out_dir, lint):
 def copied_slices(path, out_dir, workers, parser=ParserConfig()):
     """Slice files of a materializing Job, its partitions run in-process."""
     fold = SliceFold(str(out_dir / ".parts"))
-    report, payloads = run_partitioned(Job((fold,), parser), plan_partitions([path], workers), 1)
-    merged = merge_payloads(payloads)
+    report, merged = run_partitioned(Job((fold,), parser), plan_partitions([path], workers), 1)
     concatenate_shards(merged["shard_dirs"], str(out_dir))
     return report, merged, read_tree(out_dir)
 
@@ -690,8 +690,7 @@ OTHER_FOLDS = (SchemaFold(CUSTOM_SCHEMA), CUSTOM_SEMANTICS)
 
 def merged_run(folds, parts, out_dir=None):
     """(report dict, merged payload) of a Job over the partitions, run in-process."""
-    report, payloads = run_partitioned(Job(folds), parts, 1)
-    merged = merge_payloads(payloads)
+    report, merged = run_partitioned(Job(folds), parts, 1)
     shard_dirs = merged.pop("shard_dirs", [])
     if out_dir is not None:
         concatenate_shards(shard_dirs, str(out_dir))
@@ -809,6 +808,21 @@ class TestSemanticsRetainedState:
         assert no_rules == [] and read_masks(no_rules) == {}  # no rules, no mask kept
         assert not (tmp_path / "none").exists()
 
+    @pytest.mark.parametrize("rules", [frozenset(), KNOWN_RULES], ids=["no-rules", "rules"])
+    def test_builds_the_typing_of_mids_only_for_rules(self, tmp_path, rules):
+        """Typing triples are built only of mid subjects, and only for known rules;
+        the other semantics predicates always."""
+        lines = law_lines(seed=5) + [obj_line(f"film.film.f{i}", "type.object.type", "film.film") for i in range(20)]
+        path = write_lines(tmp_path, lines)
+        triples = list(iter_triples(path, ParseReport()))
+        typing = [t for t in triples if t.predicate == semantics.TYPE_ASSERTION_PREDICATE]
+        typed_mids = [t for t in typing if isinstance(t.subject, Mid)]
+        assert 20 < len(typed_mids) < len(typing)
+        others = (semantics.REPLACED_BY_PREDICATE, semantics.HAS_VALUE_PREDICATE, semantics.HAS_NO_VALUE_PREDICATE)
+        read = sum(t.predicate in others for t in triples) + (len(typed_mids) if rules else 0)
+        built, _, _ = built_and_counted((SemanticsFold(str(tmp_path / "runs"), rules),), path)
+        assert built == read > 300
+
     @pytest.mark.parametrize("fold", [{}, {"known_rules": KNOWN_RULES}], ids=["default", "filter"])
     def test_one_entry_per_typed_mid(self, tmp_path, fold):
         path = write_lines(tmp_path, typed_lines(seed=8))
@@ -851,8 +865,7 @@ class TestMaskRunMerge:
         run_root = str(tmp_path / "runs")
         fold = SemanticsFold(known_rules=KNOWN_RULES, run_root=run_root)
         monkeypatch.setattr(pipeline, "MASK_RUN_ENTRIES", 4)
-        _, payloads = run_partitioned(Job((fold,)), parts, 1)
-        runs = merge_payloads(payloads)["type_masks"]
+        runs = run_partitioned(Job((fold,)), parts, 1)[1]["type_masks"]
         budget = 3
         assert len(runs) > 3 * budget
 
@@ -908,7 +921,7 @@ class TestMergeLaws:
         path = write_lines(tmp_path, law_lines(seed=13))
         parts = plan_partitions([path], 3)
         assert len(parts) == 3
-        _, payloads = run_partitioned(Job((fold,)), parts, 1)
+        payloads = [Job((fold,)).run(part)[1] for part in parts]
         copies = pickle.loads(pickle.dumps(payloads))
         fields = set(payloads[0]) - {"shard_dir"}
         assert fields and fields <= set(pipeline.MERGE_LAWS)
@@ -923,6 +936,31 @@ class TestMergeLaws:
                 assert read_notations(law(law(p0, p1), p2)) == oracle_notations(path)
         merge_payloads(payloads)
         assert payloads == copies
+
+
+class TestStreamingMerge:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_running_merge_equals_the_merge_of_every_payload(self, tmp_path, workers):
+        """run_partitioned folds each payload in as it arrives; merge_payloads takes them all at once."""
+        path = write_lines(tmp_path, law_lines(seed=17))
+        parts = plan_partitions([path], 8)
+        assert len(parts) == 8
+
+        def job(root):
+            return Job((SliceFold(str(root / "parts")), SchemaFold(), SemanticsFold(str(root / "runs"), KNOWN_RULES)))
+
+        listed, running = tmp_path / "listed", tmp_path / "running"
+        expected = merge_payloads([job(listed).run(part)[1] for part in parts])
+        _, merged = run_partitioned(job(running), parts, workers)
+        for payload, root in ((expected, listed), (merged, running)):
+            shard_dirs = payload.pop("shard_dirs")
+            assert shard_dirs == [str(root / "parts" / f"{i:05d}") for i in range(8)]
+            concatenate_shards(shard_dirs, str(root / "slices"))
+        assert read_tree(listed / "slices") == read_tree(running / "slices") != {}
+        assert merged["notation_rows"] == 60 and len(merged["notations"]) == len(merged["type_masks"]) == 8
+        assert read_back(merged) == read_back(expected)
+        assert read_masks(merged["type_masks"]) == oracle_masks(path, KNOWN_RULES)
+        assert read_notations(merged["notations"]) == oracle_notations(path)
 
 
 # --- a payload's equal id segments are one str, which pickle writes once ----------

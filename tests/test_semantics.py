@@ -1,3 +1,4 @@
+import csv
 import io
 import os
 import random
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import RUN_ROOT, dump_stream, fold_triples, lit_line, obj_line, read_masks, read_notations
 from dumpgen import oracle_resolve, oracle_violations
-from fbont.model import Literal, Mid, idpath, parse_ref
+from fbont.model import Literal, Mid, idpath, parse_ref, render
 from fbont.parser import ParseReport, iter_triples, serialize
 from fbont.pipeline import SemanticsFold
 from fbont.semantics import (
@@ -21,6 +22,7 @@ from fbont.semantics import (
     load_rules,
     mask_run_path,
     merge_mask_runs,
+    merge_tsv_rows,
     read_mask_run,
     rewrite_canonical,
     write_mask_run,
@@ -182,13 +184,13 @@ class TestResolve:
         )
         assert merge_map.resolve(Mid("t"), CyclePolicy.SMALLEST) == Mid("p")
 
-    def test_resolve_all_shares_canonical_mapping(self):
+    def test_merge_tsv_rows_resolve_every_duplicate(self):
         lines, edges = forest_lines(200, seed=13)
         merge_map = merge_map_of(parse_lines(lines))
-        canonical = merge_map.resolve_all()
-        assert set(canonical) == set(edges)
-        for duplicate, terminal in canonical.items():
-            assert oracle_resolve(edges, duplicate) == terminal
+        rows = [row.rstrip("\n").split("\t") for row in merge_tsv_rows(merge_map)]
+        assert [duplicate for duplicate, _ in rows] == sorted(render(mid) for mid in edges)
+        for duplicate, terminal in rows:
+            assert parse_ref(terminal) == oracle_resolve(edges, parse_ref(duplicate))
 
 
 class TestRewriteCanonical:
@@ -474,3 +476,14 @@ class TestMergeTsv:
         out = io.StringIO()
         write_merge_tsv(merge_map, out)
         assert out.getvalue() == "/m/b\t/m/a\n/m/c\t/m/a\n"
+
+    @pytest.mark.parametrize("odd", ["a\rb", 'a"b'])
+    def test_a_mid_holding_cr_or_quote_is_quoted_and_reads_back_whole(self, odd):
+        """The rows come from the row writer of every other table, which quotes such a field."""
+        lines = [obj_line(f"m.{odd}", REPLACED_BY, "m.c"), obj_line("m.d", REPLACED_BY, f"m.{odd}")]
+        out = io.StringIO()
+        assert write_merge_tsv(merge_map_of(parse_lines(lines)), out) == 2
+        quoted = '"/m/' + odd.replace('"', '""') + '"'
+        assert out.getvalue() == f"{quoted}\t/m/c\n/m/d\t/m/c\n"
+        rows = list(csv.reader(io.StringIO(out.getvalue(), newline=""), delimiter="\t"))
+        assert rows == [[f"/m/{odd}", "/m/c"], ["/m/d", "/m/c"]]
