@@ -11,21 +11,30 @@ comes in one way and is parsed a block at a time: :func:`read_blocks`
 reads a path or a binary stream (a plain or gzip range, a whole file,
 standard input) as bytes blocks of whole lines, at most 16 KiB each, and
 :func:`parse_blocks` decodes a block at once, drops the CRs before each
-``\\n`` (N-Triples counts them in the line end), splits it into lines and
-fullmatches each against a compiled regex per namespace that recognizes
-such lines:
+``\\n`` (N-Triples counts them in the line end) and scans it with one
+``findall`` of a compiled regex per namespace that recognizes such lines
+and catches any other line whole, so it yields one row per line:
 
+- the predicate field is read as a token, any text without a tab between
+  brackets, and resolves through the stream's :class:`Projection` entry,
+  which checks each distinct token once against the canonical predicate
+  grammar (no bracket and no whitespace inside); the ``nonstandard-id``
+  lint and the ``strict_ids`` check are applied again on every line;
+- a line that is only counted costs its step of the scan, the entry lookup
+  and an increment; the block is split into lines, once, only for a line
+  that is built, copied or sent to :func:`parse_line`, and a built line is
+  matched again alone, by the per-line form of the same regex;
 - the subject and an IRI object are built directly: a canonical id carries
   no lint and an external IRI none either, so neither can fail;
 - a literal whose only escapes are ``\\\\``, ``\\"``, ``\\n``, ``\\r`` and
   ``\\t`` is built directly too, since none of those can be unknown; any
   other literal goes through the literal parser (other escapes, suffix
-  checks);
-- the predicate resolves through the stream's :class:`Projection` entry;
-  the ``nonstandard-id`` lint and the ``strict_ids`` check are applied again
-  on every line.
+  checks).
 
-Each line the regex does not fullmatch goes to :func:`parse_line`, the
+A predicate token missing its closing bracket can run past a line end and
+take two lines as one row; a block that yields fewer rows than it has lines
+is scanned again one line at a time. Each line the scan catches, or whose
+predicate token the entry rejects, goes to :func:`parse_line`, the
 reference: a plain tab split, falling back to a quote-aware whitespace
 tokenizer so hand-written fixtures parse too. Both routes give the same
 triple, the same malformed-reason code, the same lint counts and the same
@@ -40,7 +49,7 @@ one for mid subjects and one for the rest, decided once per distinct
 predicate and subject kind by the consumers' ``reads(predicate,
 mid_subject)``, and a copy buffer. Every well-formed line adds 1 to its
 predicate's cell, matched or not, read or not; the consumers get the
-non-zero counts once, from :meth:`Projection.tallies`. A matched line that
+non-zero counts once, from :meth:`Projection.tallies`. A scanned line that
 no consumer reads is still validated whole (the predicate's lint and
 ``strict_ids``, and the literal parser on any literal the regex does not
 build), but not built. Lines that go to :func:`parse_line` are always
@@ -364,8 +373,7 @@ def parse_line(
     (nonstandard ids, unknown escapes). Splits on tabs, or tokenizes when the
     line is not in the tab convention, and builds every term through
     :func:`normalize_iri`. It is the reference the block scan is checked
-    against, and the route of every line the canonical regex does not
-    fullmatch.
+    against, and the route of every line the scan does not take itself.
     """
     fields = line.split("\t")
     if len(fields) == 4 and fields[3] == ".":
@@ -391,37 +399,63 @@ def parse_line(
 _SPACE = r"\t\n\x0b\x0c\r\x1c-\x1f \x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000"
 
 
-@lru_cache(maxsize=16)
-def _canonical_line(namespace: str) -> re.Pattern | None:
-    """The block scan's line regex for one namespace, compiled once.
+@lru_cache(maxsize=32)
+def _canonical_line(namespace: str, scan: bool = False) -> re.Pattern | None:
+    """The canonical line regex for one namespace, in one of two forms, compiled once.
 
     Each IRI term is three groups: a mid suffix, a dotted path, or an IRI
     outside the namespace. Only standard ids match the first two (a
-    2-segment ``m.x`` is a mid, as in normalize_iri). The outside IRI and
-    the predicate hold no bracket and no whitespace; whitespace is the
-    ``\\s`` set spelled out as ``_SPACE``, which scans faster. A literal object is
-    either plain (no raw quote, tab or CR inside, and no backslash but one
-    that starts a ``\\\\``, ``\\"``, ``\\n``, ``\\r`` or ``\\t`` escape,
-    with an optional ASCII language tag or datatype) and built here, or any
-    other token without a tab and not ending in a space, which equals the
-    token the tab split gives and goes to the literal parser. The plain body
-    is unrolled, every backslash starting an escape, so it cannot backtrack
-    catastrophically.
+    2-segment ``m.x`` is a mid, as in normalize_iri). The outside IRI holds
+    no bracket and no whitespace; whitespace is the ``\\s`` set spelled out
+    as ``_SPACE``, which scans faster. The predicate is any token without a
+    tab, which sre scans as one tight loop; :class:`Projection` checks each
+    distinct token once against the same class as the outside IRI. A
+    literal object is either plain (no raw quote, tab or CR inside, and no
+    backslash but one that starts a ``\\\\``, ``\\"``, ``\\n``, ``\\r`` or
+    ``\\t`` escape, with an optional ASCII language tag or datatype) and
+    built here, or any other token without a tab and not ending in a space,
+    which equals the token the tab split gives and goes to the literal
+    parser. The plain body is unrolled, every backslash starting an escape,
+    so it cannot backtrack catastrophically.
 
-    It is meant for ``fullmatch`` on one line. None when the namespace holds
-    a tab, bracket or newline, since the regex and the tab split could then
-    disagree on where a term or line ends.
+    The per-line form is meant for ``fullmatch`` on one line, and captures
+    every group (the subject's three, the predicate token as group 4, the
+    object's three, the plain literal's three and the literal-parser token
+    as group 11). None when the namespace holds a tab, bracket or newline,
+    since the regex and the tab split could then disagree on where a term or
+    line ends.
+
+    The ``scan`` form is meant for ``findall`` on a block of lines. It is
+    MULTILINE, and a line it does not match is caught whole by a last
+    alternative, so it yields one row per line: (subject mid suffix,
+    predicate token, literal-parser token, caught line), each empty where it
+    did not match. Only a predicate token holding a newline can make a match
+    run past a line end. For a namespace with no per-line form, every line
+    is caught.
     """
     if any(c in namespace for c in "\t<>\n"):
-        return None
+        return re.compile(r"^()()()(.*)$", re.MULTILINE) if scan else None
+
     ns = re.escape(namespace)
     segment = "[0-9a-z_]+"
-    term = rf"<(?:{ns}(?:m\.({segment})|({segment}(?:\.{segment}){{0,2}}))|(?!{ns})([^<>{_SPACE}]+))>"
-    predicate = rf"(<[^<>{_SPACE}]+>)"
+    path = rf"{segment}(?:\.{segment}){{0,2}}"
+    iri = rf"[^<>{_SPACE}]+"
+
+    def group(pattern: str, kept: bool = False) -> str:
+        return f"({pattern})" if kept or not scan else f"(?:{pattern})"
+
+    def term(subject: bool = False) -> str:
+        return rf"<(?:{ns}(?:m\.{group(segment, subject)}|{group(path)})|(?!{ns}){group(iri)})>"
+
+    predicate = group(r"<[^\t]+>", True)
     body = r'[^"\\\t\n\r]*'
-    plain = rf'"({body}(?:\\[\\"nrt]{body})*)"(?:@([A-Za-z0-9-]+)|\^\^<([^\t\n]+)>)?'
-    literal = r'("(?:[^\t\n]*[^\t\n ])?)'
-    return re.compile(rf"{term}\t{predicate}\t(?:{term}|{plain}|{literal})\t\.")
+    lexical = group(rf'{body}(?:\\[\\"nrt]{body})*')
+    language = group("[A-Za-z0-9-]+")
+    datatype = group(r"[^\t\n]+")
+    plain = rf'"{lexical}"(?:@{language}|\^\^<{datatype}>)?'
+    literal = group(r'"(?:[^\t\n]*[^\t\n ])?', True)
+    line = rf"{term(True)}\t{predicate}\t(?:{term()}|{plain}|{literal})\t\."
+    return re.compile(rf"^(?:{line}|(.*))$", re.MULTILINE) if scan else re.compile(line)
 
 
 def _matched_term(mid: str | None, path: str | None, iri: str) -> NodeRef:
@@ -440,7 +474,7 @@ def _reads_everything(predicate: NodeRef, mid_subject: bool) -> bool:
 
 
 class Projection(dict):
-    """Per-stream table: predicate token -> (predicate, nonstandard, cell, plain, mid, copy).
+    """Per-stream table: predicate token -> (predicate, nonstandard, cell, plain, mid, copy) or None.
 
     The entry holds the predicate term, whether it is a nonstandard id, a
     one-item list that counts every well-formed line of the token, read or
@@ -454,9 +488,16 @@ class Projection(dict):
     predicate's lines, or None. :func:`parse_blocks` appends each
     well-formed line of a predicate with a list to it, and also counts it,
     and builds it as ``reads`` decides. ``reads`` and ``copy`` are asked
-    once per distinct token. A line the regex does not fullmatch finds its
-    entry under ``"<" + to_iri(predicate, namespace) + ">"``, which is its
-    token, since ``to_iri(normalize_iri(iri, namespace), namespace) == iri``.
+    once per distinct token.
+
+    The scan's predicate field is any token without a tab, so each distinct
+    token is checked once: a token holding a bracket or whitespace inside
+    its brackets (or the empty token of a line the scan caught) gets None,
+    which sends its lines to :func:`parse_line`, and ``reads`` and ``copy``
+    are not asked for it. A line parse_line built finds its entry under
+    ``"<" + to_iri(predicate, namespace) + ">"``, which is its token, since
+    ``to_iri(normalize_iri(iri, namespace), namespace) == iri``; where that
+    token has None, under the predicate term itself.
     """
 
     def __init__(
@@ -470,17 +511,23 @@ class Projection(dict):
         self.namespace = namespace
         self.copy = copy
 
-    def __missing__(self, token: str) -> tuple:
-        predicate = _parse_iri_term(token, ParserConfig(self.namespace), None)
+    def __missing__(self, key: str | NodeRef) -> tuple | None:
+        if isinstance(key, str):
+            if re.fullmatch(rf"<[^<>{_SPACE}]+>", key) is None:
+                self[key] = None
+                return None
+            predicate = normalize_iri(key[1:-1], self.namespace)
+        else:
+            predicate = key
         nonstandard = _is_nonstandard(predicate)
         plain, mid = (self.reads(predicate, kind) for kind in (False, True))
         buffer = self.copy(predicate) if self.copy is not None else None
-        entry = self[token] = (predicate, nonstandard, [0], plain, mid, buffer)
+        entry = self[key] = (predicate, nonstandard, [0], plain, mid, buffer)
         return entry
 
     def tallies(self) -> list[Tally]:
         """The non-zero counts, in the order their predicates were first seen."""
-        return [(predicate, cell[0]) for predicate, _, cell, *_ in self.values() if cell[0]]
+        return [(entry[0], entry[2][0]) for entry in self.values() if entry is not None and entry[2][0]]
 
 
 def _matched_triple(found: re.Match, predicate: NodeRef, literal: Literal | None) -> Triple:
@@ -719,15 +766,21 @@ def parse_blocks(
     """Parse a stream given as bytes blocks of whole lines; yield each block's triples.
 
     A block (see :func:`read_blocks`) is decoded, ended with a ``\\n`` if it
-    is not, stripped of the CRs before each ``\\n`` and split into lines,
-    numbered on from the previous block's. A line the canonical regex
-    fullmatches is validated (its predicate's lint and ``strict_ids``, and
-    the literal parser on a literal the regex's plain group does not take),
-    counted in its projection entry, and built from its match if the
-    projection reads its kind. A literal needs no validating when the plain group takes it:
-    its only escapes are ``\\\\``, ``\\"``, ``\\n``, ``\\r`` and ``\\t``, which
-    are never unknown. Any other line goes through :func:`parse_line`, is
-    counted too, and is always built. A well-formed line of a predicate with
+    is not, stripped of the CRs before each ``\\n`` and scanned with one
+    ``findall`` of the scan form of the canonical regex, one row per line,
+    numbered on from the previous block's; a block with fewer rows than
+    lines (a predicate token ran past a line end) is scanned again line by
+    line. A line the regex matches, whose predicate token the projection
+    entry accepts, is validated (its predicate's lint and ``strict_ids``,
+    and the literal parser on a literal the regex's plain group does not
+    take), counted in its projection entry, and, if the projection reads its
+    kind, matched alone by the per-line form and built from that match. A
+    literal needs no validating when the plain group takes it: its only
+    escapes are ``\\\\``, ``\\"``, ``\\n``, ``\\r`` and ``\\t``, which are
+    never unknown. Any other line goes through :func:`parse_line`, is
+    counted too, and is always built. The block is split into lines at most
+    once, and only for a line that is built, copied or sent to parse_line.
+    A well-formed line of a predicate with
     a buffer is appended there too, as it was read (less its line-end CRs),
     in input order. The results equal a :func:`parse_line` call per line.
     Without a ``projection`` every line is built. Each block yields its
@@ -736,8 +789,8 @@ def parse_blocks(
     triples are yielded, and an I/O failure while reading raises
     StreamAbortedError with the report of every line before it.
     """
-    pattern = _canonical_line(config.namespace)
-    fullmatch = pattern.fullmatch if pattern is not None else lambda line: None
+    scan = _canonical_line(config.namespace, True).findall
+    fullmatch = None  # the per-line form's, fetched for the first line built
     if projection is None:
         projection = Projection(namespace=config.namespace)
     namespace = projection.namespace
@@ -752,35 +805,50 @@ def parse_blocks(
                 text += "\n"
             if "\r" in text:
                 text = _LINE_END_CRS("\n", text)
-            rows = text[:-1].split("\n")
+            count = text.count("\n")
+            rows = scan(text, 0, len(text) - 1)
+            texts = None  # the block's lines, split once, for the rows that need their text
+            if len(rows) != count:  # a predicate token ran past a line end
+                texts = text.split("\n")
+                rows = [scan(line)[0] for line in texts[:count]]
             triples: list[Triple] = []
             malformed = report.lines_malformed
-            for number, line in enumerate(rows, lines + 1):
-                found = fullmatch(line)
+            for i, (mid_subject, token, literal, line) in enumerate(rows):
+                entry = projection[token]
                 try:
-                    if found is None:
+                    if entry is None:
+                        if token:  # a canonical line but for its predicate token
+                            if texts is None:
+                                texts = text.split("\n")
+                            line = texts[i]
                         triple = parse_line(line, config, lint)
                         token = "<" + to_iri(triple.predicate, namespace) + ">"
-                        _, _, cell, _, _, buffer = projection[token]
+                        _, _, cell, _, _, buffer = projection[token] or projection[triple.predicate]
                     else:
-                        predicate, nonstandard, cell, plain, mid, buffer = projection[found[4]]
-                        literal = found[11]
+                        predicate, nonstandard, cell, plain, mid, buffer = entry
                         if nonstandard:
                             _flag_nonstandard(config, lint)
-                        if literal is not None:
+                        if literal:
                             literal = _parse_literal_term(literal, lint)
-                        read = mid if found[1] is not None else plain
-                        triple = _matched_triple(found, predicate, literal) if read else None
+                        triple = None
+                        if mid if mid_subject else plain:
+                            if texts is None:
+                                texts = text.split("\n")
+                            if fullmatch is None:
+                                fullmatch = _canonical_line(config.namespace).fullmatch
+                            triple = _matched_triple(fullmatch(texts[i]), predicate, literal or None)
                 except MalformedLineError as exc:
-                    report.record_malformed(number, exc.reason)
+                    report.record_malformed(lines + i + 1, exc.reason)
                     continue
                 cell[0] += 1
                 if buffer is not None:
-                    buffer.append(line)
+                    if texts is None:
+                        texts = text.split("\n")
+                    buffer.append(texts[i])
                 if triple is not None:
                     triples.append(triple)
-            lines += len(rows)
-            ok = len(rows) - (report.lines_malformed - malformed)
+            lines += count
+            ok = count - (report.lines_malformed - malformed)
             report.lines_read += ok
             report.triples_ok += ok
             yield triples

@@ -60,6 +60,7 @@ from .parser import (
     Projection,
     StreamAbortedError,
     Tally,
+    _canonical_line,
     parse_blocks,
     read_blocks,
     source_kind,
@@ -503,6 +504,8 @@ def run_partitioned(job: Job, partitions: Sequence[Partition], workers: int) -> 
     """
     if workers <= 1 or len(partitions) <= 1 or not hasattr(os, "fork"):
         return _merge_results(map(job.run, partitions))
+    for scan in (True, False):  # compiled once here, so every child inherits both forms
+        _canonical_line(job.parser.namespace, scan)
     count = min(workers, len(partitions))
     pids: list[int] = []
     pipes: list[BinaryIO] = []

@@ -98,9 +98,8 @@ class TestRender:
     def test_roundtrip_through_iri(self, ref):
         assert normalize_iri(to_iri(ref)) == ref
 
-    # parser.Projection finds the entry of a line the canonical regex does
-    # not fullmatch by this identity: the IRI a predicate term renders back
-    # to is its token's.
+    # parser.Projection finds the entry of a line parse_line built by this
+    # identity: the IRI a predicate term renders back to is its token's.
     @given(
         st.sampled_from([DEFAULT_NAMESPACE, "http://example.org/kb+(v1)?/", ""]),
         st.text(alphabet="ambZ09_./#é", max_size=10),

@@ -1,19 +1,21 @@
 """Differential tests: the block scan against parse_line, the reference.
 
 A stream has two parse routes: the scan of each block with the canonical
-regex, and parse_line for every line between its matches. Over any input,
-each line alone or many as one stream, iter_triples must give what one
-parse_line call per line gives: the same triples, the same malformed reason
-codes at the same line numbers and the same lint counts. With a Projection
-it must count every well-formed line by predicate, build exactly the lines
-worked out line by line below, and copy each copied line as it was read,
-less its line-end CRs. All of it under both strict_ids settings and under
-the default and non-default namespaces.
+regex, which yields one row per line, and parse_line for each line the scan
+does not take itself (a line outside the canonical grammar, or one whose
+predicate token is). Over any input, each line alone or many as one stream,
+iter_triples must give what one parse_line call per line gives: the same
+triples, the same malformed reason codes at the same line numbers and the
+same lint counts. With a Projection it must count every well-formed line by
+predicate, build exactly the lines worked out line by line below, and copy
+each copied line as it was read, less its line-end CRs. All of it under both
+strict_ids settings and under the default and non-default namespaces.
 """
 
 import io
 import re
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 import fbont.parser as parser_module
 from conftest import NS, dump_stream
 from dumpgen import MALFORMED_LINES, random_dump_lines
-from fbont.model import IdPath, Mid, normalize_iri
+from fbont.model import ExternalIri, IdPath, Mid, normalize_iri
 from fbont.parser import (
     MalformedLineError,
     ParseReport,
@@ -64,12 +66,21 @@ def copied(predicate) -> bool:
     return not isinstance(predicate, Mid)
 
 
+def scanned(pattern, text: str):
+    """The canonical regex's fullmatch of a line whose predicate token holds no
+    bracket or whitespace inside its brackets, else None: the lines the scan
+    takes itself, and does not leave to parse_line."""
+    found = pattern.fullmatch(text) if pattern is not None else None
+    return found if found is not None and re.fullmatch(r"<[^<>\s]+>", found[4]) else None
+
+
 def per_line_parse(data: bytes, config: ParserConfig):
     """The stream as one parse_line call per line.
 
     Returns the report, and (triple or None, match, text) for each line that
-    is well-formed or that the canonical regex fullmatches once its line-end
-    CRs are dropped, in input order; the text is the line without them.
+    is well-formed or that the scan takes itself (see ``scanned``) once its
+    line-end CRs are dropped, in input order; the text is the line without
+    them.
     """
     report = ParseReport(max_errors=MAX_ERRORS)
     pattern = parser_module._canonical_line(config.namespace)
@@ -84,7 +95,7 @@ def per_line_parse(data: bytes, config: ParserConfig):
         except UnicodeDecodeError:
             report.lint["invalid-utf8-lines"] += 1
             text = raw.decode("utf-8", errors="replace")
-        found = pattern.fullmatch(text) if pattern is not None else None
+        found = scanned(pattern, text)
         try:
             triple = parse_line(text, config, report.lint)
         except MalformedLineError as exc:
@@ -101,12 +112,11 @@ def dispositions(parsed, reads, copies: bool, namespace: str):
     """What the scan yields, tallies and copies, worked out line by line.
 
     Every well-formed line is counted under its predicate. It is yielded
-    unless no reader reads its (predicate, mid-subject) kind and the
-    canonical regex fullmatches it. Every copied line's text is the line as
-    read, less its line-end CRs. Tallies come in the order their predicates
-    were first seen, on a matched line or a well-formed one; a line the
-    regex does not fullmatch is counted under the same predicate as a
-    matched one.
+    unless no reader reads its (predicate, mid-subject) kind and the scan
+    takes it itself. Every copied line's text is the line as read, less its
+    line-end CRs. Tallies come in the order their predicates were first
+    seen, on a line the scan takes or a well-formed one; a line it leaves
+    to parse_line is counted under the same predicate as one it takes.
     """
     counts: dict = {}  # predicate -> well-formed lines
     triples, texts = [], []
@@ -311,7 +321,9 @@ class TestDifferential:
 
 ID_CHARS = "mabz09_AZé"
 ALPHABET = '<>"\\\t .@^' + ID_CHARS
-FRAGMENTS = [f"<{NS}", f"<{NS}m.", f"<{ALT_NS}", ">", ">\t", "\t.", '"', "^^<", "@en", "."]
+# What a predicate token can hold that the canonical grammar does not.
+PREDICATE_PIECES = [" ", "\xa0", "\u2028", "<", ">"]
+FRAGMENTS = [f"<{NS}", f"<{NS}m.", f"<{ALT_NS}", ">", ">\t", "\t.", '"', "^^<", "@en", ".", "<>", *PREDICATE_PIECES]
 
 soup_lines = st.lists(
     st.one_of(st.sampled_from(FRAGMENTS), st.text(alphabet=ALPHABET, max_size=6)),
@@ -326,10 +338,18 @@ literal_fields = st.builds(
     st.sampled_from(["", "@en", "@", "@e n", "^^<a>", "^^<>", "^^x", " ", "  "]),
 )
 fields = st.one_of(iri_fields, literal_fields, st.text(alphabet=ALPHABET, max_size=6))
+# A piece inside, at the head or at the tail, or nothing at all: ``<>`` in the empty namespace.
+odd_predicates = st.builds(
+    lambda ns, head, piece, tail: f"<{ns}{head}{piece}{tail}>",
+    st.sampled_from(NAMESPACES),
+    locals_,
+    st.sampled_from(["", *PREDICATE_PIECES]),
+    locals_,
+)
 shaped_lines = st.builds(
     lambda s, p, o, pad: f"{s}\t{p}\t{o}\t{pad}",
     st.one_of(iri_fields, fields),
-    st.one_of(iri_fields, fields),
+    st.one_of(iri_fields, odd_predicates, fields),
     fields,
     st.sampled_from([".", ".", " .", ". ", "", ".\t."]),
 )
@@ -395,21 +415,26 @@ class TestProjectedDifferential:
         projection = Projection(lambda pred, mid: asked.append((pred, mid)) or not mid)
         source = dump_stream(random_dump_lines(500, seed=4))
         triples = list(iter_triples(source, ParseReport(), ParserConfig(), projection))
-        assert len(asked) == len(set(asked)) == 2 * len(projection)
+        entries = [entry for entry in projection.values() if entry is not None]
+        assert len(asked) == len(set(asked)) == 2 * len(entries)
         assert triples == [] and sum(count for _, count in projection.tallies()) == 500  # every subject a mid
 
     def test_copy_is_asked_once_per_predicate_token(self):
-        """Once per distinct token, also for the tokens of lines the regex does not fullmatch."""
+        """Once per distinct predicate, also for the lines the scan leaves to parse_line:
+        those it catches whole, and those whose token holds whitespace."""
         asked = []
         projection = Projection(copy=lambda pred: asked.append(pred))
         gap_only = fbt("people.person.gap_only")
+        spaced = "<http://x/a b>"
         lines = random_dump_lines(200, seed=4) + [f"{S} {P} {O} .", f"{S} {gap_only} {O} .", f"{S} {gap_only} {O} ."]
+        lines += [f"{S}\t{spaced}\t{O}\t.", f"{S}\t{spaced}\t{O}\t."]
         report = ParseReport()
         triples = list(iter_triples(dump_stream(lines), report, ParserConfig(), projection))
         assert report.triples_ok == len(lines)
-        assert len(asked) == len(set(asked)) == len(projection)
+        assert len(asked) == len(set(asked)) == sum(entry is not None for entry in projection.values())
         assert set(asked) == {triple.predicate for triple in triples}
         assert (IdPath(("people", "person", "gap_only")), 2) in projection.tallies()
+        assert (ExternalIri("http://x/a b"), 2) in projection.tallies()
 
 
 # --- literal tokens ---------------------------------------------------------------
@@ -449,12 +474,24 @@ UNICODE_LINES = [
     f'{S}\t{P}\t"a\rb"\t.',
 ]
 # Pairs of lines that one regex match could take for one line if a class
-# of the block regex matched a newline.
+# of the block regex matched a newline. The predicate's class does: the
+# last pair is one match of the block scan, which then rescans its block.
 STRADDLING = [
     f'{S}\t{P}\t"open', 'close"\t.',
     f'{S}\t{P}\t"open\\', 'n"@en\t.',
     f'{S}\t{P}\t"x"^^<http://a', 'b>\t.',
     f"{S}\t{P}\t<http://a", "b>\t.",
+    f"{S}\t{P[:-6]}", f"name>\t{O}\t.",
+]
+# Predicate tokens outside the canonical grammar, with objects that the
+# scan takes, gives the literal parser, or that make the line malformed.
+ODD_PREDICATE_LINES = [
+    f"{S}\t{predicate}\t{obj}\t."
+    for predicate in [
+        "<a b>", "<a\xa0b>", "<a\u2028b>", "<a<b>", "<a>b>", "< a>", "<a >", "<>", "< >", "<<>>",
+        fbt("people.person name"), fbt("people.person.name "), fbt("people.person.name\xa0"),
+    ]
+    for obj in (O, '"x"', '"x\\q"', '"x"@')
 ]
 TEXT_POOL = (
     random_dump_lines(300, seed=12, malformed_rate=0.2)
@@ -462,6 +499,7 @@ TEXT_POOL = (
     + MALFORMED_LINES
     + EDGE_CASES
     + UNICODE_LINES
+    + ODD_PREDICATE_LINES
 )
 INVALID_UTF8 = [
     f'{S}\t{P}\t"\xff"\t.'.encode("latin-1"),
@@ -498,13 +536,22 @@ class TestBlockDifferential:
         assert_blocks_same(data, cap)
 
     def test_the_scan_counts_canonical_lines_itself(self, monkeypatch):
+        """A line that is only counted costs a step of the block scan: with a
+        projection that neither reads nor copies, no canonical line reaches
+        parse_line or a match of its own."""
         data = dump_stream(random_dump_lines(500, seed=3)).getvalue()
         expected = block_parse(io.BytesIO(data), ParserConfig(), READS["nothing"])
 
         def refuse(*args):
-            raise AssertionError("a canonical line reached parse_line")
+            raise AssertionError("a counted canonical line reached parse_line or the per-line match")
+
+        canonical_line = parser_module._canonical_line
+
+        def scan_only(namespace, scan=False):
+            return canonical_line(namespace, scan) if scan else SimpleNamespace(fullmatch=refuse, match=refuse)
 
         monkeypatch.setattr(parser_module, "parse_line", refuse)
+        monkeypatch.setattr(parser_module, "_canonical_line", scan_only)
         assert block_parse(io.BytesIO(data), ParserConfig(), READS["nothing"]) == expected
         assert expected[0]["triples_ok"] == 500
 
@@ -531,6 +578,60 @@ class TestBlockDifferential:
         report = block_parse(io.BytesIO(data), ParserConfig(), None)[0]
         assert report["lines_read"] == 2 and report["triples_ok"] == 1
         assert report["first_errors"] == [[2, "field-count"]]
+
+
+# --- predicate tokens ---------------------------------------------------------------
+#
+# The block scan reads the predicate field as any token without a tab, and
+# the projection checks each distinct token once against the canonical
+# predicate grammar: a line whose token holds whitespace or a bracket inside
+# its brackets, or is ``<>``, goes to parse_line, and a token missing its
+# closing bracket can run into the next line, which makes the scan rescan
+# its block line by line.
+
+
+class TestPredicateTokens:
+    @pytest.mark.parametrize("cap", [1, 16 * 1024])
+    def test_odd_tokens(self, cap):
+        lines = ODD_PREDICATE_LINES + [text.replace(NS, ALT_NS) for text in ODD_PREDICATE_LINES]
+        data = dump_stream(random_dump_lines(100, seed=7) + lines).getvalue()
+        assert assert_blocks_same(data, cap) > 0
+        assert_blocks_same(data.replace(b"\n", b"\r\n"), cap, CONFIGS[:2])
+        assert_alone_same(lines)
+
+    @pytest.mark.parametrize("cap", [1, 16 * 1024])
+    def test_a_token_running_past_a_line_end(self, cap):
+        crossing = STRADDLING[-2:]
+        assert len(parser_module._canonical_line(NS, True).findall("\n".join(crossing))) == 1
+        lines = random_dump_lines(300, seed=8)
+        # the pair in the middle of a block, at its start and end, and alone
+        lines = lines[:150] + crossing + lines[150:] + crossing + ODD_PREDICATE_LINES + crossing
+        data = dump_stream(lines).getvalue()
+        assert assert_blocks_same(data, cap) > 0
+        assert_blocks_same(data.replace(b"\n", b"\r\n"), cap, CONFIGS[:2])
+
+    @pytest.mark.parametrize("config", [ParserConfig(), ParserConfig(strict_ids=True)])
+    def test_reads_and_copy_skip_tokens_only_malformed_lines_hold(self, config):
+        """Nor for a token outside the canonical predicate grammar that only
+        lines parse_line rejects hold."""
+        rejected = [
+            f"{S}\t<a<b>\t{O}\t.",
+            f'{S}\t<a b>\t"x"@\t.',
+            f"{S}\t<a\xa0b>\t{O}\t.\t.",
+            f"{S}\t<>\t{O}\t.",
+            f"{S}\t{fbt('people.Person name')}\t{O}\t.",  # nonstandard: rejected only under strict_ids
+        ]
+        lines = random_dump_lines(50, seed=9) + rejected + [f"{S}\t<a\u2028b>\t{O}\t."]
+        asked = []
+        projection = Projection(
+            lambda predicate, mid: asked.append(predicate) or True,
+            copy=lambda predicate: asked.append(predicate),
+        )
+        report = ParseReport()
+        triples = list(iter_triples(dump_stream(lines), report, config, projection))
+        assert report.lines_malformed == len(rejected) - (not config.strict_ids)
+        assert set(asked) == {triple.predicate for triple in triples}
+        assert len(asked) == 3 * len(set(asked))
 
 
 # --- the copy disposition ----------------------------------------------------------
@@ -626,6 +727,7 @@ copy_predicates = st.one_of(
         st.sampled_from(["people.person.name", "people.Person.name", "base.a.b.c", "m.0pred", "film"]),
     ),
     st.sampled_from(["<http://www.w3.org/2000/01/rdf-schema#label>", "<http://x/p>"]),
+    odd_predicates,
 )
 copy_literals = st.builds(
     lambda body, suffix: f'"{body}"{suffix}',
