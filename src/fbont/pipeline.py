@@ -15,15 +15,16 @@ A fold returns its per-partition aggregate as payload fields, and every
 field is a mergeable monoid with one declared merge law (``MERGE_LAWS``)
 that ``merge_payloads`` applies in partition order, merged as the results
 arrive. Any worker count therefore produces byte-identical outputs to a
-single-threaded run. No fold keeps the dump's lines: a materializing
-``SliceFold`` holds one block's copied lines at a time, and
-``SemanticsFold`` holds at most ``NOTATION_BATCH`` value notations and
-``MASK_RUN_ENTRIES`` type masks (one bitmask per mid of the types its known
-rules name that the mid asserts) at a time. The rest are on disk: one shard
-of notation rows per partition, which the parent joins as it joins slice
-shards, and sorted mask runs, which it merges as a stream; only their paths
-are in the payload. Its merge map is the one aggregate in memory that grows
-with the dump.
+single-threaded run. Each law folds the later partition into the running
+value in place, so the parent holds one copy of the running aggregate. No
+fold keeps the dump's lines: a materializing ``SliceFold`` holds one
+block's copied lines at a time, and ``SemanticsFold`` holds at most
+``NOTATION_BATCH`` value notations and ``MASK_RUN_ENTRIES`` type masks (one
+bitmask per mid of the types its known rules name that the mid asserts) at
+a time. The rest are on disk: one shard of notation rows per partition,
+which the parent joins as it joins slice shards, and sorted mask runs,
+which it merges as a stream; only their paths are in the payload. Its merge
+map is the one aggregate in memory that grows with the dump.
 
 Standard input, pipes and gzip files under two minimum ranges are read as
 one partition.
@@ -411,14 +412,15 @@ class Job:
 
 
 # One merge law per payload field; each is associative, so merging partition
-# payloads in order equals the single-pass aggregate.
+# payloads in order equals the single-pass aggregate. A law folds the later
+# value into the one it is given and returns it (an int is just summed).
 MERGE_LAWS: dict[str, Callable[[Any, Any], Any]] = {
     "counts": merge_counts,
     "schemas": merge_schemas,
     "merge_map": MergeMap.merge,
-    "notations": operator.add,
+    "notations": operator.iadd,
     "notation_rows": operator.add,
-    "type_masks": operator.add,
+    "type_masks": operator.iadd,
     # bench/traced.py's replica returns these three payload fields; the folds do not
     "assertions": operator.add,
     "rules": operator.or_,
@@ -429,6 +431,8 @@ MERGE_LAWS: dict[str, Callable[[Any, Any], Any]] = {
 def merge_payloads(payloads: Sequence[dict[str, Any]]) -> dict[str, Any]:
     """Merge partition payloads field by field, in partition order.
 
+    It consumes its payloads: the first payload's value of each field becomes
+    the merged value, and the later values are folded into it (MERGE_LAWS).
     A None value means the field was not collected and is skipped. Each
     partition's ``shard_dir`` is appended to the ordered ``shard_dirs`` list,
     so ``merge_payloads((merged, payload))`` folds one more partition in.
@@ -594,16 +598,14 @@ def concatenate_shards(shard_dirs: Sequence[str], out_dir: str) -> list[str]:
     them into its work directory and publishes them by rename. The shard
     directories and their parents are removed afterwards.
     """
-    relpaths: list[str] = []
-    seen = set()
-    for shard_dir in shard_dirs:
-        for root, _, files in sorted(os.walk(shard_dir)):
-            for name in sorted(files):
-                rel = os.path.relpath(os.path.join(root, name), shard_dir)
-                if rel not in seen:
-                    seen.add(rel)
-                    relpaths.append(rel)
-    relpaths.sort()
+    relpaths = sorted(
+        {
+            os.path.relpath(os.path.join(root, name), shard_dir)
+            for shard_dir in shard_dirs
+            for root, _, files in os.walk(shard_dir)
+            for name in files
+        }
+    )
     for rel in relpaths:
         path = os.path.join(out_dir, rel)
         os.makedirs(os.path.dirname(path), exist_ok=True)

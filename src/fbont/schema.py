@@ -190,21 +190,13 @@ def feed_schema_triple(
 
 
 def merge_schemas(
-    a: Mapping[str, DomainSchema], b: Mapping[str, DomainSchema]
+    a: dict[str, DomainSchema], b: Mapping[str, DomainSchema]
 ) -> dict[str, DomainSchema]:
-    """Union of two partition extractions; associative with {} as identity."""
-    merged: dict[str, DomainSchema] = {}
-    for source in (a, b):
-        for domain, schema in source.items():
-            into = merged.get(domain)
-            if into is None:
-                merged[domain] = DomainSchema(
-                    domain,
-                    set(schema.types),
-                    set(schema.properties),
-                    schema.description_count,
-                    schema.property_detail_count,
-                )
-            else:
-                into.merge(schema)
-    return merged
+    """Union of a later partition's extraction into ``a``, which is returned;
+    associative with {} as identity. ``a`` takes ``b``'s summary of a domain
+    it lacks as it is, so ``b`` is consumed."""
+    for domain, schema in b.items():
+        into = a.setdefault(domain, schema)
+        if into is not schema:
+            into.merge(schema)
+    return a

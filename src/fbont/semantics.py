@@ -57,8 +57,10 @@ class MergeMap:
     A later conflicting edge for an already-seen duplicate wins and is
     counted. ``firsts`` keeps a duplicate's first replacement only while its
     last one differs, so a later map's first edge is counted against the
-    earlier map's last, as a single pass counts it. Resolution caches its
-    results (path compression) in the map, as ``merge_tsv_rows`` relies on.
+    earlier map's last, as a single pass counts it. ``merge`` folds a later
+    map into this one, not a copy. Resolution caches its results (path
+    compression) in the map, as ``merge_tsv_rows`` relies on, until an edge
+    is added or merged in.
     """
 
     edges: dict[Mid, Mid] = field(default_factory=dict)
@@ -81,19 +83,20 @@ class MergeMap:
             self.firsts.pop(duplicate, None)
 
     def merge(self, later: "MergeMap") -> "MergeMap":
-        """Combine with edges from a later partition (later edges win)."""
-        merged = MergeMap(dict(self.edges), self.conflicts + later.conflicts, firsts=dict(self.firsts))
+        """Fold in a later partition's edges (later edges win) and return this map."""
+        self.conflicts += later.conflicts
         for duplicate, replacement in later.edges.items():
             later_first = later.firsts.get(duplicate, replacement)
-            existing = merged.edges.get(duplicate)
+            existing = self.edges.get(duplicate)
             if existing is None:
                 first = later_first
             else:
-                first = merged.firsts.get(duplicate, existing)
-                merged.conflicts += existing != later_first
-            merged._set_last(duplicate, first, replacement)
-            merged.edges[duplicate] = replacement
-        return merged
+                first = self.firsts.get(duplicate, existing)
+                self.conflicts += existing != later_first
+            self._set_last(duplicate, first, replacement)
+            self.edges[duplicate] = replacement
+        self._cache.clear()
+        return self
 
     def resolve(self, mid: Mid, policy: CyclePolicy = CyclePolicy.FAIL) -> Mid:
         """Follow edges to the chain's terminal mid.

@@ -238,13 +238,13 @@ def count_slice(
 
 
 def merge_counts(
-    a: Mapping[SliceKey, int], b: Mapping[SliceKey, int]
+    a: dict[SliceKey, int], b: Mapping[SliceKey, int]
 ) -> dict[SliceKey, int]:
-    """Key-wise addition; associative and commutative with {} as identity."""
-    merged = dict(a)
+    """Key-wise addition of ``b`` into ``a``, which is returned; associative
+    and commutative with {} as identity."""
     for key, count in b.items():
-        merged[key] = merged.get(key, 0) + count
-    return merged
+        a[key] = a.get(key, 0) + count
+    return a
 
 
 def build_taxonomy(

@@ -896,7 +896,7 @@ class TestMaskRunMerge:
         assert sorted(left) == sorted(os.path.basename(run) for run in runs)
 
 
-# --- every payload field merges by an associative law that changes no input -------
+# --- every payload field merges by an associative law into the value it is given --
 
 def law_lines(seed):
     """Slice, schema and semantics lines, with replaced-by edges that conflict."""
@@ -911,31 +911,77 @@ def law_lines(seed):
     return lines
 
 
+def all_folds(root):
+    return SliceFold(str(root / "parts")), SchemaFold(), SemanticsFold(str(root / "runs"), KNOWN_RULES)
+
+
 class TestMergeLaws:
     @pytest.mark.parametrize(
         "fold",
         [SliceFold(), SchemaFold(), SemanticsFold(known_rules=KNOWN_RULES, run_root=RUN_ROOT)],
         ids=["slice", "schema", "semantics"],
     )
-    def test_three_partitions_merge_associatively_and_leave_their_payloads(self, tmp_path, fold):
+    def test_three_partitions_merge_associatively_into_the_first_payloads(self, tmp_path, fold):
+        """A law folds the later value into the one it is given, so each side
+        of the associativity check merges its own unpickled copies."""
         path = write_lines(tmp_path, law_lines(seed=13))
         parts = plan_partitions([path], 3)
         assert len(parts) == 3
-        payloads = [Job((fold,)).run(part)[1] for part in parts]
-        copies = pickle.loads(pickle.dumps(payloads))
-        fields = set(payloads[0]) - {"shard_dir"}
+        pickled = pickle.dumps([Job((fold,)).run(part)[1] for part in parts])
+        whole = Job((fold,)).run(Partition(path, 0, -1, 0))[1]
+        payloads = pickle.loads(pickled)
+        merged = merge_payloads(payloads)
+        fields = set(whole) - {"shard_dir"}
         assert fields and fields <= set(pipeline.MERGE_LAWS)
         for name in fields:
             law = pipeline.MERGE_LAWS[name]
-            p0, p1, p2 = (payload[name] for payload in payloads)
+            read = {"type_masks": read_masks, "notations": read_notations}.get(name, lambda value: value)
+            p0, p1, p2 = (payload[name] for payload in pickle.loads(pickled))
             assert all(p != type(p)() for p in (p0, p1, p2))  # each partition holds some of every field
-            assert law(law(p0, p1), p2) == law(p0, law(p1, p2))
-            if name == "type_masks":  # run paths, which read back as the single pass's masks
-                assert read_masks(law(law(p0, p1), p2)) == oracle_masks(path, KNOWN_RULES)
-            if name == "notations":  # shard paths, which read back as the single pass's notations
-                assert read_notations(law(law(p0, p1), p2)) == oracle_notations(path)
-        merge_payloads(payloads)
-        assert payloads == copies
+            left = law(law(p0, p1), p2)
+            q0, q1, q2 = (payload[name] for payload in pickle.loads(pickled))
+            right = law(q0, law(q1, q2))
+            assert read(left) == read(right) == read(merged[name]) == read(whole[name])
+            if name == "type_masks":  # run paths, which read back as the oracle's masks
+                assert read(left) == oracle_masks(path, KNOWN_RULES)
+            if name == "notations":  # shard paths, which read back as the oracle's notations
+                assert read(left) == oracle_notations(path)
+            if not isinstance(left, int):  # an int has no state to fold into
+                assert left is p0 and right is q0 and merged[name] is payloads[0][name]
+
+    def test_the_running_merge_folds_into_the_first_partitions_values(self, tmp_path):
+        """_merge_results copies no aggregate: partition 0's values become the merged ones."""
+        path = write_lines(tmp_path, law_lines(seed=19))
+        parts = plan_partitions([path], 4)
+        assert len(parts) == 4
+        results = [Job(all_folds(tmp_path)).run(part) for part in parts]
+        first = dict(results[0][1])
+        _, merged = pipeline._merge_results(results)
+        for name in ("counts", "schemas", "merge_map", "notations", "type_masks"):
+            assert merged[name] is first[name], name
+
+    def test_any_partition_count_merges_to_the_single_pass(self, tmp_path):
+        path = write_lines(tmp_path, law_lines(seed=23))
+
+        def fields(count):
+            root = tmp_path / str(count)
+            parts = plan_partitions([path], count)
+            assert len(parts) == count
+            _, merged = run_partitioned(Job(all_folds(root)), parts, 1)
+            concatenate_shards(merged.pop("shard_dirs"), str(root / "slices"))
+            merge_map = merged.pop("merge_map")
+            return {
+                **read_back(merged),
+                "edges": merge_map.edges,
+                "conflicts": merge_map.conflicts,
+                "firsts": merge_map.firsts,
+                "slices": read_tree(root / "slices"),
+            }
+
+        single = fields(1)
+        assert single["conflicts"] and single["firsts"] and single["slices"]
+        for count in (2, 16, 64):
+            assert fields(count) == single, count
 
 
 class TestStreamingMerge:

@@ -113,12 +113,18 @@ class TestBuildMergeMap:
                 merge_map.add_edge(duplicate, replacement)
             return merge_map
 
+        def split(i, j):  # new maps for each side of the law, since merge folds into its map
+            return built(edges[:i]), built(edges[i:j]), built(edges[j:])
+
         whole = built(edges)
         assert whole.conflicts > 0 and whole.firsts
         for i in range(len(edges) + 1):
             for j in range(i, len(edges) + 1):
-                a, b, c = built(edges[:i]), built(edges[i:j]), built(edges[j:])
-                assert a.merge(b).merge(c) == a.merge(b.merge(c)) == whole
+                a, b, c = split(i, j)
+                assert a.merge(b).merge(c) is a
+                d, e, f = split(i, j)
+                assert d.merge(e.merge(f)) is d
+                assert a == d == whole
 
     def test_non_mid_endpoint_is_lint(self):
         _, lint = fold_triples(SemanticsFold(RUN_ROOT), parse_lines([lit_line("m.a", REPLACED_BY, "b")]))
@@ -152,6 +158,11 @@ class TestResolve:
         for start in (0, 1, 500, 999):
             mid = Mid(f"c{start}")
             assert merge_map.resolve(mid) == oracle_resolve(edges, mid) == Mid(f"c{depth}")
+
+    def test_a_merged_edge_redirects_a_resolved_chain(self):
+        merge_map = MergeMap({Mid("a"): Mid("b")})
+        assert merge_map.resolve(Mid("a")) == Mid("b")
+        assert merge_map.merge(MergeMap({Mid("b"): Mid("c")})).resolve(Mid("a")) == Mid("c")
 
     def test_idempotent(self):
         lines, edges = forest_lines(300, seed=2)

@@ -134,9 +134,13 @@ class TestSliceStream:
 
     @given(counts_maps, counts_maps, counts_maps)
     def test_merge_monoid(self, a, b, c):
-        assert merge_counts(merge_counts(a, b), c) == merge_counts(a, merge_counts(b, c))
-        assert merge_counts(a, b) == merge_counts(b, a)
-        assert merge_counts(a, {}) == a
+        """merge_counts adds into its first map, so each side of a law merges its own copies."""
+        whole = {key: a.get(key, 0) + b.get(key, 0) + c.get(key, 0) for key in {**a, **b, **c}}
+        left = dict(a)
+        assert merge_counts(merge_counts(left, b), c) is left
+        assert left == merge_counts(dict(a), merge_counts(dict(b), c)) == whole
+        assert merge_counts(dict(a), b) == merge_counts(dict(b), a)
+        assert merge_counts(dict(a), {}) == a == merge_counts({}, a)
 
 
 class TestBuildTaxonomy:
