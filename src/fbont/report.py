@@ -166,12 +166,18 @@ def _records(lines: Iterable[str], columns: Sequence[str], delimiter: str = ",")
     return reader
 
 
+def _count(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"triple count is not ASCII digits: {text!r}")
+    return int(text)
+
+
 def parse_taxonomy_csv(text: str, delimiter: str = ",") -> list[dict]:
     """Read a taxonomy CSV/TSV back into plain dict rows (round-trip aid).
 
-    Raises ValueError on a missing column or a field that is not a number.
+    Raises ValueError on a missing column or a bad number; a count is ASCII digits.
     """
-    numbers = {"triples": int, "total_pct": float, "group_pct": float}
+    numbers = {"triples": _count, "total_pct": float, "group_pct": float}
     return [
         {column: numbers.get(column, str)(record[column]) for column in TAXONOMY_COLUMNS}
         for record in _records(io.StringIO(text), TAXONOMY_COLUMNS, delimiter)
@@ -179,7 +185,7 @@ def parse_taxonomy_csv(text: str, delimiter: str = ",") -> list[dict]:
 
 
 def load_counts_csv(stream: TextIO) -> dict[SliceKey, int]:
-    """Triples per slice from a ``taxonomy.csv`` written by ``slice``."""
+    """Triples per slice from a ``taxonomy.csv`` written by ``slice`` or ``study``."""
     counts: dict[SliceKey, int] = {}
     for row in parse_taxonomy_csv(stream.read()):
         kind = DOMAIN if row["predicate_pattern"].startswith("/") else OWL_TERM
@@ -188,16 +194,19 @@ def load_counts_csv(stream: TextIO) -> dict[SliceKey, int]:
 
 
 def load_schema_csv(stream: TextIO) -> dict[str, float]:
-    """Complexity score per domain from a ``schema.csv`` written by ``schema``.
+    """Complexity score per domain from a ``schema.csv`` written by ``schema`` or ``study``.
 
     Domains whose score is undefined (an empty field) are left out. Raises
-    ValueError on a missing column or a score that is not a number.
+    ValueError on a missing column or a score that is not a finite number >= 0.
     """
-    return {
+    scores = {
         record["domain"]: float(record["complexity_score"])
         for record in _records(stream, ("domain", "complexity_score"))
         if record["complexity_score"]
     }
+    if not all(math.isfinite(score) and score >= 0 for score in scores.values()):
+        raise ValueError("a complexity score is not a finite number >= 0")
+    return scores
 
 
 def schema_rows(schemas: Mapping[str, DomainSchema]) -> list[tuple]:

@@ -704,6 +704,7 @@ class TestCmdStudy:
         ]
         dump = write_lines(tmp_path, lines)
         assert main(["study", dump, "--out", str(tmp_path / "out")]) == 3
+        assert not (tmp_path / "out").exists()  # no taxonomy.csv, no schema.csv
 
     @pytest.mark.parametrize(
         "details, data",
@@ -778,26 +779,25 @@ class TestCmdStudy:
         assert "matches no study domain" in capsys.readouterr().err
 
     def test_from_precomputed_intermediates(self, tmp_path):
-        """taxonomy.csv and schema.csv give the study the dump gives, a domain whose name
-        holds a CR included."""
+        """The taxonomy.csv and schema.csv a study of the dump writes replay to the study
+        it wrote, a domain whose name holds a CR included."""
         lines, expected = study_fixture_lines()
         for zoo in ("zoo", "zo\ro"):
             dump = write_lines(tmp_path, [line.replace("/ns/zoo.", f"/ns/{zoo}.") for line in lines])
-            pre, out, direct_out = (tmp_path / f"{name}-{len(zoo)}" for name in ("pre", "out", "direct"))
-            assert main(["slice", dump, "--out", str(pre)]) == 0
-            assert main(["schema", dump, "--out", str(pre)]) == 0
+            out, direct_out = (tmp_path / f"{name}-{len(zoo)}" for name in ("out", "direct"))
+            assert main(["study", dump, "--out", str(direct_out)]) == 0
             code = main(
                 [
                     "study",
-                    "--from-counts", str(pre / "taxonomy.csv"),
-                    "--from-schema", str(pre / "schema.csv"),
+                    "--from-counts", str(direct_out / "taxonomy.csv"),
+                    "--from-schema", str(direct_out / "schema.csv"),
                     "--out", str(out),
                 ]
             )
             assert code == 0
-            assert main(["study", dump, "--out", str(direct_out)]) == 0
             tree = read_tree(out)
-            assert tree == {name: text for name, text in read_tree(direct_out).items() if name != "parse_report.json"}
+            intermediates = ("parse_report.json", "taxonomy.csv", "schema.csv")
+            assert tree == {name: text for name, text in read_tree(direct_out).items() if name not in intermediates}
             scatter = csv.DictReader(io.StringIO(tree["scatter.csv"].decode(), newline=""))
             assert zoo in [record["domain"] for record in scatter]
 
@@ -808,8 +808,23 @@ class TestCmdStudy:
             ("taxonomy.csv", b",60,", b",sixty,"),
             ("schema.csv", b",2.0\n", b",two\n"),
             ("schema.csv", b"domain", b"\xffdomain"),
+            ("schema.csv", b",2.0\n", b",nan\n"),
+            ("schema.csv", b",2.0\n", b",inf\n"),
+            ("schema.csv", b",2.0\n", b",-2.0\n"),
+            ("taxonomy.csv", b",60,", b",-60,"),
+            ("taxonomy.csv", b",60,", b",6_0,"),
         ],
-        ids=["missing-column", "triples-not-integer", "score-not-number", "not-utf8"],
+        ids=[
+            "missing-column",
+            "triples-not-integer",
+            "score-not-number",
+            "not-utf8",
+            "score-nan",
+            "score-inf",
+            "score-negative",
+            "triples-negative",
+            "triples-underscore",
+        ],
     )
     def test_bad_intermediate_file_exits_2_before_any_write(self, tmp_path, capsys, name, old, new):
         lines, _ = study_fixture_lines()
@@ -828,6 +843,54 @@ class TestCmdStudy:
         assert captured.err.startswith(f"error: {bad}: ") and captured.err.count("\n") == 1, captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_intermediates_equal_slice_and_schema_outputs(self, tmp_path, monkeypatch):
+        """study writes the taxonomy.csv slice writes and the schema.csv schema writes, byte
+        for byte, at 1 and 2 workers on plain, gzip and stdin input, and with its own
+        implementation domains."""
+        packed = gzip_ranges_fixture(tmp_path, monkeypatch)
+        plain = tmp_path / "dump.nt"
+        plain.write_bytes(gzip.decompress((tmp_path / "dump.nt.gz").read_bytes()))
+        cases = [(source, workers, []) for source in (str(plain), packed, "-") for workers in (1, 2)]
+        cases.append((str(plain), 2, ["--implementation-domain", "people"]))
+        taxonomies = set()
+        for number, (source, workers, groups) in enumerate(cases):
+            trees = {}
+            for command in ("slice", "schema", "study"):
+                if source == "-":
+                    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(plain.read_bytes())))
+                out = tmp_path / f"{command}-{number}"
+                options = [] if command == "schema" else groups
+                assert main([command, source, "--workers", str(workers), "--out", str(out), *options]) == 0
+                trees[command] = read_tree(out)
+            assert trees["study"]["taxonomy.csv"] == trees["slice"]["taxonomy.csv"]
+            assert trees["study"]["schema.csv"] == trees["schema"]["schema.csv"]
+            names = ["parse_report.json", "scatter.csv", "scatter.svg", "schema.csv", "study.json", "taxonomy.csv"]
+            assert sorted(trees["study"]) == names
+            taxonomies.add(trees["study"]["taxonomy.csv"])
+        assert len(taxonomies) == 2  # people moves to the implementation group
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_parse_and_a_replay_give_the_direct_exclusion(self, tmp_path, monkeypatch, capsys, workers):
+        """The README's full-dump recipe, a study of the dump and a replay of its
+        intermediates without music, writes the study.json and scatter.* of a direct
+        --exclude music run, and prints its warnings and study line."""
+        packed = gzip_ranges_fixture(tmp_path, monkeypatch)
+        plain = tmp_path / "dump.nt"
+        plain.write_bytes(gzip.decompress((tmp_path / "dump.nt.gz").read_bytes()))
+        for source in (str(plain), packed):
+            full, replay, direct = (tmp_path / f"{name}-{source[-2:]}" for name in ("full", "replay", "direct"))
+            assert main(["study", source, "--workers", str(workers), "--out", str(full)]) == 0
+            capsys.readouterr()
+            argv = ["study", "--from-counts", str(full / "taxonomy.csv"), "--from-schema", str(full / "schema.csv")]
+            assert main([*argv, "--exclude", "music", "--out", str(replay)]) == 0
+            replayed = capsys.readouterr()
+            assert main(["study", source, "--exclude", "music", "--workers", str(workers), "--out", str(direct)]) == 0
+            printed = capsys.readouterr()
+            studied = {name: text for name, text in read_tree(direct).items() if name.startswith(("study.", "scatter."))}
+            assert read_tree(replay) == studied and len(studied) == 3
+            assert replayed.err == printed.err and "warning: no ontology" in printed.err
+            assert replayed.out == printed.out.splitlines(keepends=True)[-1]
 
     def test_study_outputs_are_idempotent(self, tmp_path):
         lines, _ = study_fixture_lines()
