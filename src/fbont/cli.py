@@ -3,10 +3,9 @@
 Subcommands compose the library end to end: ``slice`` counts and optionally
 materializes predicate-domain slices, ``schema`` summarizes each domain's
 ontology, ``semantics`` exports merges / value notations / incompatibility
-violations, and ``study`` runs the triples-vs-complexity correlation over
-the ``taxonomy.csv`` and ``schema.csv`` it writes, or replays. The commands
-read the public dump's own namespace and predicate spellings (the library
-defaults of :class:`fbont.parser.ParserConfig` and
+violations, and ``study`` runs the triples-vs-complexity correlation.
+The commands read the public dump's own namespace and predicate spellings
+(the library defaults of :class:`fbont.parser.ParserConfig` and
 :class:`fbont.schema.SchemaConfig`, and the predicates
 :class:`fbont.pipeline.SemanticsFold` reads). No option keeps state that
 grows with the dump: ``slice --materialize`` is a flag that takes no value
@@ -249,20 +248,18 @@ def cmd_semantics(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    """A dump's study writes taxonomy.csv and schema.csv as slice and schema do, and reads them back
-    as --from-counts and --from-schema read those files, so both routes meet at one join."""
+    # A dump's taxonomy.csv and schema.csv are rendered and read back as a replay reads them: one join.
     unset = (args.from_counts, args.from_schema).count(None)
     if (bool(args.inputs), unset) not in ((True, 2), (False, 0)):
         print("error: give dump inputs, or both --from-counts and --from-schema", file=sys.stderr)
         return 2
     group_config = _group_config(args)
-    report, docs = None, {}
+    report = None
     if args.inputs:
         report, merged = _run(args, SliceFold(), SchemaFold())
-        docs = ReportBundle(taxonomy=build_taxonomy(merged["counts"], group_config)).documents(("csv",))
-        docs["schema.csv"] = render_table(SCHEMA_COLUMNS, schema_rows(merged["schemas"]))
-        counts = load_counts_csv(io.StringIO(docs["taxonomy.csv"]))
-        scores = load_schema_csv(io.StringIO(docs["schema.csv"]))
+        taxonomy = ReportBundle(taxonomy=build_taxonomy(merged["counts"], group_config)).documents(("csv",))
+        counts = load_counts_csv(io.StringIO(taxonomy["taxonomy.csv"]))
+        scores = load_schema_csv(io.StringIO(render_table(SCHEMA_COLUMNS, schema_rows(merged["schemas"]))))
     else:
         counts = _read_input(args.from_counts, load_counts_csv)
         scores = _read_input(args.from_schema, load_schema_csv)
@@ -277,7 +274,7 @@ def cmd_study(args: argparse.Namespace) -> int:
 
     result = run_study(rows, args.exclude)  # too few rows, or a constant variable: exit 3
     points = build_scatter_points(rows, args.exclude)
-    _publish(args, {**docs, **ReportBundle(study=result, scatter=points).documents()}, report)
+    _publish(args, ReportBundle(study=result, scatter=points).documents(), report)
     print(
         f"study: n={result.n} r={result.pearson_r:.4f} slope={result.slope:,.2f} "
         f"excluded={list(result.excluded)}"
@@ -288,7 +285,7 @@ def cmd_study(args: argparse.Namespace) -> int:
 # --- argument parsing -------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, inputs_required: bool = True, groups: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser, inputs_required: bool = True) -> None:
     sub.add_argument(
         "inputs",
         nargs="+" if inputs_required else "*",
@@ -312,13 +309,6 @@ def _add_common(sub: argparse.ArgumentParser, inputs_required: bool = True, grou
         action="store_true",
         help="treat identifiers outside [0-9a-z_] as malformed instead of lint",
     )
-    if groups:
-        sub.add_argument(
-            "--implementation-domain",
-            action="append",
-            default=None,
-            help="override the implementation-group domain list (repeatable)",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_slice = sub.add_parser("slice", help="count triples per predicate domain")
-    _add_common(p_slice, groups=True)
+    _add_common(p_slice)
     p_slice.add_argument(
         "--materialize",
         action="store_true",
@@ -367,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sem.set_defaults(func=cmd_semantics)
 
     p_study = sub.add_parser("study", help="correlate triple volume with ontology complexity")
-    _add_common(p_study, inputs_required=False, groups=True)
+    _add_common(p_study, inputs_required=False)
     p_study.add_argument(
         "--exclude",
         action="append",
@@ -379,6 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--from-schema", default=None, help="reuse a schema.csv instead of parsing")
     p_study.set_defaults(func=cmd_study)
 
+    for p in (p_slice, p_study):
+        p.add_argument(
+            "--implementation-domain",
+            action="append",
+            default=None,
+            help="override the implementation-group domain list (repeatable)",
+        )
     return parser
 
 

@@ -166,18 +166,21 @@ def _records(lines: Iterable[str], columns: Sequence[str], delimiter: str = ",")
     return reader
 
 
-def _count(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"triple count is not ASCII digits: {text!r}")
-    return int(text)
+def _number(kind: type, text: str) -> int | float:
+    """A count or score as ``slice`` and ``schema`` write it: its ``str``, finite and >= 0."""
+    number = kind(text)
+    if str(number) != text or not (math.isfinite(number) and number >= 0):
+        raise ValueError(f"not a finite {kind.__name__} >= 0 as fbont writes it: {text!r}")
+    return number
 
 
 def parse_taxonomy_csv(text: str, delimiter: str = ",") -> list[dict]:
     """Read a taxonomy CSV/TSV back into plain dict rows (round-trip aid).
 
-    Raises ValueError on a missing column or a bad number; a count is ASCII digits.
+    Raises ValueError on a missing column or a bad number; a count is spelled as
+    ``slice`` writes it.
     """
-    numbers = {"triples": _count, "total_pct": float, "group_pct": float}
+    numbers = {"triples": lambda text: _number(int, text), "total_pct": float, "group_pct": float}
     return [
         {column: numbers.get(column, str)(record[column]) for column in TAXONOMY_COLUMNS}
         for record in _records(io.StringIO(text), TAXONOMY_COLUMNS, delimiter)
@@ -185,7 +188,7 @@ def parse_taxonomy_csv(text: str, delimiter: str = ",") -> list[dict]:
 
 
 def load_counts_csv(stream: TextIO) -> dict[SliceKey, int]:
-    """Triples per slice from a ``taxonomy.csv`` written by ``slice`` or ``study``."""
+    """Triples per slice from a ``taxonomy.csv`` written by ``slice``."""
     counts: dict[SliceKey, int] = {}
     for row in parse_taxonomy_csv(stream.read()):
         kind = DOMAIN if row["predicate_pattern"].startswith("/") else OWL_TERM
@@ -194,19 +197,17 @@ def load_counts_csv(stream: TextIO) -> dict[SliceKey, int]:
 
 
 def load_schema_csv(stream: TextIO) -> dict[str, float]:
-    """Complexity score per domain from a ``schema.csv`` written by ``schema`` or ``study``.
+    """Complexity score per domain from a ``schema.csv`` written by ``schema``.
 
     Domains whose score is undefined (an empty field) are left out. Raises
-    ValueError on a missing column or a score that is not a finite number >= 0.
+    ValueError on a missing column or a score that is not a finite number >= 0
+    spelled as ``schema`` writes it.
     """
-    scores = {
-        record["domain"]: float(record["complexity_score"])
+    return {
+        record["domain"]: _number(float, record["complexity_score"])
         for record in _records(stream, ("domain", "complexity_score"))
         if record["complexity_score"]
     }
-    if not all(math.isfinite(score) and score >= 0 for score in scores.values()):
-        raise ValueError("a complexity score is not a finite number >= 0")
-    return scores
 
 
 def schema_rows(schemas: Mapping[str, DomainSchema]) -> list[tuple]:

@@ -704,7 +704,7 @@ class TestCmdStudy:
         ]
         dump = write_lines(tmp_path, lines)
         assert main(["study", dump, "--out", str(tmp_path / "out")]) == 3
-        assert not (tmp_path / "out").exists()  # no taxonomy.csv, no schema.csv
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "details, data",
@@ -779,25 +779,26 @@ class TestCmdStudy:
         assert "matches no study domain" in capsys.readouterr().err
 
     def test_from_precomputed_intermediates(self, tmp_path):
-        """The taxonomy.csv and schema.csv a study of the dump writes replay to the study
-        it wrote, a domain whose name holds a CR included."""
+        """taxonomy.csv and schema.csv give the study the dump gives, a domain whose name
+        holds a CR included."""
         lines, expected = study_fixture_lines()
         for zoo in ("zoo", "zo\ro"):
             dump = write_lines(tmp_path, [line.replace("/ns/zoo.", f"/ns/{zoo}.") for line in lines])
-            out, direct_out = (tmp_path / f"{name}-{len(zoo)}" for name in ("out", "direct"))
-            assert main(["study", dump, "--out", str(direct_out)]) == 0
+            pre, out, direct_out = (tmp_path / f"{name}-{len(zoo)}" for name in ("pre", "out", "direct"))
+            assert main(["slice", dump, "--out", str(pre)]) == 0
+            assert main(["schema", dump, "--out", str(pre)]) == 0
             code = main(
                 [
                     "study",
-                    "--from-counts", str(direct_out / "taxonomy.csv"),
-                    "--from-schema", str(direct_out / "schema.csv"),
+                    "--from-counts", str(pre / "taxonomy.csv"),
+                    "--from-schema", str(pre / "schema.csv"),
                     "--out", str(out),
                 ]
             )
             assert code == 0
+            assert main(["study", dump, "--out", str(direct_out)]) == 0
             tree = read_tree(out)
-            intermediates = ("parse_report.json", "taxonomy.csv", "schema.csv")
-            assert tree == {name: text for name, text in read_tree(direct_out).items() if name not in intermediates}
+            assert tree == {name: text for name, text in read_tree(direct_out).items() if name != "parse_report.json"}
             scatter = csv.DictReader(io.StringIO(tree["scatter.csv"].decode(), newline=""))
             assert zoo in [record["domain"] for record in scatter]
 
@@ -813,6 +814,8 @@ class TestCmdStudy:
             ("schema.csv", b",2.0\n", b",-2.0\n"),
             ("taxonomy.csv", b",60,", b",-60,"),
             ("taxonomy.csv", b",60,", b",6_0,"),
+            ("schema.csv", b",2.0\n", b",2_0\n"),
+            ("schema.csv", b",2.0\n", b", 2.0\n"),
         ],
         ids=[
             "missing-column",
@@ -824,6 +827,8 @@ class TestCmdStudy:
             "score-negative",
             "triples-negative",
             "triples-underscore",
+            "score-underscore",
+            "score-space",
         ],
     )
     def test_bad_intermediate_file_exits_2_before_any_write(self, tmp_path, capsys, name, old, new):
@@ -844,53 +849,37 @@ class TestCmdStudy:
         assert captured.out == ""
         assert not out.exists()
 
-    def test_intermediates_equal_slice_and_schema_outputs(self, tmp_path, monkeypatch):
-        """study writes the taxonomy.csv slice writes and the schema.csv schema writes, byte
-        for byte, at 1 and 2 workers on plain, gzip and stdin input, and with its own
-        implementation domains."""
+    def test_a_dump_study_equals_the_replay_of_slice_and_schema(self, tmp_path, monkeypatch, capsys):
+        """A study of a dump writes and prints what a replay of slice's taxonomy.csv and
+        schema's schema.csv writes and prints, at 1 and 2 workers on plain, gzip and stdin
+        input, with --exclude music, and once with its own implementation domains."""
         packed = gzip_ranges_fixture(tmp_path, monkeypatch)
         plain = tmp_path / "dump.nt"
         plain.write_bytes(gzip.decompress((tmp_path / "dump.nt.gz").read_bytes()))
         cases = [(source, workers, []) for source in (str(plain), packed, "-") for workers in (1, 2)]
-        cases.append((str(plain), 2, ["--implementation-domain", "people"]))
-        taxonomies = set()
+        cases.append((str(plain), 2, ["--implementation-domain", "film"]))
+        replays = set()
         for number, (source, workers, groups) in enumerate(cases):
-            trees = {}
-            for command in ("slice", "schema", "study"):
+            pre, direct, replay = (tmp_path / f"{name}-{number}" for name in ("pre", "direct", "replay"))
+            for command, options, out in [
+                ("slice", groups, pre),
+                ("schema", [], pre),
+                ("study", [*groups, "--exclude", "music"], direct),
+            ]:
                 if source == "-":
                     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(plain.read_bytes())))
-                out = tmp_path / f"{command}-{number}"
-                options = [] if command == "schema" else groups
                 assert main([command, source, "--workers", str(workers), "--out", str(out), *options]) == 0
-                trees[command] = read_tree(out)
-            assert trees["study"]["taxonomy.csv"] == trees["slice"]["taxonomy.csv"]
-            assert trees["study"]["schema.csv"] == trees["schema"]["schema.csv"]
-            names = ["parse_report.json", "scatter.csv", "scatter.svg", "schema.csv", "study.json", "taxonomy.csv"]
-            assert sorted(trees["study"]) == names
-            taxonomies.add(trees["study"]["taxonomy.csv"])
-        assert len(taxonomies) == 2  # people moves to the implementation group
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_parse_and_a_replay_give_the_direct_exclusion(self, tmp_path, monkeypatch, capsys, workers):
-        """The README's full-dump recipe, a study of the dump and a replay of its
-        intermediates without music, writes the study.json and scatter.* of a direct
-        --exclude music run, and prints its warnings and study line."""
-        packed = gzip_ranges_fixture(tmp_path, monkeypatch)
-        plain = tmp_path / "dump.nt"
-        plain.write_bytes(gzip.decompress((tmp_path / "dump.nt.gz").read_bytes()))
-        for source in (str(plain), packed):
-            full, replay, direct = (tmp_path / f"{name}-{source[-2:]}" for name in ("full", "replay", "direct"))
-            assert main(["study", source, "--workers", str(workers), "--out", str(full)]) == 0
-            capsys.readouterr()
-            argv = ["study", "--from-counts", str(full / "taxonomy.csv"), "--from-schema", str(full / "schema.csv")]
-            assert main([*argv, "--exclude", "music", "--out", str(replay)]) == 0
-            replayed = capsys.readouterr()
-            assert main(["study", source, "--exclude", "music", "--workers", str(workers), "--out", str(direct)]) == 0
             printed = capsys.readouterr()
-            studied = {name: text for name, text in read_tree(direct).items() if name.startswith(("study.", "scatter."))}
-            assert read_tree(replay) == studied and len(studied) == 3
-            assert replayed.err == printed.err and "warning: no ontology" in printed.err
+            argv = ["study", "--from-counts", str(pre / "taxonomy.csv"), "--from-schema", str(pre / "schema.csv")]
+            assert main([*argv, *groups, "--exclude", "music", "--out", str(replay)]) == 0
+            replayed = capsys.readouterr()
+            tree = read_tree(direct)
+            assert sorted(tree) == ["parse_report.json", "scatter.csv", "scatter.svg", "study.json"]
+            assert read_tree(replay) == {name: text for name, text in tree.items() if name != "parse_report.json"}
+            assert printed.err.endswith(replayed.err) and "warning: no ontology" in replayed.err
             assert replayed.out == printed.out.splitlines(keepends=True)[-1]
+            replays.add(tree["study.json"])
+        assert len(replays) == 2  # film leaves the study for the implementation group
 
     def test_study_outputs_are_idempotent(self, tmp_path):
         lines, _ = study_fixture_lines()
