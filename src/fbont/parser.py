@@ -22,14 +22,14 @@ and catches any other line whole, so it yields one row per line:
   lint and the ``strict_ids`` check are applied again on every line;
 - a line that is only counted costs its step of the scan, the entry lookup
   and an increment; the block is split into lines, once, only for a line
-  that is built, copied or sent to :func:`parse_line`, and a built line is
-  matched again alone, by the per-line form of the same regex;
-- the subject and an IRI object are built directly: a canonical id carries
-  no lint and an external IRI none either, so neither can fail;
+  that is built, copied or sent to :func:`parse_line`;
+- a built line is split on its tabs and built as parse_line builds it, each
+  IRI term by :func:`normalize_iri` (a mid subject from its scanned suffix)
+  and a literal by the literal parser; no IRI term of it carries lint;
 - a literal whose only escapes are ``\\\\``, ``\\"``, ``\\n``, ``\\r`` and
-  ``\\t`` is built directly too, since none of those can be unknown; any
-  other literal goes through the literal parser (other escapes, suffix
-  checks).
+  ``\\t`` needs no check, since none of those can be unknown; any other
+  literal goes through the literal parser (other escapes, suffix checks)
+  whether or not the line is built.
 
 A predicate token missing its closing bracket can run past a line end and
 take two lines as one row; a block that yields fewer rows than it has lines
@@ -39,7 +39,7 @@ reference: a plain tab split, falling back to a quote-aware whitespace
 tokenizer so hand-written fixtures parse too. Both routes give the same
 triple, the same malformed-reason code, the same lint counts and the same
 line numbers; ``tests/test_parser_fast.py`` checks that line by line. Both
-read a literal with the one literal parser, which spells the N-Triples
+build every literal with the one literal parser, which spells the N-Triples
 literal grammar once: one quote pattern finds the closing quote (the
 tokenizer uses it too) and one escape pattern decodes the body.
 
@@ -51,11 +51,11 @@ mid_subject)``, and a copy buffer. Every well-formed line adds 1 to its
 predicate's cell, matched or not, read or not; the consumers get the
 non-zero counts once, from :meth:`Projection.tallies`. A scanned line that
 no consumer reads is still validated whole (the predicate's lint and
-``strict_ids``, and the literal parser on any literal the regex does not
-build), but not built. Lines that go to :func:`parse_line` are always
-built in full, so projection never changes which lines are malformed or
-any lint. A stream parsed without one gets a Projection that reads
-everything.
+``strict_ids``, and the literal parser on any literal the plain group
+does not take), but not built. Lines that go to :func:`parse_line` are
+always built in full, so projection never changes which lines are
+malformed or any lint. A stream parsed without one gets a Projection that
+reads everything.
 
 Copy is an extra action beside count and build, for a consumer that wants
 a predicate's lines as text, as a materialized slice does. Where the
@@ -400,70 +400,49 @@ _SPACE = r"\t\n\x0b\x0c\r\x1c-\x1f \x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f
 
 
 @lru_cache(maxsize=32)
-def _canonical_line(namespace: str, scan: bool = False) -> re.Pattern | None:
-    """The canonical line regex for one namespace, in one of two forms, compiled once.
+def _canonical_line(namespace: str) -> re.Pattern:
+    """The canonical line regex for one namespace, compiled once, for ``findall`` on a block.
 
-    Each IRI term is three groups: a mid suffix, a dotted path, or an IRI
-    outside the namespace. Only standard ids match the first two (a
-    2-segment ``m.x`` is a mid, as in normalize_iri). The outside IRI holds
-    no bracket and no whitespace; whitespace is the ``\\s`` set spelled out
-    as ``_SPACE``, which scans faster. The predicate is any token without a
-    tab, which sre scans as one tight loop; :class:`Projection` checks each
-    distinct token once against the same class as the outside IRI. A
-    literal object is either plain (no raw quote, tab or CR inside, and no
-    backslash but one that starts a ``\\\\``, ``\\"``, ``\\n``, ``\\r`` or
-    ``\\t`` escape, with an optional ASCII language tag or datatype) and
-    built here, or any other token without a tab and not ending in a space,
+    Each IRI term is a mid suffix, a dotted path, or an IRI outside the
+    namespace. Only standard ids match the first two (a 2-segment ``m.x`` is
+    a mid, as in normalize_iri). The outside IRI holds no bracket and no
+    whitespace; whitespace is the ``\\s`` set spelled out as ``_SPACE``,
+    which scans faster. The predicate is any token without a tab, which sre
+    scans as one tight loop; :class:`Projection` checks each distinct token
+    once against the same class as the outside IRI. A literal object is
+    either plain (no raw quote, tab or CR inside, and no backslash but one
+    that starts a ``\\\\``, ``\\"``, ``\\n``, ``\\r`` or ``\\t`` escape, with an
+    optional ASCII language tag or datatype), none of whose escapes can be
+    unknown, or any other token without a tab and not ending in a space,
     which equals the token the tab split gives and goes to the literal
     parser. The plain body is unrolled, every backslash starting an escape,
     so it cannot backtrack catastrophically.
 
-    The per-line form is meant for ``fullmatch`` on one line, and captures
-    every group (the subject's three, the predicate token as group 4, the
-    object's three, the plain literal's three and the literal-parser token
-    as group 11). None when the namespace holds a tab, bracket or newline,
-    since the regex and the tab split could then disagree on where a term or
-    line ends.
-
-    The ``scan`` form is meant for ``findall`` on a block of lines. It is
-    MULTILINE, and a line it does not match is caught whole by a last
-    alternative, so it yields one row per line: (subject mid suffix,
-    predicate token, literal-parser token, caught line), each empty where it
-    did not match. Only a predicate token holding a newline can make a match
-    run past a line end. For a namespace with no per-line form, every line
-    is caught.
+    The pattern is MULTILINE, and a line it does not match is caught whole
+    by a last alternative, so it yields one row per line of four groups:
+    (subject mid suffix, predicate token, literal-parser token, caught
+    line), each empty where it did not match. A matched line is four
+    tab-separated fields, the last ``.``. Only a predicate token holding a
+    newline can make a match run past a line end. Every line is caught when
+    the namespace holds a tab, bracket or newline, since the regex and the
+    tab split could then disagree on where a term or line ends.
     """
     if any(c in namespace for c in "\t<>\n"):
-        return re.compile(r"^()()()(.*)$", re.MULTILINE) if scan else None
+        return re.compile(r"^()()()(.*)$", re.MULTILINE)
 
     ns = re.escape(namespace)
     segment = "[0-9a-z_]+"
     path = rf"{segment}(?:\.{segment}){{0,2}}"
     iri = rf"[^<>{_SPACE}]+"
 
-    def group(pattern: str, kept: bool = False) -> str:
-        return f"({pattern})" if kept or not scan else f"(?:{pattern})"
+    def term(mid: str = segment) -> str:
+        return rf"<(?:{ns}(?:m\.{mid}|{path})|(?!{ns}){iri})>"
 
-    def term(subject: bool = False) -> str:
-        return rf"<(?:{ns}(?:m\.{group(segment, subject)}|{group(path)})|(?!{ns}){group(iri)})>"
-
-    predicate = group(r"<[^\t]+>", True)
     body = r'[^"\\\t\n\r]*'
-    lexical = group(rf'{body}(?:\\[\\"nrt]{body})*')
-    language = group("[A-Za-z0-9-]+")
-    datatype = group(r"[^\t\n]+")
-    plain = rf'"{lexical}"(?:@{language}|\^\^<{datatype}>)?'
-    literal = group(r'"(?:[^\t\n]*[^\t\n ])?', True)
-    line = rf"{term(True)}\t{predicate}\t(?:{term()}|{plain}|{literal})\t\."
-    return re.compile(rf"^(?:{line}|(.*))$", re.MULTILINE) if scan else re.compile(line)
-
-
-def _matched_term(mid: str | None, path: str | None, iri: str) -> NodeRef:
-    if mid is not None:
-        return Mid(mid)
-    if path is not None:
-        return IdPath(tuple(path.split(".")))
-    return ExternalIri(iri)
+    plain = rf'"{body}(?:\\[\\"nrt]{body})*"(?:@[A-Za-z0-9-]+|\^\^<[^\t\n]+>)?'
+    literal = r'("(?:[^\t\n]*[^\t\n ])?)'
+    line = rf"{term(f'({segment})')}\t(<[^\t]+>)\t(?:{term()}|{plain}|{literal})\t\."
+    return re.compile(rf"^(?:{line}|(.*))$", re.MULTILINE)
 
 
 Tally = tuple[NodeRef, int]  # (predicate, well-formed lines)
@@ -528,26 +507,6 @@ class Projection(dict):
     def tallies(self) -> list[Tally]:
         """The non-zero counts, in the order their predicates were first seen."""
         return [(entry[0], entry[2][0]) for entry in self.values() if entry is not None and entry[2][0]]
-
-
-def _matched_triple(found: re.Match, predicate: NodeRef, literal: Literal | None) -> Triple:
-    """The triple of a line the canonical regex matched.
-
-    ``literal`` is the parsed literal-parser group, if the line has one.
-    """
-    (s_mid, s_path, s_iri, _, o_mid, o_path, o_iri, lexical, language, datatype, _) = found.groups()
-    subject = _matched_term(s_mid, s_path, s_iri)
-    if lexical is not None:
-        if "\\" in lexical:
-            lexical = unescape_literal(lexical)[0]
-        obj: NodeRef | Literal = Literal(
-            lexical, language, ExternalIri(datatype) if datatype is not None else None
-        )
-    elif literal is not None:
-        obj = literal
-    else:
-        obj = _matched_term(o_mid, o_path, o_iri)
-    return Triple(subject, predicate, obj)
 
 
 def serialize(triple: Triple, namespace: str = DEFAULT_NAMESPACE) -> str:
@@ -767,30 +726,29 @@ def parse_blocks(
 
     A block (see :func:`read_blocks`) is decoded, ended with a ``\\n`` if it
     is not, stripped of the CRs before each ``\\n`` and scanned with one
-    ``findall`` of the scan form of the canonical regex, one row per line,
-    numbered on from the previous block's; a block with fewer rows than
-    lines (a predicate token ran past a line end) is scanned again line by
-    line. A line the regex matches, whose predicate token the projection
-    entry accepts, is validated (its predicate's lint and ``strict_ids``,
-    and the literal parser on a literal the regex's plain group does not
-    take), counted in its projection entry, and, if the projection reads its
-    kind, matched alone by the per-line form and built from that match. A
-    literal needs no validating when the plain group takes it: its only
-    escapes are ``\\\\``, ``\\"``, ``\\n``, ``\\r`` and ``\\t``, which are
-    never unknown. Any other line goes through :func:`parse_line`, is
-    counted too, and is always built. The block is split into lines at most
-    once, and only for a line that is built, copied or sent to parse_line.
-    A well-formed line of a predicate with
-    a buffer is appended there too, as it was read (less its line-end CRs),
-    in input order. The results equal a :func:`parse_line` call per line.
-    Without a ``projection`` every line is built. Each block yields its
-    triples, an empty list when none was built, so a caller can empty the
-    buffers block by block. ``report`` takes the block's counts before its
-    triples are yielded, and an I/O failure while reading raises
-    StreamAbortedError with the report of every line before it.
+    ``findall`` of the canonical regex, one row per line, numbered on from the
+    previous block's; a block with fewer rows than lines (a predicate token
+    ran past a line end) is scanned again line by line. A line the regex
+    matches, whose predicate token the projection entry accepts, is validated
+    (its predicate's lint and ``strict_ids``, and the literal parser on a
+    literal the regex's plain group, whose escapes are never unknown, does not
+    take) and counted in its projection entry. If the projection reads its
+    kind, it is split on its tabs and built as parse_line builds it: a mid
+    subject from its scanned suffix, any other IRI term by
+    :func:`normalize_iri`, a literal by the literal parser, which has already
+    parsed one the plain group does not take. Any other line goes through
+    :func:`parse_line`, is counted too, and is always built. The block is
+    split into lines at most once, and only for a line that is built, copied
+    or sent to parse_line. A well-formed line of a predicate with a buffer is
+    appended there too, as it was read (less its line-end CRs), in input
+    order. The results equal a :func:`parse_line` call per line. Without a
+    ``projection`` every line is built. Each block yields its triples, an
+    empty list when none was built, so a caller can empty the buffers block by
+    block. ``report`` takes the block's counts before its triples are yielded,
+    and an I/O failure while reading raises StreamAbortedError with the report
+    of every line before it.
     """
-    scan = _canonical_line(config.namespace, True).findall
-    fullmatch = None  # the per-line form's, fetched for the first line built
+    scan = _canonical_line(config.namespace).findall
     if projection is None:
         projection = Projection(namespace=config.namespace)
     namespace = projection.namespace
@@ -834,9 +792,15 @@ def parse_blocks(
                         if mid if mid_subject else plain:
                             if texts is None:
                                 texts = text.split("\n")
-                            if fullmatch is None:
-                                fullmatch = _canonical_line(config.namespace).fullmatch
-                            triple = _matched_triple(fullmatch(texts[i]), predicate, literal or None)
+                            subject, _, obj, _ = texts[i].split("\t")
+                            if literal:
+                                obj = literal
+                            elif obj[0] == "<":
+                                obj = normalize_iri(obj[1:-1], config.namespace)
+                            else:
+                                obj = _parse_literal_term(obj, lint)
+                            subject = Mid(mid_subject) if mid_subject else normalize_iri(subject[1:-1], config.namespace)
+                            triple = Triple(subject, predicate, obj)
                 except MalformedLineError as exc:
                     report.record_malformed(lines + i + 1, exc.reason)
                     continue

@@ -508,8 +508,7 @@ def run_partitioned(job: Job, partitions: Sequence[Partition], workers: int) -> 
     """
     if workers <= 1 or len(partitions) <= 1 or not hasattr(os, "fork"):
         return _merge_results(map(job.run, partitions))
-    for scan in (True, False):  # compiled once here, so every child inherits both forms
-        _canonical_line(job.parser.namespace, scan)
+    _canonical_line(job.parser.namespace)  # compiled once here, so every child inherits it
     count = min(workers, len(partitions))
     pids: list[int] = []
     pipes: list[BinaryIO] = []

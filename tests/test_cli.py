@@ -1526,6 +1526,22 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert (out / "taxonomy.csv").exists()
 
+    def test_package_runs_as_the_cli(self, tmp_path):
+        """``python -m fbont`` is ``python -m fbont.cli``: same output, same tree."""
+        dump = write_lines(tmp_path, random_dump_lines(50, seed=1))
+        runs = []
+        for module in ("fbont", "fbont.cli"):
+            out = tmp_path / module
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "slice", dump, "--out", str(out)],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc.stdout, proc.stderr, read_tree(out)))
+        assert runs[0] == runs[1]
+        assert "taxonomy.csv" in runs[0][2]
+
     def test_stdin_input(self, tmp_path):
         data = "".join(l + "\n" for l in random_dump_lines(30, seed=6)).encode()
         for name, stdin in (("plain", data), ("gzip", gzip.compress(data))):

@@ -15,7 +15,6 @@ strict_ids settings and under the default and non-default namespaces.
 import io
 import re
 from collections import Counter
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -67,11 +66,12 @@ def copied(predicate) -> bool:
 
 
 def scanned(pattern, text: str):
-    """The canonical regex's fullmatch of a line whose predicate token holds no
-    bracket or whitespace inside its brackets, else None: the lines the scan
-    takes itself, and does not leave to parse_line."""
-    found = pattern.fullmatch(text) if pattern is not None else None
-    return found if found is not None and re.fullmatch(r"<[^<>\s]+>", found[4]) else None
+    """The canonical regex's fullmatch of a line it does not catch whole and
+    whose predicate token holds no bracket or whitespace inside its brackets,
+    else None: the lines the scan takes itself, and does not leave to
+    parse_line."""
+    found = pattern.fullmatch(text)
+    return found if found[4] is None and re.fullmatch(r"<[^<>\s]+>", found[2]) else None
 
 
 def per_line_parse(data: bytes, config: ParserConfig):
@@ -121,7 +121,7 @@ def dispositions(parsed, reads, copies: bool, namespace: str):
     counts: dict = {}  # predicate -> well-formed lines
     triples, texts = [], []
     for triple, found, text in parsed:
-        predicate = normalize_iri(found[4][1:-1], namespace) if found is not None else triple.predicate
+        predicate = normalize_iri(found[2][1:-1], namespace) if found is not None else triple.predicate
         counts.setdefault(predicate, 0)
         if triple is None:
             continue
@@ -538,20 +538,15 @@ class TestBlockDifferential:
     def test_the_scan_counts_canonical_lines_itself(self, monkeypatch):
         """A line that is only counted costs a step of the block scan: with a
         projection that neither reads nor copies, no canonical line reaches
-        parse_line or a match of its own."""
+        parse_line or a build of its own."""
         data = dump_stream(random_dump_lines(500, seed=3)).getvalue()
         expected = block_parse(io.BytesIO(data), ParserConfig(), READS["nothing"])
 
         def refuse(*args):
-            raise AssertionError("a counted canonical line reached parse_line or the per-line match")
-
-        canonical_line = parser_module._canonical_line
-
-        def scan_only(namespace, scan=False):
-            return canonical_line(namespace, scan) if scan else SimpleNamespace(fullmatch=refuse, match=refuse)
+            raise AssertionError("a counted canonical line reached parse_line or was built")
 
         monkeypatch.setattr(parser_module, "parse_line", refuse)
-        monkeypatch.setattr(parser_module, "_canonical_line", scan_only)
+        monkeypatch.setattr(parser_module, "Triple", refuse)
         assert block_parse(io.BytesIO(data), ParserConfig(), READS["nothing"]) == expected
         assert expected[0]["triples_ok"] == 500
 
@@ -602,7 +597,7 @@ class TestPredicateTokens:
     @pytest.mark.parametrize("cap", [1, 16 * 1024])
     def test_a_token_running_past_a_line_end(self, cap):
         crossing = STRADDLING[-2:]
-        assert len(parser_module._canonical_line(NS, True).findall("\n".join(crossing))) == 1
+        assert len(parser_module._canonical_line(NS).findall("\n".join(crossing))) == 1
         lines = random_dump_lines(300, seed=8)
         # the pair in the middle of a block, at its start and end, and alone
         lines = lines[:150] + crossing + lines[150:] + crossing + ODD_PREDICATE_LINES + crossing
@@ -810,7 +805,7 @@ ESCAPE_NEAR_MISSES = [
 
 def takes_plain_group(text: str, namespace: str = NS) -> bool:
     found = parser_module._canonical_line(namespace).fullmatch(text)
-    return found is not None and found[11] is None
+    return found[4] is None and found[3] is None
 
 
 def in_escape_class(body: str) -> bool:
@@ -843,8 +838,8 @@ class TestEscapeClass:
         for text in ESCAPE_NEAR_MISSES:
             assert not takes_plain_group(text), text
         found = [parser_module._canonical_line(NS).fullmatch(t) for t in ESCAPE_NEAR_MISSES]
-        # all but the two with a raw tab, which no alternative matches, take group 11
-        assert sum(f is not None and f[11] is not None for f in found) == len(found) - 2
+        # all but the two with a raw tab, which only the catch-all matches, take group 3
+        assert sum(f[3] is not None for f in found) == len(found) - 2
 
     def test_same_triple_reason_and_lint_as_the_reference(self):
         lines = ESCAPE_CLASS_LINES + ESCAPE_NEAR_MISSES
