@@ -18,25 +18,25 @@ and catches any other line whole, so it yields one row per line:
 - the predicate field is read as a token, any text without a tab between
   brackets, and resolves through the stream's :class:`Projection` entry,
   which checks each distinct token once against the canonical predicate
-  grammar (no bracket and no whitespace inside); the ``nonstandard-id``
-  lint and the ``strict_ids`` check are applied again on every line;
+  grammar (no bracket and no whitespace inside) and notes a nonstandard id,
+  whose lint is counted again on every line;
 - a line that is only counted costs its step of the scan, the entry lookup
   and an increment; the block is split into lines, once, only for a line
   that is built, copied or sent to :func:`parse_line`;
 - a built line is split on its tabs and built as parse_line builds it, each
   IRI term by :func:`normalize_iri` (a mid subject from its scanned suffix)
-  and a literal by the literal parser; no IRI term of it carries lint;
-- a literal whose only escapes are ``\\\\``, ``\\"``, ``\\n``, ``\\r`` and
-  ``\\t`` needs no check, since none of those can be unknown; any other
-  literal goes through the literal parser (other escapes, suffix checks)
-  whether or not the line is built.
+  and a literal by the literal parser; no term of it carries lint, since a
+  literal is taken only when its escapes cannot be unknown.
 
+Every line the scan takes is thus well-formed, and :func:`parse_line`, the
+reference, is the only code that rejects a line. It takes each line the
+scan catches whole, whose predicate token the entry rejects, or, under
+``strict_ids``, whose predicate is a nonstandard id. It splits a line on
+its tabs and falls back to a quote-aware whitespace tokenizer, so
+hand-written fixtures parse too.
 A predicate token missing its closing bracket can run past a line end and
-take two lines as one row; a block that yields fewer rows than it has lines
-is scanned again one line at a time. Each line the scan catches, or whose
-predicate token the entry rejects, goes to :func:`parse_line`, the
-reference: a plain tab split, falling back to a quote-aware whitespace
-tokenizer so hand-written fixtures parse too. Both routes give the same
+take two lines as one row; a block that yields fewer rows than it has
+lines is scanned again one line at a time. Both routes give the same
 triple, the same malformed-reason code, the same lint counts and the same
 line numbers; ``tests/test_parser_fast.py`` checks that line by line. Both
 build every literal with the one literal parser, which spells the N-Triples
@@ -50,12 +50,11 @@ predicate and subject kind by the consumers' ``reads(predicate,
 mid_subject)``, and a copy buffer. Every well-formed line adds 1 to its
 predicate's cell, matched or not, read or not; the consumers get the
 non-zero counts once, from :meth:`Projection.tallies`. A scanned line that
-no consumer reads is still validated whole (the predicate's lint and
-``strict_ids``, and the literal parser on any literal the plain group
-does not take), but not built. Lines that go to :func:`parse_line` are
-always built in full, so projection never changes which lines are
-malformed or any lint. A stream parsed without one gets a Projection that
-reads everything.
+no consumer reads is well-formed all the same and adds its predicate's
+lint, but is not built. Lines that go to :func:`parse_line` are always
+built in full, so projection never changes which lines are malformed or
+any lint. A stream parsed without one gets a Projection that reads
+everything.
 
 Copy is an extra action beside count and build, for a consumer that wants
 a predicate's lines as text, as a materialized slice does. Where the
@@ -302,13 +301,6 @@ def _is_nonstandard(ref: NodeRef) -> bool:
     return isinstance(ref, (Mid, IdPath)) and not ref.is_standard
 
 
-def _flag_nonstandard(config: ParserConfig, counters: Counter | None) -> None:
-    if config.strict_ids:
-        raise MalformedLineError(NONSTANDARD_ID)
-    if counters is not None:
-        counters[NONSTANDARD_ID] += 1
-
-
 def _parse_iri_term(token: str, config: ParserConfig, counters: Counter | None) -> NodeRef:
     if not token.endswith(">") or len(token) < 2:
         raise MalformedLineError(UNBALANCED_BRACKETS)
@@ -319,7 +311,10 @@ def _parse_iri_term(token: str, config: ParserConfig, counters: Counter | None) 
         raise MalformedLineError(UNBALANCED_BRACKETS)
     ref = normalize_iri(iri, config.namespace)
     if _is_nonstandard(ref):
-        _flag_nonstandard(config, counters)
+        if config.strict_ids:
+            raise MalformedLineError(NONSTANDARD_ID)
+        if counters is not None:
+            counters[NONSTANDARD_ID] += 1
     return ref
 
 
@@ -410,25 +405,24 @@ def _canonical_line(namespace: str) -> re.Pattern:
     which scans faster. The predicate is any token without a tab, which sre
     scans as one tight loop; :class:`Projection` checks each distinct token
     once against the same class as the outside IRI. A literal object is
-    either plain (no raw quote, tab or CR inside, and no backslash but one
-    that starts a ``\\\\``, ``\\"``, ``\\n``, ``\\r`` or ``\\t`` escape, with an
-    optional ASCII language tag or datatype), none of whose escapes can be
-    unknown, or any other token without a tab and not ending in a space,
-    which equals the token the tab split gives and goes to the literal
-    parser. The plain body is unrolled, every backslash starting an escape,
-    so it cannot backtrack catastrophically.
+    plain: no raw quote, tab or CR inside, and no backslash but one that
+    starts a ``\\\\``, ``\\"``, ``\\n``, ``\\r`` or ``\\t`` escape, with an
+    optional ASCII language tag or datatype; the literal parser takes it,
+    and none of its escapes can be unknown. The body is unrolled, every
+    backslash starting an escape, so it cannot backtrack catastrophically.
 
     The pattern is MULTILINE, and a line it does not match is caught whole
-    by a last alternative, so it yields one row per line of four groups:
-    (subject mid suffix, predicate token, literal-parser token, caught
-    line), each empty where it did not match. A matched line is four
-    tab-separated fields, the last ``.``. Only a predicate token holding a
+    by a last alternative, so it yields one row per line of three groups:
+    (subject mid suffix, predicate token, caught line), each empty where it
+    did not match. A matched line is four tab-separated fields, the last
+    ``.``, and well-formed unless :class:`Projection` rejects its predicate
+    token, or ``strict_ids`` its id. Only a predicate token holding a
     newline can make a match run past a line end. Every line is caught when
     the namespace holds a tab, bracket or newline, since the regex and the
     tab split could then disagree on where a term or line ends.
     """
     if any(c in namespace for c in "\t<>\n"):
-        return re.compile(r"^()()()(.*)$", re.MULTILINE)
+        return re.compile(r"^()()(.*)$", re.MULTILINE)
 
     ns = re.escape(namespace)
     segment = "[0-9a-z_]+"
@@ -440,8 +434,7 @@ def _canonical_line(namespace: str) -> re.Pattern:
 
     body = r'[^"\\\t\n\r]*'
     plain = rf'"{body}(?:\\[\\"nrt]{body})*"(?:@[A-Za-z0-9-]+|\^\^<[^\t\n]+>)?'
-    literal = r'("(?:[^\t\n]*[^\t\n ])?)'
-    line = rf"{term(f'({segment})')}\t(<[^\t]+>)\t(?:{term()}|{plain}|{literal})\t\."
+    line = rf"{term(f'({segment})')}\t(<[^\t]+>)\t(?:{term()}|{plain})\t\."
     return re.compile(rf"^(?:{line}|(.*))$", re.MULTILINE)
 
 
@@ -473,7 +466,8 @@ class Projection(dict):
     token is checked once: a token holding a bracket or whitespace inside
     its brackets (or the empty token of a line the scan caught) gets None,
     which sends its lines to :func:`parse_line`, and ``reads`` and ``copy``
-    are not asked for it. A line parse_line built finds its entry under
+    are not asked for it; under ``strict_ids`` a nonstandard predicate's
+    lines go there too. A line parse_line built finds its entry under
     ``"<" + to_iri(predicate, namespace) + ">"``, which is its token, since
     ``to_iri(normalize_iri(iri, namespace), namespace) == iri``; where that
     token has None, under the predicate term itself.
@@ -568,7 +562,7 @@ def source_kind(path: str | os.PathLike) -> str:
 
 # Bytes per block of whole lines at most, unless one line is longer. A block
 # is decoded and scanned at once, and a worker's peak memory grows with it:
-# 64 KiB blocks cost about 10 MB more than 16 KiB ones.
+# 64 KiB blocks raise a worker's peak RSS from about 15 MB to 20-23 MB.
 _BLOCK = 16 * 1024
 # Decompressed bytes asked of each read of a gzip file, and compressed bytes
 # read from the file at a time, at most. Every worker must use the same read
@@ -729,24 +723,21 @@ def parse_blocks(
     ``findall`` of the canonical regex, one row per line, numbered on from the
     previous block's; a block with fewer rows than lines (a predicate token
     ran past a line end) is scanned again line by line. A line the regex
-    matches, whose predicate token the projection entry accepts, is validated
-    (its predicate's lint and ``strict_ids``, and the literal parser on a
-    literal the regex's plain group, whose escapes are never unknown, does not
-    take) and counted in its projection entry. If the projection reads its
-    kind, it is split on its tabs and built as parse_line builds it: a mid
-    subject from its scanned suffix, any other IRI term by
-    :func:`normalize_iri`, a literal by the literal parser, which has already
-    parsed one the plain group does not take. Any other line goes through
-    :func:`parse_line`, is counted too, and is always built. The block is
-    split into lines at most once, and only for a line that is built, copied
-    or sent to parse_line. A well-formed line of a predicate with a buffer is
-    appended there too, as it was read (less its line-end CRs), in input
-    order. The results equal a :func:`parse_line` call per line. Without a
-    ``projection`` every line is built. Each block yields its triples, an
-    empty list when none was built, so a caller can empty the buffers block by
-    block. ``report`` takes the block's counts before its triples are yielded,
-    and an I/O failure while reading raises StreamAbortedError with the report
-    of every line before it.
+    matches, whose projection entry accepts its predicate token (and, under
+    ``strict_ids``, its id), is well-formed: it adds its predicate's lint, is
+    counted in the entry and, if the projection reads its kind, is split on
+    its tabs and built as parse_line builds it, a mid subject from its
+    scanned suffix. Any other line goes through :func:`parse_line`, the only
+    code here that rejects a line; a well-formed one is counted too, and
+    always built. The block is split into lines at most once, and only for
+    a line that is built, copied or sent to parse_line. A well-formed line
+    of a predicate with a buffer is appended there too, as it was read (less
+    its line-end CRs), in input order. The results equal a
+    :func:`parse_line` call per line. Without a ``projection`` every line is
+    built. Each block yields its triples, an empty list when none was built,
+    so a caller can empty the buffers block by block. ``report`` takes the
+    block's counts before its triples are yielded; an I/O failure while
+    reading raises StreamAbortedError with the report of every line before it.
     """
     scan = _canonical_line(config.namespace).findall
     if projection is None:
@@ -771,39 +762,32 @@ def parse_blocks(
                 rows = [scan(line)[0] for line in texts[:count]]
             triples: list[Triple] = []
             malformed = report.lines_malformed
-            for i, (mid_subject, token, literal, line) in enumerate(rows):
+            for i, (mid_subject, token, line) in enumerate(rows):
                 entry = projection[token]
-                try:
-                    if entry is None:
-                        if token:  # a canonical line but for its predicate token
-                            if texts is None:
-                                texts = text.split("\n")
-                            line = texts[i]
+                if entry is None or entry[1] and config.strict_ids:
+                    if token:  # a canonical line but for its predicate token or id
+                        if texts is None:
+                            texts = text.split("\n")
+                        line = texts[i]
+                    try:
                         triple = parse_line(line, config, lint)
-                        token = "<" + to_iri(triple.predicate, namespace) + ">"
-                        _, _, cell, _, _, buffer = projection[token] or projection[triple.predicate]
-                    else:
-                        predicate, nonstandard, cell, plain, mid, buffer = entry
-                        if nonstandard:
-                            _flag_nonstandard(config, lint)
-                        if literal:
-                            literal = _parse_literal_term(literal, lint)
-                        triple = None
-                        if mid if mid_subject else plain:
-                            if texts is None:
-                                texts = text.split("\n")
-                            subject, _, obj, _ = texts[i].split("\t")
-                            if literal:
-                                obj = literal
-                            elif obj[0] == "<":
-                                obj = normalize_iri(obj[1:-1], config.namespace)
-                            else:
-                                obj = _parse_literal_term(obj, lint)
-                            subject = Mid(mid_subject) if mid_subject else normalize_iri(subject[1:-1], config.namespace)
-                            triple = Triple(subject, predicate, obj)
-                except MalformedLineError as exc:
-                    report.record_malformed(lines + i + 1, exc.reason)
-                    continue
+                    except MalformedLineError as exc:
+                        report.record_malformed(lines + i + 1, exc.reason)
+                        continue
+                    token = "<" + to_iri(triple.predicate, namespace) + ">"
+                    _, _, cell, _, _, buffer = projection[token] or projection[triple.predicate]
+                else:
+                    predicate, nonstandard, cell, plain, mid, buffer = entry
+                    if nonstandard:
+                        lint[NONSTANDARD_ID] += 1
+                    triple = None
+                    if mid if mid_subject else plain:
+                        if texts is None:
+                            texts = text.split("\n")
+                        subject, _, obj, _ = texts[i].split("\t")
+                        obj = normalize_iri(obj[1:-1], config.namespace) if obj[0] == "<" else _parse_literal_term(obj, lint)
+                        subject = Mid(mid_subject) if mid_subject else normalize_iri(subject[1:-1], config.namespace)
+                        triple = Triple(subject, predicate, obj)
                 cell[0] += 1
                 if buffer is not None:
                     if texts is None:

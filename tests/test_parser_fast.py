@@ -2,14 +2,16 @@
 
 A stream has two parse routes: the scan of each block with the canonical
 regex, which yields one row per line, and parse_line for each line the scan
-does not take itself (a line outside the canonical grammar, or one whose
-predicate token is). Over any input, each line alone or many as one stream,
-iter_triples must give what one parse_line call per line gives: the same
-triples, the same malformed reason codes at the same line numbers and the
-same lint counts. With a Projection it must count every well-formed line by
-predicate, build exactly the lines worked out line by line below, and copy
-each copied line as it was read, less its line-end CRs. All of it under both
-strict_ids settings and under the default and non-default namespaces.
+does not take itself (a line outside the canonical grammar, one whose
+predicate token is, or, under strict_ids, one whose predicate is a
+nonstandard id). Only parse_line rejects a line. Over any input, each line
+alone or many as one stream, iter_triples must give what one parse_line call
+per line gives: the same triples, the same malformed reason codes at the
+same line numbers and the same lint counts. With a Projection it must count
+every well-formed line by predicate, build exactly the lines worked out line
+by line below, and copy each copied line as it was read, less its line-end
+CRs. All of it under both strict_ids settings and under the default and
+non-default namespaces.
 """
 
 import io
@@ -71,7 +73,7 @@ def scanned(pattern, text: str):
     else None: the lines the scan takes itself, and does not leave to
     parse_line."""
     found = pattern.fullmatch(text)
-    return found if found[4] is None and re.fullmatch(r"<[^<>\s]+>", found[2]) else None
+    return found if found[3] is None and re.fullmatch(r"<[^<>\s]+>", found[2]) else None
 
 
 def per_line_parse(data: bytes, config: ParserConfig):
@@ -437,10 +439,33 @@ class TestProjectedDifferential:
         assert (ExternalIri("http://x/a b"), 2) in projection.tallies()
 
 
+class TestOnlyParseLineRejects:
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_every_malformed_line_went_through_parse_line(self, strict):
+        """The scan takes only well-formed lines: parse_line was given every line reported malformed."""
+        lines = random_dump_lines(3000, seed=11, malformed_rate=0.2)
+        lines[::50] = [f"{S}\t{fbt('base.a.b.c')}\t{O}\t."] * len(lines[::50])  # a nonstandard predicate
+        sent = []
+
+        def recording(line, *args):
+            sent.append(line)
+            return parse_line(line, *args)
+
+        report = ParseReport(max_errors=MAX_ERRORS)
+        with mock.patch.object(parser_module, "parse_line", recording):
+            for _ in iter_triples(dump_stream(lines), report, ParserConfig(strict_ids=strict)):
+                pass
+        assert len(report.errors) == report.lines_malformed > 0
+        assert any(reason == "nonstandard-id" for _, reason in report.errors) == strict
+        remaining = iter(sent)
+        assert all(lines[number - 1] in remaining for number, _ in report.errors)  # in input order
+
+
 # --- literal tokens ---------------------------------------------------------------
 #
-# A counted line parses its literal and drops it; it must raise the reason and
-# count the unknown escapes that parse_line does.
+# A line whose literal the scan's plain group does not take goes to
+# parse_line, counted or built; it must raise the reason and count the
+# unknown escapes that parse_line does.
 
 LITERAL_PIECES = [
     '"', "\\", "u", "U", *"0123456789abcdefABCDEF", "+", "-", "_", " ", "@", "en",
@@ -484,7 +509,7 @@ STRADDLING = [
     f"{S}\t{P[:-6]}", f"name>\t{O}\t.",
 ]
 # Predicate tokens outside the canonical grammar, with objects that the
-# scan takes, gives the literal parser, or that make the line malformed.
+# scan takes, leaves to parse_line, or that make the line malformed.
 ODD_PREDICATE_LINES = [
     f"{S}\t{predicate}\t{obj}\t."
     for predicate in [
@@ -769,7 +794,8 @@ class TestCopyDifferential:
 # group: none of them is unknown, so such a line is counted like an
 # unescaped one, without the literal parser, and built by unescaping its
 # lexical. Any other escape, an escaped quote that closes nothing, or a raw
-# tab keeps the line off the plain group.
+# tab keeps the line off the plain group, and the scan sends it to
+# parse_line.
 
 ESCAPE_CLASS_LINES = [
     *[f'{S}\t{P}\t"a{e}b"\t.' for e in ("\\\\", '\\"', "\\n", "\\r", "\\t")],
@@ -805,7 +831,7 @@ ESCAPE_NEAR_MISSES = [
 
 def takes_plain_group(text: str, namespace: str = NS) -> bool:
     found = parser_module._canonical_line(namespace).fullmatch(text)
-    return found[4] is None and found[3] is None
+    return found[3] is None
 
 
 def in_escape_class(body: str) -> bool:
@@ -838,8 +864,8 @@ class TestEscapeClass:
         for text in ESCAPE_NEAR_MISSES:
             assert not takes_plain_group(text), text
         found = [parser_module._canonical_line(NS).fullmatch(t) for t in ESCAPE_NEAR_MISSES]
-        # all but the two with a raw tab, which only the catch-all matches, take group 3
-        assert sum(f[3] is not None for f in found) == len(found) - 2
+        # every near miss is caught whole and goes to parse_line
+        assert all(f[3] == t for f, t in zip(found, ESCAPE_NEAR_MISSES))
 
     def test_same_triple_reason_and_lint_as_the_reference(self):
         lines = ESCAPE_CLASS_LINES + ESCAPE_NEAR_MISSES
