@@ -23,7 +23,6 @@ import shutil
 from fbont import (
     CyclePolicy,
     IncompatibilityRule,
-    Mid,
     ParseReport,
     idpath,
     iter_triples,
@@ -76,8 +75,8 @@ fold = SemanticsFold(run_root, known_rules=frozenset({rule}))
 _, merged = run_folds([dump], [fold])
 
 merge_map = merged["merge_map"]
-print("merge edges:", {render(k): render(v) for k, v in merge_map.edges.items()})
-print("resolve(/m/xyz123) ->", render(merge_map.resolve(Mid("xyz123"))))
+print("merge edges:", merge_map.edges)  # rendered ids
+print("resolve(/m/xyz123) ->", merge_map.resolve("/m/xyz123"))
 
 rewritten = []
 report = rewrite_canonical(iter_triples(dump, ParseReport()), merge_map, rewritten.append)
@@ -107,4 +106,4 @@ _, cycle = run_folds([write_dump("cycle.nt", cycle_lines)], [SemanticsFold(run_r
 shutil.rmtree(run_root)
 cycle_map = cycle["merge_map"]
 survivor = cycle_map.resolve(next(iter(cycle_map.edges)), CyclePolicy.SMALLEST)
-print(f"\ncycle canonicalized to {render(survivor)} under the resilience policy")
+print(f"\ncycle canonicalized to {survivor} under the resilience policy")

@@ -593,9 +593,9 @@ def concatenate_shards(shard_dirs: Sequence[str], out_dir: str) -> list[str]:
     """Merge worker-private slice shards into final per-slice files.
 
     Shards concatenate in partition order, so the result is byte-identical to
-    a single-worker run. Each final file is written in place: the CLI writes
-    them into its work directory and publishes them by rename. The shard
-    directories and their parents are removed afterwards.
+    a single-worker run. Each output is its first piece, moved into place (a
+    rename in the CLI's work directory), with the later pieces appended.
+    The shard directories and their parents are removed afterwards.
     """
     relpaths = sorted(
         {
@@ -608,12 +608,12 @@ def concatenate_shards(shard_dirs: Sequence[str], out_dir: str) -> list[str]:
     for rel in relpaths:
         path = os.path.join(out_dir, rel)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as out:
-            for shard_dir in shard_dirs:
-                piece = os.path.join(shard_dir, rel)
-                if os.path.exists(piece):
-                    with open(piece, "rb") as src:
-                        shutil.copyfileobj(src, out)
+        first, *later = filter(os.path.exists, (os.path.join(shard_dir, rel) for shard_dir in shard_dirs))
+        shutil.move(first, path)
+        with open(path, "ab") as out:
+            for piece in later:
+                with open(piece, "rb") as src:
+                    shutil.copyfileobj(src, out)
     for shard_dir in shard_dirs:
         shutil.rmtree(shard_dir, ignore_errors=True)
     for parent in {os.path.dirname(d) for d in shard_dirs}:

@@ -1,11 +1,11 @@
 """Freebase graph semantics: merges, value notations, type incompatibility.
 
 Duplicate objects are merged by pointing the duplicate at the node that
-subsumes it (``/dataworld/gardening_hint/replaced_by``); resolving a mid
-follows that relation to its terminus. ``has_value`` / ``has_no_value``
-notations mark known-but-unstated and definitely-absent values. Type
-incompatibility rules flag objects asserting mutually exclusive types,
-which is also the reporting hook for conflated objects needing a split.
+subsumes it (``/dataworld/gardening_hint/replaced_by``); resolving a mid's
+rendered id ``/m/<suffix>`` follows that relation to its terminus.
+``has_value`` / ``has_no_value`` notations mark known-but-unstated and
+definitely-absent values. Type incompatibility rules flag objects asserting
+mutually exclusive types, the reporting hook for conflated objects to split.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, count, groupby
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .model import IdPath, Mid, Triple, idpath, intern_path, parse_ref, reduce_value, render
@@ -26,9 +26,6 @@ REPLACED_BY_PREDICATE = idpath("/dataworld/gardening_hint/replaced_by")
 HAS_VALUE_PREDICATE = idpath("/freebase/valuenotation/has_value")
 HAS_NO_VALUE_PREDICATE = idpath("/freebase/valuenotation/has_no_value")
 TYPE_ASSERTION_PREDICATE = idpath("/type/object/type")
-
-# Sorts mids as their one-field dataclass order does, with C string compares.
-_SUFFIX = attrgetter("suffix")
 
 
 class CyclePolicy(enum.Enum):
@@ -44,17 +41,19 @@ class CyclePolicy(enum.Enum):
 
 
 class MergeCycleError(ValueError):
-    def __init__(self, members: list[Mid]):
-        rendered = ", ".join(render(m) for m in sorted(members, key=_SUFFIX))
-        super().__init__(f"replaced-by cycle: {rendered}")
-        self.members = sorted(members, key=_SUFFIX)
+    """A replaced-by cycle; ``members`` are its rendered ids, sorted."""
+
+    def __init__(self, members: list[str]):
+        self.members = sorted(members)
+        super().__init__(f"replaced-by cycle: {', '.join(self.members)}")
 
 
 @dataclass
 class MergeMap:
-    """Directed duplicate-to-replacement edges over mids.
+    """Directed duplicate-to-replacement edges over mids' rendered ids.
 
-    A later conflicting edge for an already-seen duplicate wins and is
+    Under their shared ``/m/`` prefix the ids sort as the suffixes do. A
+    later conflicting edge for an already-seen duplicate wins and is
     counted. ``firsts`` keeps a duplicate's first replacement only while its
     last one differs, so a later map's first edge is counted against the
     earlier map's last, as a single pass counts it. ``merge`` folds a later
@@ -63,12 +62,12 @@ class MergeMap:
     is added or merged in.
     """
 
-    edges: dict[Mid, Mid] = field(default_factory=dict)
+    edges: dict[str, str] = field(default_factory=dict)
     conflicts: int = 0
-    firsts: dict[Mid, Mid] = field(default_factory=dict)
-    _cache: dict[Mid, Mid] = field(default_factory=dict, repr=False, compare=False)
+    firsts: dict[str, str] = field(default_factory=dict)
+    _cache: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
 
-    def add_edge(self, duplicate: Mid, replacement: Mid) -> None:
+    def add_edge(self, duplicate: str, replacement: str) -> None:
         existing = self.edges.get(duplicate)
         if existing is not None and existing != replacement:
             self.conflicts += 1
@@ -76,7 +75,7 @@ class MergeMap:
         self.edges[duplicate] = replacement
         self._cache.clear()
 
-    def _set_last(self, duplicate: Mid, first: Mid, last: Mid) -> None:
+    def _set_last(self, duplicate: str, first: str, last: str) -> None:
         if first != last:
             self.firsts[duplicate] = first
         else:
@@ -98,8 +97,8 @@ class MergeMap:
         self._cache.clear()
         return self
 
-    def resolve(self, mid: Mid, policy: CyclePolicy = CyclePolicy.FAIL) -> Mid:
-        """Follow edges to the chain's terminal mid.
+    def resolve(self, mid: str, policy: CyclePolicy = CyclePolicy.FAIL) -> str:
+        """Follow edges from a rendered id to the chain's terminal one.
 
         Mids with no edge resolve to themselves. Visited nodes are cached, so
         repeated resolution over long chains is amortized near-constant.
@@ -108,8 +107,8 @@ class MergeMap:
         cached = cache.get(mid)
         if cached is not None:
             return cached
-        path: list[Mid] = []
-        position: dict[Mid, int] = {}
+        path: list[str] = []
+        position: dict[str, int] = {}
         current = mid
         while True:
             cached = cache.get(current)
@@ -124,7 +123,7 @@ class MergeMap:
                 members = path[position[current]:]
                 if policy is CyclePolicy.FAIL:
                     raise MergeCycleError(members)
-                terminal = min(members, key=_SUFFIX)
+                terminal = min(members)
                 break
             position[current] = len(path)
             path.append(current)
@@ -139,11 +138,11 @@ def feed_merge_edge(
     triple: Triple,
     counters: Counter | None = None,
 ) -> None:
-    """Fold one triple's replaced-by edge (if any) into the map."""
+    """Fold one triple's replaced-by edge (if any) into the map, as two rendered ids."""
     if triple.predicate != REPLACED_BY_PREDICATE:
         return
     if isinstance(triple.subject, Mid) and isinstance(triple.object, Mid):
-        merge_map.add_edge(triple.subject, triple.object)
+        merge_map.add_edge(render(triple.subject), render(triple.object))
     elif counters is not None:
         counters["replaced-by-shape"] += 1
 
@@ -164,7 +163,7 @@ def rewrite_canonical(
     """Replace every subject/object mid with its canonical terminus.
 
     Predicates are never touched. Triple count is preserved exactly: each
-    input triple yields exactly one output triple.
+    input triple yields exactly one output triple. Mids resolve by rendered id.
     """
     report = RewriteReport()
     for triple in triples:
@@ -172,15 +171,15 @@ def rewrite_canonical(
         subject = triple.subject
         obj = triple.object
         if isinstance(subject, Mid):
-            resolved = merge_map.resolve(subject, policy)
-            if resolved != subject:
+            resolved = merge_map.resolve(rendered := render(subject), policy)
+            if resolved != rendered:
                 report.subjects_rewritten += 1
-                subject = resolved
+                subject = parse_ref(resolved)
         if isinstance(obj, Mid):
-            resolved = merge_map.resolve(obj, policy)
-            if resolved != obj:
+            resolved = merge_map.resolve(rendered := render(obj), policy)
+            if resolved != rendered:
                 report.objects_rewritten += 1
-                obj = resolved
+                obj = parse_ref(resolved)
         if subject is triple.subject and obj is triple.object:
             sink(triple)
         else:
@@ -454,7 +453,7 @@ def merge_tsv_rows(merge_map: MergeMap, policy: CyclePolicy = CyclePolicy.FAIL) 
     for duplicate in merge_map.edges:
         merge_map.resolve(duplicate, policy)
     terminal = merge_map._cache
-    return _csv_lines(((render(dup), render(terminal[dup])) for dup in sorted(merge_map.edges, key=_SUFFIX)), "\t")
+    return _csv_lines(((dup, terminal[dup]) for dup in sorted(merge_map.edges)), "\t")
 
 
 def write_merge_tsv(merge_map: MergeMap, stream: TextIO, policy: CyclePolicy = CyclePolicy.FAIL) -> int:

@@ -25,7 +25,6 @@ from dumpgen import (
     random_dump_lines,
 )
 from fbont.cli import main
-from fbont.model import Mid
 from fbont.pipeline import (
     Job,
     SemanticsFold,
@@ -139,17 +138,17 @@ def test_criterion_3_parser_robustness_and_worker_determinism(tmp_path):
 def test_criterion_4_merge_semantics():
     with criterion(4, "deep chains, cycle policies, count-preserving rewrite"):
         for depth in (10, 100, 1000):
-            edges = {Mid(f"n{i}"): Mid(f"n{i + 1}") for i in range(depth)}
+            edges = {f"/m/n{i}": f"/m/n{i + 1}" for i in range(depth)}
             merge_map = MergeMap(dict(edges))
             for probe in (0, depth // 2, depth - 1):
-                mid = Mid(f"n{probe}")
-                assert merge_map.resolve(mid) == oracle_resolve(edges, mid) == Mid(f"n{depth}")
+                mid = f"/m/n{probe}"
+                assert merge_map.resolve(mid) == oracle_resolve(edges, mid) == f"/m/n{depth}"
 
-        cycle = MergeMap({Mid("p"): Mid("q"), Mid("q"): Mid("r"), Mid("r"): Mid("p")})
+        cycle = MergeMap({"/m/p": "/m/q", "/m/q": "/m/r", "/m/r": "/m/p"})
         with pytest.raises(MergeCycleError):
-            cycle.resolve(Mid("q"))
+            cycle.resolve("/m/q")
         resilient = MergeMap(dict(cycle.edges))
-        assert resilient.resolve(Mid("q"), CyclePolicy.SMALLEST) == Mid("p")
+        assert resilient.resolve("/m/q", CyclePolicy.SMALLEST) == "/m/p"
 
         lines = [
             obj_line(f"m.d{i}", "dataworld.gardening_hint.replaced_by", f"m.c{i % 7}")

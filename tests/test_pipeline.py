@@ -245,6 +245,30 @@ class TestWorkerEquivalence:
         assert outputs[1] == outputs[4]
         assert not (tmp_path / "slices_w1" / ".parts").exists()
 
+    def test_each_output_is_its_first_shard_file_moved_into_place(self, tmp_path):
+        """The first partition's piece of an output becomes the output (same inode),
+        the later pieces are appended in partition order, and the relpaths are the shards' own."""
+        path = write_lines(tmp_path, random_dump_lines(2_000, seed=8))
+        parts = plan_partitions([path], 4)
+        _, merged = run_partitioned(Job((SliceFold(str(tmp_path / ".parts")),)), parts, 1)
+        shard_dirs = merged["shard_dirs"]
+        pieces, inodes = {}, {}  # each relpath's pieces, in partition order, and its first piece's inode
+        for shard_dir in shard_dirs:
+            for root, _, files in os.walk(shard_dir):
+                for name in files:
+                    full = os.path.join(root, name)
+                    rel = os.path.relpath(full, shard_dir)
+                    pieces.setdefault(rel, []).append(Path(full).read_bytes())
+                    inodes.setdefault(rel, os.stat(full).st_ino)
+        first = {rel for rel in pieces if os.path.exists(os.path.join(shard_dirs[0], rel))}
+        assert first and any(len(found) > 1 for found in pieces.values())
+        out = tmp_path / "slices"
+        assert concatenate_shards(shard_dirs, str(out)) == sorted(pieces)
+        for rel, found in pieces.items():
+            assert os.stat(out / rel).st_ino == inodes[rel], rel
+            assert (out / rel).read_bytes() == b"".join(found), rel
+        assert not any(os.path.exists(shard_dir) for shard_dir in shard_dirs)
+
     def test_study_job_across_workers(self, tmp_path):
         from test_cli import study_fixture_lines
 

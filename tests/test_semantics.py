@@ -1,16 +1,18 @@
 import csv
 import io
 import os
+import pickle
 import random
+import subprocess
 from collections import Counter
 
 import pytest
 
 from conftest import RUN_ROOT, dump_stream, fold_triples, lit_line, obj_line, read_masks, read_notations
 from dumpgen import oracle_resolve, oracle_violations
-from fbont.model import Literal, Mid, idpath, parse_ref, render
+from fbont.model import Literal, Mid, idpath, parse_ref
 from fbont.parser import ParseReport, iter_triples, serialize
-from fbont.pipeline import SemanticsFold
+from fbont.pipeline import Job, Partition, SemanticsFold
 from fbont.semantics import (
     CyclePolicy,
     IncompatibilityRule,
@@ -28,6 +30,7 @@ from fbont.semantics import (
     write_mask_run,
     write_merge_tsv,
 )
+from test_interpreters import SRC, interpreters_on_path, skip_unless_it_starts
 
 REPLACED_BY = "dataworld.gardening_hint.replaced_by"
 
@@ -57,22 +60,21 @@ def read_merge_tsv(stream):
         parts = text.split("\t")
         if len(parts) != 2:
             raise ValueError(f"merge tsv line {line_number}: expected two columns")
-        duplicate, canonical = (parse_ref(p) for p in parts)
-        if not (isinstance(duplicate, Mid) and isinstance(canonical, Mid)):
+        if not all(isinstance(parse_ref(p), Mid) for p in parts):
             raise ValueError(f"merge tsv line {line_number}: not mids: {text!r}")
-        merge_map.add_edge(duplicate, canonical)
+        merge_map.add_edge(*parts)
     return merge_map
 
 
 def forest_lines(n_nodes, seed, edge_probability=0.6):
-    """Random replaced-by forest (edges only point to lower indexes: acyclic)."""
+    """Random replaced-by forest (edges only point to lower indexes: acyclic), edges by rendered id."""
     rng = random.Random(seed)
     lines, edges = [], {}
     for i in range(1, n_nodes):
         if rng.random() < edge_probability:
             j = rng.randrange(i)
             lines.append(obj_line(f"m.n{i}", REPLACED_BY, f"m.n{j}"))
-            edges[Mid(f"n{i}")] = Mid(f"n{j}")
+            edges[f"/m/n{i}"] = f"/m/n{j}"
         else:
             lines.append(obj_line(f"m.n{i}", "people.person.spouse_s", f"m.n{i - 1}"))
     rng.shuffle(lines)
@@ -82,7 +84,7 @@ def forest_lines(n_nodes, seed, edge_probability=0.6):
 class TestBuildMergeMap:
     def test_single_edge(self):
         merge_map = merge_map_of(parse_lines([obj_line("m.xyz123", REPLACED_BY, "m.abc123")]))
-        assert merge_map.edges == {Mid("xyz123"): Mid("abc123")}
+        assert merge_map.edges == {"/m/xyz123": "/m/abc123"}
 
     def test_empty_stream(self):
         assert merge_map_of([]).edges == {}
@@ -98,14 +100,14 @@ class TestBuildMergeMap:
             obj_line("m.a", REPLACED_BY, "m.c"),
         ]
         merge_map = merge_map_of(parse_lines(lines))
-        assert merge_map.edges == {Mid("a"): Mid("c")}
+        assert merge_map.edges == {"/m/a": "/m/c"}
         assert merge_map.conflicts == 1
 
     def test_conflicts_count_as_one_pass_counts_them_wherever_the_edges_split(self):
         """A later partition's first edge of a duplicate is checked against the
         earlier partition's last edge of it, so every split gives the one-pass map."""
         rng = random.Random(4)
-        edges = [(Mid(f"d{rng.randrange(5)}"), Mid(f"c{rng.randrange(3)}")) for _ in range(40)]
+        edges = [(f"/m/d{rng.randrange(5)}", f"/m/c{rng.randrange(3)}") for _ in range(40)]
 
         def built(pairs):
             merge_map = MergeMap()
@@ -140,29 +142,29 @@ class TestBuildMergeMap:
 
 class TestResolve:
     def test_single_edge_resolves_to_replacement(self):
-        merge_map = MergeMap({Mid("xyz123"): Mid("abc123")})
-        assert merge_map.resolve(Mid("xyz123")) == Mid("abc123")
+        merge_map = MergeMap({"/m/xyz123": "/m/abc123"})
+        assert merge_map.resolve("/m/xyz123") == "/m/abc123"
 
     def test_identity_without_edges(self):
-        assert MergeMap().resolve(Mid("zzz")) == Mid("zzz")
+        assert MergeMap().resolve("/m/zzz") == "/m/zzz"
 
     def test_chain_resolves_to_terminus(self):
-        merge_map = MergeMap({Mid("a"): Mid("b"), Mid("b"): Mid("c"), Mid("c"): Mid("d")})
-        assert merge_map.resolve(Mid("a")) == Mid("d")
-        assert oracle_resolve(merge_map.edges, Mid("a")) == Mid("d")
+        merge_map = MergeMap({"/m/a": "/m/b", "/m/b": "/m/c", "/m/c": "/m/d"})
+        assert merge_map.resolve("/m/a") == "/m/d"
+        assert oracle_resolve(merge_map.edges, "/m/a") == "/m/d"
 
     def test_deep_chain_against_uncompressed_walk(self):
         depth = 1000
-        edges = {Mid(f"c{i}"): Mid(f"c{i + 1}") for i in range(depth)}
+        edges = {f"/m/c{i}": f"/m/c{i + 1}" for i in range(depth)}
         merge_map = MergeMap(dict(edges))
         for start in (0, 1, 500, 999):
-            mid = Mid(f"c{start}")
-            assert merge_map.resolve(mid) == oracle_resolve(edges, mid) == Mid(f"c{depth}")
+            mid = f"/m/c{start}"
+            assert merge_map.resolve(mid) == oracle_resolve(edges, mid) == f"/m/c{depth}"
 
     def test_a_merged_edge_redirects_a_resolved_chain(self):
-        merge_map = MergeMap({Mid("a"): Mid("b")})
-        assert merge_map.resolve(Mid("a")) == Mid("b")
-        assert merge_map.merge(MergeMap({Mid("b"): Mid("c")})).resolve(Mid("a")) == Mid("c")
+        merge_map = MergeMap({"/m/a": "/m/b"})
+        assert merge_map.resolve("/m/a") == "/m/b"
+        assert merge_map.merge(MergeMap({"/m/b": "/m/c"})).resolve("/m/a") == "/m/c"
 
     def test_idempotent(self):
         lines, edges = forest_lines(300, seed=2)
@@ -172,42 +174,42 @@ class TestResolve:
             assert merge_map.resolve(once) == once
 
     def test_cycle_fails_loud_naming_members(self):
-        merge_map = MergeMap({Mid("p"): Mid("q"), Mid("q"): Mid("r"), Mid("r"): Mid("p")})
+        merge_map = MergeMap({"/m/p": "/m/q", "/m/q": "/m/r", "/m/r": "/m/p"})
         with pytest.raises(MergeCycleError) as err:
-            merge_map.resolve(Mid("p"))
-        assert err.value.members == [Mid("p"), Mid("q"), Mid("r")]
+            merge_map.resolve("/m/p")
+        assert err.value.members == ["/m/p", "/m/q", "/m/r"]
 
     def test_cycle_members_and_message_sorted_by_suffix(self):
-        merge_map = MergeMap({Mid("p"): Mid("q"), Mid("q"): Mid("r"), Mid("r"): Mid("p")})
+        merge_map = MergeMap({"/m/p": "/m/q", "/m/q": "/m/r", "/m/r": "/m/p"})
         with pytest.raises(MergeCycleError) as err:
-            merge_map.resolve(Mid("r"))  # walks r, p, q
-        assert err.value.members == [Mid("p"), Mid("q"), Mid("r")]
+            merge_map.resolve("/m/r")  # walks r, p, q
+        assert err.value.members == ["/m/p", "/m/q", "/m/r"]
         assert str(err.value) == "replaced-by cycle: /m/p, /m/q, /m/r"
 
     def test_cycle_smallest_policy(self):
-        merge_map = MergeMap({Mid("p"): Mid("q"), Mid("q"): Mid("c"), Mid("c"): Mid("p")})
+        merge_map = MergeMap({"/m/p": "/m/q", "/m/q": "/m/c", "/m/c": "/m/p"})
         for start in ("p", "q", "c"):
-            assert merge_map.resolve(Mid(start), CyclePolicy.SMALLEST) == Mid("c")
+            assert merge_map.resolve(f"/m/{start}", CyclePolicy.SMALLEST) == "/m/c"
 
     def test_tail_into_cycle_smallest(self):
         merge_map = MergeMap(
-            {Mid("t"): Mid("p"), Mid("p"): Mid("q"), Mid("q"): Mid("p")}
+            {"/m/t": "/m/p", "/m/p": "/m/q", "/m/q": "/m/p"}
         )
-        assert merge_map.resolve(Mid("t"), CyclePolicy.SMALLEST) == Mid("p")
+        assert merge_map.resolve("/m/t", CyclePolicy.SMALLEST) == "/m/p"
 
     def test_merge_tsv_rows_resolve_every_duplicate(self):
         lines, edges = forest_lines(200, seed=13)
         merge_map = merge_map_of(parse_lines(lines))
         rows = [row.rstrip("\n").split("\t") for row in merge_tsv_rows(merge_map)]
-        assert [duplicate for duplicate, _ in rows] == sorted(render(mid) for mid in edges)
+        assert [duplicate for duplicate, _ in rows] == sorted(edges)
         for duplicate, terminal in rows:
-            assert parse_ref(terminal) == oracle_resolve(edges, parse_ref(duplicate))
+            assert terminal == oracle_resolve(edges, duplicate)
 
 
 class TestRewriteCanonical:
     def test_direct_substitution(self):
         triples = parse_lines([lit_line("m.xyz123", "people.person.date_of_birth", "1960")])
-        merge_map = MergeMap({Mid("xyz123"): Mid("abc123")})
+        merge_map = MergeMap({"/m/xyz123": "/m/abc123"})
         out = []
         report = rewrite_canonical(triples, merge_map, out.append)
         assert out[0].subject == Mid("abc123")
@@ -480,10 +482,10 @@ class TestMergeTsv:
         out = io.StringIO()
         write_merge_tsv(merge_map_of(parse_lines(lines)), out)
         duplicates = [row.split("\t")[0] for row in out.getvalue().splitlines()]
-        assert duplicates == sorted(f"/m/{mid.suffix}" for mid in edges)
+        assert duplicates == sorted(edges) == ["/m/" + suffix for suffix in sorted(dup[3:] for dup in edges)]
 
     def test_rows_sorted_and_canonical(self):
-        merge_map = MergeMap({Mid("b"): Mid("a"), Mid("c"): Mid("b")})
+        merge_map = MergeMap({"/m/b": "/m/a", "/m/c": "/m/b"})
         out = io.StringIO()
         write_merge_tsv(merge_map, out)
         assert out.getvalue() == "/m/b\t/m/a\n/m/c\t/m/a\n"
@@ -498,3 +500,64 @@ class TestMergeTsv:
         assert out.getvalue() == f"{quoted}\t/m/c\n/m/d\t/m/c\n"
         rows = list(csv.reader(io.StringIO(out.getvalue(), newline=""), delimiter="\t"))
         assert rows == [[f"/m/{odd}", "/m/c"], ["/m/d", "/m/c"]]
+
+
+# The traced bytes a merge map holds per edge, fed parser-built replaced-by
+# triples: its dicts' share and the two rendered ids it keeps of each edge.
+EDGE_BUDGET_BYTES = 200
+BUDGET_EDGES = 50_000
+EDGE_BYTES_SCRIPT = """
+import sys, tracemalloc
+from fbont.parser import ParseReport, iter_triples
+from fbont.semantics import MergeMap, feed_merge_edge
+def built():
+    merge_map = MergeMap()
+    for triple in iter_triples(sys.argv[1], ParseReport()):
+        feed_merge_edge(merge_map, triple)
+    return merge_map
+built()  # so the parser's one-time state is made before the trace
+tracemalloc.start()
+merge_map = built()
+print(len(merge_map.edges), tracemalloc.get_traced_memory()[0] / len(merge_map.edges))
+"""
+
+
+class TestMergeMapMemory:
+    @pytest.mark.parametrize("python", interpreters_on_path())
+    def test_bytes_per_edge_stay_under_the_budget(self, python, tmp_path):
+        """Traced while the parser streams the triples, so the map pays for every
+        object it keeps alive of them; each supported interpreter on PATH is measured."""
+        skip_unless_it_starts(python)
+        lines = [  # distinct duplicates, three to a replacement
+            obj_line(f"m.0{i * 7919 % (2 * BUDGET_EDGES):06x}", REPLACED_BY, f"m.1{i // 3:06x}")
+            for i in range(BUDGET_EDGES)
+        ]
+        dump = tmp_path / "edges.nt"
+        dump.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        argv = [python, "-c", EDGE_BYTES_SCRIPT, str(dump)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        edges, per_edge = proc.stdout.split()
+        assert int(edges) == BUDGET_EDGES
+        assert float(per_edge) < EDGE_BUDGET_BYTES, f"{python}: {float(per_edge):.0f} bytes per edge"
+
+    def test_a_partitions_pickled_merge_map_holds_no_mid(self, tmp_path):
+        """The map crosses the pipe as plain strings: unpickling it loads no Mid class."""
+        lines, edges = forest_lines(300, seed=41)
+        path = tmp_path / "dump.nt"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        payload = Job((SemanticsFold(str(tmp_path / "runs")),)).run(Partition(str(path), 0, -1, 0))[1]
+        loaded = []
+
+        class Recording(pickle.Unpickler):
+            def find_class(self, module, name):
+                loaded.append((module, name))
+                return super().find_class(module, name)
+
+        pickled = pickle.dumps(payload["merge_map"], pickle.HIGHEST_PROTOCOL)
+        merge_map = Recording(io.BytesIO(pickled)).load()
+        assert ("fbont.semantics", "MergeMap") in loaded
+        assert ("fbont.model", "Mid") not in loaded
+        assert merge_map.edges == edges
+
