@@ -20,8 +20,8 @@ Each subcommand builds its documents as a ``{file name: document}`` map, a
 document being text or an iterable of text chunks, the tables rendered by
 :mod:`fbont.report`, and ends in one publish step (:func:`_publish`) that
 writes them, with ``parse_report.json`` when the dump was parsed, and prints
-the parse summary. ``semantics`` gives every table as chunks but
-``valuenotes.csv``, joined from shards as slices are.
+the parse summary. ``semantics`` gives every table as chunks but its two
+csv tables, which it writes before the publish (see :func:`cmd_semantics`).
 
 Each run has one work directory, ``OUT/.fbont-<command>`` (:func:`_work_dir`):
 slice shards go under its ``parts/``, mask runs and notation shards under
@@ -209,35 +209,34 @@ def cmd_semantics(args: argparse.Namespace) -> int:
     """Merges, value notations and, given --rules, the objects that break a rule.
 
     The --rules file is read before the parse, so a bad file fails fast and
-    writes nothing, and so the fold keeps, per mid, only the bits of the
-    types those rules name, and reads the typing of mids only, and only
-    with --rules. The workers write the value notations as shards
-    of valuenotes.csv rows and those masks as sorted runs, both under the
-    work directory's runs/ (see SemanticsFold). concatenate_shards joins a
-    header shard and the shards into valuenotes.csv, which the csv module
-    reads back for valuenotes.json; the runs are merged as a stream. Every
-    table, merges.tsv too, is written row by row through report's row
-    writer, so no table is ever one string here, and no notation is held
-    once the parse is done.
+    writes nothing, and so the fold keeps only the bits of the types those
+    rules name (see SemanticsFold). The violations of its merged mask runs
+    stream into violations.csv, counted as they are written. concatenate_shards
+    moves it, with valuenotes.csv joined from a header and the notation
+    shards, to the work directory's out/, where each is read back for its
+    JSON twin. No table is one string here; no notation or violation is held.
     """
     rules = _read_input(args.rules, load_rules) if args.rules else frozenset()
     fold = SemanticsFold(os.path.join(args.work, "runs"), rules, args.accept_reversed)
     report, merged = _run(args, fold)
-    violations = fold.violations(merged["type_masks"])
+    own, staged = os.path.join(args.work, "own"), os.path.join(args.work, "out")
+    os.makedirs(own)  # violations.csv and valuenotes.csv's header, which concatenate_shards moves to out/
+    tables = {"valuenotes": VALUENOTE_COLUMNS}
+    if args.rules:
+        tables["violations"] = VIOLATION_COLUMNS
+        rows = violation_rows(fold.violations(merged["type_masks"]))
+        with open(os.path.join(own, "violations.csv"), "w", encoding="utf-8", newline="") as handle:
+            for violations, line in enumerate(stream_table(VIOLATION_COLUMNS, rows)):  # the header is 0
+                handle.write(line)
     merge_map = merged["merge_map"]
     docs = {"merges.tsv": merge_tsv_rows(merge_map, CyclePolicy(args.cycle_policy))}  # MergeCycleError: exit 4
-    header = os.path.join(args.work, "header")
-    os.makedirs(header)
-    with open(os.path.join(header, "valuenotes.csv"), "w", encoding="utf-8", newline="") as handle:
+    with open(os.path.join(own, "valuenotes.csv"), "w", encoding="utf-8", newline="") as handle:
         handle.writelines(stream_table(VALUENOTE_COLUMNS, ()))
-    concatenate_shards([header, *merged["notations"]], os.path.join(args.work, "out"))
-    if args.json:
-        notes = _csv_rows(os.path.join(args.work, "out", "valuenotes.csv"), VALUENOTE_COLUMNS)
-        docs["valuenotes.json"] = stream_table(VALUENOTE_COLUMNS, notes, "json")
+    concatenate_shards([own, *merged["notations"]], staged)
+    for name, columns in tables.items() if args.json else ():
+        docs[f"{name}.json"] = stream_table(columns, _csv_rows(os.path.join(staged, f"{name}.csv"), columns), "json")
     if args.rules:
-        for fmt in ("csv", "json") if args.json else ("csv",):
-            docs[f"violations.{fmt}"] = stream_table(VIOLATION_COLUMNS, violation_rows(violations), fmt)
-        print(f"violations: {len(violations)}")
+        print(f"violations: {violations}")
 
     _publish(args, docs, report)
     print(

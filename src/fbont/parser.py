@@ -568,8 +568,11 @@ _BLOCK = 16 * 1024
 # read from the file at a time, at most. Every worker must use the same read
 # loop, since a gzip range owns lines by where those reads end. The compressed
 # cap is no more than any Python's gzip module asks for (8 KiB up to 3.11,
-# 128 KiB after), so where the reads end does not depend on the interpreter.
-_INFLATE_READ = 256 * 1024
+# 128 KiB after), so where the reads end does not depend on the interpreter
+# while 8 KiB inflates to at most 120 KiB (3.10 and 3.11 split a larger output
+# and read its input again). Each read allocates its whole size: under glibc's
+# 128 KiB mmap threshold, from the heap, not from fresh pages that fault.
+_INFLATE_READ = 120 * 1024
 _COMPRESSED_READ = 8 * 1024
 
 # Where a chunk of a range's stream lies: before the range, in it, or past it.

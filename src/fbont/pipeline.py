@@ -314,12 +314,12 @@ class SemanticsFold:
             return mid_subject and bool(self.known_rules)
         return predicate in _SEMANTICS_PREDICATES
 
-    def violations(self, runs: Sequence[str]) -> list[Violation]:
-        """The violations of the known rules in the ``type_masks`` runs, by mid, then rule.
+    def violations(self, runs: Sequence[str]) -> Iterator[Violation]:
+        """The stream of the known rules' violations in the ``type_masks`` runs, by mid, then rule.
 
-        The runs are merged as a stream, never more of them open than
-        ``slicer._open_file_cap()`` (three at least); a merge pass writes its
-        runs under ``run_root`` and removes them.
+        The runs are merged as the stream is read, never more of them open
+        than ``slicer._open_file_cap()`` (three at least); a merge pass writes
+        its runs under ``run_root`` and removes them.
         """
         return mask_violations(merge_mask_runs(runs, self.run_root, _open_file_cap()), self.known_rules)
 

@@ -373,8 +373,8 @@ def merge_mask_runs(runs: Sequence[str], directory: str, open_runs: int) -> Iter
                 os.remove(path)
 
 
-def mask_violations(type_masks: Iterable[tuple[str, int]], rules: Collection[IncompatibilityRule]) -> list[Violation]:
-    """Every (object, rule) pair whose two type bits the object's mask holds.
+def mask_violations(type_masks: Iterable[tuple[str, int]], rules: Collection[IncompatibilityRule]) -> Iterator[Violation]:
+    """Yield every (object, rule) pair whose two type bits the object's mask holds.
 
     ``type_masks`` gives each mid suffix once, in str order, with the OR of
     the ``type_bits(rules)`` of the types it asserts, so the output is
@@ -385,7 +385,6 @@ def mask_violations(type_masks: Iterable[tuple[str, int]], rules: Collection[Inc
     bits = type_bits(rules)
     named = {bit: typ for typ, bit in bits.items()}
     pairs = {(bits[rule.type_a], bits[rule.type_b]) for rule in rules}
-    violations: list[Violation] = []
     for suffix, mask in type_masks:
         if not mask & (mask - 1):
             continue
@@ -397,8 +396,7 @@ def mask_violations(type_masks: Iterable[tuple[str, int]], rules: Collection[Inc
         mid = Mid(suffix)
         for a, b in combinations(held, 2):
             if (a, b) in pairs:
-                violations.append(Violation(mid, named[a], named[b]))
-    return violations
+                yield Violation(mid, named[a], named[b])
 
 
 def check_incompatibilities(
@@ -419,7 +417,7 @@ def check_incompatibilities(
         bit = bits.get(asserted)
         if bit is not None:
             type_masks[mid.suffix] = type_masks.get(mid.suffix, 0) | bit
-    return mask_violations(sorted(type_masks.items()), rules)
+    return list(mask_violations(sorted(type_masks.items()), rules))
 
 
 def load_rules(stream: TextIO) -> frozenset[IncompatibilityRule]:

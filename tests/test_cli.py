@@ -28,7 +28,7 @@ from fbont.model import Mid, idpath, render
 from fbont.parser import ParseReport, StreamAbortedError, iter_triples
 from fbont.pipeline import Job, SemanticsFold, SliceFold
 from fbont.report import VALUENOTE_COLUMNS, render_table
-from fbont.semantics import NotationKind, ValueNotation, load_rules, type_bits, write_mask_run
+from fbont.semantics import NotationKind, ValueNotation, Violation, load_rules, type_bits, write_mask_run
 from fbont.slicer import slice_relpath
 
 TEST_PID = os.getpid()
@@ -622,15 +622,19 @@ class TestCmdSemantics:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_parent_holds_no_value_notation(self, tmp_path, monkeypatch, workers):
         """After the parse, and after every table is written, this process holds no
-        ValueNotation: the workers wrote them to shards, and the tables stream from there."""
+        ValueNotation and no Violation: the workers wrote the notations to shards,
+        the violations were written as the merged mask runs streamed, and the
+        tables stream from those files."""
 
         def held():
             gc.collect()
-            return sum(isinstance(obj, ValueNotation) for obj in gc.get_objects())
+            objects = gc.get_objects()
+            return tuple(sum(isinstance(obj, kind) for obj in objects) for kind in (ValueNotation, Violation))
 
         baseline = held()
         probe = [ValueNotation(idpath("/people/person/p"), Mid("x"), NotationKind.HAS_VALUE)]
-        assert held() == baseline + 1  # the scan sees a held one
+        probe.append(Violation(Mid("x"), idpath("/film/film"), idpath("/film/film_series")))
+        assert held() == (baseline[0] + 1, baseline[1] + 1)  # the scan sees a held one of each
         del probe
         notes = [obj_line(f"people.person.p{i}", "freebase.valuenotation.has_value", f"m.x{i}") for i in range(500)]
         dump, rules = typed_semantics_fixture(tmp_path)
@@ -650,6 +654,23 @@ class TestCmdSemantics:
         assert main(argv) == 0
         assert counts == [baseline, baseline]
         assert len((out / "valuenotes.csv").read_text().splitlines()) == 501
+        assert len(json.loads((out / "violations.json").read_text())) > 0  # there were some to hold
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rules_no_mid_breaks_give_empty_violation_tables(self, tmp_path, capsys, workers):
+        """Rules whose type pairs no mid asserts both of: a header-only violations.csv,
+        an empty violations.json and a count of 0."""
+        lines = [obj_line(f"m.{mid}", "type.object.type", t) for mid, t in (("a", "film.film"), ("b", "book.book"))]
+        lines += [obj_line("m.c", "type.object.type", t) for t in ("film.film", "tv.tv_series")]
+        dump = write_lines(tmp_path, lines + random_dump_lines(300, seed=3))
+        rules = tmp_path / "rules.tsv"
+        rules.write_text("/film/film /book/book\n/tv/tv_series /book/book\n")
+        out = tmp_path / "out"
+        argv = ["semantics", dump, "--rules", str(rules), "--json", "--workers", str(workers), "--out", str(out)]
+        assert main(argv) == 0
+        assert (out / "violations.csv").read_text() == "mid,type_a,type_b\n"
+        assert (out / "violations.json").read_text() == "[]\n"
+        assert "violations: 0\n" in capsys.readouterr().out
 
     def test_no_run_is_written_without_rules(self, tmp_path, monkeypatch):
         def refuse(path, records):

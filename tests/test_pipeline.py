@@ -885,7 +885,7 @@ class TestMaskRunMerge:
         parts = plan_partitions([path], 3)
         single = SemanticsFold(known_rules=KNOWN_RULES, run_root=str(tmp_path / "single"))
         (run,) = semantics_payload(path, tmp_path / "single", known_rules=KNOWN_RULES)["type_masks"]
-        expected = single.violations([run])
+        expected = list(single.violations([run]))
         assertions = [m for m in map(match_type_assertion, iter_triples(path, ParseReport())) if m]
         assert expected == check_incompatibilities(assertions, KNOWN_RULES) != []
 
@@ -916,7 +916,7 @@ class TestMaskRunMerge:
 
         monkeypatch.setattr(semantics, "read_mask_run", counted_read)
         monkeypatch.setattr(pipeline, "_open_file_cap", lambda: budget)
-        assert fold.violations(runs) == expected
+        assert list(fold.violations(runs)) == expected
         assert max(seen) == budget
         assert len(opened) > len(runs)  # the merge took passes
         left = [name for name in os.listdir(run_root) if not name.startswith("notes-")]  # beside the notation shards

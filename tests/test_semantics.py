@@ -411,7 +411,7 @@ class TestIncompatibilities:
         fold = SemanticsFold(known_rules=rules, run_root=str(tmp_path))
         runs = fold_triples(fold, parse_lines(lines))[0]["type_masks"]
         assert read_masks(runs) == {"terminator": 0b11}  # /film/film is bit 0, /film/film_series bit 1
-        assert fold.violations(runs) == [Violation(Mid("terminator"), self.film, self.series)]
+        assert list(fold.violations(runs)) == [Violation(Mid("terminator"), self.film, self.series)]
 
     def test_load_rules_file(self):
         text = "# pairs\n/film/film\t/film/film_series\n\n/people/person /people/deceased_person\n"
@@ -447,7 +447,7 @@ class TestMaskRuns:
         assert [suffix for suffix, _ in records] == sorted(ODD_SUFFIXES)
         assert dict(records) == {s: 0b11 if s in ODD_SUFFIXES[::3] else 0b01 for s in ODD_SUFFIXES}
         expected = [Violation(Mid(s), film, series) for s in sorted(ODD_SUFFIXES[::3])]
-        assert fold.violations([run]) == expected
+        assert list(fold.violations([run])) == expected
 
     @pytest.mark.parametrize("open_runs", [1, 3, 4, 100])
     def test_merge_ors_equal_suffixes_in_str_order(self, tmp_path, open_runs):
