@@ -7,14 +7,15 @@ violations, and ``study`` runs the triples-vs-complexity correlation.
 The commands read the public dump's own namespace and predicate spellings
 (the library defaults of :class:`fbont.parser.ParserConfig` and
 :class:`fbont.schema.SchemaConfig`, and the predicates
-:class:`fbont.pipeline.SemanticsFold` reads). No option keeps state that
-grows with the dump: ``slice --materialize`` is a flag that takes no value
-and writes each well-formed line, as it was read, to
-``OUT/slices/<kind>/<name>.nt``, and ``semantics`` keeps, per mid, one
-bitmask of the types its ``--rules`` name (its workers write them as sorted
-runs in the work directory, which the fold merges as a stream, and write
-their value notations there as shard directories of valuenotes.csv rows)
-and writes violations exactly when given ``--rules``.
+:class:`fbont.pipeline.SemanticsFold` reads), and every well-formed line
+counts: an id outside ``[0-9a-z_]`` adds ``nonstandard-id`` lint, never a
+malformed line. No option keeps state that grows with the dump: ``slice
+--materialize`` is a flag that takes no value and writes each well-formed
+line, as it was read, to ``OUT/slices/<kind>/<name>.nt``, and ``semantics``
+keeps, per mid, one bitmask of the types its ``--rules`` name (its workers
+write them as sorted runs in the work directory, which the fold merges as a
+stream, and write their value notations there as shard directories of
+valuenotes.csv rows) and writes violations exactly when given ``--rules``.
 
 Each subcommand builds its documents as a ``{file name: document}`` map, a
 document being text or an iterable of text chunks, the tables rendered by
@@ -55,7 +56,7 @@ import sys
 from contextlib import contextmanager, suppress
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
-from .parser import ParseReport, ParserConfig
+from .parser import ParseReport
 from .pipeline import (
     SchemaFold,
     SemanticsFold,
@@ -78,6 +79,7 @@ from .report import (
     load_schema_csv,
     render_json,
     render_table,
+    render_taxonomy,
     schema_rows,
     stream_table,
     violation_rows,
@@ -170,10 +172,6 @@ def _csv_rows(path: str, columns: Sequence[str]) -> Iterator[Iterable[str]]:
             yield record.values()
 
 
-def _parser_config(args: argparse.Namespace) -> ParserConfig:
-    return ParserConfig(strict_ids=args.strict_ids)
-
-
 def _group_config(args: argparse.Namespace) -> GroupConfig:
     return GroupConfig(frozenset(args.implementation_domain or DEFAULT_IMPLEMENTATION_DOMAINS))
 
@@ -181,14 +179,9 @@ def _group_config(args: argparse.Namespace) -> GroupConfig:
 # --- subcommands ----------------------------------------------------------------
 
 
-def _run(args: argparse.Namespace, *folds) -> tuple[ParseReport, dict]:
-    """run_folds over the command's inputs, with its --workers and parser options."""
-    return run_folds(args.inputs, folds, args.workers, _parser_config(args))
-
-
 def cmd_slice(args: argparse.Namespace) -> int:
     shard_root = os.path.join(args.work, "parts") if args.materialize else None
-    report, merged = _run(args, SliceFold(shard_root))
+    report, merged = run_folds(args.inputs, [SliceFold(shard_root)], args.workers)
     if shard_root is not None:
         concatenate_shards(merged["shard_dirs"], os.path.join(args.work, "out", "slices"))
     bundle = ReportBundle(taxonomy=build_taxonomy(merged["counts"], _group_config(args)))
@@ -198,7 +191,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 
 def cmd_schema(args: argparse.Namespace) -> int:
-    report, merged = _run(args, SchemaFold())
+    report, merged = run_folds(args.inputs, [SchemaFold()], args.workers)
     rows = schema_rows(merged["schemas"])
     formats = ("csv", "json") if args.json else ("csv",)
     _publish(args, {f"schema.{fmt}": render_table(SCHEMA_COLUMNS, rows, fmt) for fmt in formats}, report)
@@ -218,7 +211,7 @@ def cmd_semantics(args: argparse.Namespace) -> int:
     """
     rules = _read_input(args.rules, load_rules) if args.rules else frozenset()
     fold = SemanticsFold(os.path.join(args.work, "runs"), rules, args.accept_reversed)
-    report, merged = _run(args, fold)
+    report, merged = run_folds(args.inputs, [fold], args.workers)
     own, staged = os.path.join(args.work, "own"), os.path.join(args.work, "out")
     os.makedirs(own)  # violations.csv and valuenotes.csv's header, which concatenate_shards moves to out/
     tables = {"valuenotes": VALUENOTE_COLUMNS}
@@ -255,9 +248,9 @@ def cmd_study(args: argparse.Namespace) -> int:
     group_config = _group_config(args)
     report = None
     if args.inputs:
-        report, merged = _run(args, SliceFold(), SchemaFold())
-        taxonomy = ReportBundle(taxonomy=build_taxonomy(merged["counts"], group_config)).documents(("csv",))
-        counts = load_counts_csv(io.StringIO(taxonomy["taxonomy.csv"]))
+        report, merged = run_folds(args.inputs, [SliceFold(), SchemaFold()], args.workers)
+        taxonomy = render_taxonomy(build_taxonomy(merged["counts"], group_config), "csv")
+        counts = load_counts_csv(io.StringIO(taxonomy))
         scores = load_schema_csv(io.StringIO(render_table(SCHEMA_COLUMNS, schema_rows(merged["schemas"]))))
     else:
         counts = _read_input(args.from_counts, load_counts_csv)
@@ -302,11 +295,6 @@ def _add_common(sub: argparse.ArgumentParser, inputs_required: bool = True) -> N
         default=1,
         help="worker processes; plain and gzip files are split into byte ranges, "
         "standard input is read by one process",
-    )
-    sub.add_argument(
-        "--strict-ids",
-        action="store_true",
-        help="treat identifiers outside [0-9a-z_] as malformed instead of lint",
     )
 
 

@@ -30,8 +30,9 @@ and catches any other line whole, so it yields one row per line:
 
 Every line the scan takes is thus well-formed, and :func:`parse_line`, the
 reference, is the only code that rejects a line. It takes each line the
-scan catches whole, whose predicate token the entry rejects, or, under
-``strict_ids``, whose predicate is a nonstandard id. It splits a line on
+scan catches whole or whose predicate token the entry rejects. A
+nonstandard id is never a reason to reject: the line is well-formed and
+adds ``nonstandard-id`` lint on either route. parse_line splits a line on
 its tabs and falls back to a quote-aware whitespace tokenizer, so
 hand-written fixtures parse too.
 A predicate token missing its closing bracket can run past a line end and
@@ -105,6 +106,8 @@ BLANK_NODE = "blank-node"
 BAD_TERM = "bad-term"
 BAD_LITERAL_SUFFIX = "bad-literal-suffix"
 EMPTY_IRI = "empty-iri"
+
+# The lint key of an id outside the canonical [0-9a-z_] alphabet.
 NONSTANDARD_ID = "nonstandard-id"
 
 
@@ -113,13 +116,11 @@ class ParserConfig:
     """Knobs for one parsing run.
 
     namespace: prefix mapped onto slash notation (mirrors with other
-    prefixes stay readable by overriding it).
-    strict_ids: reject lines whose Freebase identifiers fall outside the
-    canonical [0-9a-z_] alphabet instead of merely counting them.
+    prefixes stay readable by overriding it; the CLI reads the public
+    dump's own).
     """
 
     namespace: str = DEFAULT_NAMESPACE
-    strict_ids: bool = False
 
 
 DEFAULT_CONFIG = ParserConfig()
@@ -310,11 +311,8 @@ def _parse_iri_term(token: str, config: ParserConfig, counters: Counter | None) 
     if "<" in iri or ">" in iri:
         raise MalformedLineError(UNBALANCED_BRACKETS)
     ref = normalize_iri(iri, config.namespace)
-    if _is_nonstandard(ref):
-        if config.strict_ids:
-            raise MalformedLineError(NONSTANDARD_ID)
-        if counters is not None:
-            counters[NONSTANDARD_ID] += 1
+    if counters is not None and _is_nonstandard(ref):
+        counters[NONSTANDARD_ID] += 1
     return ref
 
 
@@ -416,10 +414,10 @@ def _canonical_line(namespace: str) -> re.Pattern:
     (subject mid suffix, predicate token, caught line), each empty where it
     did not match. A matched line is four tab-separated fields, the last
     ``.``, and well-formed unless :class:`Projection` rejects its predicate
-    token, or ``strict_ids`` its id. Only a predicate token holding a
-    newline can make a match run past a line end. Every line is caught when
-    the namespace holds a tab, bracket or newline, since the regex and the
-    tab split could then disagree on where a term or line ends.
+    token. Only a predicate token holding a newline can make a match run
+    past a line end. Every line is caught when the namespace holds a tab,
+    bracket or newline, since the regex and the tab split could then
+    disagree on where a term or line ends.
     """
     if any(c in namespace for c in "\t<>\n"):
         return re.compile(r"^()()(.*)$", re.MULTILINE)
@@ -466,8 +464,7 @@ class Projection(dict):
     token is checked once: a token holding a bracket or whitespace inside
     its brackets (or the empty token of a line the scan caught) gets None,
     which sends its lines to :func:`parse_line`, and ``reads`` and ``copy``
-    are not asked for it; under ``strict_ids`` a nonstandard predicate's
-    lines go there too. A line parse_line built finds its entry under
+    are not asked for it. A line parse_line built finds its entry under
     ``"<" + to_iri(predicate, namespace) + ">"``, which is its token, since
     ``to_iri(normalize_iri(iri, namespace), namespace) == iri``; where that
     token has None, under the predicate term itself.
@@ -726,21 +723,22 @@ def parse_blocks(
     ``findall`` of the canonical regex, one row per line, numbered on from the
     previous block's; a block with fewer rows than lines (a predicate token
     ran past a line end) is scanned again line by line. A line the regex
-    matches, whose projection entry accepts its predicate token (and, under
-    ``strict_ids``, its id), is well-formed: it adds its predicate's lint, is
-    counted in the entry and, if the projection reads its kind, is split on
-    its tabs and built as parse_line builds it, a mid subject from its
-    scanned suffix. Any other line goes through :func:`parse_line`, the only
-    code here that rejects a line; a well-formed one is counted too, and
-    always built. The block is split into lines at most once, and only for
-    a line that is built, copied or sent to parse_line. A well-formed line
-    of a predicate with a buffer is appended there too, as it was read (less
-    its line-end CRs), in input order. The results equal a
-    :func:`parse_line` call per line. Without a ``projection`` every line is
-    built. Each block yields its triples, an empty list when none was built,
-    so a caller can empty the buffers block by block. ``report`` takes the
-    block's counts before its triples are yielded; an I/O failure while
-    reading raises StreamAbortedError with the report of every line before it.
+    matches, whose projection entry accepts its predicate token, is
+    well-formed: it adds its predicate's lint (a nonstandard id is lint,
+    never malformed), is counted in the entry and, if the projection reads
+    its kind, is split on its tabs and built as parse_line builds it, a mid
+    subject from its scanned suffix. Any other line goes through
+    :func:`parse_line`, the only code here that rejects a line; a
+    well-formed one is counted too, and always built. The block is split
+    into lines at most once, and only for a line that is built, copied or
+    sent to parse_line. A well-formed line of a predicate with a buffer is
+    appended there too, as it was read (less its line-end CRs), in input
+    order. The results equal a :func:`parse_line` call per line. Without a
+    ``projection`` every line is built. Each block yields its triples, an
+    empty list when none was built, so a caller can empty the buffers block
+    by block. ``report`` takes the block's counts before its triples are
+    yielded; an I/O failure while reading raises StreamAbortedError with the
+    report of every line before it.
     """
     scan = _canonical_line(config.namespace).findall
     if projection is None:
@@ -767,8 +765,8 @@ def parse_blocks(
             malformed = report.lines_malformed
             for i, (mid_subject, token, line) in enumerate(rows):
                 entry = projection[token]
-                if entry is None or entry[1] and config.strict_ids:
-                    if token:  # a canonical line but for its predicate token or id
+                if entry is None:
+                    if token:  # a canonical line but for its predicate token
                         if texts is None:
                             texts = text.split("\n")
                         line = texts[i]

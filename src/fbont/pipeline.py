@@ -52,12 +52,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
-from .model import Mid, NodeRef, Triple
+from .model import DEFAULT_NAMESPACE, Mid, NodeRef, Triple
 from .parser import (
     PLAIN,
     STREAM,
     ParseReport,
-    ParserConfig,
     Projection,
     StreamAbortedError,
     Tally,
@@ -372,8 +371,9 @@ class SemanticsFold:
 
 @dataclass(frozen=True)
 class Job:
-    """Parse a partition once, feeding every built triple to each fold's feed
-    and the partition's tallies to each fold's finish.
+    """Parse a partition once, in the public dump's namespace, feeding every
+    built triple to each fold's feed and the partition's tallies to each
+    fold's finish.
 
     Forked workers inherit it, so only what ``run`` returns crosses a pipe:
     the partition's (ParseReport, payload), the payload being the union of
@@ -381,7 +381,6 @@ class Job:
     """
 
     folds: tuple[Any, ...]
-    parser: ParserConfig = ParserConfig()
 
     def reads(self, predicate: NodeRef, mid_subject: bool) -> bool:
         return any(fold.reads(predicate, mid_subject) for fold in self.folds)
@@ -394,10 +393,10 @@ class Job:
         if len(copying) > 1:
             raise ValueError("at most one fold of a Job may copy lines")
         copy, flush = copying[0] if copying else (None, None)
-        projection = Projection(self.reads, self.parser.namespace, copy)
+        projection = Projection(self.reads, copy=copy)
         payload: dict[str, Any] = {}
         try:
-            for triples in parse_blocks(partition_blocks(part), report, self.parser, projection):
+            for triples in parse_blocks(partition_blocks(part), report, projection=projection):
                 for triple in triples:
                     for feed in feeds:
                         feed(triple)
@@ -508,7 +507,7 @@ def run_partitioned(job: Job, partitions: Sequence[Partition], workers: int) -> 
     """
     if workers <= 1 or len(partitions) <= 1 or not hasattr(os, "fork"):
         return _merge_results(map(job.run, partitions))
-    _canonical_line(job.parser.namespace)  # compiled once here, so every child inherits it
+    _canonical_line(DEFAULT_NAMESPACE)  # compiled once here, so every child inherits it
     count = min(workers, len(partitions))
     pids: list[int] = []
     pipes: list[BinaryIO] = []
@@ -566,10 +565,9 @@ def run_folds(
     inputs: Sequence[str],
     folds: Sequence[Any],
     workers: int = 1,
-    parser: ParserConfig = ParserConfig(),
 ) -> tuple[ParseReport, dict[str, Any]]:
     """Parse the inputs once, feeding every triple to each fold; the merged report and payload."""
-    return run_partitioned(Job(tuple(folds), parser), plan_partitions(inputs, workers), workers)
+    return run_partitioned(Job(tuple(folds)), plan_partitions(inputs, workers), workers)
 
 
 def _merge_results(results: Iterable[tuple[ParseReport, dict[str, Any]]]) -> tuple[ParseReport, dict[str, Any]]:

@@ -25,8 +25,8 @@ from dumpgen import oracle_linreg, oracle_pearson, oracle_violations, random_dum
 from fbont import cli, pipeline
 from fbont.cli import main
 from fbont.model import Mid, idpath, render
-from fbont.parser import ParseReport, StreamAbortedError, iter_triples
-from fbont.pipeline import Job, SemanticsFold, SliceFold
+from fbont.parser import MalformedLineError, ParseReport, StreamAbortedError, iter_triples, parse_line
+from fbont.pipeline import Job, SemanticsFold, SliceFold, iter_partition_lines
 from fbont.report import VALUENOTE_COLUMNS, render_table
 from fbont.semantics import NotationKind, ValueNotation, Violation, load_rules, type_bits, write_mask_run
 from fbont.slicer import slice_relpath
@@ -268,6 +268,8 @@ class TestCmdSlice:
                 line(s, p, '"\\u0041b"'),  # a decodable escape
                 line(s, p, '"x\\uD800"'),  # an unknown escape, kept verbatim
                 line(fb(f"m.0S{i}"), p, f'"v{i}"@en'),  # a nonstandard mid
+                line(s, fb("people.Person.name"), f'"n{i}"'),  # a nonstandard predicate
+                line(s, p, fb(f"m.0O{i}")),  # a nonstandard object mid
                 line(s, fb("film.film.genre"), o),
                 f"{s}\t{p}\tbroken\t.",  # malformed
             ]
@@ -287,7 +289,7 @@ class TestCmdSlice:
             paths = [str(out / "slices" / name) for name in sorted(tree)]
             assert main(["slice", *paths, "--out", str(again)]) == 0
             assert json.loads((again / "parse_report.json").read_text())["lint"] == lint[workers]
-        assert lint[1] == lint[2] == {"nonstandard-id": 20, "unknown-escape": 20}
+        assert lint[1] == lint[2] == {"nonstandard-id": 60, "unknown-escape": 20}
 
 
 class TestCmdSchema:
@@ -504,16 +506,49 @@ class TestCmdSemantics:
         violations = SemanticsFold.violations
 
         def check(fold, runs):
-            seen.append(sorted(Counter(os.path.basename(run).split("-")[0] for run in runs).values()))
+            seen.append(Counter(os.path.basename(run).split("-")[0] for run in runs))
             return violations(fold, runs)
+
+        typed_with = {idpath(f"/{t.replace('.', '/')}") for t in types}  # every type the rules name
+
+        def typed_mids(source, workers):
+            """Each partition's index and the mids its own range types with a rule's type, in line order."""
+            parts = []
+            for part in pipeline.plan_partitions([source], workers):
+                mids = []
+                for raw in iter_partition_lines(part):
+                    try:
+                        triple = parse_line(raw.decode("utf-8", "replace").rstrip("\r\n"))
+                    except MalformedLineError:
+                        continue
+                    if triple.predicate == idpath("/type/object/type") and isinstance(triple.subject, Mid):
+                        if triple.object in typed_with:
+                            mids.append(triple.subject.suffix)
+                parts.append((f"{part.index:05d}", mids))
+            return parts
+
+        def expected_runs(parts, cap):
+            """Each partition's mask runs: its distinct typed mids, spilled at ``cap`` entries and at its end."""
+            runs = Counter()
+            for index, mids in parts:
+                held = set()
+                for suffix in mids:
+                    held.add(suffix)
+                    if len(held) >= cap:
+                        runs[index] += 1
+                        held.clear()
+                runs[index] += bool(held)
+            return +runs  # the partitions that wrote a run
 
         monkeypatch.setattr(SemanticsFold, "violations", check)
         outputs = []
         for source in (plain, str(packed), "-"):
             for workers in (1, 2, 4):
-                partitions = 1 if source == "-" else len(pipeline.plan_partitions([source], workers))
-                # one run per partition, two (three for a long gzip range) and many
-                for cap, low, high in ((pipeline.MASK_RUN_ENTRIES, 1, 1), (360 // partitions, 2, 3), (2, 100, 600)):
+                parts = typed_mids(plain, 1) if source == "-" else typed_mids(source, workers)
+                partitions = len(parts)
+                # one run per partition, a few and many
+                for cap in (pipeline.MASK_RUN_ENTRIES, 360 // partitions, 2):
+                    expected = expected_runs(parts, cap)
                     if source == "-":
                         stdin = io.TextIOWrapper(io.BytesIO((tmp_path / "dump.nt").read_bytes()))
                         monkeypatch.setattr(sys, "stdin", stdin)
@@ -523,7 +558,8 @@ class TestCmdSemantics:
                         patch.setattr(pipeline, "MASK_RUN_ENTRIES", cap)
                         assert main(argv + ["--out", str(out)]) == 0
                     outputs.append((read_tree(out), capsys.readouterr()))
-                    assert len(seen[-1]) == partitions and low <= min(seen[-1]) <= max(seen[-1]) <= high
+                    assert seen[-1] == expected and len(expected) == partitions
+                    assert (max(expected.values()) > 1) == (cap < pipeline.MASK_RUN_ENTRIES)
         assert all(output == outputs[0] for output in outputs)
         assert json.loads(outputs[0][0]["violations.json"]) != []
         assert not any(name.startswith(".fbont-") for name in outputs[0][0])
@@ -933,7 +969,7 @@ class TestCmdStudy:
         assert main(["slice", path, "--out", str(pre)]) == 0
         assert main(["schema", path, "--out", str(pre)]) == 0
         files = {"--from-counts": pre / "taxonomy.csv", "--from-schema": pre / "schema.csv"}
-        monkeypatch.setattr(cli, "_run", mock.Mock(side_effect=AssertionError("dump parsed")))
+        monkeypatch.setattr(cli, "run_folds", mock.Mock(side_effect=AssertionError("dump parsed")))
         capsys.readouterr()
         out = tmp_path / "out"
         argv = ["study", *([path] if dump else []), "--out", str(out)]
@@ -1625,9 +1661,10 @@ class TestConsoleScript:
 
 # No option respells the public dump's namespace or predicates, chooses the
 # slice path, keeps state that grows with the dump (--count-distinct kept
-# every line, --incompatibility-predicate every type assertion) or resizes the
-# error sample (--max-errors; parse_report.json keeps the first 20): the
-# commands read the dump's own spellings, and argparse refuses these.
+# every line, --incompatibility-predicate every type assertion), resizes the
+# error sample (--max-errors; parse_report.json keeps the first 20) or drops
+# lines with nonstandard ids (--strict-ids; they are lint): the commands read
+# the dump's own spellings, and argparse refuses these.
 SCHEMA_OPTIONS = ("--description-predicate", "--detail-predicate", "--type-predicate", "--schema-domain")
 COMMANDS = ("slice", "schema", "semantics", "study")
 REMOVED_OPTIONS = [(command, option) for command in ("schema", "study") for option in SCHEMA_OPTIONS] + [
@@ -1638,6 +1675,7 @@ REMOVED_OPTIONS = [(command, option) for command in ("schema", "study") for opti
     ("semantics", "--incompatibility-predicate"),
     *[(command, "--namespace") for command in COMMANDS],
     *[(command, "--max-errors") for command in COMMANDS],
+    *[(command, "--strict-ids") for command in COMMANDS],
 ]
 
 
@@ -1660,10 +1698,9 @@ SETTABLE_DESTS = {
         "inputs",
         "materialize",
         "out",
-        "strict_ids",
         "workers",
     ],
-    "schema": ["inputs", "json", "out", "strict_ids", "workers"],
+    "schema": ["inputs", "json", "out", "workers"],
     "semantics": [
         "accept_reversed",
         "cycle_policy",
@@ -1671,7 +1708,6 @@ SETTABLE_DESTS = {
         "json",
         "out",
         "rules",
-        "strict_ids",
         "workers",
     ],
     "study": [
@@ -1681,7 +1717,6 @@ SETTABLE_DESTS = {
         "implementation_domain",
         "inputs",
         "out",
-        "strict_ids",
         "workers",
     ],
 }

@@ -12,7 +12,6 @@ from fbont.model import ExternalIri, Literal, Mid, Triple, idpath
 from fbont.parser import (
     MalformedLineError,
     ParseReport,
-    ParserConfig,
     iter_triples,
     parse_line,
     serialize,
@@ -92,16 +91,10 @@ class TestParseLine:
             parse_line(bad)
         assert err.value.reason == reason
 
-    def test_strict_ids_rejects_mixed_case(self):
-        line_text = obj_line("m.ABC", "people.person.spouse_s", "m.def")
-        assert parse_line(line_text).subject == Mid("ABC")  # lint mode accepts
-        with pytest.raises(MalformedLineError) as err:
-            parse_line(line_text, ParserConfig(strict_ids=True))
-        assert err.value.reason == "nonstandard-id"
-
     def test_nonstandard_id_lint_counter(self):
         counters = Counter()
-        parse_line(obj_line("m.ABC", "people.person.spouse_s", "m.def"), counters=counters)
+        triple = parse_line(obj_line("m.ABC", "people.person.spouse_s", "m.def"), counters=counters)
+        assert triple.subject == Mid("ABC")  # a nonstandard id is lint, never malformed
         assert counters["nonstandard-id"] == 1
 
 

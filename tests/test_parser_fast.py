@@ -2,16 +2,15 @@
 
 A stream has two parse routes: the scan of each block with the canonical
 regex, which yields one row per line, and parse_line for each line the scan
-does not take itself (a line outside the canonical grammar, one whose
-predicate token is, or, under strict_ids, one whose predicate is a
-nonstandard id). Only parse_line rejects a line. Over any input, each line
+does not take itself (a line outside the canonical grammar, or one whose
+predicate token is). Only parse_line rejects a line, and never for a
+nonstandard id, which is lint on both routes. Over any input, each line
 alone or many as one stream, iter_triples must give what one parse_line call
 per line gives: the same triples, the same malformed reason codes at the
 same line numbers and the same lint counts. With a Projection it must count
 every well-formed line by predicate, build exactly the lines worked out line
 by line below, and copy each copied line as it was read, less its line-end
-CRs. All of it under both strict_ids settings and under the default and
-non-default namespaces.
+CRs. All of it under the default and non-default namespaces.
 """
 
 import io
@@ -39,7 +38,7 @@ from fbont.parser import (
 
 ALT_NS = "http://example.org/kb+(v1)?/"
 NAMESPACES = [NS, ALT_NS, ""]
-CONFIGS = [ParserConfig(ns, strict) for ns in NAMESPACES for strict in (False, True)]
+CONFIGS = [ParserConfig(ns) for ns in NAMESPACES]
 # Every malformed line's reason is compared, not just the first twenty.
 MAX_ERRORS = 1 << 30
 
@@ -316,7 +315,7 @@ class TestDifferential:
     def test_namespace_with_tab_or_bracket_uses_reference_only(self):
         for ns in ("http://x/\tns/", "http://x/<ns>/"):
             lines = [f"<{ns}m.a>\t{P}\t<{ns}d>\t.", f'<{ns}m.a>\t{P}\t"x"\t.', *EDGE_CASES[:10]]
-            configs = [ParserConfig(ns), ParserConfig(ns, strict_ids=True)]
+            configs = [ParserConfig(ns)]
             assert_alone_same(lines, configs)
             assert assert_stream_same(lines, configs) == 0
 
@@ -379,16 +378,12 @@ class TestFastPathIsTaken:
         assert triple.object == Mid("abc")
         assert list(iter_triples(dump_stream([text]), ParseReport())) == [triple]
 
-    def test_memo_does_not_hold_strictness(self):
-        """The projection keeps whether a predicate is nonstandard; each line is linted or rejected."""
+    def test_memo_lints_every_line(self):
+        """The projection keeps whether a predicate is nonstandard; each of its lines is linted."""
         text = f"{S}\t{fbt('base.a.b.c')}\t{O}\t."
-        with pytest.raises(MalformedLineError):
-            parse_line(text, ParserConfig(strict_ids=True))
         for reads in (None, READS["nothing"]):
             report = block_parse(dump_stream([text] * 2), ParserConfig(), reads)[0]
             assert report["lint"] == {"nonstandard-id": 2} and report["triples_ok"] == 2
-            report = block_parse(dump_stream([text] * 2), ParserConfig(strict_ids=True), reads)[0]
-            assert report["first_errors"] == [[1, "nonstandard-id"], [2, "nonstandard-id"]]
 
 
 # --- many lines as one stream ---------------------------------------------------
@@ -440,8 +435,7 @@ class TestProjectedDifferential:
 
 
 class TestOnlyParseLineRejects:
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_every_malformed_line_went_through_parse_line(self, strict):
+    def test_every_malformed_line_went_through_parse_line(self):
         """The scan takes only well-formed lines: parse_line was given every line reported malformed."""
         lines = random_dump_lines(3000, seed=11, malformed_rate=0.2)
         lines[::50] = [f"{S}\t{fbt('base.a.b.c')}\t{O}\t."] * len(lines[::50])  # a nonstandard predicate
@@ -453,10 +447,10 @@ class TestOnlyParseLineRejects:
 
         report = ParseReport(max_errors=MAX_ERRORS)
         with mock.patch.object(parser_module, "parse_line", recording):
-            for _ in iter_triples(dump_stream(lines), report, ParserConfig(strict_ids=strict)):
+            for _ in iter_triples(dump_stream(lines), report):
                 pass
         assert len(report.errors) == report.lines_malformed > 0
-        assert any(reason == "nonstandard-id" for _, reason in report.errors) == strict
+        assert report.lint["nonstandard-id"] >= len(lines[::50])
         remaining = iter(sent)
         assert all(lines[number - 1] in remaining for number, _ in report.errors)  # in input order
 
@@ -548,7 +542,7 @@ class TestBlockDifferential:
         lines = random_dump_lines(800, seed=11, malformed_rate=0.2)
         data = "\n".join(lines + MALFORMED_LINES + EDGE_CASES + UNICODE_LINES + STRADDLING).encode()
         assert_blocks_same(data + b"\n", cap)
-        assert_blocks_same(data.replace(b"\n", b"\r\n"), cap, CONFIGS[:2])
+        assert_blocks_same(data.replace(b"\n", b"\r\n"), cap, CONFIGS[:1])
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -616,7 +610,7 @@ class TestPredicateTokens:
         lines = ODD_PREDICATE_LINES + [text.replace(NS, ALT_NS) for text in ODD_PREDICATE_LINES]
         data = dump_stream(random_dump_lines(100, seed=7) + lines).getvalue()
         assert assert_blocks_same(data, cap) > 0
-        assert_blocks_same(data.replace(b"\n", b"\r\n"), cap, CONFIGS[:2])
+        assert_blocks_same(data.replace(b"\n", b"\r\n"), cap, CONFIGS[:1])
         assert_alone_same(lines)
 
     @pytest.mark.parametrize("cap", [1, 16 * 1024])
@@ -628,10 +622,9 @@ class TestPredicateTokens:
         lines = lines[:150] + crossing + lines[150:] + crossing + ODD_PREDICATE_LINES + crossing
         data = dump_stream(lines).getvalue()
         assert assert_blocks_same(data, cap) > 0
-        assert_blocks_same(data.replace(b"\n", b"\r\n"), cap, CONFIGS[:2])
+        assert_blocks_same(data.replace(b"\n", b"\r\n"), cap, CONFIGS[:1])
 
-    @pytest.mark.parametrize("config", [ParserConfig(), ParserConfig(strict_ids=True)])
-    def test_reads_and_copy_skip_tokens_only_malformed_lines_hold(self, config):
+    def test_reads_and_copy_skip_tokens_only_malformed_lines_hold(self):
         """Nor for a token outside the canonical predicate grammar that only
         lines parse_line rejects hold."""
         rejected = [
@@ -639,17 +632,17 @@ class TestPredicateTokens:
             f'{S}\t<a b>\t"x"@\t.',
             f"{S}\t<a\xa0b>\t{O}\t.\t.",
             f"{S}\t<>\t{O}\t.",
-            f"{S}\t{fbt('people.Person name')}\t{O}\t.",  # nonstandard: rejected only under strict_ids
         ]
-        lines = random_dump_lines(50, seed=9) + rejected + [f"{S}\t<a\u2028b>\t{O}\t."]
+        lines = random_dump_lines(50, seed=9) + rejected
+        lines += [f"{S}\t<a\u2028b>\t{O}\t.", f"{S}\t{fbt('people.Person name')}\t{O}\t."]  # well-formed
         asked = []
         projection = Projection(
             lambda predicate, mid: asked.append(predicate) or True,
             copy=lambda predicate: asked.append(predicate),
         )
         report = ParseReport()
-        triples = list(iter_triples(dump_stream(lines), report, config, projection))
-        assert report.lines_malformed == len(rejected) - (not config.strict_ids)
+        triples = list(iter_triples(dump_stream(lines), report, projection=projection))
+        assert report.lines_malformed == len(rejected)
         assert set(asked) == {triple.predicate for triple in triples}
         assert len(asked) == 3 * len(set(asked))
 
@@ -887,8 +880,7 @@ class TestEscapeClass:
     def test_class_lines_are_copied_as_read(self, cap):
         for ns in NAMESPACES:
             lines = [text.replace(NS, ns) for text in ESCAPE_CLASS_LINES]
-            configs = [config for config in CONFIGS if config.namespace == ns]
-            assert assert_copies_input(lines, cap, configs) == 2 * len(lines), ns
+            assert assert_copies_input(lines, cap, [ParserConfig(ns)]) == len(lines), ns
         # so are the well-formed near misses: all but the two with unbalanced quotes
         assert assert_copies_input(ESCAPE_NEAR_MISSES, cap) == (len(ESCAPE_NEAR_MISSES) - 2) * len(CONFIGS)
 
@@ -901,7 +893,7 @@ class TestEscapeClass:
         assert_stream_same(lines)
         assert sum(takes_plain_group(text) for text in lines) == in_class
         wellformed = sum(not isinstance(outcome(parse_line, t, ParserConfig())[0], str) for t in lines)
-        assert assert_copies_input(lines, cap, CONFIGS[:2]) == 2 * wellformed
+        assert assert_copies_input(lines, cap, CONFIGS[:1]) == wellformed
 
 
 def test_spelled_out_space_is_the_whitespace_class():

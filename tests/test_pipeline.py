@@ -597,10 +597,10 @@ def written_slices(lines, out_dir, lint):
     return counts
 
 
-def copied_slices(path, out_dir, workers, parser=ParserConfig()):
+def copied_slices(path, out_dir, workers):
     """Slice files of a materializing Job, its partitions run in-process."""
     fold = SliceFold(str(out_dir / ".parts"))
-    report, merged = run_partitioned(Job((fold,), parser), plan_partitions([path], workers), 1)
+    report, merged = run_partitioned(Job((fold,)), plan_partitions([path], workers), 1)
     concatenate_shards(merged["shard_dirs"], str(out_dir))
     return report, merged, read_tree(out_dir)
 
@@ -654,17 +654,17 @@ class TestCopiedSlices:
             trees.append(read_tree(out))
         assert trees[0] == trees[1] != {}
 
-    def test_strict_ids_drops_a_nonstandard_predicate_line(self, tmp_path):
+    def test_a_nonstandard_predicate_line_is_copied_and_linted(self, tmp_path):
+        """A nonstandard id is lint: its line is well-formed, counted and copied in input order."""
         odd = f'<{FB}m.0a>\t<{FB}people.Person.name>\t"odd"\t.'
         lines = [f'<{FB}m.0a>\t<{FB}people.person.name>\t"n{i}"\t.' for i in range(3)]
-        path = write_lines(tmp_path, lines[:1] + [odd] + lines[1:])
-        report, merged, tree = copied_slices(path, tmp_path / "lenient", 1)
-        assert tree["domain/people.nt"].decode().splitlines() == lines[:1] + [odd] + lines[1:]
-        assert report.lint["nonstandard-id"] == 1 and report.lines_malformed == 0
-        report, merged, tree = copied_slices(path, tmp_path / "strict", 2, ParserConfig(strict_ids=True))
-        assert tree["domain/people.nt"].decode().splitlines() == lines
-        assert report.errors == [(2, "nonstandard-id")] and not report.lint
-        assert merged["counts"] == {SliceKey(DOMAIN, "people"): 3}
+        lines[1:1] = [odd]
+        path = write_lines(tmp_path, lines)
+        for workers in (1, 2):
+            report, merged, tree = copied_slices(path, tmp_path / f"w{workers}", workers)
+            assert tree["domain/people.nt"].decode().splitlines() == lines, workers
+            assert report.lint["nonstandard-id"] == 1 and report.lines_malformed == 0
+            assert merged["counts"] == {SliceKey(DOMAIN, "people"): 4}
 
     @pytest.mark.parametrize("cap", [1, 64, 16 * 1024])
     def test_escaped_literals_are_copied_without_building(self, tmp_path, monkeypatch, cap):
